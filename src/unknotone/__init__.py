@@ -18,7 +18,7 @@ from .catalog import (
     parse_knot_records,
     serialize_knot_records,
 )
-from .corrections import CorrectionVector, correction_vector, spin_value, symmetry_gate
+from .corrections import CorrectionVector, correction_vector
 from .errors import (
     MissingSignatureError,
     NonCyclicCokernelError,

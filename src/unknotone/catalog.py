@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence, TextIO, Union
+from functools import cached_property
+from typing import Optional, Sequence
 
 from .errors import ValidationError
 from .lattice import QuadraticForm
@@ -91,12 +92,16 @@ class KnotRecord:
                 f"declared determinant {self.determinant}"
             )
 
-    @property
+    @cached_property
     def form(self) -> QuadraticForm:
         if self.goeritz is not None:
             return self.goeritz
         assert self.white_graph is not None
         return goeritz_from_white_graph(self.white_graph)
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def record_from_dict(entry: dict, where: str = "") -> KnotRecord:
@@ -106,6 +111,13 @@ def record_from_dict(entry: dict, where: str = "") -> KnotRecord:
     if not isinstance(name, str) or not name:
         raise ValidationError(f"{where}: missing or invalid 'name'")
     context = f"{where} ({name})" if where else name
+    for field in ("signature", "determinant"):
+        if entry.get(field) is not None and not _is_int(entry[field]):
+            raise ValidationError(f"{context}: '{field}' must be an integer, got {entry[field]!r}")
+    if entry.get("mirror_of") is not None and not isinstance(entry["mirror_of"], str):
+        raise ValidationError(
+            f"{context}: 'mirror_of' must be a string, got {entry['mirror_of']!r}"
+        )
     goeritz = None
     if "goeritz" in entry and entry["goeritz"] is not None:
         try:
@@ -117,12 +129,22 @@ def record_from_dict(entry: dict, where: str = "") -> KnotRecord:
         wg = entry["white_graph"]
         if not isinstance(wg, dict) or "vertices" not in wg or "edges" not in wg:
             raise ValidationError(f"{context}: white_graph needs 'vertices' and 'edges'")
-        try:
-            white_graph = WhiteGraph(
-                vertex_count=int(wg["vertices"]),
-                edges=tuple((int(u), int(v), int(s)) for u, v, s in wg["edges"]),
+        if not _is_int(wg["vertices"]):
+            raise ValidationError(
+                f"{context}: white_graph 'vertices' must be an integer, got {wg['vertices']!r}"
             )
-        except (ValidationError, TypeError, ValueError) as exc:
+        edges = wg["edges"]
+        if not isinstance(edges, (list, tuple)):
+            raise ValidationError(f"{context}: white_graph 'edges' must be an array")
+        for edge in edges:
+            if not (isinstance(edge, (list, tuple)) and len(edge) == 3 and all(map(_is_int, edge))):
+                raise ValidationError(
+                    f"{context}: white_graph 'edges' entries must be [u, v, sign] integers, "
+                    f"got {edge!r}"
+                )
+        try:
+            white_graph = WhiteGraph(wg["vertices"], tuple(tuple(edge) for edge in edges))
+        except ValidationError as exc:
             raise ValidationError(f"{context}: bad white graph: {exc}") from exc
     try:
         return KnotRecord(
@@ -155,9 +177,8 @@ def record_to_dict(record: KnotRecord) -> dict:
     return out
 
 
-def parse_knot_records(source: Union[str, TextIO]) -> list[KnotRecord]:
-    """Parse a JSON array of records (or a single record object)."""
-    text = source if isinstance(source, str) else source.read()
+def decode_record_entries(text: str) -> list:
+    """The unvalidated entries of a JSON array of records, or of one record object."""
     if not text.strip():
         return []
     try:
@@ -165,10 +186,16 @@ def parse_knot_records(source: Union[str, TextIO]) -> list[KnotRecord]:
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed JSON at line {exc.lineno}: {exc.msg}") from exc
     if isinstance(payload, dict):
-        payload = [payload]
+        return [payload]
     if not isinstance(payload, list):
         raise ValidationError("expected a JSON array of knot records")
-    return [record_from_dict(entry, where=f"record {i}") for i, entry in enumerate(payload)]
+    return payload
+
+
+def parse_knot_records(text: str) -> list[KnotRecord]:
+    """Parse a JSON array of records (or a single record object)."""
+    entries = decode_record_entries(text)
+    return [record_from_dict(entry, where=f"record {i}") for i, entry in enumerate(entries)]
 
 
 def serialize_knot_records(records: Sequence[KnotRecord]) -> str:

@@ -21,12 +21,12 @@ from .catalog import (
     KnotRecord,
     builtin_dataset,
     builtin_record,
+    decode_record_entries,
     parse_knot_records,
     record_from_dict,
 )
 from .corrections import correction_vector
 from .errors import (
-    MissingSignatureError,
     TorsionExtractionError,
     UnknotOneError,
     ValidationError,
@@ -38,7 +38,6 @@ from .report import (
     alexander_reports,
     analyze_record,
     batch_reports,
-    fraction_str,
     matching_to_json,
     report_to_json,
     sign_refined_record,
@@ -109,24 +108,22 @@ def _load_single_record(args: argparse.Namespace) -> KnotRecord:
         raise ValidationError("give exactly one of --knot and --input")
     if args.knot:
         return builtin_record(args.knot)
-    if args.input:
-        records = _read_records(args.input)
-    else:
-        if sys.stdin.isatty():
-            raise ValidationError("no input: pass --knot, --input, or pipe a record")
-        records = parse_knot_records(sys.stdin)
+    if not args.input and sys.stdin.isatty():
+        raise ValidationError("no input: pass --knot, --input, or pipe a record")
+    records = parse_knot_records(_read_text(args.input or "-"))
     if len(records) != 1:
         raise ValidationError(f"expected exactly one record, got {len(records)}")
     return records[0]
 
 
-def _read_records(path: str) -> list[KnotRecord]:
+def _read_text(path: str) -> str:
+    """A record file's text; '-' reads standard input."""
     if path == "-":
-        return parse_knot_records(sys.stdin)
+        return sys.stdin.read()
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return parse_knot_records(handle)
-    except OSError as exc:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
@@ -145,14 +142,14 @@ def cmd_corrections(args: argparse.Namespace) -> int:
     text = "\n".join(
         [
             f"{record.name}: D = {A.D}",
-            "A = " + ", ".join(fraction_str(a) for a in A.values),
-            f"spin value A_0 = {fraction_str(A.spin)}; symmetry gate: {A.gate}",
+            "A = " + ", ".join(str(a) for a in A.values),
+            f"spin value A_0 = {A.spin}; symmetry gate: {A.gate}",
         ]
     )
     payload = {
         "knot": record.name,
         "D": A.D,
-        "A": [fraction_str(a) for a in A.values],
+        "A": [str(a) for a in A.values],
         "generator": list(A.generator),
         "gate": A.gate,
     }
@@ -162,10 +159,10 @@ def cmd_corrections(args: argparse.Namespace) -> int:
 
 def cmd_gamma(args: argparse.Namespace) -> int:
     B = gamma_vector(args.D)
-    text = f"D = {B.D}\nB = " + ", ".join(fraction_str(b) for b in B.values)
+    text = f"D = {B.D}\nB = " + ", ".join(str(b) for b in B.values)
     payload = {
         "D": B.D,
-        "B": [fraction_str(b) for b in B.values],
+        "B": [str(b) for b in B.values],
         "kappas": [list(kappa) for kappa in B.kappas],
         "v_index": list(B.v_index),
     }
@@ -265,8 +262,8 @@ def cmd_plumbing_check(args: argparse.Namespace) -> int:
     ]
     if counted.is_lspace:
         A = plumbing_corrections(plumbing)
-        payload["A"] = [fraction_str(a) for a in A.values]
-        lines.append("  A = " + ", ".join(fraction_str(a) for a in A.values))
+        payload["A"] = [str(a) for a in A.values]
+        lines.append("  A = " + ", ".join(str(a) for a in A.values))
     _emit(payload, args.json, "\n".join(lines))
     return 0
 
@@ -341,13 +338,19 @@ def cmd_report(args: argparse.Namespace) -> int:
             print("\n".join(lines))
         return 0
 
+    records: list[KnotRecord] = []
     parse_failures: list[dict] = []
     if args.input:
-        records, parse_failures = _read_records_tolerant(args.input)
+        # Bad records are reported beside the verdicts of the good ones.
+        for i, entry in enumerate(decode_record_entries(_read_text(args.input))):
+            try:
+                records.append(record_from_dict(entry, where=f"record {i}"))
+            except ValidationError as exc:
+                parse_failures.append({"index": i, "error": str(exc)})
     elif args.all or sys.stdin.isatty():
         records = builtin_dataset()
     else:
-        records = parse_knot_records(sys.stdin)
+        records = parse_knot_records(_read_text("-"))
 
     reports = batch_reports(records, strong=args.strong)
     summary = {"records": reports, "parse_errors": parse_failures}
@@ -365,30 +368,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         for failure in parse_failures:
             print(f"PARSE ERROR: {failure['error']}", file=sys.stderr)
     return 3 if parse_failures else 0
-
-
-def _read_records_tolerant(path: str) -> tuple[list[KnotRecord], list[dict]]:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise ValidationError(f"cannot read {path}: {exc}") from exc
-    try:
-        payload = json.loads(text) if text.strip() else []
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed JSON at line {exc.lineno}: {exc.msg}") from exc
-    if isinstance(payload, dict):
-        payload = [payload]
-    records, failures = [], []
-    for i, entry in enumerate(payload):
-        try:
-            records.append(record_from_dict(entry, where=f"record {i}"))
-        except ValidationError as exc:
-            failures.append({"index": i, "error": str(exc)})
-    return records, failures
 
 
 COMMANDS = {
@@ -410,9 +389,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except TorsionExtractionError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 4
-    except (ValidationError, MissingSignatureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except UnknotOneError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

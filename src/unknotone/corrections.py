@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from .errors import NonCyclicCokernelError, ValidationError
@@ -51,17 +52,11 @@ class CorrectionVector:
 
     def reindexed(self, unit: int) -> "CorrectionVector":
         """The same data listed against the generator unit * g."""
-        if self.D > 1 and _gcd(unit % self.D, self.D) != 1:
+        if self.D > 1 and gcd(unit, self.D) != 1:
             raise ValidationError(f"{unit} is not a unit mod {self.D}")
         values = tuple(self.values[(unit * i) % self.D] for i in range(self.D))
         generator = tuple(unit * x for x in self.generator)
         return CorrectionVector(self.D, self.dim, values, generator)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def correction_vector(
@@ -141,13 +136,3 @@ def _resolve_generator(
     if structure.element_order(label) != structure.order:
         raise ValidationError(f"covector {gen_vec} does not generate the cokernel")
     return gen_vec
-
-
-def spin_value(vector: CorrectionVector) -> Fraction:
-    """A_0, the correction term of the spin class."""
-    return vector.spin
-
-
-def symmetry_gate(vector: CorrectionVector) -> bool:
-    """Whether |A_0| <= 1/2, the condition under which symmetry is demanded."""
-    return vector.gate

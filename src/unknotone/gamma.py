@@ -93,10 +93,6 @@ class GammaVector:
     v_index: tuple[int, ...]
     singly_attained_index: int
 
-    @property
-    def singly_attained_residue(self) -> int:
-        return self.v_index[self.singly_attained_index]
-
 
 def gamma_vector(D: int) -> GammaVector:
     """Correction terms of the model half-integer surgery, indexed by Z/D."""

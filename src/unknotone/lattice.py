@@ -10,6 +10,12 @@ lattice V = Z^m.  The induced map q: V -> V* sends v to the covector G v,
 and the rational extension of the form to V* is (v, w) -> v^t G^{-1} w,
 computed as v^t adj(G) w / det(G).  Covectors are plain integer tuples in
 the dual coordinates.
+
+The linear algebra uses plain integers: Bareiss fraction-free elimination
+(Math. Comp. 1968) for determinants and leading minors, cofactors for the
+adjugate, and the gcd of the adjugate entries as the cyclicity test (the
+cokernel is cyclic exactly when it is 1).  A Smith normal form is computed
+only for the invariant factors of a non-cyclic cokernel.
 """
 
 from __future__ import annotations
@@ -18,11 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import prod
+from math import gcd, lcm, prod
 from typing import Iterator, Optional, Sequence
-
-import sympy
-from sympy.matrices.normalforms import invariant_factors as _sympy_invariant_factors
 
 from .errors import NonCyclicCokernelError, SingularFormError, ValidationError
 
@@ -48,6 +51,58 @@ def _validated_rows(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...
     return out
 
 
+def _bareiss_pivots(rows: Sequence[Sequence[int]], swap_rows: bool = True) -> list[int]:
+    """Pivots [1, p_1, p_2, ...] of Bareiss elimination, stopping at the first zero.
+
+    Each p_k is a k x k minor, so every division is exact.  Without
+    swap_rows p_k is the k-th leading principal minor.  With it the last
+    pivot is the determinant: a row swap that also negates one row keeps det.
+    """
+    a = [list(row) for row in rows]
+    n = len(a)
+    pivots = [1]
+    for k in range(n):
+        if swap_rows and a[k][k] == 0:
+            lower = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if lower is not None:
+                a[k], a[lower] = a[lower], [-x for x in a[k]]
+        pivots.append(a[k][k])
+        if a[k][k] == 0:
+            break
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // pivots[-2]
+    return pivots
+
+
+def _smith_diagonal(rows: Sequence[Sequence[int]]) -> list[int]:
+    """The invariant factors d_1 | d_2 | ... of a nonsingular integer matrix."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    for t in range(n):
+        # Move a smallest nonzero entry of the remaining block to (t, t) and
+        # reduce row t and column t by it, until both are clear.
+        while any(a[i][t] for i in range(t + 1, n)) or any(a[t][t + 1 :]):
+            block = range(t, n)
+            _, r, c = min((abs(a[i][j]), i, j) for i in block for j in block if a[i][j])
+            a[t], a[r] = a[r], a[t]
+            for row in a:
+                row[t], row[c] = row[c], row[t]
+            for i in range(t + 1, n):
+                q = a[i][t] // a[t][t]
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+            for j in range(t + 1, n):
+                q = a[t][j] // a[t][t]
+                for row in a:
+                    row[j] -= q * row[t]
+    # The diagonal presents the same group; Z/a + Z/b = Z/gcd + Z/lcm orders it.
+    diagonal = [abs(a[t][t]) for t in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            diagonal[i], diagonal[j] = gcd(diagonal[i], diagonal[j]), lcm(diagonal[i], diagonal[j])
+    return diagonal
+
+
 @dataclass(frozen=True)
 class QuadraticForm:
     """A symmetric integral bilinear form with exact derived data."""
@@ -64,12 +119,18 @@ class QuadraticForm:
 
     @cached_property
     def det(self) -> int:
-        return int(sympy.Matrix(self.dim, self.dim, lambda i, j: self.gram[i][j]).det())
+        return _bareiss_pivots(self.gram)[-1]
 
     @cached_property
     def adjugate(self) -> tuple[tuple[int, ...], ...]:
-        adj = sympy.Matrix(self.dim, self.dim, lambda i, j: self.gram[i][j]).adjugate()
-        return tuple(tuple(int(adj[i, j]) for j in range(self.dim)) for i in range(self.dim))
+        """adj(G)[i][j] = (-1)^(i+j) det(G without row j and column i)."""
+        rng = range(self.dim)
+
+        def cofactor(i: int, j: int) -> int:
+            minor = [[self.gram[r][c] for c in rng if c != i] for r in rng if r != j]
+            return (-1) ** (i + j) * _bareiss_pivots(minor)[-1]
+
+        return tuple(tuple(cofactor(i, j) for j in rng) for i in rng)
 
     @cached_property
     def inverse_numerator(self) -> tuple[tuple[int, ...], ...]:
@@ -82,12 +143,9 @@ class QuadraticForm:
 
     @cached_property
     def is_negative_definite(self) -> bool:
-        mat = sympy.Matrix(self.dim, self.dim, lambda i, j: self.gram[i][j])
-        for k in range(1, self.dim + 1):
-            minor = mat[:k, :k].det()
-            if (-1) ** k * minor <= 0:
-                return False
-        return True
+        """Sylvester's criterion: the k-th leading minor has sign (-1)^k."""
+        minors = _bareiss_pivots(self.gram, swap_rows=False)[1:]
+        return all((-1) ** k * minor > 0 for k, minor in enumerate(minors, 1))
 
     def evaluate(self, v: Sequence[int]) -> int:
         """Q(v, v) for a lattice vector v."""
@@ -162,23 +220,12 @@ class CokernelStructure:
     def add(self, a: Vector, b: Vector) -> Vector:
         return tuple((x + y) % self.order for x, y in zip(a, b))
 
-    def scale(self, n: int, a: Vector) -> Vector:
-        return tuple((n * x) % self.order for x in a)
-
     @property
     def zero_label(self) -> Vector:
         return (0,) * self.form.dim
 
     def element_order(self, label: Vector) -> int:
-        zero = self.zero_label
-        current = label
-        n = 1
-        while current != zero:
-            current = self.add(current, label)
-            n += 1
-            if n > self.order:
-                raise AssertionError("element order exceeded group order")
-        return n
+        return self.order // gcd(self.order, *label)
 
     def elements(self) -> dict[Vector, Vector]:
         """All coset labels, each with a small representative covector."""
@@ -213,13 +260,12 @@ def cokernel(form: QuadraticForm) -> CokernelStructure:
         return CokernelStructure(form, (), 1, True, generator=())
     if form.det == 0:
         raise SingularFormError("cokernel requires a nonsingular form")
-    mat = sympy.Matrix(form.dim, form.dim, lambda i, j: form.gram[i][j])
-    factors = tuple(sorted(abs(int(d)) for d in _sympy_invariant_factors(mat)))
+    order = abs(form.det)
+    is_cyclic = gcd(*(entry for row in form.adjugate for entry in row)) == 1
+    factors = [order] if is_cyclic else _smith_diagonal(form.gram)
     nontrivial = tuple(d for d in factors if d != 1)
-    order = prod(factors)
-    if order != abs(form.det):
+    if prod(nontrivial) != order:
         raise AssertionError("invariant factor product disagrees with |det|")
-    is_cyclic = len(nontrivial) <= 1
     structure = CokernelStructure(form, nontrivial, order, is_cyclic, generator=None)
     if is_cyclic:
         structure.generator = _choose_generator(structure)

@@ -51,14 +51,6 @@ class Matching:
     symmetric: bool = False
     staircase: bool = False
 
-    @property
-    def k(self) -> int:
-        return (self.D + 1) // 4
-
-    @property
-    def n(self) -> int:
-        return (self.D + 1) // 2
-
 
 def quarter_point(D: int) -> int:
     """The k with D = 4k - 1 or D = 4k + 1."""

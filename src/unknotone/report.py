@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from . import alexander as alexander_mod
@@ -175,16 +174,12 @@ def alexander_reports(record: KnotRecord) -> list[AlexanderReport]:
 # JSON rendering: fractions as exact "p/q" strings, never decimals.
 
 
-def fraction_str(value: Fraction) -> str:
-    return str(value)
-
-
 def matching_to_json(m: Matching) -> dict:
     return {
         "unit": m.unit,
         "epsilon": m.epsilon,
         "provenance": [list(pair) for pair in m.provenance],
-        "C": [fraction_str(c) for c in m.C],
+        "C": [str(c) for c in m.C],
         "compact": format_compact(m),
         "flags": {
             "even": m.even,
@@ -217,10 +212,10 @@ def report_to_json(report: RecordReport, include_matchings: bool = True) -> dict
     if report.invariant_factors:
         out["invariant_factors"] = list(report.invariant_factors)
     if report.A is not None:
-        out["A"] = [fraction_str(a) for a in report.A.values]
+        out["A"] = [str(a) for a in report.A.values]
         out["generator"] = list(report.A.generator)
     if report.B is not None:
-        out["B"] = [fraction_str(b) for b in report.B.values]
+        out["B"] = [str(b) for b in report.B.values]
     if include_matchings:
         out["matchings"] = [matching_to_json(m) for m in report.matchings]
     out["witnesses"] = [format_compact(m) for m in report.verdict.witnesses]

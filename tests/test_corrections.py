@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from unknotone.corrections import correction_vector, spin_value, symmetry_gate
+from unknotone.corrections import correction_vector
 from unknotone.errors import NonCyclicCokernelError, ValidationError
 from unknotone.gamma import gamma_vector, model_form
 from unknotone.lattice import QuadraticForm
@@ -41,8 +41,7 @@ def test_eight_ten_matches_published_up_to_unit():
 
 def test_eight_ten_spin_and_gate():
     A = correction_vector(EIGHT_TEN)
-    assert spin_value(A) == Fraction(-1, 2)
-    assert symmetry_gate(A)
+    assert A.spin == Fraction(-1, 2)
     assert A.gate
 
 

@@ -1,0 +1,62 @@
+"""The pure-integer linear algebra in lattice.py, checked against sympy.
+
+sympy is a test-only reference here; the package itself must not import it.
+"""
+
+import subprocess
+import sys
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from unknotone.errors import SingularFormError
+from unknotone.lattice import QuadraticForm, cokernel
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+@st.composite
+def symmetric_rows(draw):
+    dim = draw(st.integers(min_value=1, max_value=6))
+    rows = [[0] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            rows[i][j] = rows[j][i] = draw(st.integers(min_value=-6, max_value=6))
+    # a common factor c > 1 puts (Z/c)^dim into the cokernel: non-cyclic
+    scale = draw(st.sampled_from([1, 1, 2, 3]))
+    return [[scale * entry for entry in row] for row in rows]
+
+
+@settings(max_examples=120, deadline=None)
+@given(symmetric_rows())
+@example([[-2, 2], [2, -2]])  # singular
+@example([[0, 1], [1, 0]])  # indefinite, zero leading minor
+@example([[-3, 0], [0, -3]])  # non-cyclic
+@example([[-3, 0], [0, -5]])  # cyclic, no coordinate generator
+def test_integer_core_agrees_with_sympy(sympy, rows):
+    from sympy.matrices.normalforms import invariant_factors
+
+    form = QuadraticForm.from_rows(rows)
+    matrix = sympy.Matrix(rows)
+    assert form.det == int(matrix.det())
+    assert form.adjugate == tuple(tuple(int(x) for x in row) for row in matrix.adjugate().tolist())
+    minors = [int(matrix[:k, :k].det()) for k in range(1, form.dim + 1)]
+    assert form.is_negative_definite == all((-1) ** k * m > 0 for k, m in enumerate(minors, 1))
+    if form.det == 0:
+        with pytest.raises(SingularFormError):
+            cokernel(form)
+        return
+    factors = sorted(abs(int(d)) for d in invariant_factors(matrix))
+    expected = tuple(d for d in factors if d != 1)
+    structure = cokernel(form)
+    assert structure.invariant_factors == expected
+    assert structure.is_cyclic == (len(expected) <= 1)
+
+
+def test_cli_import_leaves_sympy_out(src_env):
+    code = "import sys, unknotone.cli; assert 'sympy' not in sys.modules, 'sympy was imported'"
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
