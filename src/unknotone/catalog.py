@@ -210,7 +210,10 @@ def builtin_dataset() -> list[KnotRecord]:
 
 
 def builtin_record(name: str) -> KnotRecord:
-    for record in builtin_dataset():
-        if record.name == name:
-            return record
+    """The bundled record called ``name``; only that entry is validated."""
+    from ._tables import BUILTIN_RECORDS
+
+    for entry in BUILTIN_RECORDS:
+        if entry.get("name") == name:
+            return record_from_dict(entry, where="builtin")
     raise ValidationError(f"no builtin record named {name!r}")

@@ -33,8 +33,14 @@ class CorrectionVector:
     generator: Vector
 
     def __post_init__(self) -> None:
-        assert len(self.values) == self.D
-        assert all(self.values[i] == self.values[(self.D - i) % self.D] for i in range(self.D))
+        # a raised check, not an assert: the matching search scans only half
+        # the units and relies on A_i = A_{D-i}, also under python -O
+        if len(self.values) != self.D or any(
+            self.values[i] != self.values[(self.D - i) % self.D] for i in range(self.D)
+        ):
+            raise ValidationError(
+                f"correction values must be {self.D} entries with A_i = A_(D-i)"
+            )
 
     @property
     def spin(self) -> Fraction:

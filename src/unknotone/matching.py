@@ -7,6 +7,14 @@ one crossing change must admit a matching consisting of non-negative even
 integers; when |A_0| <= 1/2 the matching must additionally be symmetric
 about the quarter-point k (D = 4k +- 1), and the strong form further forces
 the half-vector to climb to the middle in steps of at most two.
+
+The search runs on integers.  A and B are put over L, the lcm of all their
+denominators (it divides 4D for forms from the pipeline), so every C is a
+tuple of integer numerators over L, and the four filters are one integer
+predicate on those numerators.  A is conjugation-symmetric, so the units u
+and D - u give the same C: only 2u < D is scanned, and each C records both
+pairs.  ``Fraction``s are built once per distinct numerator, where
+``Matching.C`` is filled in.
 """
 
 from __future__ import annotations
@@ -14,7 +22,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import add, sub
 from typing import Optional, Sequence
 
 from .corrections import CorrectionVector
@@ -61,21 +70,29 @@ def quarter_point(D: int) -> int:
     raise ValidationError(f"determinant {D} is even")
 
 
+def _numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The numerators of ``values`` over L = lcm of their denominators, and L."""
+    L = lcm(*(value.denominator for value in values))
+    return [value.numerator * (L // value.denominator) for value in values], L
+
+
+def _flags(D: int, C: Sequence[int], L: int) -> dict[str, bool]:
+    """The four filter flags of the vector C / L, for integers C and L > 0."""
+    k = quarter_point(D)
+    two_L = 2 * L
+    sym_start = 1 if D % 4 == 3 else 0
+    return {
+        "even": all(c % two_L == 0 for c in C),
+        "positive": min(C, default=0) >= 0,
+        "symmetric": all(C[i] == C[2 * k - i] for i in range(sym_start, k)),
+        "staircase": all(C[i] <= C[i + 1] <= C[i] + two_L for i in range(1, k)),
+    }
+
+
 def classify(matching: Matching) -> Matching:
     """Return the matching with its four filter flags recomputed."""
-    D, C = matching.D, matching.C
-    k = quarter_point(D)
-    even = all(value.denominator == 1 and value.numerator % 2 == 0 for value in C)
-    positive = all(value >= 0 for value in C)
-    if D % 4 == 3:
-        sym_range = range(1, k)
-    else:
-        sym_range = range(0, k)
-    symmetric = all(C[i] == C[(2 * k - i) % D] for i in sym_range)
-    staircase = all(C[i] <= C[i + 1] <= C[i] + 2 for i in range(1, k))
-    return replace(
-        matching, even=even, positive=positive, symmetric=symmetric, staircase=staircase
-    )
+    C, L = _numerators(matching.C)
+    return replace(matching, **_flags(matching.D, C, L))
 
 
 def units(D: int) -> list[int]:
@@ -85,29 +102,44 @@ def units(D: int) -> list[int]:
 def enumerate_matchings(A: CorrectionVector, B: GammaVector) -> tuple[Matching, ...]:
     """All matchings, deduplicated by their C vector.
 
+    The scan runs on integer numerators over L, the lcm of the denominators
+    of A and B, and covers only the units with 2u < D: A is symmetric, so
+    D - u gives the same C as u, and both pairs go into the provenance.
     Distinct (unit, sign) pairs frequently produce identical vectors; these
-    are merged, with the full provenance list retained and the first pair in
-    scan order (epsilon = +1 then -1, units ascending) as representative.
-    The result is sorted by C for run-to-run stability.
+    are merged, with the full provenance list retained (epsilon = +1 then
+    -1, units ascending) and its first pair as representative.  The result
+    is sorted by C for run-to-run stability; sorting the numerators gives
+    the same order, as L > 0.  Each distinct numerator becomes a
+    ``Fraction`` once, when ``Matching.C`` is filled in.
     """
     if A.D != B.D:
         raise ValidationError(f"determinant mismatch: A has {A.D}, B has {B.D}")
     D = A.D
-    found: dict[tuple[Fraction, ...], list[tuple[int, int]]] = {}
-    for epsilon in (1, -1):
-        for u in units(D):
-            C = tuple(-B.values[i] - epsilon * A.values[(u * i) % D] for i in range(D))
-            found.setdefault(C, []).append((u, epsilon))
+    nums, L = _numerators(A.values + B.values)
+    a, neg_b = nums[:D], [-b for b in nums[D:]]
+    found: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for u in units(D):
+        if 2 * u > D:
+            break
+        a_u = [a[j % D] for j in range(0, u * D, u)]
+        for epsilon, op in ((1, sub), (-1, add)):
+            C = tuple(map(op, neg_b, a_u))
+            found.setdefault(C, []).extend(((u, epsilon), (D - u, epsilon)))
+    fraction = {c: Fraction(c, L) for c in set().union(*found)}
     out = []
-    for C, provenance in found.items():
-        provenance.sort(key=lambda pair: (-pair[1], pair[0]))
+    for C in sorted(found):
+        provenance = sorted(found[C], key=lambda pair: (-pair[1], pair[0]))
         u, epsilon = provenance[0]
         out.append(
-            classify(
-                Matching(D=D, C=C, unit=u, epsilon=epsilon, provenance=tuple(provenance))
+            Matching(
+                D=D,
+                C=tuple(map(fraction.__getitem__, C)),
+                unit=u,
+                epsilon=epsilon,
+                provenance=tuple(provenance),
+                **_flags(D, C, L),
             )
         )
-    out.sort(key=lambda m: m.C)
     return tuple(out)
 
 

@@ -10,7 +10,6 @@ records with deterministic ordering, optionally across processes
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
@@ -47,6 +46,10 @@ def ordered_map(fn: Callable[[T], U], items: Sequence[T]) -> list[U]:
     workers = thread_budget()
     if workers <= 1 or len(items) < 2:
         return [fn(item) for item in items]
+    # imported here, so that commands which never start a pool do not pay
+    # for importing one
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 

@@ -152,3 +152,10 @@ def test_builtin_lookup():
 
 def test_nine_33_has_signature_zero():
     assert builtin_record("9_33").signature == 0
+
+
+def test_builtin_record_validates_the_entry_it_returns():
+    for record in builtin_dataset():
+        assert builtin_record(record.name) == record
+    with pytest.raises(ValidationError, match="no builtin record named"):
+        builtin_record("not-a-knot")

@@ -166,3 +166,12 @@ def test_cli_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert "NoSymmetricMatching" in proc.stdout
+
+
+def test_cli_import_leaves_process_pool_out(src_env):
+    code = (
+        "import sys, unknotone.cli; "
+        "assert 'concurrent.futures.process' not in sys.modules, 'the process pool was imported'"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

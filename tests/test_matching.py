@@ -177,3 +177,13 @@ def test_matchings_sorted_and_deterministic(eight_ten_pair):
     second = enumerate_matchings(A, B)
     assert first == second
     assert [m.C for m in first] == sorted(m.C for m in first)
+
+
+def test_classify_non_integer_entry_over_another_denominator():
+    # 4/3 is not an even integer although its numerator over 3 is even;
+    # its step from 0 is still at most 2
+    C = [Fraction(0)] * 11
+    C[3] = Fraction(4, 3)
+    m = classify(Matching(D=11, C=tuple(C), unit=1, epsilon=1, provenance=((1, 1),)))
+    assert not m.even
+    assert m.positive and m.symmetric and m.staircase
