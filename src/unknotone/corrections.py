@@ -3,8 +3,12 @@
 The value attached to a coset c of q(V) in V* is the maximum of
 (x^t G^{-1} x + m) / 4 over the characteristic covectors x lying in c,
 where m is the rank.  The maximum is found inside the finite candidate box
-from :func:`unknotone.lattice.characteristic_candidates`; every coset of a
-form with odd determinant contains candidates there.
+of :func:`unknotone.lattice.characteristic_box`; every coset of a form with
+odd determinant contains candidates there.  The box is scanned once, by the
+odometer :func:`unknotone.lattice.box_scan`: it hands over the row products
+N x (whose residues mod |det| label the coset) and the value x^t N x, both
+updated in O(dim) per candidate.  A box above
+:data:`unknotone.lattice.BOX_BUDGET` points is refused before the scan.
 
 The vector orders these values as A_i = value at i * g for a generator g of
 the cokernel, so A_0 is always the value at the zero coset (the spin class).
@@ -20,7 +24,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .errors import NonCyclicCokernelError, ValidationError
-from .lattice import CokernelStructure, QuadraticForm, Vector, characteristic_candidates, cokernel
+from .lattice import CokernelStructure, QuadraticForm, Vector, box_scan, cokernel
 
 
 @dataclass(frozen=True)
@@ -113,18 +117,13 @@ def _coset_maxima(form: QuadraticForm, structure: CokernelStructure) -> dict[Vec
 
     N is the integer numerator of G^{-1}, so the stored integers are
     |det| times the squared lengths; |det| > 0 keeps comparisons exact.
+    The label of x is N x mod |det|, read off the odometer's row products.
     """
-    num = form.inverse_numerator
     order = structure.order
-    dim = form.dim
-    rng = range(dim)
     best: dict[Vector, int] = {}
-    for x in characteristic_candidates(form):
-        row_products = [sum(num[i][j] * x[j] for j in rng) for i in rng]
-        label = tuple(r % order for r in row_products)
-        value = sum(x[i] * row_products[i] for i in rng)
-        prev = best.get(label)
-        if prev is None or value > prev:
+    for _, r, value in box_scan(form):
+        label = tuple([v % order for v in r])
+        if value > best.get(label, value - 1):
             best[label] = value
     return best
 

@@ -16,6 +16,14 @@ The linear algebra uses plain integers: Bareiss fraction-free elimination
 adjugate, and the gcd of the adjugate entries as the cyclicity test (the
 cokernel is cyclic exactly when it is 1).  A Smith normal form is computed
 only for the invariant factors of a non-cyclic cokernel.
+
+The characteristic box is defined once, in :func:`characteristic_box`, and
+walked once, by the odometer :func:`box_scan`.  The odometer keeps the row
+products N x and the value x^t N x up to date as it moves, so a candidate
+costs O(dim) rather than O(dim^2); the coset maxima of the correction
+terms read them, and the plumbing class walk takes its seeds from it.  A
+box of more than BOX_BUDGET points is refused with a ValidationError
+before anything is scanned.
 """
 
 from __future__ import annotations
@@ -23,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 from math import gcd, lcm, prod
+from operator import add
 from typing import Iterator, Optional, Sequence
 
 from .errors import NonCyclicCokernelError, SingularFormError, ValidationError
@@ -178,22 +186,88 @@ class QuadraticForm:
             raise ValidationError(f"vector length {len(v)} does not match dimension {self.dim}")
 
 
-def characteristic_candidates(form: QuadraticForm) -> Iterator[Vector]:
-    """All characteristic covectors that can maximise length in their coset.
+# The most candidates a box scan may visit.  The characteristic box has
+# prod(|G_ii| + 1) points, and the coset maxima and the class walk are both
+# linear in that: on an 8-dimensional chain form with 1.96e6 points they
+# take about 10 s and 8 s on one core of a 2-vCPU machine (CPython 3.11).
+# A larger box is refused up front instead of running for hours: a 6 x 6
+# form with diagonal -41 has 5.5e9 points.
+BOX_BUDGET = 2_000_000
+
+
+def characteristic_box(form: QuadraticForm) -> list[range]:
+    """The coordinate ranges of the box of characteristic candidates.
 
     These are the integer covectors x with x_i = G_ii (mod 2) and
     |x_i| <= |G_ii|; any characteristic covector outside this box has an
     equivalent one of larger squared length.  Requires a negative-definite
-    form, which in particular forces every diagonal entry to be nonzero.
+    form, which in particular forces every diagonal entry to be nonzero, and
+    a box of at most BOX_BUDGET points.
     """
     if not form.is_negative_definite:
         raise ValidationError("candidate enumeration requires a negative-definite form")
-    ranges = [range(form.gram[i][i], -form.gram[i][i] + 1, 2) for i in range(form.dim)]
     diag = [form.gram[i][i] for i in range(form.dim)]
-    for x in product(*ranges):
+    size = prod(1 - d for d in diag)
+    if size > BOX_BUDGET:
+        raise ValidationError(
+            f"characteristic box has {size} points, above the budget of {BOX_BUDGET}"
+        )
+    return [range(d, -d + 1, 2) for d in diag]
+
+
+def box_scan(form: QuadraticForm) -> Iterator[tuple[list[int], list[int], int]]:
+    """The characteristic box in ``itertools.product`` order, as an odometer.
+
+    Yields (x, r, value) with r = N x and value = x^t N x, where N is
+    :attr:`QuadraticForm.inverse_numerator`.  Both are kept up to date as
+    the odometer moves instead of being recomputed: moving coordinate j by
+    a step s costs r += s N[:, j] and value += 2 s r_j + s^2 N_jj, so a
+    candidate costs O(dim) instead of O(dim^2).  A step is +2, or
+    G_jj - x_j when the coordinate wraps around.  ``x`` is the odometer's
+    own list and changes on the next step; ``r`` is a fresh list each time.
+    """
+    ranges = characteristic_box(form)
+    dim = form.dim
+    num = form.inverse_numerator
+    low = [rg.start for rg in ranges]
+    high = [rg[-1] for rg in ranges]
+
+    def move(j: int, step: int) -> tuple[int, list[int], int]:
+        return step, [step * num[i][j] for i in range(dim)], step * step * num[j][j]
+
+    advance = [move(j, 2) for j in range(dim)]
+    wrap = [move(j, low[j] - high[j]) for j in range(dim)]
+    parity = [form.gram[i][i] & 1 for i in range(dim)]
+    x = list(low)
+    r = [sum(num[i][j] * x[j] for j in range(dim)) for i in range(dim)]
+    value = sum(x[i] * r[i] for i in range(dim))
+    while True:
         # Parity against every basis vector is the characteristic condition.
-        assert all((x[i] - diag[i]) % 2 == 0 for i in range(form.dim))
-        yield x
+        assert [a & 1 for a in x] == parity
+        yield x, r, value
+        j = dim - 1
+        while j >= 0 and x[j] == high[j]:
+            step, col, square = wrap[j]
+            value += 2 * step * r[j] + square
+            r = list(map(add, r, col))
+            x[j] = low[j]
+            j -= 1
+        if j < 0:
+            return
+        step, col, square = advance[j]
+        value += 2 * step * r[j] + square
+        r = list(map(add, r, col))
+        x[j] += step
+
+
+def characteristic_candidates(form: QuadraticForm) -> Iterator[Vector]:
+    """All characteristic covectors that can maximise length in their coset.
+
+    The points of :func:`characteristic_box`, in the order of
+    :func:`box_scan`.
+    """
+    for x, _, _ in box_scan(form):
+        yield tuple(x)
 
 
 @dataclass

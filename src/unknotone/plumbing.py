@@ -8,17 +8,31 @@ condition and the squared length, so every class is finite.  Counting the
 classes that stay entirely inside the coordinate box
 |<k, v>| <= |Q(v, v)| decides the question: the bounded manifold is an
 L-space exactly when that count equals |det|, and in that case the
-coset maxima of the form compute its correction terms.
+coset maxima of the form compute its correction terms (Ozsvath-Szabo,
+"On the Floer homology of plumbed three-manifolds", Geom. Topol. 2003).
+
+The count walks each class from a seed in the box and stops early: at a
+push that leaves the box, or at a covector that an earlier walk reached.
+The count stays exact.  A push is undone by the opposite push, so a class
+is a connected component of an undirected graph, and lying inside the box
+is a property of the whole component.  A walk never leaves its class, and
+a walk whose class lies inside the box never stops early, so it visits the
+whole class and every later seed of that class is skipped.  A covector
+that an earlier walk reached therefore lies in the class of that walk, and
+that walk was stopped: the class leaves the box.  Only covectors inside the
+box are visited, so the work is bounded by the box size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import prod
 from typing import Optional, Sequence
 
 from .corrections import CorrectionVector, correction_vector
 from .errors import ValidationError
-from .lattice import QuadraticForm, Vector, characteristic_candidates
+from .lattice import QuadraticForm, box_scan, characteristic_box
 
 
 @dataclass(frozen=True)
@@ -35,6 +49,13 @@ class PlumbingForm:
         if not self.form.is_negative_definite:
             raise ValidationError("plumbing checks require a negative-definite form")
 
+    @cached_property
+    def classes(self) -> ClassCount:
+        """The in-box class count, walked once per form."""
+        count = _count_classes(self.form)
+        determinant = abs(self.form.det)
+        return ClassCount(count=count, determinant=determinant, is_lspace=count == determinant)
+
 
 @dataclass(frozen=True)
 class ClassCount:
@@ -44,46 +65,64 @@ class ClassCount:
 
 
 def class_count(plumbing: PlumbingForm) -> ClassCount:
-    """Count in-box equivalence classes of characteristic covectors."""
-    form = plumbing.form
+    """Count in-box equivalence classes of characteristic covectors.
+
+    The count is kept on ``plumbing``, so asking again walks nothing.
+    """
+    return plumbing.classes
+
+
+def _count_classes(form: QuadraticForm) -> int:
+    """The number of push classes lying entirely inside the box.
+
+    Each walk stops at the box wall or at a point an earlier walk reached;
+    the module docstring gives the reason the count stays exact.
+    """
     dim = form.dim
-    if dim == 0:
-        return ClassCount(count=1, determinant=1, is_lspace=True)
     gram = form.gram
-    diag = [gram[i][i] for i in range(dim)]
-    double_cols = [tuple(2 * gram[j][i] for j in range(dim)) for i in range(dim)]
-
-    def in_box(vec: Vector) -> bool:
-        return all(abs(vec[i]) <= -diag[i] for i in range(dim))
-
-    def neighbours(vec: Vector):
-        for i in range(dim):
-            if vec[i] == -diag[i]:
-                yield tuple(a + b for a, b in zip(vec, double_cols[i]))
-            elif vec[i] == diag[i]:
-                yield tuple(a - b for a, b in zip(vec, double_cols[i]))
-
-    visited: set[Vector] = set()
+    sizes = [len(rg) for rg in characteristic_box(form)]
+    bound = [-gram[i][i] for i in range(dim)]
+    # A box point's place in the scan order is sum_j (x_j + |G_jj|) / 2 * stride_j,
+    # so a push at vertex i, which moves x_j by 2 G_ji, moves the place by shift_i.
+    stride = [prod(sizes[j + 1 :]) for j in range(dim)]
+    shift = [sum(gram[j][i] * stride[j] for j in range(dim)) for i in range(dim)]
+    moves = [[(j, 2 * gram[j][i]) for j in range(dim) if gram[j][i]] for i in range(dim)]
+    # the walk (named by the place of its seed) that reached each box point
+    walk_of = [-1] * prod(sizes)
     good = 0
-    for seed in characteristic_candidates(form):
-        if seed in visited:
+    for walk, (seed, _, _) in enumerate(box_scan(form)):
+        if walk_of[walk] >= 0:
             continue
-        stack = [seed]
-        members = {seed}
-        stays_inside = True
-        while stack:
-            current = stack.pop()
-            if not in_box(current):
-                stays_inside = False
-            for nxt in neighbours(current):
-                if nxt not in members:
-                    members.add(nxt)
-                    stack.append(nxt)
-        visited.update(members)
-        if stays_inside:
-            good += 1
-    determinant = abs(form.det)
-    return ClassCount(count=good, determinant=determinant, is_lspace=good == determinant)
+        walk_of[walk] = walk
+        stack = [(walk, list(seed))]
+        inside = True
+        while stack and inside:
+            place, current = stack.pop()
+            for i in range(dim):
+                if current[i] == bound[i]:
+                    sign = 1
+                elif current[i] == -bound[i]:
+                    sign = -1
+                else:
+                    continue
+                pushed = current.copy()
+                for j, delta in moves[i]:
+                    pushed[j] += sign * delta
+                    if not -bound[j] <= pushed[j] <= bound[j]:
+                        inside = False
+                        break
+                else:
+                    reached_place = place + sign * shift[i]
+                    reached = walk_of[reached_place]
+                    if reached < 0:
+                        walk_of[reached_place] = walk
+                        stack.append((reached_place, pushed))
+                    elif reached != walk:
+                        inside = False
+                if not inside:
+                    break
+        good += inside
+    return good
 
 
 def plumbing_corrections(
@@ -95,7 +134,7 @@ def plumbing_corrections(
     be opposite to the one wanted, which negates the vector; the sign
     search in the matching stage absorbs this.
     """
-    counted = class_count(plumbing)
+    counted = plumbing.classes
     if not counted.is_lspace:
         raise ValidationError(
             f"plumbing is not certified: {counted.count} classes for determinant "

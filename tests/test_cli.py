@@ -175,3 +175,23 @@ def test_cli_import_leaves_process_pool_out(src_env):
     )
     proc = subprocess.run([sys.executable, "-c", code], env=src_env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("command", ["obstruct", "corrections", "plumbing-check"])
+def test_box_above_budget_is_refused_quickly(command, tmp_path, src_env):
+    # 42^6 = 5.5e9 characteristic candidates; scanning them would take hours
+    rows = [[-41 if i == j else int(abs(i - j) == 1) for j in range(6)] for i in range(6)]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps([{"name": "big", "goeritz": rows}]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "unknotone.cli", command, "--input", str(path)],
+        env=src_env,
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: characteristic box has 5489031744 points, above the budget of 2000000"
+    ]

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from unknotone import cli, plumbing as plumbing_mod
 from unknotone.errors import ValidationError
 from unknotone.lattice import QuadraticForm, characteristic_candidates
 from unknotone.plumbing import PlumbingForm, class_count, plumbing_corrections
@@ -144,8 +145,12 @@ def test_sharp_but_not_plumbing_form_is_rejected_by_corrections_gate():
     plumbing = PlumbingForm.from_rows(rows)
     counted = class_count(plumbing)
     assert not counted.is_lspace
+    assert (counted.count, counted.determinant) == (55, 31)
     with pytest.raises(ValidationError):
         plumbing_corrections(plumbing)
+    # also when nothing has counted the classes of this form yet
+    with pytest.raises(ValidationError, match="not certified: 55 classes"):
+        plumbing_corrections(PlumbingForm.from_rows(rows))
     # its correction terms still come from the coset maxima directly
     from unknotone.corrections import correction_vector
     from unknotone.gamma import gamma_vector
@@ -157,3 +162,22 @@ def test_sharp_but_not_plumbing_form_is_rejected_by_corrections_gate():
         format_compact(m) for m in enumerate_matchings(A, B) if m.even and m.positive
     ]
     assert rows_found == ["2, 2, [4], 2, 2, 2"]
+
+
+def test_plumbing_check_walks_the_classes_once(monkeypatch, capsys):
+    walks = []
+    walk = plumbing_mod._count_classes
+
+    def counted_walk(form):
+        walks.append(form)
+        return walk(form)
+
+    monkeypatch.setattr(plumbing_mod, "_count_classes", counted_walk)
+    assert cli.main(["plumbing-check", "--knot", "10_125", "--json"]) == 0
+    assert '"is_lspace": true' in capsys.readouterr().out
+    assert len(walks) == 1
+    # the count is kept on the form: asking again walks nothing
+    plumbing = PlumbingForm.from_rows(TEN_125)
+    assert class_count(plumbing) is class_count(plumbing)
+    plumbing_corrections(plumbing)
+    assert len(walks) == 2
