@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .gamma import GammaVector, gamma_vector, kappa_list, model_form, vw_correspondence
-from .lattice import CokernelStructure, QuadraticForm, characteristic_candidates, cokernel
+from .lattice import CokernelStructure, QuadraticForm, cokernel
 from .matching import (
     Matching,
     Outcome,

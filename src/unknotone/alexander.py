@@ -15,9 +15,7 @@ symmetrized Alexander polynomial, with a_0 fixed by the normalisation
 Delta(1) = 1.
 
 Index transport: a residue r (mod 2n) corresponds to torsion index
-|(r + n) / 2 mod n| folded into 0..n/2.  This constant choice is pinned by
-the worked 9_33 example in the test suite, which recovers the (7,4) torus
-knot polynomial.
+|(r + n) / 2 mod n| folded into 0..n/2.
 """
 
 from __future__ import annotations

@@ -2,16 +2,34 @@
 
 The value attached to a coset c of q(V) in V* is the maximum of
 (x^t G^{-1} x + m) / 4 over the characteristic covectors x lying in c,
-where m is the rank.  The maximum is found inside the finite candidate box
-of :func:`unknotone.lattice.characteristic_box`; every coset of a form with
-odd determinant contains candidates there.  The box is scanned once, by the
-odometer :func:`unknotone.lattice.box_scan`: it hands over the row products
-N x (whose residues mod |det| label the coset) and the value x^t N x, both
-updated in O(dim) per candidate.  A box above
-:data:`unknotone.lattice.BOX_BUDGET` points is refused before the scan.
+where m is the rank.
 
-The vector orders these values as A_i = value at i * g for a generator g of
-the cokernel, so A_0 is always the value at the zero coset (the spin class).
+Where the maxima lie.  Every maximiser lies in the box G_ii <= x_i <= -G_ii
+of :func:`unknotone.lattice.characteristic_box`: pushing x by 2 G e_i
+stays characteristic and in the coset, and changes x^t G^{-1} x by
+4 (x_i + G_ii) when adding it and by 4 (G_ii - x_i) when subtracting it,
+so outside the box one of the two pushes strictly gains.  The scan uses the
+smaller box G_ii + 2 <= x_i <= -G_ii, of prod |G_ii| points.  Put
+h = -G^{-1} 1 and take, among the maximisers of a coset, one with the
+largest h . x.  If x_i = G_ii, then x' = x - 2 G e_i has the same value
+(the change is 4 (G_ii - x_i) = 0), lies in the same coset and has
+h . x' = h . x + 2, which contradicts the choice of x.  The characteristic
+covectors are one coset of 2 V*, and 2 is a unit mod an odd determinant,
+so every coset contains them and meets the smaller box.  The full box still sets the work bound: a
+box above :data:`unknotone.lattice.BOX_BUDGET` points is refused before
+the scan.
+
+Which entry a point updates.  The vector orders the values as A_i = value
+at i * g for a generator g of the cokernel, so A_0 is always the value at
+the zero coset (the spin class).  With G^{-1} = N / D, the linking form
+x, y -> x^t N y / D mod 1 is well defined on cosets, since (G v)^t N y =
+D v . y.  It is nondegenerate, so a = g^t N g is a unit mod D, and a point
+x in the coset of i * g has x^t N g = i a (mod D).  With w = a^{-1} N g
+mod D, the index of x is therefore w . x mod D.  The scan runs
+``itertools.product`` over all coordinates but the last; along the last
+one each point costs O(1), because x^t N x is a quadratic and w . x a
+linear function of it.
+
 The generator is a choice; any two choices differ by reindexing with a unit
 of Z/D, which downstream consumers quantify over anyway.
 """
@@ -20,11 +38,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import product
 from math import gcd
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import NonCyclicCokernelError, ValidationError
-from .lattice import CokernelStructure, QuadraticForm, Vector, box_scan, cokernel
+from .lattice import CokernelStructure, QuadraticForm, Vector, characteristic_box, cokernel
 
 
 @dataclass(frozen=True)
@@ -93,38 +113,47 @@ def correction_vector(
     if not form.is_negative_definite:
         raise ValidationError("correction terms require a negative-definite form")
 
-    best = _coset_maxima(form, structure)
-    if len(best) != D:
+    gen_vec = _resolve_generator(structure, generator)
+    # the index weights w = a^{-1} N g mod D with a = g^t N g (module docstring)
+    ng = [sum(map(mul, row, gen_vec)) for row in form.inverse_numerator]
+    inverse = pow(sum(map(mul, gen_vec, ng)), -1, D)
+    best = _coset_maxima(form, [inverse * v % D for v in ng], D)
+    if None in best:
         raise AssertionError(
-            f"characteristic box met {len(best)} cosets, expected {D}"
+            f"characteristic box met {D - best.count(None)} cosets, expected {D}"
         )
 
-    gen_vec = _resolve_generator(structure, generator)
-    gen_label = structure.to_coset(gen_vec)
     denominator = abs(form.det)
-    values = []
-    label = structure.zero_label
-    for _ in range(D):
-        values.append(Fraction(best[label] + m * denominator, 4 * denominator))
-        label = structure.add(label, gen_label)
-    if label != structure.zero_label:
-        raise AssertionError("generator did not close a D-cycle")
-    return CorrectionVector(D=D, dim=m, values=tuple(values), generator=gen_vec)
+    values = tuple(Fraction(b + m * denominator, 4 * denominator) for b in best)
+    return CorrectionVector(D=D, dim=m, values=values, generator=gen_vec)
 
 
-def _coset_maxima(form: QuadraticForm, structure: CokernelStructure) -> dict[Vector, int]:
-    """Max of x^t N x over the candidate box, per coset label.
+def _coset_maxima(
+    form: QuadraticForm, weights: Sequence[int], order: int
+) -> list[Optional[int]]:
+    """Max of x^t N x over the reduced box, listed by the index w . x mod D.
 
     N is the integer numerator of G^{-1}, so the stored integers are
-    |det| times the squared lengths; |det| > 0 keeps comparisons exact.
-    The label of x is N x mod |det|, read off the odometer's row products.
+    |det| times the squared lengths; |det| > 0 keeps comparisons exact.  An
+    index that no point reaches stays None.
     """
-    order = structure.order
-    best: dict[Vector, int] = {}
-    for _, r, value in box_scan(form):
-        label = tuple([v % order for v in r])
-        if value > best.get(label, value - 1):
-            best[label] = value
+    num = form.inverse_numerator
+    *head, last = [range(rg.start + 2, rg.stop, 2) for rg in characteristic_box(form)]
+    k = form.dim - 1
+    head_rows = [row[:k] for row in num[:k]]
+    cross, head_weights = num[k][:k], weights[:k]
+    # x^t N x = v0 + x_k (2 r + N_kk x_k) and w . x = i0 + w_k x_k
+    steps = [(2 * x, num[k][k] * x * x, weights[k] * x) for x in last]
+    best: list[Optional[int]] = [None] * order
+    for p in product(*head):
+        r = sum(map(mul, cross, p))
+        v0 = sum(map(mul, p, [sum(map(mul, row, p)) for row in head_rows]))
+        i0 = sum(map(mul, head_weights, p))
+        for twice, square, shift in steps:
+            value = v0 + r * twice + square
+            i = (i0 + shift) % order
+            if best[i] is None or value > best[i]:
+                best[i] = value
     return best
 
 

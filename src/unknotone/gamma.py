@@ -129,9 +129,3 @@ def gamma_vector(D: int) -> GammaVector:
     assert all(gv.values[i] == gv.values[(D - i) % D] for i in range(D))
     return gv
 
-
-def spin_reference_value(D: int) -> Fraction:
-    """B_0 as a closed form: 0 when n = (D+1)/2 is odd, 1/2 when n is even."""
-    _check_d(D)
-    n = (D + 1) // 2
-    return Fraction(0) if n % 2 == 1 else Fraction(1, 2)

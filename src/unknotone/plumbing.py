@@ -27,12 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from math import prod
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .corrections import CorrectionVector, correction_vector
 from .errors import ValidationError
-from .lattice import QuadraticForm, box_scan, characteristic_box
+from .lattice import QuadraticForm, characteristic_box
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,8 @@ def _count_classes(form: QuadraticForm) -> int:
     """
     dim = form.dim
     gram = form.gram
-    sizes = [len(rg) for rg in characteristic_box(form)]
+    box = characteristic_box(form)
+    sizes = [len(rg) for rg in box]
     bound = [-gram[i][i] for i in range(dim)]
     # A box point's place in the scan order is sum_j (x_j + |G_jj|) / 2 * stride_j,
     # so a push at vertex i, which moves x_j by 2 G_ji, moves the place by shift_i.
@@ -90,7 +92,7 @@ def _count_classes(form: QuadraticForm) -> int:
     # the walk (named by the place of its seed) that reached each box point
     walk_of = [-1] * prod(sizes)
     good = 0
-    for walk, (seed, _, _) in enumerate(box_scan(form)):
+    for walk, seed in enumerate(product(*box)):
         if walk_of[walk] >= 0:
             continue
         walk_of[walk] = walk
@@ -125,9 +127,7 @@ def _count_classes(form: QuadraticForm) -> int:
     return good
 
 
-def plumbing_corrections(
-    plumbing: PlumbingForm, generator: Optional[Sequence[int]] = None
-) -> CorrectionVector:
+def plumbing_corrections(plumbing: PlumbingForm) -> CorrectionVector:
     """Correction terms of a certified plumbing, via the coset maxima.
 
     The caller owns the orientation question: the boundary orientation may
@@ -140,4 +140,4 @@ def plumbing_corrections(
             f"plumbing is not certified: {counted.count} classes for determinant "
             f"{counted.determinant}"
         )
-    return correction_vector(plumbing.form, generator=generator)
+    return correction_vector(plumbing.form)

@@ -74,13 +74,12 @@ class RecordReport:
 def analyze_record(
     record: KnotRecord,
     strong: bool = False,
-    generator: Optional[Sequence[int]] = None,
     generator_unit: Optional[int] = None,
 ) -> RecordReport:
     """Full unsigned pipeline for one record."""
     form = record.form
     try:
-        A = correction_vector(form, generator=generator)
+        A = correction_vector(form)
     except NonCyclicCokernelError as exc:
         return RecordReport(
             name=record.name,

@@ -1,0 +1,60 @@
+"""Independent oracles for the correction terms, from surgery formulas.
+
+Nothing here touches the characteristic box.  The correction terms of a
+lens space come from the Ozsvath-Szabo recursion ("Absolutely graded Floer
+homologies...", Adv. Math. 2003, arXiv:math/0110170, Prop. 4.8)
+
+    d(-L(p, q), i) = (pq - (2i + 1 - p - q)^2) / (4pq) - d(-L(q, r), j),
+
+with r = p mod q and j = i mod q, for 0 <= i < p + q.  A linear chain with
+weights -a_1, ..., -a_n (all a_i >= 2) bounds L(p, q), where p/q is the
+Hirzebruch-Jung continued fraction [a_1, ..., a_n]^- = a_1 - 1/(a_2 - ...).
+Spin^c labels are matched only up to the symmetries the comparison allows:
+a sign, and an affine unit reindexing k -> i_0 + u k of Z/p.
+"""
+
+from fractions import Fraction
+from math import gcd
+
+
+def lens_d(p, q, i):
+    """d(-L(p, q), i) for coprime p > q >= 0 (L(1, 0) is the 3-sphere)."""
+    if p == 1:
+        return Fraction(0)
+    return Fraction(p * q - (2 * i + 1 - p - q) ** 2, 4 * p * q) - lens_d(q, p % q, i % q)
+
+
+def lens_vector(p, q):
+    """d(-L(p, q), i) for i = 0, ..., p - 1."""
+    return [lens_d(p, q, i) for i in range(p)]
+
+
+def hirzebruch_jung(weights):
+    """(p, q) with p/q = [a_1, ..., a_n]^- for weights a_i >= 2, in lowest terms."""
+    value = Fraction(weights[-1])
+    for a in reversed(weights[:-1]):
+        value = a - 1 / value
+    return value.numerator, value.denominator
+
+
+def chain_rows(weights):
+    """The linear chain plumbing with weights -a_i and 1 beside the diagonal."""
+    n = len(weights)
+    return [[-weights[i] if i == j else int(abs(i - j) == 1) for j in range(n)] for i in range(n)]
+
+
+def equal_up_to_symmetry(values, reference):
+    """Whether values[k] == s * reference[(i0 + u k) mod D] for a sign s, i0 and unit u.
+
+    The search is pruned by matching values[0] and values[1] first.
+    """
+    D = len(values)
+    units = [u for u in range(D) if gcd(u, D) == 1]
+    return len(reference) == D and any(
+        all(s * reference[(i0 + u * k) % D] == v for k, v in enumerate(values))
+        for s in (1, -1)
+        for i0 in range(D)
+        if s * reference[i0] == values[0]
+        for u in units
+        if s * reference[(i0 + u) % D] == values[1 % D]
+    )

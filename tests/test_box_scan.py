@@ -1,28 +1,25 @@
-"""The box scan against plain references kept in this file.
+"""The box scans against plain references kept in this file.
 
-The odometer (``lattice.box_scan``), the coset maxima built on it and the
-class walk that stops at the box wall are each compared with the direct
-computation they replace: ``itertools.product`` over the box with row
-products computed from scratch, and a class walk that follows every class
-to its end before deciding whether it stays in the box.
+The correction terms scan the reduced box and index each point directly
+by its linking form with the generator; the class walk stops at the box
+wall.  Each is compared with the direct computation it replaces: for the
+correction terms, the maxima over the full box per tuple coset label,
+listed by walking the multiples of the generator; for the class count, a
+walk that follows every class to its end before deciding whether it stays
+in the box.
 """
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from test_properties import negative_definite_forms
-from unknotone.corrections import _coset_maxima
+from test_properties import cyclic_odd, negative_definite_forms
+from unknotone.corrections import correction_vector
 from unknotone.errors import ValidationError
-from unknotone.lattice import (
-    BOX_BUDGET,
-    QuadraticForm,
-    box_scan,
-    characteristic_box,
-    characteristic_candidates,
-    cokernel,
-)
+from unknotone.gamma import model_form
+from unknotone.lattice import BOX_BUDGET, QuadraticForm, characteristic_box, cokernel
 from unknotone.plumbing import PlumbingForm, class_count
 
 
@@ -59,14 +56,28 @@ def reference_class_count(rows):
     return good
 
 
-def reference_coset_maxima(form):
+def reference_correction_values(form, generator=None):
+    """Full-box maxima per tuple label, listed by a D-step walk of the generator."""
     structure = cokernel(form)
     best = {}
     for x in reference_box(form):
         label = structure.to_coset(x)
         value = form.pairing_numerator(x)
         best[label] = max(best.get(label, value), value)
-    return best
+    assert len(best) == structure.order
+    step = structure.to_coset(generator or structure.generator)
+    det = abs(form.det)
+    values, label = [], structure.zero_label
+    for _ in range(structure.order):
+        values.append(Fraction(best[label] + form.dim * det, 4 * det))
+        label = structure.add(label, step)
+    assert label == structure.zero_label
+    return tuple(values)
+
+
+def assert_matches_reference(form, generator=None):
+    A = correction_vector(form, generator=generator)
+    assert A.values == reference_correction_values(form, generator)
 
 
 @st.composite
@@ -93,19 +104,6 @@ def star_plumbings_with_bad_vertex(draw):
     return rows
 
 
-def test_box_scan_is_product_order_with_exact_row_products():
-    for rows in ([[-1]], [[-2, 1], [1, -3]], [[-4, 3, 1], [3, -5, 0], [1, 0, -2]]):
-        form = QuadraticForm.from_rows(rows)
-        num = form.inverse_numerator
-        scanned = [(tuple(x), r, value) for x, r, value in box_scan(form)]
-        expected = []
-        for x in reference_box(form):
-            r = [sum(num[i][j] * x[j] for j in range(form.dim)) for i in range(form.dim)]
-            expected.append((x, r, sum(a * b for a, b in zip(x, r))))
-        assert scanned == expected
-        assert list(characteristic_candidates(form)) == [x for x, _, _ in expected]
-
-
 def test_box_budget_is_checked_before_scanning():
     assert len(characteristic_box(QuadraticForm.from_rows([[1 - BOX_BUDGET]]))[0]) == BOX_BUDGET
     with pytest.raises(ValidationError, match="above the budget"):
@@ -113,6 +111,8 @@ def test_box_budget_is_checked_before_scanning():
     huge = [[-41 if i == j else int(abs(i - j) == 1) for j in range(6)] for i in range(6)]
     with pytest.raises(ValidationError, match="5489031744 points"):
         class_count(PlumbingForm.from_rows(huge))
+    with pytest.raises(ValidationError, match="5489031744 points"):
+        correction_vector(QuadraticForm.from_rows(huge))
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
@@ -130,11 +130,46 @@ def test_class_count_matches_full_walk_on_stars_with_bad_vertex(rows):
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(negative_definite_forms())
 def test_coset_maxima_match_product_scan(form):
-    assert _coset_maxima(form, cokernel(form)) == reference_coset_maxima(form)
+    assume(cyclic_odd(form))
+    assert_matches_reference(form)
+    # 2 g generates too, since D is odd
+    assert_matches_reference(form, tuple(2 * a for a in cokernel(form).generator))
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(star_plumbings_with_bad_vertex())
 def test_coset_maxima_match_product_scan_on_stars(rows):
     form = QuadraticForm.from_rows(rows)
-    assert _coset_maxima(form, cokernel(form)) == reference_coset_maxima(form)
+    assume(cyclic_odd(form))
+    assert_matches_reference(form)
+
+
+E8 = [
+    [-2 if i == j else int({i, j} in ({0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {2, 7}))
+     for j in range(8)]
+    for i in range(8)
+]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[-1]],  # the reduced range is the single point x = 1
+        [[-2, 1], [1, -1]],  # D = 1 in dimension 2
+        E8,  # D = 1; the maximiser x = 0 lies in the reduced box {0, 2}^8
+        [[-3, 0], [0, -5]],  # no coordinate covector generates Z/15
+    ],
+)
+def test_reduced_scan_on_small_forms(rows):
+    assert_matches_reference(QuadraticForm.from_rows(rows))
+
+
+def test_one_point_box_and_unimodular_forms():
+    assert characteristic_box(QuadraticForm.from_rows([[-1]])) == [range(-1, 2, 2)]
+    assert correction_vector(QuadraticForm.from_rows([[-1]])).values == (0,)
+    assert correction_vector(QuadraticForm.from_rows(E8)).values == (2,)
+
+
+@pytest.mark.parametrize("D", [3, 5, 27, 61, 99])
+def test_model_form_with_given_generator(D):
+    assert_matches_reference(model_form(D), (2, 0))

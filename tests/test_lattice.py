@@ -1,9 +1,8 @@
-from fractions import Fraction
-
 import pytest
 
+from helpers import characteristic_candidates, evaluate, q_map
 from unknotone.errors import SingularFormError, ValidationError
-from unknotone.lattice import QuadraticForm, characteristic_candidates, cokernel
+from unknotone.lattice import QuadraticForm, characteristic_box, cokernel
 
 EIGHT_TEN = [[-4, 1, 1], [1, -2, 1], [1, 1, -5]]
 
@@ -29,28 +28,37 @@ def test_det_and_definiteness():
 
 
 def test_pairing_examples():
-    assert QuadraticForm.from_rows([[-1]]).pairing((1,), (1,)) == -1
+    # pairing_numerator(v) / |det| is v^t G^{-1} v
+    assert QuadraticForm.from_rows([[-1]]).pairing_numerator((1,)) == -1
     q = QuadraticForm.from_rows([[-2, 1], [1, -2]])
-    assert q.pairing((2, 0), (2, 0)) == Fraction(-8, 3)
-    # denominator divides |det|
-    assert q.pairing((1, 1), (1, 0)).denominator in (1, 3)
+    assert q.pairing_numerator((2, 0)) == -8  # -8/3
+    assert q.pairing_numerator((1, 0)) == -2  # -2/3
+    assert q.pairing_numerator((1, 1)) == -6  # (1, 1) = q(-1, -1), Q = -2
 
 
 def test_pairing_dimension_mismatch():
     q = QuadraticForm.from_rows([[-2, 1], [1, -2]])
     with pytest.raises(ValidationError):
-        q.pairing((1,), (1, 0))
+        q.pairing_numerator((1,))
+    with pytest.raises(ValidationError):
+        q.pairing_numerator((1, 0, 0))
 
 
 def test_pairing_zero_vector_model_form():
     q = QuadraticForm.from_rows([[-14, 1], [1, -2]])
-    assert q.pairing((0, 0), (0, 0)) == 0
+    assert q.pairing_numerator((0, 0)) == 0
 
 
 def test_q_map_and_evaluate():
+    # on the image of q the pairing is the form: q(u)^t G^{-1} q(u) = Q(u, u)
     q = QuadraticForm.from_rows([[-2, 1], [1, -2]])
-    assert q.q_map((1, 0)) == (-2, 1)
-    assert q.evaluate((1, 1)) == -2
+    assert q_map(q, (1, 0)) == (-2, 1)
+    assert evaluate(q, (1, 1)) == -2
+    for rows in ([[-2, 1], [1, -2]], EIGHT_TEN, [[-14, 1], [1, -2]]):
+        form = QuadraticForm.from_rows(rows)
+        for u in ((1, 0, 0), (0, 1, -1), (2, -3, 1)):
+            u = u[: form.dim]
+            assert form.pairing_numerator(q_map(form, u)) == abs(form.det) * evaluate(form, u)
 
 
 def test_characteristic_candidates_small():
@@ -61,16 +69,18 @@ def test_characteristic_candidates_small():
 
 def test_characteristic_candidates_count_and_parity():
     q = QuadraticForm.from_rows(EIGHT_TEN)
-    candidates = list(characteristic_candidates(q))
-    assert len(candidates) == 5 * 3 * 6
-    for x in candidates:
-        for i in range(3):
-            assert (x[i] - q.gram[i][i]) % 2 == 0
+    box = characteristic_box(q)
+    assert [len(rg) for rg in box] == [5, 3, 6]
+    for i, rg in enumerate(box):
+        assert (rg[0], rg[-1]) == (q.gram[i][i], -q.gram[i][i])
+        assert all((x - q.gram[i][i]) % 2 == 0 for x in rg)
 
 
 def test_characteristic_candidates_needs_definite():
-    with pytest.raises(ValidationError):
-        list(characteristic_candidates(QuadraticForm.from_rows([[2]])))
+    with pytest.raises(ValidationError, match="negative-definite"):
+        characteristic_box(QuadraticForm.from_rows([[2]]))
+    with pytest.raises(ValidationError, match="negative-definite"):
+        characteristic_box(QuadraticForm.from_rows([[-1, 2], [2, -1]]))
 
 
 def test_cokernel_cyclic_order_three():

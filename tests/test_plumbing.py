@@ -4,7 +4,8 @@ import pytest
 
 from unknotone import cli, plumbing as plumbing_mod
 from unknotone.errors import ValidationError
-from unknotone.lattice import QuadraticForm, characteristic_candidates
+from helpers import characteristic_candidates
+from unknotone.lattice import QuadraticForm
 from unknotone.plumbing import PlumbingForm, class_count, plumbing_corrections
 
 TEN_125 = [
@@ -114,7 +115,7 @@ def test_walk_preserves_length_and_partitions_box():
                         stack.append(nxt)
             visited |= members
             classes.append(members)
-            lengths = {form.pairing(v, v) for v in members}
+            lengths = {form.pairing_numerator(v) for v in members}
             assert len(lengths) == 1
         in_box_classes = [cls for cls in classes if cls <= box]
         assert len(in_box_classes) == counted.count

@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from helpers import evaluate, q_map
 from unknotone.corrections import correction_vector
 from unknotone.errors import NonCyclicCokernelError
 from unknotone.gamma import gamma_vector
@@ -112,9 +113,16 @@ def test_pairing_symmetric_bilinear(form, data):
     v = data.draw(vec)
     w = data.draw(vec)
     x = data.draw(vec)
-    assert form.pairing(v, w) == form.pairing(w, v)
-    vw = tuple(a + b for a, b in zip(v, w))
-    assert form.pairing(vw, x) == form.pairing(v, x) + form.pairing(w, x)
+    P = form.pairing_numerator
+    plus = tuple(a + b for a, b in zip(v, w))
+    minus = tuple(a - b for a, b in zip(v, w))
+    # a quadratic form: the parallelogram law and homogeneity
+    assert P(plus) + P(minus) == 2 * P(v) + 2 * P(w)
+    assert P(tuple(3 * a for a in x)) == 9 * P(x)
+    # the numerator of G^{-1}: P(v + q(x)) = P(v) + |det| (2 x.v + Q(x, x))
+    shifted = tuple(a + b for a, b in zip(v, q_map(form, x)))
+    dot = sum(a * b for a, b in zip(x, v))
+    assert P(shifted) == P(v) + abs(form.det) * (2 * dot + evaluate(form, x))
 
 
 @settings(max_examples=100, deadline=None)
