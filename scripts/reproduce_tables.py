@@ -2,7 +2,7 @@
 """Regenerate the published verdict tables from the bundled dataset.
 
 Equivalent to `unknotone report --paper-tables`; run with --json for the
-machine-readable form.  UNKNOT_THREADS controls process parallelism.
+machine-readable form.
 """
 
 import sys

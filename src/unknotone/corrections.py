@@ -59,9 +59,7 @@ class CorrectionVector:
     def __post_init__(self) -> None:
         # a raised check, not an assert: the matching search scans only half
         # the units and relies on A_i = A_{D-i}, also under python -O
-        if len(self.values) != self.D or any(
-            self.values[i] != self.values[(self.D - i) % self.D] for i in range(self.D)
-        ):
+        if len(self.values) != self.D or self.values[1:] != self.values[:0:-1]:
             raise ValidationError(
                 f"correction values must be {self.D} entries with A_i = A_(D-i)"
             )
@@ -124,7 +122,10 @@ def correction_vector(
         )
 
     denominator = abs(form.det)
-    values = tuple(Fraction(b + m * denominator, 4 * denominator) for b in best)
+    # one Fraction per distinct maximum: equal entries then share an object,
+    # which the symmetry check's tuple compare passes by identity
+    value_of = {b: Fraction(b + m * denominator, 4 * denominator) for b in set(best)}
+    values = tuple(map(value_of.__getitem__, best))
     return CorrectionVector(D=D, dim=m, values=values, generator=gen_vec)
 
 

@@ -87,7 +87,6 @@ class GammaVector:
 
     D: int
     n: int
-    k: int
     kappas: tuple[Kappa, ...]
     values: tuple[Fraction, ...]
     v_index: tuple[int, ...]
@@ -98,7 +97,6 @@ def gamma_vector(D: int) -> GammaVector:
     """Correction terms of the model half-integer surgery, indexed by Z/D."""
     _check_d(D)
     n = (D + 1) // 2
-    k = (D + 1) // 4
     form = model_form(D)
     kappas = tuple(kappa_list(n))
     values = []
@@ -120,7 +118,6 @@ def gamma_vector(D: int) -> GammaVector:
     gv = GammaVector(
         D=D,
         n=n,
-        k=k,
         kappas=kappas,
         values=tuple(values),
         v_index=v_index,

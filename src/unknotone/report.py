@@ -2,21 +2,19 @@
 
 This is where a knot record is pushed through the whole pipeline:
 correction vector, model vector, matching enumeration, verdict, and the
-optional torsion/polynomial extraction.  Batch helpers process many
-records with deterministic ordering, optionally across processes
-(UNKNOT_THREADS).
+optional torsion/polynomial extraction.  ``batch_reports`` runs many
+records in one process, in input order.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Iterable, Optional
 
 from . import alexander as alexander_mod
 from .catalog import KnotRecord
 from .corrections import CorrectionVector, correction_vector
-from .errors import MissingSignatureError, NonCyclicCokernelError, ValidationError
+from .errors import MissingSignatureError, NonCyclicCokernelError, UnknotOneError
 from .gamma import GammaVector, gamma_vector
 from .matching import (
     Matching,
@@ -27,31 +25,6 @@ from .matching import (
     obstruct,
     sign_refined_obstruct,
 )
-
-T = TypeVar("T")
-U = TypeVar("U")
-
-
-def thread_budget() -> int:
-    raw = os.environ.get("UNKNOT_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValidationError(f"UNKNOT_THREADS must be an integer, got {raw!r}")
-    return max(value, 1)
-
-
-def ordered_map(fn: Callable[[T], U], items: Sequence[T]) -> list[U]:
-    """Map preserving order; uses a process pool when UNKNOT_THREADS > 1."""
-    workers = thread_budget()
-    if workers <= 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    # imported here, so that commands which never start a pool do not pay
-    # for importing one
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -224,22 +197,14 @@ def report_to_json(report: RecordReport, include_matchings: bool = True) -> dict
     return out
 
 
-def _analyze_for_pool(args: tuple[dict, bool]) -> dict:
-    """Pool worker: analysis errors become summary entries, not crashes."""
-    from .catalog import record_from_dict
-    from .errors import UnknotOneError
-
-    entry, strong = args
-    try:
-        record = record_from_dict(entry)
-        return report_to_json(analyze_record(record, strong=strong), include_matchings=False)
-    except UnknotOneError as exc:
-        return {"knot": entry.get("name", "?"), "error": str(exc)}
-
-
 def batch_reports(records: Iterable[KnotRecord], strong: bool = False) -> list[dict]:
-    """Analyse records in input order; parallel across processes if asked."""
-    from .catalog import record_to_dict
-
-    payload = [(record_to_dict(r), strong) for r in records]
-    return ordered_map(_analyze_for_pool, payload)
+    """Summary entries in input order; an analysis error becomes that record's entry."""
+    out = []
+    for record in records:
+        try:
+            report = analyze_record(record, strong=strong)
+            entry = report_to_json(report, include_matchings=False)
+        except UnknotOneError as exc:
+            entry = {"knot": record.name, "error": str(exc)}
+        out.append(entry)
+    return out

@@ -9,6 +9,13 @@ homologies...", Adv. Math. 2003, arXiv:math/0110170, Prop. 4.8)
 with r = p mod q and j = i mod q, for 0 <= i < p + q.  A linear chain with
 weights -a_1, ..., -a_n (all a_i >= 2) bounds L(p, q), where p/q is the
 Hirzebruch-Jung continued fraction [a_1, ..., a_n]^- = a_1 - 1/(a_2 - ...).
+The Ni-Wu rational-surgery formula ("Cosmetic surgeries on knots in S^3",
+arXiv:1009.4720, Prop. 1.6) gives the correction terms of p/q-surgery on
+a knot whose torsion coefficients t_j stand in for its V_j:
+
+    d(S^3_{p/q}(K), i) = d(L(p, q), i) - 2 max(V_floor(i/q), V_floor((p+q-1-i)/q)),
+
+with V_j = 0 past the end of the sequence.
 Spin^c labels are matched only up to the symmetries the comparison allows:
 a sign, and an affine unit reindexing k -> i_0 + u k of Z/p.
 """
@@ -27,6 +34,15 @@ def lens_d(p, q, i):
 def lens_vector(p, q):
     """d(-L(p, q), i) for i = 0, ..., p - 1."""
     return [lens_d(p, q, i) for i in range(p)]
+
+
+def surgery_d(p, q, torsion):
+    """d(S^3_{p/q}(K), i) for i = 0, ..., p - 1, for K with torsion coefficients ``torsion``."""
+
+    def V(j):
+        return torsion[j] if j < len(torsion) else 0
+
+    return [-lens_d(p, q, i) - 2 * max(V(i // q), V((p + q - 1 - i) // q)) for i in range(p)]
 
 
 def hirzebruch_jung(weights):

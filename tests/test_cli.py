@@ -177,6 +177,21 @@ def test_cli_import_leaves_process_pool_out(src_env):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_batch_reports_start_no_pool(src_env):
+    # UNKNOT_THREADS=2 used to start a pool of two workers; it must stay inert
+    code = (
+        "import sys\n"
+        "from unknotone import catalog, report\n"
+        "records = catalog.builtin_dataset()\n"
+        "entries = report.batch_reports(records)\n"
+        "assert 'concurrent.futures.process' not in sys.modules, 'a process pool was started'\n"
+        "assert [e['knot'] for e in entries] == [r.name for r in records]\n"
+    )
+    env = {**src_env, "UNKNOT_THREADS": "2"}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("command", ["obstruct", "corrections", "plumbing-check"])
 def test_box_above_budget_is_refused_quickly(command, tmp_path, src_env):
     # 42^6 = 5.5e9 characteristic candidates; scanning them would take hours

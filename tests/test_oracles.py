@@ -1,7 +1,8 @@
-"""The correction terms against the lens-space oracle in ``oracles.py``.
+"""The correction terms against the surgery oracles in ``oracles.py``.
 
-The oracle shares no code with the box scan or the model vector: chain
-plumbings bound lens spaces, and B is the correction vector of L(D, 2).
+The oracles share no code with the box scan or the model vector: chain
+plumbings bound lens spaces, B is the correction vector of L(D, 2), and a
+companion's torsion must reproduce A under D/2-surgery.
 """
 
 from fractions import Fraction
@@ -9,10 +10,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import chain_rows, equal_up_to_symmetry, hirzebruch_jung, lens_vector
+import reference_tables as ref
+from oracles import chain_rows, equal_up_to_symmetry, hirzebruch_jung, lens_vector, surgery_d
+from unknotone.catalog import builtin_dataset, builtin_record
 from unknotone.corrections import correction_vector
 from unknotone.gamma import gamma_vector
 from unknotone.lattice import QuadraticForm
+from unknotone.report import alexander_reports
 
 
 def test_oracle_small_values():
@@ -47,3 +51,33 @@ def test_chain_corrections_are_lens_space_d(weights):
 @pytest.mark.parametrize("D", range(3, 200, 2))
 def test_gamma_vector_is_lens_space_d(D):
     assert equal_up_to_symmetry(gamma_vector(D).values, lens_vector(D, 2))
+
+
+def test_surgery_of_the_unknot_is_the_lens_space():
+    assert surgery_d(15, 2, ()) == [-d for d in lens_vector(15, 2)]
+    # the trefoil's 5/2-surgery: V_0 = 1 lowers d by 2 where floor(i/2) = 0 or
+    # floor((6 - i)/2) = 0, that is at i = 0 and 1
+    d = surgery_d(5, 2, (1,))
+    assert [a - b for a, b in zip(d, surgery_d(5, 2, ()))] == [-2, -2, 0, 0, 0]
+
+
+def test_companion_torsion_reproduces_A():
+    # pins the matching-to-torsion index transport (alexander.residue_to_torsion_index)
+    seen = []
+    for record in builtin_dataset():
+        for companion in alexander_reports(record):
+            A = correction_vector(record.form)
+            assert equal_up_to_symmetry(A.values, surgery_d(A.D, 2, companion.torsion)), (
+                record.name,
+                companion.torsion,
+            )
+            seen.append(record.name)
+    assert {"3_1", "4_1", "5_2", "9_33"} <= set(seen)
+
+
+def test_published_nine_33_torsion_fails_the_oracle():
+    # the known-red printed companion T(4,7); see ROADMAP "Known red"
+    A = correction_vector(builtin_record("9_33").form)
+    published = ref.SIGN_REFINED_EXAMPLE["torsion"]
+    assert published == (4, 3, 2, 2, 2, 1, 1, 1, 1, 0)
+    assert not equal_up_to_symmetry(A.values, surgery_d(A.D, 2, published))
