@@ -35,6 +35,7 @@ from .matching import (
     Verdict,
     classify,
     enumerate_matchings,
+    even_matchings,
     format_compact,
     obstruct,
     sign_refined_obstruct,

@@ -209,7 +209,8 @@ def cmd_obstruct(args: argparse.Namespace) -> int:
     text = f"{record.name}: D = {report.D}, verdict {report.outcome.value}"
     if witnesses:
         text += f"\n  witnesses: {witnesses}"
-    _emit(report_to_json(report), args.json, text)
+    # the JSON carries the full matching listing; the text needs the verdict only
+    _emit(report_to_json(report) if args.json else {}, args.json, text)
     return 0
 
 

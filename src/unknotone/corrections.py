@@ -76,7 +76,13 @@ class CorrectionVector:
 
     def mirrored(self) -> "CorrectionVector":
         """The correction vector of the orientation reverse: all values negated."""
-        return replace(self, values=tuple(-v for v in self.values))
+        # correction_vector shares one Fraction per distinct value; negating
+        # each shared object once keeps that sharing.  Objects, not values,
+        # are the keys: hashing a Fraction costs more than negating it.
+        negated = {id(v): v for v in self.values}
+        for key, value in negated.items():
+            negated[key] = -value
+        return replace(self, values=tuple([negated[id(v)] for v in self.values]))
 
     def reindexed(self, unit: int) -> "CorrectionVector":
         """The same data listed against the generator unit * g."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import ValidationError
 from .lattice import QuadraticForm
@@ -64,10 +65,13 @@ def kappa_list(n: int) -> list[Kappa]:
             out[i] = (2 * i - 4 * k - 1, 0)
         for i in range(3 * k + 2, 4 * k + 1):
             out[i] = (2 * i - 8 * k - 3, 2)
-    assert all(entry is not None for entry in out)
+    # raised checks, not asserts, so that they also hold under python -O
     kappas = [entry for entry in out if entry is not None]
+    if len(kappas) != size:
+        raise AssertionError(f"{size - len(kappas)} of the {size} kappas were not set")
     # Every kappa must be characteristic for R_{2n-1}.
-    assert all((a - n) % 2 == 0 and b % 2 == 0 for a, b in kappas)
+    if not all((a - n) % 2 == 0 and b % 2 == 0 for a, b in kappas):
+        raise AssertionError(f"a kappa of R_{size} is not characteristic")
     return kappas
 
 
@@ -78,7 +82,11 @@ def vw_correspondence(n: int) -> list[int]:
     Each attained residue occurs exactly twice except one: the residue at
     position 0 when n is even, and at position n - 1 when n is odd.
     """
-    return [kappa[0] % (2 * n) for kappa in kappa_list(n)]
+    return _v_index(kappa_list(n), n)
+
+
+def _v_index(kappas: Sequence[Kappa], n: int) -> list[int]:
+    return [kappa[0] % (2 * n) for kappa in kappas]
 
 
 @dataclass(frozen=True)
@@ -94,16 +102,24 @@ class GammaVector:
 
 
 def gamma_vector(D: int) -> GammaVector:
-    """Correction terms of the model half-integer surgery, indexed by Z/D."""
+    """Correction terms of the model half-integer surgery, indexed by Z/D.
+
+    The value at kappa is (kappa^t N kappa + 2D) / 4D, with N the integer
+    numerator of the model form's inverse; one ``Fraction`` is built per
+    distinct numerator, and the symmetry B_i = B_(D-i) is checked on the
+    integers.
+    """
     _check_d(D)
     n = (D + 1) // 2
     form = model_form(D)
+    (n00, n01), (_, n11) = form.inverse_numerator
+    det = abs(form.det)
     kappas = tuple(kappa_list(n))
-    values = []
-    for kappa in kappas:
-        num = form.pairing_numerator(kappa)
-        values.append(Fraction(num + 2 * abs(form.det), 4 * abs(form.det)))
-    v_index = tuple(vw_correspondence(n))
+    nums = [x * (n00 * x + 2 * n01 * y) + n11 * y * y for x, y in kappas]
+    if nums[1:] != nums[:0:-1]:
+        raise AssertionError(f"model vector for D = {D} is not symmetric")
+    value_of = {num: Fraction(num + 2 * det, 4 * det) for num in set(nums)}
+    v_index = tuple(_v_index(kappas, n))
     counts: dict[int, int] = {}
     for residue in v_index:
         counts[residue] = counts.get(residue, 0) + 1
@@ -115,14 +131,11 @@ def gamma_vector(D: int) -> GammaVector:
         raise AssertionError(
             f"singly attained class at index {singles[0]}, expected {expected_single}"
         )
-    gv = GammaVector(
+    return GammaVector(
         D=D,
         n=n,
         kappas=kappas,
-        values=tuple(values),
+        values=tuple(map(value_of.__getitem__, nums)),
         v_index=v_index,
         singly_attained_index=singles[0],
     )
-    assert all(gv.values[i] == gv.values[(D - i) % D] for i in range(D))
-    return gv
-

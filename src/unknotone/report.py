@@ -1,14 +1,16 @@
 """Per-record analysis drivers shared by the CLI and the test suite.
 
 This is where a knot record is pushed through the whole pipeline:
-correction vector, model vector, matching enumeration, verdict, and the
-optional torsion/polynomial extraction.  ``batch_reports`` runs many
-records in one process, in input order.
+correction vector, model vector, verdict, and the optional
+torsion/polynomial extraction.  The verdicts and the companions come from
+the even matchings alone; the full matching listing is built only when a
+report's ``matchings`` is read.  ``batch_reports`` runs many records in
+one process, in input order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from . import alexander as alexander_mod
@@ -21,22 +23,53 @@ from .matching import (
     Outcome,
     Verdict,
     enumerate_matchings,
+    even_matchings,
     format_compact,
     obstruct,
     sign_refined_obstruct,
 )
 
 
+class _Listing:
+    """The ``RecordReport.matchings`` field: the full matching listing.
+
+    A caller that already holds the listing passes it to the constructor;
+    otherwise it is built from A and B by ``enumerate_matchings`` on first
+    read, and is empty when there is no B.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.key = "_" + name
+
+    def __get__(
+        self, report: Optional["RecordReport"], owner: type
+    ) -> "tuple[Matching, ...] | _Listing":
+        if report is None:
+            return self
+        listing = report.__dict__[self.key]
+        if listing is None:
+            listing = () if report.B is None else enumerate_matchings(report.A, report.B)
+            report.__dict__[self.key] = listing
+        return listing
+
+    def __set__(self, report: "RecordReport", listing: object) -> None:
+        # the dataclass passes this descriptor itself when no listing is given
+        report.__dict__[self.key] = None if listing is self else tuple(listing)
+
+
 @dataclass(frozen=True)
 class RecordReport:
-    """Everything the pipeline produced for one record."""
+    """Everything the pipeline produced for one record.
+
+    ``matchings`` is a function of A and B, so it takes no part in ``==``.
+    """
 
     name: str
     D: int
     verdict: Verdict
     A: Optional[CorrectionVector] = None
     B: Optional[GammaVector] = None
-    matchings: tuple[Matching, ...] = ()
+    matchings: tuple[Matching, ...] = field(default=_Listing(), compare=False, repr=False)
     invariant_factors: tuple[int, ...] = ()
 
     @property
@@ -70,10 +103,8 @@ def analyze_record(
             A=A,
         )
     B = gamma_vector(A.D)
-    matchings = enumerate_matchings(A, B)
-    verdict = obstruct(A, B, strong=strong, matchings=matchings)
     return RecordReport(
-        name=record.name, D=A.D, verdict=verdict, A=A, B=B, matchings=matchings
+        name=record.name, D=A.D, verdict=obstruct(A, B, strong=strong), A=A, B=B
     )
 
 
@@ -128,8 +159,8 @@ def alexander_reports(record: KnotRecord) -> list[AlexanderReport]:
     if report.B is None:
         return []
     out = []
-    for m in report.matchings:
-        if not (m.even and m.positive and m.symmetric and m.C[0] == 0):
+    for m in even_matchings(report.A, report.B):
+        if not (m.positive and m.symmetric and m.C[0] == 0):
             continue
         torsion = alexander_mod.torsion_from_matching(m, report.B)
         poly = alexander_mod.polynomial_from_torsion(torsion)

@@ -1,13 +1,15 @@
 """Small lattice helpers that only the tests use.
 
 They are plain reimplementations kept outside the package: the points of
-the characteristic box, the map q(v) = G v, the value Q(v, v), and the
-closed form of B_0.
+the characteristic box, the map q(v) = G v, the value Q(v, v), the
+closed form of B_0, and the model vector B built one pairing at a time.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
+from unknotone.gamma import GammaVector, kappa_list, model_form, vw_correspondence
 from unknotone.lattice import characteristic_box
 
 
@@ -30,3 +32,17 @@ def spin_reference_value(D):
     """B_0 as a closed form: 0 when n = (D+1)/2 is odd, 1/2 when n is even."""
     n = (D + 1) // 2
     return Fraction(0) if n % 2 == 1 else Fraction(1, 2)
+
+
+def reference_gamma_vector(D):
+    """B for odd D >= 3, one ``pairing_numerator`` and one ``Fraction`` per kappa."""
+    n = (D + 1) // 2
+    form = model_form(D)
+    kappas = tuple(kappa_list(n))
+    values = tuple(Fraction(form.pairing_numerator(k) + 2 * D, 4 * D) for k in kappas)
+    v_index = tuple(vw_correspondence(n))
+    counts = Counter(v_index)
+    (single,) = [i for i, residue in enumerate(v_index) if counts[residue] == 1]
+    return GammaVector(
+        D=D, n=n, kappas=kappas, values=values, v_index=v_index, singly_attained_index=single
+    )

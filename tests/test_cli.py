@@ -210,3 +210,29 @@ def test_box_above_budget_is_refused_quickly(command, tmp_path, src_env):
     assert proc.stderr.splitlines() == [
         "error: characteristic box has 5489031744 points, above the budget of 2000000"
     ]
+
+
+def test_listing_above_budget_is_refused_and_the_verdict_streams(tmp_path, src_env):
+    # D = 99,999: 2 * phi(D) * D = 1.3e10 listing entries, a few seconds of verdict
+    path = tmp_path / "two_bridge.json"
+    path.write_text(json.dumps([{"name": "tb", "goeritz": [[-2, 1], [1, -50000]]}]))
+
+    def run(command):
+        return subprocess.run(
+            [sys.executable, "-m", "unknotone.cli", command, "--input", str(path)],
+            env=src_env,
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+
+    listed = run("match")
+    assert listed.returncode == 3
+    assert listed.stdout == ""
+    assert listed.stderr.splitlines() == [
+        "error: matching listing for D = 99999 has 12959870400 entries, "
+        "above the budget of 10000000"
+    ]
+    verdict = run("obstruct")
+    assert verdict.returncode == 0, verdict.stderr
+    assert verdict.stdout.splitlines()[0] == "tb: D = 99999, verdict NotObstructed"

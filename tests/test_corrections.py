@@ -104,3 +104,13 @@ def test_explicit_generator_reindexes_values():
 def test_mirrored_negates():
     A = correction_vector(EIGHT_TEN)
     assert [-v for v in A.mirrored().values] == list(A.values)
+
+
+def test_mirrored_negates_each_shared_value_once():
+    forms = [EIGHT_TEN, QuadraticForm.from_rows([[-2, 1], [1, -500]])]
+    for form in forms:
+        A = correction_vector(form)
+        mirrored = A.mirrored()
+        assert mirrored.values == tuple(-v for v in A.values)
+        assert len({id(v) for v in mirrored.values}) == len(set(mirrored.values))
+        assert len({id(v) for v in A.values}) == len(set(A.values))

@@ -1,0 +1,165 @@
+"""The verdict path against the full matching listing.
+
+Verdicts and companions come from ``even_matchings``, an early-exit scan;
+each must equal the value computed from ``enumerate_matchings``, the way
+the pipeline computed it before the scan existed.
+"""
+
+import subprocess
+import sys
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+
+from helpers import reference_gamma_vector
+from test_properties import cyclic_odd, negative_definite_forms
+from unknotone import report
+from unknotone.alexander import (
+    lspace_coefficient_check,
+    polynomial_from_torsion,
+    torsion_from_matching,
+)
+from unknotone.catalog import KnotRecord, builtin_dataset
+from unknotone.corrections import correction_vector
+from unknotone.errors import NonCyclicCokernelError, UnknotOneError, ValidationError
+from unknotone.gamma import gamma_vector
+from unknotone.lattice import QuadraticForm
+from unknotone.matching import (
+    LISTING_BUDGET,
+    enumerate_matchings,
+    even_matchings,
+    obstruct,
+    sign_refined_obstruct,
+)
+
+
+def check_verdicts(A, B):
+    listing = enumerate_matchings(A, B)
+    assert even_matchings(A, B) == tuple(m for m in listing if m.even)
+    for strong in (False, True):
+        assert obstruct(A, B, strong) == obstruct(A, B, strong, matchings=listing)
+    for sigma in (0, 2):
+        epsilon = -((-1) ** (sigma // 2))
+        pool = [m for m in listing if any(eps == epsilon for _, eps in m.provenance)]
+        assert sign_refined_obstruct(A, B, sigma) == obstruct(A, B, matchings=pool)
+
+
+def reference_alexander_reports(record):
+    """``alexander_reports`` read off the full listing."""
+    A = correction_vector(record.form)
+    if A.D == 1:
+        return []
+    B = gamma_vector(A.D)
+    out = []
+    for m in enumerate_matchings(A, B):
+        if m.even and m.positive and m.symmetric and m.C[0] == 0:
+            torsion = torsion_from_matching(m, B)
+            poly = polynomial_from_torsion(torsion)
+            check = lspace_coefficient_check(poly)
+            out.append(report.AlexanderReport(record.name, torsion, poly, check, m))
+    return out
+
+
+def outcome(fn, record):
+    try:
+        return fn(record)
+    except UnknotOneError as exc:
+        return type(exc), str(exc)
+
+
+def check_alexander(record):
+    assert outcome(report.alexander_reports, record) == outcome(
+        reference_alexander_reports, record
+    )
+
+
+@pytest.mark.parametrize("record", builtin_dataset(), ids=lambda r: r.name)
+def test_verdicts_on_bundled_records_and_mirrors(record):
+    try:
+        A = correction_vector(record.form)
+    except NonCyclicCokernelError:
+        pytest.skip("non-cyclic cokernel: no matchings")
+    if A.D == 1:
+        pytest.skip("determinant 1: no matchings")
+    B = gamma_vector(A.D)
+    check_verdicts(A, B)
+    check_verdicts(A.mirrored(), B)
+    check_alexander(record)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(negative_definite_forms(max_dim=3, max_abs_det=45))
+def test_verdicts_on_random_forms(form):
+    assume(cyclic_odd(form))
+    A = correction_vector(form)
+    B = gamma_vector(A.D)
+    check_verdicts(A, B)
+    check_verdicts(A.mirrored(), B)
+    check_alexander(KnotRecord(name="random", goeritz=form))
+
+
+def test_batch_reports_never_list(monkeypatch):
+    def refuse(A, B):
+        raise AssertionError("the full listing was built")
+
+    monkeypatch.setattr(report, "enumerate_matchings", refuse)
+    monkeypatch.setattr("unknotone.matching.enumerate_matchings", refuse)
+    for strong in (False, True):
+        entries = report.batch_reports(builtin_dataset(), strong=strong)
+        assert len(entries) == len(builtin_dataset())
+        assert not [entry for entry in entries if "error" in entry]
+
+
+def test_listing_is_built_on_first_read():
+    record = next(r for r in builtin_dataset() if r.name == "8_10")
+    rep = report.analyze_record(record)
+    listing = enumerate_matchings(rep.A, rep.B)
+    assert rep.matchings == listing
+    assert rep.matchings is rep.matchings
+    given_listing = report.RecordReport(
+        name=rep.name, D=rep.D, verdict=rep.verdict, A=rep.A, B=rep.B, matchings=listing
+    )
+    assert given_listing == report.analyze_record(record)
+    assert given_listing.matchings == listing
+    assert report.RecordReport(name="x", D=3, verdict=rep.verdict).matchings == ()
+
+
+def test_listing_budget_is_checked_before_scanning():
+    # D = 3999: 2 * phi(D) * D = 2.0e7 entries
+    A = correction_vector(QuadraticForm.from_rows([[-2, 1], [1, -2000]]))
+    B = gamma_vector(A.D)
+    with pytest.raises(ValidationError) as excinfo:
+        enumerate_matchings(A, B)
+    assert str(excinfo.value) == (
+        f"matching listing for D = 3999 has 20154960 entries, "
+        f"above the budget of {LISTING_BUDGET}"
+    )
+    assert obstruct(A, B).outcome.value == "NotObstructed"
+
+
+def test_gamma_vector_matches_one_pairing_per_kappa():
+    for D in range(3, 1000, 2):
+        assert gamma_vector(D) == reference_gamma_vector(D), D
+
+
+def test_gamma_symmetry_check_holds_under_optimisation(src_env):
+    # an asymmetric model vector must be refused also under python -O
+    code = (
+        "from unknotone import gamma\n"
+        "kappas = gamma.kappa_list\n"
+        "def skewed(n):\n"
+        "    out = kappas(n)\n"
+        "    x, y = out[1]\n"
+        "    out[1] = (x, y + 2)\n"
+        "    return out\n"
+        "gamma.kappa_list = skewed\n"
+        "try:\n"
+        "    gamma.gamma_vector(27)\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=src_env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "model vector for D = 27 is not symmetric\n"
