@@ -1,14 +1,25 @@
 #!/usr/bin/env python3
-"""Time the two characteristic-box scans on chain forms of dimension 6 and 7.
+"""Time the two characteristic-box scans on chain forms and on one star.
 
     PYTHONPATH=src python scripts/box_sweep.py [REPEATS]
 
-The chain form has diagonal -5 and 1 beside it, so its box has 6^dim
-points (46,656 and 279,936).  For each dimension the script prints the
-median CPU time of ``correction_vector`` and of ``class_count``, each on a
-fresh form whose determinant and adjugate are already computed, as JSON.
-Run it against another checkout by pointing PYTHONPATH at that checkout's
-``src``.
+Each row is one form; for it the script prints, as JSON, the median CPU
+time of the two scans, each on a fresh form whose determinant and
+adjugate are already computed:
+
+- ``correction_vector_s`` times the coset-maximum scan over the
+  prod |G_ii| points of the reduced box;
+- ``class_count_s`` times the class walk, which takes its seeds from the
+  reduced box and walks inside the full box of prod (|G_ii| + 1) points.
+
+The chain forms have diagonal -5 and 1 beside it, in dimension 6 and 7,
+so their boxes have 6^dim points (46,656 and 279,936); on chains most
+classes lie inside the box, so the walk visits most of the full box
+whatever its seeds.  The dimension-8 star has centre -3 and legs
+(-2, -2, -2), (-2, -3), (-2, -2): six -2 vertices, a box of 11,664 points
+and 576 reduced seeds, most of whose classes leave the box, so there the
+seed count sets the walk's work.  Run it against another checkout by
+pointing PYTHONPATH at that checkout's ``src``.
 """
 
 from __future__ import annotations
@@ -17,14 +28,38 @@ import json
 import statistics
 import sys
 import time
+from math import prod
 
 from unknotone.corrections import correction_vector
 from unknotone.lattice import QuadraticForm
 from unknotone.plumbing import PlumbingForm, class_count
 
 
-def chain(dim: int) -> QuadraticForm:
-    rows = [[-5 if i == j else int(abs(i - j) == 1) for j in range(dim)] for i in range(dim)]
+def chain(dim: int) -> list[list[int]]:
+    return [[-5 if i == j else int(abs(i - j) == 1) for j in range(dim)] for i in range(dim)]
+
+
+def star(centre: int, legs: list[list[int]]) -> list[list[int]]:
+    weights = [centre] + [w for leg in legs for w in leg]
+    dim = len(weights)
+    rows = [[weights[i] if i == j else 0 for j in range(dim)] for i in range(dim)]
+    at = 1
+    for leg in legs:
+        previous = 0
+        for _ in leg:
+            rows[previous][at] = rows[at][previous] = 1
+            previous, at = at, at + 1
+    return rows
+
+
+SHAPES = {
+    "chain_dim6_diag-5": chain(6),
+    "chain_dim7_diag-5": chain(7),
+    "star_dim8_centre-3": star(-3, [[-2, -2, -2], [-2, -3], [-2, -2]]),
+}
+
+
+def fresh(rows: list[list[int]]) -> QuadraticForm:
     form = QuadraticForm.from_rows(rows)
     form.det, form.adjugate, form.is_negative_definite
     return form
@@ -39,15 +74,17 @@ def cpu_seconds(fn, *args):
 def main() -> int:
     repeats = int(sys.argv[1]) if len(sys.argv) > 1 else 3
     out = {}
-    for dim in (6, 7):
+    for name, rows in SHAPES.items():
         corrections_s, count_s = [], []
         for _ in range(repeats):
-            seconds, A = cpu_seconds(correction_vector, chain(dim))
+            seconds, A = cpu_seconds(correction_vector, fresh(rows))
             corrections_s.append(seconds)
-            seconds, counted = cpu_seconds(class_count, PlumbingForm(chain(dim)))
+            seconds, counted = cpu_seconds(class_count, PlumbingForm(fresh(rows)))
             count_s.append(seconds)
-        out[f"chain_dim{dim}_diag-5"] = {
-            "box": 6**dim,
+        diagonal = [-rows[i][i] for i in range(len(rows))]
+        out[name] = {
+            "box": prod(d + 1 for d in diagonal),
+            "reduced_box": prod(diagonal),
             "D": A.D,
             "classes": counted.count,
             "correction_vector_s": round(statistics.median(corrections_s), 3),

@@ -38,6 +38,7 @@ from .report import (
     alexander_reports,
     analyze_record,
     batch_reports,
+    listed_record,
     matching_to_json,
     report_to_json,
     sign_refined_record,
@@ -172,7 +173,7 @@ def cmd_gamma(args: argparse.Namespace) -> int:
 
 def cmd_match(args: argparse.Namespace) -> int:
     record = _load_single_record(args)
-    report = analyze_record(record, generator_unit=args.generator)
+    report = listed_record(record, generator_unit=args.generator)
     lines = [f"{record.name}: D = {report.D}, {len(report.matchings)} matchings"]
     for m in report.matchings:
         flags = "".join(
@@ -204,7 +205,8 @@ def cmd_obstruct(args: argparse.Namespace) -> int:
             lines.append(f"  {label}: {verdict.outcome.value}{suffix}")
         _emit(payload, args.json, "\n".join(lines))
         return 0
-    report = analyze_record(record, strong=args.strong, generator_unit=args.generator)
+    analyze = listed_record if args.json else analyze_record
+    report = analyze(record, strong=args.strong, generator_unit=args.generator)
     witnesses = "; ".join(format_compact(m) for m in report.verdict.witnesses)
     text = f"{record.name}: D = {report.D}, verdict {report.outcome.value}"
     if witnesses:

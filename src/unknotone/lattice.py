@@ -12,15 +12,18 @@ computed as v^t adj(G) w / det(G).  Covectors are plain integer tuples in
 the dual coordinates.
 
 The linear algebra uses plain integers: Bareiss fraction-free elimination
-(Math. Comp. 1968) for determinants and leading minors, cofactors for the
-adjugate, and the gcd of the adjugate entries as the cyclicity test (the
-cokernel is cyclic exactly when it is 1).  A Smith normal form is computed
-only for the invariant factors of a non-cyclic cokernel.
+(Math. Comp. 1968) for determinants and leading minors, the same
+elimination in Gauss-Jordan form on [G | I] for the adjugate of a
+nonsingular form (cofactors only for a singular one), and the gcd of the
+adjugate entries as the cyclicity test (the cokernel is cyclic exactly
+when it is 1).  A Smith normal form is computed only for the invariant
+factors of a non-cyclic cokernel.
 
-The characteristic box is defined once, in :func:`characteristic_box`: the
-correction terms scan a smaller box inside it and the plumbing class walk
-takes its seeds from it.  A box of more than BOX_BUDGET points is refused
-with a ValidationError before anything is scanned.
+The characteristic box is defined once, in :func:`characteristic_box`.
+The correction terms scan the reduced box G_ii + 2 <= x_i <= -G_ii inside
+it, and the class walk takes its seeds from the reduced box and walks in
+the full box.  A box of more than BOX_BUDGET points is refused with a
+ValidationError before anything is scanned.
 """
 
 from __future__ import annotations
@@ -78,6 +81,32 @@ def _bareiss_pivots(rows: Sequence[Sequence[int]], swap_rows: bool = True) -> li
     return pivots
 
 
+def _gauss_jordan_adjugate(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """adj(G) of a nonsingular G by fraction-free Gauss-Jordan elimination on [G | I].
+
+    As in Bareiss elimination every division by the previous pivot is exact,
+    but each pivot clears its column above as well as below.  The row ops
+    then take [G | I] to [det I | M] with M G = det I, so M = adj(G).  A row
+    swap that also negates one row keeps det, and with it M.
+    """
+    n = len(rows)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    previous = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            lower = next(i for i in range(k + 1, n) if a[i][k])
+            a[k], a[lower] = a[lower], [-x for x in a[k]]
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        for i, row in enumerate(a):
+            if i != k:
+                factor = row[k]
+                for j in range(k + 1, 2 * n):
+                    row[j] = (row[j] * pivot - factor * pivot_row[j]) // previous
+        previous = pivot
+    return tuple(tuple(row[n:]) for row in a)
+
+
 def _smith_diagonal(rows: Sequence[Sequence[int]]) -> list[int]:
     """The invariant factors d_1 | d_2 | ... of a nonsingular integer matrix."""
     a = [list(row) for row in rows]
@@ -126,7 +155,13 @@ class QuadraticForm:
 
     @cached_property
     def adjugate(self) -> tuple[tuple[int, ...], ...]:
-        """adj(G)[i][j] = (-1)^(i+j) det(G without row j and column i)."""
+        """adj(G)[i][j] = (-1)^(i+j) det(G without row j and column i).
+
+        One Gauss-Jordan elimination for a nonsingular form; a singular one,
+        whose adjugate no pipeline stage reads, takes the dim^2 cofactors.
+        """
+        if self.det:
+            return _gauss_jordan_adjugate(self.gram)
         rng = range(self.dim)
 
         def cofactor(i: int, j: int) -> int:
@@ -163,13 +198,14 @@ class QuadraticForm:
 
 
 # The most points the characteristic box may have.  The box has
-# prod(|G_ii| + 1) points and the class walk is linear in that; the coset
-# maxima scan the prod |G_ii| points of the reduced box inside it.  On the
-# 8-dimensional chain form with diagonal -5 (seven times) and -6, whose box
-# has 1.96e6 points, class_count takes about 4 s and correction_vector
-# about 2 s of CPU on one core of a 2-vCPU machine (CPython 3.11).  A
-# larger box is refused up front instead of running for hours: a 6 x 6
-# form with diagonal -41 has 5.5e9 points.
+# prod(|G_ii| + 1) points and the class walk is linear in that (it seeds
+# from the reduced box but walks in the full one); the coset maxima scan
+# the prod |G_ii| points of the reduced box.  On the 8-dimensional chain
+# form with diagonal -5 (seven times) and -6, whose box has 1.96e6 points,
+# class_count takes 2.7 to 4 s and correction_vector 1.1 to 2.1 s of CPU
+# on one core of a 2-vCPU machine whose speed drifts by half (CPython
+# 3.11), with a 77 MB peak.  A larger box is refused up front instead of
+# running for hours: a 6 x 6 form with diagonal -41 has 5.5e9 points.
 BOX_BUDGET = 2_000_000
 
 

@@ -28,7 +28,8 @@ The listing.  :func:`enumerate_matchings` builds every distinct C with its
 provenance: phi(D) * D integers over the scanned half of the pairs, and
 up to as many entries of memory.  It serves ``match``, ``obstruct --json``
 and the tests.  A listing above :data:`LISTING_BUDGET` entries is refused
-before the scan.
+before the scan; the budget depends on D alone, so the commands that print
+a listing check it (:func:`check_listing_budget`) before any analysis.
 """
 
 from __future__ import annotations
@@ -124,6 +125,16 @@ def units(D: int) -> list[int]:
 LISTING_BUDGET = 10_000_000
 
 
+def check_listing_budget(D: int) -> None:
+    """Refuse a listing of more than :data:`LISTING_BUDGET` entries for determinant D."""
+    size = 2 * len(units(D)) * D
+    if size > LISTING_BUDGET:
+        raise ValidationError(
+            f"matching listing for D = {D} has {size} entries, "
+            f"above the budget of {LISTING_BUDGET}"
+        )
+
+
 def _over_common_denominator(
     A: CorrectionVector, B: GammaVector
 ) -> tuple[int, list[int], list[int], int]:
@@ -174,15 +185,9 @@ def enumerate_matchings(A: CorrectionVector, B: GammaVector) -> tuple[Matching, 
     before the scan.
     """
     D, a, neg_b, L = _over_common_denominator(A, B)
-    all_units = units(D)
-    size = 2 * len(all_units) * D
-    if size > LISTING_BUDGET:
-        raise ValidationError(
-            f"matching listing for D = {D} has {size} entries, "
-            f"above the budget of {LISTING_BUDGET}"
-        )
+    check_listing_budget(D)
     found: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for u in all_units:
+    for u in units(D):
         if 2 * u > D:
             break
         a_u = [a[j % D] for j in range(0, u * D, u)]

@@ -4,13 +4,15 @@ This is where a knot record is pushed through the whole pipeline:
 correction vector, model vector, verdict, and the optional
 torsion/polynomial extraction.  The verdicts and the companions come from
 the even matchings alone; the full matching listing is built only when a
-report's ``matchings`` is read.  ``batch_reports`` runs many records in
-one process, in input order.
+report's ``matchings`` is read, and ``listed_record`` refuses an
+over-budget listing before the analysis.  ``batch_reports`` runs many
+records in one process, in input order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Iterable, Optional
 
 from . import alexander as alexander_mod
@@ -18,10 +20,12 @@ from .catalog import KnotRecord
 from .corrections import CorrectionVector, correction_vector
 from .errors import MissingSignatureError, NonCyclicCokernelError, UnknotOneError
 from .gamma import GammaVector, gamma_vector
+from .lattice import characteristic_box, cokernel
 from .matching import (
     Matching,
     Outcome,
     Verdict,
+    check_listing_budget,
     enumerate_matchings,
     even_matchings,
     format_compact,
@@ -106,6 +110,32 @@ def analyze_record(
     return RecordReport(
         name=record.name, D=A.D, verdict=obstruct(A, B, strong=strong), A=A, B=B
     )
+
+
+def listed_record(
+    record: KnotRecord,
+    strong: bool = False,
+    generator_unit: Optional[int] = None,
+) -> RecordReport:
+    """``analyze_record`` for a caller that reads the full listing.
+
+    The listing budget depends on D alone, so a listing above it is refused
+    as soon as the cokernel is known, before any correction term is
+    computed.  Only a record whose analysis would list is refused: its
+    cokernel is cyclic of odd order D > 1, its form is negative definite
+    with a box within budget, and the generator unit (if any) is a unit.
+    Every other record meets the same error, or the same empty listing, as
+    in ``analyze_record``.
+    """
+    form = record.form
+    structure = cokernel(form)
+    D = structure.order
+    if structure.is_cyclic and D % 2 == 1 and D > 1 and form.is_negative_definite:
+        # the box refusal comes first, as in correction_vector
+        characteristic_box(form)
+        if generator_unit is None or gcd(generator_unit, D) == 1:
+            check_listing_budget(D)
+    return analyze_record(record, strong=strong, generator_unit=generator_unit)
 
 
 @dataclass(frozen=True)

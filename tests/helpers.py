@@ -2,7 +2,8 @@
 
 They are plain reimplementations kept outside the package: the points of
 the characteristic box, the map q(v) = G v, the value Q(v, v), the
-closed form of B_0, and the model vector B built one pairing at a time.
+closed form of B_0, the model vector B built one pairing at a time, and
+the adjugate from cofactors over ``Fraction`` elimination.
 """
 
 from collections import Counter
@@ -45,4 +46,36 @@ def reference_gamma_vector(D):
     (single,) = [i for i, residue in enumerate(v_index) if counts[residue] == 1]
     return GammaVector(
         D=D, n=n, kappas=kappas, values=values, v_index=v_index, singly_attained_index=single
+    )
+
+
+def reference_det(rows):
+    """det by Gaussian elimination over ``Fraction``s."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return int(det)
+
+
+def reference_adjugate(rows):
+    """adj(G)[i][j] = (-1)^(i+j) det(G without row j and column i), one minor at a time."""
+    rows = [list(row) for row in rows]
+    n = len(rows)
+    return tuple(
+        tuple(
+            (-1) ** (i + j) * reference_det([r[:i] + r[i + 1 :] for r in rows[:j] + rows[j + 1 :]])
+            for j in range(n)
+        )
+        for i in range(n)
     )

@@ -6,7 +6,8 @@ wall.  Each is compared with the direct computation it replaces: for the
 correction terms, the maxima over the full box per tuple coset label,
 listed by walking the multiples of the generator; for the class count, a
 walk that follows every class to its end before deciding whether it stays
-in the box.
+in the box.  The same full walk checks the lemma behind the class walk's
+seeds: every class inside the box meets the reduced box.
 """
 
 from fractions import Fraction
@@ -27,8 +28,8 @@ def reference_box(form):
     return product(*(range(d, -d + 1, 2) for d in (form.gram[i][i] for i in range(form.dim))))
 
 
-def reference_class_count(rows):
-    """Walk every class in full; count those lying inside the box."""
+def reference_classes(rows):
+    """Each push class met from the box, walked in full: (members, inside)."""
     dim = len(rows)
     bound = [-rows[i][i] for i in range(dim)]
     cols = [tuple(2 * rows[j][i] for j in range(dim)) for i in range(dim)]
@@ -41,7 +42,6 @@ def reference_class_count(rows):
                 yield tuple(a - b for a, b in zip(vec, cols[i]))
 
     visited = set()
-    good = 0
     for seed in reference_box(QuadraticForm.from_rows(rows)):
         if seed in visited:
             continue
@@ -52,8 +52,12 @@ def reference_class_count(rows):
                     members.add(nxt)
                     stack.append(nxt)
         visited |= members
-        good += all(abs(v[i]) <= bound[i] for v in members for i in range(dim))
-    return good
+        yield members, all(abs(v[i]) <= bound[i] for v in members for i in range(dim))
+
+
+def reference_class_count(rows):
+    """Walk every class in full; count those lying inside the box."""
+    return sum(inside for _, inside in reference_classes(rows))
 
 
 def reference_correction_values(form, generator=None):
@@ -104,6 +108,34 @@ def star_plumbings_with_bad_vertex(draw):
     return rows
 
 
+@st.composite
+def sign_flipped_stars(draw):
+    """Stars of dimension 5..7 with e_i -> -e_i at some vertices.
+
+    A flip negates the edges between a flipped and a kept vertex, so the
+    off-diagonal entries take both signs.  A centre of weight -1 or -2 can
+    be bad.
+    """
+    centre = draw(st.sampled_from([-1, -2, -3]))
+    legs = draw(
+        st.lists(st.integers(min_value=1, max_value=3), min_size=2, max_size=4).filter(
+            lambda lengths: 4 <= sum(lengths) <= 6
+        )
+    )
+    dim = 1 + sum(legs)
+    weights = [centre] + draw(st.lists(st.sampled_from([-2, -3]), min_size=dim - 1, max_size=dim - 1))
+    sign = draw(st.lists(st.sampled_from([1, -1]), min_size=dim, max_size=dim))
+    rows = [[weights[i] if i == j else 0 for j in range(dim)] for i in range(dim)]
+    at = 1
+    for length in legs:
+        previous = 0
+        for _ in range(length):
+            rows[previous][at] = rows[at][previous] = sign[previous] * sign[at]
+            previous, at = at, at + 1
+    assume(QuadraticForm.from_rows(rows).is_negative_definite)
+    return rows
+
+
 def test_box_budget_is_checked_before_scanning():
     assert len(characteristic_box(QuadraticForm.from_rows([[1 - BOX_BUDGET]]))[0]) == BOX_BUDGET
     with pytest.raises(ValidationError, match="above the budget"):
@@ -125,6 +157,32 @@ def test_class_count_matches_full_walk(form):
 @given(star_plumbings_with_bad_vertex())
 def test_class_count_matches_full_walk_on_stars_with_bad_vertex(rows):
     assert class_count(PlumbingForm.from_rows(rows)).count == reference_class_count(rows)
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(sign_flipped_stars())
+def test_class_count_matches_full_walk_on_sign_flipped_stars(rows):
+    assert class_count(PlumbingForm.from_rows(rows)).count == reference_class_count(rows)
+
+
+def assert_in_box_classes_meet_reduced_box(rows):
+    """Every class inside the box has a member with x_i != G_ii for all i."""
+    dim = len(rows)
+    for members, inside in reference_classes(rows):
+        if inside:
+            assert any(all(x[i] != rows[i][i] for i in range(dim)) for x in members)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(negative_definite_forms())
+def test_in_box_classes_meet_reduced_box(form):
+    assert_in_box_classes_meet_reduced_box(form.gram)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(star_plumbings_with_bad_vertex())
+def test_in_box_classes_meet_reduced_box_on_stars_with_bad_vertex(rows):
+    assert_in_box_classes_meet_reduced_box(rows)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])

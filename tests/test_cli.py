@@ -236,3 +236,55 @@ def test_listing_above_budget_is_refused_and_the_verdict_streams(tmp_path, src_e
     verdict = run("obstruct")
     assert verdict.returncode == 0, verdict.stderr
     assert verdict.stdout.splitlines()[0] == "tb: D = 99999, verdict NotObstructed"
+
+
+def _record_file(tmp_path, rows):
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps([{"name": "r", "goeritz": rows}]))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [["match"], ["obstruct", "--json"]])
+def test_listing_above_budget_is_refused_before_any_analysis(command, tmp_path, capsys, monkeypatch):
+    import unknotone.report as report_mod
+
+    def never(*args, **kwargs):
+        raise AssertionError("correction_vector ran before the listing budget was checked")
+
+    monkeypatch.setattr(report_mod, "correction_vector", never)
+    path = _record_file(tmp_path, [[-2, 1], [1, -50000]])
+    code, out, err = run_main([*command, "--input", path], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [
+        "error: matching listing for D = 99999 has 12959870400 entries, "
+        "above the budget of 10000000"
+    ]
+
+
+@pytest.mark.parametrize(
+    "rows, argv, expected",
+    [
+        # Z/3 + Z/3003 is not cyclic: no listing, though 9009 is over budget
+        ([[-3, 0], [0, -3003]], [], (0, "r: D = 9009, 0 matchings")),
+        # D = 1
+        ([[-2, 1], [1, -1]], [], (0, "r: D = 1, 0 matchings")),
+        # even determinant 10004: the correction terms refuse it
+        ([[-3, 1], [1, -3335]], [], (3, "error: cokernel order 10004 is even; need a knot form")),
+        # D = 3999 is over the listing budget, but 3 is not a unit mod 3999
+        (
+            [[-2, 1], [1, -2000]],
+            ["--generator", "3"],
+            (3, "error: 3 is not a unit mod 3999"),
+        ),
+        # the box refusal comes first, as without the listing check
+        (
+            [[-41 if i == j else int(abs(i - j) == 1) for j in range(6)] for i in range(6)],
+            [],
+            (3, "error: characteristic box has 5489031744 points, above the budget of 2000000"),
+        ),
+    ],
+)
+def test_listing_budget_refuses_only_records_that_would_list(rows, argv, expected, tmp_path, capsys):
+    code, out, err = run_main(["match", "--input", _record_file(tmp_path, rows), *argv], capsys)
+    assert (code, (out or err).splitlines()[0]) == expected

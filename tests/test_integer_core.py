@@ -7,8 +7,9 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from helpers import reference_adjugate, reference_det
 from unknotone.errors import SingularFormError
 from unknotone.lattice import QuadraticForm, cokernel
 
@@ -54,6 +55,48 @@ def test_integer_core_agrees_with_sympy(sympy, rows):
     structure = cokernel(form)
     assert structure.invariant_factors == expected
     assert structure.is_cyclic == (len(expected) <= 1)
+
+
+@st.composite
+def symmetric_rows_of_corank(draw):
+    """Symmetric forms of dimension 1..8 and rank n, n - 1 or n - 2.
+
+    A nonsingular symmetric core, padded with zero rows and columns, is
+    conjugated by unimodular shears, which keep the rank.
+    """
+    dim = draw(st.integers(min_value=1, max_value=8))
+    rank = dim - draw(st.integers(min_value=0, max_value=min(2, dim)))
+    rows = [[0] * dim for _ in range(dim)]
+    for i in range(rank):
+        for j in range(i, rank):
+            rows[i][j] = rows[j][i] = draw(st.integers(min_value=-4, max_value=4))
+    assume(reference_det([row[:rank] for row in rows[:rank]]) != 0)
+    for _ in range(draw(st.integers(min_value=0, max_value=2 * dim))):
+        i = draw(st.integers(min_value=0, max_value=dim - 1))
+        j = draw(st.integers(min_value=0, max_value=dim - 1))
+        if i == j:
+            continue
+        c = draw(st.sampled_from([-1, 1]))
+        # G <- U^T G U with U = I + c E_ij
+        rows[j] = [a + c * b for a, b in zip(rows[j], rows[i])]
+        for row in rows:
+            row[j] += c * row[i]
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_rows_of_corank())
+@example([[0, 1], [1, 0]])  # zero first pivot
+@example([[-2, 1, 0], [1, 0, 1], [0, 1, 0]])  # zero pivots after elimination
+@example([[2, 2], [2, 2]])  # rank 1
+@example([[0] * 3] * 3)  # rank 0
+def test_adjugate_up_to_dimension_eight(rows):
+    form = QuadraticForm.from_rows(rows)
+    adj = form.adjugate
+    assert adj == reference_adjugate(rows)
+    rng = range(form.dim)
+    product = [[sum(rows[i][k] * adj[k][j] for k in rng) for j in rng] for i in rng]
+    assert product == [[form.det * (i == j) for j in rng] for i in rng]
 
 
 def test_cli_import_leaves_sympy_out(src_env):
