@@ -21,7 +21,6 @@ Index transport: a residue r (mod 2n) corresponds to torsion index
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import TorsionExtractionError, ValidationError
@@ -112,10 +111,11 @@ def torsion_from_matching(matching: Matching, B: GammaVector) -> TorsionSequence
         else:
             per_class[residue] = (i, value)
     assigned: dict[int, int] = {}
-    for residue, (_, value) in per_class.items():
+    for residue, (i, value) in per_class.items():
         index = residue_to_torsion_index(residue, n)
-        half, remainder = divmod(int(value), 2)
-        assert remainder == 0
+        half, remainder = divmod(value, 2)
+        if remainder:
+            raise ValidationError(f"torsion extraction needs an even matching, C_{i} = {value}")
         if index in assigned and assigned[index] != half:
             raise TorsionExtractionError(
                 f"torsion index {index} assigned both {assigned[index]} and {half}"

@@ -11,13 +11,14 @@ and the rational extension of the form to V* is (v, w) -> v^t G^{-1} w,
 computed as v^t adj(G) w / det(G).  Covectors are plain integer tuples in
 the dual coordinates.
 
-The linear algebra uses plain integers: Bareiss fraction-free elimination
-(Math. Comp. 1968) for determinants and leading minors, the same
-elimination in Gauss-Jordan form on [G | I] for the adjugate of a
-nonsingular form (cofactors only for a singular one), and the gcd of the
-adjugate entries as the cyclicity test (the cokernel is cyclic exactly
-when it is 1).  A Smith normal form is computed only for the invariant
-factors of a non-cyclic cokernel.
+The linear algebra uses plain integers.  One fraction-free Gauss-Jordan
+elimination on [G | I] (Bareiss, Math. Comp. 1968), run once per form,
+gives the determinant, the leading minors behind definiteness and, for a
+nonsingular form, the adjugate; a singular form takes its adjugate from
+cofactors, each the determinant of a minor by the same elimination.  The
+gcd of the adjugate entries is the cyclicity test (the cokernel is cyclic
+exactly when it is 1).  A Smith normal form is computed only for the
+invariant factors of a non-cyclic cokernel.
 
 The characteristic box is defined once, in :func:`characteristic_box`.
 The correction terms scan the reduced box G_ii + 2 <= x_i <= -G_ii inside
@@ -57,54 +58,39 @@ def _validated_rows(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...
     return out
 
 
-def _bareiss_pivots(rows: Sequence[Sequence[int]], swap_rows: bool = True) -> list[int]:
-    """Pivots [1, p_1, p_2, ...] of Bareiss elimination, stopping at the first zero.
+def _gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[list[int], bool, list[list[int]]]:
+    """Fraction-free Gauss-Jordan elimination on [G | I]: pivots, swapped, rows.
 
-    Each p_k is a k x k minor, so every division is exact.  Without
-    swap_rows p_k is the k-th leading principal minor.  With it the last
-    pivot is the determinant: a row swap that also negates one row keeps det.
-    """
-    a = [list(row) for row in rows]
-    n = len(a)
-    pivots = [1]
-    for k in range(n):
-        if swap_rows and a[k][k] == 0:
-            lower = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if lower is not None:
-                a[k], a[lower] = a[lower], [-x for x in a[k]]
-        pivots.append(a[k][k])
-        if a[k][k] == 0:
-            break
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // pivots[-2]
-    return pivots
-
-
-def _gauss_jordan_adjugate(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """adj(G) of a nonsingular G by fraction-free Gauss-Jordan elimination on [G | I].
-
-    As in Bareiss elimination every division by the previous pivot is exact,
-    but each pivot clears its column above as well as below.  The row ops
-    then take [G | I] to [det I | M] with M G = det I, so M = adj(G).  A row
-    swap that also negates one row keeps det, and with it M.
+    Each pivot clears its column above and below, and every division by the
+    previous pivot is exact.  A zero pivot swaps up the first lower row that
+    is nonzero in its column, negating one of the two so that det is kept;
+    with no such row the pivot is 0 and the elimination stops.  The pivots
+    [1, p_1, ...] end in det G, and until the first swap p_k is the k-th
+    leading minor, since the rows below get exactly the Bareiss update.  For
+    det != 0 the row ops take [G | I] to [det I | M] with M G = det I, so
+    M = adj(G).
     """
     n = len(rows)
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    previous = 1
+    pivots = [1]
+    swapped = False
     for k in range(n):
         if a[k][k] == 0:
-            lower = next(i for i in range(k + 1, n) if a[i][k])
+            lower = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if lower is None:
+                pivots.append(0)
+                break
             a[k], a[lower] = a[lower], [-x for x in a[k]]
+            swapped = True
         pivot_row = a[k]
         pivot = pivot_row[k]
         for i, row in enumerate(a):
             if i != k:
                 factor = row[k]
                 for j in range(k + 1, 2 * n):
-                    row[j] = (row[j] * pivot - factor * pivot_row[j]) // previous
-        previous = pivot
-    return tuple(tuple(row[n:]) for row in a)
+                    row[j] = (row[j] * pivot - factor * pivot_row[j]) // pivots[-1]
+        pivots.append(pivot)
+    return pivots, swapped, a
 
 
 def _smith_diagonal(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -150,23 +136,28 @@ class QuadraticForm:
         return len(self.gram)
 
     @cached_property
+    def _elimination(self) -> tuple[list[int], bool, list[list[int]]]:
+        return _gauss_jordan(self.gram)
+
+    @cached_property
     def det(self) -> int:
-        return _bareiss_pivots(self.gram)[-1]
+        return self._elimination[0][-1]
 
     @cached_property
     def adjugate(self) -> tuple[tuple[int, ...], ...]:
         """adj(G)[i][j] = (-1)^(i+j) det(G without row j and column i).
 
-        One Gauss-Jordan elimination for a nonsingular form; a singular one,
-        whose adjugate no pipeline stage reads, takes the dim^2 cofactors.
+        The right block of the one elimination for a nonsingular form; a
+        singular one, whose adjugate no pipeline stage reads, takes the dim^2
+        cofactors, each by the same elimination on its minor.
         """
         if self.det:
-            return _gauss_jordan_adjugate(self.gram)
+            return tuple(tuple(row[self.dim :]) for row in self._elimination[2])
         rng = range(self.dim)
 
         def cofactor(i: int, j: int) -> int:
             minor = [[self.gram[r][c] for c in rng if c != i] for r in rng if r != j]
-            return (-1) ** (i + j) * _bareiss_pivots(minor)[-1]
+            return (-1) ** (i + j) * _gauss_jordan(minor)[0][-1]
 
         return tuple(tuple(cofactor(i, j) for j in rng) for i in rng)
 
@@ -181,9 +172,13 @@ class QuadraticForm:
 
     @cached_property
     def is_negative_definite(self) -> bool:
-        """Sylvester's criterion: the k-th leading minor has sign (-1)^k."""
-        minors = _bareiss_pivots(self.gram, swap_rows=False)[1:]
-        return all((-1) ** k * minor > 0 for k, minor in enumerate(minors, 1))
+        """Sylvester's criterion: the k-th leading minor has sign (-1)^k.
+
+        The pivots are the leading minors unless a row was swapped, and a
+        swap means a leading minor is 0.
+        """
+        pivots, swapped, _ = self._elimination
+        return not swapped and all((-1) ** k * p > 0 for k, p in enumerate(pivots[1:], 1))
 
     def pairing_numerator(self, v: Sequence[int]) -> int:
         """Integer n with v^t G^{-1} v = n / |det G|."""

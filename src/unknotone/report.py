@@ -27,7 +27,6 @@ from .matching import (
     Verdict,
     check_listing_budget,
     enumerate_matchings,
-    even_matchings,
     format_compact,
     obstruct,
     sign_refined_obstruct,
@@ -189,7 +188,10 @@ def alexander_reports(record: KnotRecord) -> list[AlexanderReport]:
     if report.B is None:
         return []
     out = []
-    for m in even_matchings(report.A, report.B):
+    # No second scan: when an even, positive and (if gated) symmetric
+    # matching exists, the verdict's witnesses are all such even matchings,
+    # in scan order; when none exists, no witness is positive and symmetric.
+    for m in report.verdict.witnesses:
         if not (m.positive and m.symmetric and m.C[0] == 0):
             continue
         torsion = alexander_mod.torsion_from_matching(m, report.B)

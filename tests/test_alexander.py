@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -107,6 +108,15 @@ def test_torsion_requires_symmetric_even_positive():
     assert not asym.symmetric
     with pytest.raises(ValidationError):
         torsion_from_matching(asym, B)
+
+
+def test_torsion_requires_even_entries():
+    # the 9_33 matching halved: consistent on every class, but odd entries
+    window = (1, 1, 1, 1, 2, 2, 2, 3, 3, 4, 3, 3, 2, 2, 2, 1, 1, 1, 1)
+    m = replace(_symmetric_matching(61, window, 6), even=True)
+    assert m.positive and m.symmetric and m.C[0] == 0
+    with pytest.raises(ValidationError, match="even matching"):
+        torsion_from_matching(m, gamma_vector(61))
 
 
 def test_torsion_requires_zero_at_origin():

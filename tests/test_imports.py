@@ -1,0 +1,47 @@
+"""Every name that a package module or a script imports is used in it.
+
+No linter is a dependency, so this reads the syntax tree: an imported name
+counts as used when it occurs as a name anywhere in the module, annotations
+included.  The re-exporting ``__init__.py`` and the test files are out of
+scope.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted(
+    path
+    for path in [*(ROOT / "src" / "unknotone").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    if path.name != "__init__.py"
+)
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            # ``import a.b`` binds ``a``
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_sources_are_found():
+    names = {path.name for path in SOURCES}
+    assert {"lattice.py", "alexander.py", "verify_dataset.py"} <= names
+
+
+def test_an_unused_import_is_caught():
+    source = "from fractions import Fraction\nimport os.path\nimport sys\nsys.exit(os.sep)\n"
+    assert unused_imports(source) == ["Fraction"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text()) == []

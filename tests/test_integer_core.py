@@ -10,6 +10,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import reference_adjugate, reference_det
+from unknotone import lattice
+from unknotone.catalog import builtin_record
 from unknotone.errors import SingularFormError
 from unknotone.lattice import QuadraticForm, cokernel
 
@@ -37,6 +39,7 @@ def symmetric_rows(draw):
 @example([[0, 1], [1, 0]])  # indefinite, zero leading minor
 @example([[-3, 0], [0, -3]])  # non-cyclic
 @example([[-3, 0], [0, -5]])  # cyclic, no coordinate generator
+@example([[-1, 1, 0], [1, -1, 1], [0, 1, -1]])  # det 1, zero second leading minor
 def test_integer_core_agrees_with_sympy(sympy, rows):
     from sympy.matrices.normalforms import invariant_factors
 
@@ -97,6 +100,22 @@ def test_adjugate_up_to_dimension_eight(rows):
     rng = range(form.dim)
     product = [[sum(rows[i][k] * adj[k][j] for k in rng) for j in rng] for i in rng]
     assert product == [[form.det * (i == j) for j in rng] for i in rng]
+
+
+def test_one_elimination_per_form(monkeypatch):
+    calls = []
+    eliminate = lattice._gauss_jordan
+
+    def counted(rows):
+        calls.append(rows)
+        return eliminate(rows)
+
+    monkeypatch.setattr(lattice, "_gauss_jordan", counted)
+    form = builtin_record("8_10").form
+    assert form.det == -27
+    assert form.is_negative_definite
+    assert form.inverse_numerator == tuple(tuple(-x for x in row) for row in form.adjugate)
+    assert len(calls) == 1
 
 
 def test_cli_import_leaves_sympy_out(src_env):

@@ -98,6 +98,25 @@ def test_verdicts_on_random_forms(form):
     check_alexander(KnotRecord(name="random", goeritz=form))
 
 
+def test_alexander_reports_scan_the_pairs_once(monkeypatch):
+    calls = []
+
+    def counted(A, B):
+        calls.append(A.D)
+        return even_matchings(A, B)
+
+    monkeypatch.setattr("unknotone.matching.even_matchings", counted)
+    for record in builtin_dataset():
+        calls.clear()
+        found = [r.matching for r in report.alexander_reports(record)]
+        scans = len(calls)
+        rep = report.analyze_record(record)
+        assert scans == (rep.B is not None), record.name
+        pool = () if rep.B is None else even_matchings(rep.A, rep.B)
+        expected = [m for m in pool if m.positive and m.symmetric and m.C[0] == 0]
+        assert found == expected, record.name
+
+
 def test_batch_reports_never_list(monkeypatch):
     def refuse(A, B):
         raise AssertionError("the full listing was built")
