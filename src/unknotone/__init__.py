@@ -33,7 +33,6 @@ from .matching import (
     Matching,
     Outcome,
     Verdict,
-    classify,
     enumerate_matchings,
     even_matchings,
     format_compact,

@@ -32,12 +32,17 @@ linear function of it.
 
 The generator is a choice; any two choices differ by reindexing with a unit
 of Z/D, which downstream consumers quantify over anyway.
+
+What the vector stores.  A point's value is (x^t N x + m D) / 4D, so the
+vector keeps the integer numerators over 4D, which the matching search
+reads as they are; ``values`` and ``spin`` build ``Fraction``s for output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import gcd
 from operator import mul
@@ -47,50 +52,55 @@ from .errors import NonCyclicCokernelError, ValidationError
 from .lattice import CokernelStructure, QuadraticForm, Vector, characteristic_box, cokernel
 
 
+def fractions_over(numerators: Sequence[int], denominator: int) -> tuple[Fraction, ...]:
+    """The rationals numerators[i] / denominator, one ``Fraction`` per distinct numerator."""
+    fraction = {n: Fraction(n, denominator) for n in set(numerators)}
+    return tuple(map(fraction.__getitem__, numerators))
+
+
 @dataclass(frozen=True)
 class CorrectionVector:
-    """Exact correction terms A_0..A_{D-1}, indexed by multiples of a generator."""
+    """Exact correction terms A_i = numerators[i] / 4D, indexed by multiples of a generator."""
 
     D: int
     dim: int
-    values: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
     generator: Vector
 
     def __post_init__(self) -> None:
         # a raised check, not an assert: the matching search scans only half
         # the units and relies on A_i = A_{D-i}, also under python -O
-        if len(self.values) != self.D or self.values[1:] != self.values[:0:-1]:
+        if len(self.numerators) != self.D or self.numerators[1:] != self.numerators[:0:-1]:
             raise ValidationError(
                 f"correction values must be {self.D} entries with A_i = A_(D-i)"
             )
 
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        """A_0..A_{D-1} as ``Fraction``s, for output."""
+        return fractions_over(self.numerators, 4 * self.D)
+
     @property
     def spin(self) -> Fraction:
         """The value at the zero coset."""
-        return self.values[0]
+        return Fraction(self.numerators[0], 4 * self.D)
 
     @property
     def gate(self) -> bool:
         """Whether the symmetry filter applies: |A_0| <= 1/2."""
-        return abs(self.values[0]) <= Fraction(1, 2)
+        return abs(self.numerators[0]) <= 2 * self.D
 
     def mirrored(self) -> "CorrectionVector":
         """The correction vector of the orientation reverse: all values negated."""
-        # correction_vector shares one Fraction per distinct value; negating
-        # each shared object once keeps that sharing.  Objects, not values,
-        # are the keys: hashing a Fraction costs more than negating it.
-        negated = {id(v): v for v in self.values}
-        for key, value in negated.items():
-            negated[key] = -value
-        return replace(self, values=tuple([negated[id(v)] for v in self.values]))
+        return replace(self, numerators=tuple([-v for v in self.numerators]))
 
     def reindexed(self, unit: int) -> "CorrectionVector":
         """The same data listed against the generator unit * g."""
         if self.D > 1 and gcd(unit, self.D) != 1:
             raise ValidationError(f"{unit} is not a unit mod {self.D}")
-        values = tuple(self.values[(unit * i) % self.D] for i in range(self.D))
+        nums = tuple(self.numerators[(unit * i) % self.D] for i in range(self.D))
         generator = tuple(unit * x for x in self.generator)
-        return CorrectionVector(self.D, self.dim, values, generator)
+        return CorrectionVector(self.D, self.dim, nums, generator)
 
 
 def correction_vector(
@@ -113,7 +123,7 @@ def correction_vector(
     D = structure.order
     m = form.dim
     if m == 0:
-        return CorrectionVector(D=1, dim=0, values=(Fraction(0),), generator=())
+        return CorrectionVector(D=1, dim=0, numerators=(0,), generator=())
     if not form.is_negative_definite:
         raise ValidationError("correction terms require a negative-definite form")
 
@@ -127,12 +137,9 @@ def correction_vector(
             f"characteristic box met {D - best.count(None)} cosets, expected {D}"
         )
 
-    denominator = abs(form.det)
-    # one Fraction per distinct maximum: equal entries then share an object,
-    # which the symmetry check's tuple compare passes by identity
-    value_of = {b: Fraction(b + m * denominator, 4 * denominator) for b in set(best)}
-    values = tuple(map(value_of.__getitem__, best))
-    return CorrectionVector(D=D, dim=m, values=values, generator=gen_vec)
+    # the value of a coset is (b + m D) / 4D for its maximum b of x^t N x
+    nums = tuple([b + m * D for b in best])
+    return CorrectionVector(D=D, dim=m, numerators=nums, generator=gen_vec)
 
 
 def _coset_maxima(

@@ -10,14 +10,19 @@ unknot.  Its correction terms, indexed by Z/D through evaluation of
 covectors on the first basis vector, form the comparison vector B used by
 the matching search.  The indexing below reproduces the classical ordered
 lists of 2n - 1 characteristic covectors, one list for each parity of n.
+The model form has determinant D, so the vector keeps the integer
+numerators of B over 4D; ``values`` builds ``Fraction``s for output.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
+from .corrections import fractions_over
 from .errors import ValidationError
 from .lattice import QuadraticForm
 
@@ -31,10 +36,9 @@ def model_form(D: int) -> QuadraticForm:
     return QuadraticForm.from_rows([[-n, 1], [1, -2]])
 
 
-def _check_d(D: int) -> int:
+def _check_d(D: int) -> None:
     if D < 3 or D % 2 == 0:
         raise ValidationError(f"model form needs an odd determinant >= 3, got {D}")
-    return D
 
 
 def kappa_list(n: int) -> list[Kappa]:
@@ -91,38 +95,38 @@ def _v_index(kappas: Sequence[Kappa], n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class GammaVector:
-    """The comparison vector B for determinant D, with its covector data."""
+    """The comparison vector B_i = numerators[i] / 4D, with its covector data."""
 
     D: int
     n: int
     kappas: tuple[Kappa, ...]
-    values: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
     v_index: tuple[int, ...]
     singly_attained_index: int
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        """B_0..B_{D-1} as ``Fraction``s, for output."""
+        return fractions_over(self.numerators, 4 * self.D)
 
 
 def gamma_vector(D: int) -> GammaVector:
     """Correction terms of the model half-integer surgery, indexed by Z/D.
 
     The value at kappa is (kappa^t N kappa + 2D) / 4D, with N the integer
-    numerator of the model form's inverse; one ``Fraction`` is built per
-    distinct numerator, and the symmetry B_i = B_(D-i) is checked on the
-    integers.
+    numerator of the model form's inverse; the vector keeps the numerators
+    over 4D, and the symmetry B_i = B_(D-i) is checked on them.
     """
     _check_d(D)
     n = (D + 1) // 2
     form = model_form(D)
     (n00, n01), (_, n11) = form.inverse_numerator
-    det = abs(form.det)
     kappas = tuple(kappa_list(n))
-    nums = [x * (n00 * x + 2 * n01 * y) + n11 * y * y for x, y in kappas]
+    nums = tuple([x * (n00 * x + 2 * n01 * y) + n11 * y * y + 2 * D for x, y in kappas])
     if nums[1:] != nums[:0:-1]:
         raise AssertionError(f"model vector for D = {D} is not symmetric")
-    value_of = {num: Fraction(num + 2 * det, 4 * det) for num in set(nums)}
     v_index = tuple(_v_index(kappas, n))
-    counts: dict[int, int] = {}
-    for residue in v_index:
-        counts[residue] = counts.get(residue, 0) + 1
+    counts = Counter(v_index)
     singles = [i for i, residue in enumerate(v_index) if counts[residue] == 1]
     if len(singles) != 1:
         raise AssertionError(f"expected one singly attained class, found {singles}")
@@ -135,7 +139,7 @@ def gamma_vector(D: int) -> GammaVector:
         D=D,
         n=n,
         kappas=kappas,
-        values=tuple(map(value_of.__getitem__, nums)),
+        numerators=nums,
         v_index=v_index,
         singly_attained_index=singles[0],
     )

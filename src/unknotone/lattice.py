@@ -58,8 +58,8 @@ def _validated_rows(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...
     return out
 
 
-def _gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[list[int], bool, list[list[int]]]:
-    """Fraction-free Gauss-Jordan elimination on [G | I]: pivots, swapped, rows.
+def _gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """Fraction-free Gauss-Jordan elimination on [G | I]: pivots and rows.
 
     Each pivot clears its column above and below, and every division by the
     previous pivot is exact.  A zero pivot swaps up the first lower row that
@@ -73,7 +73,6 @@ def _gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[list[int], bool, list[
     n = len(rows)
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     pivots = [1]
-    swapped = False
     for k in range(n):
         if a[k][k] == 0:
             lower = next((i for i in range(k + 1, n) if a[i][k]), None)
@@ -81,7 +80,6 @@ def _gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[list[int], bool, list[
                 pivots.append(0)
                 break
             a[k], a[lower] = a[lower], [-x for x in a[k]]
-            swapped = True
         pivot_row = a[k]
         pivot = pivot_row[k]
         for i, row in enumerate(a):
@@ -90,7 +88,7 @@ def _gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[list[int], bool, list[
                 for j in range(k + 1, 2 * n):
                     row[j] = (row[j] * pivot - factor * pivot_row[j]) // pivots[-1]
         pivots.append(pivot)
-    return pivots, swapped, a
+    return pivots, a
 
 
 def _smith_diagonal(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -136,7 +134,7 @@ class QuadraticForm:
         return len(self.gram)
 
     @cached_property
-    def _elimination(self) -> tuple[list[int], bool, list[list[int]]]:
+    def _elimination(self) -> tuple[list[int], list[list[int]]]:
         return _gauss_jordan(self.gram)
 
     @cached_property
@@ -152,7 +150,7 @@ class QuadraticForm:
         cofactors, each by the same elimination on its minor.
         """
         if self.det:
-            return tuple(tuple(row[self.dim :]) for row in self._elimination[2])
+            return tuple(tuple(row[self.dim :]) for row in self._elimination[1])
         rng = range(self.dim)
 
         def cofactor(i: int, j: int) -> int:
@@ -174,11 +172,18 @@ class QuadraticForm:
     def is_negative_definite(self) -> bool:
         """Sylvester's criterion: the k-th leading minor has sign (-1)^k.
 
-        The pivots are the leading minors unless a row was swapped, and a
-        swap means a leading minor is 0.
+        Until the first row swap the pivots are the leading minors, and a
+        swap puts two ratios p_(j+1) / p_j of opposite signs among them, so
+        the pivot signs alone decide.  Say the first swap, at step k, brings
+        up row l.  The Schur complement S of the leading k-block is
+        symmetric with S_i0 = 0 for 0 <= i < l - k, and row k holds
+        p_k S_(0, c-k) in each column c >= k.  Moved to position l, it is 0
+        in the columns k..l-1 and -p_k b in column l, b = S_(l-k, 0) =
+        p_(k+1) / p_k; it is only rescaled, by p_l / p_k, until step l, whose
+        pivot it gives: p_(l+1) / p_l = -p_(k+1) / p_k.
         """
-        pivots, swapped, _ = self._elimination
-        return not swapped and all((-1) ** k * p > 0 for k, p in enumerate(pivots[1:], 1))
+        pivots = self._elimination[0]
+        return all((-1) ** k * p > 0 for k, p in enumerate(pivots[1:], 1))
 
     def pairing_numerator(self, v: Sequence[int]) -> int:
         """Integer n with v^t G^{-1} v = n / |det G|."""

@@ -8,12 +8,11 @@ integers; when |A_0| <= 1/2 the matching must additionally be symmetric
 about the quarter-point k (D = 4k +- 1), and the strong form further forces
 the half-vector to climb to the middle in steps of at most two.
 
-Both searches run on integers.  A and B are put over L, the lcm of all
-their denominators (it divides 4D for forms from the pipeline), so every C
-is a tuple of integer numerators over L, and the four filters are one
-integer predicate on those numerators.  A is conjugation-symmetric, so the
-units u and D - u give the same C: only 2u < D is scanned, and each C
-records both pairs.  ``Fraction``s are built once per distinct numerator,
+Both searches run on integers.  A and B store their entries as integer
+numerators over 4D, so every C is a tuple of numerators over 4D, and the
+four filters are one integer predicate on them.  A is conjugation-symmetric,
+so the units u and D - u give the same C: only 2u < D is scanned, and each
+C records both pairs.  ``Fraction``s are built once per distinct numerator,
 where ``Matching.C`` is filled in.
 
 The verdict scan.  Every verdict starts from the even matchings, and
@@ -35,9 +34,9 @@ a listing check it (:func:`check_listing_budget`) before any analysis.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import add, sub
 from typing import Optional, Sequence
 
@@ -85,29 +84,17 @@ def quarter_point(D: int) -> int:
     raise ValidationError(f"determinant {D} is even")
 
 
-def _numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The numerators of ``values`` over L = lcm of their denominators, and L."""
-    L = lcm(*(value.denominator for value in values))
-    return [value.numerator * (L // value.denominator) for value in values], L
-
-
-def _flags(D: int, C: Sequence[int], L: int) -> dict[str, bool]:
-    """The four filter flags of the vector C / L, for integers C and L > 0."""
+def _flags(D: int, C: Sequence[int]) -> dict[str, bool]:
+    """The four filter flags of the vector C / 4D, for integers C."""
     k = quarter_point(D)
-    two_L = 2 * L
+    two = 8 * D  # 2 as a numerator over 4D
     sym_start = 1 if D % 4 == 3 else 0
     return {
-        "even": all(c % two_L == 0 for c in C),
+        "even": all(c % two == 0 for c in C),
         "positive": min(C, default=0) >= 0,
         "symmetric": all(C[i] == C[2 * k - i] for i in range(sym_start, k)),
-        "staircase": all(C[i] <= C[i + 1] <= C[i] + two_L for i in range(1, k)),
+        "staircase": all(C[i] <= C[i + 1] <= C[i] + two for i in range(1, k)),
     }
-
-
-def classify(matching: Matching) -> Matching:
-    """Return the matching with its four filter flags recomputed."""
-    C, L = _numerators(matching.C)
-    return replace(matching, **_flags(matching.D, C, L))
 
 
 def units(D: int) -> list[int]:
@@ -135,27 +122,21 @@ def check_listing_budget(D: int) -> None:
         )
 
 
-def _over_common_denominator(
-    A: CorrectionVector, B: GammaVector
-) -> tuple[int, list[int], list[int], int]:
-    """D, the numerators of A and of -B over L, and L."""
+def _integer_vectors(A: CorrectionVector, B: GammaVector) -> tuple[int, Sequence[int], list[int]]:
+    """D, and the numerators of A and of -B over 4D."""
     if A.D != B.D:
         raise ValidationError(f"determinant mismatch: A has {A.D}, B has {B.D}")
-    D = A.D
-    nums, L = _numerators(A.values + B.values)
-    return D, nums[:D], [-b for b in nums[D:]], L
+    return A.D, A.numerators, [-b for b in B.numerators]
 
 
-def _listed(
-    D: int, found: dict[tuple[int, ...], list[tuple[int, int]]], L: int
-) -> tuple[Matching, ...]:
+def _listed(D: int, found: dict[tuple[int, ...], list[tuple[int, int]]]) -> tuple[Matching, ...]:
     """The matchings of the integer vectors in ``found``, sorted by C.
 
     Each provenance list is ordered epsilon = +1 then -1, units ascending,
     and its first pair is the representative.  Sorting the numerators gives
-    the order of the ``Fraction``s, as L > 0.
+    the order of the ``Fraction``s, as they share the denominator 4D.
     """
-    fraction = {c: Fraction(c, L) for c in set().union(*found)}
+    fraction = {c: Fraction(c, 4 * D) for c in set().union(*found)}
     out = []
     for C in sorted(found):
         provenance = sorted(found[C], key=lambda pair: (-pair[1], pair[0]))
@@ -167,7 +148,7 @@ def _listed(
                 unit=u,
                 epsilon=epsilon,
                 provenance=tuple(provenance),
-                **_flags(D, C, L),
+                **_flags(D, C),
             )
         )
     return tuple(out)
@@ -184,7 +165,7 @@ def enumerate_matchings(A: CorrectionVector, B: GammaVector) -> tuple[Matching, 
     :data:`LISTING_BUDGET` entries is refused with ``ValidationError``
     before the scan.
     """
-    D, a, neg_b, L = _over_common_denominator(A, B)
+    D, a, neg_b = _integer_vectors(A, B)
     check_listing_budget(D)
     found: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for u in units(D):
@@ -194,7 +175,7 @@ def enumerate_matchings(A: CorrectionVector, B: GammaVector) -> tuple[Matching, 
         for epsilon, op in ((1, sub), (-1, add)):
             C = tuple(map(op, neg_b, a_u))
             found.setdefault(C, []).extend(((u, epsilon), (D - u, epsilon)))
-    return _listed(D, found, L)
+    return _listed(D, found)
 
 
 def even_matchings(A: CorrectionVector, B: GammaVector) -> tuple[Matching, ...]:
@@ -203,24 +184,24 @@ def even_matchings(A: CorrectionVector, B: GammaVector) -> tuple[Matching, ...]:
     Each (unit, sign) pair stops at its first odd entry (module docstring),
     so the work is about phi(D) pairs unless many pairs stay even long.
     """
-    D, a, neg_b, L = _over_common_denominator(A, B)
-    two_L = 2 * L
-    a_mod = [x % two_L for x in a]
+    D, a, neg_b = _integer_vectors(A, B)
+    two = 8 * D  # 2 as a numerator over 4D
+    a_mod = [x % two for x in a]
     half = range(1, D // 2 + 1)
     half_units = [u for u in units(D) if 2 * u < D]
     found: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for epsilon, op in ((1, sub), (-1, add)):
-        if op(neg_b[0], a[0]) % two_L:
+        if op(neg_b[0], a[0]) % two:
             continue
-        # C_i is even exactly when A_(u i) = -epsilon B_i (mod 2L)
-        target = [epsilon * neg_b[i] % two_L for i in half]
+        # C_i is even exactly when A_(u i) = -epsilon B_i (mod 2)
+        target = [epsilon * neg_b[i] % two for i in half]
         # most pairs are already odd at i = 1: drop those in one pass
         for u in [u for u in half_units if a_mod[u] == target[0]]:
             if all(a_mod[u * i % D] == t for i, t in zip(half, target)):
                 a_u = [a[j % D] for j in range(0, u * D, u)]
                 C = tuple(map(op, neg_b, a_u))
                 found.setdefault(C, []).extend(((u, epsilon), (D - u, epsilon)))
-    return _listed(D, found, L)
+    return _listed(D, found)
 
 
 @dataclass(frozen=True)

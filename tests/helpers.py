@@ -2,16 +2,20 @@
 
 They are plain reimplementations kept outside the package: the points of
 the characteristic box, the map q(v) = G v, the value Q(v, v), the
-closed form of B_0, the model vector B built one pairing at a time, and
-the adjugate from cofactors over ``Fraction`` elimination.
+closed form of B_0, the model vector B built one pairing at a time, the
+four matching filters read off ``Fraction`` entries, and the adjugate from
+cofactors over ``Fraction`` elimination.
 """
 
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
-from unknotone.gamma import GammaVector, kappa_list, model_form, vw_correspondence
+from unknotone.gamma import kappa_list, model_form, vw_correspondence
 from unknotone.lattice import characteristic_box
+from unknotone.matching import quarter_point
 
 
 def characteristic_candidates(form):
@@ -44,8 +48,22 @@ def reference_gamma_vector(D):
     v_index = tuple(vw_correspondence(n))
     counts = Counter(v_index)
     (single,) = [i for i, residue in enumerate(v_index) if counts[residue] == 1]
-    return GammaVector(
+    return SimpleNamespace(
         D=D, n=n, kappas=kappas, values=values, v_index=v_index, singly_attained_index=single
+    )
+
+
+def reference_classify(m):
+    """The matching ``m`` with its four filter flags read off the ``Fraction`` entries."""
+    D, C = m.D, m.C
+    k = quarter_point(D)
+    sym_range = range(1, k) if D % 4 == 3 else range(0, k)
+    return replace(
+        m,
+        even=all(v.denominator == 1 and v.numerator % 2 == 0 for v in C),
+        positive=all(v >= 0 for v in C),
+        symmetric=all(C[i] == C[(2 * k - i) % D] for i in sym_range),
+        staircase=all(C[i] <= C[i + 1] <= C[i] + 2 for i in range(1, k)),
     )
 
 

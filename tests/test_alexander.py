@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import reference_classify
 from unknotone.alexander import (
     AlexanderPolynomial,
     lspace_coefficient_check,
@@ -13,7 +14,7 @@ from unknotone.alexander import (
 )
 from unknotone.errors import TorsionExtractionError, ValidationError
 from unknotone.gamma import gamma_vector
-from unknotone.matching import Matching, classify
+from unknotone.matching import Matching
 
 
 def test_trefoil_torsion():
@@ -75,7 +76,7 @@ def _symmetric_matching(D, window_values, start):
     for j, v in enumerate(window_values):
         head[start + j] = Fraction(v)
     C = head + [head[D - i] for i in range(n, D)]
-    return classify(Matching(D=D, C=tuple(C), unit=1, epsilon=1, provenance=((1, 1),)))
+    return reference_classify(Matching(D=D, C=tuple(C), unit=1, epsilon=1, provenance=((1, 1),)))
 
 
 def test_nine_33_extraction_from_its_matching():
@@ -104,7 +105,7 @@ def test_torsion_requires_symmetric_even_positive():
     for j, v in enumerate(window):
         head[5 + j] = Fraction(v)
     C = head + [head[27 - i] for i in range(14, 27)]
-    asym = classify(Matching(D=27, C=tuple(C), unit=1, epsilon=1, provenance=((1, 1),)))
+    asym = reference_classify(Matching(D=27, C=tuple(C), unit=1, epsilon=1, provenance=((1, 1),)))
     assert not asym.symmetric
     with pytest.raises(ValidationError):
         torsion_from_matching(asym, B)
@@ -123,7 +124,7 @@ def test_torsion_requires_zero_at_origin():
     D = 11
     head = [Fraction(2)] * 6
     C = head + [head[D - i] for i in range(6, D)]
-    m = classify(Matching(D=D, C=tuple(C), unit=1, epsilon=1, provenance=((1, 1),)))
+    m = reference_classify(Matching(D=D, C=tuple(C), unit=1, epsilon=1, provenance=((1, 1),)))
     assert m.symmetric
     B = gamma_vector(D)
     with pytest.raises(ValidationError, match="C_0"):

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from unknotone.catalog import (
-    KnotRecord,
     WhiteGraph,
     builtin_dataset,
     builtin_record,
@@ -13,7 +12,6 @@ from unknotone.catalog import (
     serialize_knot_records,
 )
 from unknotone.errors import ValidationError
-from unknotone.lattice import QuadraticForm
 
 
 def test_white_graph_trefoil():

@@ -60,6 +60,33 @@ def test_integer_core_agrees_with_sympy(sympy, rows):
     assert structure.is_cyclic == (len(expected) <= 1)
 
 
+@settings(max_examples=200, deadline=None)
+@given(symmetric_rows())
+@example([[0, 1], [1, 0]])  # swap with the next row
+@example([[0, 0, -1], [0, -1, 0], [-1, 0, -2]])  # swap with a row two below
+# a swap at step 1 with a row two below; only the last pivot is out of sign
+@example([[-1, 1, 0, -1], [1, -1, 0, 0], [0, 0, -2, 0], [-1, 0, 0, -2]])
+def test_a_row_swap_puts_two_pivot_ratios_of_opposite_signs(rows):
+    # the argument in QuadraticForm.is_negative_definite: if the first swap, at
+    # step k, brings up row l, then p_(l+1) / p_l = -p_(k+1) / p_k
+    n = len(rows)
+    minors = [reference_det([row[:j] for row in rows[:j]]) for j in range(1, n + 1)]
+    if 0 not in minors:
+        return
+    k = minors.index(0)
+
+    def bordered(i):
+        return reference_det([row[: k + 1] for row in rows[:k] + [rows[i]]])
+
+    l = next((i for i in range(k + 1, n) if bordered(i)), None)
+    pivots = lattice._gauss_jordan(rows)[0]
+    if l is None or 0 in pivots[: l + 2]:
+        return
+    assert pivots[: k + 1] == [1, *minors[:k]]
+    assert pivots[l + 1] * pivots[k] == -pivots[l] * pivots[k + 1]
+    assert not QuadraticForm.from_rows(rows).is_negative_definite
+
+
 @st.composite
 def symmetric_rows_of_corank(draw):
     """Symmetric forms of dimension 1..8 and rank n, n - 1 or n - 2.

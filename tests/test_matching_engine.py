@@ -6,32 +6,19 @@ engine must return the very same tuple: C, unit, sign, provenance, flags
 and order.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from helpers import reference_classify
 from test_properties import cyclic_odd, negative_definite_forms
 from unknotone.catalog import builtin_dataset
 from unknotone.corrections import CorrectionVector, correction_vector
 from unknotone.errors import NonCyclicCokernelError, ValidationError
 from unknotone.gamma import gamma_vector
-from unknotone.matching import Matching, enumerate_matchings, quarter_point
-
-
-def reference_classify(m):
-    D, C = m.D, m.C
-    k = quarter_point(D)
-    sym_range = range(1, k) if D % 4 == 3 else range(0, k)
-    return replace(
-        m,
-        even=all(v.denominator == 1 and v.numerator % 2 == 0 for v in C),
-        positive=all(v >= 0 for v in C),
-        symmetric=all(C[i] == C[(2 * k - i) % D] for i in sym_range),
-        staircase=all(C[i] <= C[i + 1] <= C[i] + 2 for i in range(1, k)),
-    )
+from unknotone.matching import Matching, enumerate_matchings
 
 
 def reference_matchings(A, B):
@@ -88,29 +75,24 @@ def test_engine_on_random_forms(form):
 
 
 def symmetric_vector(D, head):
-    values = tuple(head[min(i, D - i)] for i in range(D))
-    return CorrectionVector(D=D, dim=1, values=values, generator=(1,))
-
-
-def test_engine_with_denominators_outside_4d():
-    # thirds, fifths and ninths: L = lcm(3, 5, 9, 28) is not a divisor of 4D = 28
-    A = symmetric_vector(7, (Fraction(1, 3), Fraction(-2, 5), Fraction(7, 9), Fraction(1)))
-    check_engine(A, gamma_vector(7))
+    """The symmetric vector over 4D with numerators head[min(i, D - i)]."""
+    nums = tuple(head[min(i, D - i)] for i in range(D))
+    return CorrectionVector(D=D, dim=1, numerators=nums, generator=(1,))
 
 
 def test_engine_input_must_be_symmetric():
     # the half-unit scan relies on A_i = A_(D-i); the vector refuses anything else
     with pytest.raises(ValidationError, match="A_i = A_"):
-        CorrectionVector(7, 1, tuple(Fraction(i) for i in range(7)), (1,))
+        CorrectionVector(7, 1, tuple(range(7)), (1,))
     with pytest.raises(ValidationError, match="7 entries"):
-        CorrectionVector(7, 1, (Fraction(0),) * 6, (1,))
+        CorrectionVector(7, 1, (0,) * 6, (1,))
 
 
 @pytest.mark.parametrize("shift, even", [(2, True), (1, False)])
 def test_engine_on_a_shifted_model(shift, even):
     # A = -B - shift gives the constant matching C = shift at unit 1 (and D - 1), epsilon +1
     B = gamma_vector(11)
-    A = CorrectionVector(11, 1, tuple(-b - shift for b in B.values), (1,))
+    A = CorrectionVector(11, 1, tuple(-b - 4 * 11 * shift for b in B.numerators), (1,))
     [m] = [m for m in check_engine(A, B) if m.C == (Fraction(shift),) * 11]
     assert m.even == even
     assert m.positive and m.symmetric and m.staircase
@@ -123,7 +105,7 @@ def test_engine_on_a_shifted_model(shift, even):
         lambda D: st.tuples(
             st.just(D),
             st.lists(
-                st.fractions(min_value=-3, max_value=3, max_denominator=6),
+                st.integers(min_value=-12 * D, max_value=12 * D),
                 min_size=(D + 1) // 2,
                 max_size=(D + 1) // 2,
             ),

@@ -8,7 +8,7 @@ companion's torsion must reproduce A under D/2-surgery.
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import reference_tables as ref
 from oracles import chain_rows, equal_up_to_symmetry, hirzebruch_jung, lens_vector, surgery_d
@@ -40,6 +40,7 @@ def test_oracle_catches_a_changed_entry():
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(min_value=2, max_value=6), min_size=1, max_size=5))
+@example([2, 5001])  # the two-bridge chain [[-2, 1], [1, -5001]]: D = 10001
 def test_chain_corrections_are_lens_space_d(weights):
     p, q = hirzebruch_jung(weights)
     assume(p % 2 == 1)
@@ -48,7 +49,7 @@ def test_chain_corrections_are_lens_space_d(weights):
     assert equal_up_to_symmetry(A.values, lens_vector(p, q))
 
 
-@pytest.mark.parametrize("D", range(3, 200, 2))
+@pytest.mark.parametrize("D", [*range(3, 200, 2), 10001])
 def test_gamma_vector_is_lens_space_d(D):
     assert equal_up_to_symmetry(gamma_vector(D).values, lens_vector(D, 2))
 

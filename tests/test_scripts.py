@@ -1,6 +1,9 @@
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+from unknotone.catalog import record_from_dict
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -30,3 +33,27 @@ def test_reproduce_tables_matches_the_report_command(src_env):
     )
     assert report.returncode == 0, report.stderr.decode()
     assert script.stdout == report.stdout
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_verify_dataset_checks_the_signature_of_alternating_forms():
+    problems = load_script("verify_dataset").record_problems
+
+    def record(rows, signature):
+        entry = {"name": "r", "goeritz": rows, "signature": signature}
+        return record_from_dict({**entry, "determinant": abs(record_from_dict(entry).form.det)})
+
+    # the trefoil's form [-3] has A_0 = -1/2, so -4 A_0 = 2
+    assert problems(record([[-3]], 2)) == []
+    assert problems(record([[-3]], -2)) == ["signature -2 != -4 A_0 = 2"]
+    # 8_10's form, one sign off the diagonal, with A_0 = -1/2
+    eight_ten = [[-4, 1, 1], [1, -2, 1], [1, 1, -5]]
+    assert problems(record(eight_ten, 0)) == ["signature 0 != -4 A_0 = 2"]
+    # a form with off-diagonal entries of both signs (here A_0 = 0) is not checked
+    assert problems(record([[-3, 1, 0], [1, -3, -1], [0, -1, -3]], 2)) == []
