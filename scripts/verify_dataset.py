@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Recompute the bundled dataset's internal cross-checks.
 
-For every record: determinant metadata against |det| of the form,
+For every record: determinant metadata (where present) against |det|,
 negative-definiteness, cyclicity where expected, the spin-value gate,
 (for the plumbing records) the class-count certificate, and the stored
 signature.  A Goeritz form whose off-diagonal entries all have one sign
@@ -29,7 +29,7 @@ def record_problems(record: KnotRecord) -> list[str]:
     problems = []
     if not form.is_negative_definite:
         problems.append("not negative definite")
-    if record.determinant != abs(form.det):
+    if record.determinant is not None and record.determinant != abs(form.det):
         problems.append(f"determinant metadata {record.determinant} != {abs(form.det)}")
     structure = cokernel(form)
     if not structure.is_cyclic:

@@ -27,7 +27,7 @@ from .errors import (
     UnknotOneError,
     ValidationError,
 )
-from .gamma import GammaVector, gamma_vector, kappa_list, model_form, vw_correspondence
+from .gamma import GammaVector, gamma_vector, kappa_list, model_form
 from .lattice import CokernelStructure, QuadraticForm, cokernel
 from .matching import (
     Matching,

@@ -3,8 +3,8 @@
 A symmetric even positive matching with C_0 = 0 records, in disguise, twice
 the torsion coefficients of the knot whose half-integer surgery produces
 the double branched cover.  Positions i of the matching restrict to
-integer-surgery classes through the residues of
-:func:`unknotone.gamma.vw_correspondence`; each class is hit twice (except
+integer-surgery classes through the residues
+:attr:`unknotone.gamma.GammaVector.v_index`; each class is hit twice (except
 one), both hits must carry the same value, and the common value is twice a
 torsion coefficient.  Inverting the torsion relation
 

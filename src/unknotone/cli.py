@@ -38,7 +38,6 @@ from .report import (
     alexander_reports,
     analyze_record,
     batch_reports,
-    listed_record,
     matching_to_json,
     report_to_json,
     sign_refined_record,
@@ -173,7 +172,7 @@ def cmd_gamma(args: argparse.Namespace) -> int:
 
 def cmd_match(args: argparse.Namespace) -> int:
     record = _load_single_record(args)
-    report = listed_record(record, generator_unit=args.generator)
+    report = analyze_record(record, generator_unit=args.generator, listing=True)
     lines = [f"{record.name}: D = {report.D}, {len(report.matchings)} matchings"]
     for m in report.matchings:
         flags = "".join(
@@ -205,8 +204,9 @@ def cmd_obstruct(args: argparse.Namespace) -> int:
             lines.append(f"  {label}: {verdict.outcome.value}{suffix}")
         _emit(payload, args.json, "\n".join(lines))
         return 0
-    analyze = listed_record if args.json else analyze_record
-    report = analyze(record, strong=args.strong, generator_unit=args.generator)
+    report = analyze_record(
+        record, strong=args.strong, generator_unit=args.generator, listing=args.json
+    )
     witnesses = "; ".join(format_compact(m) for m in report.verdict.witnesses)
     text = f"{record.name}: D = {report.D}, verdict {report.outcome.value}"
     if witnesses:
@@ -315,30 +315,29 @@ def _paper_tables_payload(strong: bool) -> dict:
     }
 
 
+def _report_row(entry: dict) -> str:
+    """One text line of a batch report entry."""
+    if "error" in entry:
+        return f"{entry['knot']:>8}  ERROR {entry['error']}"
+    witnesses = "; ".join(entry["witnesses"])
+    return f"{entry['knot']:>8}  D={entry['D']:>3}  {entry['verdict']:<26} {witnesses}"
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     if args.paper_tables:
         payload = _paper_tables_payload(strong=args.strong)
-        if args.json:
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            lines = [
-                "no even matching: " + ", ".join(payload["no_even_matching"]),
-                "no even positive matching: "
-                + ", ".join(payload["no_even_positive_matching"]),
-                "asymmetric only: " + ", ".join(payload["asymmetric_only"]),
-                "ten-crossing, unknotting number two: "
-                + ", ".join(payload["ten_crossing_unknotting_two"]),
-                "ten-crossing, unknotting number two or three: "
-                + ", ".join(payload["ten_crossing_unknotting_two_or_three"]),
-                "",
-            ]
-            for entry in payload["records"]:
-                witnesses = "; ".join(entry.get("witnesses", []))
-                lines.append(
-                    f"{entry['knot']:>8}  D={entry.get('D', '?'):>3}  "
-                    f"{entry.get('verdict', 'ERROR'):<26} {witnesses}"
-                )
-            print("\n".join(lines))
+        lines = [
+            "no even matching: " + ", ".join(payload["no_even_matching"]),
+            "no even positive matching: " + ", ".join(payload["no_even_positive_matching"]),
+            "asymmetric only: " + ", ".join(payload["asymmetric_only"]),
+            "ten-crossing, unknotting number two: "
+            + ", ".join(payload["ten_crossing_unknotting_two"]),
+            "ten-crossing, unknotting number two or three: "
+            + ", ".join(payload["ten_crossing_unknotting_two_or_three"]),
+            "",
+            *map(_report_row, payload["records"]),
+        ]
+        _emit(payload, args.json, "\n".join(lines))
         return 0
 
     records: list[KnotRecord] = []
@@ -357,17 +356,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     reports = batch_reports(records, strong=args.strong)
     summary = {"records": reports, "parse_errors": parse_failures}
-    if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
-    else:
-        for entry in reports:
-            if "error" in entry:
-                print(f"{entry['knot']:>8}  ERROR {entry['error']}")
-            else:
-                witnesses = "; ".join(entry.get("witnesses", []))
-                print(
-                    f"{entry['knot']:>8}  D={entry['D']:>3}  {entry['verdict']:<26} {witnesses}"
-                )
+    # a text report with no records prints nothing, not an empty line
+    if args.json or reports:
+        _emit(summary, args.json, "\n".join(map(_report_row, reports)))
+    if not args.json:
         for failure in parse_failures:
             print(f"PARSE ERROR: {failure['error']}", file=sys.stderr)
     return 3 if parse_failures else 0

@@ -19,6 +19,14 @@ so every coset contains them and meets the smaller box.  The full box still sets
 box above :data:`unknotone.lattice.BOX_BUDGET` points is refused before
 the scan.
 
+What is refused.  :func:`scannable_cokernel` is the one place that decides
+whether a form's correction terms can be scanned.  It refuses, in this
+order, a singular form, an even determinant, a non-cyclic cokernel, an
+indefinite form and a box above the budget.  ``correction_vector`` calls
+it, and so does the analysis driver before it decides on a listing; the
+form keeps the cokernel and the box it built, so the second call repeats
+no work.
+
 Which entry a point updates.  The vector orders the values as A_i = value
 at i * g for a generator g of the cokernel, so A_0 is always the value at
 the zero coset (the spin class).  With G^{-1} = N / D, the linking form
@@ -103,6 +111,26 @@ class CorrectionVector:
         return CorrectionVector(self.D, self.dim, nums, generator)
 
 
+def scannable_cokernel(form: QuadraticForm) -> CokernelStructure:
+    """The cokernel of a form whose correction terms the box scan computes.
+
+    Raises, in this order: :class:`SingularFormError` on a singular form,
+    :class:`ValidationError` on an even determinant,
+    :class:`NonCyclicCokernelError` on a non-cyclic cokernel, and
+    :class:`ValidationError` on an indefinite form or a box above
+    :data:`unknotone.lattice.BOX_BUDGET` points.
+    """
+    structure = cokernel(form)
+    if structure.order % 2 == 0:
+        raise ValidationError(f"cokernel order {structure.order} is even; need a knot form")
+    if not structure.is_cyclic:
+        raise NonCyclicCokernelError(structure.invariant_factors)
+    if not form.is_negative_definite:
+        raise ValidationError("correction terms require a negative-definite form")
+    characteristic_box(form)
+    return structure
+
+
 def correction_vector(
     form: QuadraticForm,
     generator: Optional[Sequence[int]] = None,
@@ -111,21 +139,14 @@ def correction_vector(
 
     ``generator`` is an optional covector whose coset must generate the
     cokernel; by default a deterministic generator is chosen (see
-    :func:`unknotone.lattice.cokernel`).  Raises
-    :class:`NonCyclicCokernelError` when the cokernel is not cyclic and
-    :class:`ValidationError` on even determinant or an indefinite form.
+    :func:`unknotone.lattice.cokernel`).  A form that
+    :func:`scannable_cokernel` refuses raises its error.
     """
-    structure = cokernel(form)
-    if structure.order % 2 == 0:
-        raise ValidationError(f"cokernel order {structure.order} is even; need a knot form")
-    if not structure.is_cyclic:
-        raise NonCyclicCokernelError(structure.invariant_factors)
+    structure = scannable_cokernel(form)
     D = structure.order
     m = form.dim
     if m == 0:
         return CorrectionVector(D=1, dim=0, numerators=(0,), generator=())
-    if not form.is_negative_definite:
-        raise ValidationError("correction terms require a negative-definite form")
 
     gen_vec = _resolve_generator(structure, generator)
     # the index weights w = a^{-1} N g mod D with a = g^t N g (module docstring)
@@ -178,7 +199,7 @@ def _resolve_generator(
         assert structure.generator is not None
         return structure.generator
     gen_vec = tuple(generator)
-    if len(gen_vec) != structure.form.dim:
+    if len(gen_vec) != structure.dim:
         raise ValidationError("generator covector has the wrong length")
     label = structure.to_coset(gen_vec)
     if structure.element_order(label) != structure.order:

@@ -20,7 +20,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
 
 from .corrections import fractions_over
 from .errors import ValidationError
@@ -44,53 +43,33 @@ def _check_d(D: int) -> None:
 def kappa_list(n: int) -> list[Kappa]:
     """The ordered characteristic covectors kappa_0, ..., kappa_{2n-2} of R_{2n-1}.
 
-    For even n = 2k the construction indexes them by -k <= i <= 3k - 2 and
-    we wrap negative indices mod 2n - 1, so that kappa_0 = (0, 0) sits at
-    position 0.  For odd n = 2k + 1 the indices already run 0 <= i <= 4k and
-    kappa_0 = (1, -2).
+    For even n = 2k the construction indexes them by -k <= i <= 3k - 2; the
+    negative indices wrap mod 2n - 1 to the end of the list, so that
+    kappa_0 = (0, 0) sits at position 0.  For odd n = 2k + 1 the indices
+    already run 0 <= i <= 4k and kappa_0 = (1, -2).
     """
     if n < 2:
         raise ValidationError(f"need n >= 2, got {n}")
-    size = 2 * n - 1
-    out: list[Kappa | None] = [None] * size
     if n % 2 == 0:
         k = n // 2
-        for i in range(-k, k + 1):
-            out[i % size] = (2 * i, 0)
-        for i in range(k + 1, 2 * k):
-            out[i % size] = (-4 * k + 2 * i, 2)
-        for i in range(2 * k, 3 * k - 1):
-            out[i % size] = (2 * i - 4 * k + 2, -2)
+        kappas = (
+            [(2 * i, 0) for i in range(k + 1)]
+            + [(2 * i - 4 * k, 2) for i in range(k + 1, 2 * k)]
+            + [(2 * i - 4 * k + 2, -2) for i in range(2 * k, 3 * k - 1)]
+            + [(2 * i, 0) for i in range(-k, 0)]
+        )
     else:
         k = (n - 1) // 2
-        for i in range(0, k + 1):
-            out[i] = (1 + 2 * i, -2)
-        for i in range(k + 1, 3 * k + 2):
-            out[i] = (2 * i - 4 * k - 1, 0)
-        for i in range(3 * k + 2, 4 * k + 1):
-            out[i] = (2 * i - 8 * k - 3, 2)
-    # raised checks, not asserts, so that they also hold under python -O
-    kappas = [entry for entry in out if entry is not None]
-    if len(kappas) != size:
-        raise AssertionError(f"{size - len(kappas)} of the {size} kappas were not set")
-    # Every kappa must be characteristic for R_{2n-1}.
+        kappas = (
+            [(1 + 2 * i, -2) for i in range(k + 1)]
+            + [(2 * i - 4 * k - 1, 0) for i in range(k + 1, 3 * k + 2)]
+            + [(2 * i - 8 * k - 3, 2) for i in range(3 * k + 2, 4 * k + 1)]
+        )
+    # a raised check, not an assert, so that it also holds under python -O:
+    # every kappa must be characteristic for R_{2n-1}
     if not all((a - n) % 2 == 0 and b % 2 == 0 for a, b in kappas):
-        raise AssertionError(f"a kappa of R_{size} is not characteristic")
+        raise AssertionError(f"a kappa of R_{2 * n - 1} is not characteristic")
     return kappas
-
-
-def vw_correspondence(n: int) -> list[int]:
-    """First coordinate of kappa_i reduced mod 2n, for i = 0, ..., 2n - 2.
-
-    This labels the integer-surgery class that position i restricts to.
-    Each attained residue occurs exactly twice except one: the residue at
-    position 0 when n is even, and at position n - 1 when n is odd.
-    """
-    return _v_index(kappa_list(n), n)
-
-
-def _v_index(kappas: Sequence[Kappa], n: int) -> list[int]:
-    return [kappa[0] % (2 * n) for kappa in kappas]
 
 
 @dataclass(frozen=True)
@@ -125,7 +104,9 @@ def gamma_vector(D: int) -> GammaVector:
     nums = tuple([x * (n00 * x + 2 * n01 * y) + n11 * y * y + 2 * D for x, y in kappas])
     if nums[1:] != nums[:0:-1]:
         raise AssertionError(f"model vector for D = {D} is not symmetric")
-    v_index = tuple(_v_index(kappas, n))
+    # the first coordinate of kappa_i mod 2n: the integer-surgery class that
+    # position i restricts to
+    v_index = tuple([x % (2 * n) for x, _ in kappas])
     counts = Counter(v_index)
     singles = [i for i, residue in enumerate(v_index) if counts[residue] == 1]
     if len(singles) != 1:

@@ -14,11 +14,12 @@ the dual coordinates.
 The linear algebra uses plain integers.  One fraction-free Gauss-Jordan
 elimination on [G | I] (Bareiss, Math. Comp. 1968), run once per form,
 gives the determinant, the leading minors behind definiteness and, for a
-nonsingular form, the adjugate; a singular form takes its adjugate from
-cofactors, each the determinant of a minor by the same elimination.  The
-gcd of the adjugate entries is the cyclicity test (the cokernel is cyclic
-exactly when it is 1).  A Smith normal form is computed only for the
-invariant factors of a non-cyclic cokernel.
+nonsingular form, the adjugate; a singular form has no adjugate here, and
+asking for it raises SingularFormError.  The gcd of the adjugate entries
+is the cyclicity test (the cokernel is cyclic exactly when it is 1).  A
+Smith normal form is computed only for the invariant factors of a
+non-cyclic cokernel.  Each form builds its cokernel and its box once and
+keeps them beside the elimination, so every stage that asks shares them.
 
 The characteristic box is defined once, in :func:`characteristic_box`.
 The correction terms scan the reduced box G_ii + 2 <= x_i <= -G_ii inside
@@ -138,32 +139,31 @@ class QuadraticForm:
         return _gauss_jordan(self.gram)
 
     @cached_property
+    def _cokernel(self) -> "CokernelStructure":
+        return _build_cokernel(self)
+
+    @cached_property
+    def _box(self) -> list[range]:
+        return _build_box(self)
+
+    @cached_property
     def det(self) -> int:
         return self._elimination[0][-1]
 
     @cached_property
     def adjugate(self) -> tuple[tuple[int, ...], ...]:
-        """adj(G)[i][j] = (-1)^(i+j) det(G without row j and column i).
+        """adj(G) = det(G) G^{-1}: the right block of the one elimination.
 
-        The right block of the one elimination for a nonsingular form; a
-        singular one, whose adjugate no pipeline stage reads, takes the dim^2
-        cofactors, each by the same elimination on its minor.
+        A singular form is refused; no stage of the pipeline reads its
+        adjugate.
         """
-        if self.det:
-            return tuple(tuple(row[self.dim :]) for row in self._elimination[1])
-        rng = range(self.dim)
-
-        def cofactor(i: int, j: int) -> int:
-            minor = [[self.gram[r][c] for c in rng if c != i] for r in rng if r != j]
-            return (-1) ** (i + j) * _gauss_jordan(minor)[0][-1]
-
-        return tuple(tuple(cofactor(i, j) for j in rng) for i in rng)
+        if self.det == 0:
+            raise SingularFormError("form is singular")
+        return tuple(tuple(row[self.dim :]) for row in self._elimination[1])
 
     @cached_property
     def inverse_numerator(self) -> tuple[tuple[int, ...], ...]:
         """Integer matrix N with G^{-1} = N / |det G|."""
-        if self.det == 0:
-            raise SingularFormError("form is singular")
         if self.det > 0:
             return self.adjugate
         return tuple(tuple(-entry for entry in row) for row in self.adjugate)
@@ -216,8 +216,13 @@ def characteristic_box(form: QuadraticForm) -> list[range]:
     |x_i| <= |G_ii|; any characteristic covector outside this box has an
     equivalent one of larger squared length.  Requires a negative-definite
     form, which in particular forces every diagonal entry to be nonzero, and
-    a box of at most BOX_BUDGET points.
+    a box of at most BOX_BUDGET points.  The form keeps its box, so asking
+    again checks nothing.
     """
+    return form._box
+
+
+def _build_box(form: QuadraticForm) -> list[range]:
     if not form.is_negative_definite:
         raise ValidationError("candidate enumeration requires a negative-definite form")
     diag = [form.gram[i][i] for i in range(form.dim)]
@@ -236,18 +241,23 @@ class CokernelStructure:
     Labels are tuples (N v mod |det|) where N is the integer numerator of
     G^{-1}; two covectors get the same label exactly when their difference
     is in the image of q.  Labels add componentwise mod |det|, so the label
-    map is a group homomorphism.
+    map is a group homomorphism.  The structure keeps N, not the form, so
+    that the form can keep its cokernel without a reference cycle.
     """
 
-    form: QuadraticForm
+    inverse_numerator: tuple[tuple[int, ...], ...]
     invariant_factors: tuple[int, ...]
     order: int
     is_cyclic: bool
     generator: Optional[Vector]
 
+    @property
+    def dim(self) -> int:
+        return len(self.inverse_numerator)
+
     def to_coset(self, v: Sequence[int]) -> Vector:
-        num = self.form.inverse_numerator
-        rng = range(self.form.dim)
+        num = self.inverse_numerator
+        rng = range(self.dim)
         return tuple(sum(num[i][j] * v[j] for j in rng) % self.order for i in rng)
 
     def add(self, a: Vector, b: Vector) -> Vector:
@@ -255,7 +265,7 @@ class CokernelStructure:
 
     @property
     def zero_label(self) -> Vector:
-        return (0,) * self.form.dim
+        return (0,) * self.dim
 
     def element_order(self, label: Vector) -> int:
         return self.order // gcd(self.order, *label)
@@ -263,10 +273,10 @@ class CokernelStructure:
     def elements(self) -> dict[Vector, Vector]:
         """All coset labels, each with a small representative covector."""
         basis_labels = [
-            self.to_coset(tuple(1 if j == i else 0 for j in range(self.form.dim)))
-            for i in range(self.form.dim)
+            self.to_coset(tuple(1 if j == i else 0 for j in range(self.dim)))
+            for i in range(self.dim)
         ]
-        reps: dict[Vector, Vector] = {self.zero_label: (0,) * self.form.dim}
+        reps: dict[Vector, Vector] = {self.zero_label: (0,) * self.dim}
         frontier = [self.zero_label]
         while frontier:
             new_frontier = []
@@ -288,9 +298,13 @@ class CokernelStructure:
 
 
 def cokernel(form: QuadraticForm) -> CokernelStructure:
-    """Invariant factors and coset labelling of coker(q: V -> V*)."""
+    """Invariant factors and coset labelling of coker(q: V -> V*), built once per form."""
+    return form._cokernel
+
+
+def _build_cokernel(form: QuadraticForm) -> CokernelStructure:
     if form.dim == 0:
-        return CokernelStructure(form, (), 1, True, generator=())
+        return CokernelStructure((), (), 1, True, generator=())
     if form.det == 0:
         raise SingularFormError("cokernel requires a nonsingular form")
     order = abs(form.det)
@@ -299,7 +313,9 @@ def cokernel(form: QuadraticForm) -> CokernelStructure:
     nontrivial = tuple(d for d in factors if d != 1)
     if prod(nontrivial) != order:
         raise AssertionError("invariant factor product disagrees with |det|")
-    structure = CokernelStructure(form, nontrivial, order, is_cyclic, generator=None)
+    structure = CokernelStructure(
+        form.inverse_numerator, nontrivial, order, is_cyclic, generator=None
+    )
     if is_cyclic:
         structure.generator = _choose_generator(structure)
     return structure
@@ -314,7 +330,7 @@ def _choose_generator(structure: CokernelStructure) -> Vector:
     element of the whole group.
     """
     order = structure.order
-    dim = structure.form.dim
+    dim = structure.dim
     if order == 1:
         return (0,) * dim
     basis = []

@@ -4,9 +4,11 @@ This is where a knot record is pushed through the whole pipeline:
 correction vector, model vector, verdict, and the optional
 torsion/polynomial extraction.  The verdicts and the companions come from
 the even matchings alone; the full matching listing is built only when a
-report's ``matchings`` is read, and ``listed_record`` refuses an
-over-budget listing before the analysis.  ``batch_reports`` runs many
-records in one process, in input order.
+report's ``matchings`` is read.  ``analyze_record`` first runs the
+refusals of :func:`unknotone.corrections.scannable_cokernel`; with
+``listing`` it then refuses an over-budget listing, before any correction
+term is computed.  ``batch_reports`` runs many records in one process, in
+input order.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ from typing import Iterable, Optional
 
 from . import alexander as alexander_mod
 from .catalog import KnotRecord
-from .corrections import CorrectionVector, correction_vector
+from .corrections import CorrectionVector, correction_vector, scannable_cokernel
 from .errors import MissingSignatureError, NonCyclicCokernelError, UnknotOneError
 from .gamma import GammaVector, gamma_vector
-from .lattice import characteristic_box, cokernel
 from .matching import (
     Matching,
     Outcome,
@@ -84,11 +85,19 @@ def analyze_record(
     record: KnotRecord,
     strong: bool = False,
     generator_unit: Optional[int] = None,
+    listing: bool = False,
 ) -> RecordReport:
-    """Full unsigned pipeline for one record."""
+    """Full unsigned pipeline for one record.
+
+    A caller that reads the full listing passes ``listing``.  The listing
+    budget depends on D alone, so once the form passes the refusals of
+    ``scannable_cokernel`` a listing above it is refused, before any
+    correction term is computed.  Only a record whose analysis would list is
+    refused: D > 1 and the generator unit (if any) is a unit.
+    """
     form = record.form
     try:
-        A = correction_vector(form)
+        D = scannable_cokernel(form).order
     except NonCyclicCokernelError as exc:
         return RecordReport(
             name=record.name,
@@ -96,6 +105,9 @@ def analyze_record(
             verdict=Verdict(Outcome.NON_CYCLIC_H1, (), gate_applied=False),
             invariant_factors=exc.invariant_factors,
         )
+    if listing and D > 1 and (generator_unit is None or gcd(generator_unit, D) == 1):
+        check_listing_budget(D)
+    A = correction_vector(form)
     if generator_unit is not None:
         A = A.reindexed(generator_unit)
     if A.D == 1:
@@ -109,32 +121,6 @@ def analyze_record(
     return RecordReport(
         name=record.name, D=A.D, verdict=obstruct(A, B, strong=strong), A=A, B=B
     )
-
-
-def listed_record(
-    record: KnotRecord,
-    strong: bool = False,
-    generator_unit: Optional[int] = None,
-) -> RecordReport:
-    """``analyze_record`` for a caller that reads the full listing.
-
-    The listing budget depends on D alone, so a listing above it is refused
-    as soon as the cokernel is known, before any correction term is
-    computed.  Only a record whose analysis would list is refused: its
-    cokernel is cyclic of odd order D > 1, its form is negative definite
-    with a box within budget, and the generator unit (if any) is a unit.
-    Every other record meets the same error, or the same empty listing, as
-    in ``analyze_record``.
-    """
-    form = record.form
-    structure = cokernel(form)
-    D = structure.order
-    if structure.is_cyclic and D % 2 == 1 and D > 1 and form.is_negative_definite:
-        # the box refusal comes first, as in correction_vector
-        characteristic_box(form)
-        if generator_unit is None or gcd(generator_unit, D) == 1:
-            check_listing_budget(D)
-    return analyze_record(record, strong=strong, generator_unit=generator_unit)
 
 
 @dataclass(frozen=True)

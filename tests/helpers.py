@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
 
-from unknotone.gamma import kappa_list, model_form, vw_correspondence
+from unknotone.gamma import kappa_list, model_form
 from unknotone.lattice import characteristic_box
 from unknotone.matching import quarter_point
 
@@ -45,7 +45,7 @@ def reference_gamma_vector(D):
     form = model_form(D)
     kappas = tuple(kappa_list(n))
     values = tuple(Fraction(form.pairing_numerator(k) + 2 * D, 4 * D) for k in kappas)
-    v_index = tuple(vw_correspondence(n))
+    v_index = tuple(kappa[0] % (2 * n) for kappa in kappas)
     counts = Counter(v_index)
     (single,) = [i for i, residue in enumerate(v_index) if counts[residue] == 1]
     return SimpleNamespace(

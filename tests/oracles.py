@@ -18,10 +18,18 @@ a knot whose torsion coefficients t_j stand in for its V_j:
 with V_j = 0 past the end of the sequence.
 Spin^c labels are matched only up to the symmetries the comparison allows:
 a sign, and an affine unit reindexing k -> i_0 + u k of Z/p.
+
+The two-bridge knot S(p, q) has L(p, q) as its double branched cover, so
+the chain of p/q presents it.  Kanenobu and Murakami ("Two-bridge knots
+with unknotting number one", Proc. AMS 98, 1986) show that S(p, q) has
+unknotting number one exactly when p = 2mn +- 1 for coprime m, n > 0 and
+q or its inverse mod p is +-2n^2 mod p.  Its signature is the sum of
+(-1)^floor(iq/p) over 0 < i < p for odd q (an even q is first replaced by
+q - p, which presents the same knot; p - q would be its mirror).
 """
 
 from fractions import Fraction
-from math import gcd
+from math import ceil, gcd
 
 
 def lens_d(p, q, i):
@@ -74,3 +82,31 @@ def equal_up_to_symmetry(values, reference):
         for u in units
         if s * reference[(i0 + u) % D] == values[1 % D]
     )
+
+
+def hirzebruch_jung_weights(p, q):
+    """The weights a_i >= 2 with p/q = [a_1, ..., a_n]^-, for coprime p > q > 0."""
+    weights = []
+    while q:
+        a = ceil(Fraction(p, q))
+        weights.append(a)
+        p, q = q, a * q - p
+    return weights
+
+
+def two_bridge_u1(p, q):
+    """Whether the two-bridge knot S(p, q) has unknotting number one."""
+    targets = {q % p, pow(q, -1, p)}
+    for n in range(1, (p + 1) // 2 + 1):
+        square = 2 * n * n % p
+        for mn in ((p - 1) // 2, (p + 1) // 2):
+            if mn % n == 0 and gcd(mn // n, n) == 1 and targets & {square, -square % p}:
+                return True
+    return False
+
+
+def two_bridge_signature(p, q):
+    """The signature of S(p, q), for odd p and q coprime to p."""
+    if q % 2 == 0:
+        q -= p
+    return sum(1 - 2 * (i * q // p % 2) for i in range(1, p))

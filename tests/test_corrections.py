@@ -1,11 +1,17 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from unknotone import lattice
+from unknotone.catalog import builtin_record, record_from_dict
 from unknotone.corrections import correction_vector
-from unknotone.errors import NonCyclicCokernelError, ValidationError
+from unknotone.errors import NonCyclicCokernelError, UnknotOneError, ValidationError
 from unknotone.gamma import gamma_vector, model_form
 from unknotone.lattice import QuadraticForm
+from unknotone.matching import Outcome
+from unknotone.report import analyze_record
 
 EIGHT_TEN = QuadraticForm.from_rows([[-4, 1, 1], [1, -2, 1], [1, 1, -5]])
 
@@ -114,3 +120,67 @@ def test_mirrored_negates_each_shared_value_once():
         assert mirrored.values == tuple(-v for v in A.values)
         assert len({id(v) for v in mirrored.values}) == len(set(mirrored.values))
         assert len({id(v) for v in A.values}) == len(set(A.values))
+
+
+# One form for each refusal of scannable_cokernel, in its order.
+REFUSALS = {
+    "singular": ([[-2, 2], [2, -2]], "cokernel requires a nonsingular form"),
+    "even": ([[-3, 1], [1, -3335]], "cokernel order 10004 is even; need a knot form"),
+    "non-cyclic": ([[-3, 0], [0, -3003]], None),
+    "indefinite": ([[1, 0], [0, -3]], "correction terms require a negative-definite form"),
+    "box": (
+        [[-41 if i == j else int(abs(i - j) == 1) for j in range(6)] for i in range(6)],
+        "characteristic box has 5489031744 points, above the budget of 2000000",
+    ),
+}
+
+
+@pytest.mark.parametrize("rows, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_every_entry_point_refuses_a_form_alike(rows, message):
+    entry_points = {
+        "correction_vector": lambda record: correction_vector(record.form),
+        "analyze_record": analyze_record,
+        "analyze_record(listing=True)": lambda record: analyze_record(record, listing=True),
+    }
+    for name, run in entry_points.items():
+        record = record_from_dict({"name": "r", "goeritz": rows})
+        if message is not None:
+            with pytest.raises(UnknotOneError) as info:
+                run(record)
+            assert str(info.value) == message, name
+        elif name == "correction_vector":
+            with pytest.raises(NonCyclicCokernelError) as info:
+                run(record)
+            assert info.value.invariant_factors == (3, 3003)
+        else:
+            report = run(record)
+            assert (report.outcome, report.D, report.invariant_factors) == (
+                Outcome.NON_CYCLIC_H1, 9009, (3, 3003)
+            ), name
+
+
+def test_one_cokernel_and_one_box_per_analysis(monkeypatch):
+    calls = []
+    for name in ("_build_cokernel", "_build_box"):
+        build = getattr(lattice, name)
+        monkeypatch.setattr(
+            lattice, name, lambda form, name=name, build=build: calls.append(name) or build(form)
+        )
+    report = analyze_record(builtin_record("8_10"), listing=True)
+    assert report.D == 27
+    assert report.matchings
+    assert sorted(calls) == ["_build_box", "_build_cokernel"]
+
+
+def test_an_analysed_form_is_freed_by_reference_counting():
+    # the form keeps its cokernel and box; a reference back to the form would
+    # leave every analysed record to the cycle collector, which costs time
+    record = builtin_record("8_10")
+    form = weakref.ref(record.form)
+    analyze_record(record, listing=True)
+    gc.disable()
+    try:
+        del record
+        assert form() is None
+    finally:
+        gc.enable()

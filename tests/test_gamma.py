@@ -4,7 +4,7 @@ import pytest
 
 from helpers import spin_reference_value
 from unknotone.errors import ValidationError
-from unknotone.gamma import gamma_vector, kappa_list, model_form, vw_correspondence
+from unknotone.gamma import gamma_vector, kappa_list, model_form
 
 # the full published comparison vector for determinant 27
 B27 = [
@@ -82,12 +82,12 @@ def test_spin_reference_value_parity_split():
 
 
 def test_vw_correspondence_small():
-    assert vw_correspondence(2) == [0, 2, 2]
+    assert gamma_vector(3).v_index == (0, 2, 2)
 
 
 @pytest.mark.parametrize("n", range(2, 20))
 def test_vw_each_class_twice_except_one(n):
-    residues = vw_correspondence(n)
+    residues = gamma_vector(2 * n - 1).v_index
     counts = {}
     for r in residues:
         counts[r] = counts.get(r, 0) + 1
@@ -99,7 +99,7 @@ def test_vw_each_class_twice_except_one(n):
 
 @pytest.mark.parametrize("n", range(2, 16))
 def test_vw_conjugate_positions_carry_negated_residues(n):
-    residues = vw_correspondence(n)
+    residues = gamma_vector(2 * n - 1).v_index
     k = n // 2
     mod = 2 * n
     if n % 2 == 0:

@@ -2,21 +2,33 @@
 
 The oracles share no code with the box scan or the model vector: chain
 plumbings bound lens spaces, B is the correction vector of L(D, 2), and a
-companion's torsion must reproduce A under D/2-surgery.
+companion's torsion must reproduce A under D/2-surgery.  The two-bridge
+classification gives hundreds of knots with a known answer: none with
+unknotting number one may be obstructed.
 """
 
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import reference_tables as ref
-from oracles import chain_rows, equal_up_to_symmetry, hirzebruch_jung, lens_vector, surgery_d
-from unknotone.catalog import builtin_dataset, builtin_record
+from oracles import (
+    chain_rows,
+    equal_up_to_symmetry,
+    hirzebruch_jung,
+    hirzebruch_jung_weights,
+    lens_vector,
+    surgery_d,
+    two_bridge_signature,
+    two_bridge_u1,
+)
+from unknotone.catalog import builtin_dataset, builtin_record, record_from_dict
 from unknotone.corrections import correction_vector
 from unknotone.gamma import gamma_vector
 from unknotone.lattice import QuadraticForm
-from unknotone.report import alexander_reports
+from unknotone.report import alexander_reports, analyze_record
 
 
 def test_oracle_small_values():
@@ -36,6 +48,61 @@ def test_oracle_catches_a_changed_entry():
     changed[5] += 2
     changed[10] += 2
     assert not equal_up_to_symmetry(changed, d)
+
+
+# The two-bridge knots through seven crossings as S(p, q), with their
+# unknotting numbers and |signature|; p/q is the continued fraction of the
+# Conway notation (3_1 = 3, 4_1 = 2 2, ..., 7_7 = 2 1 1 1 2).
+TWO_BRIDGE_KNOTS = {
+    "3_1": (3, 1, 1, 2), "4_1": (5, 2, 1, 0), "5_1": (5, 1, 2, 4), "5_2": (7, 2, 1, 2),
+    "6_1": (9, 2, 1, 0), "6_2": (11, 3, 1, 2), "6_3": (13, 5, 1, 0), "7_1": (7, 1, 3, 6),
+    "7_2": (11, 2, 1, 2), "7_3": (13, 3, 2, 4), "7_4": (15, 4, 2, 2), "7_5": (17, 5, 2, 4),
+    "7_6": (19, 8, 1, 2), "7_7": (21, 8, 1, 0),
+}
+
+
+def test_two_bridge_oracle_small_knots():
+    for name, (p, q, u, sigma) in TWO_BRIDGE_KNOTS.items():
+        assert two_bridge_u1(p, q) == (u == 1), name
+        assert abs(two_bridge_signature(p, q)) == sigma, name
+        # S(p, q), S(p, q^-1) and the mirror S(p, p - q) are one knot up to mirroring
+        for other in (pow(q, -1, p), p - q):
+            assert two_bridge_u1(p, other) == (u == 1), name
+            assert abs(two_bridge_signature(p, other)) == sigma, name
+    assert hirzebruch_jung_weights(21, 8) == [3, 3, 3]
+    assert all(
+        hirzebruch_jung(hirzebruch_jung_weights(p, q)) == (p, q)
+        for p in range(2, 40)
+        for q in range(1, p)
+        if gcd(p, q) == 1
+    )
+
+
+def two_bridge_chains(max_p, max_box):
+    """(p, q, rows) for odd p <= max_p and the chain of p/q, with a box of at most max_box points."""
+    for p in range(3, max_p + 1, 2):
+        for q in range(1, p):
+            weights = hirzebruch_jung_weights(p, q) if gcd(p, q) == 1 else None
+            if weights and prod(a + 1 for a in weights) <= max_box:
+                yield p, q, chain_rows(weights)
+
+
+def test_two_bridge_knots_with_unknotting_number_one_are_not_obstructed():
+    chains = list(two_bridge_chains(61, 5000))
+    assert len(chains) == 563
+    unknotted = 0
+    for p, q, rows in chains:
+        A = correction_vector(QuadraticForm.from_rows(rows))
+        # Manolescu-Owens: 2 d(Sigma(K), s_0) = -sigma / 2 for alternating K
+        assert -4 * A.spin == two_bridge_signature(p, q), (p, q)
+        if not two_bridge_u1(p, q):
+            continue
+        unknotted += 1
+        for strong in (False, True):
+            record = record_from_dict({"name": f"S({p},{q})", "goeritz": rows})
+            report = analyze_record(record, strong=strong)
+            assert not report.outcome.obstructed, (p, q, strong, report.outcome)
+    assert unknotted == 168
 
 
 @settings(max_examples=60, deadline=None)

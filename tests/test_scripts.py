@@ -57,3 +57,10 @@ def test_verify_dataset_checks_the_signature_of_alternating_forms():
     assert problems(record(eight_ten, 0)) == ["signature 0 != -4 A_0 = 2"]
     # a form with off-diagonal entries of both signs (here A_0 = 0) is not checked
     assert problems(record([[-3, 1, 0], [1, -3, -1], [0, -1, -3]], 2)) == []
+
+
+def test_verify_dataset_compares_only_a_stated_determinant():
+    problems = load_script("verify_dataset").record_problems
+    # the record reader already refuses a stated determinant that disagrees
+    assert problems(record_from_dict({"name": "r", "goeritz": [[-3]]})) == []
+    assert problems(record_from_dict({"name": "r", "goeritz": [[-3]], "determinant": 3})) == []
