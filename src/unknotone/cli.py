@@ -25,7 +25,7 @@ from .catalog import (
     parse_knot_records,
     record_from_dict,
 )
-from .corrections import correction_vector
+from .corrections import correction_vector, rational_texts
 from .errors import (
     TorsionExtractionError,
     UnknotOneError,
@@ -139,17 +139,18 @@ def cmd_corrections(args: argparse.Namespace) -> int:
     A = correction_vector(record.form)
     if args.generator is not None:
         A = A.reindexed(args.generator)
+    texts = rational_texts(A.numerators, 4 * A.D)
     text = "\n".join(
         [
             f"{record.name}: D = {A.D}",
-            "A = " + ", ".join(str(a) for a in A.values),
+            "A = " + ", ".join(texts),
             f"spin value A_0 = {A.spin}; symmetry gate: {A.gate}",
         ]
     )
     payload = {
         "knot": record.name,
         "D": A.D,
-        "A": [str(a) for a in A.values],
+        "A": texts,
         "generator": list(A.generator),
         "gate": A.gate,
     }
@@ -159,13 +160,15 @@ def cmd_corrections(args: argparse.Namespace) -> int:
 
 def cmd_gamma(args: argparse.Namespace) -> int:
     B = gamma_vector(args.D)
-    text = f"D = {B.D}\nB = " + ", ".join(str(b) for b in B.values)
+    texts = rational_texts(B.numerators, 4 * B.D)
+    text = f"D = {B.D}\nB = " + ", ".join(texts)
+    # the covector data is derived only for the JSON
     payload = {
         "D": B.D,
-        "B": [str(b) for b in B.values],
+        "B": texts,
         "kappas": [list(kappa) for kappa in B.kappas],
         "v_index": list(B.v_index),
-    }
+    } if args.json else {}
     _emit(payload, args.json, text)
     return 0
 
@@ -265,8 +268,8 @@ def cmd_plumbing_check(args: argparse.Namespace) -> int:
     ]
     if counted.is_lspace:
         A = plumbing_corrections(plumbing)
-        payload["A"] = [str(a) for a in A.values]
-        lines.append("  A = " + ", ".join(str(a) for a in A.values))
+        payload["A"] = rational_texts(A.numerators, 4 * A.D)
+        lines.append("  A = " + ", ".join(payload["A"]))
     _emit(payload, args.json, "\n".join(lines))
     return 0
 

@@ -34,16 +34,19 @@ x, y -> x^t N y / D mod 1 is well defined on cosets, since (G v)^t N y =
 D v . y.  It is nondegenerate, so a = g^t N g is a unit mod D, and a point
 x in the coset of i * g has x^t N g = i a (mod D).  With w = a^{-1} N g
 mod D, the index of x is therefore w . x mod D.  The scan runs
-``itertools.product`` over all coordinates but the last; along the last
-one each point costs O(1), because x^t N x is a quadratic and w . x a
-linear function of it.
+``itertools.product`` over all coordinates but the one with the longest
+range; along that one each point costs O(1), because x^t N x is a
+quadratic and w . x a linear function of it.  A maximum does not depend on
+the order of the scan, so the choice of that coordinate changes no value.
 
 The generator is a choice; any two choices differ by reindexing with a unit
 of Z/D, which downstream consumers quantify over anyway.
 
 What the vector stores.  A point's value is (x^t N x + m D) / 4D, so the
 vector keeps the integer numerators over 4D, which the matching search
-reads as they are; ``values`` and ``spin`` build ``Fraction``s for output.
+reads as they are.  Output renders the numerators of A and B as "p/q" text
+with :func:`rational_texts`, one gcd per distinct numerator; ``values`` is
+the ``Fraction`` view, and ``spin`` a single ``Fraction``.
 """
 
 from __future__ import annotations
@@ -64,6 +67,20 @@ def fractions_over(numerators: Sequence[int], denominator: int) -> tuple[Fractio
     """The rationals numerators[i] / denominator, one ``Fraction`` per distinct numerator."""
     fraction = {n: Fraction(n, denominator) for n in set(numerators)}
     return tuple(map(fraction.__getitem__, numerators))
+
+
+def rational_texts(numerators: Sequence[int], denominator: int) -> list[str]:
+    """numerators[i] / denominator as "p/q" in lowest terms, or "p" when q = 1.
+
+    For a positive denominator this is ``str(Fraction(n, denominator))``,
+    with one gcd and no ``Fraction`` per distinct numerator.
+    """
+    text = {}
+    for n in set(numerators):
+        g = gcd(n, denominator)
+        q = denominator // g
+        text[n] = f"{n // g}/{q}" if q != 1 else str(n // g)
+    return list(map(text.__getitem__, numerators))
 
 
 @dataclass(frozen=True)
@@ -170,17 +187,20 @@ def _coset_maxima(
 
     N is the integer numerator of G^{-1}, so the stored integers are
     |det| times the squared lengths; |det| > 0 keeps comparisons exact.  An
-    index that no point reaches stays None.
+    index that no point reaches stays None.  A maximum does not depend on
+    the scan order, so the longest range runs innermost (module docstring).
     """
     num = form.inverse_numerator
-    *head, last = [range(rg.start + 2, rg.stop, 2) for rg in characteristic_box(form)]
-    k = form.dim - 1
-    head_rows = [row[:k] for row in num[:k]]
-    cross, head_weights = num[k][:k], weights[:k]
+    ranges = [range(rg.start + 2, rg.stop, 2) for rg in characteristic_box(form)]
+    k = max(range(form.dim), key=lambda i: len(ranges[i]))
+    rest = [i for i in range(form.dim) if i != k]
+    head_rows = [[num[i][j] for j in rest] for i in rest]
+    cross = [num[k][j] for j in rest]
+    head_weights = [weights[j] for j in rest]
     # x^t N x = v0 + x_k (2 r + N_kk x_k) and w . x = i0 + w_k x_k
-    steps = [(2 * x, num[k][k] * x * x, weights[k] * x) for x in last]
+    steps = [(2 * x, num[k][k] * x * x, weights[k] * x) for x in ranges[k]]
     best: list[Optional[int]] = [None] * order
-    for p in product(*head):
+    for p in product(*[ranges[i] for i in rest]):
         r = sum(map(mul, cross, p))
         v0 = sum(map(mul, p, [sum(map(mul, row, p)) for row in head_rows]))
         i0 = sum(map(mul, head_weights, p))

@@ -9,9 +9,16 @@ the intersection form of the trace of the half-integer surgery on the
 unknot.  Its correction terms, indexed by Z/D through evaluation of
 covectors on the first basis vector, form the comparison vector B used by
 the matching search.  The indexing below reproduces the classical ordered
-lists of 2n - 1 characteristic covectors, one list for each parity of n.
+lists of 2n - 1 characteristic covectors kappa = (x, y), one list for each
+parity of n.  Each list is a few runs of x in steps of 2 at a fixed y,
+stored once as the table :func:`_kappa_runs`.
+
 The model form has determinant D, so the vector keeps the integer
-numerators of B over 4D; ``values`` builds ``Fraction``s for output.
+numerators of B over 4D, computed run by run from the closed formula
+2D - n y^2 - 2 x (x + y) without building the kappas.  The kappas and the
+integer-surgery class of each position are derived from the same table
+only when read; output renders the numerators as text directly, and
+``values`` is the ``Fraction`` view.
 """
 
 from __future__ import annotations
@@ -40,87 +47,105 @@ def _check_d(D: int) -> None:
         raise ValidationError(f"model form needs an odd determinant >= 3, got {D}")
 
 
-def kappa_list(n: int) -> list[Kappa]:
-    """The ordered characteristic covectors kappa_0, ..., kappa_{2n-2} of R_{2n-1}.
+def _kappa_runs(n: int) -> list[tuple[range, int]]:
+    """The kappa sequence of R_{2n-1} as runs (xs, y): kappa = (x, y) for x in xs.
 
-    For even n = 2k the construction indexes them by -k <= i <= 3k - 2; the
-    negative indices wrap mod 2n - 1 to the end of the list, so that
-    kappa_0 = (0, 0) sits at position 0.  For odd n = 2k + 1 the indices
-    already run 0 <= i <= 4k and kappa_0 = (1, -2).
+    For even n = 2k the construction indexes the kappas by -k <= i <= 3k - 2;
+    the negative indices wrap mod 2n - 1 to the last run, so that
+    kappa_0 = (0, 0) comes first.  For odd n = 2k + 1 the indices already
+    run 0 <= i <= 4k and kappa_0 = (1, -2).
     """
     if n < 2:
         raise ValidationError(f"need n >= 2, got {n}")
+    k = n // 2
     if n % 2 == 0:
-        k = n // 2
-        kappas = (
-            [(2 * i, 0) for i in range(k + 1)]
-            + [(2 * i - 4 * k, 2) for i in range(k + 1, 2 * k)]
-            + [(2 * i - 4 * k + 2, -2) for i in range(2 * k, 3 * k - 1)]
-            + [(2 * i, 0) for i in range(-k, 0)]
-        )
+        runs = [
+            (range(0, 2 * k + 1, 2), 0),
+            (range(2 - 2 * k, 0, 2), 2),
+            (range(2, 2 * k, 2), -2),
+            (range(-2 * k, 0, 2), 0),
+        ]
     else:
-        k = (n - 1) // 2
-        kappas = (
-            [(1 + 2 * i, -2) for i in range(k + 1)]
-            + [(2 * i - 4 * k - 1, 0) for i in range(k + 1, 3 * k + 2)]
-            + [(2 * i - 8 * k - 3, 2) for i in range(3 * k + 2, 4 * k + 1)]
-        )
+        runs = [
+            (range(1, 2 * k + 2, 2), -2),
+            (range(1 - 2 * k, 2 * k + 3, 2), 0),
+            (range(1 - 2 * k, -1, 2), 2),
+        ]
     # a raised check, not an assert, so that it also holds under python -O:
-    # every kappa must be characteristic for R_{2n-1}
-    if not all((a - n) % 2 == 0 and b % 2 == 0 for a, b in kappas):
+    # every kappa must be characteristic for R_{2n-1}; a run steps x by 2
+    if not all((xs.start - n) % 2 == 0 and y % 2 == 0 for xs, y in runs):
         raise AssertionError(f"a kappa of R_{2 * n - 1} is not characteristic")
-    return kappas
+    return runs
+
+
+def kappa_list(n: int) -> list[Kappa]:
+    """The ordered characteristic covectors kappa_0, ..., kappa_{2n-2} of R_{2n-1}."""
+    return [(x, y) for xs, y in _kappa_runs(n) for x in xs]
 
 
 @dataclass(frozen=True)
 class GammaVector:
-    """The comparison vector B_i = numerators[i] / 4D, with its covector data."""
+    """The comparison vector B_i = numerators[i] / 4D.
+
+    The covector data is derived only when read: ``kappas`` for output,
+    ``v_index`` for the torsion extraction.
+    """
 
     D: int
     n: int
-    kappas: tuple[Kappa, ...]
     numerators: tuple[int, ...]
-    v_index: tuple[int, ...]
-    singly_attained_index: int
 
     @cached_property
     def values(self) -> tuple[Fraction, ...]:
-        """B_0..B_{D-1} as ``Fraction``s, for output."""
+        """B_0..B_{D-1} as ``Fraction``s."""
         return fractions_over(self.numerators, 4 * self.D)
+
+    @cached_property
+    def kappas(self) -> tuple[Kappa, ...]:
+        """kappa_0..kappa_{D-1}, the covector behind each position."""
+        return tuple(kappa_list(self.n))
+
+    @cached_property
+    def singly_attained_index(self) -> int:
+        """The one position whose integer-surgery class no other position shares."""
+        return 0 if self.n % 2 == 0 else self.n - 1
+
+    @cached_property
+    def v_index(self) -> tuple[int, ...]:
+        """The first coordinate of each kappa mod 2n: the integer-surgery class
+        that the position restricts to.
+
+        Every class is met twice, except the one at ``singly_attained_index``;
+        this is checked with raised errors, so it also holds under python -O.
+        """
+        n = self.n
+        v_index = tuple([x % (2 * n) for xs, _ in _kappa_runs(n) for x in xs])
+        counts = Counter(v_index)
+        singles = [i for i, residue in enumerate(v_index) if counts[residue] == 1]
+        if len(singles) != 1:
+            raise AssertionError(f"expected one singly attained class, found {singles}")
+        if singles[0] != self.singly_attained_index:
+            raise AssertionError(
+                f"singly attained class at index {singles[0]}, "
+                f"expected {self.singly_attained_index}"
+            )
+        return v_index
 
 
 def gamma_vector(D: int) -> GammaVector:
     """Correction terms of the model half-integer surgery, indexed by Z/D.
 
-    The value at kappa is (kappa^t N kappa + 2D) / 4D, with N the integer
-    numerator of the model form's inverse; the vector keeps the numerators
-    over 4D, and the symmetry B_i = B_(D-i) is checked on them.
+    The value at kappa = (x, y) is (kappa^t N kappa + 2D) / 4D, where
+    N = [[-2, -1], [-1, -n]] is the integer numerator of the model form's
+    inverse, so the numerator over 4D is 2D - n y^2 - 2 x (x + y).  The
+    symmetry B_i = B_(D-i) is checked on the numerators.
     """
     _check_d(D)
     n = (D + 1) // 2
-    form = model_form(D)
-    (n00, n01), (_, n11) = form.inverse_numerator
-    kappas = tuple(kappa_list(n))
-    nums = tuple([x * (n00 * x + 2 * n01 * y) + n11 * y * y + 2 * D for x, y in kappas])
+    nums: list[int] = []
+    for xs, y in _kappa_runs(n):
+        base = 2 * D - n * y * y
+        nums += [base - 2 * x * (x + y) for x in xs]
     if nums[1:] != nums[:0:-1]:
         raise AssertionError(f"model vector for D = {D} is not symmetric")
-    # the first coordinate of kappa_i mod 2n: the integer-surgery class that
-    # position i restricts to
-    v_index = tuple([x % (2 * n) for x, _ in kappas])
-    counts = Counter(v_index)
-    singles = [i for i, residue in enumerate(v_index) if counts[residue] == 1]
-    if len(singles) != 1:
-        raise AssertionError(f"expected one singly attained class, found {singles}")
-    expected_single = 0 if n % 2 == 0 else n - 1
-    if singles[0] != expected_single:
-        raise AssertionError(
-            f"singly attained class at index {singles[0]}, expected {expected_single}"
-        )
-    return GammaVector(
-        D=D,
-        n=n,
-        kappas=kappas,
-        numerators=nums,
-        v_index=v_index,
-        singly_attained_index=singles[0],
-    )
+    return GammaVector(D=D, n=n, numerators=tuple(nums))

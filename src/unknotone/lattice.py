@@ -255,6 +255,12 @@ class CokernelStructure:
     def dim(self) -> int:
         return len(self.inverse_numerator)
 
+    @property
+    def coordinate_labels(self) -> list[Vector]:
+        """The label of each coordinate covector e_i: column i of N mod |det|,
+        which is row i, as N is symmetric."""
+        return [tuple([x % self.order for x in row]) for row in self.inverse_numerator]
+
     def to_coset(self, v: Sequence[int]) -> Vector:
         num = self.inverse_numerator
         rng = range(self.dim)
@@ -272,10 +278,7 @@ class CokernelStructure:
 
     def elements(self) -> dict[Vector, Vector]:
         """All coset labels, each with a small representative covector."""
-        basis_labels = [
-            self.to_coset(tuple(1 if j == i else 0 for j in range(self.dim)))
-            for i in range(self.dim)
-        ]
+        basis_labels = self.coordinate_labels
         reps: dict[Vector, Vector] = {self.zero_label: (0,) * self.dim}
         frontier = [self.zero_label]
         while frontier:
@@ -333,11 +336,10 @@ def _choose_generator(structure: CokernelStructure) -> Vector:
     dim = structure.dim
     if order == 1:
         return (0,) * dim
-    basis = []
-    for i in range(dim):
-        vec = tuple(1 if j == i else 0 for j in range(dim))
-        basis.append((structure.to_coset(vec), vec))
-    basis.sort()
+    basis = sorted(
+        (label, tuple(int(j == i) for j in range(dim)))
+        for i, label in enumerate(structure.coordinate_labels)
+    )
     for label, vec in basis:
         if structure.element_order(label) == order:
             return vec

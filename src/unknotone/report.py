@@ -19,7 +19,12 @@ from typing import Iterable, Optional
 
 from . import alexander as alexander_mod
 from .catalog import KnotRecord
-from .corrections import CorrectionVector, correction_vector, scannable_cokernel
+from .corrections import (
+    CorrectionVector,
+    correction_vector,
+    rational_texts,
+    scannable_cokernel,
+)
 from .errors import MissingSignatureError, NonCyclicCokernelError, UnknotOneError
 from .gamma import GammaVector, gamma_vector
 from .matching import (
@@ -195,7 +200,8 @@ def alexander_reports(record: KnotRecord) -> list[AlexanderReport]:
 
 
 # ---------------------------------------------------------------------------
-# JSON rendering: fractions as exact "p/q" strings, never decimals.
+# JSON rendering: rationals as exact "p/q" strings, never decimals; A and B
+# are rendered from their numerators over 4D.
 
 
 def matching_to_json(m: Matching) -> dict:
@@ -236,10 +242,10 @@ def report_to_json(report: RecordReport, include_matchings: bool = True) -> dict
     if report.invariant_factors:
         out["invariant_factors"] = list(report.invariant_factors)
     if report.A is not None:
-        out["A"] = [str(a) for a in report.A.values]
+        out["A"] = rational_texts(report.A.numerators, 4 * report.A.D)
         out["generator"] = list(report.A.generator)
     if report.B is not None:
-        out["B"] = [str(b) for b in report.B.values]
+        out["B"] = rational_texts(report.B.numerators, 4 * report.B.D)
     if include_matchings:
         out["matchings"] = [matching_to_json(m) for m in report.matchings]
     out["witnesses"] = [format_compact(m) for m in report.verdict.witnesses]

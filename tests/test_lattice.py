@@ -1,6 +1,7 @@
 import pytest
 
 from helpers import characteristic_candidates, evaluate, q_map
+from unknotone.corrections import correction_vector
 from unknotone.errors import SingularFormError, ValidationError
 from unknotone.lattice import QuadraticForm, characteristic_box, cokernel
 
@@ -140,6 +141,33 @@ def test_generator_fallback_when_no_basis_covector_generates():
     assert structure.order == 15
     assert structure.generator is not None
     assert structure.element_order(structure.to_coset(structure.generator)) == 15
+
+
+@pytest.mark.parametrize(
+    "rows, generator, numerators",
+    [
+        (
+            [[-3, 0], [0, -5]],
+            (2, 4),
+            (-90, 22, -2, -42, 22, -50, -18, -2, -2, -18, -50, 22, -42, -2, 22),
+        ),
+        # e_0 and e_1 have order 3 and e_2 order 5 in Z/15
+        (
+            [[-2, 1, 0], [1, -2, 0], [0, 0, -5]],
+            (1, 0, 4),
+            (-30, 2, -22, 18, 2, -70, 42, -22, -22, 42, -70, 2, 18, -22, 2),
+        ),
+    ],
+)
+def test_generator_fallback_pick_is_pinned(rows, generator, numerators):
+    # the fallback's pick fixes the printed generator and the order of A
+    form = QuadraticForm.from_rows(rows)
+    structure = cokernel(form)
+    basis = [tuple(int(j == i) for j in range(form.dim)) for i in range(form.dim)]
+    assert all(structure.element_order(structure.to_coset(e)) < 15 for e in basis)
+    assert structure.generator == generator
+    A = correction_vector(form)
+    assert (A.generator, A.numerators) == (generator, numerators)
 
 
 def test_dimension_zero_form():

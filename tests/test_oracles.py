@@ -28,7 +28,7 @@ from unknotone.catalog import builtin_dataset, builtin_record, record_from_dict
 from unknotone.corrections import correction_vector
 from unknotone.gamma import gamma_vector
 from unknotone.lattice import QuadraticForm
-from unknotone.report import alexander_reports, analyze_record
+from unknotone.report import alexander_reports, analyze_record, sign_refined_record
 
 
 def test_oracle_small_values():
@@ -103,6 +103,29 @@ def test_two_bridge_knots_with_unknotting_number_one_are_not_obstructed():
             report = analyze_record(record, strong=strong)
             assert not report.outcome.obstructed, (p, q, strong, report.outcome)
     assert unknotted == 168
+
+
+def test_two_bridge_knots_with_unknotting_number_one_pass_the_sign_refined_test():
+    # the chain of p/q stored with the signature of S(p, q): one of the two
+    # crossing signs must leave the knot unobstructed; with the opposite
+    # signature the test must have teeth and obstruct some of them
+    unknotted = obstructed_mirrored = 0
+    for p, q, rows in two_bridge_chains(61, 5000):
+        if not two_bridge_u1(p, q):
+            continue
+        unknotted += 1
+        sigma = two_bridge_signature(p, q)
+        for signature in (sigma, -sigma):
+            entry = {"name": f"S({p},{q})", "goeritz": rows, "signature": signature}
+            signed = sign_refined_record(record_from_dict(entry))
+            both = (signed.negative_to_positive, signed.positive_to_negative)
+            obstructed = all(v.outcome.obstructed for v in both)
+            if signature == sigma:
+                assert not obstructed, (p, q, [v.outcome for v in both])
+            else:
+                obstructed_mirrored += obstructed
+    assert unknotted == 168
+    assert obstructed_mirrored > 0  # 92 of the 168
 
 
 @settings(max_examples=60, deadline=None)

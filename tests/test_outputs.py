@@ -1,0 +1,79 @@
+"""Golden outputs: the sha256 of stdout and the exit code of fixed commands.
+
+The digests pin the rendered text byte for byte, so a change to how A, B or
+a verdict is computed or printed that moves a single character fails here.
+Each command runs in process through ``cli.main``; after an intended output
+change, a failing case shows the new digest to paste.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from unknotone.cli import main
+
+# a two-bridge chain with D = 10,001, read through --input
+CHAIN_RECORD = {"name": "chain_10001", "goeritz": [[-2, 1], [1, -5001]]}
+
+COMMANDS = (
+    # the commands of the benchmark's cli workload
+    ("obstruct", "--knot", "8_10"),
+    ("obstruct", "--knot", "10_121", "--json"),
+    ("match", "--knot", "9_33", "--json"),
+    ("alexander", "--knot", "9_33"),
+    ("plumbing-check", "--knot", "10_125"),
+    ("gamma", "--D", "1019", "--json"),
+    ("report", "--paper-tables", "--json"),
+    # the renderers of A and B
+    ("report", "--all", "--json", "--strong"),
+    ("corrections", "--knot", "10_125", "--json"),
+    ("corrections", "--knot", "8_10", "--generator", "2", "--json"),
+    ("gamma", "--D", "27"),
+    ("gamma", "--D", "10001", "--json"),
+    ("obstruct", "--knot", "9_33", "--sign-refined", "--json"),
+    ("plumbing-check", "--knot", "10_125", "--json"),
+    ("alexander", "--knot", "9_33", "--json"),
+    ("corrections", "--input", "CHAIN", "--json"),
+)
+
+# sha256 of stdout and the exit code, recorded before the renderers moved
+# from Fractions to integer numerators
+DIGESTS = {
+    'obstruct --knot 8_10': ('1e9c9661ff6ed147fae0af2467ba41acd50d7c1a4ae7f49eaa2c2b1ae94b9a85', 0),
+    'obstruct --knot 10_121 --json': ('ceeb0c454d6a6f3af491b2eeb1d924436faa0f29876a2aa1956f13305e11b9a2', 0),
+    'match --knot 9_33 --json': ('dc502fc04def026770de4f773286a20a6adb20aab67e7ec6551f13783b0b8fe8', 0),
+    'alexander --knot 9_33': ('b657dc0832c00f2fc464a88fc53d6c0cf20124672881c4a98562f0aa14032972', 0),
+    'plumbing-check --knot 10_125': ('b49e404574f1678bd18a8128bd8d2603b8a3a0eca16247060cbf899ba058512c', 0),
+    'gamma --D 1019 --json': ('601f06afb4853a5ed19de1fbb4a1134ce9f11114353f620461a421137c076236', 0),
+    'report --paper-tables --json': ('3779300475a3cfcab17b1346fdf57270778220303997186174e2bedb6480c867', 0),
+    'report --all --json --strong': ('07a44d6300da5a6a6445fb6366889fb39700767d97a48796f2701afc30e3b61a', 0),
+    'corrections --knot 10_125 --json': ('89222901078558fd1b4323a34b9e13ce03e20620a791a6c4b32e37450fb43a7a', 0),
+    'corrections --knot 8_10 --generator 2 --json': ('30f25017bc02b7ec2cfde272572032f88f82d6b8b14c104fe13a8245dac40def', 0),
+    'gamma --D 27': ('70e7692e7eee996a717404f31dafa1eec123a059f038f932a31abac91b5592d5', 0),
+    'gamma --D 10001 --json': ('7d025434479d8bce661a32690058ed6dd307be98ff39c4bb8fa9da7b15e46881', 0),
+    'obstruct --knot 9_33 --sign-refined --json': ('e25b208a27b1e7b77701e9819a1beeedfcf5f64bcbeef3fccdf363bfd8c0b31f', 0),
+    'plumbing-check --knot 10_125 --json': ('a4bc56b6f39051e60fae8aa0a2b532cfb9c7d6a7a57204203db101db68ff8808', 0),
+    'alexander --knot 9_33 --json': ('1d8372d716e2a8cd8fdbb37fc444e972e5205da01ed92224a3278b0d7ac14987', 0),
+    'corrections --input CHAIN --json': ('c12dae658e08c2c8efea2577b6abc4e49015181cc56963e09f229634eca11007', 0),
+}
+
+
+def run(argv, chain_path, capsys):
+    argv = [str(chain_path) if arg == "CHAIN" else arg for arg in argv]
+    code = main(argv)
+    out = capsys.readouterr().out
+    return hashlib.sha256(out.encode("utf-8")).hexdigest(), code
+
+
+@pytest.fixture(scope="module")
+def chain_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("records") / "chain.json"
+    path.write_text(json.dumps([CHAIN_RECORD]), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_output_is_byte_identical(argv, chain_path, capsys):
+    assert run(argv, chain_path, capsys) == DIGESTS[" ".join(argv)]
+

@@ -167,13 +167,13 @@ def test_gamma_symmetry_check_holds_under_optimisation(src_env):
     # an asymmetric model vector must be refused also under python -O
     code = (
         "from unknotone import gamma\n"
-        "kappas = gamma.kappa_list\n"
+        "runs = gamma._kappa_runs\n"
         "def skewed(n):\n"
-        "    out = kappas(n)\n"
-        "    x, y = out[1]\n"
-        "    out[1] = (x, y + 2)\n"
+        "    out = runs(n)\n"
+        "    xs, y = out[0]\n"
+        "    out[0:1] = [(xs[:1], y), (xs[1:2], y + 2), (xs[2:], y)]\n"
         "    return out\n"
-        "gamma.kappa_list = skewed\n"
+        "gamma._kappa_runs = skewed\n"
         "try:\n"
         "    gamma.gamma_vector(27)\n"
         "except AssertionError as exc:\n"
@@ -184,3 +184,30 @@ def test_gamma_symmetry_check_holds_under_optimisation(src_env):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "model vector for D = 27 is not symmetric\n"
+
+
+def test_singly_attained_check_holds_under_optimisation(src_env):
+    # the torsion extraction reads v_index, which is derived only then; a
+    # skewed class list must be refused there also under python -O
+    code = (
+        "from unknotone import alexander, gamma, report\n"
+        "from unknotone.catalog import builtin_record\n"
+        "rep = report.analyze_record(builtin_record('9_33'))\n"
+        "m = next(w for w in rep.verdict.witnesses if w.positive and w.symmetric)\n"
+        "runs = gamma._kappa_runs\n"
+        "def skewed(n):\n"
+        "    out = runs(n)\n"
+        "    xs, y = out[0]\n"
+        "    out[0:1] = [(xs[:1], y), (range(xs[1] + 2, xs[1] + 3), y), (xs[2:], y)]\n"
+        "    return out\n"
+        "gamma._kappa_runs = skewed\n"
+        "try:\n"
+        "    alexander.torsion_from_matching(m, rep.B)\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=src_env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("expected one singly attained class, found ["), proc.stdout
