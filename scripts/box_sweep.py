@@ -9,8 +9,11 @@ adjugate are already computed:
 
 - ``correction_vector_s`` times the coset-maximum scan over the
   prod |G_ii| points of the reduced box;
-- ``class_count_s`` times the class walk, which takes its seeds from the
-  reduced box and walks inside the full box of prod (|G_ii| + 1) points.
+- ``class_count_s`` times the class count.  On a form with odd cyclic
+  cokernel (all three here) that includes the same coset-maximum scan,
+  whose maximisers settle their classes; the walk then runs from the
+  other seeds of the reduced box and walks inside the full box of
+  prod (|G_ii| + 1) points.
 
 The chain forms have diagonal -5 and 1 beside it, in dimension 6 and 7,
 so their boxes have 6^dim points (46,656 and 279,936); on chains most

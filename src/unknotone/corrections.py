@@ -42,6 +42,12 @@ the order of the scan, so the choice of that coordinate changes no value.
 The generator is a choice; any two choices differ by reindexing with a unit
 of Z/D, which downstream consumers quantify over anyway.
 
+Which points reach the maxima.  :func:`scan_box` also returns, per coset,
+the first point of the scan that reaches its maximum; the plumbing class
+count (:mod:`unknotone.plumbing`) settles the classes of these points
+without walking them.  :func:`correction_vector` is the same scan without
+them.
+
 What the vector stores.  A point's value is (x^t N x + m D) / 4D, so the
 vector keeps the integer numerators over 4D, which the matching search
 reads as they are.  Output renders the numerators of A and B as "p/q" text
@@ -57,7 +63,7 @@ from functools import cached_property
 from itertools import product
 from math import gcd
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import NonCyclicCokernelError, ValidationError
 from .lattice import CokernelStructure, QuadraticForm, Vector, characteristic_box, cokernel
@@ -148,6 +154,21 @@ def scannable_cokernel(form: QuadraticForm) -> CokernelStructure:
     return structure
 
 
+class BoxScan(NamedTuple):
+    """One reduced-box scan: the correction vector and a maximiser per coset.
+
+    For each index i, the first point of the scan that reaches A_i's maximum
+    has ``inners[i]`` at coordinate ``axis`` (the range scanned innermost) and
+    ``heads[i]`` at the other coordinates, in order.  Both lists are empty in
+    dimension 0.
+    """
+
+    vector: CorrectionVector
+    axis: int
+    heads: list[Vector]
+    inners: list[int]
+
+
 def correction_vector(
     form: QuadraticForm,
     generator: Optional[Sequence[int]] = None,
@@ -159,17 +180,22 @@ def correction_vector(
     :func:`unknotone.lattice.cokernel`).  A form that
     :func:`scannable_cokernel` refuses raises its error.
     """
+    return scan_box(form, generator).vector
+
+
+def scan_box(form: QuadraticForm, generator: Optional[Sequence[int]] = None) -> BoxScan:
+    """The coset-maxima scan behind :func:`correction_vector`, with its maximisers."""
     structure = scannable_cokernel(form)
     D = structure.order
     m = form.dim
     if m == 0:
-        return CorrectionVector(D=1, dim=0, numerators=(0,), generator=())
+        return BoxScan(CorrectionVector(D=1, dim=0, numerators=(0,), generator=()), 0, [], [])
 
     gen_vec = _resolve_generator(structure, generator)
     # the index weights w = a^{-1} N g mod D with a = g^t N g (module docstring)
     ng = [sum(map(mul, row, gen_vec)) for row in form.inverse_numerator]
     inverse = pow(sum(map(mul, gen_vec, ng)), -1, D)
-    best = _coset_maxima(form, [inverse * v % D for v in ng], D)
+    best, axis, heads, inners = _coset_maxima(form, [inverse * v % D for v in ng], D)
     if None in best:
         raise AssertionError(
             f"characteristic box met {D - best.count(None)} cosets, expected {D}"
@@ -177,18 +203,21 @@ def correction_vector(
 
     # the value of a coset is (b + m D) / 4D for its maximum b of x^t N x
     nums = tuple([b + m * D for b in best])
-    return CorrectionVector(D=D, dim=m, numerators=nums, generator=gen_vec)
+    vector = CorrectionVector(D=D, dim=m, numerators=nums, generator=gen_vec)
+    return BoxScan(vector, axis, heads, inners)
 
 
 def _coset_maxima(
     form: QuadraticForm, weights: Sequence[int], order: int
-) -> list[Optional[int]]:
+) -> tuple[list[Optional[int]], int, list[Optional[Vector]], list[Optional[int]]]:
     """Max of x^t N x over the reduced box, listed by the index w . x mod D.
 
     N is the integer numerator of G^{-1}, so the stored integers are
     |det| times the squared lengths; |det| > 0 keeps comparisons exact.  An
     index that no point reaches stays None.  A maximum does not depend on
     the scan order, so the longest range runs innermost (module docstring).
+    Returns the maxima, that innermost coordinate k, and per index the first
+    point reaching the maximum, as its other coordinates and its x_k.
     """
     num = form.inverse_numerator
     ranges = [range(rg.start + 2, rg.stop, 2) for rg in characteristic_box(form)]
@@ -198,18 +227,22 @@ def _coset_maxima(
     cross = [num[k][j] for j in rest]
     head_weights = [weights[j] for j in rest]
     # x^t N x = v0 + x_k (2 r + N_kk x_k) and w . x = i0 + w_k x_k
-    steps = [(2 * x, num[k][k] * x * x, weights[k] * x) for x in ranges[k]]
+    steps = [(2 * x, num[k][k] * x * x, weights[k] * x, x) for x in ranges[k]]
     best: list[Optional[int]] = [None] * order
+    heads: list[Optional[Vector]] = [None] * order
+    inners: list[Optional[int]] = [None] * order
     for p in product(*[ranges[i] for i in rest]):
         r = sum(map(mul, cross, p))
         v0 = sum(map(mul, p, [sum(map(mul, row, p)) for row in head_rows]))
         i0 = sum(map(mul, head_weights, p))
-        for twice, square, shift in steps:
+        for twice, square, shift, x in steps:
             value = v0 + r * twice + square
             i = (i0 + shift) % order
             if best[i] is None or value > best[i]:
                 best[i] = value
-    return best
+                heads[i] = p
+                inners[i] = x
+    return best, k, heads, inners
 
 
 def _resolve_generator(

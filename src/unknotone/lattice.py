@@ -23,8 +23,9 @@ keeps them beside the elimination, so every stage that asks shares them.
 
 The characteristic box is defined once, in :func:`characteristic_box`.
 The correction terms scan the reduced box G_ii + 2 <= x_i <= -G_ii inside
-it, and the class walk takes its seeds from the reduced box and walks in
-the full box.  A box of more than BOX_BUDGET points is refused with a
+it.  The class walk shares that scan: the coset maxima it finds settle
+their classes, and the walk runs from the other reduced-box seeds and
+walks in the full box.  A box of more than BOX_BUDGET points is refused with a
 ValidationError before anything is scanned.
 """
 

@@ -18,16 +18,34 @@ the largest h . x, x_i = G_ii would allow that push, to a member with a
 larger h . x, so x_i != G_ii for every i (the same argument as for the
 coset maxima in :mod:`unknotone.corrections`).
 
-The count walks each class from a seed and stops early: at a push that
-leaves the box, or at a covector that an earlier walk reached.  The count
-stays exact.  A push is undone by the opposite push, so a class
-is a connected component of an undirected graph, and lying inside the box
-is a property of the whole component.  A walk never leaves its class, and
-a walk whose class lies inside the box never stops early, so it visits the
-whole class and every later seed of that class is skipped.  A covector
-that an earlier walk reached therefore lies in the class of that walk, and
-that walk was stopped: the class leaves the box.  Walks reach the lower
-walls too, so the record of reached covectors covers the full box; only
+The classes of the coset maximisers need no walk.  A push moves x by
+2 G e_i, which lies in q(V), so it keeps the coset; it starts from a wall
+x_i = -G_ii (adding) or x_i = G_ii (subtracting), where the change of
+x^t G^{-1} x, 4 (x_i + G_ii) or 4 (G_ii - x_i), is 0.  So every member of
+a maximiser's class is a maximiser of its coset, and every maximiser lies
+in the box (see :mod:`unknotone.corrections`): the whole class lies
+inside the box.  On a form with odd cyclic cokernel the coset-maxima
+scan, which the correction terms need anyway, gives one reduced-box
+maximiser per coset.  Those D points lie in D distinct classes, one per
+coset, so the count is at least D; each is marked as a settled walk and
+counted before any walk starts.  A coset may have maximisers in more than
+one class (the sharp 10_148 form has 43 such classes for D = 31); the
+classes of the unrecorded ones are walked like any other.
+
+The count then walks each class from the other seeds and stops early: at a
+push that leaves the box, or at a covector that a settled class or an
+earlier walk holds.  The count stays exact.  A push is undone by the
+opposite push, so a class is a connected component of an undirected graph,
+and lying inside the box is a property of the whole component.  A walk
+never leaves its class, and a walk whose class lies inside the box and
+holds no settled point never stops early, so it visits the whole class and
+every later seed of that class is skipped.  A covector that a settled class
+or an earlier walk holds therefore lies in a class that is counted already
+(only another maximising seed of the same class reaches a settled point) or
+in a class whose walk was stopped because it leaves the box; either way
+the walk that reaches it adds nothing.  On an even or non-cyclic cokernel
+nothing is settled and every class is walked.  Walks reach the lower walls
+too, so the record of reached covectors covers the full box; only
 covectors inside the box are visited, so the work is bounded by its size.
 """
 
@@ -38,11 +56,11 @@ from functools import cached_property
 from itertools import product
 from math import prod
 from operator import mul
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .corrections import CorrectionVector, correction_vector
+from .corrections import BoxScan, CorrectionVector, correction_vector, scan_box
 from .errors import ValidationError
-from .lattice import QuadraticForm, characteristic_box
+from .lattice import QuadraticForm, characteristic_box, cokernel
 
 
 @dataclass(frozen=True)
@@ -60,9 +78,20 @@ class PlumbingForm:
             raise ValidationError("plumbing checks require a negative-definite form")
 
     @cached_property
+    def scan(self) -> Optional[BoxScan]:
+        """The coset-maxima scan, run once per form.
+
+        None unless the cokernel is odd and cyclic, the forms the scan accepts.
+        """
+        structure = cokernel(self.form)
+        if structure.order % 2 == 0 or not structure.is_cyclic:
+            return None
+        return scan_box(self.form)
+
+    @cached_property
     def classes(self) -> ClassCount:
         """The in-box class count, walked once per form."""
-        count = _count_classes(self.form)
+        count = _count_classes(self)
         determinant = abs(self.form.det)
         return ClassCount(count=count, determinant=determinant, is_lspace=count == determinant)
 
@@ -82,14 +111,17 @@ def class_count(plumbing: PlumbingForm) -> ClassCount:
     return plumbing.classes
 
 
-def _count_classes(form: QuadraticForm) -> int:
+def _count_classes(plumbing: PlumbingForm) -> int:
     """The number of push classes lying entirely inside the box.
 
-    Seeds come from the reduced box G_ii + 2 <= x_i <= -G_ii, which every
-    in-box class meets; each walk stops at the box wall or at a point an
-    earlier walk reached.  The module docstring gives the reasons the count
-    stays exact.
+    The classes of the coset maximisers that ``plumbing.scan`` found are
+    counted without a walk.  The other seeds come from the reduced box
+    G_ii + 2 <= x_i <= -G_ii, which every in-box class meets; each walk
+    stops at the box wall or at a point that a settled class or an earlier
+    walk holds.  The module docstring gives the reasons the count stays
+    exact.
     """
+    form = plumbing.form
     dim = form.dim
     gram = form.gram
     box = characteristic_box(form)
@@ -114,9 +146,17 @@ def _count_classes(form: QuadraticForm) -> int:
             ]
             walls.append((sign * shift, moves))
         pushes.append((i, bound[i], *walls))
-    # the walk (named by the place of its seed) that reached each box point
+    # the walk (named by the place of its seed) that reached each box point;
+    # each coset maximiser of the scan stands for its settled class
     walk_of = [-1] * prod(sizes)
     good = 0
+    scan = plumbing.scan
+    if scan is not None:
+        head_stride = stride[: scan.axis] + stride[scan.axis + 1 :]
+        for head, x in zip(scan.heads, scan.inners):
+            place = (sum(map(mul, head, head_stride)) + x * stride[scan.axis] + offset) >> 1
+            walk_of[place] = place
+        good = len(scan.heads)
     for seed in product(*(range(rg.start + 2, rg.stop, 2) for rg in box)):
         walk = (sum(map(mul, seed, stride)) + offset) >> 1
         if walk_of[walk] >= 0:
@@ -168,4 +208,7 @@ def plumbing_corrections(plumbing: PlumbingForm) -> CorrectionVector:
             f"plumbing is not certified: {counted.count} classes for determinant "
             f"{counted.determinant}"
         )
-    return correction_vector(plumbing.form)
+    if plumbing.scan is None:
+        # an even or non-cyclic cokernel, which the scan refuses
+        return correction_vector(plumbing.form)
+    return plumbing.scan.vector

@@ -6,8 +6,10 @@ wall.  Each is compared with the direct computation it replaces: for the
 correction terms, the maxima over the full box per tuple coset label,
 listed by walking the multiples of the generator; for the class count, a
 walk that follows every class to its end before deciding whether it stays
-in the box.  The same full walk checks the lemma behind the class walk's
-seeds: every class inside the box meets the reduced box.
+in the box.  The same full walk checks the lemmas behind the class walk's
+seeds without calling the walk or the scan: every class inside the box
+meets the reduced box, and every class that holds a coset maximiser lies
+inside the box, so for odd D at least D classes do.
 """
 
 from fractions import Fraction
@@ -183,6 +185,71 @@ def test_in_box_classes_meet_reduced_box(form):
 @given(star_plumbings_with_bad_vertex())
 def test_in_box_classes_meet_reduced_box_on_stars_with_bad_vertex(rows):
     assert_in_box_classes_meet_reduced_box(rows)
+
+
+def assert_maximiser_classes_inside_box(rows):
+    """Every class holding a full-box coset maximiser lies inside the box."""
+    form = QuadraticForm.from_rows(rows)
+    structure = cokernel(form)
+    best = {}
+    for x in reference_box(form):
+        label, value = structure.to_coset(x), form.pairing_numerator(x)
+        best[label] = max(best.get(label, value), value)
+    inside_count = 0
+    for members, inside in reference_classes(rows):
+        inside_count += inside
+        # a push adds 2 G e_i, which lies in q(V): a class lies in one coset
+        most = best[structure.to_coset(next(iter(members)))]
+        if any(form.pairing_numerator(x) == most for x in members):
+            assert inside
+    if structure.order % 2:
+        # every coset holds characteristic covectors, so each has a maximiser,
+        # and pushes keep the coset: the D maximiser classes are distinct
+        assert len(best) == structure.order
+        assert inside_count >= structure.order
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(negative_definite_forms())
+def test_maximiser_classes_lie_inside_box(form):
+    assert_maximiser_classes_inside_box(form.gram)
+
+
+# the full walks of the star examples cost about 0.3 s each
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(star_plumbings_with_bad_vertex())
+def test_maximiser_classes_lie_inside_box_on_stars_with_bad_vertex(rows):
+    assert_maximiser_classes_inside_box(rows)
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(sign_flipped_stars())
+def test_maximiser_classes_lie_inside_box_on_sign_flipped_stars(rows):
+    assert_maximiser_classes_inside_box(rows)
+
+
+def test_maximiser_class_meeting_reduced_box_twice():
+    # the class {(-4, -4), (-2, 4), (4, -2)} holds one coset's maximisers and
+    # meets the reduced box at (-2, 4) and (4, -2): the scan settles one of
+    # them, and the walk from the other reaches it and adds nothing
+    rows = [[-4, -1], [-1, -4]]
+    twice = [
+        members
+        for members, _ in reference_classes(rows)
+        if sum(all(x[i] != rows[i][i] for i in range(2)) for x in members) == 2
+    ]
+    assert twice == [{(-4, -4), (-2, 4), (4, -2)}]
+    assert_maximiser_classes_inside_box(rows)
+    assert class_count(PlumbingForm.from_rows(rows)).count == reference_class_count(rows) == 15
+
+
+@pytest.mark.parametrize("rows", [[[-2]], [[-3, 0], [0, -3]]], ids=["even", "non-cyclic"])
+def test_class_count_without_coset_maxima(rows):
+    # the scan refuses an even or non-cyclic cokernel, so no class is settled
+    # before the walk
+    plumbing = PlumbingForm.from_rows(rows)
+    assert plumbing.scan is None
+    assert class_count(plumbing).count == reference_class_count(rows)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])

@@ -13,8 +13,39 @@ import pytest
 
 from unknotone.cli import main
 
-# a two-bridge chain with D = 10,001, read through --input
-CHAIN_RECORD = {"name": "chain_10001", "goeritz": [[-2, 1], [1, -5001]]}
+# records read through --input; an argument naming one is replaced by the
+# path of a file that holds it
+RECORDS = {
+    # a two-bridge chain with D = 10,001
+    "CHAIN": {"name": "chain_10001", "goeritz": [[-2, 1], [1, -5001]]},
+    # the sharp 10_148 form, not a plumbing tree: 55 classes inside the box
+    # for D = 31, so it is not an L-space, and the walk must find the 24
+    # in-box classes that the coset maxima do not settle
+    "SHARP": {
+        "name": "sharp_10_148",
+        "goeritz": [
+            [-4, 3, 1, 0, 1],
+            [3, -5, 0, 0, 0],
+            [1, 0, -2, 1, 0],
+            [0, 0, 1, -2, 0],
+            [1, 0, 0, 0, -2],
+        ],
+    },
+    # a dimension-8 star of the benchmark's plumbing catalogue, an L-space
+    "STAR": {
+        "name": "star-3_3.2.2.2_2.2_2",
+        "goeritz": [
+            [-3, 1, 0, 0, 0, 1, 0, 1],
+            [1, -3, 1, 0, 0, 0, 0, 0],
+            [0, 1, -2, 1, 0, 0, 0, 0],
+            [0, 0, 1, -2, 1, 0, 0, 0],
+            [0, 0, 0, 1, -2, 0, 0, 0],
+            [1, 0, 0, 0, 0, -2, 1, 0],
+            [0, 0, 0, 0, 0, 1, -2, 0],
+            [1, 0, 0, 0, 0, 0, 0, -2],
+        ],
+    },
+}
 
 COMMANDS = (
     # the commands of the benchmark's cli workload
@@ -35,6 +66,9 @@ COMMANDS = (
     ("plumbing-check", "--knot", "10_125", "--json"),
     ("alexander", "--knot", "9_33", "--json"),
     ("corrections", "--input", "CHAIN", "--json"),
+    # the class walk with and without coset maxima that settle their classes
+    ("plumbing-check", "--json", "--input", "SHARP"),
+    ("plumbing-check", "--json", "--input", "STAR"),
 )
 
 # sha256 of stdout and the exit code, recorded before the renderers moved
@@ -56,24 +90,30 @@ DIGESTS = {
     'plumbing-check --knot 10_125 --json': ('a4bc56b6f39051e60fae8aa0a2b532cfb9c7d6a7a57204203db101db68ff8808', 0),
     'alexander --knot 9_33 --json': ('1d8372d716e2a8cd8fdbb37fc444e972e5205da01ed92224a3278b0d7ac14987', 0),
     'corrections --input CHAIN --json': ('c12dae658e08c2c8efea2577b6abc4e49015181cc56963e09f229634eca11007', 0),
+    # recorded before the coset-maxima scan settled the classes of its maximisers
+    'plumbing-check --json --input SHARP': ('41e8d32a7e2bc0621c032c230137fb88b3f9955adfa6d51b42f0b330d093a4ed', 0),
+    'plumbing-check --json --input STAR': ('aea5b7c8aeacc3b5b45a06e2fe8cc8cf43a159be4b946102c3f3e83615d8c975', 0),
 }
 
 
-def run(argv, chain_path, capsys):
-    argv = [str(chain_path) if arg == "CHAIN" else arg for arg in argv]
+def run(argv, record_paths, capsys):
+    argv = [str(record_paths.get(arg, arg)) for arg in argv]
     code = main(argv)
     out = capsys.readouterr().out
     return hashlib.sha256(out.encode("utf-8")).hexdigest(), code
 
 
 @pytest.fixture(scope="module")
-def chain_path(tmp_path_factory):
-    path = tmp_path_factory.mktemp("records") / "chain.json"
-    path.write_text(json.dumps([CHAIN_RECORD]), encoding="utf-8")
-    return path
+def record_paths(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("records")
+    paths = {}
+    for key, record in RECORDS.items():
+        paths[key] = folder / f"{key.lower()}.json"
+        paths[key].write_text(json.dumps([record]), encoding="utf-8")
+    return paths
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
-def test_output_is_byte_identical(argv, chain_path, capsys):
-    assert run(argv, chain_path, capsys) == DIGESTS[" ".join(argv)]
+def test_output_is_byte_identical(argv, record_paths, capsys):
+    assert run(argv, record_paths, capsys) == DIGESTS[" ".join(argv)]
 

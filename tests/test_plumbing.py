@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from unknotone import cli, plumbing as plumbing_mod
+from unknotone import cli, corrections, plumbing as plumbing_mod
 from unknotone.errors import ValidationError
 from helpers import characteristic_candidates
 from unknotone.lattice import QuadraticForm
@@ -182,3 +182,18 @@ def test_plumbing_check_walks_the_classes_once(monkeypatch, capsys):
     assert class_count(plumbing) is class_count(plumbing)
     plumbing_corrections(plumbing)
     assert len(walks) == 2
+
+
+def test_plumbing_check_scans_the_box_once(monkeypatch, capsys):
+    # the class count and the correction terms share one coset-maxima scan
+    scans = []
+    scan = corrections._coset_maxima
+
+    def counted_scan(*args):
+        scans.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(corrections, "_coset_maxima", counted_scan)
+    assert cli.main(["plumbing-check", "--knot", "10_125", "--json"]) == 0
+    assert '"is_lspace": true' in capsys.readouterr().out
+    assert len(scans) == 1
