@@ -19,6 +19,7 @@ The external format is a UTF-8 JSON array of objects with keys
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -202,18 +203,25 @@ def serialize_knot_records(records: Sequence[KnotRecord]) -> str:
     return json.dumps([record_to_dict(r) for r in records], indent=2)
 
 
-def builtin_dataset() -> list[KnotRecord]:
-    """All bundled records, validated through the same path as external files."""
-    from ._tables import BUILTIN_RECORDS
+def _builtin_entries() -> list:
+    """The unvalidated entries of ``builtin.json``, the file beside this module."""
+    path = os.path.join(os.path.dirname(__file__), "builtin.json")
+    with open(path, "r", encoding="utf-8") as handle:
+        return decode_record_entries(handle.read())
 
-    return [record_from_dict(entry, where="builtin") for entry in BUILTIN_RECORDS]
+
+def builtin_dataset() -> list[KnotRecord]:
+    """All bundled records, validated through the same path as external files.
+
+    The records and their provenance are described in README.md, under the
+    bundled dataset.
+    """
+    return [record_from_dict(entry, where="builtin") for entry in _builtin_entries()]
 
 
 def builtin_record(name: str) -> KnotRecord:
     """The bundled record called ``name``; only that entry is validated."""
-    from ._tables import BUILTIN_RECORDS
-
-    for entry in BUILTIN_RECORDS:
+    for entry in _builtin_entries():
         if entry.get("name") == name:
             return record_from_dict(entry, where="builtin")
     raise ValidationError(f"no builtin record named {name!r}")

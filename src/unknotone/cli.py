@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: corrections, gamma, match, obstruct, alexander,
-plumbing-check, report.  Input records come from the bundled table
-(--knot NAME), a JSON file (--input PATH), or standard input.  All
-rationals are printed exactly as p/q; there is no decimal output.
+plumbing-check, report.  Input records come from the bundled dataset,
+builtin.json (--knot NAME), a JSON file (--input PATH), or standard input.
+All rationals are printed exactly as p/q; there is no decimal output.
+Each handler imports the modules it calls, so a cold run loads only those
+of its own subcommand.
 
 Exit codes: 0 computation completed (obstructed verdicts included),
 2 usage errors, 3 invalid input, 4 internal inconsistency.
@@ -14,35 +16,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
-from .catalog import (
-    KnotRecord,
-    builtin_dataset,
-    builtin_record,
-    decode_record_entries,
-    parse_knot_records,
-    record_from_dict,
-)
-from .corrections import correction_vector, rational_texts
 from .errors import (
     TorsionExtractionError,
     UnknotOneError,
     ValidationError,
 )
-from .gamma import gamma_vector
-from .matching import format_compact
-from .plumbing import PlumbingForm, class_count, plumbing_corrections
-from .report import (
-    alexander_reports,
-    analyze_record,
-    batch_reports,
-    matching_to_json,
-    report_to_json,
-    sign_refined_record,
-    verdict_to_json,
-)
+
+if TYPE_CHECKING:
+    from .catalog import KnotRecord
 
 # Ten-crossing knots whose published unknotting number is "two or three";
 # the verdict here only rules out one, and no two-step unknotting is known.
@@ -104,6 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_single_record(args: argparse.Namespace) -> KnotRecord:
+    from .catalog import builtin_record, parse_knot_records
+
     if args.knot and args.input:
         raise ValidationError("give exactly one of --knot and --input")
     if args.knot:
@@ -135,6 +121,8 @@ def _emit(payload: dict, as_json: bool, text: str) -> None:
 
 
 def cmd_corrections(args: argparse.Namespace) -> int:
+    from .corrections import correction_vector, rational_texts
+
     record = _load_single_record(args)
     A = correction_vector(record.form)
     if args.generator is not None:
@@ -159,6 +147,9 @@ def cmd_corrections(args: argparse.Namespace) -> int:
 
 
 def cmd_gamma(args: argparse.Namespace) -> int:
+    from .corrections import rational_texts
+    from .gamma import gamma_vector
+
     B = gamma_vector(args.D)
     texts = rational_texts(B.numerators, 4 * B.D)
     text = f"D = {B.D}\nB = " + ", ".join(texts)
@@ -174,6 +165,9 @@ def cmd_gamma(args: argparse.Namespace) -> int:
 
 
 def cmd_match(args: argparse.Namespace) -> int:
+    from .matching import format_compact
+    from .report import analyze_record, report_to_json
+
     record = _load_single_record(args)
     report = analyze_record(record, generator_unit=args.generator, listing=True)
     lines = [f"{record.name}: D = {report.D}, {len(report.matchings)} matchings"]
@@ -188,6 +182,9 @@ def cmd_match(args: argparse.Namespace) -> int:
 
 
 def cmd_obstruct(args: argparse.Namespace) -> int:
+    from .matching import format_compact
+    from .report import analyze_record, report_to_json, sign_refined_record, verdict_to_json
+
     record = _load_single_record(args)
     if args.sign_refined:
         signed = sign_refined_record(record)
@@ -220,6 +217,9 @@ def cmd_obstruct(args: argparse.Namespace) -> int:
 
 
 def cmd_alexander(args: argparse.Namespace) -> int:
+    from .matching import format_compact
+    from .report import alexander_reports, matching_to_json
+
     record = _load_single_record(args)
     reports = alexander_reports(record)
     if not reports:
@@ -253,6 +253,9 @@ def cmd_alexander(args: argparse.Namespace) -> int:
 
 
 def cmd_plumbing_check(args: argparse.Namespace) -> int:
+    from .corrections import rational_texts
+    from .plumbing import PlumbingForm, class_count, plumbing_corrections
+
     record = _load_single_record(args)
     plumbing = PlumbingForm(record.form)
     counted = class_count(plumbing)
@@ -283,6 +286,9 @@ def _knot_sort_key(name: str) -> tuple[int, int]:
 
 
 def _paper_tables_payload(strong: bool) -> dict:
+    from .catalog import builtin_dataset
+    from .report import batch_reports
+
     reports = batch_reports(builtin_dataset(), strong=strong)
     by_name = {entry["knot"]: entry for entry in reports}
 
@@ -327,6 +333,14 @@ def _report_row(entry: dict) -> str:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from .catalog import (
+        builtin_dataset,
+        decode_record_entries,
+        parse_knot_records,
+        record_from_dict,
+    )
+    from .report import batch_reports
+
     if args.paper_tables:
         payload = _paper_tables_payload(strong=args.strong)
         lines = [

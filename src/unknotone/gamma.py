@@ -30,7 +30,7 @@ from functools import cached_property
 
 from .corrections import fractions_over
 from .errors import ValidationError
-from .lattice import QuadraticForm
+from .lattice import BOX_BUDGET, QuadraticForm
 
 Kappa = tuple[int, int]
 
@@ -139,8 +139,16 @@ def gamma_vector(D: int) -> GammaVector:
     N = [[-2, -1], [-1, -n]] is the integer numerator of the model form's
     inverse, so the numerator over 4D is 2D - n y^2 - 2 x (x + y).  The
     symmetry B_i = B_(D-i) is checked on the numerators.
+
+    The work is linear in D, so D above ``lattice.BOX_BUDGET`` is refused
+    with a ValidationError.  No record needs more: a record reaches B only
+    through a negative-definite G, and Hadamard's inequality for the
+    positive-definite -G gives D = det(-G) <= prod |G_ii| < prod (|G_ii| + 1),
+    which is the size of G's characteristic box and at most BOX_BUDGET.
     """
     _check_d(D)
+    if D > BOX_BUDGET:
+        raise ValidationError(f"model vector for D = {D} is above the budget of {BOX_BUDGET}")
     n = (D + 1) // 2
     nums: list[int] = []
     for xs, y in _kappa_runs(n):

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, Optional
 
-from . import alexander as alexander_mod
 from .catalog import KnotRecord
 from .corrections import (
     CorrectionVector,
@@ -175,6 +174,8 @@ class AlexanderReport:
 
 def alexander_reports(record: KnotRecord) -> list[AlexanderReport]:
     """Torsion and polynomial for every surviving symmetric matching."""
+    from . import alexander as alexander_mod
+
     report = analyze_record(record)
     if report.B is None:
         return []

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -157,3 +158,11 @@ def test_builtin_record_validates_the_entry_it_returns():
         assert builtin_record(record.name) == record
     with pytest.raises(ValidationError, match="no builtin record named"):
         builtin_record("not-a-knot")
+
+
+def test_builtin_dataset_serialises_unchanged():
+    # the digest of the records as they were bundled before builtin.json
+    text = serialize_knot_records(builtin_dataset())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d2c1c8be465e730caa26d68d075f7cdcd42decdbf913502f97b631ea35ac1524"
+    )

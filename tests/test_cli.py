@@ -212,6 +212,70 @@ def test_box_above_budget_is_refused_quickly(command, tmp_path, src_env):
     ]
 
 
+def test_gamma_above_budget_is_refused_quickly(src_env):
+    proc = subprocess.run(
+        [sys.executable, "-m", "unknotone.cli", "gamma", "--D", "2000001"],
+        env=src_env,
+        capture_output=True,
+        text=True,
+        timeout=5,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: model vector for D = 2000001 is above the budget of 2000000"
+    ]
+
+
+# Runs one command in a fresh interpreter and prints, as its last line, the
+# package modules it loaded.
+LOADED_AFTER = (
+    "import sys\n"
+    "from unknotone import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print(*sorted(m for m in sys.modules if m.startswith('unknotone.')))\n"
+    "sys.exit(code)\n"
+)
+# the whole module set of these commands, besides cli and errors
+ONLY = {
+    "gamma": {"gamma", "corrections", "lattice"},
+    "plumbing-check": {"catalog", "lattice", "corrections", "plumbing"},
+}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "obstruct --knot 8_10",
+        "obstruct --knot 10_121 --json",
+        "match --knot 9_33 --json",
+        "alexander --knot 9_33",
+        "plumbing-check --knot 10_125",
+        "gamma --D 1019 --json",
+        "report --paper-tables --json",
+    ],
+)
+def test_a_command_loads_only_its_own_modules(command, src_env):
+    argv = command.split()
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_AFTER, *argv], env=src_env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = {name.removeprefix("unknotone.") for name in proc.stdout.splitlines()[-1].split()}
+    if argv[0] in ONLY:
+        assert loaded == {"cli", "errors", *ONLY[argv[0]]}
+    else:
+        assert "plumbing" not in loaded
+        assert argv[0] == "alexander" or "alexander" not in loaded
+
+
+def test_bare_package_import_loads_no_submodule(src_env):
+    code = "import sys, unknotone; print([m for m in sys.modules if m.startswith('unknotone.')])"
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_listing_above_budget_is_refused_and_the_verdict_streams(tmp_path, src_env):
     # D = 99,999: 2 * phi(D) * D = 1.3e10 listing entries, a few seconds of verdict
     path = tmp_path / "two_bridge.json"

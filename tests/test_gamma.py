@@ -5,6 +5,7 @@ import pytest
 from helpers import spin_reference_value
 from unknotone.errors import ValidationError
 from unknotone.gamma import gamma_vector, kappa_list, model_form
+from unknotone.lattice import BOX_BUDGET
 
 # the full published comparison vector for determinant 27
 B27 = [
@@ -57,6 +58,11 @@ def test_gamma_27_matches_published_list():
 
 def test_gamma_3():
     assert list(gamma_vector(3).values) == [Fraction(1, 2), Fraction(-1, 6), Fraction(-1, 6)]
+
+
+def test_gamma_refuses_d_above_the_box_budget():
+    with pytest.raises(ValidationError, match="above the budget"):
+        gamma_vector(BOX_BUDGET + 1)
 
 
 @pytest.mark.parametrize("D", range(3, 60, 2))
