@@ -1,19 +1,22 @@
 #!/usr/bin/env python3
-"""Time the two characteristic-box scans on chain forms and on one star.
+"""Time the characteristic-box scans on chain forms, one star and two verdict-path forms.
 
     PYTHONPATH=src python scripts/box_sweep.py [REPEATS]
 
 Each row is one form; for it the script prints, as JSON, the median CPU
-time of the two scans, each on a fresh form whose determinant and
-adjugate are already computed:
+time of the scans, each on a fresh form whose determinant and adjugate
+are already computed:
 
 - ``correction_vector_s`` times the coset-maximum scan over the
-  prod |G_ii| points of the reduced box;
+  prod |G_ii| points of the reduced box, as the verdict path runs it:
+  without recording maximisers.  The two longest ranges run innermost,
+  so a point costs O(1) there; each point of the other coordinates (a
+  head) costs O(dim^2) once.
 - ``class_count_s`` times the class count.  On a form with odd cyclic
-  cokernel (all three here) that includes the same coset-maximum scan,
-  whose maximisers settle their classes; the walk then runs from the
-  other seeds of the reduced box and walks inside the full box of
-  prod (|G_ii| + 1) points.
+  cokernel (all rows here) that includes the same coset-maximum scan,
+  recording one maximiser per coset, whose classes are then settled; the
+  walk runs from the other seeds of the reduced box and walks inside the
+  full box of prod (|G_ii| + 1) points.
 
 The chain forms have diagonal -5 and 1 beside it, in dimension 6 and 7,
 so their boxes have 6^dim points (46,656 and 279,936); on chains most
@@ -21,9 +24,16 @@ classes lie inside the box, so the walk visits most of the full box
 whatever its seeds.  The dimension-8 star has centre -3 and legs
 (-2, -2, -2), (-2, -3), (-2, -2): six -2 vertices, a box of 11,664 points
 and 576 reduced seeds, most of whose classes leave the box, so there the
-seed count sets the walk's work.  Run it against another checkout by
-pointing PYTHONPATH at that checkout's ``src``.
+seed count sets the walk's work.
+
+The verdict-path rows time ``correction_vector`` alone.  The two-bridge
+form [[-2, 1], [1, -50000]] has D = 99,999 and no head: one range of
+length 2 and one of length 50,000.  The dimension-8 chain with diagonal
+-5 and a last entry -4 has D = 229,771 and a reduced box of 312,500
+points: 12,500 heads of 25 innermost points each.  Run it against another
+checkout by pointing PYTHONPATH at that checkout's ``src``.
 """
+
 
 from __future__ import annotations
 
@@ -38,8 +48,10 @@ from unknotone.lattice import QuadraticForm
 from unknotone.plumbing import PlumbingForm, class_count
 
 
-def chain(dim: int) -> list[list[int]]:
-    return [[-5 if i == j else int(abs(i - j) == 1) for j in range(dim)] for i in range(dim)]
+def chain(dim: int, last: int = -5) -> list[list[int]]:
+    rows = [[-5 if i == j else int(abs(i - j) == 1) for j in range(dim)] for i in range(dim)]
+    rows[-1][-1] = last
+    return rows
 
 
 def star(centre: int, legs: list[list[int]]) -> list[list[int]]:
@@ -59,6 +71,11 @@ SHAPES = {
     "chain_dim6_diag-5": chain(6),
     "chain_dim7_diag-5": chain(7),
     "star_dim8_centre-3": star(-3, [[-2, -2, -2], [-2, -3], [-2, -2]]),
+}
+
+VERDICT_SHAPES = {
+    "two_bridge_D99999": [[-2, 1], [1, -50000]],
+    "chain_dim8_diag-5_last-4": chain(8, last=-4),
 }
 
 
@@ -92,6 +109,16 @@ def main() -> int:
             "classes": counted.count,
             "correction_vector_s": round(statistics.median(corrections_s), 3),
             "class_count_s": round(statistics.median(count_s), 3),
+        }
+    for name, rows in VERDICT_SHAPES.items():
+        corrections_s = []
+        for _ in range(repeats):
+            seconds, A = cpu_seconds(correction_vector, fresh(rows))
+            corrections_s.append(seconds)
+        out[name] = {
+            "reduced_box": prod(-rows[i][i] for i in range(len(rows))),
+            "D": A.D,
+            "correction_vector_s": round(statistics.median(corrections_s), 3),
         }
     print(json.dumps(out, indent=1))
     return 0

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -186,6 +187,13 @@ def decode_record_entries(text: str) -> list:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:
+        # CPython's int-string limit; no form the box budget admits needs such an integer
+        raise ValidationError(
+            f"JSON integer literal above {sys.get_int_max_str_digits()} digits"
+        ) from exc
+    except RecursionError as exc:
+        raise ValidationError("JSON nested too deeply") from exc
     if isinstance(payload, dict):
         return [payload]
     if not isinstance(payload, list):

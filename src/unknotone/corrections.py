@@ -21,8 +21,11 @@ the scan.
 
 What is refused.  :func:`scannable_cokernel` is the one place that decides
 whether a form's correction terms can be scanned.  It refuses, in this
-order, a singular form, an even determinant, a non-cyclic cokernel, an
-indefinite form and a box above the budget.  ``correction_vector`` calls
+order, a box above the budget, a singular form, an even determinant, a
+non-cyclic cokernel and an indefinite form.  The box comes first because
+its size reads only the dimension and the diagonal, so an over-budget
+form is refused before the elimination, whose cost grows with the cube of
+the dimension and with the size of the entries.  ``correction_vector`` calls
 it, and so does the analysis driver before it decides on a listing; the
 form keeps the cokernel and the box it built, so the second call repeats
 no work.
@@ -33,20 +36,28 @@ the zero coset (the spin class).  With G^{-1} = N / D, the linking form
 x, y -> x^t N y / D mod 1 is well defined on cosets, since (G v)^t N y =
 D v . y.  It is nondegenerate, so a = g^t N g is a unit mod D, and a point
 x in the coset of i * g has x^t N g = i a (mod D).  With w = a^{-1} N g
-mod D, the index of x is therefore w . x mod D.  The scan runs
-``itertools.product`` over all coordinates but the one with the longest
-range; along that one each point costs O(1), because x^t N x is a
-quadratic and w . x a linear function of it.  A maximum does not depend on
-the order of the scan, so the choice of that coordinate changes no value.
+mod D, the index of x is therefore w . x mod D.  The scan runs the two
+coordinates with the longest ranges innermost, the longest one last, and
+``itertools.product`` over the others (the head).  With the head p fixed,
+x^t N x is a quadratic and w . x a linear function of the two inner
+coordinates: per head the scan forms p^t N p, the cross terms N_k . p and
+N_l . p with the two inner axes k and l, and w . p, at O(dim^2) cost, and
+then each inner point costs O(1), since a step along the middle axis l
+moves only the constant and linear terms of the innermost quadratic.  A
+form of dimension 1 gets a phantom middle coordinate fixed at 0.  A
+maximum does not depend on the order of the scan, so the choice of the
+inner axes changes no value.
 
 The generator is a choice; any two choices differ by reindexing with a unit
 of Z/D, which downstream consumers quantify over anyway.
 
-Which points reach the maxima.  :func:`scan_box` also returns, per coset,
-the first point of the scan that reaches its maximum; the plumbing class
-count (:mod:`unknotone.plumbing`) settles the classes of these points
-without walking them.  :func:`correction_vector` is the same scan without
-them.
+Which points reach the maxima.  Asked to record, :func:`scan_box` also
+returns, per coset, the first point of the scan that reaches its maximum,
+in coordinate order; the plumbing class count (:mod:`unknotone.plumbing`)
+asks for them and settles the classes of these points without walking
+them.  The verdict path (:func:`correction_vector`) asks for no points: a
+plain loop keeps only the maxima, with no store per strict improvement.
+Both loops share the ranges, the inner axes and the index weights.
 
 What the vector stores.  A point's value is (x^t N x + m D) / 4D, so the
 vector keeps the integer numerators over 4D, which the matching search
@@ -60,13 +71,20 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import product, repeat
 from math import gcd
-from operator import mul
-from typing import NamedTuple, Optional, Sequence
+from operator import add, itemgetter, mul
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .errors import NonCyclicCokernelError, ValidationError
-from .lattice import CokernelStructure, QuadraticForm, Vector, characteristic_box, cokernel
+from .errors import NonCyclicCokernelError, ValidationError, count_text
+from .lattice import (
+    CokernelStructure,
+    QuadraticForm,
+    Vector,
+    characteristic_box,
+    check_box_budget,
+    cokernel,
+)
 
 
 def fractions_over(numerators: Sequence[int], denominator: int) -> tuple[Fraction, ...]:
@@ -137,15 +155,19 @@ class CorrectionVector:
 def scannable_cokernel(form: QuadraticForm) -> CokernelStructure:
     """The cokernel of a form whose correction terms the box scan computes.
 
-    Raises, in this order: :class:`SingularFormError` on a singular form,
-    :class:`ValidationError` on an even determinant,
-    :class:`NonCyclicCokernelError` on a non-cyclic cokernel, and
-    :class:`ValidationError` on an indefinite form or a box above
-    :data:`unknotone.lattice.BOX_BUDGET` points.
+    Raises, in this order: :class:`ValidationError` on a form whose box,
+    read from its dimension and diagonal before the elimination
+    (:func:`unknotone.lattice.check_box_budget`), is above
+    :data:`unknotone.lattice.BOX_BUDGET` points; :class:`SingularFormError`
+    on a singular form; :class:`ValidationError` on an even determinant;
+    :class:`NonCyclicCokernelError` on a non-cyclic cokernel; and
+    :class:`ValidationError` on an indefinite form.
     """
+    check_box_budget(form)
     structure = cokernel(form)
     if structure.order % 2 == 0:
-        raise ValidationError(f"cokernel order {structure.order} is even; need a knot form")
+        order = count_text(structure.order)
+        raise ValidationError(f"cokernel order {order} is even; need a knot form")
     if not structure.is_cyclic:
         raise NonCyclicCokernelError(structure.invariant_factors)
     if not form.is_negative_definite:
@@ -155,18 +177,25 @@ def scannable_cokernel(form: QuadraticForm) -> CokernelStructure:
 
 
 class BoxScan(NamedTuple):
-    """One reduced-box scan: the correction vector and a maximiser per coset.
+    """One reduced-box scan: the correction vector and, if asked, its maximisers.
 
-    For each index i, the first point of the scan that reaches A_i's maximum
-    has ``inners[i]`` at coordinate ``axis`` (the range scanned innermost) and
-    ``heads[i]`` at the other coordinates, in order.  Both lists are empty in
-    dimension 0.
+    When the scan records, the first point of the scan that reaches A_i's
+    maximum, a point of the reduced box in the coset of i * g, is kept in
+    two parts: ``heads[i]``, its coordinates outside the two inner axes,
+    and ``tails[i]``, its middle and innermost coordinates.  Both are
+    tuples the scan already holds, so recording allocates nothing per
+    point.  ``pick`` puts head + tail back in coordinate order.  Both lists
+    are empty when the scan does not record, and in dimension 0.
     """
 
     vector: CorrectionVector
-    axis: int
     heads: list[Vector]
-    inners: list[int]
+    tails: list[Vector]
+    pick: Callable[[Vector], Vector]
+
+    def maximisers(self) -> Iterator[Vector]:
+        """Per index i, the recorded maximiser of A_i, in coordinate order, one at a time."""
+        return map(self.pick, map(add, self.heads, self.tails))
 
 
 def correction_vector(
@@ -178,71 +207,113 @@ def correction_vector(
     ``generator`` is an optional covector whose coset must generate the
     cokernel; by default a deterministic generator is chosen (see
     :func:`unknotone.lattice.cokernel`).  A form that
-    :func:`scannable_cokernel` refuses raises its error.
+    :func:`scannable_cokernel` refuses raises its error.  The scan records
+    no maximisers.
     """
     return scan_box(form, generator).vector
 
 
-def scan_box(form: QuadraticForm, generator: Optional[Sequence[int]] = None) -> BoxScan:
-    """The coset-maxima scan behind :func:`correction_vector`, with its maximisers."""
+def scan_box(
+    form: QuadraticForm, generator: Optional[Sequence[int]] = None, record: bool = False
+) -> BoxScan:
+    """The coset-maxima scan behind :func:`correction_vector`; ``record`` keeps its maximisers."""
     structure = scannable_cokernel(form)
     D = structure.order
     m = form.dim
     if m == 0:
-        return BoxScan(CorrectionVector(D=1, dim=0, numerators=(0,), generator=()), 0, [], [])
+        return BoxScan(CorrectionVector(D=1, dim=0, numerators=(0,), generator=()), [], [], tuple)
 
     gen_vec = _resolve_generator(structure, generator)
     # the index weights w = a^{-1} N g mod D with a = g^t N g (module docstring)
     ng = [sum(map(mul, row, gen_vec)) for row in form.inverse_numerator]
     inverse = pow(sum(map(mul, gen_vec, ng)), -1, D)
-    best, axis, heads, inners = _coset_maxima(form, [inverse * v % D for v in ng], D)
-    if None in best:
-        raise AssertionError(
-            f"characteristic box met {D - best.count(None)} cosets, expected {D}"
-        )
+    best, *recorded = _coset_maxima(form, [inverse * v % D for v in ng], D, record)
 
     # the value of a coset is (b + m D) / 4D for its maximum b of x^t N x
     nums = tuple([b + m * D for b in best])
     vector = CorrectionVector(D=D, dim=m, numerators=nums, generator=gen_vec)
-    return BoxScan(vector, axis, heads, inners)
+    return BoxScan(vector, *recorded)
 
 
 def _coset_maxima(
-    form: QuadraticForm, weights: Sequence[int], order: int
-) -> tuple[list[Optional[int]], int, list[Optional[Vector]], list[Optional[int]]]:
+    form: QuadraticForm, weights: Sequence[int], order: int, record: bool
+) -> tuple[list[int], list[Vector], list[Vector], Callable[[Vector], Vector]]:
     """Max of x^t N x over the reduced box, listed by the index w . x mod D.
 
     N is the integer numerator of G^{-1}, so the stored integers are
-    |det| times the squared lengths; |det| > 0 keeps comparisons exact.  An
-    index that no point reaches stays None.  A maximum does not depend on
-    the scan order, so the longest range runs innermost (module docstring).
-    Returns the maxima, that innermost coordinate k, and per index the first
-    point reaching the maximum, as its other coordinates and its x_k.
+    |det| times the squared lengths; |det| > 0 keeps comparisons exact.  A
+    maximum does not depend on the scan order, so the two longest ranges
+    run innermost (module docstring).  Returns the maxima and, with
+    ``record``, the heads and tails of the first points reaching them and
+    the map from head + tail to coordinate order (see :class:`BoxScan`);
+    without it both lists are empty.
     """
     num = form.inverse_numerator
     ranges = [range(rg.start + 2, rg.stop, 2) for rg in characteristic_box(form)]
-    k = max(range(form.dim), key=lambda i: len(ranges[i]))
-    rest = [i for i in range(form.dim) if i != k]
-    head_rows = [[num[i][j] for j in rest] for i in rest]
-    cross = [num[k][j] for j in rest]
-    head_weights = [weights[j] for j in rest]
-    # x^t N x = v0 + x_k (2 r + N_kk x_k) and w . x = i0 + w_k x_k
-    steps = [(2 * x, num[k][k] * x * x, weights[k] * x, x) for x in ranges[k]]
-    best: list[Optional[int]] = [None] * order
-    heads: list[Optional[Vector]] = [None] * order
-    inners: list[Optional[int]] = [None] * order
+    if form.dim == 1:
+        # a phantom coordinate fixed at 0 gives the scan its middle axis
+        num = ((num[0][0], 0), (0, 0))
+        weights = [weights[0], 0]
+        ranges.append(range(1))
+    axes = range(len(ranges))
+    # the innermost axis k has the longest range, the middle axis l the next
+    k, l, *rest = sorted(axes, key=lambda i: -len(ranges[i]))
+    rest.sort()
+    # per head p (the coordinates in rest): p^t N p from the rows of N
+    # restricted to rest, then r_k = N_k . p, r_l = N_l . p and w . p
+    head_rows = [[num[i][j] for j in rest] for i in rest + [k, l]]
+    head_rows.append([weights[j] for j in rest])
+    # x^t N x = v + y (2 r_l + N_ll y) + x_k (2 (r_k + N_kl y) + N_kk x_k) at
+    # x_l = y, and w . x = i0 + w_l y + w_k x_k; a recording scan gives each
+    # step its tail (y, x_k), built once per middle value
+    inners = [(2 * x, num[k][k] * x * x, weights[k] * x, x) for x in ranges[k]]
+    middles = [
+        (
+            2 * y,
+            num[l][l] * y * y,
+            num[k][l] * y,
+            weights[l] * y,
+            [(twice, square, shift, (y, x)) for twice, square, shift, x in inners]
+            if record
+            else inners,
+        )
+        for y in ranges[l]
+    ]
+    # x^t N x >= -sum |N_ij| |x_i| |x_j| > floor on the box, so floor marks an unmet index
+    reach = [max(-rg.start, rg[-1]) for rg in ranges]
+    floor = -1 - sum(abs(num[i][j]) * reach[i] * reach[j] for i in axes for j in axes)
+    best = [floor] * order
+    heads: list[Vector] = [()] * order if record else []
+    tails: list[Vector] = heads.copy()
     for p in product(*[ranges[i] for i in rest]):
-        r = sum(map(mul, cross, p))
-        v0 = sum(map(mul, p, [sum(map(mul, row, p)) for row in head_rows]))
-        i0 = sum(map(mul, head_weights, p))
-        for twice, square, shift, x in steps:
-            value = v0 + r * twice + square
-            i = (i0 + shift) % order
-            if best[i] is None or value > best[i]:
-                best[i] = value
-                heads[i] = p
-                inners[i] = x
-    return best, k, heads, inners
+        *row_products, r_k, r_l, i0 = map(sum, map(map, repeat(mul), head_rows, repeat(p)))
+        v = sum(map(mul, p, row_products))
+        for twice_y, square_y, cross, shift_y, steps in middles:
+            base = v + r_l * twice_y + square_y
+            r = r_k + cross
+            j = i0 + shift_y
+            if record:
+                for twice, square, shift, tail in steps:
+                    value = base + r * twice + square
+                    i = (j + shift) % order
+                    if value > best[i]:
+                        best[i] = value
+                        heads[i] = p
+                        tails[i] = tail
+            else:
+                for twice, square, shift, _ in steps:
+                    value = base + r * twice + square
+                    i = (j + shift) % order
+                    if value > best[i]:
+                        best[i] = value
+    missed = best.count(floor)
+    if missed:
+        raise AssertionError(f"characteristic box met {order - missed} cosets, expected {order}")
+    # head + tail lists the coordinates in rest, then l, then k
+    where = [(rest + [l, k]).index(i) for i in range(form.dim)]
+    # (in dimension 1 the slice drops the phantom and keeps a tuple)
+    pick = itemgetter(*where) if form.dim > 1 else itemgetter(slice(1, 2))
+    return best, heads, tails, pick
 
 
 def _resolve_generator(

@@ -26,7 +26,8 @@ The correction terms scan the reduced box G_ii + 2 <= x_i <= -G_ii inside
 it.  The class walk shares that scan: the coset maxima it finds settle
 their classes, and the walk runs from the other reduced-box seeds and
 walks in the full box.  A box of more than BOX_BUDGET points is refused with a
-ValidationError before anything is scanned.
+ValidationError before anything is scanned, and before the elimination:
+its size reads only the diagonal (:func:`check_box_budget`).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from functools import cached_property
 from math import gcd, lcm, prod
 from typing import Optional, Sequence
 
-from .errors import NonCyclicCokernelError, SingularFormError, ValidationError
+from .errors import NonCyclicCokernelError, SingularFormError, ValidationError, count_text
 
 Vector = tuple[int, ...]
 
@@ -203,11 +204,40 @@ class QuadraticForm:
 # from the reduced box but walks in the full one); the coset maxima scan
 # the prod |G_ii| points of the reduced box.  On the 8-dimensional chain
 # form with diagonal -5 (seven times) and -6, whose box has 1.96e6 points,
-# class_count takes 2.7 to 4 s and correction_vector 1.1 to 2.1 s of CPU
-# on one core of a 2-vCPU machine whose speed drifts by half (CPython
-# 3.11), with a 77 MB peak.  A larger box is refused up front instead of
-# running for hours: a 6 x 6 form with diagonal -41 has 5.5e9 points.
+# class_count takes 1.1 to 1.6 s and correction_vector 0.3 to 0.4 s of CPU
+# on one pinned core of a 2-vCPU machine (CPython 3.11.7), with a 73 MB
+# peak.  A larger box is refused up front instead of running for hours: a
+# 6 x 6 form with diagonal -41 has 5.5e9 points.
 BOX_BUDGET = 2_000_000
+
+# A negative-definite form has every G_ii <= -1, so its box has at least
+# 2^dim points: above this dimension the budget refuses every such form.
+MAX_DIM = BOX_BUDGET.bit_length() - 1
+
+
+def check_box_budget(form: QuadraticForm) -> None:
+    """Refuse, from the Gram entries alone, a form whose box is above the budget.
+
+    Nothing here runs the elimination, so the refusal costs time linear in
+    the input.  A form of dimension above MAX_DIM is refused outright.  A
+    form whose diagonal is negative is refused when its box of
+    prod(1 - G_ii) points is above BOX_BUDGET.  A form with a diagonal entry
+    >= 0 is not negative-definite; its refusal is left to the checks that
+    follow the elimination.
+    """
+    if form.dim > MAX_DIM:
+        raise ValidationError(
+            f"form has dimension {form.dim}; above dimension {MAX_DIM} no characteristic "
+            f"box fits the budget of {BOX_BUDGET}"
+        )
+    diag = [form.gram[i][i] for i in range(form.dim)]
+    if all(d < 0 for d in diag):
+        size = prod(1 - d for d in diag)
+        if size > BOX_BUDGET:
+            raise ValidationError(
+                f"characteristic box has {count_text(size)} points, above the budget of "
+                f"{BOX_BUDGET}"
+            )
 
 
 def characteristic_box(form: QuadraticForm) -> list[range]:
@@ -215,24 +245,19 @@ def characteristic_box(form: QuadraticForm) -> list[range]:
 
     These are the integer covectors x with x_i = G_ii (mod 2) and
     |x_i| <= |G_ii|; any characteristic covector outside this box has an
-    equivalent one of larger squared length.  Requires a negative-definite
-    form, which in particular forces every diagonal entry to be nonzero, and
-    a box of at most BOX_BUDGET points.  The form keeps its box, so asking
-    again checks nothing.
+    equivalent one of larger squared length.  Requires a box of at most
+    BOX_BUDGET points (:func:`check_box_budget`) and a negative-definite
+    form, which in particular forces every diagonal entry to be nonzero.
+    The form keeps its box, so asking again checks nothing.
     """
     return form._box
 
 
 def _build_box(form: QuadraticForm) -> list[range]:
+    check_box_budget(form)
     if not form.is_negative_definite:
         raise ValidationError("candidate enumeration requires a negative-definite form")
-    diag = [form.gram[i][i] for i in range(form.dim)]
-    size = prod(1 - d for d in diag)
-    if size > BOX_BUDGET:
-        raise ValidationError(
-            f"characteristic box has {size} points, above the budget of {BOX_BUDGET}"
-        )
-    return [range(d, -d + 1, 2) for d in diag]
+    return [range(d, -d + 1, 2) for d in (form.gram[i][i] for i in range(form.dim))]
 
 
 @dataclass

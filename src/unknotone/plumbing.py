@@ -60,7 +60,7 @@ from typing import Optional, Sequence
 
 from .corrections import BoxScan, CorrectionVector, correction_vector, scan_box
 from .errors import ValidationError
-from .lattice import QuadraticForm, characteristic_box, cokernel
+from .lattice import QuadraticForm, characteristic_box, check_box_budget, cokernel
 
 
 @dataclass(frozen=True)
@@ -74,6 +74,8 @@ class PlumbingForm:
         return PlumbingForm(QuadraticForm.from_rows(rows))
 
     def __post_init__(self) -> None:
+        # the box budget reads only the diagonal, so it is checked before the elimination
+        check_box_budget(self.form)
         if not self.form.is_negative_definite:
             raise ValidationError("plumbing checks require a negative-definite form")
 
@@ -86,7 +88,7 @@ class PlumbingForm:
         structure = cokernel(self.form)
         if structure.order % 2 == 0 or not structure.is_cyclic:
             return None
-        return scan_box(self.form)
+        return scan_box(self.form, record=True)
 
     @cached_property
     def classes(self) -> ClassCount:
@@ -152,13 +154,14 @@ def _count_classes(plumbing: PlumbingForm) -> int:
     good = 0
     scan = plumbing.scan
     if scan is not None:
-        head_stride = stride[: scan.axis] + stride[scan.axis + 1 :]
-        for head, x in zip(scan.heads, scan.inners):
-            place = (sum(map(mul, head, head_stride)) + x * stride[scan.axis] + offset) >> 1
+        for point in scan.maximisers():
+            place = (sum(map(mul, point, stride)) + offset) >> 1
             walk_of[place] = place
         good = len(scan.heads)
-    for seed in product(*(range(rg.start + 2, rg.stop, 2) for rg in box)):
-        walk = (sum(map(mul, seed, stride)) + offset) >> 1
+    # a seed's place is the sum of one term per coordinate, added up in C
+    seeds = [range(rg.start + 2, rg.stop, 2) for rg in box]
+    terms = [[(x + bound[j]) // 2 * stride[j] for x in seeds[j]] for j in range(dim)]
+    for walk, seed in zip(map(sum, product(*terms)), product(*seeds)):
         if walk_of[walk] >= 0:
             continue
         walk_of[walk] = walk

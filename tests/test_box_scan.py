@@ -19,11 +19,14 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from test_properties import cyclic_odd, negative_definite_forms
-from unknotone.corrections import correction_vector
+from unknotone import corrections
+from unknotone.catalog import builtin_record
+from unknotone.corrections import correction_vector, scan_box
 from unknotone.errors import ValidationError
 from unknotone.gamma import model_form
 from unknotone.lattice import BOX_BUDGET, QuadraticForm, characteristic_box, cokernel
-from unknotone.plumbing import PlumbingForm, class_count
+from unknotone.plumbing import PlumbingForm, class_count, plumbing_corrections
+from unknotone.report import analyze_record
 
 
 def reference_box(form):
@@ -298,3 +301,77 @@ def test_one_point_box_and_unimodular_forms():
 @pytest.mark.parametrize("D", [3, 5, 27, 61, 99])
 def test_model_form_with_given_generator(D):
     assert_matches_reference(model_form(D), (2, 0))
+
+
+def assert_both_scans_match_reference(form, generator=None):
+    """Plain and recording scans give the reference values; every recorded point is a maximiser."""
+    reference = reference_correction_values(form, generator)
+    plain = scan_box(form, generator)
+    recorded = scan_box(form, generator, record=True)
+    assert plain.vector.values == recorded.vector.values == reference
+    assert plain.heads == plain.tails == [] == list(plain.maximisers())
+    structure = cokernel(form)
+    step = tuple(generator or structure.generator)
+    gram, m, D = form.gram, form.dim, structure.order
+    points = list(recorded.maximisers())
+    assert len(points) == D
+    for i, x in enumerate(points):
+        assert len(x) == m
+        assert all(
+            gram[j][j] + 2 <= x[j] <= -gram[j][j] and (x[j] - gram[j][j]) % 2 == 0
+            for j in range(m)
+        ), (i, x)
+        assert structure.to_coset(x) == structure.to_coset([i * a for a in step]), (i, x)
+        assert Fraction(form.pairing_numerator(x) + m * D, 4 * D) == reference[i], (i, x)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[-5]],
+        [[-1]],
+        [[-4, 1], [1, -4]],
+        [[-2, 1], [1, -6]],
+        [[-6, 0, 1], [0, -1, 0], [1, 0, -1]],
+        [[-3, 1, 0], [1, -3, 1], [0, 1, -3]],
+        [[-3 if i == j else int(abs(i - j) == 1) for j in range(4)] for i in range(4)],
+    ],
+    ids=[
+        "dimension-1",
+        "dimension-1-one-point",
+        "dimension-2-no-head",
+        "dimension-2-unequal",
+        "middle-range-of-length-1",
+        "equal-ranges-dimension-3",
+        "equal-ranges-dimension-4",
+    ],
+)
+def test_scan_shapes_in_both_modes(rows):
+    assert_both_scans_match_reference(QuadraticForm.from_rows(rows))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(negative_definite_forms())
+def test_recorded_maximisers_reach_their_maxima(form):
+    assume(cyclic_odd(form))
+    assert_both_scans_match_reference(form)
+    assert_both_scans_match_reference(form, tuple(2 * a for a in cokernel(form).generator))
+
+
+def test_only_the_class_count_records_maximisers(monkeypatch):
+    modes = []
+    scan = corrections._coset_maxima
+
+    def spy(form, weights, order, record):
+        modes.append(record)
+        return scan(form, weights, order, record)
+
+    monkeypatch.setattr(corrections, "_coset_maxima", spy)
+    correction_vector(builtin_record("8_10").form)
+    analyze_record(builtin_record("8_10"))
+    analyze_record(builtin_record("8_10"), listing=True)
+    assert modes == [False, False, False]
+    plumbing = PlumbingForm(builtin_record("10_125").form)
+    class_count(plumbing)
+    plumbing_corrections(plumbing)
+    assert modes == [False, False, False, True]

@@ -1,6 +1,8 @@
 import json
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -210,6 +212,71 @@ def test_box_above_budget_is_refused_quickly(command, tmp_path, src_env):
     assert proc.stderr.splitlines() == [
         "error: characteristic box has 5489031744 points, above the budget of 2000000"
     ]
+
+
+INPUT_COMMANDS = [["obstruct"], ["report", "--json"], ["plumbing-check"]]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            '[{"name": "r", "goeritz": [[-' + "7" * 5000 + "]]}]",
+            f"error: JSON integer literal above {sys.get_int_max_str_digits()} digits",
+        ),
+        ("[" * 100_000 + "]" * 100_000, "error: JSON nested too deeply"),
+    ],
+    ids=["integer-of-5000-digits", "nested-100000-deep"],
+)
+@pytest.mark.parametrize("command", INPUT_COMMANDS, ids=" ".join)
+def test_undecodable_input_exits_3_in_one_line(command, text, message, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out, err = run_main([*command, "--input", str(path)], capsys)
+    assert (code, out, err.splitlines()) == (3, "", [message])
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # the box of prod(1 - G_ii) points has 26,576 bits
+        (
+            [[-(10**4000), 0], [0, -(10**4000)]],
+            "error: characteristic box has more than 2^26575 points, above the budget of 2000000",
+        ),
+        # a small box, but an even determinant of 26,576 bits
+        (
+            [[-2, 10**4000], [10**4000, -2]],
+            "error: cokernel order more than 2^26575 is even; need a knot form",
+        ),
+    ],
+    ids=["box", "even"],
+)
+def test_integers_too_long_to_print_are_refused_in_one_line(rows, message, tmp_path, capsys):
+    code, out, err = run_main(["obstruct", "--input", _record_file(tmp_path, rows)], capsys)
+    assert (code, out, err.splitlines()) == (3, "", [message])
+
+
+@pytest.mark.parametrize("command", ["obstruct", "plumbing-check"])
+def test_a_dense_240_by_240_form_is_refused_within_a_second(command, tmp_path, capsys):
+    rng = random.Random(240)
+    rows = [[0] * 240 for _ in range(240)]
+    for i in range(240):
+        rows[i][i] = -rng.randint(2, 9)
+        for j in range(i):
+            rows[i][j] = rows[j][i] = rng.randint(-3, 3)
+    path = _record_file(tmp_path, rows)
+    start = time.perf_counter()
+    code, out, err = run_main([command, "--input", path], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err.splitlines()) == (
+        3,
+        "",
+        [
+            "error: form has dimension 240; above dimension 20 no characteristic box fits "
+            "the budget of 2000000"
+        ],
+    )
 
 
 def test_gamma_above_budget_is_refused_quickly(src_env):

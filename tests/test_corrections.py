@@ -7,11 +7,12 @@ from hypothesis import example, given, strategies as st
 
 from unknotone import lattice
 from unknotone.catalog import builtin_dataset, builtin_record, record_from_dict
-from unknotone.corrections import correction_vector, rational_texts
+from unknotone.corrections import correction_vector, rational_texts, scannable_cokernel
 from unknotone.errors import NonCyclicCokernelError, UnknotOneError, ValidationError
 from unknotone.gamma import gamma_vector, model_form
 from unknotone.lattice import QuadraticForm
 from unknotone.matching import Outcome
+from unknotone.plumbing import PlumbingForm
 from unknotone.report import analyze_record, report_to_json
 
 EIGHT_TEN = QuadraticForm.from_rows([[-4, 1, 1], [1, -2, 1], [1, 1, -5]])
@@ -158,6 +159,49 @@ def test_every_entry_point_refuses_a_form_alike(rows, message):
             assert (report.outcome, report.D, report.invariant_factors) == (
                 Outcome.NON_CYCLIC_H1, 9009, (3, 3003)
             ), name
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (REFUSALS["box"][0], REFUSALS["box"][1]),
+        # singular, and refused for its box before the elimination could find it so
+        (
+            [[-2000, 2000], [2000, -2000]],
+            "characteristic box has 4004001 points, above the budget of 2000000",
+        ),
+        (
+            [[-2 if i == j else 1 for j in range(21)] for i in range(21)],
+            "form has dimension 21; above dimension 20 no characteristic box fits the "
+            "budget of 2000000",
+        ),
+        # a positive diagonal: not negative-definite, whatever its size
+        (
+            [[3 if i == j else 0 for j in range(21)] for i in range(21)],
+            "form has dimension 21; above dimension 20 no characteristic box fits the "
+            "budget of 2000000",
+        ),
+    ],
+    ids=["box", "singular-box", "dimension-21", "dimension-21-positive"],
+)
+def test_an_over_budget_box_is_refused_before_the_elimination(rows, message, monkeypatch):
+    def never(rows):
+        raise AssertionError("the elimination ran")
+
+    monkeypatch.setattr(lattice, "_gauss_jordan", never)
+    for refuse in (scannable_cokernel, PlumbingForm):
+        with pytest.raises(ValidationError) as info:
+            refuse(QuadraticForm.from_rows(rows))
+        assert str(info.value) == message
+
+
+def test_a_form_of_dimension_20_still_reaches_the_later_refusals():
+    # 2^20 points fit the budget, so the dimension bound refuses nothing here
+    rows = [[-1 if i == j else 0 for j in range(20)] for i in range(20)]
+    assert correction_vector(QuadraticForm.from_rows(rows)).numerators == (0,)
+    rows[0][1] = rows[1][0] = 1
+    with pytest.raises(UnknotOneError, match="nonsingular"):
+        correction_vector(QuadraticForm.from_rows(rows))
 
 
 def test_one_cokernel_and_one_box_per_analysis(monkeypatch):

@@ -19,22 +19,6 @@ def test_verify_dataset_is_clean(src_env):
     assert proc.stdout.rstrip().endswith("dataset checks clean")
 
 
-def test_reproduce_tables_matches_the_report_command(src_env):
-    script = subprocess.run(
-        [sys.executable, str(SCRIPTS / "reproduce_tables.py"), "--json"],
-        env=src_env,
-        capture_output=True,
-    )
-    assert script.returncode == 0, script.stderr.decode()
-    report = subprocess.run(
-        [sys.executable, "-m", "unknotone.cli", "report", "--paper-tables", "--json"],
-        env=src_env,
-        capture_output=True,
-    )
-    assert report.returncode == 0, report.stderr.decode()
-    assert script.stdout == report.stdout
-
-
 def load_script(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
