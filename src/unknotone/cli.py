@@ -132,7 +132,7 @@ def cmd_corrections(args: argparse.Namespace) -> int:
         [
             f"{record.name}: D = {A.D}",
             "A = " + ", ".join(texts),
-            f"spin value A_0 = {A.spin}; symmetry gate: {A.gate}",
+            f"spin value A_0 = {texts[0]}; symmetry gate: {A.gate}",
         ]
     )
     payload = {
@@ -171,13 +171,15 @@ def cmd_match(args: argparse.Namespace) -> int:
     record = _load_single_record(args)
     report = analyze_record(record, generator_unit=args.generator, listing=True)
     lines = [f"{record.name}: D = {report.D}, {len(report.matchings)} matchings"]
-    for m in report.matchings:
-        flags = "".join(
-            tag if on else "-"
-            for tag, on in zip("EPSt", (m.even, m.positive, m.symmetric, m.staircase))
-        )
-        lines.append(f"  unit {m.unit:>3} eps {m.epsilon:+d} [{flags}]  {format_compact(m)}")
-    _emit(report_to_json(report), args.json, "\n".join(lines))
+    # each output renders the whole listing: build only the one printed
+    if not args.json:
+        for m in report.matchings:
+            flags = "".join(
+                tag if on else "-"
+                for tag, on in zip("EPSt", (m.even, m.positive, m.symmetric, m.staircase))
+            )
+            lines.append(f"  unit {m.unit:>3} eps {m.epsilon:+d} [{flags}]  {format_compact(m)}")
+    _emit(report_to_json(report) if args.json else {}, args.json, "\n".join(lines))
     return 0
 
 

@@ -21,14 +21,14 @@ the scan.
 
 What is refused.  :func:`scannable_cokernel` is the one place that decides
 whether a form's correction terms can be scanned.  It refuses, in this
-order, a box above the budget, a singular form, an even determinant, a
-non-cyclic cokernel and an indefinite form.  The box comes first because
-its size reads only the dimension and the diagonal, so an over-budget
-form is refused before the elimination, whose cost grows with the cube of
-the dimension and with the size of the entries.  ``correction_vector`` calls
-it, and so does the analysis driver before it decides on a listing; the
-form keeps the cokernel and the box it built, so the second call repeats
-no work.
+order, a box above the budget, a singular form, an even determinant, one
+too long to print, a non-cyclic cokernel and an indefinite form.  The box
+comes first because its size reads only the dimension and the diagonal, so
+an over-budget form is refused before the elimination, whose cost grows
+with the cube of the dimension and with the size of the entries.
+``correction_vector`` calls it, and so does the analysis driver before it
+decides on a listing; the form keeps the cokernel and the box it built, so
+the second call repeats no work.
 
 Which entry a point updates.  The vector orders the values as A_i = value
 at i * g for a generator g of the cokernel, so A_0 is always the value at
@@ -61,9 +61,9 @@ Both loops share the ranges, the inner axes and the index weights.
 
 What the vector stores.  A point's value is (x^t N x + m D) / 4D, so the
 vector keeps the integer numerators over 4D, which the matching search
-reads as they are.  Output renders the numerators of A and B as "p/q" text
-with :func:`rational_texts`, one gcd per distinct numerator; ``values`` is
-the ``Fraction`` view, and ``spin`` a single ``Fraction``.
+reads as they are.  Output renders A, B and every matching as "p/q" text
+with :func:`rational_texts`, one gcd per distinct numerator; only the
+tests, the benchmark and the scripts read the ``Fraction`` views.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ from math import gcd
 from operator import add, itemgetter, mul
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .errors import NonCyclicCokernelError, ValidationError, count_text
+from .errors import TEXT_BITS, NonCyclicCokernelError, ValidationError, count_text
 from .lattice import (
     CokernelStructure,
     QuadraticForm,
@@ -96,8 +96,8 @@ def fractions_over(numerators: Sequence[int], denominator: int) -> tuple[Fractio
 def rational_texts(numerators: Sequence[int], denominator: int) -> list[str]:
     """numerators[i] / denominator as "p/q" in lowest terms, or "p" when q = 1.
 
-    For a positive denominator this is ``str(Fraction(n, denominator))``,
-    with one gcd and no ``Fraction`` per distinct numerator.
+    For a positive denominator this is the text of the ``Fraction`` n /
+    denominator, with one gcd and no ``Fraction`` per distinct numerator.
     """
     text = {}
     for n in set(numerators):
@@ -126,12 +126,12 @@ class CorrectionVector:
 
     @cached_property
     def values(self) -> tuple[Fraction, ...]:
-        """A_0..A_{D-1} as ``Fraction``s, for output."""
+        """A_0..A_{D-1} as ``Fraction``s, read by the tests and the benchmark."""
         return fractions_over(self.numerators, 4 * self.D)
 
     @property
     def spin(self) -> Fraction:
-        """The value at the zero coset."""
+        """The value at the zero coset, read by the tests and ``scripts/verify_dataset.py``."""
         return Fraction(self.numerators[0], 4 * self.D)
 
     @property
@@ -159,15 +159,17 @@ def scannable_cokernel(form: QuadraticForm) -> CokernelStructure:
     read from its dimension and diagonal before the elimination
     (:func:`unknotone.lattice.check_box_budget`), is above
     :data:`unknotone.lattice.BOX_BUDGET` points; :class:`SingularFormError`
-    on a singular form; :class:`ValidationError` on an even determinant;
-    :class:`NonCyclicCokernelError` on a non-cyclic cokernel; and
-    :class:`ValidationError` on an indefinite form.
+    on a singular form; :class:`ValidationError` on an even determinant or one
+    above ``TEXT_BITS`` bits, too long to print; :class:`NonCyclicCokernelError`
+    on a non-cyclic cokernel; and :class:`ValidationError` on an indefinite form.
     """
     check_box_budget(form)
     structure = cokernel(form)
     if structure.order % 2 == 0:
         order = count_text(structure.order)
         raise ValidationError(f"cokernel order {order} is even; need a knot form")
+    if structure.order.bit_length() > TEXT_BITS:
+        raise ValidationError(f"cokernel order {count_text(structure.order)} is too long to print")
     if not structure.is_cyclic:
         raise NonCyclicCokernelError(structure.invariant_factors)
     if not form.is_negative_definite:

@@ -5,12 +5,12 @@ from __future__ import annotations
 
 # More bits than this and str() of an integer may exceed CPython's
 # int-string digit limit (4300 digits by default, about 14,284 bits).
-_TEXT_BITS = 10_000
+TEXT_BITS = 10_000
 
 
 def count_text(n: int) -> str:
     """A nonnegative integer for a message: its digits, or a power-of-two bound when long."""
-    if n.bit_length() <= _TEXT_BITS:
+    if n.bit_length() <= TEXT_BITS:
         return str(n)
     return f"more than 2^{n.bit_length() - 1}"
 

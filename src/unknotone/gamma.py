@@ -97,7 +97,7 @@ class GammaVector:
 
     @cached_property
     def values(self) -> tuple[Fraction, ...]:
-        """B_0..B_{D-1} as ``Fraction``s."""
+        """B_0..B_{D-1} as ``Fraction``s, read by the tests and the benchmark."""
         return fractions_over(self.numerators, 4 * self.D)
 
     @cached_property

@@ -12,8 +12,8 @@ Both searches run on integers.  A and B store their entries as integer
 numerators over 4D, so every C is a tuple of numerators over 4D, and the
 four filters are one integer predicate on them.  A is conjugation-symmetric,
 so the units u and D - u give the same C: only 2u < D is scanned, and each
-C records both pairs.  ``Fraction``s are built once per distinct numerator,
-where ``Matching.C`` is filled in.
+C records both pairs.  ``Matching`` keeps C as numerators; ``Matching.C`` is
+a ``Fraction`` view built on first read, which output never reads.
 
 The verdict scan.  Every verdict starts from the even matchings, and
 :func:`even_matchings` finds just those.  C_0 = -B_0 - epsilon A_0 does not
@@ -36,11 +36,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from operator import add, sub
 from typing import Optional, Sequence
 
-from .corrections import CorrectionVector
+from .corrections import CorrectionVector, fractions_over, rational_texts
 from .errors import ValidationError
 from .gamma import GammaVector
 
@@ -62,10 +63,10 @@ class Outcome(enum.Enum):
 
 @dataclass(frozen=True)
 class Matching:
-    """One candidate vector C with its (unit, sign) provenance and filter flags."""
+    """A vector C = numerators / 4D with its (unit, sign) provenance and filter flags."""
 
     D: int
-    C: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
     unit: int
     epsilon: int
     provenance: tuple[tuple[int, int], ...]
@@ -73,6 +74,11 @@ class Matching:
     positive: bool = False
     symmetric: bool = False
     staircase: bool = False
+
+    @cached_property
+    def C(self) -> tuple[Fraction, ...]:
+        """C as ``Fraction``s, for the torsion extraction, the tests and the benchmark."""
+        return fractions_over(self.numerators, 4 * self.D)
 
 
 def quarter_point(D: int) -> int:
@@ -105,9 +111,10 @@ def units(D: int) -> list[int]:
 # pairs times D, 2 phi(D) D: every pair contributes a C of D entries, and
 # the listing's time and memory grow with that count.  On the two-bridge
 # form [[-2, 1], [1, -1000]] (D = 1999, 8.0e6 entries) enumerate_matchings
-# takes about 5.5 s and 280 MB on one core of a 2-vCPU machine (CPython
-# 3.11), and even_matchings 6 ms; printing it with ``match --json`` takes
-# about 18 s and 1 GB.  D = 3999 (2.0e7 entries) is refused up front.
+# takes about 0.6 s and 170 MB on one core of a 2-vCPU machine (CPython
+# 3.11), and even_matchings 1 ms; printing it takes about 6 s and 830 MB
+# with ``match --json``, 2.5 s and 245 MB with text ``match`` (CPU time,
+# peak RSS).  D = 3999 (2.0e7 entries) is refused up front.
 # Verdicts never list (see the module docstring).
 LISTING_BUDGET = 10_000_000
 
@@ -133,24 +140,16 @@ def _listed(D: int, found: dict[tuple[int, ...], list[tuple[int, int]]]) -> tupl
     """The matchings of the integer vectors in ``found``, sorted by C.
 
     Each provenance list is ordered epsilon = +1 then -1, units ascending,
-    and its first pair is the representative.  Sorting the numerators gives
-    the order of the ``Fraction``s, as they share the denominator 4D.
+    and its first pair is the representative.  The numerators share the
+    denominator 4D, so their order is the order of the rationals C.
     """
-    fraction = {c: Fraction(c, 4 * D) for c in set().union(*found)}
     out = []
     for C in sorted(found):
         provenance = sorted(found[C], key=lambda pair: (-pair[1], pair[0]))
         u, epsilon = provenance[0]
-        out.append(
-            Matching(
-                D=D,
-                C=tuple(map(fraction.__getitem__, C)),
-                unit=u,
-                epsilon=epsilon,
-                provenance=tuple(provenance),
-                **_flags(D, C),
-            )
-        )
+        out.append(Matching(
+            D, C, unit=u, epsilon=epsilon, provenance=tuple(provenance), **_flags(D, C)
+        ))
     return tuple(out)
 
 
@@ -296,14 +295,12 @@ def format_compact(matching: Matching) -> str:
     D = matching.D
     n = (D + 1) // 2
     k = quarter_point(D)
-    head = list(matching.C[:n])
+    head = matching.numerators[:n]
     nonzero = [i for i, value in enumerate(head) if value != 0]
     if not nonzero:
         return "(all zero)"
     lo = min(nonzero[0], k)
     hi = max(nonzero[-1], k)
-    rendered = []
-    for i in range(lo, hi + 1):
-        text = str(head[i])
-        rendered.append(f"[{text}]" if i == k else text)
-    return ", ".join(rendered)
+    texts = rational_texts(head[lo : hi + 1], 4 * D)
+    texts[k - lo] = f"[{texts[k - lo]}]"
+    return ", ".join(texts)

@@ -184,7 +184,7 @@ def alexander_reports(record: KnotRecord) -> list[AlexanderReport]:
     # matching exists, the verdict's witnesses are all such even matchings,
     # in scan order; when none exists, no witness is positive and symmetric.
     for m in report.verdict.witnesses:
-        if not (m.positive and m.symmetric and m.C[0] == 0):
+        if not (m.positive and m.symmetric and m.numerators[0] == 0):
             continue
         torsion = alexander_mod.torsion_from_matching(m, report.B)
         poly = alexander_mod.polynomial_from_torsion(torsion)
@@ -210,7 +210,7 @@ def matching_to_json(m: Matching) -> dict:
         "unit": m.unit,
         "epsilon": m.epsilon,
         "provenance": [list(pair) for pair in m.provenance],
-        "C": [str(c) for c in m.C],
+        "C": rational_texts(m.numerators, 4 * m.D),
         "compact": format_compact(m),
         "flags": {
             "even": m.even,

@@ -3,8 +3,9 @@
 They are plain reimplementations kept outside the package: the points of
 the characteristic box, the map q(v) = G v, the value Q(v, v), the
 closed form of B_0, the model vector B built one pairing at a time, the
-four matching filters read off ``Fraction`` entries, and the adjugate from
-cofactors over ``Fraction`` elimination.
+numerators of a matching's ``Fraction`` entries, the four matching filters
+read off those entries, and the adjugate from cofactors over ``Fraction``
+elimination.
 """
 
 from collections import Counter
@@ -51,6 +52,13 @@ def reference_gamma_vector(D):
     return SimpleNamespace(
         D=D, n=n, kappas=kappas, values=values, v_index=v_index, singly_attained_index=single
     )
+
+
+def numerators_over_4d(D, values):
+    """The integers n_i with values[i] = n_i / 4D; each value must be such a quotient."""
+    scaled = [Fraction(v) * 4 * D for v in values]
+    assert all(s.denominator == 1 for s in scaled), values
+    return tuple(s.numerator for s in scaled)
 
 
 def reference_classify(m):

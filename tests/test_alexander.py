@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import reference_classify
+from helpers import numerators_over_4d, reference_classify
 from unknotone.alexander import (
     AlexanderPolynomial,
     lspace_coefficient_check,
@@ -76,7 +76,9 @@ def _symmetric_matching(D, window_values, start):
     for j, v in enumerate(window_values):
         head[start + j] = Fraction(v)
     C = head + [head[D - i] for i in range(n, D)]
-    return reference_classify(Matching(D=D, C=tuple(C), unit=1, epsilon=1, provenance=((1, 1),)))
+    return reference_classify(Matching(
+        D=D, numerators=numerators_over_4d(D, C), unit=1, epsilon=1, provenance=((1, 1),)
+    ))
 
 
 def test_nine_33_extraction_from_its_matching():
@@ -105,7 +107,9 @@ def test_torsion_requires_symmetric_even_positive():
     for j, v in enumerate(window):
         head[5 + j] = Fraction(v)
     C = head + [head[27 - i] for i in range(14, 27)]
-    asym = reference_classify(Matching(D=27, C=tuple(C), unit=1, epsilon=1, provenance=((1, 1),)))
+    asym = reference_classify(Matching(
+        D=27, numerators=numerators_over_4d(27, C), unit=1, epsilon=1, provenance=((1, 1),)
+    ))
     assert not asym.symmetric
     with pytest.raises(ValidationError):
         torsion_from_matching(asym, B)
@@ -124,7 +128,9 @@ def test_torsion_requires_zero_at_origin():
     D = 11
     head = [Fraction(2)] * 6
     C = head + [head[D - i] for i in range(6, D)]
-    m = reference_classify(Matching(D=D, C=tuple(C), unit=1, epsilon=1, provenance=((1, 1),)))
+    m = reference_classify(Matching(
+        D=D, numerators=numerators_over_4d(D, C), unit=1, epsilon=1, provenance=((1, 1),)
+    ))
     assert m.symmetric
     B = gamma_vector(D)
     with pytest.raises(ValidationError, match="C_0"):
@@ -158,7 +164,7 @@ def test_inconsistent_classes_detected():
         C[partner] = Fraction(4)
         C[D - partner] = Fraction(4)
     m = Matching(
-        D=D, C=tuple(C), unit=1, epsilon=1, provenance=((1, 1),),
+        D=D, numerators=numerators_over_4d(D, C), unit=1, epsilon=1, provenance=((1, 1),),
         even=True, positive=True, symmetric=True,
     )
     with pytest.raises(TorsionExtractionError):

@@ -257,6 +257,41 @@ def test_integers_too_long_to_print_are_refused_in_one_line(rows, message, tmp_p
     assert (code, out, err.splitlines()) == (3, "", [message])
 
 
+# non-cyclic (Z/3 + Z/(D/3)) with D of 26,579 bits, of either sign on the
+# diagonal: the NonCyclicH1 verdict and the cokernel error would print D
+# and its invariant factors
+TOO_LONG_TO_PRINT = {
+    "negative": [[-3, 3 * 10**4000], [3 * 10**4000, -3]],
+    "positive": [[3, 3 * 10**4000], [3 * 10**4000, 3]],
+}
+TOO_LONG_MESSAGE = "cokernel order more than 2^26578 is too long to print"
+
+
+@pytest.mark.parametrize(
+    "command", [["obstruct"], ["obstruct", "--json"], ["corrections", "--json"]], ids=" ".join
+)
+@pytest.mark.parametrize("rows", TOO_LONG_TO_PRINT.values(), ids=TOO_LONG_TO_PRINT.keys())
+def test_a_determinant_too_long_to_print_is_refused_in_one_line(command, rows, tmp_path, capsys):
+    path = _record_file(tmp_path, rows)
+    start = time.perf_counter()
+    code, out, err = run_main([*command, "--input", path], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err.splitlines()) == (3, "", [f"error: {TOO_LONG_MESSAGE}"])
+
+
+@pytest.mark.parametrize("rows", TOO_LONG_TO_PRINT.values(), ids=TOO_LONG_TO_PRINT.keys())
+def test_report_enters_a_determinant_too_long_to_print_as_an_error(rows, tmp_path, capsys):
+    path = _record_file(tmp_path, rows)
+    start = time.perf_counter()
+    code, out, err = run_main(["report", "--json", "--input", path], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "parse_errors": [],
+        "records": [{"knot": "r", "error": TOO_LONG_MESSAGE}],
+    }
+
+
 @pytest.mark.parametrize("command", ["obstruct", "plumbing-check"])
 def test_a_dense_240_by_240_form_is_refused_within_a_second(command, tmp_path, capsys):
     rng = random.Random(240)
@@ -391,6 +426,18 @@ def test_listing_above_budget_is_refused_before_any_analysis(command, tmp_path, 
         "error: matching listing for D = 99999 has 12959870400 entries, "
         "above the budget of 10000000"
     ]
+
+
+def test_text_match_renders_no_json(capsys, monkeypatch):
+    import unknotone.report as report_mod
+
+    def never(*args, **kwargs):
+        raise AssertionError("text match rendered the JSON report")
+
+    monkeypatch.setattr(report_mod, "report_to_json", never)
+    code, out, err = run_main(["match", "--knot", "8_10"], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("8_10: D = 27, ")
 
 
 @pytest.mark.parametrize(

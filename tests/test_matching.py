@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import reference_classify
+from helpers import numerators_over_4d, reference_classify
 from unknotone.catalog import record_from_dict
 from unknotone.corrections import correction_vector
 from unknotone.errors import ValidationError
@@ -81,7 +81,7 @@ def test_dimension_mismatch():
 
 def test_classify_zero_matching():
     D = 27
-    zero = Matching(D=D, C=(Fraction(0),) * D, unit=1, epsilon=1, provenance=((1, 1),))
+    zero = Matching(D=D, numerators=(0,) * D, unit=1, epsilon=1, provenance=((1, 1),))
     flags = reference_classify(zero)
     assert flags.even and flags.positive and flags.symmetric and flags.staircase
     assert format_compact(flags) == "(all zero)"
@@ -96,11 +96,15 @@ def test_classify_symmetry_ranges():
     C[6] = C[11 - 6] # conjugation partner already set
     for i in range(6, 11):
         C[i] = C[11 - i]
-    m = reference_classify(Matching(D=11, C=tuple(C), unit=1, epsilon=1, provenance=((1, 1),)))
+    m = reference_classify(Matching(
+        D=11, numerators=numerators_over_4d(11, C), unit=1, epsilon=1, provenance=((1, 1),)
+    ))
     assert m.symmetric
     C[5] = Fraction(0)
     C[6] = Fraction(0)
-    m2 = reference_classify(Matching(D=11, C=tuple(C), unit=1, epsilon=1, provenance=((1, 1),)))
+    m2 = reference_classify(Matching(
+        D=11, numerators=numerators_over_4d(11, C), unit=1, epsilon=1, provenance=((1, 1),)
+    ))
     assert not m2.symmetric
 
 
@@ -112,10 +116,14 @@ def test_classify_staircase():
         C[i] = Fraction(v)
     for i in range(6, 11):
         C[i] = C[11 - i]
-    m = reference_classify(Matching(D=D, C=tuple(C), unit=1, epsilon=1, provenance=((1, 1),)))
+    m = reference_classify(Matching(
+        D=D, numerators=numerators_over_4d(D, C), unit=1, epsilon=1, provenance=((1, 1),)
+    ))
     assert m.staircase  # 2 <= 2 <= 4 at i = 1, 2
     C[2] = Fraction(6)
-    m2 = reference_classify(Matching(D=D, C=tuple(C), unit=1, epsilon=1, provenance=((1, 1),)))
+    m2 = reference_classify(Matching(
+        D=D, numerators=numerators_over_4d(D, C), unit=1, epsilon=1, provenance=((1, 1),)
+    ))
     assert not m2.staircase
 
 
@@ -180,10 +188,27 @@ def test_matchings_sorted_and_deterministic(eight_ten_pair):
 
 
 def test_classify_non_integer_entry_over_another_denominator():
-    # 4/3 is not an even integer although its numerator over 3 is even;
-    # its step from 0 is still at most 2
+    # 2/11 (8/44 over 4D) is not an even integer although its numerator
+    # over 11 is even; its step from 0 is still at most 2
     C = [Fraction(0)] * 11
-    C[3] = Fraction(4, 3)
-    m = reference_classify(Matching(D=11, C=tuple(C), unit=1, epsilon=1, provenance=((1, 1),)))
+    C[3] = Fraction(2, 11)
+    m = reference_classify(Matching(
+        D=11, numerators=numerators_over_4d(11, C), unit=1, epsilon=1, provenance=((1, 1),)
+    ))
     assert not m.even
     assert m.positive and m.symmetric and m.staircase
+
+
+def test_c_is_a_fraction_view_of_the_numerators():
+    A = correction_vector(QuadraticForm.from_rows([[-2, 1], [1, -50]]))
+    B = gamma_vector(A.D)
+    read, unread = enumerate_matchings(A, B), enumerate_matchings(A, B)
+    for m, twin in zip(read, unread):
+        assert m.C == tuple(Fraction(n, 4 * m.D) for n in m.numerators)
+        # one Fraction per distinct numerator
+        assert len({id(c) for c in m.C}) == len(set(m.C))
+        assert "C" not in vars(twin)
+        assert m == twin and hash(m) == hash(twin)
+    twin_hash = hash(twin)
+    twin.C
+    assert hash(twin) == twin_hash and twin == m

@@ -12,7 +12,7 @@ from math import gcd
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from helpers import reference_classify
+from helpers import numerators_over_4d, reference_classify
 from test_properties import cyclic_odd, negative_definite_forms
 from unknotone.catalog import builtin_dataset
 from unknotone.corrections import CorrectionVector, correction_vector
@@ -33,7 +33,10 @@ def reference_matchings(A, B):
     for C, provenance in found.items():
         provenance.sort(key=lambda pair: (-pair[1], pair[0]))
         u, epsilon = provenance[0]
-        m = Matching(D=D, C=C, unit=u, epsilon=epsilon, provenance=tuple(provenance))
+        m = Matching(
+            D=D, numerators=numerators_over_4d(D, C), unit=u, epsilon=epsilon,
+            provenance=tuple(provenance),
+        )
         out.append(reference_classify(m))
     out.sort(key=lambda m: m.C)
     return tuple(out)

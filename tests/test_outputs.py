@@ -31,6 +31,8 @@ RECORDS = {
             [1, 0, 0, 0, -2],
         ],
     },
+    # a two-bridge form with D = 599: a listing of 598 matchings
+    "LISTING": {"name": "two_bridge_599", "goeritz": [[-2, 1], [1, -300]]},
     # a dimension-8 star of the benchmark's plumbing catalogue, an L-space
     "STAR": {
         "name": "star-3_3.2.2.2_2.2_2",
@@ -66,6 +68,10 @@ COMMANDS = (
     ("plumbing-check", "--knot", "10_125", "--json"),
     ("alexander", "--knot", "9_33", "--json"),
     ("corrections", "--input", "CHAIN", "--json"),
+    # the listing renderer at a larger D, and the staircase filter
+    ("match", "--input", "LISTING"),
+    ("match", "--input", "LISTING", "--json"),
+    ("obstruct", "--strong", "--input", "CHAIN"),
     # the class walk with and without coset maxima that settle their classes
     ("plumbing-check", "--json", "--input", "SHARP"),
     ("plumbing-check", "--json", "--input", "STAR"),
@@ -93,6 +99,10 @@ DIGESTS = {
     # recorded before the coset-maxima scan settled the classes of its maximisers
     'plumbing-check --json --input SHARP': ('41e8d32a7e2bc0621c032c230137fb88b3f9955adfa6d51b42f0b330d093a4ed', 0),
     'plumbing-check --json --input STAR': ('aea5b7c8aeacc3b5b45a06e2fe8cc8cf43a159be4b946102c3f3e83615d8c975', 0),
+    # recorded before the matchings moved from Fractions to integer numerators
+    'match --input LISTING': ('c65cfb13141979c554960a18ebd92736ba3f732ab74ae465f50c8ac317e709fc', 0),
+    'match --input LISTING --json': ('86ed64a0862320f61582d16f474235f2b9f0add20916d9ea664b4d780c9f35ba', 0),
+    'obstruct --strong --input CHAIN': ('0b74e06a1a9178d7d8651a33d333506fce526bb2d899f11aad14f763b4fdb256', 0),
 }
 
 

@@ -1,0 +1,30 @@
+"""The package builds from pyproject.toml with the bundled records beside the code.
+
+``build_py`` copies what a wheel would hold and needs neither the ``wheel``
+package nor network access, so it runs on a copy of the sources.
+"""
+
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_build_py_ships_the_bundled_records(tmp_path):
+    shutil.copy(ROOT / "pyproject.toml", tmp_path)
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    setup = "import setuptools; setuptools.setup()"
+    build = tmp_path / "build"
+    subprocess.run(
+        [sys.executable, "-c", setup, "build_py", "--build-lib", str(build)],
+        cwd=tmp_path,
+        check=True,
+        capture_output=True,
+        timeout=60,
+    )
+    package = build / "unknotone"
+    assert (package / "cli.py").is_file()
+    records = (package / "builtin.json").read_bytes()
+    assert records == (ROOT / "src" / "unknotone" / "builtin.json").read_bytes()
