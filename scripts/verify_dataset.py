@@ -37,12 +37,12 @@ def record_problems(record: KnotRecord) -> list[str]:
     else:
         A = correction_vector(form)
         if not A.gate:
-            problems.append(f"gate fails: A_0 = {A.spin}")
+            problems.append(f"gate fails: A_0 = {A.values[0]}")
         off = [entry for i, row in enumerate(form.gram) for j, entry in enumerate(row) if i != j]
         alternating = min(off, default=0) >= 0 or max(off, default=0) <= 0
         if alternating and record.signature is not None:
             if -A.numerators[0] != record.signature * A.D:
-                problems.append(f"signature {record.signature} != -4 A_0 = {-4 * A.spin}")
+                problems.append(f"signature {record.signature} != -4 A_0 = {-4 * A.values[0]}")
     if record.name in PLUMBING_RECORDS:
         counted = class_count(PlumbingForm(form))
         if not counted.is_lspace:

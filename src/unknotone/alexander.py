@@ -95,27 +95,31 @@ def torsion_from_matching(matching: Matching, B: GammaVector) -> TorsionSequence
         raise ValidationError("matching and comparison vector have different determinants")
     if not (matching.even and matching.positive and matching.symmetric):
         raise ValidationError("torsion extraction needs an even, positive, symmetric matching")
-    if matching.C[0] != 0:
+    if matching.numerators[0] != 0:
         raise ValidationError("torsion extraction needs C_0 = 0")
     n = B.n
+    two = 8 * B.D  # 2 as a numerator over 4D
     per_class: dict[int, tuple[int, int]] = {}
     for i, residue in enumerate(B.v_index):
-        value = matching.C[i]
+        value = matching.numerators[i]
         if residue in per_class:
             j, prev = per_class[residue]
             if prev != value:
+                texts = matching.texts()
                 raise TorsionExtractionError(
                     f"positions {j} and {i} restrict to the same class "
-                    f"but carry {prev} and {value}"
+                    f"but carry {texts[j]} and {texts[i]}"
                 )
         else:
             per_class[residue] = (i, value)
     assigned: dict[int, int] = {}
     for residue, (i, value) in per_class.items():
         index = residue_to_torsion_index(residue, n)
-        half, remainder = divmod(value, 2)
+        half, remainder = divmod(value, two)
         if remainder:
-            raise ValidationError(f"torsion extraction needs an even matching, C_{i} = {value}")
+            raise ValidationError(
+                f"torsion extraction needs an even matching, C_{i} = {matching.texts()[i]}"
+            )
         if index in assigned and assigned[index] != half:
             raise TorsionExtractionError(
                 f"torsion index {index} assigned both {assigned[index]} and {half}"

@@ -121,13 +121,13 @@ def _emit(payload: dict, as_json: bool, text: str) -> None:
 
 
 def cmd_corrections(args: argparse.Namespace) -> int:
-    from .corrections import correction_vector, rational_texts
+    from .corrections import correction_vector
 
     record = _load_single_record(args)
     A = correction_vector(record.form)
     if args.generator is not None:
         A = A.reindexed(args.generator)
-    texts = rational_texts(A.numerators, 4 * A.D)
+    texts = A.texts()
     text = "\n".join(
         [
             f"{record.name}: D = {A.D}",
@@ -147,11 +147,10 @@ def cmd_corrections(args: argparse.Namespace) -> int:
 
 
 def cmd_gamma(args: argparse.Namespace) -> int:
-    from .corrections import rational_texts
     from .gamma import gamma_vector
 
     B = gamma_vector(args.D)
-    texts = rational_texts(B.numerators, 4 * B.D)
+    texts = B.texts()
     text = f"D = {B.D}\nB = " + ", ".join(texts)
     # the covector data is derived only for the JSON
     payload = {
@@ -255,7 +254,6 @@ def cmd_alexander(args: argparse.Namespace) -> int:
 
 
 def cmd_plumbing_check(args: argparse.Namespace) -> int:
-    from .corrections import rational_texts
     from .plumbing import PlumbingForm, class_count, plumbing_corrections
 
     record = _load_single_record(args)
@@ -273,7 +271,7 @@ def cmd_plumbing_check(args: argparse.Namespace) -> int:
     ]
     if counted.is_lspace:
         A = plumbing_corrections(plumbing)
-        payload["A"] = rational_texts(A.numerators, 4 * A.D)
+        payload["A"] = A.texts()
         lines.append("  A = " + ", ".join(payload["A"]))
     _emit(payload, args.json, "\n".join(lines))
     return 0
@@ -335,12 +333,7 @@ def _report_row(entry: dict) -> str:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    from .catalog import (
-        builtin_dataset,
-        decode_record_entries,
-        parse_knot_records,
-        record_from_dict,
-    )
+    from .catalog import builtin_dataset, decode_record_entries, record_from_dict
     from .report import batch_reports
 
     if args.paper_tables:
@@ -359,19 +352,19 @@ def cmd_report(args: argparse.Namespace) -> int:
         _emit(payload, args.json, "\n".join(lines))
         return 0
 
+    # piped standard input is read as with --input -
+    path = args.input or (None if args.all or sys.stdin.isatty() else "-")
     records: list[KnotRecord] = []
     parse_failures: list[dict] = []
-    if args.input:
+    if path is None:
+        records = builtin_dataset()
+    else:
         # Bad records are reported beside the verdicts of the good ones.
-        for i, entry in enumerate(decode_record_entries(_read_text(args.input))):
+        for i, entry in enumerate(decode_record_entries(_read_text(path))):
             try:
                 records.append(record_from_dict(entry, where=f"record {i}"))
             except ValidationError as exc:
                 parse_failures.append({"index": i, "error": str(exc)})
-    elif args.all or sys.stdin.isatty():
-        records = builtin_dataset()
-    else:
-        records = parse_knot_records(_read_text("-"))
 
     reports = batch_reports(records, strong=args.strong)
     summary = {"records": reports, "parse_errors": parse_failures}

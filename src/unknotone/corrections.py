@@ -48,8 +48,10 @@ form of dimension 1 gets a phantom middle coordinate fixed at 0.  A
 maximum does not depend on the order of the scan, so the choice of the
 inner axes changes no value.
 
-The generator is a choice; any two choices differ by reindexing with a unit
-of Z/D, which downstream consumers quantify over anyway.
+The generator g is the one that :func:`unknotone.lattice.cokernel` chose.
+Any other generator is a unit multiple u g, and
+:meth:`CorrectionVector.reindexed` lists the same values against it; the
+consumers downstream quantify over the units anyway.
 
 Which points reach the maxima.  Asked to record, :func:`scan_box` also
 returns, per coset, the first point of the scan that reaches its maximum,
@@ -59,27 +61,27 @@ them.  The verdict path (:func:`correction_vector`) asks for no points: a
 plain loop keeps only the maxima, with no store per strict improvement.
 Both loops share the ranges, the inner axes and the index weights.
 
-What the vector stores.  A point's value is (x^t N x + m D) / 4D, so the
-vector keeps the integer numerators over 4D, which the matching search
-reads as they are.  Output renders A, B and every matching as "p/q" text
-with :func:`rational_texts`, one gcd per distinct numerator; only the
-tests, the benchmark and the scripts read the ``Fraction`` views.
+What the vector stores.  A point's value is (x^t N x + m D) / 4D, so
+:class:`CorrectionVector` is a :class:`unknotone.lattice.RationalVector`:
+it keeps the integer numerators over 4D, which the matching search reads
+as they are, and renders them as "p/q" text with ``texts()``, one gcd per
+distinct numerator.  Its ``values`` view builds ``Fraction``s only for the
+tests, the benchmark and the scripts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from functools import cached_property
 from itertools import product, repeat
 from math import gcd
 from operator import add, itemgetter, mul
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import TEXT_BITS, NonCyclicCokernelError, ValidationError, count_text
 from .lattice import (
     CokernelStructure,
     QuadraticForm,
+    RationalVector,
     Vector,
     characteristic_box,
     check_box_budget,
@@ -87,33 +89,10 @@ from .lattice import (
 )
 
 
-def fractions_over(numerators: Sequence[int], denominator: int) -> tuple[Fraction, ...]:
-    """The rationals numerators[i] / denominator, one ``Fraction`` per distinct numerator."""
-    fraction = {n: Fraction(n, denominator) for n in set(numerators)}
-    return tuple(map(fraction.__getitem__, numerators))
-
-
-def rational_texts(numerators: Sequence[int], denominator: int) -> list[str]:
-    """numerators[i] / denominator as "p/q" in lowest terms, or "p" when q = 1.
-
-    For a positive denominator this is the text of the ``Fraction`` n /
-    denominator, with one gcd and no ``Fraction`` per distinct numerator.
-    """
-    text = {}
-    for n in set(numerators):
-        g = gcd(n, denominator)
-        q = denominator // g
-        text[n] = f"{n // g}/{q}" if q != 1 else str(n // g)
-    return list(map(text.__getitem__, numerators))
-
-
 @dataclass(frozen=True)
-class CorrectionVector:
-    """Exact correction terms A_i = numerators[i] / 4D, indexed by multiples of a generator."""
+class CorrectionVector(RationalVector):
+    """Exact correction terms A_i = numerators[i] / 4D, indexed by multiples of ``generator``."""
 
-    D: int
-    dim: int
-    numerators: tuple[int, ...]
     generator: Vector
 
     def __post_init__(self) -> None:
@@ -123,16 +102,6 @@ class CorrectionVector:
             raise ValidationError(
                 f"correction values must be {self.D} entries with A_i = A_(D-i)"
             )
-
-    @cached_property
-    def values(self) -> tuple[Fraction, ...]:
-        """A_0..A_{D-1} as ``Fraction``s, read by the tests and the benchmark."""
-        return fractions_over(self.numerators, 4 * self.D)
-
-    @property
-    def spin(self) -> Fraction:
-        """The value at the zero coset, read by the tests and ``scripts/verify_dataset.py``."""
-        return Fraction(self.numerators[0], 4 * self.D)
 
     @property
     def gate(self) -> bool:
@@ -149,7 +118,7 @@ class CorrectionVector:
             raise ValidationError(f"{unit} is not a unit mod {self.D}")
         nums = tuple(self.numerators[(unit * i) % self.D] for i in range(self.D))
         generator = tuple(unit * x for x in self.generator)
-        return CorrectionVector(self.D, self.dim, nums, generator)
+        return CorrectionVector(self.D, nums, generator)
 
 
 def scannable_cokernel(form: QuadraticForm) -> CokernelStructure:
@@ -200,41 +169,35 @@ class BoxScan(NamedTuple):
         return map(self.pick, map(add, self.heads, self.tails))
 
 
-def correction_vector(
-    form: QuadraticForm,
-    generator: Optional[Sequence[int]] = None,
-) -> CorrectionVector:
+def correction_vector(form: QuadraticForm) -> CorrectionVector:
     """Correction terms of a negative-definite form with odd cyclic cokernel.
 
-    ``generator`` is an optional covector whose coset must generate the
-    cokernel; by default a deterministic generator is chosen (see
-    :func:`unknotone.lattice.cokernel`).  A form that
-    :func:`scannable_cokernel` refuses raises its error.  The scan records
-    no maximisers.
+    The vector is listed against the generator that
+    :func:`unknotone.lattice.cokernel` chose; ``reindexed`` lists it
+    against a unit multiple.  A form that :func:`scannable_cokernel`
+    refuses raises its error.  The scan records no maximisers.
     """
-    return scan_box(form, generator).vector
+    return scan_box(form).vector
 
 
-def scan_box(
-    form: QuadraticForm, generator: Optional[Sequence[int]] = None, record: bool = False
-) -> BoxScan:
+def scan_box(form: QuadraticForm, record: bool = False) -> BoxScan:
     """The coset-maxima scan behind :func:`correction_vector`; ``record`` keeps its maximisers."""
     structure = scannable_cokernel(form)
     D = structure.order
     m = form.dim
     if m == 0:
-        return BoxScan(CorrectionVector(D=1, dim=0, numerators=(0,), generator=()), [], [], tuple)
+        return BoxScan(CorrectionVector(D=1, numerators=(0,), generator=()), [], [], tuple)
 
-    gen_vec = _resolve_generator(structure, generator)
+    generator = structure.generator
+    assert generator is not None
     # the index weights w = a^{-1} N g mod D with a = g^t N g (module docstring)
-    ng = [sum(map(mul, row, gen_vec)) for row in form.inverse_numerator]
-    inverse = pow(sum(map(mul, gen_vec, ng)), -1, D)
+    ng = [sum(map(mul, row, generator)) for row in form.inverse_numerator]
+    inverse = pow(sum(map(mul, generator, ng)), -1, D)
     best, *recorded = _coset_maxima(form, [inverse * v % D for v in ng], D, record)
 
     # the value of a coset is (b + m D) / 4D for its maximum b of x^t N x
     nums = tuple([b + m * D for b in best])
-    vector = CorrectionVector(D=D, dim=m, numerators=nums, generator=gen_vec)
-    return BoxScan(vector, *recorded)
+    return BoxScan(CorrectionVector(D=D, numerators=nums, generator=generator), *recorded)
 
 
 def _coset_maxima(
@@ -316,18 +279,3 @@ def _coset_maxima(
     # (in dimension 1 the slice drops the phantom and keeps a tuple)
     pick = itemgetter(*where) if form.dim > 1 else itemgetter(slice(1, 2))
     return best, heads, tails, pick
-
-
-def _resolve_generator(
-    structure: CokernelStructure, generator: Optional[Sequence[int]]
-) -> Vector:
-    if generator is None:
-        assert structure.generator is not None
-        return structure.generator
-    gen_vec = tuple(generator)
-    if len(gen_vec) != structure.dim:
-        raise ValidationError("generator covector has the wrong length")
-    label = structure.to_coset(gen_vec)
-    if structure.element_order(label) != structure.order:
-        raise ValidationError(f"covector {gen_vec} does not generate the cokernel")
-    return gen_vec

@@ -13,24 +13,23 @@ lists of 2n - 1 characteristic covectors kappa = (x, y), one list for each
 parity of n.  Each list is a few runs of x in steps of 2 at a fixed y,
 stored once as the table :func:`_kappa_runs`.
 
-The model form has determinant D, so the vector keeps the integer
-numerators of B over 4D, computed run by run from the closed formula
+The model form has determinant D, so :class:`GammaVector` is a
+:class:`unknotone.lattice.RationalVector` of the integer numerators of B
+over 4D, computed run by run from the closed formula
 2D - n y^2 - 2 x (x + y) without building the kappas.  The kappas and the
 integer-surgery class of each position are derived from the same table
-only when read; output renders the numerators as text directly, and
-``values`` is the ``Fraction`` view.
+only when read.  Output renders the numerators with ``texts()``, and
+``values`` is the ``Fraction`` view of the base type.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
-from .corrections import fractions_over
 from .errors import ValidationError
-from .lattice import BOX_BUDGET, QuadraticForm
+from .lattice import BOX_BUDGET, QuadraticForm, RationalVector
 
 Kappa = tuple[int, int]
 
@@ -84,21 +83,14 @@ def kappa_list(n: int) -> list[Kappa]:
 
 
 @dataclass(frozen=True)
-class GammaVector:
-    """The comparison vector B_i = numerators[i] / 4D.
+class GammaVector(RationalVector):
+    """The comparison vector B_i = numerators[i] / 4D, for D = 2n - 1.
 
     The covector data is derived only when read: ``kappas`` for output,
     ``v_index`` for the torsion extraction.
     """
 
-    D: int
     n: int
-    numerators: tuple[int, ...]
-
-    @cached_property
-    def values(self) -> tuple[Fraction, ...]:
-        """B_0..B_{D-1} as ``Fraction``s, read by the tests and the benchmark."""
-        return fractions_over(self.numerators, 4 * self.D)
 
     @cached_property
     def kappas(self) -> tuple[Kappa, ...]:

@@ -28,6 +28,13 @@ their classes, and the walk runs from the other reduced-box seeds and
 walks in the full box.  A box of more than BOX_BUDGET points is refused with a
 ValidationError before anything is scanned, and before the elimination:
 its size reads only the diagonal (:func:`check_box_budget`).
+
+Values over 4D.  A form of determinant D has its pairings v^t G^{-1} v in
+(1/D) Z, so the correction terms (v^t G^{-1} v + m) / 4 lie in (1/4D) Z,
+and so do the model vector and every matching built from the two.
+:class:`RationalVector` holds such a vector as its integer numerators over
+4D; A, B and the matchings all derive from it, and every stage imports
+this module, so the one renderer :func:`rational_texts` lives here too.
 """
 
 from __future__ import annotations
@@ -35,11 +42,53 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm, prod
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import NonCyclicCokernelError, SingularFormError, ValidationError, count_text
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 Vector = tuple[int, ...]
+
+
+def rational_texts(numerators: Sequence[int], denominator: int) -> list[str]:
+    """numerators[i] / denominator as "p/q" in lowest terms, or "p" when q = 1.
+
+    For a positive denominator this is the text of the ``Fraction`` n /
+    denominator, with one gcd and no ``Fraction`` per distinct numerator.
+    """
+    text = {}
+    for n in set(numerators):
+        g = gcd(n, denominator)
+        q = denominator // g
+        text[n] = f"{n // g}/{q}" if q != 1 else str(n // g)
+    return list(map(text.__getitem__, numerators))
+
+
+@dataclass(frozen=True)
+class RationalVector:
+    """The rationals numerators[i] / 4D, kept as their integer numerators.
+
+    The pipeline reads ``numerators`` and output renders them with
+    :meth:`texts`; ``values`` is the one ``Fraction`` view, which only the
+    tests, the benchmark and the scripts read.
+    """
+
+    D: int
+    numerators: tuple[int, ...]
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        """The entries as ``Fraction``s, one object per distinct numerator."""
+        from fractions import Fraction
+
+        fraction = {n: Fraction(n, 4 * self.D) for n in set(self.numerators)}
+        return tuple(map(fraction.__getitem__, self.numerators))
+
+    def texts(self) -> list[str]:
+        """The entries as "p/q" text, from the numerators (:func:`rational_texts`)."""
+        return rational_texts(self.numerators, 4 * self.D)
 
 
 def _validated_rows(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:

@@ -12,8 +12,10 @@ Both searches run on integers.  A and B store their entries as integer
 numerators over 4D, so every C is a tuple of numerators over 4D, and the
 four filters are one integer predicate on them.  A is conjugation-symmetric,
 so the units u and D - u give the same C: only 2u < D is scanned, and each
-C records both pairs.  ``Matching`` keeps C as numerators; ``Matching.C`` is
-a ``Fraction`` view built on first read, which output never reads.
+C records both pairs.  ``Matching`` is a
+:class:`unknotone.lattice.RationalVector` like A and B: it keeps C as
+numerators and renders them with ``texts()``; ``Matching.C`` is the
+``Fraction`` view ``values`` of the base type, which no output reads.
 
 The verdict scan.  Every verdict starts from the even matchings, and
 :func:`even_matchings` finds just those.  C_0 = -B_0 - epsilon A_0 does not
@@ -35,15 +37,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
 from math import gcd
 from operator import add, sub
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .corrections import CorrectionVector, fractions_over, rational_texts
+from .corrections import CorrectionVector
 from .errors import ValidationError
 from .gamma import GammaVector
+from .lattice import RationalVector, rational_texts
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class Outcome(enum.Enum):
@@ -62,11 +66,9 @@ class Outcome(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Matching:
+class Matching(RationalVector):
     """A vector C = numerators / 4D with its (unit, sign) provenance and filter flags."""
 
-    D: int
-    numerators: tuple[int, ...]
     unit: int
     epsilon: int
     provenance: tuple[tuple[int, int], ...]
@@ -75,10 +77,10 @@ class Matching:
     symmetric: bool = False
     staircase: bool = False
 
-    @cached_property
+    @property
     def C(self) -> tuple[Fraction, ...]:
-        """C as ``Fraction``s, for the torsion extraction, the tests and the benchmark."""
-        return fractions_over(self.numerators, 4 * self.D)
+        """C as ``Fraction``s (``values``), for the tests and the benchmark."""
+        return self.values
 
 
 def quarter_point(D: int) -> int:

@@ -18,12 +18,7 @@ from math import gcd
 from typing import Iterable, Optional
 
 from .catalog import KnotRecord
-from .corrections import (
-    CorrectionVector,
-    correction_vector,
-    rational_texts,
-    scannable_cokernel,
-)
+from .corrections import CorrectionVector, correction_vector, scannable_cokernel
 from .errors import MissingSignatureError, NonCyclicCokernelError, UnknotOneError
 from .gamma import GammaVector, gamma_vector
 from .matching import (
@@ -144,11 +139,20 @@ class SignedReport:
 
 
 def sign_refined_record(record: KnotRecord) -> SignedReport:
+    """The sign-refined verdicts of a record that carries a signature.
+
+    A non-cyclic cokernel rules out both crossing signs, as it rules out the
+    unsigned test: both entries are then ``NonCyclicH1``.
+    """
     if record.signature is None:
         raise MissingSignatureError(
             f"record {record.name!r} carries no signature; the signed test needs one"
         )
-    A = correction_vector(record.form)
+    try:
+        A = correction_vector(record.form)
+    except NonCyclicCokernelError:
+        non_cyclic = Verdict(Outcome.NON_CYCLIC_H1, (), gate_applied=False)
+        return SignedReport(record.name, record.signature, non_cyclic, non_cyclic)
     if A.D == 1:
         trivial = Verdict(Outcome.UNKNOT_DETERMINANT, (), gate_applied=False)
         return SignedReport(record.name, record.signature, trivial, trivial)
@@ -201,8 +205,8 @@ def alexander_reports(record: KnotRecord) -> list[AlexanderReport]:
 
 
 # ---------------------------------------------------------------------------
-# JSON rendering: rationals as exact "p/q" strings, never decimals; A and B
-# are rendered from their numerators over 4D.
+# JSON rendering: rationals as exact "p/q" strings, never decimals; A, B and
+# every matching are rendered from their numerators over 4D.
 
 
 def matching_to_json(m: Matching) -> dict:
@@ -210,7 +214,7 @@ def matching_to_json(m: Matching) -> dict:
         "unit": m.unit,
         "epsilon": m.epsilon,
         "provenance": [list(pair) for pair in m.provenance],
-        "C": rational_texts(m.numerators, 4 * m.D),
+        "C": m.texts(),
         "compact": format_compact(m),
         "flags": {
             "even": m.even,
@@ -243,10 +247,10 @@ def report_to_json(report: RecordReport, include_matchings: bool = True) -> dict
     if report.invariant_factors:
         out["invariant_factors"] = list(report.invariant_factors)
     if report.A is not None:
-        out["A"] = rational_texts(report.A.numerators, 4 * report.A.D)
+        out["A"] = report.A.texts()
         out["generator"] = list(report.A.generator)
     if report.B is not None:
-        out["B"] = rational_texts(report.B.numerators, 4 * report.B.D)
+        out["B"] = report.B.texts()
     if include_matchings:
         out["matchings"] = [matching_to_json(m) for m in report.matchings]
     out["witnesses"] = [format_compact(m) for m in report.verdict.witnesses]

@@ -1,21 +1,22 @@
 """Small lattice helpers that only the tests use.
 
 They are plain reimplementations kept outside the package: the points of
-the characteristic box, the map q(v) = G v, the value Q(v, v), the
-closed form of B_0, the model vector B built one pairing at a time, the
-numerators of a matching's ``Fraction`` entries, the four matching filters
-read off those entries, and the adjugate from cofactors over ``Fraction``
-elimination.
+the characteristic box, the map q(v) = G v, the value Q(v, v), the unit
+that reindexes A to another generating covector, the closed form of B_0,
+the model vector B built one pairing at a time, the numerators of a
+matching's ``Fraction`` entries, the four matching filters read off those
+entries, and the adjugate from cofactors over ``Fraction`` elimination.
 """
 
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from types import SimpleNamespace
 
 from unknotone.gamma import kappa_list, model_form
-from unknotone.lattice import characteristic_box
+from unknotone.lattice import characteristic_box, cokernel
 from unknotone.matching import quarter_point
 
 
@@ -32,6 +33,22 @@ def q_map(form, v):
 def evaluate(form, v):
     """Q(v, v) for a lattice vector v."""
     return sum(a * b for a, b in zip(v, q_map(form, v)))
+
+
+def unit_of_covector(form, covector):
+    """The unit u of Z/D with [covector] = u [g], g the generator the cokernel chose.
+
+    ``correction_vector(form).reindexed(u)`` lists A against ``covector``.
+    Found by trying every unit; the covector must generate the cokernel.
+    """
+    structure = cokernel(form)
+    D = structure.order
+    step = structure.to_coset(structure.generator)
+    target = structure.to_coset(covector)
+    (unit,) = [
+        u for u in range(D) if gcd(u, D) == 1 and tuple(u * x % D for x in step) == target
+    ]
+    return unit
 
 
 def spin_reference_value(D):

@@ -17,6 +17,7 @@ from math import gcd
 import pytest
 
 import reference_tables as ref
+from helpers import unit_of_covector
 from unknotone.catalog import builtin_dataset, builtin_record
 from unknotone.corrections import correction_vector
 from unknotone.gamma import gamma_vector, model_form
@@ -112,7 +113,8 @@ def test_criterion_4_negative_controls():
 def test_criterion_5_model_vector_oracle():
     with criterion(5, "comparison vector equals model-form corrections", 60.0):
         for D in range(3, 100, 2):
-            A = correction_vector(model_form(D), generator=(2, 0))
+            form = model_form(D)
+            A = correction_vector(form).reindexed(unit_of_covector(form, (2, 0)))
             assert list(A.values) == list(gamma_vector(D).values), D
 
 

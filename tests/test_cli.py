@@ -1,10 +1,16 @@
+import io
 import json
 import random
+import re
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unknotone.cli import main
 
@@ -329,18 +335,19 @@ def test_gamma_above_budget_is_refused_quickly(src_env):
     ]
 
 
-# Runs one command in a fresh interpreter and prints, as its last line, the
-# package modules it loaded.
+# Runs one command in a fresh interpreter and prints, as its last two lines,
+# the package modules it loaded and whether it loaded ``fractions``.
 LOADED_AFTER = (
     "import sys\n"
     "from unknotone import cli\n"
     "code = cli.main(sys.argv[1:])\n"
     "print(*sorted(m for m in sys.modules if m.startswith('unknotone.')))\n"
+    "print('fractions' in sys.modules)\n"
     "sys.exit(code)\n"
 )
 # the whole module set of these commands, besides cli and errors
 ONLY = {
-    "gamma": {"gamma", "corrections", "lattice"},
+    "gamma": {"gamma", "lattice"},
     "plumbing-check": {"catalog", "lattice", "corrections", "plumbing"},
 }
 
@@ -363,7 +370,10 @@ def test_a_command_loads_only_its_own_modules(command, src_env):
         [sys.executable, "-c", LOADED_AFTER, *argv], env=src_env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = {name.removeprefix("unknotone.") for name in proc.stdout.splitlines()[-1].split()}
+    *_, modules, fractions_loaded = proc.stdout.splitlines()
+    # only the ``values`` views build Fractions, and no command reads them
+    assert fractions_loaded == "False"
+    loaded = {name.removeprefix("unknotone.") for name in modules.split()}
     if argv[0] in ONLY:
         assert loaded == {"cli", "errors", *ONLY[argv[0]]}
     else:
@@ -466,3 +476,175 @@ def test_text_match_renders_no_json(capsys, monkeypatch):
 def test_listing_budget_refuses_only_records_that_would_list(rows, argv, expected, tmp_path, capsys):
     code, out, err = run_main(["match", "--input", _record_file(tmp_path, rows), *argv], capsys)
     assert (code, (out or err).splitlines()[0]) == expected
+
+
+def test_piped_report_reads_like_input_dash(tmp_path, src_env):
+    # one good record and one bad: both print the good verdict and the parse error
+    path = tmp_path / "records.json"
+    bad = {"name": "bad", "goeritz": [[1, 2]]}
+    path.write_text(json.dumps([*json.loads(EIGHT_TEN_JSON), bad]))
+
+    def run(*argv):
+        with path.open() as stdin:
+            proc = subprocess.run(
+                [sys.executable, "-m", "unknotone.cli", "report", *argv],
+                stdin=stdin,
+                env=src_env,
+                capture_output=True,
+                text=True,
+                timeout=30,
+            )
+        return proc.stdout, proc.stderr, proc.returncode
+
+    assert run("--json") == run("--json", "--input", "-")
+    out, err, code = run()
+    assert (out, err, code) == run("--input", "-")
+    assert code == 3
+    assert out.split()[:3] == ["8_10", "D=", "27"]
+    assert err.splitlines() == [
+        "PARSE ERROR: record 1 (bad): bad Goeritz matrix: Gram matrix must be square"
+    ]
+
+
+NON_CYCLIC = {"name": "r", "goeritz": [[-3, 0], [0, -3003]], "signature": 0}
+
+
+def test_sign_refined_on_a_non_cyclic_record(tmp_path, capsys):
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps([NON_CYCLIC]))
+    argv = ["obstruct", "--sign-refined", "--input", str(path)]
+    code, out, err = run_main(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "r: signature 0",
+        "  negative->positive: NonCyclicH1",
+        "  positive->negative: NonCyclicH1",
+    ]
+    code, out, err = run_main([*argv, "--json"], capsys)
+    assert (code, err) == (0, "")
+    verdict = {
+        "outcome": "NonCyclicH1",
+        "obstructed": True,
+        "gate_applied": False,
+        "strong": False,
+        "witnesses": [],
+    }
+    assert json.loads(out) == {
+        "knot": "r",
+        "signature": 0,
+        "negative_to_positive": verdict,
+        "positive_to_negative": verdict,
+    }
+
+
+def test_sign_refined_refuses_a_missing_signature_before_the_cokernel(tmp_path, capsys):
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps([{**NON_CYCLIC, "signature": None}]))
+    code, out, err = run_main(["obstruct", "--sign-refined", "--input", str(path)], capsys)
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [
+        "error: record 'r' carries no signature; the signed test needs one"
+    ]
+
+
+# The CLI-boundary fuzz below sends JSON text through ``main`` within these
+# size bounds:
+# - trees of mixed types hold at most 12 leaves and 4 items per container;
+# - matrices have dimension at most 3, with small entries (|n| <= 12, so a
+#   box has at most 13^3 points) or big ones (2^64 <= |n| <= 10^40: on the
+#   diagonal they put the box above the budget, off it they make the form
+#   indefinite, and the elimination of a 3x3 form is cheap either way);
+# - integer literals of 4,301 to 4,400 digits stand in matrices and
+#   signatures;
+# - white graphs have at most 4 vertices and 6 edges, with loops,
+#   out-of-range ends, bad signs, bridges and duplicate edges.
+# Larger forms with huge off-diagonal entries lie outside these bounds.
+SMALL = st.integers(min_value=-12, max_value=12)
+BIG = st.integers(min_value=2**64, max_value=10**40) | st.integers(
+    min_value=-(10**40), max_value=-(2**64)
+)
+# a literal too long for json.dumps: a string marker, replaced after dumping
+LONG_LITERAL = st.builds(
+    lambda sign, digits: f"\x00long{sign}{digits}",
+    st.sampled_from(["", "-"]),
+    st.integers(min_value=4301, max_value=4400),
+)
+KEYS = st.text(max_size=3) | st.sampled_from(["name", "goeritz", "vertices", "edges"])
+LEAVES = st.none() | st.booleans() | st.floats() | SMALL | BIG | st.text(max_size=3)
+TREES = st.recursive(
+    LEAVES,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(KEYS, children, max_size=4),
+    max_leaves=12,
+)
+
+
+def rarely(draw):
+    """True for about one draw in eight (Hypothesis favours the low end of a range)."""
+    return draw(st.integers(min_value=0, max_value=7)) == 5
+
+
+@st.composite
+def matrices(draw):
+    """Diagonally dominant negative-definite forms, rarely spoiled by a bad entry or row."""
+    dim = draw(st.integers(min_value=0, max_value=3))
+    rows = [[0] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i):
+            rows[i][j] = rows[j][i] = draw(st.integers(min_value=-3, max_value=3))
+    for i in range(dim):
+        rows[i][i] = -sum(map(abs, rows[i])) - draw(st.integers(min_value=1, max_value=6))
+    cells = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
+    for entries in (SMALL, BIG, LONG_LITERAL) if dim else ():
+        if rarely(draw):
+            i, j = draw(cells)
+            rows[i][j] = draw(entries)
+    if dim and rarely(draw):
+        rows[draw(st.integers(0, dim - 1))].append(draw(TREES))  # a ragged row
+    return rows
+
+
+WHITE_GRAPHS = st.fixed_dictionaries({
+    "vertices": st.integers(min_value=0, max_value=4),
+    "edges": st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=3),
+            st.integers(min_value=0, max_value=4),
+            st.sampled_from([1, 1, -1, 0]),
+        ).map(list),
+        max_size=6,
+    ),
+})
+SIGNATURES = SMALL | BIG | LONG_LITERAL
+GOOD_SHAPES = [
+    st.fixed_dictionaries({"name": st.just("k"), key: values}, optional={"signature": SIGNATURES})
+    for key, values in (("goeritz", matrices()), ("white_graph", WHITE_GRAPHS))
+]
+FIELDS = ("goeritz", "white_graph", "signature", "determinant", "mirror_of")
+# records of the right shape, and (less often) records whose fields are any tree
+TREE_RECORDS = st.fixed_dictionaries(
+    {"name": st.one_of(st.just("k"), st.just("k"), TREES)},
+    optional=dict.fromkeys(FIELDS, TREES),
+)
+RECORDS = st.one_of(*GOOD_SHAPES, *GOOD_SHAPES, TREE_RECORDS)
+INPUTS = st.one_of(RECORDS, RECORDS, st.lists(RECORDS, min_size=1, max_size=3), TREES)
+
+
+def _json_text(tree):
+    text = json.dumps(tree)
+    return re.sub(r'"\\u0000long(-?)(\d+)"', lambda m: m[1] + "9" * int(m[2]), text)
+
+
+@settings(max_examples=120, deadline=timedelta(seconds=1))
+@given(INPUTS)
+def test_cli_boundary_fuzz(tree):
+    text = _json_text(tree)
+    for argv in (["obstruct"], ["report", "--json"], ["plumbing-check"]):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(sys, "stdin", io.StringIO(text)):
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([*argv, "--input", "-"])
+        assert code in (0, 3), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code == 3 and argv[0] != "report":
+            assert out.getvalue() == "", argv
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv

@@ -7,10 +7,11 @@ from hypothesis import example, given, strategies as st
 
 from unknotone import lattice
 from unknotone.catalog import builtin_dataset, builtin_record, record_from_dict
-from unknotone.corrections import correction_vector, rational_texts, scannable_cokernel
+from helpers import unit_of_covector
+from unknotone.corrections import correction_vector, scannable_cokernel
 from unknotone.errors import NonCyclicCokernelError, UnknotOneError, ValidationError
 from unknotone.gamma import gamma_vector, model_form
-from unknotone.lattice import QuadraticForm
+from unknotone.lattice import QuadraticForm, rational_texts
 from unknotone.matching import Outcome
 from unknotone.plumbing import PlumbingForm
 from unknotone.report import analyze_record, report_to_json
@@ -49,7 +50,7 @@ def test_eight_ten_matches_published_up_to_unit():
 
 def test_eight_ten_spin_and_gate():
     A = correction_vector(EIGHT_TEN)
-    assert A.spin == Fraction(-1, 2)
+    assert A.values[0] == Fraction(-1, 2)
     assert A.gate
 
 
@@ -63,7 +64,8 @@ def test_model_form_cross_check():
     # the model vector is the correction vector of its own form, indexed by
     # the coset of the covector (2, 0)
     for D in (3, 5, 9, 27):
-        A = correction_vector(model_form(D), generator=(2, 0))
+        form = model_form(D)
+        A = correction_vector(form).reindexed(unit_of_covector(form, (2, 0)))
         assert list(A.values) == list(gamma_vector(D).values)
 
 
@@ -74,7 +76,7 @@ def test_conjugation_symmetry_and_denominators():
         # 4 A_i - m is a squared length of a covector, denominator | det
         assert (4 * A.values[i]).denominator in (1, 3, 9, 27)
     # the spin-class value satisfies the integral congruence on the nose
-    assert (4 * A.values[0] + A.dim).denominator == 1
+    assert (4 * A.values[0] + EIGHT_TEN.dim).denominator == 1
 
 
 def test_non_cyclic_raises():
@@ -91,13 +93,6 @@ def test_even_order_raises():
 def test_indefinite_raises():
     with pytest.raises(ValidationError):
         correction_vector(QuadraticForm.from_rows([[3]]))
-
-
-def test_generator_must_generate():
-    # (3, 0) pairs to a proper subgroup of the order-27 cokernel
-    bad = (3, 0, 0)
-    with pytest.raises(ValidationError):
-        correction_vector(EIGHT_TEN, generator=bad)
 
 
 def test_explicit_generator_reindexes_values():

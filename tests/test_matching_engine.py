@@ -80,22 +80,22 @@ def test_engine_on_random_forms(form):
 def symmetric_vector(D, head):
     """The symmetric vector over 4D with numerators head[min(i, D - i)]."""
     nums = tuple(head[min(i, D - i)] for i in range(D))
-    return CorrectionVector(D=D, dim=1, numerators=nums, generator=(1,))
+    return CorrectionVector(D=D, numerators=nums, generator=(1,))
 
 
 def test_engine_input_must_be_symmetric():
     # the half-unit scan relies on A_i = A_(D-i); the vector refuses anything else
     with pytest.raises(ValidationError, match="A_i = A_"):
-        CorrectionVector(7, 1, tuple(range(7)), (1,))
+        CorrectionVector(7, tuple(range(7)), (1,))
     with pytest.raises(ValidationError, match="7 entries"):
-        CorrectionVector(7, 1, (0,) * 6, (1,))
+        CorrectionVector(7, (0,) * 6, (1,))
 
 
 @pytest.mark.parametrize("shift, even", [(2, True), (1, False)])
 def test_engine_on_a_shifted_model(shift, even):
     # A = -B - shift gives the constant matching C = shift at unit 1 (and D - 1), epsilon +1
     B = gamma_vector(11)
-    A = CorrectionVector(11, 1, tuple(-b - 4 * 11 * shift for b in B.numerators), (1,))
+    A = CorrectionVector(11, tuple(-b - 4 * 11 * shift for b in B.numerators), (1,))
     [m] = [m for m in check_engine(A, B) if m.C == (Fraction(shift),) * 11]
     assert m.even == even
     assert m.positive and m.symmetric and m.staircase

@@ -94,7 +94,7 @@ def test_two_bridge_knots_with_unknotting_number_one_are_not_obstructed():
     for p, q, rows in chains:
         A = correction_vector(QuadraticForm.from_rows(rows))
         # Manolescu-Owens: 2 d(Sigma(K), s_0) = -sigma / 2 for alternating K
-        assert -4 * A.spin == two_bridge_signature(p, q), (p, q)
+        assert -4 * A.values[0] == two_bridge_signature(p, q), (p, q)
         if not two_bridge_u1(p, q):
             continue
         unknotted += 1

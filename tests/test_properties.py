@@ -72,7 +72,7 @@ def test_correction_vector_conjugation_symmetry(form):
     A = correction_vector(form)
     D = A.D
     assert all(A.values[i] == A.values[(D - i) % D] for i in range(D))
-    assert (4 * A.values[0] + A.dim).denominator == 1
+    assert (4 * A.values[0] + form.dim).denominator == 1
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
