@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the characteristic-box scans on chain forms, one star and two verdict-path forms.
+"""Time the characteristic-box scans and class counts on chains, stars and verdict-path forms.
 
     PYTHONPATH=src python scripts/box_sweep.py [REPEATS]
 
@@ -13,18 +13,24 @@ are already computed:
   so a point costs O(1) there; each point of the other coordinates (a
   head) costs O(dim^2) once.
 - ``class_count_s`` times the class count.  On a form with odd cyclic
-  cokernel (all rows here) that includes the same coset-maximum scan,
-  recording one maximiser per coset, whose classes are then settled; the
-  walk runs from the other seeds of the reduced box and walks inside the
-  full box of prod (|G_ii| + 1) points.
+  cokernel that includes the same coset-maximum scan, recording one
+  maximiser per coset.  The count then closes two sets of points of the
+  full box of prod (|G_ii| + 1) points, held as integer bitsets: the
+  points whose push leaves the box and the recorded maximisers, each under
+  the pushes, by a frontier loop whose steps cost O(dim) bitwise
+  operations over the box.  Only the classes outside both closures are
+  walked, one box point at a time.
 
 The chain forms have diagonal -5 and 1 beside it, in dimension 6 and 7,
-so their boxes have 6^dim points (46,656 and 279,936); on chains most
-classes lie inside the box, so the walk visits most of the full box
-whatever its seeds.  The dimension-8 star has centre -3 and legs
-(-2, -2, -2), (-2, -3), (-2, -2): six -2 vertices, a box of 11,664 points
-and 576 reduced seeds, most of whose classes leave the box, so there the
-seed count sets the walk's work.
+so their boxes have 6^dim points (46,656 and 279,936); they and the
+dimension-8 star (centre -3, legs (-2, -2, -2), (-2, -3), (-2, -2), a box
+of 11,664 points) are L-spaces, so every class inside the box is settled
+and no walk runs: the scan and the closures set the work.
+
+The non-L-space row times the walk.  Its 7-dimensional form has an even
+determinant, 27,804, so no coset maximum is recorded, and 62,353 classes
+inside its box of 508,032 points (34,549 beyond |det|): the walk visits
+every point of them.
 
 The verdict-path rows time ``correction_vector`` alone.  The two-bridge
 form [[-2, 1], [1, -50000]] has D = 99,999 and no head: one range of
@@ -73,6 +79,19 @@ SHAPES = {
     "star_dim8_centre-3": star(-3, [[-2, -2, -2], [-2, -3], [-2, -2]]),
 }
 
+# classes beyond |det|, and an even determinant: nothing is settled
+NON_LSPACE_SHAPES = {
+    "non_lspace_dim7": [
+        [-5, 0, -1, 1, -1, 0, 2],
+        [0, -6, 2, 1, 2, -2, 2],
+        [-1, 2, -5, 0, 1, 1, 1],
+        [1, 1, 0, -6, -1, 0, 0],
+        [-1, 2, 1, -1, -5, 1, 1],
+        [0, -2, 1, 0, 1, -7, 1],
+        [2, 2, 1, 0, 1, 1, -5],
+    ],
+}
+
 VERDICT_SHAPES = {
     "two_bridge_D99999": [[-2, 1], [1, -50000]],
     "chain_dim8_diag-5_last-4": chain(8, last=-4),
@@ -108,6 +127,17 @@ def main() -> int:
             "D": A.D,
             "classes": counted.count,
             "correction_vector_s": round(statistics.median(corrections_s), 3),
+            "class_count_s": round(statistics.median(count_s), 3),
+        }
+    for name, rows in NON_LSPACE_SHAPES.items():
+        count_s = []
+        for _ in range(repeats):
+            seconds, counted = cpu_seconds(class_count, PlumbingForm(fresh(rows)))
+            count_s.append(seconds)
+        out[name] = {
+            "box": prod(1 - rows[i][i] for i in range(len(rows))),
+            "determinant": counted.determinant,
+            "classes": counted.count,
             "class_count_s": round(statistics.median(count_s), 3),
         }
     for name, rows in VERDICT_SHAPES.items():

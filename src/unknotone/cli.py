@@ -8,7 +8,9 @@ Each handler imports the modules it calls, so a cold run loads only those
 of its own subcommand.
 
 Exit codes: 0 computation completed (obstructed verdicts included),
-2 usage errors, 3 invalid input, 4 internal inconsistency.
+2 usage errors, 3 invalid input, 4 internal inconsistency, 141 standard
+output closed before everything was written (a reader such as ``head``
+stopped early).
 """
 
 from __future__ import annotations
@@ -336,6 +338,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     from .catalog import builtin_dataset, decode_record_entries, record_from_dict
     from .report import batch_reports
 
+    if args.all and args.input:
+        raise ValidationError("give only one of --all and --input")
     if args.paper_tables:
         payload = _paper_tables_payload(strong=args.strong)
         lines = [
@@ -392,7 +396,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        code = COMMANDS[args.command](args)
+        # write what is buffered now, so that a reader that stopped early is seen here
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed standard output early: the rest goes to the null
+        # device, so that the flush at exit raises nothing either
+        import os
+
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        # 128 + SIGPIPE, the status a shell reports for a writer its reader stopped
+        return 141
     except TorsionExtractionError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 4

@@ -21,11 +21,12 @@ the scan.
 
 What is refused.  :func:`scannable_cokernel` is the one place that decides
 whether a form's correction terms can be scanned.  It refuses, in this
-order, a box above the budget, a singular form, an even determinant, one
-too long to print, a non-cyclic cokernel and an indefinite form.  The box
-comes first because its size reads only the dimension and the diagonal, so
-an over-budget form is refused before the elimination, whose cost grows
-with the cube of the dimension and with the size of the entries.
+order, a box above the budget, an off-diagonal entry with
+G_ij^2 > G_ii G_jj, a singular form, an even determinant, one too long to
+print, a non-cyclic cokernel and an indefinite form.  The first two read
+only the Gram entries, so such a form is refused before the elimination,
+whose cost grows with the cube of the dimension and with the size of the
+entries.
 ``correction_vector`` calls it, and so does the analysis driver before it
 decides on a listing; the form keeps the cokernel and the box it built, so
 the second call repeats no work.
@@ -85,6 +86,7 @@ from .lattice import (
     Vector,
     characteristic_box,
     check_box_budget,
+    check_off_diagonal,
     cokernel,
 )
 
@@ -127,12 +129,16 @@ def scannable_cokernel(form: QuadraticForm) -> CokernelStructure:
     Raises, in this order: :class:`ValidationError` on a form whose box,
     read from its dimension and diagonal before the elimination
     (:func:`unknotone.lattice.check_box_budget`), is above
-    :data:`unknotone.lattice.BOX_BUDGET` points; :class:`SingularFormError`
-    on a singular form; :class:`ValidationError` on an even determinant or one
-    above ``TEXT_BITS`` bits, too long to print; :class:`NonCyclicCokernelError`
-    on a non-cyclic cokernel; and :class:`ValidationError` on an indefinite form.
+    :data:`unknotone.lattice.BOX_BUDGET` points; :class:`ValidationError` on
+    an off-diagonal entry that no negative-definite form has, also read
+    before the elimination (:func:`unknotone.lattice.check_off_diagonal`);
+    :class:`SingularFormError` on a singular form; :class:`ValidationError`
+    on an even determinant or one above ``TEXT_BITS`` bits, too long to
+    print; :class:`NonCyclicCokernelError` on a non-cyclic cokernel; and
+    :class:`ValidationError` on an indefinite form.
     """
     check_box_budget(form)
+    check_off_diagonal(form)
     structure = cokernel(form)
     if structure.order % 2 == 0:
         order = count_text(structure.order)

@@ -23,11 +23,12 @@ keeps them beside the elimination, so every stage that asks shares them.
 
 The characteristic box is defined once, in :func:`characteristic_box`.
 The correction terms scan the reduced box G_ii + 2 <= x_i <= -G_ii inside
-it.  The class walk shares that scan: the coset maxima it finds settle
-their classes, and the walk runs from the other reduced-box seeds and
-walks in the full box.  A box of more than BOX_BUDGET points is refused with a
-ValidationError before anything is scanned, and before the elimination:
-its size reads only the diagonal (:func:`check_box_budget`).
+it.  The class count shares that scan: the coset maxima it finds settle
+their classes, and the count closes sets of points of the full box.  A box
+of more than BOX_BUDGET points is refused with a ValidationError before
+anything is scanned, and before the elimination: its size reads only the
+diagonal (:func:`check_box_budget`).  So is an off-diagonal entry that no
+negative-definite form has (:func:`check_off_diagonal`).
 
 Values over 4D.  A form of determinant D has its pairings v^t G^{-1} v in
 (1/D) Z, so the correction terms (v^t G^{-1} v + m) / 4 lie in (1/4D) Z,
@@ -249,14 +250,15 @@ class QuadraticForm:
 
 
 # The most points the characteristic box may have.  The box has
-# prod(|G_ii| + 1) points and the class walk is linear in that (it seeds
-# from the reduced box but walks in the full one); the coset maxima scan
-# the prod |G_ii| points of the reduced box.  On the 8-dimensional chain
-# form with diagonal -5 (seven times) and -6, whose box has 1.96e6 points,
-# class_count takes 1.1 to 1.6 s and correction_vector 0.3 to 0.4 s of CPU
-# on one pinned core of a 2-vCPU machine (CPython 3.11.7), with a 73 MB
-# peak.  A larger box is refused up front instead of running for hours: a
-# 6 x 6 form with diagonal -41 has 5.5e9 points.
+# prod(|G_ii| + 1) points; the coset maxima scan the prod |G_ii| points of
+# the reduced box, and the class count closes bitsets of the full box, one
+# bit per point, at a cost linear in the box per frontier step.  On the
+# 8-dimensional chain form with diagonal -5 (seven times) and -6, whose box
+# has 1.96e6 points, class_count takes 0.43 to 0.76 s (most of it the
+# scan) and correction_vector 0.22 to 0.28 s of CPU on one pinned core of a
+# 2-vCPU Xeon (CPython 3.11.7), with a 55 MB peak, which is the scan's.  A
+# larger box is refused up front instead of running for hours: a 6 x 6
+# form with diagonal -41 has 5.5e9 points.
 BOX_BUDGET = 2_000_000
 
 # A negative-definite form has every G_ii <= -1, so its box has at least
@@ -287,6 +289,28 @@ def check_box_budget(form: QuadraticForm) -> None:
                 f"characteristic box has {count_text(size)} points, above the budget of "
                 f"{BOX_BUDGET}"
             )
+
+
+def check_off_diagonal(form: QuadraticForm) -> None:
+    """Refuse, from the Gram entries alone, an off-diagonal entry too large to be definite.
+
+    A negative-definite form has G_ij^2 < G_ii G_jj, its 2 x 2 principal
+    minors being positive.  When every diagonal entry is negative, a form
+    with G_ij^2 > G_ii G_jj is refused here, before the elimination, whose
+    cost grows with the size of the entries; with equality, or a diagonal
+    entry >= 0, the refusal is left to the checks that follow the
+    elimination.  Past :func:`check_box_budget` this bounds every entry by
+    the diagonal.
+    """
+    diag = [form.gram[i][i] for i in range(form.dim)]
+    if all(d < 0 for d in diag):
+        for i, row in enumerate(form.gram):
+            for j in range(i):
+                if row[j] * row[j] > diag[i] * diag[j]:
+                    raise ValidationError(
+                        f"Gram entry ({i}, {j}) has G_ij^2 > G_ii G_jj; the form is not "
+                        "negative-definite"
+                    )
 
 
 def characteristic_box(form: QuadraticForm) -> list[range]:

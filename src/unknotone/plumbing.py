@@ -27,40 +27,36 @@ in the box (see :mod:`unknotone.corrections`): the whole class lies
 inside the box.  On a form with odd cyclic cokernel the coset-maxima
 scan, which the correction terms need anyway, gives one reduced-box
 maximiser per coset.  Those D points lie in D distinct classes, one per
-coset, so the count is at least D; each is marked as a settled walk and
-counted before any walk starts.  A coset may have maximisers in more than
-one class (the sharp 10_148 form has 43 such classes for D = 31); the
-classes of the unrecorded ones are walked like any other.
+coset, and are counted as settled.  A coset may have maximisers in more
+than one class (the sharp 10_148 form has 43 such classes for D = 31); the
+classes of the unrecorded ones are counted like any other.
 
-The count then walks each class from the other seeds and stops early: at a
-push that leaves the box, or at a covector that a settled class or an
-earlier walk holds.  The count stays exact.  A push is undone by the
-opposite push, so a class is a connected component of an undirected graph,
-and lying inside the box is a property of the whole component.  A walk
-never leaves its class, and a walk whose class lies inside the box and
-holds no settled point never stops early, so it visits the whole class and
-every later seed of that class is skipped.  A covector that a settled class
-or an earlier walk holds therefore lies in a class that is counted already
-(only another maximising seed of the same class reaches a settled point) or
-in a class whose walk was stopped because it leaves the box; either way
-the walk that reaches it adds nothing.  On an even or non-cyclic cokernel
-nothing is settled and every class is walked.  Walks reach the lower walls
-too, so the record of reached covectors covers the full box; only
-covectors inside the box are visited, so the work is bounded by its size.
+How the count runs.  A push is undone by the opposite push, so a class is
+a connected component of an undirected graph, and the in-box classes are
+the components of the box points with no push that leaves the box.  A set
+of box points is an ``int`` bitset over the places of the scan order.  At
+vertex i the upper-wall points whose push stays in the box form a box of
+intervals, and the push moves them all by one place shift onto the lower
+wall; the other wall points push out of the box.  Closed under the 2 dim
+shifted sets by a frontier loop, at O(dim) bitwise operations over the
+box per step, those points fill the classes that leave the box, and the
+recorded maximisers fill the D settled classes.  The rest is a union of
+in-box classes, each meeting the reduced box: a plain walk from its seeds
+there counts them.  On an L-space with odd cyclic cokernel nothing is left.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import repeat
 from math import prod
-from operator import mul
-from typing import Optional, Sequence
+from operator import add, mul, rshift
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .corrections import BoxScan, CorrectionVector, correction_vector, scan_box
 from .errors import ValidationError
-from .lattice import QuadraticForm, characteristic_box, check_box_budget, cokernel
+from .lattice import QuadraticForm, check_box_budget, check_off_diagonal, cokernel
 
 
 @dataclass(frozen=True)
@@ -74,8 +70,9 @@ class PlumbingForm:
         return PlumbingForm(QuadraticForm.from_rows(rows))
 
     def __post_init__(self) -> None:
-        # the box budget reads only the diagonal, so it is checked before the elimination
+        # both checks read only the Gram entries, so they run before the elimination
         check_box_budget(self.form)
+        check_off_diagonal(self.form)
         if not self.form.is_negative_definite:
             raise ValidationError("plumbing checks require a negative-definite form")
 
@@ -92,7 +89,7 @@ class PlumbingForm:
 
     @cached_property
     def classes(self) -> ClassCount:
-        """The in-box class count, walked once per form."""
+        """The in-box class count, counted once per form."""
         count = _count_classes(self)
         determinant = abs(self.form.det)
         return ClassCount(count=count, determinant=determinant, is_lspace=count == determinant)
@@ -108,7 +105,7 @@ class ClassCount:
 def class_count(plumbing: PlumbingForm) -> ClassCount:
     """Count in-box equivalence classes of characteristic covectors.
 
-    The count is kept on ``plumbing``, so asking again walks nothing.
+    The count is kept on ``plumbing``, so asking again counts nothing.
     """
     return plumbing.classes
 
@@ -116,86 +113,119 @@ def class_count(plumbing: PlumbingForm) -> ClassCount:
 def _count_classes(plumbing: PlumbingForm) -> int:
     """The number of push classes lying entirely inside the box.
 
-    The classes of the coset maximisers that ``plumbing.scan`` found are
-    counted without a walk.  The other seeds come from the reduced box
-    G_ii + 2 <= x_i <= -G_ii, which every in-box class meets; each walk
-    stops at the box wall or at a point that a settled class or an earlier
-    walk holds.  The module docstring gives the reasons the count stays
-    exact.
+    The classes that leave the box and those of the scan's maximisers are
+    closed over the whole box as bitsets (module docstring); only the
+    classes left are walked.
     """
-    form = plumbing.form
-    dim = form.dim
-    gram = form.gram
-    box = characteristic_box(form)
-    sizes = [len(rg) for rg in box]
-    bound = [-gram[i][i] for i in range(dim)]
-    # A box point's place in the scan order is sum_j (x_j + |G_jj|) / 2 * stride_j,
-    # so a push at vertex i, which moves x_j by 2 G_ji, moves the place by shift_i.
-    stride = [prod(sizes[j + 1 :]) for j in range(dim)]
-    offset = sum(map(mul, bound, stride))
-    # Per vertex i, the push from each wall x_i = +-|G_ii|: its signed place
-    # shift and its moves (j, delta, low, high), where the pushed point stays
-    # in the box exactly when low <= x_j <= high for every move.
-    pushes = []
-    for i in range(dim):
-        shift = sum(gram[j][i] * stride[j] for j in range(dim))
-        walls = []
-        for sign in (1, -1):
-            moves = [
-                (j, delta, -bound[j] - delta, bound[j] - delta)
-                for j in range(dim)
-                if (delta := 2 * sign * gram[j][i])
-            ]
-            walls.append((sign * shift, moves))
-        pushes.append((i, bound[i], *walls))
-    # the walk (named by the place of its seed) that reached each box point;
-    # each coset maximiser of the scan stands for its settled class
-    walk_of = [-1] * prod(sizes)
-    good = 0
+    # the scan runs first, so its peak and that of the sets below do not add up
     scan = plumbing.scan
-    if scan is not None:
-        for point in scan.maximisers():
-            place = (sum(map(mul, point, stride)) + offset) >> 1
-            walk_of[place] = place
+    form = plumbing.form
+    gram = form.gram
+    bound = [-gram[i][i] for i in range(form.dim)]
+    sizes = [b + 1 for b in bound]
+    total = prod(sizes)
+    # a point's place is sum_j (x_j + |G_jj|) / 2 * stride_j; a push at i moves it by shift_i
+    stride = [prod(sizes[j + 1 :]) for j in range(form.dim)]
+    shifts = [sum(map(mul, column, stride)) for column in gram]
+    # per vertex i, the upper-wall points whose push stays in the box and
+    # their images on the lower wall; the other wall points push out of it
+    moves, leaving = [], 0
+    for i, (column, shift) in enumerate(zip(gram, shifts)):
+        pushed = _box_set([(max(0, -g), min(b, b - g)) for g, b in zip(column, bound)], sizes)
+        back = pushed << shift if shift >= 0 else pushed >> -shift
+        upper = _box_set([(b, b) if j == i else (0, b) for j, b in enumerate(bound)], sizes)
+        leaving |= (upper ^ pushed) | ((upper >> bound[i] * stride[i]) ^ back)
+        moves.append((pushed, back, shift) if shift >= 0 else (back, pushed, -shift))
+    left = ((1 << total) - 1) ^ _closure(leaving, moves)
+    good = 0
+    if scan is not None and scan.heads:
+        # each coset maximiser of the scan stands for its settled class
+        left ^= _closure(_bitset(_maximiser_places(scan, bound, stride), total), moves)
         good = len(scan.heads)
-    # a seed's place is the sum of one term per coordinate, added up in C
-    seeds = [range(rg.start + 2, rg.stop, 2) for rg in box]
-    terms = [[(x + bound[j]) // 2 * stride[j] for x in seeds[j]] for j in range(dim)]
-    for walk, seed in zip(map(sum, product(*terms)), product(*seeds)):
-        if walk_of[walk] >= 0:
+    if not left:
+        return good
+    # what is left is closed under the pushes and lies inside the box
+    visited = bytearray(total)
+    axes = list(zip(stride, sizes, bound, shifts))
+    for seed in _places(left & _box_set([(1, b) for b in bound], sizes)):
+        if visited[seed]:
             continue
-        walk_of[walk] = walk
-        stack = [(walk, list(seed))]
-        inside = True
-        while stack and inside:
-            place, current = stack.pop()
-            for i, wall, upper, lower in pushes:
-                x = current[i]
-                if x == wall:
-                    shift, moves = upper
-                elif x == -wall:
-                    shift, moves = lower
+        good += 1
+        visited[seed] = 1
+        stack = [seed]
+        while stack:
+            place = stack.pop()
+            for step, size, top, shift in axes:
+                at = place // step % size
+                if at == top:
+                    reached = place + shift
+                elif at == 0:
+                    reached = place - shift
                 else:
                     continue
-                for j, _, low, high in moves:
-                    if not low <= current[j] <= high:
-                        inside = False
-                        break
-                else:
-                    reached_place = place + shift
-                    reached = walk_of[reached_place]
-                    if reached < 0:
-                        walk_of[reached_place] = walk
-                        pushed = current.copy()
-                        for j, delta, _, _ in moves:
-                            pushed[j] += delta
-                        stack.append((reached_place, pushed))
-                        continue
-                    inside = reached == walk
-                if not inside:
-                    break
-        good += inside
+                if not visited[reached]:
+                    visited[reached] = 1
+                    stack.append(reached)
     return good
+
+
+def _maximiser_places(scan: BoxScan, bound: Sequence[int], stride: Sequence[int]) -> Iterator[int]:
+    """The places of the recorded maximisers, summed once per distinct head and tail."""
+    cut = len(scan.heads[0])
+    # pick, applied to the positions in head + tail, gives each coordinate's position
+    weights = [0] * (cut + len(scan.tails[0]))
+    for position, step in zip(scan.pick(range(len(weights))), stride):
+        weights[position] = step
+    offset = sum(map(mul, bound, stride))
+    head = {p: sum(map(mul, p, weights[:cut])) for p in set(scan.heads)}
+    tail = {t: sum(map(mul, t, weights[cut:])) + offset for t in set(scan.tails)}
+    twice = map(add, map(head.__getitem__, scan.heads), map(tail.__getitem__, scan.tails))
+    return map(rshift, twice, repeat(1))
+
+
+def _box_set(intervals: Sequence[tuple[int, int]], sizes: Sequence[int]) -> int:
+    """The places whose coordinate j lies in intervals[j], doubled from the innermost axis out."""
+    bits, width = 1, 1
+    for (lo, hi), size in zip(reversed(intervals), reversed(sizes)):
+        if hi < lo:
+            return 0
+        copies = 1
+        while copies <= hi - lo:
+            bits |= bits << copies * width
+            copies *= 2
+        bits = (bits & (1 << (hi - lo + 1) * width) - 1) << lo * width
+        width *= size
+    return bits
+
+
+def _closure(bits: int, moves: Sequence[tuple[int, int, int]]) -> int:
+    """``bits`` and all they reach: each move sends ``up`` up and ``down`` down ``shift`` places."""
+    reached = frontier = bits
+    while frontier:
+        step = 0
+        for up, down, shift in moves:
+            step |= (frontier & up) << shift | (frontier & down) >> shift
+        frontier = step & ~reached
+        reached |= frontier
+    return reached
+
+
+def _bitset(places: Iterable[int], size: int) -> int:
+    """The bitset of ``places``, all below ``size``, read from one string of binary digits."""
+    digits = bytearray(b"0") * size
+    for place in places:
+        digits[place] = ord("1")
+    digits.reverse()
+    return int(digits, 2)
+
+
+def _places(bits: int) -> Iterator[int]:
+    """The set places of a bitset, lowest first."""
+    text = bin(bits)[:1:-1]
+    place = text.find("1")
+    while place >= 0:
+        yield place
+        place = text.find("1", place + 1)
 
 
 def plumbing_corrections(plumbing: PlumbingForm) -> CorrectionVector:

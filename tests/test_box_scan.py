@@ -1,15 +1,16 @@
 """The box scans against plain references kept in this file.
 
 The correction terms scan the reduced box and index each point directly
-by its linking form with the generator; the class walk stops at the box
-wall.  Each is compared with the direct computation it replaces: for the
-correction terms, the maxima over the full box per tuple coset label,
-listed by walking the multiples of the generator; for the class count, a
-walk that follows every class to its end before deciding whether it stays
-in the box.  The same full walk checks the lemmas behind the class walk's
-seeds without calling the walk or the scan: every class inside the box
-meets the reduced box, and every class that holds a coset maximiser lies
-inside the box, so for odd D at least D classes do.
+by its linking form with the generator; the class count closes the
+classes that leave the box and walks only those left.  Each is compared
+with the direct computation it replaces: for the correction terms, the
+maxima over the full box per tuple coset label, listed by walking the
+multiples of the generator; for the class count, a walk that follows
+every class to its end before deciding whether it stays in the box.  The
+same full walk checks the lemmas behind the class count's seeds without
+calling the count or the scan: every class inside the box meets the
+reduced box, and every class that holds a coset maximiser lies inside the
+box, so for odd D at least D classes do.
 """
 
 from fractions import Fraction
@@ -20,7 +21,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from helpers import unit_of_covector
 from test_properties import cyclic_odd, negative_definite_forms
-from unknotone import corrections
+from unknotone import corrections, plumbing as plumbing_mod
 from unknotone.catalog import builtin_record
 from unknotone.corrections import correction_vector, scan_box
 from unknotone.errors import ValidationError
@@ -248,6 +249,67 @@ def test_maximiser_class_meeting_reduced_box_twice():
     assert twice == [{(-4, -4), (-2, 4), (4, -2)}]
     assert_maximiser_classes_inside_box(rows)
     assert class_count(PlumbingForm.from_rows(rows)).count == reference_class_count(rows) == 15
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # |G_01| >= |G_11| + 1: every push at vertex 0 leaves the box
+        [[-5, 2], [2, -1]],
+        [[-10, 3], [3, -1]],
+        [[-7, 3], [3, -2]],
+        [[-7, 3, 0], [3, -2, 1], [0, 1, -3]],
+        # negative entries move the pushed places down: negative place shifts
+        [[-3, -1], [-1, -3]],
+        [[-3, -1], [-1, -4]],
+        [[-5, -2, 1], [-2, -4, -1], [1, -1, -3]],
+        [[-1]],
+        [[-5]],
+    ],
+    ids=[
+        "empty-band",
+        "empty-band-by-two",
+        "empty-band-odd",
+        "empty-band-dimension-3",
+        "negative-even",
+        "negative-odd",
+        "mixed-signs",
+        "dimension-1-one-point",
+        "dimension-1",
+    ],
+)
+def test_class_count_matches_full_walk_on_edge_shapes(rows):
+    assert class_count(PlumbingForm.from_rows(rows)).count == reference_class_count(rows)
+
+
+TEN_148 = [
+    [-4, 3, 1, 0, 1],
+    [3, -5, 0, 0, 0],
+    [1, 0, -2, 1, 0],
+    [0, 0, 1, -2, 0],
+    [1, 0, 0, 0, -2],
+]
+
+
+def test_only_the_classes_left_after_the_closures_are_walked(monkeypatch):
+    seeds = []
+    places = plumbing_mod._places
+
+    def spy(bits):
+        for place in places(bits):
+            seeds.append(place)
+            yield place
+
+    monkeypatch.setattr(plumbing_mod, "_places", spy)
+    # 10_148 has 55 classes inside the box for D = 31: the walk counts 24 of them
+    plumbing = PlumbingForm.from_rows(TEN_148)
+    assert class_count(plumbing).count == reference_class_count(TEN_148) == 55
+    assert abs(plumbing.form.det) == len(plumbing.scan.heads) == 31
+    assert len(seeds) >= 24
+    # 10_125 certifies: every class inside the box is settled, and no walk starts
+    seeds.clear()
+    assert class_count(PlumbingForm(builtin_record("10_125").form)).count == 11
+    assert seeds == []
 
 
 @pytest.mark.parametrize("rows", [[[-2]], [[-3, 0], [0, -3]]], ids=["even", "non-cyclic"])

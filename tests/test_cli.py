@@ -176,6 +176,33 @@ def test_cli_entrypoint_subprocess():
     assert "NoSymmetricMatching" in proc.stdout
 
 
+def test_a_reader_that_stops_early_ends_the_run_quietly(src_env):
+    # the JSON tables, about 120 kB, are more than a pipe holds, so the run is
+    # still writing when the reader closes after two lines, as `| head -2` does
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "unknotone.cli", "report", "--all", "--paper-tables", "--json"],
+        env=src_env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        bufsize=0,
+    )
+    lines = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert lines == [b"{\n", b'  "asymmetric_only": [\n']
+    assert err == b""
+
+
+@pytest.mark.parametrize("tables", [[], ["--paper-tables"]], ids=["batch", "paper-tables"])
+def test_report_refuses_all_with_input(tables, tmp_path, capsys):
+    path = tmp_path / "record.json"
+    path.write_text(EIGHT_TEN_JSON)
+    code, out, err = run_main(["report", "--all", *tables, "--input", str(path)], capsys)
+    assert (code, out, err.splitlines()) == (3, "", ["error: give only one of --all and --input"])
+
+
 def test_cli_import_leaves_process_pool_out(src_env):
     code = (
         "import sys, unknotone.cli; "
@@ -250,9 +277,10 @@ def test_undecodable_input_exits_3_in_one_line(command, text, message, tmp_path,
             [[-(10**4000), 0], [0, -(10**4000)]],
             "error: characteristic box has more than 2^26575 points, above the budget of 2000000",
         ),
-        # a small box, but an even determinant of 26,576 bits
+        # an even determinant of 26,576 bits; the diagonal is positive, since with a
+        # negative one the entry bound refuses these entries before the elimination
         (
-            [[-2, 10**4000], [10**4000, -2]],
+            [[2, 10**4000], [10**4000, 2]],
             "error: cokernel order more than 2^26575 is even; need a knot form",
         ),
     ],
@@ -265,28 +293,42 @@ def test_integers_too_long_to_print_are_refused_in_one_line(rows, message, tmp_p
 
 # non-cyclic (Z/3 + Z/(D/3)) with D of 26,579 bits, of either sign on the
 # diagonal: the NonCyclicH1 verdict and the cokernel error would print D
-# and its invariant factors
+# and its invariant factors.  With the negative diagonal the entry bound
+# refuses the form first, before the elimination.
 TOO_LONG_TO_PRINT = {
-    "negative": [[-3, 3 * 10**4000], [3 * 10**4000, -3]],
-    "positive": [[3, 3 * 10**4000], [3 * 10**4000, 3]],
+    "negative": (
+        [[-3, 3 * 10**4000], [3 * 10**4000, -3]],
+        "Gram entry (1, 0) has G_ij^2 > G_ii G_jj; the form is not negative-definite",
+    ),
+    "positive": (
+        [[3, 3 * 10**4000], [3 * 10**4000, 3]],
+        "cokernel order more than 2^26578 is too long to print",
+    ),
 }
-TOO_LONG_MESSAGE = "cokernel order more than 2^26578 is too long to print"
 
 
 @pytest.mark.parametrize(
     "command", [["obstruct"], ["obstruct", "--json"], ["corrections", "--json"]], ids=" ".join
 )
-@pytest.mark.parametrize("rows", TOO_LONG_TO_PRINT.values(), ids=TOO_LONG_TO_PRINT.keys())
-def test_a_determinant_too_long_to_print_is_refused_in_one_line(command, rows, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "rows, message", TOO_LONG_TO_PRINT.values(), ids=TOO_LONG_TO_PRINT.keys()
+)
+def test_a_determinant_too_long_to_print_is_refused_in_one_line(
+    command, rows, message, tmp_path, capsys
+):
     path = _record_file(tmp_path, rows)
     start = time.perf_counter()
     code, out, err = run_main([*command, "--input", path], capsys)
     assert time.perf_counter() - start < 1.0
-    assert (code, out, err.splitlines()) == (3, "", [f"error: {TOO_LONG_MESSAGE}"])
+    assert (code, out, err.splitlines()) == (3, "", [f"error: {message}"])
 
 
-@pytest.mark.parametrize("rows", TOO_LONG_TO_PRINT.values(), ids=TOO_LONG_TO_PRINT.keys())
-def test_report_enters_a_determinant_too_long_to_print_as_an_error(rows, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "rows, message", TOO_LONG_TO_PRINT.values(), ids=TOO_LONG_TO_PRINT.keys()
+)
+def test_report_enters_a_determinant_too_long_to_print_as_an_error(
+    rows, message, tmp_path, capsys
+):
     path = _record_file(tmp_path, rows)
     start = time.perf_counter()
     code, out, err = run_main(["report", "--json", "--input", path], capsys)
@@ -294,8 +336,32 @@ def test_report_enters_a_determinant_too_long_to_print_as_an_error(rows, tmp_pat
     assert (code, err) == (0, "")
     assert json.loads(out) == {
         "parse_errors": [],
-        "records": [{"knot": "r", "error": TOO_LONG_MESSAGE}],
+        "records": [{"knot": "r", "error": message}],
     }
+
+
+@pytest.mark.parametrize("command", ["obstruct", "plumbing-check"])
+def test_huge_off_diagonal_entries_are_refused_before_the_elimination(
+    command, tmp_path, capsys, monkeypatch
+):
+    # a 3^13-point box, but entries of 4,000 digits: the elimination took about 54 s
+    rows = [[-2 if i == j else 10**3999 + i + j for j in range(13)] for i in range(13)]
+    path = _record_file(tmp_path, rows)
+
+    from unknotone import lattice
+
+    def never(rows):
+        raise AssertionError("the elimination ran")
+
+    monkeypatch.setattr(lattice, "_gauss_jordan", never)
+    start = time.perf_counter()
+    code, out, err = run_main([command, "--input", path], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err.splitlines()) == (
+        3,
+        "",
+        ["error: Gram entry (1, 0) has G_ij^2 > G_ii G_jj; the form is not negative-definite"],
+    )
 
 
 @pytest.mark.parametrize("command", ["obstruct", "plumbing-check"])

@@ -199,6 +199,41 @@ def test_a_form_of_dimension_20_still_reaches_the_later_refusals():
         correction_vector(QuadraticForm.from_rows(rows))
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[-2, 3], [3, -4]], "Gram entry (1, 0) has G_ij^2 > G_ii G_jj"),
+        ([[-5, 0, -1], [0, -1, -3], [-1, -3, -7]], "Gram entry (2, 1) has G_ij^2 > G_ii G_jj"),
+        (
+            [[-2 if i == j else 10**3999 + i + j for j in range(13)] for i in range(13)],
+            "Gram entry (1, 0) has G_ij^2 > G_ii G_jj",
+        ),
+    ],
+    ids=["dimension-2", "negative-entry", "13x13-of-4000-digits"],
+)
+def test_an_impossible_off_diagonal_entry_is_refused_before_the_elimination(
+    rows, message, monkeypatch
+):
+    def never(rows):
+        raise AssertionError("the elimination ran")
+
+    monkeypatch.setattr(lattice, "_gauss_jordan", never)
+    for refuse in (scannable_cokernel, PlumbingForm):
+        with pytest.raises(ValidationError) as info:
+            refuse(QuadraticForm.from_rows(rows))
+        assert str(info.value) == message + "; the form is not negative-definite"
+
+
+def test_an_entry_at_the_bound_reaches_the_later_refusals():
+    # G_ij^2 = G_ii G_jj is no negative-definite form either, but the
+    # elimination names what is wrong with it
+    for refuse in (scannable_cokernel, PlumbingForm):
+        with pytest.raises(ValidationError, match="nonsingular|negative-definite form"):
+            refuse(QuadraticForm.from_rows([[-4, 6], [6, -9]]))
+    with pytest.raises(ValidationError, match="correction terms require a negative-definite"):
+        scannable_cokernel(QuadraticForm.from_rows([[-1, 1, 0], [1, -1, 1], [0, 1, -3]]))
+
+
 def test_one_cokernel_and_one_box_per_analysis(monkeypatch):
     calls = []
     for name in ("_build_cokernel", "_build_box"):
