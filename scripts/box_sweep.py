@@ -13,11 +13,13 @@ are already computed:
   so a point costs O(1) there; each point of the other coordinates (a
   head) costs O(dim^2) once.
 - ``class_count_s`` times the class count.  On a form with odd cyclic
-  cokernel that includes the same coset-maximum scan, recording one
-  maximiser per coset.  The count then closes two sets of points of the
-  full box of prod (|G_ii| + 1) points, held as integer bitsets: the
-  points whose push leaves the box and the recorded maximisers, each under
-  the pushes, by a frontier loop whose steps cost O(dim) bitwise
+  cokernel that includes the same coset-maximum scan, recording the place
+  of one maximiser per coset, in the numbering of box points that
+  ``lattice.box_strides`` defines.  The count then closes two sets of
+  points of the full box of prod (|G_ii| + 1) points, held as integer
+  bitsets indexed by those places: the points whose push leaves the box
+  and the recorded maximisers, whose places it reads as they are, each
+  under the pushes, by a frontier loop whose steps cost O(dim) bitwise
   operations over the box.  Only the classes outside both closures are
   walked, one box point at a time.
 

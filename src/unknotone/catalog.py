@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import ValidationError
-from .lattice import QuadraticForm
+from .lattice import QuadraticForm, check_gram_entries
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,14 @@ class KnotRecord:
                 )
         if self.signature is not None and self.signature % 2 != 0:
             raise ValidationError(f"record {self.name!r}: signature must be even")
-        if self.determinant is not None and abs(self.form.det) != self.determinant:
+        if self.determinant is None:
+            return
+        try:
+            check_gram_entries(self.form)
+        except ValidationError:
+            # refused before the elimination, as without a determinant, by the analysis
+            return
+        if abs(self.form.det) != self.determinant:
             raise ValidationError(
                 f"record {self.name!r}: |det| = {abs(self.form.det)} does not match "
                 f"declared determinant {self.determinant}"

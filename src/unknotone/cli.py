@@ -340,6 +340,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     if args.all and args.input:
         raise ValidationError("give only one of --all and --input")
+    if args.paper_tables and args.input:
+        raise ValidationError("--paper-tables reads the bundled records; give no --input")
     if args.paper_tables:
         payload = _paper_tables_payload(strong=args.strong)
         lines = [

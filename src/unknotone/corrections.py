@@ -23,13 +23,13 @@ What is refused.  :func:`scannable_cokernel` is the one place that decides
 whether a form's correction terms can be scanned.  It refuses, in this
 order, a box above the budget, an off-diagonal entry with
 G_ij^2 > G_ii G_jj, a singular form, an even determinant, one too long to
-print, a non-cyclic cokernel and an indefinite form.  The first two read
-only the Gram entries, so such a form is refused before the elimination,
-whose cost grows with the cube of the dimension and with the size of the
-entries.
-``correction_vector`` calls it, and so does the analysis driver before it
-decides on a listing; the form keeps the cokernel and the box it built, so
-the second call repeats no work.
+print (above ``TEXT_BITS`` bits), a non-cyclic cokernel and an indefinite
+form.  The first two read only the Gram entries, so such a form is refused
+before the elimination, whose cost grows with the cube of the dimension
+and with the size of the entries.  ``correction_vector`` calls it, and so
+does the analysis driver before it decides on a listing; the form keeps
+the outcome of the Gram-entry checks, its cokernel and its box, so the
+second call repeats no work.
 
 Which entry a point updates.  The vector orders the values as A_i = value
 at i * g for a generator g of the cokernel, so A_0 is always the value at
@@ -55,12 +55,16 @@ Any other generator is a unit multiple u g, and
 consumers downstream quantify over the units anyway.
 
 Which points reach the maxima.  Asked to record, :func:`scan_box` also
-returns, per coset, the first point of the scan that reaches its maximum,
-in coordinate order; the plumbing class count (:mod:`unknotone.plumbing`)
-asks for them and settles the classes of these points without walking
-them.  The verdict path (:func:`correction_vector`) asks for no points: a
-plain loop keeps only the maxima, with no store per strict improvement.
-Both loops share the ranges, the inner axes and the index weights.
+returns, per coset, the place of the first point of the scan that reaches
+its maximum: its index in the characteristic box, last coordinate fastest
+(:func:`unknotone.lattice.box_strides`), whatever the scan's axis order.
+Like w . x, a place is linear in the point: one sum per head and one term
+per middle and inner step.  The plumbing class count
+(:mod:`unknotone.plumbing`) reads the places as bit positions and settles
+the classes of these points without walking them.  The verdict path
+(:func:`correction_vector`) asks for no points: a plain loop keeps only
+the maxima, with no store per strict improvement.  Both loops share the
+ranges, the inner axes and the index weights.
 
 What the vector stores.  A point's value is (x^t N x + m D) / 4D, so
 :class:`CorrectionVector` is a :class:`unknotone.lattice.RationalVector`:
@@ -73,10 +77,10 @@ tests, the benchmark and the scripts.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product, repeat
+from itertools import count, product, repeat
 from math import gcd
-from operator import add, itemgetter, mul
-from typing import Callable, Iterator, NamedTuple, Sequence
+from operator import mul
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import TEXT_BITS, NonCyclicCokernelError, ValidationError, count_text
 from .lattice import (
@@ -84,9 +88,9 @@ from .lattice import (
     QuadraticForm,
     RationalVector,
     Vector,
+    box_strides,
     characteristic_box,
-    check_box_budget,
-    check_off_diagonal,
+    check_gram_entries,
     cokernel,
 )
 
@@ -126,19 +130,13 @@ class CorrectionVector(RationalVector):
 def scannable_cokernel(form: QuadraticForm) -> CokernelStructure:
     """The cokernel of a form whose correction terms the box scan computes.
 
-    Raises, in this order: :class:`ValidationError` on a form whose box,
-    read from its dimension and diagonal before the elimination
-    (:func:`unknotone.lattice.check_box_budget`), is above
-    :data:`unknotone.lattice.BOX_BUDGET` points; :class:`ValidationError` on
-    an off-diagonal entry that no negative-definite form has, also read
-    before the elimination (:func:`unknotone.lattice.check_off_diagonal`);
-    :class:`SingularFormError` on a singular form; :class:`ValidationError`
-    on an even determinant or one above ``TEXT_BITS`` bits, too long to
-    print; :class:`NonCyclicCokernelError` on a non-cyclic cokernel; and
-    :class:`ValidationError` on an indefinite form.
+    Refuses in the order of the module docstring, the first two refusals
+    by :func:`unknotone.lattice.check_gram_entries`: with
+    :class:`SingularFormError` on a singular form,
+    :class:`NonCyclicCokernelError` on a non-cyclic cokernel, and
+    :class:`ValidationError` otherwise.
     """
-    check_box_budget(form)
-    check_off_diagonal(form)
+    check_gram_entries(form)
     structure = cokernel(form)
     if structure.order % 2 == 0:
         order = count_text(structure.order)
@@ -156,23 +154,23 @@ def scannable_cokernel(form: QuadraticForm) -> CokernelStructure:
 class BoxScan(NamedTuple):
     """One reduced-box scan: the correction vector and, if asked, its maximisers.
 
-    When the scan records, the first point of the scan that reaches A_i's
-    maximum, a point of the reduced box in the coset of i * g, is kept in
-    two parts: ``heads[i]``, its coordinates outside the two inner axes,
-    and ``tails[i]``, its middle and innermost coordinates.  Both are
-    tuples the scan already holds, so recording allocates nothing per
-    point.  ``pick`` puts head + tail back in coordinate order.  Both lists
-    are empty when the scan does not record, and in dimension 0.
+    When the scan records, ``places[i]`` is the place in ``box``, the
+    characteristic box (:func:`unknotone.lattice.box_strides`), of the
+    first point of the scan that reaches A_i's maximum, a point of the
+    reduced box in the coset of i * g, one machine word each in an
+    ``array``.  It is empty when the scan does not record, and in
+    dimension 0.
     """
 
     vector: CorrectionVector
-    heads: list[Vector]
-    tails: list[Vector]
-    pick: Callable[[Vector], Vector]
+    places: Sequence[int]
+    box: list[range]
 
     def maximisers(self) -> Iterator[Vector]:
         """Per index i, the recorded maximiser of A_i, in coordinate order, one at a time."""
-        return map(self.pick, map(add, self.heads, self.tails))
+        strides = box_strides(self.box)
+        for place in self.places:
+            yield tuple([rg.start + place // s % len(rg) * 2 for rg, s in zip(self.box, strides)])
 
 
 def correction_vector(form: QuadraticForm) -> CorrectionVector:
@@ -192,40 +190,43 @@ def scan_box(form: QuadraticForm, record: bool = False) -> BoxScan:
     D = structure.order
     m = form.dim
     if m == 0:
-        return BoxScan(CorrectionVector(D=1, numerators=(0,), generator=()), [], [], tuple)
+        return BoxScan(CorrectionVector(D=1, numerators=(0,), generator=()), (), [])
 
     generator = structure.generator
     assert generator is not None
     # the index weights w = a^{-1} N g mod D with a = g^t N g (module docstring)
     ng = [sum(map(mul, row, generator)) for row in form.inverse_numerator]
     inverse = pow(sum(map(mul, generator, ng)), -1, D)
-    best, *recorded = _coset_maxima(form, [inverse * v % D for v in ng], D, record)
+    best, places = _coset_maxima(form, [inverse * v % D for v in ng], D, record)
 
     # the value of a coset is (b + m D) / 4D for its maximum b of x^t N x
     nums = tuple([b + m * D for b in best])
-    return BoxScan(CorrectionVector(D=D, numerators=nums, generator=generator), *recorded)
+    vector = CorrectionVector(D=D, numerators=nums, generator=generator)
+    return BoxScan(vector, places, characteristic_box(form))
 
 
 def _coset_maxima(
     form: QuadraticForm, weights: Sequence[int], order: int, record: bool
-) -> tuple[list[int], list[Vector], list[Vector], Callable[[Vector], Vector]]:
+) -> tuple[list[int], Sequence[int]]:
     """Max of x^t N x over the reduced box, listed by the index w . x mod D.
 
     N is the integer numerator of G^{-1}, so the stored integers are
     |det| times the squared lengths; |det| > 0 keeps comparisons exact.  A
     maximum does not depend on the scan order, so the two longest ranges
     run innermost (module docstring).  Returns the maxima and, with
-    ``record``, the heads and tails of the first points reaching them and
-    the map from head + tail to coordinate order (see :class:`BoxScan`);
-    without it both lists are empty.
+    ``record``, the places of the first points reaching them (see
+    :class:`BoxScan`); without it, no places.
     """
     num = form.inverse_numerator
-    ranges = [range(rg.start + 2, rg.stop, 2) for rg in characteristic_box(form)]
+    box = characteristic_box(form)
+    ranges = [range(rg.start + 2, rg.stop, 2) for rg in box]
+    strides = box_strides(box)
     if form.dim == 1:
-        # a phantom coordinate fixed at 0 gives the scan its middle axis
+        # a phantom coordinate fixed at 0, of stride 0, gives the scan its middle axis
         num = ((num[0][0], 0), (0, 0))
         weights = [weights[0], 0]
         ranges.append(range(1))
+        strides.append(0)
     axes = range(len(ranges))
     # the innermost axis k has the longest range, the middle axis l the next
     k, l, *rest = sorted(axes, key=lambda i: -len(ranges[i]))
@@ -234,45 +235,49 @@ def _coset_maxima(
     # restricted to rest, then r_k = N_k . p, r_l = N_l . p and w . p
     head_rows = [[num[i][j] for j in rest] for i in rest + [k, l]]
     head_rows.append([weights[j] for j in rest])
+    # a recording scan also takes the head's place, s . (p - start) / 2
+    head_strides = [strides[j] for j in rest]
+    head_start = sum(box[j].start * strides[j] for j in rest)
     # x^t N x = v + y (2 r_l + N_ll y) + x_k (2 (r_k + N_kl y) + N_kk x_k) at
-    # x_l = y, and w . x = i0 + w_l y + w_k x_k; a recording scan gives each
-    # step its tail (y, x_k), built once per middle value
+    # x_l = y, w . x = i0 + w_l y + w_k x_k, and a place adds to the head's
+    # stride, 2 stride, ... along a reduced range, one step into the box
     inners = [(2 * x, num[k][k] * x * x, weights[k] * x, x) for x in ranges[k]]
+    if record:
+        # only a recording scan reads the last entry, its step's place term
+        steps = zip(inners, count(strides[k], strides[k]))
+        inners = [(twice, square, shift, place) for (twice, square, shift, _), place in steps]
     middles = [
-        (
-            2 * y,
-            num[l][l] * y * y,
-            num[k][l] * y,
-            weights[l] * y,
-            [(twice, square, shift, (y, x)) for twice, square, shift, x in inners]
-            if record
-            else inners,
-        )
-        for y in ranges[l]
+        (2 * y, num[l][l] * y * y, num[k][l] * y, weights[l] * y, place)
+        for y, place in zip(ranges[l], count(strides[l], strides[l]))
     ]
     # x^t N x >= -sum |N_ij| |x_i| |x_j| > floor on the box, so floor marks an unmet index
     reach = [max(-rg.start, rg[-1]) for rg in ranges]
     floor = -1 - sum(abs(num[i][j]) * reach[i] * reach[j] for i in axes for j in axes)
     best = [floor] * order
-    heads: list[Vector] = [()] * order if record else []
-    tails: list[Vector] = heads.copy()
+    places: Sequence[int] = ()
+    if record:
+        from array import array  # only here: the verdict path never loads it
+
+        places = array("l", [0]) * order
     for p in product(*[ranges[i] for i in rest]):
         *row_products, r_k, r_l, i0 = map(sum, map(map, repeat(mul), head_rows, repeat(p)))
         v = sum(map(mul, p, row_products))
-        for twice_y, square_y, cross, shift_y, steps in middles:
+        if record:
+            head = (sum(map(mul, p, head_strides)) - head_start) // 2
+        for twice_y, square_y, cross, shift_y, place_y in middles:
             base = v + r_l * twice_y + square_y
             r = r_k + cross
             j = i0 + shift_y
             if record:
-                for twice, square, shift, tail in steps:
+                q = head + place_y
+                for twice, square, shift, place in inners:
                     value = base + r * twice + square
                     i = (j + shift) % order
                     if value > best[i]:
                         best[i] = value
-                        heads[i] = p
-                        tails[i] = tail
+                        places[i] = q + place
             else:
-                for twice, square, shift, _ in steps:
+                for twice, square, shift, _ in inners:
                     value = base + r * twice + square
                     i = (j + shift) % order
                     if value > best[i]:
@@ -280,8 +285,4 @@ def _coset_maxima(
     missed = best.count(floor)
     if missed:
         raise AssertionError(f"characteristic box met {order - missed} cosets, expected {order}")
-    # head + tail lists the coordinates in rest, then l, then k
-    where = [(rest + [l, k]).index(i) for i in range(form.dim)]
-    # (in dimension 1 the slice drops the phantom and keeps a tuple)
-    pick = itemgetter(*where) if form.dim > 1 else itemgetter(slice(1, 2))
-    return best, heads, tails, pick
+    return best, places

@@ -27,8 +27,9 @@ it.  The class count shares that scan: the coset maxima it finds settle
 their classes, and the count closes sets of points of the full box.  A box
 of more than BOX_BUDGET points is refused with a ValidationError before
 anything is scanned, and before the elimination: its size reads only the
-diagonal (:func:`check_box_budget`).  So is an off-diagonal entry that no
-negative-definite form has (:func:`check_off_diagonal`).
+diagonal.  So is an off-diagonal entry that no negative-definite form has
+(:func:`check_gram_entries`, once per form).  The scan and the class count
+number box points alike, by :func:`box_strides`.
 
 Values over 4D.  A form of determinant D has its pairings v^t G^{-1} v in
 (1/D) Z, so the correction terms (v^t G^{-1} v + m) / 4 lie in (1/4D) Z,
@@ -199,6 +200,10 @@ class QuadraticForm:
         return _build_box(self)
 
     @cached_property
+    def _entries_checked(self) -> None:
+        _check_entries(self)
+
+    @cached_property
     def det(self) -> int:
         return self._elimination[0][-1]
 
@@ -254,9 +259,9 @@ class QuadraticForm:
 # the reduced box, and the class count closes bitsets of the full box, one
 # bit per point, at a cost linear in the box per frontier step.  On the
 # 8-dimensional chain form with diagonal -5 (seven times) and -6, whose box
-# has 1.96e6 points, class_count takes 0.43 to 0.76 s (most of it the
-# scan) and correction_vector 0.22 to 0.28 s of CPU on one pinned core of a
-# 2-vCPU Xeon (CPython 3.11.7), with a 55 MB peak, which is the scan's.  A
+# has 1.96e6 points, class_count takes 0.52 to 0.55 s (0.47 s of it the
+# scan) and correction_vector 0.29 to 0.38 s of CPU on one pinned core of a
+# 2-vCPU Xeon (CPython 3.11.7), with a 51 MB peak, which is the scan's.  A
 # larger box is refused up front instead of running for hours: a 6 x 6
 # form with diagonal -41 has 5.5e9 points.
 BOX_BUDGET = 2_000_000
@@ -266,51 +271,40 @@ BOX_BUDGET = 2_000_000
 MAX_DIM = BOX_BUDGET.bit_length() - 1
 
 
-def check_box_budget(form: QuadraticForm) -> None:
-    """Refuse, from the Gram entries alone, a form whose box is above the budget.
+def check_gram_entries(form: QuadraticForm) -> None:
+    """Refuse, from the Gram entries alone, a box above the budget or an impossible entry.
 
-    Nothing here runs the elimination, so the refusal costs time linear in
-    the input.  A form of dimension above MAX_DIM is refused outright.  A
-    form whose diagonal is negative is refused when its box of
-    prod(1 - G_ii) points is above BOX_BUDGET.  A form with a diagonal entry
-    >= 0 is not negative-definite; its refusal is left to the checks that
+    No elimination runs here, and a form that passes keeps that, so this
+    costs time linear in the input once per form.  Refused: a dimension
+    above MAX_DIM; when every G_ii < 0, a box of prod(1 - G_ii) points above
+    BOX_BUDGET, then an entry with G_ij^2 > G_ii G_jj, which no
+    negative-definite form has.  Any other form is left to the checks that
     follow the elimination.
     """
+    form._entries_checked
+
+
+def _check_entries(form: QuadraticForm) -> None:
     if form.dim > MAX_DIM:
         raise ValidationError(
             f"form has dimension {form.dim}; above dimension {MAX_DIM} no characteristic "
             f"box fits the budget of {BOX_BUDGET}"
         )
     diag = [form.gram[i][i] for i in range(form.dim)]
-    if all(d < 0 for d in diag):
-        size = prod(1 - d for d in diag)
-        if size > BOX_BUDGET:
-            raise ValidationError(
-                f"characteristic box has {count_text(size)} points, above the budget of "
-                f"{BOX_BUDGET}"
-            )
-
-
-def check_off_diagonal(form: QuadraticForm) -> None:
-    """Refuse, from the Gram entries alone, an off-diagonal entry too large to be definite.
-
-    A negative-definite form has G_ij^2 < G_ii G_jj, its 2 x 2 principal
-    minors being positive.  When every diagonal entry is negative, a form
-    with G_ij^2 > G_ii G_jj is refused here, before the elimination, whose
-    cost grows with the size of the entries; with equality, or a diagonal
-    entry >= 0, the refusal is left to the checks that follow the
-    elimination.  Past :func:`check_box_budget` this bounds every entry by
-    the diagonal.
-    """
-    diag = [form.gram[i][i] for i in range(form.dim)]
-    if all(d < 0 for d in diag):
-        for i, row in enumerate(form.gram):
-            for j in range(i):
-                if row[j] * row[j] > diag[i] * diag[j]:
-                    raise ValidationError(
-                        f"Gram entry ({i}, {j}) has G_ij^2 > G_ii G_jj; the form is not "
-                        "negative-definite"
-                    )
+    if not all(d < 0 for d in diag):
+        return
+    size = prod(1 - d for d in diag)
+    if size > BOX_BUDGET:
+        raise ValidationError(
+            f"characteristic box has {count_text(size)} points, above the budget of {BOX_BUDGET}"
+        )
+    for i, row in enumerate(form.gram):
+        for j in range(i):
+            if row[j] * row[j] > diag[i] * diag[j]:
+                raise ValidationError(
+                    f"Gram entry ({i}, {j}) has G_ij^2 > G_ii G_jj; the form is not "
+                    "negative-definite"
+                )
 
 
 def characteristic_box(form: QuadraticForm) -> list[range]:
@@ -319,15 +313,23 @@ def characteristic_box(form: QuadraticForm) -> list[range]:
     These are the integer covectors x with x_i = G_ii (mod 2) and
     |x_i| <= |G_ii|; any characteristic covector outside this box has an
     equivalent one of larger squared length.  Requires a box of at most
-    BOX_BUDGET points (:func:`check_box_budget`) and a negative-definite
+    BOX_BUDGET points (:func:`check_gram_entries`) and a negative-definite
     form, which in particular forces every diagonal entry to be nonzero.
     The form keeps its box, so asking again checks nothing.
     """
     return form._box
 
 
+def box_strides(box: Sequence[range]) -> list[int]:
+    """The strides of the one numbering of box points, the last coordinate fastest.
+
+    A point x of the box sits at place sum_j (x_j - box[j].start) / 2 * stride_j.
+    """
+    return [prod(map(len, box[j + 1 :])) for j in range(len(box))]
+
+
 def _build_box(form: QuadraticForm) -> list[range]:
-    check_box_budget(form)
+    check_gram_entries(form)
     if not form.is_negative_definite:
         raise ValidationError("candidate enumeration requires a negative-definite form")
     return [range(d, -d + 1, 2) for d in (form.gram[i][i] for i in range(form.dim))]

@@ -34,29 +34,30 @@ classes of the unrecorded ones are counted like any other.
 How the count runs.  A push is undone by the opposite push, so a class is
 a connected component of an undirected graph, and the in-box classes are
 the components of the box points with no push that leaves the box.  A set
-of box points is an ``int`` bitset over the places of the scan order.  At
-vertex i the upper-wall points whose push stays in the box form a box of
-intervals, and the push moves them all by one place shift onto the lower
-wall; the other wall points push out of the box.  Closed under the 2 dim
-shifted sets by a frontier loop, at O(dim) bitwise operations over the
-box per step, those points fill the classes that leave the box, and the
-recorded maximisers fill the D settled classes.  The rest is a union of
-in-box classes, each meeting the reduced box: a plain walk from its seeds
-there counts them.  On an L-space with odd cyclic cokernel nothing is left.
+of box points is an ``int`` bitset over their places, the numbering
+(:func:`unknotone.lattice.box_strides`) in which the scan records its
+maximisers.  At vertex i the upper-wall points whose push stays in the
+box form a box of intervals, and the push moves them all by one place
+shift onto the lower wall; the other wall points push out of the box.
+Closed under the 2 dim shifted sets by a frontier loop, at O(dim) bitwise
+operations over the box per step, those points fill the classes that
+leave the box, and the recorded maximisers fill the D settled classes.
+The rest is a union of in-box classes, each meeting the reduced box: a
+plain walk from its seeds there counts them.  On an L-space with odd
+cyclic cokernel nothing is left.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from math import prod
-from operator import add, mul, rshift
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .corrections import BoxScan, CorrectionVector, correction_vector, scan_box
 from .errors import ValidationError
-from .lattice import QuadraticForm, check_box_budget, check_off_diagonal, cokernel
+from .lattice import QuadraticForm, box_strides, characteristic_box, check_gram_entries, cokernel
 
 
 @dataclass(frozen=True)
@@ -70,9 +71,8 @@ class PlumbingForm:
         return PlumbingForm(QuadraticForm.from_rows(rows))
 
     def __post_init__(self) -> None:
-        # both checks read only the Gram entries, so they run before the elimination
-        check_box_budget(self.form)
-        check_off_diagonal(self.form)
+        # the Gram-entry checks come first: they need no elimination
+        check_gram_entries(self.form)
         if not self.form.is_negative_definite:
             raise ValidationError("plumbing checks require a negative-definite form")
 
@@ -124,8 +124,8 @@ def _count_classes(plumbing: PlumbingForm) -> int:
     bound = [-gram[i][i] for i in range(form.dim)]
     sizes = [b + 1 for b in bound]
     total = prod(sizes)
-    # a point's place is sum_j (x_j + |G_jj|) / 2 * stride_j; a push at i moves it by shift_i
-    stride = [prod(sizes[j + 1 :]) for j in range(form.dim)]
+    # the one numbering of box points; a push at i moves a place by shift_i
+    stride = box_strides(characteristic_box(form))
     shifts = [sum(map(mul, column, stride)) for column in gram]
     # per vertex i, the upper-wall points whose push stays in the box and
     # their images on the lower wall; the other wall points push out of it
@@ -138,10 +138,10 @@ def _count_classes(plumbing: PlumbingForm) -> int:
         moves.append((pushed, back, shift) if shift >= 0 else (back, pushed, -shift))
     left = ((1 << total) - 1) ^ _closure(leaving, moves)
     good = 0
-    if scan is not None and scan.heads:
+    if scan is not None and scan.places:
         # each coset maximiser of the scan stands for its settled class
-        left ^= _closure(_bitset(_maximiser_places(scan, bound, stride), total), moves)
-        good = len(scan.heads)
+        left ^= _closure(_bitset(scan.places, total), moves)
+        good = len(scan.places)
     if not left:
         return good
     # what is left is closed under the pushes and lies inside the box
@@ -167,20 +167,6 @@ def _count_classes(plumbing: PlumbingForm) -> int:
                     visited[reached] = 1
                     stack.append(reached)
     return good
-
-
-def _maximiser_places(scan: BoxScan, bound: Sequence[int], stride: Sequence[int]) -> Iterator[int]:
-    """The places of the recorded maximisers, summed once per distinct head and tail."""
-    cut = len(scan.heads[0])
-    # pick, applied to the positions in head + tail, gives each coordinate's position
-    weights = [0] * (cut + len(scan.tails[0]))
-    for position, step in zip(scan.pick(range(len(weights))), stride):
-        weights[position] = step
-    offset = sum(map(mul, bound, stride))
-    head = {p: sum(map(mul, p, weights[:cut])) for p in set(scan.heads)}
-    tail = {t: sum(map(mul, t, weights[cut:])) + offset for t in set(scan.tails)}
-    twice = map(add, map(head.__getitem__, scan.heads), map(tail.__getitem__, scan.tails))
-    return map(rshift, twice, repeat(1))
 
 
 def _box_set(intervals: Sequence[tuple[int, int]], sizes: Sequence[int]) -> int:

@@ -15,6 +15,7 @@ box, so for odd D at least D classes do.
 
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -26,7 +27,13 @@ from unknotone.catalog import builtin_record
 from unknotone.corrections import correction_vector, scan_box
 from unknotone.errors import ValidationError
 from unknotone.gamma import model_form
-from unknotone.lattice import BOX_BUDGET, QuadraticForm, characteristic_box, cokernel
+from unknotone.lattice import (
+    BOX_BUDGET,
+    QuadraticForm,
+    box_strides,
+    characteristic_box,
+    cokernel,
+)
 from unknotone.plumbing import PlumbingForm, class_count, plumbing_corrections
 from unknotone.report import analyze_record
 
@@ -304,7 +311,7 @@ def test_only_the_classes_left_after_the_closures_are_walked(monkeypatch):
     # 10_148 has 55 classes inside the box for D = 31: the walk counts 24 of them
     plumbing = PlumbingForm.from_rows(TEN_148)
     assert class_count(plumbing).count == reference_class_count(TEN_148) == 55
-    assert abs(plumbing.form.det) == len(plumbing.scan.heads) == 31
+    assert abs(plumbing.form.det) == len(plumbing.scan.places) == 31
     assert len(seeds) >= 24
     # 10_125 certifies: every class inside the box is settled, and no walk starts
     seeds.clear()
@@ -375,7 +382,7 @@ def assert_both_scans_match_reference(form):
     plain = scan_box(form)
     recorded = scan_box(form, record=True)
     assert plain.vector.values == recorded.vector.values == reference
-    assert plain.heads == plain.tails == [] == list(plain.maximisers())
+    assert not plain.places and list(plain.maximisers()) == []
     structure = cokernel(form)
     step = structure.generator
     gram, m, D = form.gram, form.dim, structure.order
@@ -421,6 +428,53 @@ def test_scan_shapes_in_both_modes(rows):
 def test_recorded_maximisers_reach_their_maxima(form):
     assume(cyclic_odd(form))
     assert_both_scans_match_reference(form)
+
+
+def assert_places_number_the_box(form):
+    """Each recorded place is the maximiser's index in the box, last coordinate fastest."""
+    scan = scan_box(form, record=True)
+    box = characteristic_box(form)
+    strides = box_strides(box)
+    size = prod(1 - form.gram[i][i] for i in range(form.dim))
+    # itertools.product lists the box in the place order, independently of the strides
+    listed = list(product(*box))
+    points = list(scan.maximisers())
+    assert len(scan.places) == len(points) == cokernel(form).order
+    for place, x in zip(scan.places, points):
+        assert place == sum((a - rg.start) // 2 * s for a, rg, s in zip(x, box, strides))
+        assert 0 <= place < size == len(listed)
+        assert listed[place] == x
+        # a point of the reduced box is off the lower wall on every axis
+        assert all(rg.start < a for a, rg in zip(x, box)), (place, x)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(negative_definite_forms())
+def test_recorded_places_number_the_box(form):
+    assume(cyclic_odd(form))
+    assert_places_number_the_box(form)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[-1]],
+        [[-5]],
+        [[-5, 1], [1, -2]],
+        [[-6, 0, 1], [0, -1, 0], [1, 0, -1]],
+        [[-2, 1, 0], [1, -7, 1], [0, 1, -3]],
+    ],
+    ids=[
+        "dimension-1-one-point",
+        "dimension-1",
+        "longest-range-first",
+        "longest-range-first-dimension-3",
+        "longest-range-in-the-middle",
+    ],
+)
+def test_recorded_places_when_the_scan_order_differs(rows):
+    # the scan runs the longest range innermost, wherever it lies in coordinate order
+    assert_places_number_the_box(QuadraticForm.from_rows(rows))
 
 
 def test_only_the_class_count_records_maximisers(monkeypatch):

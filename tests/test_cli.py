@@ -203,6 +203,25 @@ def test_report_refuses_all_with_input(tables, tmp_path, capsys):
     assert (code, out, err.splitlines()) == (3, "", ["error: give only one of --all and --input"])
 
 
+def test_report_refuses_paper_tables_with_input(tmp_path, capsys):
+    path = tmp_path / "record.json"
+    path.write_text(EIGHT_TEN_JSON)
+    code, out, err = run_main(["report", "--paper-tables", "--input", str(path)], capsys)
+    assert (code, out, err.splitlines()) == (
+        3,
+        "",
+        ["error: --paper-tables reads the bundled records; give no --input"],
+    )
+
+
+def test_paper_tables_ignore_piped_standard_input(capsys, monkeypatch):
+    # piped records are no --input: the tables still come from the bundled records
+    monkeypatch.setattr(sys, "stdin", io.StringIO(EIGHT_TEN_JSON))
+    code, out, err = run_main(["report", "--paper-tables", "--json"], capsys)
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["records"]) == 54
+
+
 def test_cli_import_leaves_process_pool_out(src_env):
     code = (
         "import sys, unknotone.cli; "
@@ -357,6 +376,32 @@ def test_huge_off_diagonal_entries_are_refused_before_the_elimination(
     start = time.perf_counter()
     code, out, err = run_main([command, "--input", path], capsys)
     assert time.perf_counter() - start < 1.0
+    assert (code, out, err.splitlines()) == (
+        3,
+        "",
+        ["error: Gram entry (1, 0) has G_ij^2 > G_ii G_jj; the form is not negative-definite"],
+    )
+
+
+@pytest.mark.parametrize("command", ["obstruct", "plumbing-check"])
+def test_a_stated_determinant_is_checked_only_on_a_form_the_entry_checks_admit(
+    command, tmp_path, capsys, monkeypatch
+):
+    # cross-checking the stated determinant takes the elimination, more than 10 s here
+    rows = [[-2 if i == j else 10**3999 + i + j for j in range(13)] for i in range(13)]
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps([{"name": "r", "goeritz": rows, "determinant": 3}]))
+
+    from unknotone import lattice
+
+    def never(rows):
+        raise AssertionError("the elimination ran")
+
+    monkeypatch.setattr(lattice, "_gauss_jordan", never)
+    start = time.perf_counter()
+    code, out, err = run_main([command, "--input", str(path)], capsys)
+    assert time.perf_counter() - start < 1.0
+    # the same exit and line as the record without a determinant
     assert (code, out, err.splitlines()) == (
         3,
         "",
