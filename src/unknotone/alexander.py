@@ -20,24 +20,23 @@ Index transport: a residue r (mod 2n) corresponds to torsion index
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import TorsionExtractionError, ValidationError
 from .gamma import GammaVector
+from .lattice import Value
 from .matching import Matching
 
 TorsionSequence = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class AlexanderPolynomial:
+class AlexanderPolynomial(Value):
     """A symmetric knot polynomial a_0 + sum_{i>0} a_i (T^i + T^-i)."""
 
     a0: int
     higher: tuple[int, ...]  # a_1, a_2, ..., trailing zeros trimmed
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if self.higher and self.higher[-1] == 0:
             raise ValidationError("higher coefficients must not end in zero")
         if self.evaluate_at_one() != 1:

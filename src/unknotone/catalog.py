@@ -21,22 +21,20 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import ValidationError
-from .lattice import QuadraticForm, check_gram_entries
+from .lattice import QuadraticForm, Value, check_gram_entries
 
 
-@dataclass(frozen=True)
-class WhiteGraph:
+class WhiteGraph(Value):
     """A multigraph on checkerboard regions with signed edges, no loops."""
 
     vertex_count: int
     edges: tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if self.vertex_count < 1:
             raise ValidationError("white graph needs at least one vertex")
         for u, v, sign in self.edges:
@@ -68,8 +66,7 @@ def goeritz_from_white_graph(graph: WhiteGraph) -> QuadraticForm:
     return QuadraticForm.from_rows(rows)
 
 
-@dataclass(frozen=True)
-class KnotRecord:
+class KnotRecord(Value):
     name: str
     goeritz: Optional[QuadraticForm] = None
     white_graph: Optional[WhiteGraph] = None
@@ -77,7 +74,7 @@ class KnotRecord:
     determinant: Optional[int] = None
     mirror_of: Optional[str] = None
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if self.goeritz is None and self.white_graph is None:
             raise ValidationError(f"record {self.name!r} has neither matrix nor white graph")
         if self.goeritz is not None and self.white_graph is not None:

@@ -21,15 +21,15 @@ the scan.
 
 What is refused.  :func:`scannable_cokernel` is the one place that decides
 whether a form's correction terms can be scanned.  It refuses, in this
-order, a box above the budget, an off-diagonal entry with
-G_ij^2 > G_ii G_jj, a singular form, an even determinant, one too long to
-print (above ``TEXT_BITS`` bits), a non-cyclic cokernel and an indefinite
-form.  The first two read only the Gram entries, so such a form is refused
-before the elimination, whose cost grows with the cube of the dimension
-and with the size of the entries.  ``correction_vector`` calls it, and so
-does the analysis driver before it decides on a listing; the form keeps
-the outcome of the Gram-entry checks, its cokernel and its box, so the
-second call repeats no work.
+order, a box above the budget, an entry with G_ij^2 > G_ii G_jj (or, with
+a G_ii >= 0, an elimination above its budget), a singular form, an even
+determinant, one too long to print (above ``TEXT_BITS`` bits), a
+non-cyclic cokernel and an indefinite form.  The first two read only the
+Gram entries, before the elimination, whose cost grows with the cube of
+the dimension and the size of the entries.  ``correction_vector`` calls
+it, and so does the analysis driver before it decides on a listing; the
+form keeps the outcome of the Gram-entry checks, its cokernel and its
+box, so the second call repeats no work.
 
 Which entry a point updates.  The vector orders the values as A_i = value
 at i * g for a generator g of the cokernel, so A_0 is always the value at
@@ -76,7 +76,6 @@ tests, the benchmark and the scripts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import count, product, repeat
 from math import gcd
 from operator import mul
@@ -95,13 +94,12 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
 class CorrectionVector(RationalVector):
     """Exact correction terms A_i = numerators[i] / 4D, indexed by multiples of ``generator``."""
 
     generator: Vector
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         # a raised check, not an assert: the matching search scans only half
         # the units and relies on A_i = A_{D-i}, also under python -O
         if len(self.numerators) != self.D or self.numerators[1:] != self.numerators[:0:-1]:
@@ -116,7 +114,7 @@ class CorrectionVector(RationalVector):
 
     def mirrored(self) -> "CorrectionVector":
         """The correction vector of the orientation reverse: all values negated."""
-        return replace(self, numerators=tuple([-v for v in self.numerators]))
+        return CorrectionVector(self.D, tuple([-v for v in self.numerators]), self.generator)
 
     def reindexed(self, unit: int) -> "CorrectionVector":
         """The same data listed against the generator unit * g."""
@@ -241,11 +239,10 @@ def _coset_maxima(
     # x^t N x = v + y (2 r_l + N_ll y) + x_k (2 (r_k + N_kl y) + N_kk x_k) at
     # x_l = y, w . x = i0 + w_l y + w_k x_k, and a place adds to the head's
     # stride, 2 stride, ... along a reduced range, one step into the box
-    inners = [(2 * x, num[k][k] * x * x, weights[k] * x, x) for x in ranges[k]]
-    if record:
-        # only a recording scan reads the last entry, its step's place term
-        steps = zip(inners, count(strides[k], strides[k]))
-        inners = [(twice, square, shift, place) for (twice, square, shift, _), place in steps]
+    # only a recording scan reads the last entry, its step's place term
+    places_k = count(strides[k], strides[k]) if record else ranges[k]
+    n_kk, w_k = num[k][k], weights[k]
+    inners = [(2 * x, n_kk * x * x, w_k * x, q) for x, q in zip(ranges[k], places_k)]
     middles = [
         (2 * y, num[l][l] * y * y, num[k][l] * y, weights[l] * y, place)
         for y, place in zip(ranges[l], count(strides[l], strides[l]))

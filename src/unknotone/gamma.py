@@ -25,7 +25,6 @@ only when read.  Output renders the numerators with ``texts()``, and
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ValidationError
@@ -82,7 +81,6 @@ def kappa_list(n: int) -> list[Kappa]:
     return [(x, y) for xs, y in _kappa_runs(n) for x in xs]
 
 
-@dataclass(frozen=True)
 class GammaVector(RationalVector):
     """The comparison vector B_i = numerators[i] / 4D, for D = 2n - 1.
 

@@ -36,7 +36,6 @@ a listing check it (:func:`check_listing_budget`) before any analysis.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from math import gcd
 from operator import add, sub
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -44,7 +43,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from .corrections import CorrectionVector
 from .errors import ValidationError
 from .gamma import GammaVector
-from .lattice import RationalVector, rational_texts
+from .lattice import RationalVector, Value, rational_texts
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -65,7 +64,6 @@ class Outcome(enum.Enum):
         return self not in (Outcome.NOT_OBSTRUCTED, Outcome.UNKNOT_DETERMINANT)
 
 
-@dataclass(frozen=True)
 class Matching(RationalVector):
     """A vector C = numerators / 4D with its (unit, sign) provenance and filter flags."""
 
@@ -205,8 +203,7 @@ def even_matchings(A: CorrectionVector, B: GammaVector) -> tuple[Matching, ...]:
     return _listed(D, found)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Value):
     """The outcome of the filter pipeline, with the matchings that got furthest.
 
     ``witnesses`` holds the matchings that passed every applied filter when
@@ -249,12 +246,8 @@ def sign_refined_obstruct(A: CorrectionVector, B: GammaVector, sigma: int) -> Ve
     if sigma % 2 != 0:
         raise ValidationError(f"knot signature must be even, got {sigma}")
     if sigma not in (0, 2):
-        return Verdict(
-            outcome=Outcome.SIGNATURE_OBSTRUCTION,
-            witnesses=(),
-            gate_applied=False,
-            detail=f"signature {sigma} is incompatible with this crossing change",
-        )
+        detail = f"signature {sigma} is incompatible with this crossing change"
+        return Verdict(Outcome.SIGNATURE_OBSTRUCTION, (), gate_applied=False, detail=detail)
     epsilon = -((-1) ** (sigma // 2))
     pool = tuple(
         m for m in even_matchings(A, B) if any(eps == epsilon for _, eps in m.provenance)
@@ -268,9 +261,7 @@ def _verdict_from_pool(pool: Sequence[Matching], gate: bool, strong: bool) -> Ve
         return Verdict(Outcome.NO_EVEN_MATCHING, (), gate_applied=gate, strong=strong)
     even_positive = tuple(m for m in even if m.positive)
     if not even_positive:
-        return Verdict(
-            Outcome.NO_EVEN_POSITIVE_MATCHING, even, gate_applied=gate, strong=strong
-        )
+        return Verdict(Outcome.NO_EVEN_POSITIVE_MATCHING, even, gate_applied=gate, strong=strong)
     survivors = even_positive
     if gate:
         symmetric = tuple(m for m in survivors if m.symmetric)

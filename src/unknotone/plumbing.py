@@ -49,7 +49,6 @@ cyclic cokernel nothing is left.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 from operator import mul
@@ -57,11 +56,12 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .corrections import BoxScan, CorrectionVector, correction_vector, scan_box
 from .errors import ValidationError
-from .lattice import QuadraticForm, box_strides, characteristic_box, check_gram_entries, cokernel
+from .lattice import (
+    QuadraticForm, Value, box_strides, characteristic_box, check_gram_entries, cokernel
+)
 
 
-@dataclass(frozen=True)
-class PlumbingForm:
+class PlumbingForm(Value):
     """A negative-definite form together with its preferred (vertex) basis."""
 
     form: QuadraticForm
@@ -70,7 +70,7 @@ class PlumbingForm:
     def from_rows(rows: Sequence[Sequence[int]]) -> "PlumbingForm":
         return PlumbingForm(QuadraticForm.from_rows(rows))
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         # the Gram-entry checks come first: they need no elimination
         check_gram_entries(self.form)
         if not self.form.is_negative_definite:
@@ -95,8 +95,7 @@ class PlumbingForm:
         return ClassCount(count=count, determinant=determinant, is_lspace=count == determinant)
 
 
-@dataclass(frozen=True)
-class ClassCount:
+class ClassCount(Value):
     count: int
     determinant: int
     is_lspace: bool

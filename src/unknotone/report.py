@@ -13,7 +13,7 @@ input order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Optional
 
@@ -21,6 +21,7 @@ from .catalog import KnotRecord
 from .corrections import CorrectionVector, correction_vector, scannable_cokernel
 from .errors import MissingSignatureError, NonCyclicCokernelError, UnknotOneError
 from .gamma import GammaVector, gamma_vector
+from .lattice import Value
 from .matching import (
     Matching,
     Outcome,
@@ -33,47 +34,33 @@ from .matching import (
 )
 
 
-class _Listing:
-    """The ``RecordReport.matchings`` field: the full matching listing.
-
-    A caller that already holds the listing passes it to the constructor;
-    otherwise it is built from A and B by ``enumerate_matchings`` on first
-    read, and is empty when there is no B.
-    """
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.key = "_" + name
-
-    def __get__(
-        self, report: Optional["RecordReport"], owner: type
-    ) -> "tuple[Matching, ...] | _Listing":
-        if report is None:
-            return self
-        listing = report.__dict__[self.key]
-        if listing is None:
-            listing = () if report.B is None else enumerate_matchings(report.A, report.B)
-            report.__dict__[self.key] = listing
-        return listing
-
-    def __set__(self, report: "RecordReport", listing: object) -> None:
-        # the dataclass passes this descriptor itself when no listing is given
-        report.__dict__[self.key] = None if listing is self else tuple(listing)
-
-
-@dataclass(frozen=True)
-class RecordReport:
+class RecordReport(Value):
     """Everything the pipeline produced for one record.
 
-    ``matchings`` is a function of A and B, so it takes no part in ``==``.
+    ``matchings``, the full listing, is no field, so ``==`` ignores it: it is
+    the listing given to the constructor, or else is built from A and B by
+    ``enumerate_matchings`` on first read, and is empty without B.
     """
 
     name: str
     D: int
     verdict: Verdict
-    A: Optional[CorrectionVector] = None
-    B: Optional[GammaVector] = None
-    matchings: tuple[Matching, ...] = field(default=_Listing(), compare=False, repr=False)
-    invariant_factors: tuple[int, ...] = ()
+    A: Optional[CorrectionVector]
+    B: Optional[GammaVector]
+    invariant_factors: tuple[int, ...]
+
+    def __init__(
+        self, name: str, D: int, verdict: Verdict, A: Optional[CorrectionVector] = None,
+        B: Optional[GammaVector] = None, matchings: Optional[Iterable[Matching]] = None,
+        invariant_factors: tuple[int, ...] = (),
+    ) -> None:
+        super().__init__(name, D, verdict, A, B, invariant_factors)
+        if matchings is not None:
+            self.__dict__["matchings"] = tuple(matchings)
+
+    @cached_property
+    def matchings(self) -> tuple[Matching, ...]:
+        return () if self.B is None else enumerate_matchings(self.A, self.B)
 
     @property
     def outcome(self) -> Outcome:
@@ -122,8 +109,7 @@ def analyze_record(
     )
 
 
-@dataclass(frozen=True)
-class SignedReport:
+class SignedReport(Value):
     """The sign-refined test for both crossing signs.
 
     ``negative_to_positive`` uses the record as stored; the other entry
@@ -159,16 +145,10 @@ def sign_refined_record(record: KnotRecord) -> SignedReport:
     B = gamma_vector(A.D)
     neg = sign_refined_obstruct(A, B, record.signature)
     pos = sign_refined_obstruct(A.mirrored(), B, -record.signature)
-    return SignedReport(
-        name=record.name,
-        signature=record.signature,
-        negative_to_positive=neg,
-        positive_to_negative=pos,
-    )
+    return SignedReport(record.name, record.signature, neg, pos)
 
 
-@dataclass(frozen=True)
-class AlexanderReport:
+class AlexanderReport(Value):
     name: str
     torsion: tuple[int, ...]
     polynomial: alexander_mod.AlexanderPolynomial
@@ -192,15 +172,8 @@ def alexander_reports(record: KnotRecord) -> list[AlexanderReport]:
             continue
         torsion = alexander_mod.torsion_from_matching(m, report.B)
         poly = alexander_mod.polynomial_from_torsion(torsion)
-        out.append(
-            AlexanderReport(
-                name=record.name,
-                torsion=torsion,
-                polynomial=poly,
-                coefficient_check=alexander_mod.lspace_coefficient_check(poly),
-                matching=m,
-            )
-        )
+        check = alexander_mod.lspace_coefficient_check(poly)
+        out.append(AlexanderReport(record.name, torsion, poly, check, m))
     return out
 
 

@@ -4,12 +4,12 @@ They are plain reimplementations kept outside the package: the points of
 the characteristic box, the map q(v) = G v, the value Q(v, v), the unit
 that reindexes A to another generating covector, the closed form of B_0,
 the model vector B built one pairing at a time, the numerators of a
-matching's ``Fraction`` entries, the four matching filters read off those
-entries, and the adjugate from cofactors over ``Fraction`` elimination.
+matching's ``Fraction`` entries, a matching rebuilt with some fields
+replaced, the four matching filters read off those entries, and the
+adjugate from cofactors over ``Fraction`` elimination.
 """
 
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 from unknotone.gamma import kappa_list, model_form
 from unknotone.lattice import characteristic_box, cokernel
-from unknotone.matching import quarter_point
+from unknotone.matching import Matching, quarter_point
 
 
 def characteristic_candidates(form):
@@ -83,13 +83,29 @@ def reference_classify(m):
     D, C = m.D, m.C
     k = quarter_point(D)
     sym_range = range(1, k) if D % 4 == 3 else range(0, k)
-    return replace(
+    return rebuilt(
         m,
         even=all(v.denominator == 1 and v.numerator % 2 == 0 for v in C),
         positive=all(v >= 0 for v in C),
         symmetric=all(C[i] == C[(2 * k - i) % D] for i in sym_range),
         staircase=all(C[i] <= C[i + 1] <= C[i] + 2 for i in range(1, k)),
     )
+
+
+def rebuilt(m, **changes):
+    """The matching ``m`` with the fields named in ``changes`` replaced."""
+    fields = {
+        "D": m.D,
+        "numerators": m.numerators,
+        "unit": m.unit,
+        "epsilon": m.epsilon,
+        "provenance": m.provenance,
+        "even": m.even,
+        "positive": m.positive,
+        "symmetric": m.symmetric,
+        "staircase": m.staircase,
+    }
+    return Matching(**{**fields, **changes})
 
 
 def reference_det(rows):

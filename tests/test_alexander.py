@@ -1,9 +1,8 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from helpers import numerators_over_4d, reference_classify
+from helpers import numerators_over_4d, rebuilt, reference_classify
 from unknotone.alexander import (
     AlexanderPolynomial,
     lspace_coefficient_check,
@@ -118,7 +117,7 @@ def test_torsion_requires_symmetric_even_positive():
 def test_torsion_requires_even_entries():
     # the 9_33 matching halved: consistent on every class, but odd entries
     window = (1, 1, 1, 1, 2, 2, 2, 3, 3, 4, 3, 3, 2, 2, 2, 1, 1, 1, 1)
-    m = replace(_symmetric_matching(61, window, 6), even=True)
+    m = rebuilt(_symmetric_matching(61, window, 6), even=True)
     assert m.positive and m.symmetric and m.C[0] == 0
     with pytest.raises(ValidationError, match="even matching"):
         torsion_from_matching(m, gamma_vector(61))

@@ -383,6 +383,46 @@ def test_huge_off_diagonal_entries_are_refused_before_the_elimination(
     )
 
 
+# 13 x 13 forms with 4,000-digit off-diagonal entries and a diagonal entry
+# >= 0, which no box bounds: the elimination ran for more than 5 s
+HUGE_BESIDE_A_DIAGONAL_ENTRY_AT_LEAST_ZERO = {
+    "diagonal-2": [[2 if i == j else 10**3999 + i + j for j in range(13)] for i in range(13)],
+    "diagonal-minus-2-and-0": [
+        [(-2 if i else 0) if i == j else 10**3999 + i + j for j in range(13)] for i in range(13)
+    ],
+}
+
+
+@pytest.mark.parametrize("command", ["obstruct", "plumbing-check"])
+@pytest.mark.parametrize(
+    "rows",
+    HUGE_BESIDE_A_DIAGONAL_ENTRY_AT_LEAST_ZERO.values(),
+    ids=HUGE_BESIDE_A_DIAGONAL_ENTRY_AT_LEAST_ZERO.keys(),
+)
+def test_huge_entries_beside_a_diagonal_entry_at_least_zero_are_refused_before_the_elimination(
+    command, rows, tmp_path, capsys, monkeypatch
+):
+    path = _record_file(tmp_path, rows)
+
+    from unknotone import lattice
+
+    def never(rows):
+        raise AssertionError("the elimination ran")
+
+    monkeypatch.setattr(lattice, "_gauss_jordan", never)
+    start = time.perf_counter()
+    code, out, err = run_main([command, "--input", path], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err.splitlines()) == (
+        3,
+        "",
+        [
+            "error: form with a diagonal entry >= 0 has elimination integers of up to 172731 "
+            "bits, above the budget of 1977 bits in dimension 13"
+        ],
+    )
+
+
 @pytest.mark.parametrize("command", ["obstruct", "plumbing-check"])
 def test_a_stated_determinant_is_checked_only_on_a_form_the_entry_checks_admit(
     command, tmp_path, capsys, monkeypatch
@@ -446,14 +486,16 @@ def test_gamma_above_budget_is_refused_quickly(src_env):
     ]
 
 
-# Runs one command in a fresh interpreter and prints, as its last two lines,
-# the package modules it loaded and whether it loaded ``fractions``.
+# Runs one command in a fresh interpreter and prints, as its last three
+# lines, the package modules it loaded, whether it loaded ``fractions``, and
+# which of ``dataclasses`` and ``inspect`` it loaded.
 LOADED_AFTER = (
     "import sys\n"
     "from unknotone import cli\n"
     "code = cli.main(sys.argv[1:])\n"
     "print(*sorted(m for m in sys.modules if m.startswith('unknotone.')))\n"
     "print('fractions' in sys.modules)\n"
+    "print(*sorted({'dataclasses', 'inspect'} & sys.modules.keys()))\n"
     "sys.exit(code)\n"
 )
 # the whole module set of these commands, besides cli and errors
@@ -481,9 +523,11 @@ def test_a_command_loads_only_its_own_modules(command, src_env):
         [sys.executable, "-c", LOADED_AFTER, *argv], env=src_env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    *_, modules, fractions_loaded = proc.stdout.splitlines()
+    *_, modules, fractions_loaded, heavy_loaded = proc.stdout.splitlines()
     # only the ``values`` views build Fractions, and no command reads them
     assert fractions_loaded == "False"
+    # the value types are plain classes (``lattice.Value``), not dataclasses
+    assert heavy_loaded == ""
     loaded = {name.removeprefix("unknotone.") for name in modules.split()}
     if argv[0] in ONLY:
         assert loaded == {"cli", "errors", *ONLY[argv[0]]}

@@ -47,3 +47,27 @@ def test_an_unused_import_is_caught():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: f"{path.parent.name}/{path.name}")
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules that ``source`` imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_imported_modules_are_found():
+    source = "import os.path\nfrom dataclasses import dataclass\nfrom . import lattice\n"
+    assert imported_modules(source) == {"os", "dataclasses"}
+
+
+def test_no_package_module_imports_dataclasses():
+    # ``dataclasses`` and the ``inspect`` it loads cost every cold run about 10 ms
+    modules = sorted((ROOT / "src" / "unknotone").glob("*.py"))
+    assert len(modules) >= 10
+    for path in modules:
+        assert "dataclasses" not in imported_modules(path.read_text()), path.name
