@@ -10,24 +10,33 @@ are already computed:
 - ``correction_vector_s`` times the coset-maximum scan over the
   prod |G_ii| points of the reduced box, as the verdict path runs it:
   without recording maximisers.  The two longest ranges run innermost,
-  so a point costs O(1) there; each point of the other coordinates (a
-  head) costs O(dim^2) once.
+  so a point costs O(1) there; the scan steps from each point of the
+  other coordinates (a head) to the next at O(dim) additions, one
+  precomputed step per carry level.
 - ``class_count_s`` times the class count.  On a form with odd cyclic
   cokernel that includes the same coset-maximum scan, recording the place
   of one maximiser per coset, in the numbering of box points that
-  ``lattice.box_strides`` defines.  The count then closes two sets of
-  points of the full box of prod (|G_ii| + 1) points, held as integer
-  bitsets indexed by those places: the points whose push leaves the box
-  and the recorded maximisers, whose places it reads as they are, each
-  under the pushes, by a frontier loop whose steps cost O(dim) bitwise
-  operations over the box.  Only the classes outside both closures are
-  walked, one box point at a time.
+  ``lattice.box_strides`` defines.  The count then closes one set of
+  points of the full box of prod (|G_ii| + 1) points, held as an integer
+  bitset indexed by those places: the points whose push leaves the box
+  together with the recorded maximisers, whose places it reads as they
+  are.  Each sweep of the closure applies the pushes in place, at O(dim)
+  bitwise operations over the box, until a sweep adds nothing.  Only the
+  classes outside the closure are walked, one box point at a time.
 
 The chain forms have diagonal -5 and 1 beside it, in dimension 6 and 7,
 so their boxes have 6^dim points (46,656 and 279,936); they and the
 dimension-8 star (centre -3, legs (-2, -2, -2), (-2, -3), (-2, -2), a box
 of 11,664 points) are L-spaces, so every class inside the box is settled
-and no walk runs: the scan and the closures set the work.
+and no walk runs: the scan and the closure set the work.  The
+dimension-7 star is the shape ``star-4_3.2.3.2_2_3`` of the (7, -4, 3)
+stratum of the benchmark's ``plumbing`` workload (centre -4, legs
+(-3, -2, -3, -2), (-2), (-3)), which sets that workload's tail: a box of
+8,640 points and a reduced box of 864, which the scan covers as 72 heads
+of 12 inner points, so the heads set the cost of its scan.  The
+dimension-8 chain with a last entry -6 is the form behind the
+``lattice.BOX_BUDGET`` comment: a box of 1,959,552 points, just under the
+budget, and D = 350,981.
 
 The non-L-space row times the walk.  Its 7-dimensional form has an even
 determinant, 27,804, so no coset maximum is recorded, and 62,353 classes
@@ -79,6 +88,8 @@ SHAPES = {
     "chain_dim6_diag-5": chain(6),
     "chain_dim7_diag-5": chain(7),
     "star_dim8_centre-3": star(-3, [[-2, -2, -2], [-2, -3], [-2, -2]]),
+    "star_dim7_centre-4": star(-4, [[-3, -2, -3, -2], [-2], [-3]]),
+    "chain_dim8_diag-5_last-6": chain(8, last=-6),
 }
 
 # classes beyond |det|, and an even determinant: nothing is settled
@@ -128,8 +139,8 @@ def main() -> int:
             "reduced_box": prod(diagonal),
             "D": A.D,
             "classes": counted.count,
-            "correction_vector_s": round(statistics.median(corrections_s), 3),
-            "class_count_s": round(statistics.median(count_s), 3),
+            "correction_vector_s": round(statistics.median(corrections_s), 5),
+            "class_count_s": round(statistics.median(count_s), 5),
         }
     for name, rows in NON_LSPACE_SHAPES.items():
         count_s = []
@@ -140,7 +151,7 @@ def main() -> int:
             "box": prod(1 - rows[i][i] for i in range(len(rows))),
             "determinant": counted.determinant,
             "classes": counted.count,
-            "class_count_s": round(statistics.median(count_s), 3),
+            "class_count_s": round(statistics.median(count_s), 5),
         }
     for name, rows in VERDICT_SHAPES.items():
         corrections_s = []
@@ -150,7 +161,7 @@ def main() -> int:
         out[name] = {
             "reduced_box": prod(-rows[i][i] for i in range(len(rows))),
             "D": A.D,
-            "correction_vector_s": round(statistics.median(corrections_s), 3),
+            "correction_vector_s": round(statistics.median(corrections_s), 5),
         }
     print(json.dumps(out, indent=1))
     return 0

@@ -39,15 +39,18 @@ D v . y.  It is nondegenerate, so a = g^t N g is a unit mod D, and a point
 x in the coset of i * g has x^t N g = i a (mod D).  With w = a^{-1} N g
 mod D, the index of x is therefore w . x mod D.  The scan runs the two
 coordinates with the longest ranges innermost, the longest one last, and
-``itertools.product`` over the others (the head).  With the head p fixed,
-x^t N x is a quadratic and w . x a linear function of the two inner
-coordinates: per head the scan forms p^t N p, the cross terms N_k . p and
-N_l . p with the two inner axes k and l, and w . p, at O(dim^2) cost, and
-then each inner point costs O(1), since a step along the middle axis l
-moves only the constant and linear terms of the innermost quadratic.  A
-form of dimension 1 gets a phantom middle coordinate fixed at 0.  A
-maximum does not depend on the order of the scan, so the choice of the
-inner axes changes no value.
+the others (the head) in ``itertools.product`` order.  With the head p
+fixed, x^t N x is a quadratic and w . x a linear function of the two
+inner coordinates, with p^t N p, the cross terms N_k . p and N_l . p with
+the two inner axes k and l, and w . p as coefficients.  The scan steps
+them from one head to the next rather than forming them anew: the step d
+adds 2 d . N p + d^t N d to p^t N p and N d to the linear terms, and
+there is one step per carry level, computed once, so a head costs O(dim)
+additions.  Each inner point costs O(1), since a step along the middle
+axis l moves only the constant and linear terms of the innermost
+quadratic.  A form of dimension 1 gets a phantom middle coordinate fixed
+at 0.  A maximum does not depend on the order of the scan, so the choice
+of the inner axes changes no value.
 
 The generator g is the one that :func:`unknotone.lattice.cokernel` chose.
 Any other generator is a unit multiple u g, and
@@ -58,13 +61,14 @@ Which points reach the maxima.  Asked to record, :func:`scan_box` also
 returns, per coset, the place of the first point of the scan that reaches
 its maximum: its index in the characteristic box, last coordinate fastest
 (:func:`unknotone.lattice.box_strides`), whatever the scan's axis order.
-Like w . x, a place is linear in the point: one sum per head and one term
-per middle and inner step.  The plumbing class count
-(:mod:`unknotone.plumbing`) reads the places as bit positions and settles
-the classes of these points without walking them.  The verdict path
-(:func:`correction_vector`) asks for no points: a plain loop keeps only
-the maxima, with no store per strict improvement.  Both loops share the
-ranges, the inner axes and the index weights.
+Like w . x, a place is linear in the point: its head part is stepped
+with the other linear terms, and each middle and inner step adds one
+term.  The plumbing class count (:mod:`unknotone.plumbing`) reads the
+places as bit positions and settles the classes of these points without
+walking them.  The verdict path (:func:`correction_vector`) asks for no
+points: a plain loop keeps only the maxima, with no store per strict
+improvement.  Both loops share the ranges, the inner axes, the index
+weights and the head steps.
 
 What the vector stores.  A point's value is (x^t N x + m D) / 4D, so
 :class:`CorrectionVector` is a :class:`unknotone.lattice.RationalVector`:
@@ -76,9 +80,9 @@ tests, the benchmark and the scripts.
 
 from __future__ import annotations
 
-from itertools import count, product, repeat
+from itertools import count, repeat
 from math import gcd
-from operator import mul
+from operator import add, mul
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import TEXT_BITS, NonCyclicCokernelError, ValidationError, count_text
@@ -229,13 +233,30 @@ def _coset_maxima(
     # the innermost axis k has the longest range, the middle axis l the next
     k, l, *rest = sorted(axes, key=lambda i: -len(ranges[i]))
     rest.sort()
-    # per head p (the coordinates in rest): p^t N p from the rows of N
-    # restricted to rest, then r_k = N_k . p, r_l = N_l . p and w . p
+    # per head p (the coordinates in rest): v = p^t N p and the linear terms
+    # lin = (N_i . p for i in rest, r_k = N_k . p, r_l = N_l . p, w . p and
+    # s . (p - start), twice the head's place); a step d to the next head
+    # adds 2 d . N p + d^t N d to v and N d, ..., s . d to lin
     head_rows = [[num[i][j] for j in rest] for i in rest + [k, l]]
     head_rows.append([weights[j] for j in rest])
-    # a recording scan also takes the head's place, s . (p - start) / 2
-    head_strides = [strides[j] for j in rest]
-    head_start = sum(box[j].start * strides[j] for j in rest)
+    head_rows.append([strides[j] for j in rest])
+    lin = [0] * len(head_rows)
+    lin[-1] = -sum(box[j].start * strides[j] for j in rest)
+
+    def step(d: list[int]) -> tuple[list[int], int, list[int]]:
+        moved = list(map(sum, map(map, repeat(mul), head_rows, repeat(d))))
+        return [2 * a for a in d], sum(map(mul, d, moved)), moved
+
+    # in itertools.product order the step of carry level c adds 2 to head
+    # coordinate c and sends the later ones back to their starts; the levels
+    # are listed from the last head coordinate out, after the step from 0 to
+    # the first head
+    head_ranges = [ranges[i] for i in rest]
+    steps: list[tuple[list[int], int, list[int]]] = []
+    for c in reversed(range(len(rest))):
+        d = [0] * c + [2] + [rg[0] - rg[-1] for rg in head_ranges[c + 1 :]]
+        steps = (steps + [step(d)]) * (len(head_ranges[c]) - 1) + steps
+    steps.insert(0, step([rg[0] for rg in head_ranges]))
     # x^t N x = v + y (2 r_l + N_ll y) + x_k (2 (r_k + N_kl y) + N_kk x_k) at
     # x_l = y, w . x = i0 + w_l y + w_k x_k, and a place adds to the head's
     # stride, 2 stride, ... along a reduced range, one step into the box
@@ -256,11 +277,13 @@ def _coset_maxima(
         from array import array  # only here: the verdict path never loads it
 
         places = array("l", [0]) * order
-    for p in product(*[ranges[i] for i in rest]):
-        *row_products, r_k, r_l, i0 = map(sum, map(map, repeat(mul), head_rows, repeat(p)))
-        v = sum(map(mul, p, row_products))
+    v, h = 0, len(rest)
+    for twice_d, square_d, moved in steps:
+        v += sum(map(mul, twice_d, lin)) + square_d
+        lin = list(map(add, lin, moved))
+        r_k, r_l, i0, twice_head = lin[h:]
         if record:
-            head = (sum(map(mul, p, head_strides)) - head_start) // 2
+            head = twice_head // 2
         for twice_y, square_y, cross, shift_y, place_y in middles:
             base = v + r_l * twice_y + square_y
             r = r_k + cross

@@ -17,9 +17,10 @@ gives the determinant, the leading minors behind definiteness and, for a
 nonsingular form, the adjugate; a singular form has no adjugate here, and
 asking for it raises SingularFormError.  The gcd of the adjugate entries
 is the cyclicity test (the cokernel is cyclic exactly when it is 1).  A
-Smith normal form is computed only for the invariant factors of a
-non-cyclic cokernel.  Each form builds its cokernel and its box once and
-keeps them beside the elimination, so every stage that asks shares them.
+Smith normal form, mod that gcd, is computed only for the invariant
+factors of a non-cyclic cokernel.  Each form builds its cokernel and its
+box once and keeps them beside the elimination, so every stage that asks
+shares them.
 
 The characteristic box is defined once, in :func:`characteristic_box`.
 The correction terms scan the reduced box G_ii + 2 <= x_i <= -G_ii inside
@@ -189,31 +190,40 @@ def _gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[i
     return pivots, a
 
 
-def _smith_diagonal(rows: Sequence[Sequence[int]]) -> list[int]:
-    """The invariant factors d_1 | d_2 | ... of a nonsingular integer matrix."""
-    a = [list(row) for row in rows]
+def _smith_diagonal(rows: Sequence[Sequence[int]], order: int, minors: int) -> list[int]:
+    """The invariant factors d_1 | d_2 | ... | d_n of a nonsingular integer matrix G.
+
+    ``order`` = |det G| = d_1 ... d_n, and ``minors``, the gcd of the
+    entries of adj(G), is d_1 ... d_(n-1): d_n = order / minors, and every
+    other d_i divides minors.  So the reduction keeps every entry mod
+    minors, as in Cohen's Smith form modulo D ("A Course in Computational
+    Algebraic Number Theory", Algorithm 2.4.14): a diagonal entry d then
+    stands for Z/gcd(d, minors), a 0 for Z/minors.
+    """
+    a = [[x % minors for x in row] for row in rows]
     n = len(a)
     for t in range(n):
         # Move a smallest nonzero entry of the remaining block to (t, t) and
         # reduce row t and column t by it, until both are clear.
         while any(a[i][t] for i in range(t + 1, n)) or any(a[t][t + 1 :]):
             block = range(t, n)
-            _, r, c = min((abs(a[i][j]), i, j) for i in block for j in block if a[i][j])
+            _, r, c = min((a[i][j], i, j) for i in block for j in block if a[i][j])
             a[t], a[r] = a[r], a[t]
             for row in a:
                 row[t], row[c] = row[c], row[t]
             for i in range(t + 1, n):
                 q = a[i][t] // a[t][t]
-                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                a[i] = [(x - q * y) % minors for x, y in zip(a[i], a[t])]
             for j in range(t + 1, n):
                 q = a[t][j] // a[t][t]
                 for row in a:
-                    row[j] -= q * row[t]
-    # The diagonal presents the same group; Z/a + Z/b = Z/gcd + Z/lcm orders it.
-    diagonal = [abs(a[t][t]) for t in range(n)]
+                    row[j] = (row[j] - q * row[t]) % minors
+    # Z/a + Z/b = Z/gcd + Z/lcm orders the factors.
+    diagonal = [gcd(a[t][t], minors) for t in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             diagonal[i], diagonal[j] = gcd(diagonal[i], diagonal[j]), lcm(diagonal[i], diagonal[j])
+    diagonal[-1] = order // minors
     return diagonal
 
 
@@ -299,12 +309,12 @@ class QuadraticForm(Value):
 
 # The most points the characteristic box may have.  The box has
 # prod(|G_ii| + 1) points; the coset maxima scan the prod |G_ii| points of
-# the reduced box, and the class count closes bitsets of the full box, one
-# bit per point, at a cost linear in the box per frontier step.  On the
+# the reduced box, and the class count closes a bitset of the full box, one
+# bit per point, at a cost linear in the box per sweep.  On the
 # 8-dimensional chain form with diagonal -5 (seven times) and -6, whose box
-# has 1.96e6 points, class_count takes 0.52 to 0.55 s (0.47 s of it the
-# scan) and correction_vector 0.29 to 0.38 s of CPU on one pinned core of a
-# 2-vCPU Xeon (CPython 3.11.7), with a 51 MB peak, which is the scan's.  A
+# has 1.96e6 points, class_count takes 0.32 to 0.36 s (0.31 s of it the
+# scan) and correction_vector 0.21 to 0.27 s of CPU on one pinned core of a
+# 2-vCPU Xeon (CPython 3.11.7), with a 50 MB peak, which is the scan's.  A
 # larger box is refused up front instead of running for hours: a 6 x 6
 # form with diagonal -41 has 5.5e9 points.
 BOX_BUDGET = 2_000_000
@@ -319,8 +329,11 @@ MAX_DIM = BOX_BUDGET.bit_length() - 1
 # bits of the product of the row norms of [G | I], which bounds every minor
 # (Hadamard), so every integer of the elimination.  At the budget, forms of
 # dimension 2 to 20 (entries of 16,000 to 50 bits) are eliminated in 1 to
-# 22 ms on one core of a 2-vCPU Xeon, CPython 3.11.7; a non-cyclic one's
-# invariant factors take up to 0.33 s.
+# 22 ms on one core of a 2-vCPU Xeon, CPython 3.11.7.  With diagonal 2 and
+# even entries the cokernel is not cyclic, and its invariant factors take
+# 0.1 to 5 ms more, since the reduction runs mod the gcd of the minors,
+# of about dim bits there; a 4 x 4 form whose two hidden blocks share a
+# 1,400-bit factor, so that this gcd has 4,200 bits, takes 0.12 s.
 ELIMINATION_BUDGET = 2**33
 
 
@@ -478,8 +491,9 @@ def _build_cokernel(form: QuadraticForm) -> CokernelStructure:
     if form.det == 0:
         raise SingularFormError("cokernel requires a nonsingular form")
     order = abs(form.det)
-    is_cyclic = gcd(*(entry for row in form.adjugate for entry in row)) == 1
-    factors = [order] if is_cyclic else _smith_diagonal(form.gram)
+    minors = gcd(*(entry for row in form.adjugate for entry in row))
+    is_cyclic = minors == 1
+    factors = [order] if is_cyclic else _smith_diagonal(form.gram, order, minors)
     nontrivial = tuple(d for d in factors if d != 1)
     if prod(nontrivial) != order:
         raise AssertionError("invariant factor product disagrees with |det|")

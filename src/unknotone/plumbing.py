@@ -39,12 +39,14 @@ of box points is an ``int`` bitset over their places, the numbering
 maximisers.  At vertex i the upper-wall points whose push stays in the
 box form a box of intervals, and the push moves them all by one place
 shift onto the lower wall; the other wall points push out of the box.
-Closed under the 2 dim shifted sets by a frontier loop, at O(dim) bitwise
-operations over the box per step, those points fill the classes that
-leave the box, and the recorded maximisers fill the D settled classes.
-The rest is a union of in-box classes, each meeting the reduced box: a
-plain walk from its seeds there counts them.  On an L-space with odd
-cyclic cokernel nothing is left.
+Those points and the recorded maximisers are closed once under the 2 dim
+shifted sets: each sweep applies every move in place to the whole set,
+at O(dim) bitwise operations over the box, until a sweep adds nothing.
+The closure fills the classes that leave the box and the D settled
+classes, which lie inside it, so the two never share a class.  The rest
+is a union of in-box classes, each meeting the reduced box: a plain walk
+from its seeds there counts them.  On an L-space with odd cyclic
+cokernel nothing is left.
 """
 
 from __future__ import annotations
@@ -113,8 +115,8 @@ def _count_classes(plumbing: PlumbingForm) -> int:
     """The number of push classes lying entirely inside the box.
 
     The classes that leave the box and those of the scan's maximisers are
-    closed over the whole box as bitsets (module docstring); only the
-    classes left are walked.
+    closed together over the whole box as one bitset (module docstring);
+    only the classes left are walked.
     """
     # the scan runs first, so its peak and that of the sets below do not add up
     scan = plumbing.scan
@@ -135,12 +137,13 @@ def _count_classes(plumbing: PlumbingForm) -> int:
         upper = _box_set([(b, b) if j == i else (0, b) for j, b in enumerate(bound)], sizes)
         leaving |= (upper ^ pushed) | ((upper >> bound[i] * stride[i]) ^ back)
         moves.append((pushed, back, shift) if shift >= 0 else (back, pushed, -shift))
-    left = ((1 << total) - 1) ^ _closure(leaving, moves)
-    good = 0
+    settled = good = 0
     if scan is not None and scan.places:
-        # each coset maximiser of the scan stands for its settled class
-        left ^= _closure(_bitset(scan.places, total), moves)
+        # each coset maximiser of the scan stands for its settled class; the
+        # settled classes lie inside the box, so none meets a leaving class
+        settled = _bitset(scan.places, total)
         good = len(scan.places)
+    left = ((1 << total) - 1) ^ _closure(leaving | settled, moves)
     if not left:
         return good
     # what is left is closed under the pushes and lies inside the box
@@ -185,14 +188,12 @@ def _box_set(intervals: Sequence[tuple[int, int]], sizes: Sequence[int]) -> int:
 
 def _closure(bits: int, moves: Sequence[tuple[int, int, int]]) -> int:
     """``bits`` and all they reach: each move sends ``up`` up and ``down`` down ``shift`` places."""
-    reached = frontier = bits
-    while frontier:
-        step = 0
+    while True:
+        swept = bits
         for up, down, shift in moves:
-            step |= (frontier & up) << shift | (frontier & down) >> shift
-        frontier = step & ~reached
-        reached |= frontier
-    return reached
+            bits |= (bits & up) << shift | (bits & down) >> shift
+        if bits == swept:
+            return bits
 
 
 def _bitset(places: Iterable[int], size: int) -> int:

@@ -5,14 +5,15 @@ the characteristic box, the map q(v) = G v, the value Q(v, v), the unit
 that reindexes A to another generating covector, the closed form of B_0,
 the model vector B built one pairing at a time, the numerators of a
 matching's ``Fraction`` entries, a matching rebuilt with some fields
-replaced, the four matching filters read off those entries, and the
-adjugate from cofactors over ``Fraction`` elimination.
+replaced, the four matching filters read off those entries, the
+adjugate from cofactors over ``Fraction`` elimination, and invariant
+factors from a Smith reduction over the integers, unbounded.
 """
 
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 from types import SimpleNamespace
 
 from unknotone.gamma import kappa_list, model_form
@@ -138,3 +139,33 @@ def reference_adjugate(rows):
         )
         for i in range(n)
     )
+
+
+def reference_smith_diagonal(rows):
+    """Invariant factors d_1 | d_2 | ... of a nonsingular integer matrix, no modulus.
+
+    A smallest nonzero entry of the remaining block moves to (t, t) and
+    reduces row t and column t, until both are clear; the entries grow
+    without bound on the way.
+    """
+    a = [list(row) for row in rows]
+    n = len(a)
+    for t in range(n):
+        while any(a[i][t] for i in range(t + 1, n)) or any(a[t][t + 1 :]):
+            block = range(t, n)
+            _, r, c = min((abs(a[i][j]), i, j) for i in block for j in block if a[i][j])
+            a[t], a[r] = a[r], a[t]
+            for row in a:
+                row[t], row[c] = row[c], row[t]
+            for i in range(t + 1, n):
+                q = a[i][t] // a[t][t]
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+            for j in range(t + 1, n):
+                q = a[t][j] // a[t][t]
+                for row in a:
+                    row[j] -= q * row[t]
+    diagonal = [abs(a[t][t]) for t in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            diagonal[i], diagonal[j] = gcd(diagonal[i], diagonal[j]), lcm(diagonal[i], diagonal[j])
+    return diagonal

@@ -494,3 +494,48 @@ def test_only_the_class_count_records_maximisers(monkeypatch):
     class_count(plumbing)
     plumbing_corrections(plumbing)
     assert modes == [False, False, False, True]
+
+
+@st.composite
+def deep_sheared_forms(draw):
+    """Forms of dimension 5..7 with odd cyclic cokernel and dense cross terms.
+
+    A chain with diagonal -2 or -3, summed with up to two [-1] blocks, is
+    sheared: row and column j gain c times row and column i.  No shear
+    lands on a -1 vertex, so it keeps G_ii = -1, a head range of one
+    point whose carry level never fires, while shears from it put its
+    cross terms into the other rows.  The scan's head then has three to
+    five coordinates.
+    """
+    dim = draw(st.integers(min_value=5, max_value=7))
+    ones = draw(st.integers(min_value=0, max_value=2))
+    weights = draw(st.lists(st.sampled_from([2, 3]), min_size=dim - ones, max_size=dim - ones))
+    weights += [1] * ones
+    rows = [[-weights[i] if i == j else 0 for j in range(dim)] for i in range(dim)]
+    for i in range(dim - ones - 1):
+        rows[i][i + 1] = rows[i + 1][i] = 1
+    for _ in range(draw(st.integers(min_value=2, max_value=8))):
+        i = draw(st.integers(min_value=0, max_value=dim - 1))
+        j = draw(st.integers(min_value=0, max_value=dim - ones - 1))
+        if i == j:
+            continue
+        c = draw(st.sampled_from([-1, 1]))
+        for k in range(dim):
+            rows[j][k] += c * rows[i][k]
+        for k in range(dim):
+            rows[k][j] += c * rows[k][i]
+    order = draw(st.permutations(range(dim)))
+    rows = [[rows[i][j] for j in order] for i in order]
+    assume(prod(1 - rows[i][i] for i in range(dim)) <= 20_000)
+    form = QuadraticForm.from_rows(rows)
+    assume(cyclic_odd(form))
+    return form
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(deep_sheared_forms())
+def test_deep_sheared_scans_in_both_modes(form):
+    assert_both_scans_match_reference(form)
+    assert_places_number_the_box(form)
+    if prod(1 - form.gram[i][i] for i in range(form.dim)) <= 2_000:
+        assert class_count(PlumbingForm(form)).count == reference_class_count(form.gram)

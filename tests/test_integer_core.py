@@ -3,13 +3,15 @@
 sympy is a test-only reference here; the package itself must not import it.
 """
 
+import random
 import subprocess
 import sys
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from helpers import reference_adjugate, reference_det
+from helpers import reference_adjugate, reference_det, reference_smith_diagonal
 from unknotone import lattice
 from unknotone.catalog import builtin_record
 from unknotone.errors import SingularFormError
@@ -133,6 +135,81 @@ def test_adjugate_up_to_dimension_eight(rows):
     rng = range(form.dim)
     product = [[sum(rows[i][k] * adj[k][j] for k in rng) for j in rng] for i in rng]
     assert product == [[form.det * (i == j) for j in rng] for i in rng]
+
+
+@st.composite
+def non_cyclic_rows(draw):
+    """Nonsingular symmetric forms with a non-cyclic cokernel.
+
+    Either k H for k >= 2, which puts (Z/k)^dim into the cokernel, or a
+    block sum whose two blocks are scaled by multiples of one factor s,
+    which puts Z/s into both, conjugated by unimodular shears that hide
+    the blocks.
+    """
+
+    def block(dim, scale):
+        rows = [[0] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(i, dim):
+                rows[i][j] = rows[j][i] = scale * draw(st.integers(min_value=-5, max_value=5))
+        return rows
+
+    if draw(st.booleans()):
+        dim = draw(st.integers(min_value=2, max_value=5))
+        rows = block(dim, draw(st.integers(min_value=2, max_value=12)))
+    else:
+        shared = draw(st.sampled_from([2, 3, 4, 6, 9, 10]))
+        first, second = (
+            block(draw(st.integers(1, 3)), shared * draw(st.integers(1, 3))) for _ in range(2)
+        )
+        dim = len(first) + len(second)
+        rows = [row + [0] * len(second) for row in first]
+        rows += [[0] * len(first) + row for row in second]
+        for _ in range(draw(st.integers(min_value=0, max_value=2 * dim))):
+            i = draw(st.integers(min_value=0, max_value=dim - 1))
+            j = draw(st.integers(min_value=0, max_value=dim - 1))
+            if i == j:
+                continue
+            c = draw(st.sampled_from([-1, 1]))
+            rows[j] = [a + c * b for a, b in zip(rows[j], rows[i])]
+            for row in rows:
+                row[j] += c * row[i]
+    assume(reference_det(rows) != 0)
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(non_cyclic_rows())
+@example([[-3, 0], [0, -3]])
+@example([[4, 2, 0], [2, 4, 0], [0, 0, 6]])
+def test_bounded_smith_reduction_agrees_with_the_unbounded_one_and_sympy(sympy, rows):
+    from sympy.matrices.normalforms import smith_normal_form
+
+    form = QuadraticForm.from_rows(rows)
+    structure = cokernel(form)
+    assert not structure.is_cyclic
+    expected = reference_smith_diagonal(rows)
+    order = abs(form.det)
+    minors = gcd(*(x for row in form.adjugate for x in row))
+    assert lattice._smith_diagonal(rows, order, minors) == expected
+    assert structure.invariant_factors == tuple(d for d in expected if d != 1)
+    snf = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+    assert sorted(abs(int(snf[i, i])) for i in range(len(rows))) == expected
+
+
+def test_invariant_factors_beside_huge_even_entries():
+    # diagonal 2 and even 2,892-bit entries: Z/2 three times and one huge
+    # factor; unbounded, the reduction takes 4,795 passes over entries of up
+    # to 11,566 bits, while mod the gcd of the minors, 8, they stay below 8
+    rng = random.Random(5)
+    rows = [[2 if i == j else 0 for j in range(4)] for i in range(4)]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            rows[i][j] = rows[j][i] = 2 * rng.getrandbits(2892)
+    form = QuadraticForm.from_rows(rows)
+    order = abs(form.det)
+    assert cokernel(form).invariant_factors == (2, 2, 2, order // 8)
+    assert (order // 8).bit_length() == 11566
 
 
 def test_one_elimination_per_form(monkeypatch):
