@@ -188,6 +188,8 @@ def cmd_obstruct(args: argparse.Namespace) -> int:
     from .matching import format_compact
     from .report import analyze_record, report_to_json, sign_refined_record, verdict_to_json
 
+    if args.sign_refined and (args.strong or args.generator is not None):
+        raise ValidationError("--sign-refined takes no --strong or --generator")
     record = _load_single_record(args)
     if args.sign_refined:
         signed = sign_refined_record(record)
@@ -271,7 +273,8 @@ def cmd_plumbing_check(args: argparse.Namespace) -> int:
         f"{record.name}: {counted.count} bounded classes, |det| = {counted.determinant}",
         f"  L-space certificate: {'yes' if counted.is_lspace else 'no'}",
     ]
-    if counted.is_lspace:
+    # the count certifies any negative-definite form; A needs an odd cyclic cokernel
+    if counted.is_lspace and plumbing.scan is not None:
         A = plumbing_corrections(plumbing)
         payload["A"] = A.texts()
         lines.append("  A = " + ", ".join(payload["A"]))

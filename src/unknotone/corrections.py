@@ -10,7 +10,7 @@ stays characteristic and in the coset, and changes x^t G^{-1} x by
 4 (x_i + G_ii) when adding it and by 4 (G_ii - x_i) when subtracting it,
 so outside the box one of the two pushes strictly gains.  The scan uses the
 smaller box G_ii + 2 <= x_i <= -G_ii, of prod |G_ii| points.  Put
-h = -G^{-1} 1 and take, among the maximisers of a coset, one with the
+h = -G^{-1} 1 and take, among a coset's maximising points, one with the
 largest h . x.  If x_i = G_ii, then x' = x - 2 G e_i has the same value
 (the change is 4 (G_ii - x_i) = 0), lies in the same coset and has
 h . x' = h . x + 2, which contradicts the choice of x.  The characteristic
@@ -83,7 +83,7 @@ from __future__ import annotations
 from itertools import count, repeat
 from math import gcd
 from operator import add, mul
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import TEXT_BITS, NonCyclicCokernelError, ValidationError, count_text
 from .lattice import (
@@ -149,30 +149,17 @@ def scannable_cokernel(form: QuadraticForm) -> CokernelStructure:
         raise NonCyclicCokernelError(structure.invariant_factors)
     if not form.is_negative_definite:
         raise ValidationError("correction terms require a negative-definite form")
-    characteristic_box(form)
     return structure
 
 
 class BoxScan(NamedTuple):
-    """One reduced-box scan: the correction vector and, if asked, its maximisers.
-
-    When the scan records, ``places[i]`` is the place in ``box``, the
-    characteristic box (:func:`unknotone.lattice.box_strides`), of the
-    first point of the scan that reaches A_i's maximum, a point of the
-    reduced box in the coset of i * g, one machine word each in an
-    ``array``.  It is empty when the scan does not record, and in
-    dimension 0.
+    """One reduced-box scan: the correction vector and, if it records, per index i
+    the place of the first point reaching A_i's maximum (module docstring),
+    one machine word each in an ``array``; empty otherwise, and in dimension 0.
     """
 
     vector: CorrectionVector
     places: Sequence[int]
-    box: list[range]
-
-    def maximisers(self) -> Iterator[Vector]:
-        """Per index i, the recorded maximiser of A_i, in coordinate order, one at a time."""
-        strides = box_strides(self.box)
-        for place in self.places:
-            yield tuple([rg.start + place // s % len(rg) * 2 for rg, s in zip(self.box, strides)])
 
 
 def correction_vector(form: QuadraticForm) -> CorrectionVector:
@@ -181,18 +168,18 @@ def correction_vector(form: QuadraticForm) -> CorrectionVector:
     The vector is listed against the generator that
     :func:`unknotone.lattice.cokernel` chose; ``reindexed`` lists it
     against a unit multiple.  A form that :func:`scannable_cokernel`
-    refuses raises its error.  The scan records no maximisers.
+    refuses raises its error.  The scan records no points.
     """
     return scan_box(form).vector
 
 
 def scan_box(form: QuadraticForm, record: bool = False) -> BoxScan:
-    """The coset-maxima scan behind :func:`correction_vector`; ``record`` keeps its maximisers."""
+    """The scan behind :func:`correction_vector`; ``record`` keeps the maximising points."""
     structure = scannable_cokernel(form)
     D = structure.order
     m = form.dim
     if m == 0:
-        return BoxScan(CorrectionVector(D=1, numerators=(0,), generator=()), (), [])
+        return BoxScan(CorrectionVector(D=1, numerators=(0,), generator=()), ())
 
     generator = structure.generator
     assert generator is not None
@@ -204,7 +191,7 @@ def scan_box(form: QuadraticForm, record: bool = False) -> BoxScan:
     # the value of a coset is (b + m D) / 4D for its maximum b of x^t N x
     nums = tuple([b + m * D for b in best])
     vector = CorrectionVector(D=D, numerators=nums, generator=generator)
-    return BoxScan(vector, places, characteristic_box(form))
+    return BoxScan(vector, places)
 
 
 def _coset_maxima(

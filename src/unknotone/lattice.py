@@ -295,17 +295,6 @@ class QuadraticForm(Value):
         pivots = self._elimination[0]
         return all((-1) ** k * p > 0 for k, p in enumerate(pivots[1:], 1))
 
-    def pairing_numerator(self, v: Sequence[int]) -> int:
-        """Integer n with v^t G^{-1} v = n / |det G|."""
-        self._check_dim(v)
-        num = self.inverse_numerator
-        rng = range(self.dim)
-        return sum(v[i] * num[i][j] * v[j] for i in rng for j in rng)
-
-    def _check_dim(self, v: Sequence[int]) -> None:
-        if len(v) != self.dim:
-            raise ValidationError(f"vector length {len(v)} does not match dimension {self.dim}")
-
 
 # The most points the characteristic box may have.  The box has
 # prod(|G_ii| + 1) points; the coset maxima scan the prod |G_ii| points of
@@ -316,7 +305,11 @@ class QuadraticForm(Value):
 # scan) and correction_vector 0.21 to 0.27 s of CPU on one pinned core of a
 # 2-vCPU Xeon (CPython 3.11.7), with a 50 MB peak, which is the scan's.  A
 # larger box is refused up front instead of running for hours: a 6 x 6
-# form with diagonal -41 has 5.5e9 points.
+# form with diagonal -41 has 5.5e9 points.  The budget does not bound the
+# generator pick: when no coordinate covector generates a cyclic cokernel,
+# it lists all D cosets as tuple labels.  diag(-1409, -1413), with a box
+# of 1,993,740 points and D = 1,990,917, spends 9.8 to 11.8 s and 655 MB
+# there against 1.1 to 1.3 s for the scan (two single runs on that Xeon).
 BOX_BUDGET = 2_000_000
 
 # A negative-definite form has every G_ii <= -1, so its box has at least
@@ -411,50 +404,32 @@ def _build_box(form: QuadraticForm) -> list[range]:
 
 
 class CokernelStructure(Value):
-    """The finite group V*/q(V) together with a coset labelling.
+    """The finite group V*/q(V): its invariant factors and, when cyclic, a generator.
 
-    Labels are tuples (N v mod |det|) where N is the integer numerator of
-    G^{-1}; two covectors get the same label exactly when their difference
-    is in the image of q.  Labels add componentwise mod |det|, so the label
-    map is a group homomorphism.  The structure keeps N, not the form, so
-    that the form can keep its cokernel without a reference cycle.
+    ``invariant_factors`` are the nontrivial d_1 | d_2 | ..., so the group
+    is cyclic when there is at most one.  ``generator`` is a covector whose
+    coset generates a cyclic group, None otherwise.
     """
 
-    inverse_numerator: tuple[tuple[int, ...], ...]
     invariant_factors: tuple[int, ...]
-    order: int
-    is_cyclic: bool
     generator: Optional[Vector]
 
     __hash__ = None  # compared by value, never hashed
 
     @property
-    def dim(self) -> int:
-        return len(self.inverse_numerator)
-
-    def to_coset(self, v: Sequence[int]) -> Vector:
-        num = self.inverse_numerator
-        rng = range(self.dim)
-        return tuple(sum(num[i][j] * v[j] for j in rng) % self.order for i in rng)
-
-    def add(self, a: Vector, b: Vector) -> Vector:
-        return tuple((x + y) % self.order for x, y in zip(a, b))
+    def order(self) -> int:
+        return prod(self.invariant_factors)
 
     @property
-    def zero_label(self) -> Vector:
-        return (0,) * self.dim
-
-    def element_order(self, label: Vector) -> int:
-        return self.order // gcd(self.order, *label)
-
-    def elements(self) -> dict[Vector, Vector]:
-        """All coset labels, each with a small representative covector."""
-        return _coset_representatives(_labels(self.inverse_numerator, self.order), self.order)
+    def is_cyclic(self) -> bool:
+        return len(self.invariant_factors) <= 1
 
 
 def _labels(rows: Sequence[Sequence[int]], order: int) -> list[Vector]:
-    """The label of each coordinate covector e_i: column i of N mod |det|,
-    which is row i, as N is symmetric."""
+    """The label N e_i mod |det| of each coordinate covector e_i: row i of N.
+
+    N v mod |det| labels the coset of v, with N = |det| G^{-1} (symmetric).
+    """
     return [tuple([x % order for x in row]) for row in rows]
 
 
@@ -481,13 +456,13 @@ def _coset_representatives(labels: Sequence[Vector], order: int) -> dict[Vector,
 
 
 def cokernel(form: QuadraticForm) -> CokernelStructure:
-    """Invariant factors and coset labelling of coker(q: V -> V*), built once per form."""
+    """Invariant factors and generator of coker(q: V -> V*), built once per form."""
     return form._cokernel
 
 
 def _build_cokernel(form: QuadraticForm) -> CokernelStructure:
     if form.dim == 0:
-        return CokernelStructure((), (), 1, True, generator=())
+        return CokernelStructure((), generator=())
     if form.det == 0:
         raise SingularFormError("cokernel requires a nonsingular form")
     order = abs(form.det)
@@ -499,7 +474,7 @@ def _build_cokernel(form: QuadraticForm) -> CokernelStructure:
         raise AssertionError("invariant factor product disagrees with |det|")
     num = form.inverse_numerator
     generator = _choose_generator(_labels(num, order), order) if is_cyclic else None
-    return CokernelStructure(num, nontrivial, order, is_cyclic, generator)
+    return CokernelStructure(nontrivial, generator)
 
 
 def _choose_generator(labels: Sequence[Vector], order: int) -> Vector:

@@ -18,7 +18,7 @@ the largest h . x, x_i = G_ii would allow that push, to a member with a
 larger h . x, so x_i != G_ii for every i (the same argument as for the
 coset maxima in :mod:`unknotone.corrections`).
 
-The classes of the coset maximisers need no walk.  A push moves x by
+The classes of the maximising points need no walk.  A push moves x by
 2 G e_i, which lies in q(V), so it keeps the coset; it starts from a wall
 x_i = -G_ii (adding) or x_i = G_ii (subtracting), where the change of
 x^t G^{-1} x, 4 (x_i + G_ii) or 4 (G_ii - x_i), is 0.  So every member of
@@ -27,7 +27,7 @@ in the box (see :mod:`unknotone.corrections`): the whole class lies
 inside the box.  On a form with odd cyclic cokernel the coset-maxima
 scan, which the correction terms need anyway, gives one reduced-box
 maximiser per coset.  Those D points lie in D distinct classes, one per
-coset, and are counted as settled.  A coset may have maximisers in more
+coset, and are counted as settled.  A coset may reach its maximum in more
 than one class (the sharp 10_148 form has 43 such classes for D = 31); the
 classes of the unrecorded ones are counted like any other.
 
@@ -36,10 +36,10 @@ a connected component of an undirected graph, and the in-box classes are
 the components of the box points with no push that leaves the box.  A set
 of box points is an ``int`` bitset over their places, the numbering
 (:func:`unknotone.lattice.box_strides`) in which the scan records its
-maximisers.  At vertex i the upper-wall points whose push stays in the
+maximising points.  At vertex i the upper-wall points whose push stays in the
 box form a box of intervals, and the push moves them all by one place
 shift onto the lower wall; the other wall points push out of the box.
-Those points and the recorded maximisers are closed once under the 2 dim
+Those points and the recorded points are closed once under the 2 dim
 shifted sets: each sweep applies every move in place to the whole set,
 at O(dim) bitwise operations over the box, until a sweep adds nothing.
 The closure fills the classes that leave the box and the D settled
@@ -114,7 +114,7 @@ def class_count(plumbing: PlumbingForm) -> ClassCount:
 def _count_classes(plumbing: PlumbingForm) -> int:
     """The number of push classes lying entirely inside the box.
 
-    The classes that leave the box and those of the scan's maximisers are
+    The classes that leave the box and those of the scan's recorded points are
     closed together over the whole box as one bitset (module docstring);
     only the classes left are walked.
     """

@@ -1,13 +1,15 @@
 """Small lattice helpers that only the tests use.
 
 They are plain reimplementations kept outside the package: the points of
-the characteristic box, the map q(v) = G v, the value Q(v, v), the unit
-that reindexes A to another generating covector, the closed form of B_0,
-the model vector B built one pairing at a time, the numerators of a
-matching's ``Fraction`` entries, a matching rebuilt with some fields
-replaced, the four matching filters read off those entries, the
-adjugate from cofactors over ``Fraction`` elimination, and invariant
-factors from a Smith reduction over the integers, unbounded.
+the characteristic box and the point at a place in its numbering, the map
+q(v) = G v, the value Q(v, v), the pairing v^t N v and the coset label
+N v mod |det| with N = |det| G^{-1}, the unit that reindexes A to another
+generating covector, the closed form of B_0, the model vector B built one
+pairing at a time, the numerators of a matching's ``Fraction`` entries, a
+matching rebuilt with some fields replaced, the four matching filters
+read off those entries, the adjugate from cofactors over ``Fraction``
+elimination, and invariant factors from a Smith reduction over the
+integers, unbounded.
 """
 
 from collections import Counter
@@ -17,13 +19,20 @@ from math import gcd, lcm
 from types import SimpleNamespace
 
 from unknotone.gamma import kappa_list, model_form
-from unknotone.lattice import characteristic_box, cokernel
+from unknotone.lattice import box_strides, characteristic_box, cokernel
 from unknotone.matching import Matching, quarter_point
 
 
 def characteristic_candidates(form):
     """The points of ``characteristic_box``, in ``itertools.product`` order."""
     return list(product(*characteristic_box(form)))
+
+
+def box_points(form, places):
+    """The points of ``characteristic_box`` at ``places``, last coordinate fastest."""
+    box = characteristic_box(form)
+    strides = box_strides(box)
+    return [tuple(rg.start + p // s % len(rg) * 2 for rg, s in zip(box, strides)) for p in places]
 
 
 def q_map(form, v):
@@ -36,16 +45,26 @@ def evaluate(form, v):
     return sum(a * b for a, b in zip(v, q_map(form, v)))
 
 
+def pairing(form, v):
+    """The integer v^t N v, so that v^t G^{-1} v = pairing(form, v) / |det|."""
+    return sum(a * sum(n * b for n, b in zip(row, v)) for a, row in zip(v, form.inverse_numerator))
+
+
+def coset_label(form, v):
+    """N v mod |det|: two covectors get one label exactly when they differ by some q(u)."""
+    D = abs(form.det)
+    return tuple(sum(n * a for n, a in zip(row, v)) % D for row in form.inverse_numerator)
+
+
 def unit_of_covector(form, covector):
     """The unit u of Z/D with [covector] = u [g], g the generator the cokernel chose.
 
     ``correction_vector(form).reindexed(u)`` lists A against ``covector``.
     Found by trying every unit; the covector must generate the cokernel.
     """
-    structure = cokernel(form)
-    D = structure.order
-    step = structure.to_coset(structure.generator)
-    target = structure.to_coset(covector)
+    D = abs(form.det)
+    step = coset_label(form, cokernel(form).generator)
+    target = coset_label(form, covector)
     (unit,) = [
         u for u in range(D) if gcd(u, D) == 1 and tuple(u * x % D for x in step) == target
     ]
@@ -59,11 +78,11 @@ def spin_reference_value(D):
 
 
 def reference_gamma_vector(D):
-    """B for odd D >= 3, one ``pairing_numerator`` and one ``Fraction`` per kappa."""
+    """B for odd D >= 3, one ``pairing`` and one ``Fraction`` per kappa."""
     n = (D + 1) // 2
     form = model_form(D)
     kappas = tuple(kappa_list(n))
-    values = tuple(Fraction(form.pairing_numerator(k) + 2 * D, 4 * D) for k in kappas)
+    values = tuple(Fraction(pairing(form, k) + 2 * D, 4 * D) for k in kappas)
     v_index = tuple(kappa[0] % (2 * n) for kappa in kappas)
     counts = Counter(v_index)
     (single,) = [i for i, residue in enumerate(v_index) if counts[residue] == 1]

@@ -15,18 +15,18 @@ box, so for odd D at least D classes do.
 
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from helpers import unit_of_covector
+from helpers import box_points, coset_label, pairing, unit_of_covector
 from test_properties import cyclic_odd, negative_definite_forms
 from unknotone import corrections, plumbing as plumbing_mod
 from unknotone.catalog import builtin_record
 from unknotone.corrections import correction_vector, scan_box
 from unknotone.errors import ValidationError
-from unknotone.gamma import model_form
+from unknotone.gamma import gamma_vector, model_form
 from unknotone.lattice import (
     BOX_BUDGET,
     QuadraticForm,
@@ -76,20 +76,19 @@ def reference_class_count(rows):
 
 def reference_correction_values(form, generator=None):
     """Full-box maxima per tuple label, listed by a D-step walk of the generator."""
-    structure = cokernel(form)
     best = {}
     for x in reference_box(form):
-        label = structure.to_coset(x)
-        value = form.pairing_numerator(x)
+        label, value = coset_label(form, x), pairing(form, x)
         best[label] = max(best.get(label, value), value)
-    assert len(best) == structure.order
-    step = structure.to_coset(generator or structure.generator)
     det = abs(form.det)
-    values, label = [], structure.zero_label
-    for _ in range(structure.order):
+    assert len(best) == det
+    step = coset_label(form, generator or cokernel(form).generator)
+    zero = label = (0,) * form.dim
+    values = []
+    for _ in range(det):
         values.append(Fraction(best[label] + form.dim * det, 4 * det))
-        label = structure.add(label, step)
-    assert label == structure.zero_label
+        label = tuple((a + b) % det for a, b in zip(label, step))
+    assert label == zero
     return tuple(values)
 
 
@@ -205,23 +204,23 @@ def test_in_box_classes_meet_reduced_box_on_stars_with_bad_vertex(rows):
 def assert_maximiser_classes_inside_box(rows):
     """Every class holding a full-box coset maximiser lies inside the box."""
     form = QuadraticForm.from_rows(rows)
-    structure = cokernel(form)
     best = {}
     for x in reference_box(form):
-        label, value = structure.to_coset(x), form.pairing_numerator(x)
+        label, value = coset_label(form, x), pairing(form, x)
         best[label] = max(best.get(label, value), value)
     inside_count = 0
     for members, inside in reference_classes(rows):
         inside_count += inside
         # a push adds 2 G e_i, which lies in q(V): a class lies in one coset
-        most = best[structure.to_coset(next(iter(members)))]
-        if any(form.pairing_numerator(x) == most for x in members):
+        most = best[coset_label(form, next(iter(members)))]
+        if any(pairing(form, x) == most for x in members):
             assert inside
-    if structure.order % 2:
+    D = abs(form.det)
+    if D % 2:
         # every coset holds characteristic covectors, so each has a maximiser,
         # and pushes keep the coset: the D maximiser classes are distinct
-        assert len(best) == structure.order
-        assert inside_count >= structure.order
+        assert len(best) == D
+        assert inside_count >= D
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
@@ -382,11 +381,10 @@ def assert_both_scans_match_reference(form):
     plain = scan_box(form)
     recorded = scan_box(form, record=True)
     assert plain.vector.values == recorded.vector.values == reference
-    assert not plain.places and list(plain.maximisers()) == []
-    structure = cokernel(form)
-    step = structure.generator
-    gram, m, D = form.gram, form.dim, structure.order
-    points = list(recorded.maximisers())
+    assert not plain.places
+    step = cokernel(form).generator
+    gram, m, D = form.gram, form.dim, abs(form.det)
+    points = box_points(form, recorded.places)
     assert len(points) == D
     for i, x in enumerate(points):
         assert len(x) == m
@@ -394,8 +392,8 @@ def assert_both_scans_match_reference(form):
             gram[j][j] + 2 <= x[j] <= -gram[j][j] and (x[j] - gram[j][j]) % 2 == 0
             for j in range(m)
         ), (i, x)
-        assert structure.to_coset(x) == structure.to_coset([i * a for a in step]), (i, x)
-        assert Fraction(form.pairing_numerator(x) + m * D, 4 * D) == reference[i], (i, x)
+        assert coset_label(form, x) == coset_label(form, [i * a for a in step]), (i, x)
+        assert Fraction(pairing(form, x) + m * D, 4 * D) == reference[i], (i, x)
 
 
 @pytest.mark.parametrize(
@@ -438,8 +436,8 @@ def assert_places_number_the_box(form):
     size = prod(1 - form.gram[i][i] for i in range(form.dim))
     # itertools.product lists the box in the place order, independently of the strides
     listed = list(product(*box))
-    points = list(scan.maximisers())
-    assert len(scan.places) == len(points) == cokernel(form).order
+    points = box_points(form, scan.places)
+    assert len(scan.places) == len(points) == abs(form.det)
     for place, x in zip(scan.places, points):
         assert place == sum((a - rg.start) // 2 * s for a, rg, s in zip(x, box, strides))
         assert 0 <= place < size == len(listed)
@@ -494,6 +492,26 @@ def test_only_the_class_count_records_maximisers(monkeypatch):
     class_count(plumbing)
     plumbing_corrections(plumbing)
     assert modes == [False, False, False, True]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(negative_definite_forms())
+def test_a_matching_is_even_when_its_first_three_entries_are(form):
+    # x_0 + 2 t g is characteristic in the coset of 2 t g, and x^t G^{-1} x / 4
+    # is constant mod 2 on a coset, so A mod 2 is a quadratic in the index,
+    # and so is B; a quadratic mod 2 that vanishes at 0, 1 and 2 is
+    # p_2 i (i - 1) with p_2 an integer, even everywhere.  The mirror -A with
+    # sign epsilon gives the pairs of A with -epsilon, so both signs cover
+    # both orientations.
+    assume(cyclic_odd(form))
+    a = correction_vector(form).numerators
+    D = len(a)
+    b = gamma_vector(D).numerators
+    two = 8 * D  # 2 as a numerator over 4D
+    for u in (u for u in range(1, D) if gcd(u, D) == 1):
+        for epsilon in (1, -1):
+            even = [(b[i] + epsilon * a[u * i % D]) % two == 0 for i in range(D)]
+            assert all(even) == all(even[:3]), (u, epsilon)
 
 
 @st.composite

@@ -692,6 +692,34 @@ def test_sign_refined_on_a_non_cyclic_record(tmp_path, capsys):
     }
 
 
+def test_sign_refined_on_determinant_one(tmp_path, capsys):
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps([{"name": "r", "goeritz": [[-2, 1], [1, -1]], "signature": 0}]))
+    argv = ["obstruct", "--sign-refined", "--input", str(path)]
+    code, out, err = run_main(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "r: signature 0",
+        "  negative->positive: UnknotDeterminant",
+        "  positive->negative: UnknotDeterminant",
+    ]
+    code, out, err = run_main([*argv, "--json"], capsys)
+    assert (code, err) == (0, "")
+    verdict = {
+        "outcome": "UnknotDeterminant",
+        "obstructed": False,
+        "gate_applied": False,
+        "strong": False,
+        "witnesses": [],
+    }
+    assert json.loads(out) == {
+        "knot": "r",
+        "signature": 0,
+        "negative_to_positive": verdict,
+        "positive_to_negative": verdict,
+    }
+
+
 def test_sign_refined_refuses_a_missing_signature_before_the_cokernel(tmp_path, capsys):
     path = tmp_path / "record.json"
     path.write_text(json.dumps([{**NON_CYCLIC, "signature": None}]))
@@ -700,6 +728,42 @@ def test_sign_refined_refuses_a_missing_signature_before_the_cokernel(tmp_path, 
     assert err.splitlines() == [
         "error: record 'r' carries no signature; the signed test needs one"
     ]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--strong"], ["--generator", "2"], ["--strong", "--generator", "1"]],
+    ids=["strong", "generator", "both"],
+)
+def test_sign_refined_refuses_strong_and_generator_before_reading(flags, capsys, monkeypatch):
+    import unknotone.catalog as catalog_mod
+
+    def never(*args, **kwargs):
+        raise AssertionError("a record was read before the flags were checked")
+
+    monkeypatch.setattr(catalog_mod, "builtin_record", never)
+    code, out, err = run_main(["obstruct", "--knot", "8_8", "--sign-refined", *flags], capsys)
+    assert (code, out, err.splitlines()) == (
+        3,
+        "",
+        ["error: --sign-refined takes no --strong or --generator"],
+    )
+
+
+@pytest.mark.parametrize(
+    "rows, D",
+    [([[-2]], 2), ([[-3, 0], [0, -3]], 9), ([[-2, 1, 0], [1, -2, 1], [0, 1, -4]], 10)],
+    ids=["even", "non-cyclic", "even-dimension-3"],
+)
+def test_plumbing_check_certifies_where_the_scan_does_not_apply(rows, D, tmp_path, capsys):
+    # the count certifies any negative-definite form; A is left out
+    path = _record_file(tmp_path, rows)
+    code, out, err = run_main(["plumbing-check", "--input", path], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [f"r: {D} bounded classes, |det| = {D}", "  L-space certificate: yes"]
+    code, out, err = run_main(["plumbing-check", "--json", "--input", path], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"knot": "r", "classes": D, "determinant": D, "is_lspace": True}
 
 
 # The CLI-boundary fuzz below sends JSON text through ``main`` within these

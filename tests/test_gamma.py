@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import spin_reference_value
+from helpers import pairing, spin_reference_value
 from unknotone.errors import ValidationError
 from unknotone.gamma import gamma_vector, kappa_list, model_form
 from unknotone.lattice import BOX_BUDGET
@@ -76,7 +76,7 @@ def test_gamma_defining_identity(D):
     B = gamma_vector(D)
     form = model_form(D)
     for kappa, value in zip(B.kappas, B.values):
-        assert 4 * value - 2 == Fraction(form.pairing_numerator(kappa), abs(form.det))
+        assert 4 * value - 2 == Fraction(pairing(form, kappa), abs(form.det))
 
 
 def test_spin_reference_value_parity_split():

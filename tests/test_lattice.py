@@ -1,6 +1,8 @@
+from math import gcd
+
 import pytest
 
-from helpers import characteristic_candidates, evaluate, q_map
+from helpers import characteristic_candidates, coset_label, evaluate, pairing, q_map
 from unknotone.corrections import correction_vector
 from unknotone.errors import SingularFormError, ValidationError
 from unknotone.lattice import QuadraticForm, characteristic_box, cokernel
@@ -29,25 +31,17 @@ def test_det_and_definiteness():
 
 
 def test_pairing_examples():
-    # pairing_numerator(v) / |det| is v^t G^{-1} v
-    assert QuadraticForm.from_rows([[-1]]).pairing_numerator((1,)) == -1
+    # pairing(form, v) / |det| is v^t G^{-1} v
+    assert pairing(QuadraticForm.from_rows([[-1]]), (1,)) == -1
     q = QuadraticForm.from_rows([[-2, 1], [1, -2]])
-    assert q.pairing_numerator((2, 0)) == -8  # -8/3
-    assert q.pairing_numerator((1, 0)) == -2  # -2/3
-    assert q.pairing_numerator((1, 1)) == -6  # (1, 1) = q(-1, -1), Q = -2
-
-
-def test_pairing_dimension_mismatch():
-    q = QuadraticForm.from_rows([[-2, 1], [1, -2]])
-    with pytest.raises(ValidationError):
-        q.pairing_numerator((1,))
-    with pytest.raises(ValidationError):
-        q.pairing_numerator((1, 0, 0))
+    assert pairing(q, (2, 0)) == -8  # -8/3
+    assert pairing(q, (1, 0)) == -2  # -2/3
+    assert pairing(q, (1, 1)) == -6  # (1, 1) = q(-1, -1), Q = -2
 
 
 def test_pairing_zero_vector_model_form():
     q = QuadraticForm.from_rows([[-14, 1], [1, -2]])
-    assert q.pairing_numerator((0, 0)) == 0
+    assert pairing(q, (0, 0)) == 0
 
 
 def test_q_map_and_evaluate():
@@ -59,7 +53,7 @@ def test_q_map_and_evaluate():
         form = QuadraticForm.from_rows(rows)
         for u in ((1, 0, 0), (0, 1, -1), (2, -3, 1)):
             u = u[: form.dim]
-            assert form.pairing_numerator(q_map(form, u)) == abs(form.det) * evaluate(form, u)
+            assert pairing(form, q_map(form, u)) == abs(form.det) * evaluate(form, u)
 
 
 def test_characteristic_candidates_small():
@@ -110,37 +104,24 @@ def test_cokernel_singular():
 
 
 def test_coset_labels_separate_and_identify():
+    # the tests' label: v ~ w exactly when v - w = q(u) for some u; here
+    # |G^{-1}| has entries at most 2/3, so every |u_i| <= 8 for |v - w| <= 6
     q = QuadraticForm.from_rows([[-2, 1], [1, -2]])
-    structure = cokernel(q)
-    # v ~ w exactly when G^{-1}(v - w) is integral
+    image = {q_map(q, (a, b)) for a in range(-8, 9) for b in range(-8, 9)}
     vectors = [(a, b) for a in range(-3, 4) for b in range(-3, 4)]
     for v in vectors:
         for w in vectors:
             diff = (v[0] - w[0], v[1] - w[1])
-            num = q.inverse_numerator
-            integral = all(
-                sum(num[i][j] * diff[j] for j in range(2)) % abs(q.det) == 0
-                for i in range(2)
-            )
-            assert (structure.to_coset(v) == structure.to_coset(w)) == integral
-
-
-def test_coset_labels_form_group():
-    structure = cokernel(QuadraticForm.from_rows(EIGHT_TEN))
-    elements = structure.elements()
-    assert len(elements) == 27
-    a = structure.to_coset((1, 0, 0))
-    b = structure.to_coset((0, 1, 0))
-    assert structure.add(a, b) == structure.to_coset((1, 1, 0))
+            assert (coset_label(q, v) == coset_label(q, w)) == (diff in image)
 
 
 def test_generator_fallback_when_no_basis_covector_generates():
     # coker = Z/15 but each coordinate covector only reaches a proper subgroup
-    structure = cokernel(QuadraticForm.from_rows([[-3, 0], [0, -5]]))
+    form = QuadraticForm.from_rows([[-3, 0], [0, -5]])
+    structure = cokernel(form)
     assert structure.is_cyclic
     assert structure.order == 15
-    assert structure.generator is not None
-    assert structure.element_order(structure.to_coset(structure.generator)) == 15
+    assert gcd(15, *coset_label(form, structure.generator)) == 1
 
 
 @pytest.mark.parametrize(
@@ -164,7 +145,8 @@ def test_generator_fallback_pick_is_pinned(rows, generator, numerators):
     form = QuadraticForm.from_rows(rows)
     structure = cokernel(form)
     basis = [tuple(int(j == i) for j in range(form.dim)) for i in range(form.dim)]
-    assert all(structure.element_order(structure.to_coset(e)) < 15 for e in basis)
+    # a label generates Z/15 when it is prime to 15
+    assert all(gcd(15, *coset_label(form, e)) > 1 for e in basis)
     assert structure.generator == generator
     A = correction_vector(form)
     assert (A.generator, A.numerators) == (generator, numerators)

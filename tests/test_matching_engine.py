@@ -18,7 +18,7 @@ from unknotone.catalog import builtin_dataset
 from unknotone.corrections import CorrectionVector, correction_vector
 from unknotone.errors import NonCyclicCokernelError, ValidationError
 from unknotone.gamma import gamma_vector
-from unknotone.matching import Matching, enumerate_matchings
+from unknotone.matching import Matching, Outcome, enumerate_matchings, obstruct
 
 
 def reference_matchings(A, B):
@@ -100,6 +100,22 @@ def test_engine_on_a_shifted_model(shift, even):
     assert m.even == even
     assert m.positive and m.symmetric and m.staircase
     assert m.provenance[:2] == ((1, 1), (10, 1))
+
+
+def test_staircase_fails_on_a_jump_of_four_below_the_quarter_point():
+    # C is even, positive and symmetric about the quarter point k = 3, and
+    # climbs from C_1 = 0 to C_2 = 4: A = -B - C gives it at unit 1 (and
+    # D - 1), epsilon +1, and no other pair gives a matching past the gate
+    B = gamma_vector(11)
+    C = (0, 0, 4, 4, 4, 0, 0, 4, 4, 4, 0)
+    A = CorrectionVector(11, tuple(-b - 4 * 11 * c for b, c in zip(B.numerators, C)), (1,))
+    [m] = [m for m in check_engine(A, B) if m.C == C]
+    assert (m.even, m.positive, m.symmetric, m.staircase) == (True, True, True, False)
+    assert A.gate
+    verdict = obstruct(A, B, strong=True)
+    assert (verdict.outcome, verdict.witnesses) == (Outcome.STAIRCASE_FAIL, (m,))
+    assert verdict.outcome.obstructed
+    assert obstruct(A, B).outcome == Outcome.NOT_OBSTRUCTED
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,7 +4,7 @@ import pytest
 
 from unknotone import cli, corrections, plumbing as plumbing_mod
 from unknotone.errors import ValidationError
-from helpers import characteristic_candidates
+from helpers import characteristic_candidates, pairing
 from unknotone.lattice import QuadraticForm
 from unknotone.plumbing import PlumbingForm, class_count, plumbing_corrections
 
@@ -115,7 +115,7 @@ def test_walk_preserves_length_and_partitions_box():
                         stack.append(nxt)
             visited |= members
             classes.append(members)
-            lengths = {form.pairing_numerator(v) for v in members}
+            lengths = {pairing(form, v) for v in members}
             assert len(lengths) == 1
         in_box_classes = [cls for cls in classes if cls <= box]
         assert len(in_box_classes) == counted.count

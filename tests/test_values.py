@@ -31,13 +31,7 @@ OTHER_VERDICT = Verdict(Outcome.NOT_OBSTRUCTED, (MATCHING,), True, True, "detail
 FIELDS = {
     RationalVector: {"D": 3, "numerators": (-6, 2, 2)},
     QuadraticForm: {"gram": ((-2, 1), (1, -2))},
-    CokernelStructure: {
-        "inverse_numerator": ((2, 1), (1, 2)),
-        "invariant_factors": (3,),
-        "order": 3,
-        "is_cyclic": True,
-        "generator": (1, 0),
-    },
+    CokernelStructure: {"invariant_factors": (3,), "generator": (1, 0)},
     Matching: {
         "D": 3,
         "numerators": (0, 24, 24),
