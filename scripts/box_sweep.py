@@ -10,9 +10,10 @@ are already computed:
 - ``correction_vector_s`` times the coset-maximum scan over the
   prod |G_ii| points of the reduced box, as the verdict path runs it:
   without recording maximisers.  The two longest ranges run innermost,
-  so a point costs O(1) there; the scan steps from each point of the
-  other coordinates (a head) to the next at O(dim) additions, one
-  precomputed step per carry level.
+  so a point costs O(1) there.  The points of the other coordinates (the
+  heads) are built as one list, one head axis at a time, and each partial
+  head carries N_j . p for the head axes still to come, so a head costs
+  O(dim) additions.
 - ``class_count_s`` times the class count.  On a form with odd cyclic
   cokernel that includes the same coset-maximum scan, recording the place
   of one maximiser per coset, in the numbering of box points that
@@ -33,7 +34,8 @@ dimension-7 star is the shape ``star-4_3.2.3.2_2_3`` of the (7, -4, 3)
 stratum of the benchmark's ``plumbing`` workload (centre -4, legs
 (-3, -2, -3, -2), (-2), (-3)), which sets that workload's tail: a box of
 8,640 points and a reduced box of 864, which the scan covers as 72 heads
-of 12 inner points, so the heads set the cost of its scan.  The
+of 12 inner points; building them over five head axes makes 116 partial
+and full heads, so the heads weigh on the cost of its scan.  The
 dimension-8 chain with a last entry -6 is the form behind the
 ``lattice.BOX_BUDGET`` comment: a box of 1,959,552 points, just under the
 budget, and D = 350,981.
@@ -47,8 +49,16 @@ The verdict-path rows time ``correction_vector`` alone.  The two-bridge
 form [[-2, 1], [1, -50000]] has D = 99,999 and no head: one range of
 length 2 and one of length 50,000.  The dimension-8 chain with diagonal
 -5 and a last entry -4 has D = 229,771 and a reduced box of 312,500
-points: 12,500 heads of 25 innermost points each.  Run it against another
-checkout by pointing PYTHONPATH at that checkout's ``src``.
+points: 12,500 heads of 25 innermost points each, built over six head
+axes as 16,405 partial and full heads.
+
+The ``bundled_records`` row sums the plain ``correction_vector`` time
+over every bundled record that has a correction vector (all 54 of
+them).  These are the small forms the paper's tables run: reduced boxes
+of at most 288 points, 115 on average, with about 8 heads each.
+
+Run it against another checkout by pointing PYTHONPATH at that
+checkout's ``src``.
 """
 
 
@@ -60,7 +70,9 @@ import sys
 import time
 from math import prod
 
+from unknotone.catalog import builtin_dataset
 from unknotone.corrections import correction_vector
+from unknotone.errors import UnknotOneError
 from unknotone.lattice import QuadraticForm
 from unknotone.plumbing import PlumbingForm, class_count
 
@@ -109,6 +121,18 @@ VERDICT_SHAPES = {
     "two_bridge_D99999": [[-2, 1], [1, -50000]],
     "chain_dim8_diag-5_last-4": chain(8, last=-4),
 }
+
+
+def bundled_rows() -> list[list[list[int]]]:
+    """The Goeritz matrices of the bundled records that have a correction vector."""
+    out = []
+    for record in builtin_dataset():
+        try:
+            correction_vector(record.form)
+        except UnknotOneError:
+            continue
+        out.append(record.form.gram)
+    return out
 
 
 def fresh(rows: list[list[int]]) -> QuadraticForm:
@@ -163,6 +187,15 @@ def main() -> int:
             "D": A.D,
             "correction_vector_s": round(statistics.median(corrections_s), 5),
         }
+    bundled = bundled_rows()
+    corrections_s = []
+    for _ in range(repeats):
+        corrections_s.append(sum(cpu_seconds(correction_vector, fresh(rows))[0] for rows in bundled))
+    out["bundled_records"] = {
+        "records": len(bundled),
+        "reduced_box_max": max(prod(-rows[i][i] for i in range(len(rows))) for rows in bundled),
+        "correction_vector_s": round(statistics.median(corrections_s), 5),
+    }
     print(json.dumps(out, indent=1))
     return 0
 

@@ -42,15 +42,16 @@ coordinates with the longest ranges innermost, the longest one last, and
 the others (the head) in ``itertools.product`` order.  With the head p
 fixed, x^t N x is a quadratic and w . x a linear function of the two
 inner coordinates, with p^t N p, the cross terms N_k . p and N_l . p with
-the two inner axes k and l, and w . p as coefficients.  The scan steps
-them from one head to the next rather than forming them anew: the step d
-adds 2 d . N p + d^t N d to p^t N p and N d to the linear terms, and
-there is one step per carry level, computed once, so a head costs O(dim)
-additions.  Each inner point costs O(1), since a step along the middle
-axis l moves only the constant and linear terms of the innermost
-quadratic.  A form of dimension 1 gets a phantom middle coordinate fixed
-at 0.  A maximum does not depend on the order of the scan, so the choice
-of the inner axes changes no value.
+the two inner axes k and l, and w . p as coefficients.  The scan builds
+the heads as one list, one head axis a at a time: a partial head p also
+carries N_j . p for the head axes j still to come, so setting x_a = x
+adds x (2 N_a . p + N_aa x) to p^t N p and x times column a of N (and
+w_a x) to the linear terms, and a head costs O(dim) additions.  Each
+inner point costs O(1), since a step along the middle axis l moves only
+the constant and linear terms of the innermost quadratic.  A form of
+dimension 1 gets a phantom middle coordinate fixed at 0.  A maximum does
+not depend on the order of the scan, so the choice of the inner axes
+changes no value.
 
 The generator g is the one that :func:`unknotone.lattice.cokernel` chose.
 Any other generator is a unit multiple u g, and
@@ -61,14 +62,14 @@ Which points reach the maxima.  Asked to record, :func:`scan_box` also
 returns, per coset, the place of the first point of the scan that reaches
 its maximum: its index in the characteristic box, last coordinate fastest
 (:func:`unknotone.lattice.box_strides`), whatever the scan's axis order.
-Like w . x, a place is linear in the point: its head part is stepped
-with the other linear terms, and each middle and inner step adds one
-term.  The plumbing class count (:mod:`unknotone.plumbing`) reads the
+Like w . x, a place is linear in the point: each head axis adds its
+term as the head is built, and each middle and inner step adds one
+more.  The plumbing class count (:mod:`unknotone.plumbing`) reads the
 places as bit positions and settles the classes of these points without
 walking them.  The verdict path (:func:`correction_vector`) asks for no
 points: a plain loop keeps only the maxima, with no store per strict
 improvement.  Both loops share the ranges, the inner axes, the index
-weights and the head steps.
+weights and the heads.
 
 What the vector stores.  A point's value is (x^t N x + m D) / 4D, so
 :class:`CorrectionVector` is a :class:`unknotone.lattice.RationalVector`:
@@ -80,7 +81,7 @@ tests, the benchmark and the scripts.
 
 from __future__ import annotations
 
-from itertools import count, repeat
+from itertools import count
 from math import gcd
 from operator import add, mul
 from typing import NamedTuple, Sequence
@@ -220,30 +221,24 @@ def _coset_maxima(
     # the innermost axis k has the longest range, the middle axis l the next
     k, l, *rest = sorted(axes, key=lambda i: -len(ranges[i]))
     rest.sort()
-    # per head p (the coordinates in rest): v = p^t N p and the linear terms
-    # lin = (N_i . p for i in rest, r_k = N_k . p, r_l = N_l . p, w . p and
-    # s . (p - start), twice the head's place); a step d to the next head
-    # adds 2 d . N p + d^t N d to v and N d, ..., s . d to lin
-    head_rows = [[num[i][j] for j in rest] for i in rest + [k, l]]
-    head_rows.append([weights[j] for j in rest])
-    head_rows.append([strides[j] for j in rest])
-    lin = [0] * len(head_rows)
-    lin[-1] = -sum(box[j].start * strides[j] for j in rest)
-
-    def step(d: list[int]) -> tuple[list[int], int, list[int]]:
-        moved = list(map(sum, map(map, repeat(mul), head_rows, repeat(d))))
-        return [2 * a for a in d], sum(map(mul, d, moved)), moved
-
-    # in itertools.product order the step of carry level c adds 2 to head
-    # coordinate c and sends the later ones back to their starts; the levels
-    # are listed from the last head coordinate out, after the step from 0 to
-    # the first head
-    head_ranges = [ranges[i] for i in rest]
-    steps: list[tuple[list[int], int, list[int]]] = []
-    for c in reversed(range(len(rest))):
-        d = [0] * c + [2] + [rg[0] - rg[-1] for rg in head_ranges[c + 1 :]]
-        steps = (steps + [step(d)]) * (len(head_ranges[c]) - 1) + steps
-    steps.insert(0, step([rg[0] for rg in head_ranges]))
+    # the heads p (the coordinates in rest) in itertools.product order, built
+    # one head axis a at a time: each partial head holds p^t N p, its place,
+    # and N_j . p for the head axes j still to come, r_k = N_k . p, r_l =
+    # N_l . p and w . p; x on axis a adds x (2 N_a . p + N_aa x) to p^t N p,
+    # its place term to the place, and x (N_ja, ..., N_ka, N_la, w_a) to the
+    # terms after N_a . p, which it drops
+    heads = [(0,) * (len(rest) + 5)]
+    for n, a in enumerate(rest):
+        column = [num[j][a] for j in rest[n + 1 :] + [k, l]] + [weights[a]]
+        moves = [
+            (2 * x, num[a][a] * x * x, place, [c * x for c in column])
+            for x, place in zip(ranges[a], count(strides[a], strides[a]))
+        ]
+        heads = [
+            (v + twice * r_a + square, head + place, *map(add, lin, moved))
+            for v, head, r_a, *lin in heads
+            for twice, square, place, moved in moves
+        ]
     # x^t N x = v + y (2 r_l + N_ll y) + x_k (2 (r_k + N_kl y) + N_kk x_k) at
     # x_l = y, w . x = i0 + w_l y + w_k x_k, and a place adds to the head's
     # stride, 2 stride, ... along a reduced range, one step into the box
@@ -264,13 +259,7 @@ def _coset_maxima(
         from array import array  # only here: the verdict path never loads it
 
         places = array("l", [0]) * order
-    v, h = 0, len(rest)
-    for twice_d, square_d, moved in steps:
-        v += sum(map(mul, twice_d, lin)) + square_d
-        lin = list(map(add, lin, moved))
-        r_k, r_l, i0, twice_head = lin[h:]
-        if record:
-            head = twice_head // 2
+    for v, head, r_k, r_l, i0 in heads:
         for twice_y, square_y, cross, shift_y, place_y in middles:
             base = v + r_l * twice_y + square_y
             r = r_k + cross

@@ -301,15 +301,16 @@ class QuadraticForm(Value):
 # the reduced box, and the class count closes a bitset of the full box, one
 # bit per point, at a cost linear in the box per sweep.  On the
 # 8-dimensional chain form with diagonal -5 (seven times) and -6, whose box
-# has 1.96e6 points, class_count takes 0.32 to 0.36 s (0.31 s of it the
-# scan) and correction_vector 0.21 to 0.27 s of CPU on one pinned core of a
-# 2-vCPU Xeon (CPython 3.11.7), with a 50 MB peak, which is the scan's.  A
-# larger box is refused up front instead of running for hours: a 6 x 6
-# form with diagonal -41 has 5.5e9 points.  The budget does not bound the
-# generator pick: when no coordinate covector generates a cyclic cokernel,
-# it lists all D cosets as tuple labels.  diag(-1409, -1413), with a box
-# of 1,993,740 points and D = 1,990,917, spends 9.8 to 11.8 s and 655 MB
-# there against 1.1 to 1.3 s for the scan (two single runs on that Xeon).
+# has 1.96e6 points, class_count takes 0.26 to 0.38 s (0.22 to 0.32 s of it
+# the scan) and correction_vector 0.18 to 0.24 s of CPU on one pinned core
+# of a 2-vCPU Xeon (CPython 3.11.7, five runs each), with a 50 MB peak,
+# which is the scan's.  A larger box is refused up front instead of
+# running for hours: a 6 x 6 form with diagonal -41 has 5.5e9 points.  The
+# budget does not bound the generator pick: when no coordinate covector
+# generates a cyclic cokernel, it lists all D cosets as tuple labels.
+# diag(-1409, -1413), with a box of 1,993,740 points and D = 1,990,917,
+# spends 9.8 to 11.8 s and 655 MB there against 1.1 to 1.3 s for the scan
+# (two single runs on that Xeon).
 BOX_BUDGET = 2_000_000
 
 # A negative-definite form has every G_ii <= -1, so its box has at least

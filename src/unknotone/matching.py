@@ -187,7 +187,7 @@ def even_matchings(A: CorrectionVector, B: GammaVector) -> tuple[Matching, ...]:
     two = 8 * D  # 2 as a numerator over 4D
     a_mod = [x % two for x in a]
     half = range(1, D // 2 + 1)
-    half_units = [u for u in units(D) if 2 * u < D]
+    half_units = [u for u in range(1, (D + 1) // 2) if gcd(u, D) == 1]
     found: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for epsilon, op in ((1, sub), (-1, add)):
         if op(neg_b[0], a[0]) % two:

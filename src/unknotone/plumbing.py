@@ -200,7 +200,7 @@ def _bitset(places: Iterable[int], size: int) -> int:
     """The bitset of ``places``, all below ``size``, read from one string of binary digits."""
     digits = bytearray(b"0") * size
     for place in places:
-        digits[place] = ord("1")
+        digits[place] = 49  # "1"
     digits.reverse()
     return int(digits, 2)
 

@@ -521,7 +521,7 @@ def deep_sheared_forms(draw):
     A chain with diagonal -2 or -3, summed with up to two [-1] blocks, is
     sheared: row and column j gain c times row and column i.  No shear
     lands on a -1 vertex, so it keeps G_ii = -1, a head range of one
-    point whose carry level never fires, while shears from it put its
+    point that never multiplies the heads, while shears from it put its
     cross terms into the other rows.  The scan's head then has three to
     five coordinates.
     """

@@ -1,12 +1,14 @@
 """The correction terms against the surgery oracles in ``oracles.py``.
 
 The oracles share no code with the box scan or the model vector: chain
-plumbings bound lens spaces, B is the correction vector of L(D, 2), and a
-companion's torsion must reproduce A under D/2-surgery.  The two-bridge
-classification gives hundreds of knots with a known answer: none with
-unknotting number one may be obstructed.
+plumbings bound lens spaces, and so does every form congruent to one, B
+is the correction vector of L(D, 2), and a companion's torsion must
+reproduce A under D/2-surgery.  The two-bridge classification gives
+hundreds of knots with a known answer: none with unknotting number one
+may be obstructed.
 """
 
+import random
 from fractions import Fraction
 from math import gcd, prod
 
@@ -137,6 +139,51 @@ def test_chain_corrections_are_lens_space_d(weights):
     A = correction_vector(QuadraticForm.from_rows(chain_rows(weights)))
     assert A.D == p
     assert equal_up_to_symmetry(A.values, lens_vector(p, q))
+
+
+def sheared_chains(count, seed, max_box):
+    """(p, q, rows): chains of odd p in dimension 3..6, sheared and permuted.
+
+    Each shear U = I + c E_ij (c = +-1) takes G to U^t G U, so row and
+    column j gain c times row and column i; U is unimodular, so the form
+    still presents L(p, q).  A shear that would grow the box past
+    ``max_box`` points is skipped.  Shears between non-adjacent vertices
+    fill the entries beyond the first off-diagonal, so the scan's head of
+    one to four axes meets dense cross terms.
+    """
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        dim = rng.randint(3, 6)
+        weights = [rng.randint(2, 4) for _ in range(dim)]
+        p, q = hirzebruch_jung(weights)
+        if p % 2 == 0 or prod(a + 1 for a in weights) > max_box:
+            continue
+        rows = chain_rows(weights)
+        for _ in range(3 * dim):
+            i, j = rng.sample(range(dim), 2)
+            c = rng.choice((1, -1))
+            sheared = [row[:] for row in rows]
+            for k in range(dim):
+                sheared[j][k] += c * sheared[i][k]
+            for k in range(dim):
+                sheared[k][j] += c * sheared[k][i]
+            if prod(1 - sheared[k][k] for k in range(dim)) <= max_box:
+                rows = sheared
+        order = rng.sample(range(dim), dim)
+        yield p, q, [[rows[i][j] for j in order] for i in order]
+        made += 1
+
+
+def test_sheared_chain_corrections_are_lens_space_d():
+    dense = 0
+    for p, q, rows in sheared_chains(40, seed=24, max_box=20_000):
+        A = correction_vector(QuadraticForm.from_rows(rows))
+        assert A.D == p, rows
+        assert equal_up_to_symmetry(A.values, lens_vector(p, q)), rows
+        dense += all(rows[i][j] for i in range(len(rows)) for j in range(i))
+    # the sample must reach past the chain's tridiagonal pattern
+    assert dense >= 10
 
 
 @pytest.mark.parametrize("D", [*range(3, 200, 2), 10001])
