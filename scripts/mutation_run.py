@@ -1,0 +1,177 @@
+#!/usr/bin/env python3
+"""Score the oracle and engine tests against named source mutations.
+
+    python scripts/mutation_run.py [TIMEOUT_S] [NAME ...]
+
+Each mutant in ``MUTANTS`` is one text substitution in one module of
+``src/unknotone``; its text must occur exactly once in ``src/``.  For each
+mutant the script copies ``src/``, ``tests/`` and ``pyproject.toml`` of
+this checkout to a temporary directory, applies the substitution there
+and runs the oracle, matching-engine, box-scan, plumbing and verdict-scan
+tests with ``pytest -x``, stopping at the first failure, under a
+per-mutant timeout (default 120 s).  It prints one line per mutant:
+killed (with the first failing test), survived or timed out.  An
+unmutated run goes first and must pass, or the script exits 2.  Naming
+mutants runs only those.  The checkout itself is never written.
+
+The tests run one mutant at a time in one child interpreter, limited to
+2 GiB of address space, so a mutant that loops or grows stops there.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import resource
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "unknotone"
+
+TESTS = [
+    "tests/test_oracles.py",
+    "tests/test_matching_engine.py",
+    "tests/test_box_scan.py",
+    "tests/test_plumbing.py",
+    "tests/test_verdict_scan.py",
+]
+
+# name: (module, text, replacement)
+MUTANTS = {
+    # 4 as a numerator over 4D: the verdict scan's test for an even entry
+    "evenness-modulus": (
+        "matching.py",
+        "two = 8 * D  # 2 as a numerator over 4D\n    a_mod",
+        "two = 4 * D  # 2 as a numerator over 4D\n    a_mod",
+    ),
+    # |A_0| < 1/2 instead of |A_0| <= 1/2
+    "gate": (
+        "corrections.py",
+        "return abs(self.numerators[0]) <= 2 * self.D",
+        "return abs(self.numerators[0]) < 2 * self.D",
+    ),
+    # staircase steps of at most four
+    "staircase-step": (
+        "matching.py",
+        "C[i] <= C[i + 1] <= C[i] + two",
+        "C[i] <= C[i + 1] <= C[i] + 2 * two",
+    ),
+    # the evenness target of the opposite sign
+    "sign-epsilon": (
+        "matching.py",
+        "target = [epsilon * neg_b[i] % two for i in half]",
+        "target = [-epsilon * neg_b[i] % two for i in half]",
+    ),
+    # the symmetric filter's start index swapped between D = 4k - 1 and 4k + 1
+    "symmetric-start": (
+        "matching.py",
+        "sym_start = 1 if D % 4 == 3 else 0",
+        "sym_start = 0 if D % 4 == 3 else 1",
+    ),
+    # N_aa x instead of N_aa x^2 for a head coordinate
+    "head-square": (
+        "corrections.py",
+        "(2 * x, num[a][a] * x * x, place,",
+        "(2 * x, num[a][a] * x, place,",
+    ),
+    # the cross term N_kl y of the two inner axes with the wrong sign
+    "middle-cross": (
+        "corrections.py",
+        "num[k][l] * y, weights[l] * y",
+        "-num[k][l] * y, weights[l] * y",
+    ),
+    # a head's places one step short: from the wall instead of one step into the box
+    "place-strides": (
+        "corrections.py",
+        "zip(ranges[a], count(strides[a], strides[a]))",
+        "zip(ranges[a], count(0, strides[a]))",
+    ),
+    # the top of each pushed interval left out of the closure's moves
+    "closure-bound": (
+        "plumbing.py",
+        "(max(0, -g), min(b, b - g))",
+        "(max(0, -g), min(b - 1, b - g))",
+    ),
+    # a failing filter reports the whole pool instead of what passed before it
+    "witnesses-rule": (
+        "matching.py",
+        "return Verdict(outcome, witnesses,",
+        "return Verdict(outcome, pool,",
+    ),
+    # the generator pick's fallback returns a coset label, not a covector in the coset
+    "generator-fallback": (
+        "lattice.py",
+        "if gcd(order, *label) == 1:\n            return rep\n",
+        "if gcd(order, *label) == 1:\n            return label\n",
+    ),
+    # phantom coordinates of stride 1
+    "phantom-stride": (
+        "corrections.py",
+        "strides += phantoms",
+        "strides += [1] * len(phantoms)",
+    ),
+}
+
+
+def limit_memory() -> None:
+    size = 2 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (size, size))
+
+
+def run_tests(mutant: tuple[str, str, str] | None, timeout: float) -> tuple[str, str, float]:
+    """Run the tests on a copy of the checkout, mutated by ``mutant``: (status, detail, seconds)."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        work = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__")
+        shutil.copytree(ROOT / "src", work / "src", ignore=skip)
+        shutil.copytree(ROOT / "tests", work / "tests", ignore=skip)
+        shutil.copy(ROOT / "pyproject.toml", work)
+        if mutant is not None:
+            module, text, replacement = mutant
+            path = work / "src" / "unknotone" / module
+            source = path.read_text()
+            if source.count(text) != 1:
+                raise SystemExit(f"{module}: the mutant's text occurs {source.count(text)} times")
+            path.write_text(source.replace(text, replacement))
+        env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS]
+        start = time.monotonic()
+        try:
+            proc = subprocess.run(
+                command, cwd=work, env=env, capture_output=True, text=True,
+                timeout=timeout, preexec_fn=limit_memory,
+            )
+        except subprocess.TimeoutExpired:
+            return "timed out", "", time.monotonic() - start
+        seconds = time.monotonic() - start
+    if proc.returncode == 0:
+        return "survived", "", seconds
+    failed = re.search(r"^FAILED (\S+)", proc.stdout, re.MULTILINE)
+    return "killed", failed.group(1) if failed else f"exit {proc.returncode}", seconds
+
+
+def main() -> int:
+    args = sys.argv[1:]
+    timeout = float(args.pop(0)) if args and args[0] not in MUTANTS else 120.0
+    unknown = [name for name in args if name not in MUTANTS]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    status, detail, seconds = run_tests(None, timeout)
+    if status != "survived":
+        print(f"the unmutated tests do not pass: {status} {detail}", file=sys.stderr)
+        return 2
+    print(f"{'(unmutated)':<18} {'passed':<10} {seconds:6.1f} s", flush=True)
+    for name in args or MUTANTS:
+        status, detail, seconds = run_tests(MUTANTS[name], timeout)
+        print(f"{name:<18} {status:<10} {seconds:6.1f} s  {detail}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

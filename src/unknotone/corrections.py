@@ -49,9 +49,9 @@ adds x (2 N_a . p + N_aa x) to p^t N p and x times column a of N (and
 w_a x) to the linear terms, and a head costs O(dim) additions.  Each
 inner point costs O(1), since a step along the middle axis l moves only
 the constant and linear terms of the innermost quadratic.  A form of
-dimension 1 gets a phantom middle coordinate fixed at 0.  A maximum does
-not depend on the order of the scan, so the choice of the inner axes
-changes no value.
+dimension 0 or 1 gets phantom coordinates fixed at 0, so every scan has
+two inner axes.  A maximum does not depend on the order of the scan, so
+the choice of the inner axes changes no value.
 
 The generator g is the one that :func:`unknotone.lattice.cokernel` chose.
 Any other generator is a unit multiple u g, and
@@ -156,7 +156,7 @@ def scannable_cokernel(form: QuadraticForm) -> CokernelStructure:
 class BoxScan(NamedTuple):
     """One reduced-box scan: the correction vector and, if it records, per index i
     the place of the first point reaching A_i's maximum (module docstring),
-    one machine word each in an ``array``; empty otherwise, and in dimension 0.
+    one machine word each in an ``array``; empty otherwise.
     """
 
     vector: CorrectionVector
@@ -178,10 +178,6 @@ def scan_box(form: QuadraticForm, record: bool = False) -> BoxScan:
     """The scan behind :func:`correction_vector`; ``record`` keeps the maximising points."""
     structure = scannable_cokernel(form)
     D = structure.order
-    m = form.dim
-    if m == 0:
-        return BoxScan(CorrectionVector(D=1, numerators=(0,), generator=()), ())
-
     generator = structure.generator
     assert generator is not None
     # the index weights w = a^{-1} N g mod D with a = g^t N g (module docstring)
@@ -190,7 +186,8 @@ def scan_box(form: QuadraticForm, record: bool = False) -> BoxScan:
     best, places = _coset_maxima(form, [inverse * v % D for v in ng], D, record)
 
     # the value of a coset is (b + m D) / 4D for its maximum b of x^t N x
-    nums = tuple([b + m * D for b in best])
+    shift = form.dim * D
+    nums = tuple([b + shift for b in best])
     vector = CorrectionVector(D=D, numerators=nums, generator=generator)
     return BoxScan(vector, places)
 
@@ -211,12 +208,14 @@ def _coset_maxima(
     box = characteristic_box(form)
     ranges = [range(rg.start + 2, rg.stop, 2) for rg in box]
     strides = box_strides(box)
-    if form.dim == 1:
-        # a phantom coordinate fixed at 0, of stride 0, gives the scan its middle axis
-        num = ((num[0][0], 0), (0, 0))
-        weights = [weights[0], 0]
-        ranges.append(range(1))
-        strides.append(0)
+    # a phantom coordinate has the range (0,), stride 0, weight 0 and a zero
+    # row and column of N; in dimension 0 the one point, place 0, has value 0
+    phantoms = [0] * (2 - len(ranges))
+    if phantoms:
+        num = [[*row, *phantoms] for row in num] + [[0, 0]] * len(phantoms)
+        weights = [*weights, *phantoms]
+        ranges += [range(1)] * len(phantoms)
+        strides += phantoms
     axes = range(len(ranges))
     # the innermost axis k has the longest range, the middle axis l the next
     k, l, *rest = sorted(axes, key=lambda i: -len(ranges[i]))

@@ -36,6 +36,7 @@ a listing check it (:func:`check_listing_budget`) before any analysis.
 from __future__ import annotations
 
 import enum
+from itertools import compress
 from math import gcd
 from operator import add, sub
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -95,9 +96,11 @@ def _flags(D: int, C: Sequence[int]) -> dict[str, bool]:
     k = quarter_point(D)
     two = 8 * D  # 2 as a numerator over 4D
     sym_start = 1 if D % 4 == 3 else 0
+    # C_i = C_(D-i), so the entries i <= D/2 decide every filter
+    half = C[: D // 2 + 1]
     return {
-        "even": all(c % two == 0 for c in C),
-        "positive": min(C, default=0) >= 0,
+        "even": all(c % two == 0 for c in half),
+        "positive": min(half) >= 0,
         "symmetric": all(C[i] == C[2 * k - i] for i in range(sym_start, k)),
         "staircase": all(C[i] <= C[i + 1] <= C[i] + two for i in range(1, k)),
     }
@@ -206,9 +209,9 @@ def even_matchings(A: CorrectionVector, B: GammaVector) -> tuple[Matching, ...]:
 class Verdict(Value):
     """The outcome of the filter pipeline, with the matchings that got furthest.
 
-    ``witnesses`` holds the matchings that passed every applied filter when
-    the outcome is NotObstructed, and otherwise the matchings that survived
-    up to (but not through) the failing filter.
+    ``witnesses`` holds, on NotObstructed, the matchings that passed every
+    applied filter, and otherwise those that passed every filter before the
+    failing one (none when the even filter fails).
     """
 
     outcome: Outcome
@@ -256,26 +259,23 @@ def sign_refined_obstruct(A: CorrectionVector, B: GammaVector, sigma: int) -> Ve
 
 
 def _verdict_from_pool(pool: Sequence[Matching], gate: bool, strong: bool) -> Verdict:
-    even = tuple(m for m in pool if m.even)
-    if not even:
-        return Verdict(Outcome.NO_EVEN_MATCHING, (), gate_applied=gate, strong=strong)
-    even_positive = tuple(m for m in even if m.positive)
-    if not even_positive:
-        return Verdict(Outcome.NO_EVEN_POSITIVE_MATCHING, even, gate_applied=gate, strong=strong)
-    survivors = even_positive
-    if gate:
-        symmetric = tuple(m for m in survivors if m.symmetric)
-        if not symmetric:
-            return Verdict(
-                Outcome.NO_SYMMETRIC_MATCHING, survivors, gate_applied=True, strong=strong
-            )
-        survivors = symmetric
-    if strong:
-        stair = tuple(m for m in survivors if m.staircase)
-        if not stair:
-            return Verdict(Outcome.STAIRCASE_FAIL, survivors, gate_applied=gate, strong=True)
-        survivors = stair
-    return Verdict(Outcome.NOT_OBSTRUCTED, survivors, gate_applied=gate, strong=strong)
+    # the filters in order, each with the outcome its failure gives; the first
+    # applied filter that leaves no matching decides, and its witnesses are
+    # the matchings that passed the filters before it (see Verdict)
+    filters = (
+        ("even", Outcome.NO_EVEN_MATCHING),
+        ("positive", Outcome.NO_EVEN_POSITIVE_MATCHING),
+        ("symmetric", Outcome.NO_SYMMETRIC_MATCHING),
+        ("staircase", Outcome.STAIRCASE_FAIL),
+    )
+    witnesses: tuple[Matching, ...] = ()
+    survivors = pool
+    for flag, outcome in compress(filters, (True, True, gate, strong)):
+        survivors = tuple(m for m in survivors if getattr(m, flag))
+        if not survivors:
+            return Verdict(outcome, witnesses, gate_applied=gate, strong=strong)
+        witnesses = survivors
+    return Verdict(Outcome.NOT_OBSTRUCTED, witnesses, gate_applied=gate, strong=strong)
 
 
 def format_compact(matching: Matching) -> str:

@@ -138,7 +138,7 @@ def _count_classes(plumbing: PlumbingForm) -> int:
         leaving |= (upper ^ pushed) | ((upper >> bound[i] * stride[i]) ^ back)
         moves.append((pushed, back, shift) if shift >= 0 else (back, pushed, -shift))
     settled = good = 0
-    if scan is not None and scan.places:
+    if scan is not None:
         # each coset maximiser of the scan stands for its settled class; the
         # settled classes lie inside the box, so none meets a leaving class
         settled = _bitset(scan.places, total)

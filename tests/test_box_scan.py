@@ -421,6 +421,16 @@ def test_scan_shapes_in_both_modes(rows):
     assert_both_scans_match_reference(QuadraticForm.from_rows(rows))
 
 
+def test_dimension_zero_scans_one_point():
+    # two phantom axes leave one point, the empty covector, at place 0
+    for record in (False, True):
+        scan = scan_box(QuadraticForm.from_rows([]), record)
+        assert (scan.vector.numerators, scan.vector.generator) == ((0,), ())
+    assert list(scan.places) == [0]
+    counted = class_count(PlumbingForm.from_rows([]))
+    assert (counted.count, counted.determinant, counted.is_lspace) == (1, 1, True)
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(negative_definite_forms())
 def test_recorded_maximisers_reach_their_maxima(form):

@@ -18,7 +18,7 @@ from unknotone.catalog import builtin_dataset
 from unknotone.corrections import CorrectionVector, correction_vector
 from unknotone.errors import NonCyclicCokernelError, ValidationError
 from unknotone.gamma import gamma_vector
-from unknotone.matching import Matching, Outcome, enumerate_matchings, obstruct
+from unknotone.matching import Matching, Outcome, enumerate_matchings, even_matchings, obstruct
 
 
 def reference_matchings(A, B):
@@ -45,6 +45,9 @@ def reference_matchings(A, B):
 def check_engine(A, B):
     got = enumerate_matchings(A, B)
     assert got == reference_matchings(A, B)
+    # the early-exit scan keeps exactly the even entries, also on vectors
+    # that no form has, where an integer C can be odd
+    assert even_matchings(A, B) == tuple(m for m in got if m.even)
     assert all(type(c) is Fraction for m in got for c in m.C)
     D = A.D
     phi = sum(1 for u in range(1, D) if gcd(u, D) == 1)

@@ -2,10 +2,10 @@
 
 The oracles share no code with the box scan or the model vector: chain
 plumbings bound lens spaces, and so does every form congruent to one, B
-is the correction vector of L(D, 2), and a companion's torsion must
-reproduce A under D/2-surgery.  The two-bridge classification gives
-hundreds of knots with a known answer: none with unknotting number one
-may be obstructed.
+is the correction vector of L(D, 2), d adds under connected sum, and a
+companion's torsion must reproduce A under D/2-surgery.  The two-bridge
+classification gives hundreds of knots with a known answer: none with
+unknotting number one may be obstructed.
 """
 
 import random
@@ -29,7 +29,9 @@ from oracles import (
 from unknotone.catalog import builtin_dataset, builtin_record, record_from_dict
 from unknotone.corrections import correction_vector
 from unknotone.gamma import gamma_vector
+from unknotone import lattice
 from unknotone.lattice import QuadraticForm
+from unknotone.plumbing import PlumbingForm, class_count
 from unknotone.report import alexander_reports, analyze_record, sign_refined_record
 
 
@@ -159,20 +161,28 @@ def sheared_chains(count, seed, max_box):
         p, q = hirzebruch_jung(weights)
         if p % 2 == 0 or prod(a + 1 for a in weights) > max_box:
             continue
-        rows = chain_rows(weights)
-        for _ in range(3 * dim):
-            i, j = rng.sample(range(dim), 2)
-            c = rng.choice((1, -1))
-            sheared = [row[:] for row in rows]
-            for k in range(dim):
-                sheared[j][k] += c * sheared[i][k]
-            for k in range(dim):
-                sheared[k][j] += c * sheared[k][i]
-            if prod(1 - sheared[k][k] for k in range(dim)) <= max_box:
-                rows = sheared
-        order = rng.sample(range(dim), dim)
-        yield p, q, [[rows[i][j] for j in order] for i in order]
+        yield p, q, hidden(chain_rows(weights), rng, max_box)
         made += 1
+
+
+def hidden(rows, rng, max_box):
+    """``rows`` under 3 dim seeded shears U = I +- E_ij, then a seeded permutation.
+
+    A shear that would grow the box past ``max_box`` points is skipped.
+    """
+    dim = len(rows)
+    for _ in range(3 * dim):
+        i, j = rng.sample(range(dim), 2)
+        c = rng.choice((1, -1))
+        sheared = [row[:] for row in rows]
+        for k in range(dim):
+            sheared[j][k] += c * sheared[i][k]
+        for k in range(dim):
+            sheared[k][j] += c * sheared[k][i]
+        if prod(1 - sheared[k][k] for k in range(dim)) <= max_box:
+            rows = sheared
+    order = rng.sample(range(dim), dim)
+    return [[rows[i][j] for j in order] for i in order]
 
 
 def test_sheared_chain_corrections_are_lens_space_d():
@@ -184,6 +194,62 @@ def test_sheared_chain_corrections_are_lens_space_d():
         dense += all(rows[i][j] for i in range(len(rows)) for j in range(i))
     # the sample must reach past the chain's tridiagonal pattern
     assert dense >= 10
+
+
+def block_sum(first, second):
+    """The orthogonal sum of two forms, ``first`` on the leading coordinates."""
+    n, m = len(first), len(second)
+    return [row + [0] * m for row in first] + [[0] * n + row for row in second]
+
+
+def chain_pairs(count, seed, max_box):
+    """(p1, q1, p2, q2): chains of odd coprime p1, p2 whose block sum has at most max_box points.
+
+    Three fixed pairs lead, then ``count`` seeded ones.
+    """
+    yield from ((5, 2, 7, 3), (9, 2, 11, 3), (3, 1, 25, 7))
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        p1, p2 = rng.randrange(3, 40, 2), rng.randrange(3, 40, 2)
+        q1, q2 = rng.randrange(1, p1), rng.randrange(1, p2)
+        if gcd(p1, p2) > 1 or gcd(p1, q1) > 1 or gcd(p2, q2) > 1:
+            continue
+        weights = hirzebruch_jung_weights(p1, q1) + hirzebruch_jung_weights(p2, q2)
+        if prod(a + 1 for a in weights) <= max_box:
+            yield p1, q1, p2, q2
+            made += 1
+
+
+def test_connected_sum_corrections_are_the_crt_sum(monkeypatch):
+    # G1 + G2 bounds L(p1, q1) # L(p2, q2), and d is additive under connected
+    # sum (Ozsvath-Szabo, Adv. Math. 173, 2003): with p1 and p2 coprime the
+    # class i of Z/p1p2 is (i mod p1, i mod p2), so A is the CRT sum of the
+    # two lens vectors; the class count reads the plumbing basis, so it is
+    # checked on the plain sum, where it must certify an L-space (a sum of
+    # L-spaces is one)
+    fallbacks = []
+    labels = lattice._coset_representatives
+    monkeypatch.setattr(
+        lattice, "_coset_representatives", lambda *args: fallbacks.append(1) or labels(*args)
+    )
+    rng = random.Random(25)
+    pairs = list(chain_pairs(9, seed=25, max_box=20_000))
+    for p1, q1, p2, q2 in pairs:
+        L1, L2 = lens_vector(p1, q1), lens_vector(p2, q2)
+        expected = [L1[i % p1] + L2[i % p2] for i in range(p1 * p2)]
+        plain = block_sum(
+            chain_rows(hirzebruch_jung_weights(p1, q1)), chain_rows(hirzebruch_jung_weights(p2, q2))
+        )
+        for rows in (plain, hidden(plain, rng, 20_000)):
+            A = correction_vector(QuadraticForm.from_rows(rows))
+            assert A.D == p1 * p2, rows
+            assert equal_up_to_symmetry(A.values, expected), rows
+        counted = class_count(PlumbingForm.from_rows(plain))
+        assert counted.count == p1 * p2 and counted.is_lspace, plain
+    # no coordinate covector of a plain block sum generates: each plain sum
+    # takes the generator pick's fallback
+    assert len(fallbacks) >= len(pairs) == 12
 
 
 @pytest.mark.parametrize("D", [*range(3, 200, 2), 10001])

@@ -48,3 +48,12 @@ def test_verify_dataset_compares_only_a_stated_determinant():
     # the record reader already refuses a stated determinant that disagrees
     assert problems(record_from_dict({"name": "r", "goeritz": [[-3]]})) == []
     assert problems(record_from_dict({"name": "r", "goeritz": [[-3]], "determinant": 3})) == []
+
+
+def test_every_mutant_text_occurs_once_in_src():
+    mutation_run = load_script("mutation_run")
+    sources = {path.name: path.read_text() for path in mutation_run.SRC.glob("*.py")}
+    for name, (module, text, replacement) in mutation_run.MUTANTS.items():
+        assert text != replacement, name
+        assert sources[module].count(text) == 1, name
+        assert sum(source.count(text) for source in sources.values()) == 1, name
