@@ -4,17 +4,17 @@
     PYTHONPATH=src python scripts/box_sweep.py [REPEATS]
 
 Each row is one form; for it the script prints, as JSON, the median CPU
-time of the scans, each on a fresh form whose determinant and adjugate
-are already computed:
+time of the scans in whole microseconds, each on a fresh form whose
+determinant and adjugate are already computed:
 
-- ``correction_vector_s`` times the coset-maximum scan over the
+- ``correction_vector_us`` times the coset-maximum scan over the
   prod |G_ii| points of the reduced box, as the verdict path runs it:
   without recording maximisers.  The two longest ranges run innermost,
   so a point costs O(1) there.  The points of the other coordinates (the
   heads) are built as one list, one head axis at a time, and each partial
   head carries N_j . p for the head axes still to come, so a head costs
   O(dim) additions.
-- ``class_count_s`` times the class count.  On a form with odd cyclic
+- ``class_count_us`` times the class count.  On a form with odd cyclic
   cokernel that includes the same coset-maximum scan, recording the place
   of one maximiser per coset, in the numbering of box points that
   ``lattice.box_strides`` defines.  The count then closes one set of
@@ -147,6 +147,11 @@ def cpu_seconds(fn, *args):
     return time.process_time() - start, result
 
 
+def median_us(seconds: list[float]) -> int:
+    """The median of CPU times in seconds, in whole microseconds."""
+    return round(statistics.median(seconds) * 1e6)
+
+
 def main() -> int:
     repeats = int(sys.argv[1]) if len(sys.argv) > 1 else 3
     out = {}
@@ -163,8 +168,8 @@ def main() -> int:
             "reduced_box": prod(diagonal),
             "D": A.D,
             "classes": counted.count,
-            "correction_vector_s": round(statistics.median(corrections_s), 5),
-            "class_count_s": round(statistics.median(count_s), 5),
+            "correction_vector_us": median_us(corrections_s),
+            "class_count_us": median_us(count_s),
         }
     for name, rows in NON_LSPACE_SHAPES.items():
         count_s = []
@@ -175,7 +180,7 @@ def main() -> int:
             "box": prod(1 - rows[i][i] for i in range(len(rows))),
             "determinant": counted.determinant,
             "classes": counted.count,
-            "class_count_s": round(statistics.median(count_s), 5),
+            "class_count_us": median_us(count_s),
         }
     for name, rows in VERDICT_SHAPES.items():
         corrections_s = []
@@ -185,7 +190,7 @@ def main() -> int:
         out[name] = {
             "reduced_box": prod(-rows[i][i] for i in range(len(rows))),
             "D": A.D,
-            "correction_vector_s": round(statistics.median(corrections_s), 5),
+            "correction_vector_us": median_us(corrections_s),
         }
     bundled = bundled_rows()
     corrections_s = []
@@ -194,7 +199,7 @@ def main() -> int:
     out["bundled_records"] = {
         "records": len(bundled),
         "reduced_box_max": max(prod(-rows[i][i] for i in range(len(rows))) for rows in bundled),
-        "correction_vector_s": round(statistics.median(corrections_s), 5),
+        "correction_vector_us": median_us(corrections_s),
     }
     print(json.dumps(out, indent=1))
     return 0

@@ -106,8 +106,8 @@ MUTANTS = {
     # the generator pick's fallback returns a coset label, not a covector in the coset
     "generator-fallback": (
         "lattice.py",
-        "if gcd(order, *label) == 1:\n            return rep\n",
-        "if gcd(order, *label) == 1:\n            return label\n",
+        "    return reps[label]\n",
+        "    return label\n",
     ),
     # phantom coordinates of stride 1
     "phantom-stride": (

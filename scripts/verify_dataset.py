@@ -31,9 +31,9 @@ def record_problems(record: KnotRecord) -> list[str]:
         problems.append("not negative definite")
     if record.determinant is not None and record.determinant != abs(form.det):
         problems.append(f"determinant metadata {record.determinant} != {abs(form.det)}")
-    structure = cokernel(form)
-    if not structure.is_cyclic:
-        problems.append(f"non-cyclic: {structure.invariant_factors}")
+    factors = cokernel(form)
+    if len(factors) > 1:
+        problems.append(f"non-cyclic: {factors}")
     else:
         A = correction_vector(form)
         if not A.gate:

@@ -28,7 +28,7 @@ _EXPORTS = {
             "TorsionExtractionError UnknotOneError ValidationError",
         ),
         ("gamma", "GammaVector gamma_vector kappa_list model_form"),
-        ("lattice", "CokernelStructure QuadraticForm cokernel"),
+        ("lattice", "QuadraticForm cokernel"),
         (
             "matching",
             "Matching Outcome Verdict enumerate_matchings even_matchings format_compact "

@@ -53,10 +53,13 @@ dimension 0 or 1 gets phantom coordinates fixed at 0, so every scan has
 two inner axes.  A maximum does not depend on the order of the scan, so
 the choice of the inner axes changes no value.
 
-The generator g is the one that :func:`unknotone.lattice.cokernel` chose.
-Any other generator is a unit multiple u g, and
-:meth:`CorrectionVector.reindexed` lists the same values against it; the
-consumers downstream quantify over the units anyway.
+The generator g is the scan's choice of index, no part of the group: the
+scan picks it by :func:`unknotone.lattice.cokernel_generator`, after every
+refusal.  A form that gets there is negative-definite with a box inside the
+budget, so D <= prod |G_ii| (Hadamard) is below the budget too, and so is
+the pick's fallback, which lists all D cosets.  Any other generator is a
+unit multiple u g, and :meth:`CorrectionVector.reindexed` lists the same
+values against it; the consumers downstream quantify over the units anyway.
 
 Which points reach the maxima.  Asked to record, :func:`scan_box` also
 returns, per coset, the place of the first point of the scan that reaches
@@ -88,7 +91,6 @@ from typing import NamedTuple, Sequence
 
 from .errors import TEXT_BITS, NonCyclicCokernelError, ValidationError, count_text
 from .lattice import (
-    CokernelStructure,
     QuadraticForm,
     RationalVector,
     Vector,
@@ -96,6 +98,7 @@ from .lattice import (
     characteristic_box,
     check_gram_entries,
     cokernel,
+    cokernel_generator,
 )
 
 
@@ -130,8 +133,8 @@ class CorrectionVector(RationalVector):
         return CorrectionVector(self.D, nums, generator)
 
 
-def scannable_cokernel(form: QuadraticForm) -> CokernelStructure:
-    """The cokernel of a form whose correction terms the box scan computes.
+def scannable_cokernel(form: QuadraticForm) -> int:
+    """The order D of the cokernel of a form whose correction terms the box scan computes.
 
     Refuses in the order of the module docstring, the first two refusals
     by :func:`unknotone.lattice.check_gram_entries`: with
@@ -140,17 +143,17 @@ def scannable_cokernel(form: QuadraticForm) -> CokernelStructure:
     :class:`ValidationError` otherwise.
     """
     check_gram_entries(form)
-    structure = cokernel(form)
-    if structure.order % 2 == 0:
-        order = count_text(structure.order)
-        raise ValidationError(f"cokernel order {order} is even; need a knot form")
-    if structure.order.bit_length() > TEXT_BITS:
-        raise ValidationError(f"cokernel order {count_text(structure.order)} is too long to print")
-    if not structure.is_cyclic:
-        raise NonCyclicCokernelError(structure.invariant_factors)
+    factors = cokernel(form)
+    D = abs(form.det)
+    if D % 2 == 0:
+        raise ValidationError(f"cokernel order {count_text(D)} is even; need a knot form")
+    if D.bit_length() > TEXT_BITS:
+        raise ValidationError(f"cokernel order {count_text(D)} is too long to print")
+    if len(factors) > 1:
+        raise NonCyclicCokernelError(factors)
     if not form.is_negative_definite:
         raise ValidationError("correction terms require a negative-definite form")
-    return structure
+    return D
 
 
 class BoxScan(NamedTuple):
@@ -166,20 +169,22 @@ class BoxScan(NamedTuple):
 def correction_vector(form: QuadraticForm) -> CorrectionVector:
     """Correction terms of a negative-definite form with odd cyclic cokernel.
 
-    The vector is listed against the generator that
-    :func:`unknotone.lattice.cokernel` chose; ``reindexed`` lists it
-    against a unit multiple.  A form that :func:`scannable_cokernel`
-    refuses raises its error.  The scan records no points.
+    The vector is listed against the generator that :func:`scan_box`
+    picks; ``reindexed`` lists it against a unit multiple.  A form that
+    :func:`scannable_cokernel` refuses raises its error.  The scan records
+    no points.
     """
     return scan_box(form).vector
 
 
 def scan_box(form: QuadraticForm, record: bool = False) -> BoxScan:
-    """The scan behind :func:`correction_vector`; ``record`` keeps the maximising points."""
-    structure = scannable_cokernel(form)
-    D = structure.order
-    generator = structure.generator
-    assert generator is not None
+    """The scan behind :func:`correction_vector`; ``record`` keeps the maximising points.
+
+    The form passes :func:`scannable_cokernel` before the generator is
+    picked, so a refused form pays for no pick (module docstring).
+    """
+    D = scannable_cokernel(form)
+    generator = cokernel_generator(form)
     # the index weights w = a^{-1} N g mod D with a = g^t N g (module docstring)
     ng = [sum(map(mul, row, generator)) for row in form.inverse_numerator]
     inverse = pow(sum(map(mul, generator, ng)), -1, D)

@@ -18,9 +18,11 @@ nonsingular form, the adjugate; a singular form has no adjugate here, and
 asking for it raises SingularFormError.  The gcd of the adjugate entries
 is the cyclicity test (the cokernel is cyclic exactly when it is 1).  A
 Smith normal form, mod that gcd, is computed only for the invariant
-factors of a non-cyclic cokernel.  Each form builds its cokernel and its
-box once and keeps them beside the elimination, so every stage that asks
-shares them.
+factors of a non-cyclic cokernel.  Each form builds its invariant factors
+and its box once and keeps them beside the elimination, so every stage
+that asks shares them.  A generator of a cyclic cokernel is no part of
+them: only the box scan picks one (:func:`cokernel_generator`), after
+every refusal, as the index of its correction terms.
 
 The characteristic box is defined once, in :func:`characteristic_box`.
 The correction terms scan the reduced box G_ii + 2 <= x_i <= -G_ii inside
@@ -39,8 +41,8 @@ and so do the model vector and every matching built from the two.
 4D; A, B and the matchings all derive from it, and every stage imports
 this module, so the one renderer :func:`rational_texts` lives here too.
 
-Value types.  Forms, cokernels, vectors, matchings, verdicts and reports
-derive from :class:`Value`.  A subclass lists its fields as annotations,
+Value types.  Forms, vectors, matchings, verdicts and reports derive
+from :class:`Value`.  A subclass lists its fields as annotations,
 never evaluated, with any default as the class attribute; the constructor
 takes them in that order, by position or keyword, then runs ``_validate``.
 Instances compare and hash by their fields, and assignment raises; a
@@ -52,7 +54,7 @@ from __future__ import annotations
 from functools import cached_property
 from math import gcd, isqrt, lcm, prod
 from operator import attrgetter
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import SingularFormError, ValidationError, count_text
 
@@ -245,7 +247,7 @@ class QuadraticForm(Value):
         return _gauss_jordan(self.gram)
 
     @cached_property
-    def _cokernel(self) -> "CokernelStructure":
+    def _cokernel(self) -> tuple[int, ...]:
         return _build_cokernel(self)
 
     @cached_property
@@ -306,11 +308,12 @@ class QuadraticForm(Value):
 # of a 2-vCPU Xeon (CPython 3.11.7, five runs each), with a 50 MB peak,
 # which is the scan's.  A larger box is refused up front instead of
 # running for hours: a 6 x 6 form with diagonal -41 has 5.5e9 points.  The
-# budget does not bound the generator pick: when no coordinate covector
-# generates a cyclic cokernel, it lists all D cosets as tuple labels.
+# generator pick runs only on the forms the scan accepts, whose D is at most
+# prod |G_ii| (Hadamard), so below the budget.  When no coordinate covector
+# generates a cyclic cokernel, it lists all D cosets as tuple labels:
 # diag(-1409, -1413), with a box of 1,993,740 points and D = 1,990,917,
-# spends 9.8 to 11.8 s and 655 MB there against 1.1 to 1.3 s for the scan
-# (two single runs on that Xeon).
+# spends 7.3 to 7.5 s and 510 MB in the pick, of 7.9 s for
+# correction_vector (two runs each, pinned, on that Xeon).
 BOX_BUDGET = 2_000_000
 
 # A negative-definite form has every G_ii <= -1, so its box has at least
@@ -404,36 +407,6 @@ def _build_box(form: QuadraticForm) -> list[range]:
     return [range(d, -d + 1, 2) for d in (form.gram[i][i] for i in range(form.dim))]
 
 
-class CokernelStructure(Value):
-    """The finite group V*/q(V): its invariant factors and, when cyclic, a generator.
-
-    ``invariant_factors`` are the nontrivial d_1 | d_2 | ..., so the group
-    is cyclic when there is at most one.  ``generator`` is a covector whose
-    coset generates a cyclic group, None otherwise.
-    """
-
-    invariant_factors: tuple[int, ...]
-    generator: Optional[Vector]
-
-    __hash__ = None  # compared by value, never hashed
-
-    @property
-    def order(self) -> int:
-        return prod(self.invariant_factors)
-
-    @property
-    def is_cyclic(self) -> bool:
-        return len(self.invariant_factors) <= 1
-
-
-def _labels(rows: Sequence[Sequence[int]], order: int) -> list[Vector]:
-    """The label N e_i mod |det| of each coordinate covector e_i: row i of N.
-
-    N v mod |det| labels the coset of v, with N = |det| G^{-1} (symmetric).
-    """
-    return [tuple([x % order for x in row]) for row in rows]
-
-
 def _coset_representatives(labels: Sequence[Vector], order: int) -> dict[Vector, Vector]:
     """Each label the coordinate ``labels`` generate mod ``order``, with a small covector."""
     zero = (0,) * len(labels)
@@ -456,45 +429,48 @@ def _coset_representatives(labels: Sequence[Vector], order: int) -> dict[Vector,
     return reps
 
 
-def cokernel(form: QuadraticForm) -> CokernelStructure:
-    """Invariant factors and generator of coker(q: V -> V*), built once per form."""
+def cokernel(form: QuadraticForm) -> tuple[int, ...]:
+    """The nontrivial invariant factors d_1 | d_2 | ... of coker(q: V -> V*), built once per form.
+
+    The group has order |det G|, and it is cyclic when there is at most one factor.
+    """
     return form._cokernel
 
 
-def _build_cokernel(form: QuadraticForm) -> CokernelStructure:
+def _build_cokernel(form: QuadraticForm) -> tuple[int, ...]:
     if form.dim == 0:
-        return CokernelStructure((), generator=())
+        return ()
     if form.det == 0:
         raise SingularFormError("cokernel requires a nonsingular form")
     order = abs(form.det)
     minors = gcd(*(entry for row in form.adjugate for entry in row))
-    is_cyclic = minors == 1
-    factors = [order] if is_cyclic else _smith_diagonal(form.gram, order, minors)
+    factors = [order] if minors == 1 else _smith_diagonal(form.gram, order, minors)
     nontrivial = tuple(d for d in factors if d != 1)
     if prod(nontrivial) != order:
         raise AssertionError("invariant factor product disagrees with |det|")
-    num = form.inverse_numerator
-    generator = _choose_generator(_labels(num, order), order) if is_cyclic else None
-    return CokernelStructure(nontrivial, generator)
+    return nontrivial
 
 
-def _choose_generator(labels: Sequence[Vector], order: int) -> Vector:
-    """Pick a deterministic covector whose coset generates a cyclic cokernel.
+def cokernel_generator(form: QuadraticForm) -> Vector:
+    """A deterministic covector whose coset generates a cyclic cokernel.
 
-    ``labels`` are the coordinate labels mod ``order``.  Preference goes to
-    the coordinate covector with the smallest label that generates; when no
-    single coordinate covector generates (the cokernel can be cyclic
-    without that), fall back to the smallest-label generating element of
-    the whole group.  A label generates when it has order ``order``.
+    N v mod D labels the coset of v, with N = D G^{-1} (symmetric) and
+    D = |det G|, so row i of N labels e_i; a label generates when it has
+    order D.  Preference goes to the coordinate covector with the smallest
+    label that generates; when none does (the cokernel can be cyclic without
+    that), fall back to the smallest generating label of the whole group,
+    which lists all D cosets.  Only the box scan asks, after its refusals.
     """
-    dim = len(labels)
+    order = abs(form.det)
     if order == 1:
-        return (0,) * dim
-    units = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
+        return (0,) * form.dim
+    labels = [tuple([x % order for x in row]) for row in form.inverse_numerator]
+    units = [tuple(int(j == i) for j in range(form.dim)) for i in range(form.dim)]
     for label, vec in sorted(zip(labels, units)):
         if gcd(order, *label) == 1:
             return vec
-    for label, rep in sorted(_coset_representatives(labels, order).items()):
-        if gcd(order, *label) == 1:
-            return rep
-    raise AssertionError("a cyclic cokernel has no generating element")
+    reps = _coset_representatives(labels, order)
+    label = min((label for label in reps if gcd(order, *label) == 1), default=None)
+    if label is None:
+        raise AssertionError("a cyclic cokernel has no generating element")
+    return reps[label]

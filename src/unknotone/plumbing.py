@@ -84,8 +84,7 @@ class PlumbingForm(Value):
 
         None unless the cokernel is odd and cyclic, the forms the scan accepts.
         """
-        structure = cokernel(self.form)
-        if structure.order % 2 == 0 or not structure.is_cyclic:
+        if self.form.det % 2 == 0 or len(cokernel(self.form)) > 1:
             return None
         return scan_box(self.form, record=True)
 

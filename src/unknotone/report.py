@@ -83,7 +83,7 @@ def analyze_record(
     """
     form = record.form
     try:
-        D = scannable_cokernel(form).order
+        D = scannable_cokernel(form)
     except NonCyclicCokernelError as exc:
         return RecordReport(
             name=record.name,

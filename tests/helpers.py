@@ -19,7 +19,7 @@ from math import gcd, lcm
 from types import SimpleNamespace
 
 from unknotone.gamma import kappa_list, model_form
-from unknotone.lattice import box_strides, characteristic_box, cokernel
+from unknotone.lattice import box_strides, characteristic_box, cokernel_generator
 from unknotone.matching import Matching, quarter_point
 
 
@@ -57,13 +57,13 @@ def coset_label(form, v):
 
 
 def unit_of_covector(form, covector):
-    """The unit u of Z/D with [covector] = u [g], g the generator the cokernel chose.
+    """The unit u of Z/D with [covector] = u [g], g the generator the scan picks.
 
     ``correction_vector(form).reindexed(u)`` lists A against ``covector``.
     Found by trying every unit; the covector must generate the cokernel.
     """
     D = abs(form.det)
-    step = coset_label(form, cokernel(form).generator)
+    step = coset_label(form, cokernel_generator(form))
     target = coset_label(form, covector)
     (unit,) = [
         u for u in range(D) if gcd(u, D) == 1 and tuple(u * x % D for x in step) == target

@@ -44,9 +44,10 @@ def test_gamma_text_and_json(capsys):
 
 
 def test_gamma_rejects_even(capsys):
-    code, _, err = run_main(["gamma", "--D", "4"], capsys)
-    assert code == 3
-    assert "odd" in err
+    for D in (4, 6):
+        code, out, err = run_main(["gamma", "--D", str(D)], capsys)
+        assert (code, out) == (3, "")
+        assert err.splitlines() == [f"error: model form needs an odd determinant >= 3, got {D}"]
 
 
 def test_obstruct_eight_ten(capsys):
@@ -468,6 +469,25 @@ def test_a_dense_240_by_240_form_is_refused_within_a_second(command, tmp_path, c
             "error: form has dimension 240; above dimension 20 no characteristic box fits "
             "the budget of 2000000"
         ],
+    )
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[-1409, 0], [0, 1413]], [[1000003, 0], [0, 1000033]]],
+    ids=["indefinite", "positive-definite"],
+)
+@pytest.mark.parametrize("command", ["obstruct", "corrections"])
+def test_a_large_cyclic_form_refused_after_the_elimination_exits_within_a_second(
+    command, rows, tmp_path, capsys
+):
+    # D = 1,990,917 and about 10^12, and no coordinate covector generates: a
+    # generator pick would list all D cosets, but it runs only on accepted forms
+    start = time.perf_counter()
+    code, out, err = run_main([command, "--input", _record_file(tmp_path, rows)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err.splitlines()) == (
+        3, "", ["error: correction terms require a negative-definite form"]
     )
 
 

@@ -25,9 +25,11 @@ def test_model_form_matrix():
 
 
 def test_model_form_rejects_bad_determinant():
-    for bad in (1, 2, 4, -3):
-        with pytest.raises(ValidationError):
-            model_form(bad)
+    # 6 and 10 are even but not multiples of 4
+    for refuse, bad in [(model_form, D) for D in (1, 2, 4, 10, -3)] + [(gamma_vector, 6)]:
+        with pytest.raises(ValidationError) as info:
+            refuse(bad)
+        assert str(info.value) == f"model form needs an odd determinant >= 3, got {bad}"
 
 
 def test_kappa_list_small_even():

@@ -59,9 +59,7 @@ def test_integer_core_agrees_with_sympy(sympy, rows):
     assert form.adjugate == tuple(tuple(int(x) for x in row) for row in matrix.adjugate().tolist())
     factors = sorted(abs(int(d)) for d in invariant_factors(matrix))
     expected = tuple(d for d in factors if d != 1)
-    structure = cokernel(form)
-    assert structure.invariant_factors == expected
-    assert structure.is_cyclic == (len(expected) <= 1)
+    assert cokernel(form) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -186,13 +184,12 @@ def test_bounded_smith_reduction_agrees_with_the_unbounded_one_and_sympy(sympy, 
     from sympy.matrices.normalforms import smith_normal_form
 
     form = QuadraticForm.from_rows(rows)
-    structure = cokernel(form)
-    assert not structure.is_cyclic
+    assert len(cokernel(form)) > 1
     expected = reference_smith_diagonal(rows)
     order = abs(form.det)
     minors = gcd(*(x for row in form.adjugate for x in row))
     assert lattice._smith_diagonal(rows, order, minors) == expected
-    assert structure.invariant_factors == tuple(d for d in expected if d != 1)
+    assert cokernel(form) == tuple(d for d in expected if d != 1)
     snf = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
     assert sorted(abs(int(snf[i, i])) for i in range(len(rows))) == expected
 
@@ -208,7 +205,7 @@ def test_invariant_factors_beside_huge_even_entries():
             rows[i][j] = rows[j][i] = 2 * rng.getrandbits(2892)
     form = QuadraticForm.from_rows(rows)
     order = abs(form.det)
-    assert cokernel(form).invariant_factors == (2, 2, 2, order // 8)
+    assert cokernel(form) == (2, 2, 2, order // 8)
     assert (order // 8).bit_length() == 11566
 
 

@@ -47,8 +47,8 @@ def negative_definite_forms(draw, max_dim=4, max_abs_det=60):
 
 
 def cyclic_odd(form):
-    structure = cokernel(form)
-    return structure.is_cyclic and structure.order % 2 == 1 and structure.order >= 3
+    D = abs(form.det)
+    return len(cokernel(form)) == 1 and D % 2 == 1 and D >= 3
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
@@ -63,7 +63,7 @@ def test_invariant_factors_stable_under_congruence(form):
         for k in range(dim):
             rows[k][1] += rows[k][0]
     sheared = QuadraticForm.from_rows(rows)
-    assert cokernel(sheared).invariant_factors == cokernel(form).invariant_factors
+    assert cokernel(sheared) == cokernel(form)
 
 
 @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])

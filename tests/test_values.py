@@ -14,7 +14,7 @@ from unknotone.catalog import KnotRecord, WhiteGraph
 from unknotone.corrections import CorrectionVector, correction_vector
 from unknotone.errors import ValidationError
 from unknotone.gamma import GammaVector, gamma_vector
-from unknotone.lattice import CokernelStructure, QuadraticForm, RationalVector, Value
+from unknotone.lattice import QuadraticForm, RationalVector, Value
 from unknotone.matching import Matching, Outcome, Verdict, enumerate_matchings, obstruct
 from unknotone.plumbing import ClassCount, PlumbingForm
 from unknotone.report import AlexanderReport, RecordReport, SignedReport
@@ -31,7 +31,6 @@ OTHER_VERDICT = Verdict(Outcome.NOT_OBSTRUCTED, (MATCHING,), True, True, "detail
 FIELDS = {
     RationalVector: {"D": 3, "numerators": (-6, 2, 2)},
     QuadraticForm: {"gram": ((-2, 1), (1, -2))},
-    CokernelStructure: {"invariant_factors": (3,), "generator": (1, 0)},
     Matching: {
         "D": 3,
         "numerators": (0, 24, 24),
@@ -91,7 +90,7 @@ TYPES = pytest.mark.parametrize("cls", FIELDS, ids=lambda cls: cls.__name__)
 
 
 def test_every_value_type_is_covered():
-    assert len(FIELDS) == 15
+    assert len(FIELDS) == 14
     assert all(issubclass(cls, Value) for cls in FIELDS)
 
 
@@ -103,11 +102,7 @@ def test_positional_and_keyword_construction_agree(cls):
     assert by_position == by_keyword
     for name, value in fields.items():
         assert getattr(by_position, name) == value, name
-    if cls is CokernelStructure:
-        with pytest.raises(TypeError):
-            hash(by_position)
-    else:
-        assert hash(by_position) == hash(by_keyword)
+    assert hash(by_position) == hash(by_keyword)
 
 
 @TYPES
