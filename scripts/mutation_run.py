@@ -7,8 +7,8 @@ Each mutant in ``MUTANTS`` is one text substitution in one module of
 ``src/unknotone``; its text must occur exactly once in ``src/``.  For each
 mutant the script copies ``src/``, ``tests/`` and ``pyproject.toml`` of
 this checkout to a temporary directory, applies the substitution there
-and runs the oracle, matching-engine, box-scan, plumbing and verdict-scan
-tests with ``pytest -x``, stopping at the first failure, under a
+and runs the oracle, matching-engine, box-scan, plumbing, verdict-scan
+and gamma tests with ``pytest -x``, stopping at the first failure, under a
 per-mutant timeout (default 120 s).  It prints one line per mutant:
 killed (with the first failing test), survived or timed out.  An
 unmutated run goes first and must pass, or the script exits 2.  Naming
@@ -39,6 +39,7 @@ TESTS = [
     "tests/test_box_scan.py",
     "tests/test_plumbing.py",
     "tests/test_verdict_scan.py",
+    "tests/test_gamma.py",
 ]
 
 # name: (module, text, replacement)
@@ -91,11 +92,11 @@ MUTANTS = {
         "zip(ranges[a], count(strides[a], strides[a]))",
         "zip(ranges[a], count(0, strides[a]))",
     ),
-    # the top of each pushed interval left out of the closure's moves
+    # the top of each pushed slab left out of the closure's moves
     "closure-bound": (
         "plumbing.py",
-        "(max(0, -g), min(b, b - g))",
-        "(max(0, -g), min(b - 1, b - g))",
+        "_slab(max(0, -g), min(b, b - g),",
+        "_slab(max(0, -g), min(b - 1, b - g),",
     ),
     # a failing filter reports the whole pool instead of what passed before it
     "witnesses-rule": (
@@ -108,6 +109,12 @@ MUTANTS = {
         "lattice.py",
         "    return reps[label]\n",
         "    return label\n",
+    ),
+    # the model form accepts D = 2 (mod 4)
+    "gamma-even-determinant": (
+        "gamma.py",
+        "D < 3 or D % 2 == 0",
+        "D < 3 or D % 4 == 0",
     ),
     # phantom coordinates of stride 1
     "phantom-stride": (
@@ -166,10 +173,10 @@ def main() -> int:
     if status != "survived":
         print(f"the unmutated tests do not pass: {status} {detail}", file=sys.stderr)
         return 2
-    print(f"{'(unmutated)':<18} {'passed':<10} {seconds:6.1f} s", flush=True)
+    print(f"{'(unmutated)':<22} {'passed':<10} {seconds:6.1f} s", flush=True)
     for name in args or MUTANTS:
         status, detail, seconds = run_tests(MUTANTS[name], timeout)
-        print(f"{name:<18} {status:<10} {seconds:6.1f} s  {detail}", flush=True)
+        print(f"{name:<22} {status:<10} {seconds:6.1f} s  {detail}", flush=True)
     return 0
 
 

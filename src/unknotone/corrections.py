@@ -221,9 +221,8 @@ def _coset_maxima(
         weights = [*weights, *phantoms]
         ranges += [range(1)] * len(phantoms)
         strides += phantoms
-    axes = range(len(ranges))
     # the innermost axis k has the longest range, the middle axis l the next
-    k, l, *rest = sorted(axes, key=lambda i: -len(ranges[i]))
+    k, l, *rest = sorted(range(len(ranges)), key=lambda i: -len(ranges[i]))
     rest.sort()
     # the heads p (the coordinates in rest) in itertools.product order, built
     # one head axis a at a time: each partial head holds p^t N p, its place,
@@ -254,9 +253,9 @@ def _coset_maxima(
         (2 * y, num[l][l] * y * y, num[k][l] * y, weights[l] * y, place)
         for y, place in zip(ranges[l], count(strides[l], strides[l]))
     ]
-    # x^t N x >= -sum |N_ij| |x_i| |x_j| > floor on the box, so floor marks an unmet index
-    reach = [max(-rg.start, rg[-1]) for rg in ranges]
-    floor = -1 - sum(abs(num[i][j]) * reach[i] * reach[j] for i in axes for j in axes)
+    # every |x_i| <= R, the largest reach, so x^t N x >= -R^2 sum |N_ij| > floor on the box
+    reach = max(max(-rg.start, rg[-1]) for rg in ranges)
+    floor = -1 - sum(abs(n) for row in num for n in row) * reach * reach
     best = [floor] * order
     places: Sequence[int] = ()
     if record:

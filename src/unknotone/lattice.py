@@ -455,20 +455,20 @@ def cokernel_generator(form: QuadraticForm) -> Vector:
     """A deterministic covector whose coset generates a cyclic cokernel.
 
     N v mod D labels the coset of v, with N = D G^{-1} (symmetric) and
-    D = |det G|, so row i of N labels e_i; a label generates when it has
-    order D.  Preference goes to the coordinate covector with the smallest
-    label that generates; when none does (the cokernel can be cyclic without
-    that), fall back to the smallest generating label of the whole group,
-    which lists all D cosets.  Only the box scan asks, after its refusals.
+    D = |det G|, so row i of N labels e_i; a label generates when it has order
+    D.  Preference goes to the generating coordinate covector of smallest label,
+    the higher index on a tie; when none generates (a cyclic cokernel allows
+    that), fall back to the smallest generating label of the group, which
+    lists all D cosets.  Only the box scan asks, after its refusals.
     """
     order = abs(form.det)
     if order == 1:
         return (0,) * form.dim
     labels = [tuple([x % order for x in row]) for row in form.inverse_numerator]
-    units = [tuple(int(j == i) for j in range(form.dim)) for i in range(form.dim)]
-    for label, vec in sorted(zip(labels, units)):
-        if gcd(order, *label) == 1:
-            return vec
+    generating = [(label, -i) for i, label in enumerate(labels) if gcd(order, *label) == 1]
+    if generating:
+        i = -min(generating)[1]
+        return tuple(int(j == i) for j in range(form.dim))
     reps = _coset_representatives(labels, order)
     label = min((label for label in reps if gcd(order, *label) == 1), default=None)
     if label is None:

@@ -11,11 +11,11 @@ the half-vector to climb to the middle in steps of at most two.
 Both searches run on integers.  A and B store their entries as integer
 numerators over 4D, so every C is a tuple of numerators over 4D, and the
 four filters are one integer predicate on them.  A is conjugation-symmetric,
-so the units u and D - u give the same C: only 2u < D is scanned, and each
-C records both pairs.  ``Matching`` is a
-:class:`unknotone.lattice.RationalVector` like A and B: it keeps C as
-numerators and renders them with ``texts()``; ``Matching.C`` is the
-``Fraction`` view ``values`` of the base type, which no output reads.
+so the units u and D - u give the same C: only the units below D/2
+(:func:`half_units`) are scanned, and each C records both pairs.
+``Matching`` is a :class:`unknotone.lattice.RationalVector` like A and B:
+it keeps C as numerators and renders them with ``texts()``; ``Matching.C``
+is the ``Fraction`` view ``values`` of the base type, which no output reads.
 
 The verdict scan.  Every verdict starts from the even matchings, and
 :func:`even_matchings` finds just those.  C_0 = -B_0 - epsilon A_0 does not
@@ -26,9 +26,9 @@ the test, so the survivors carry their full provenance, and each equals
 the entry of the full listing with the same C.
 
 The listing.  :func:`enumerate_matchings` builds every distinct C with its
-provenance: phi(D) * D integers over the scanned half of the pairs, and
-up to as many entries of memory.  It serves ``match``, ``obstruct --json``
-and the tests.  A listing above :data:`LISTING_BUDGET` entries is refused
+provenance: 2 D integers per unit below D/2, one C per sign, and up to as
+many entries of memory.  It serves ``match``, ``obstruct --json`` and the
+tests.  A listing above :data:`LISTING_BUDGET` entries is refused
 before the scan; the budget depends on D alone, so the commands that print
 a listing check it (:func:`check_listing_budget`) before any analysis.
 """
@@ -106,25 +106,26 @@ def _flags(D: int, C: Sequence[int]) -> dict[str, bool]:
     }
 
 
-def units(D: int) -> list[int]:
-    return [u for u in range(1, D) if gcd(u, D) == 1]
+def half_units(D: int) -> list[int]:
+    """The units u of Z/D with 2u < D, ascending; for odd D >= 3 they are phi(D) / 2."""
+    return [u for u in range(1, (D + 1) // 2) if gcd(u, D) == 1]
 
 
-# The most entries the full listing may cover, counted as (unit, sign)
-# pairs times D, 2 phi(D) D: every pair contributes a C of D entries, and
-# the listing's time and memory grow with that count.  On the two-bridge
-# form [[-2, 1], [1, -1000]] (D = 1999, 8.0e6 entries) enumerate_matchings
-# takes about 0.6 s and 170 MB on one core of a 2-vCPU machine (CPython
-# 3.11), and even_matchings 1 ms; printing it takes about 6 s and 830 MB
-# with ``match --json``, 2.5 s and 245 MB with text ``match`` (CPU time,
-# peak RSS).  D = 3999 (2.0e7 entries) is refused up front.
+# The most entries the full listing may cover: (unit, sign) pairs times D,
+# that is 4 D times the units below D/2, since every pair contributes a C of
+# D entries; the listing's time and memory grow with that count.  On the
+# two-bridge form [[-2, 1], [1, -1000]] (D = 1999, 8.0e6 entries)
+# enumerate_matchings takes about 0.6 s and 170 MB on one core of a 2-vCPU
+# machine (CPython 3.11), and even_matchings 1 ms; printing it takes about
+# 6 s and 830 MB with ``match --json``, 2.5 s and 245 MB with text ``match``
+# (CPU time, peak RSS).  D = 3999 (2.0e7 entries) is refused up front.
 # Verdicts never list (see the module docstring).
 LISTING_BUDGET = 10_000_000
 
 
 def check_listing_budget(D: int) -> None:
     """Refuse a listing of more than :data:`LISTING_BUDGET` entries for determinant D."""
-    size = 2 * len(units(D)) * D
+    size = 4 * D * len(half_units(D))
     if size > LISTING_BUDGET:
         raise ValidationError(
             f"matching listing for D = {D} has {size} entries, "
@@ -159,7 +160,7 @@ def _listed(D: int, found: dict[tuple[int, ...], list[tuple[int, int]]]) -> tupl
 def enumerate_matchings(A: CorrectionVector, B: GammaVector) -> tuple[Matching, ...]:
     """All matchings, deduplicated by their C vector.
 
-    The scan covers only the units with 2u < D: A is symmetric, so D - u
+    The scan covers only the units below D/2: A is symmetric, so D - u
     gives the same C as u, and both pairs go into the provenance.  Distinct
     (unit, sign) pairs frequently produce identical vectors; these are
     merged, with the full provenance list retained.  The result is sorted
@@ -170,9 +171,7 @@ def enumerate_matchings(A: CorrectionVector, B: GammaVector) -> tuple[Matching, 
     D, a, neg_b = _integer_vectors(A, B)
     check_listing_budget(D)
     found: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for u in units(D):
-        if 2 * u > D:
-            break
+    for u in half_units(D):
         a_u = [a[j % D] for j in range(0, u * D, u)]
         for epsilon, op in ((1, sub), (-1, add)):
             C = tuple(map(op, neg_b, a_u))
@@ -190,7 +189,7 @@ def even_matchings(A: CorrectionVector, B: GammaVector) -> tuple[Matching, ...]:
     two = 8 * D  # 2 as a numerator over 4D
     a_mod = [x % two for x in a]
     half = range(1, D // 2 + 1)
-    half_units = [u for u in range(1, (D + 1) // 2) if gcd(u, D) == 1]
+    scanned = half_units(D)
     found: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for epsilon, op in ((1, sub), (-1, add)):
         if op(neg_b[0], a[0]) % two:
@@ -198,7 +197,7 @@ def even_matchings(A: CorrectionVector, B: GammaVector) -> tuple[Matching, ...]:
         # C_i is even exactly when A_(u i) = -epsilon B_i (mod 2)
         target = [epsilon * neg_b[i] % two for i in half]
         # most pairs are already odd at i = 1: drop those in one pass
-        for u in [u for u in half_units if a_mod[u] == target[0]]:
+        for u in [u for u in scanned if a_mod[u] == target[0]]:
             if all(a_mod[u * i % D] == t for i, t in zip(half, target)):
                 a_u = [a[j % D] for j in range(0, u * D, u)]
                 C = tuple(map(op, neg_b, a_u))

@@ -31,22 +31,22 @@ coset, and are counted as settled.  A coset may reach its maximum in more
 than one class (the sharp 10_148 form has 43 such classes for D = 31); the
 classes of the unrecorded ones are counted like any other.
 
-How the count runs.  A push is undone by the opposite push, so a class is
-a connected component of an undirected graph, and the in-box classes are
-the components of the box points with no push that leaves the box.  A set
-of box points is an ``int`` bitset over their places, the numbering
+How the count runs.  A push is undone by the opposite push, so a class is a
+connected component of an undirected graph, and the in-box classes are the
+components of the box points with no push that leaves the box.  A set of
+box points is an ``int`` bitset over their places, the numbering
 (:func:`unknotone.lattice.box_strides`) in which the scan records its
-maximising points.  At vertex i the upper-wall points whose push stays in the
-box form a box of intervals, and the push moves them all by one place
-shift onto the lower wall; the other wall points push out of the box.
-Those points and the recorded points are closed once under the 2 dim
-shifted sets: each sweep applies every move in place to the whole set,
-at O(dim) bitwise operations over the box, until a sweep adds nothing.
-The closure fills the classes that leave the box and the D settled
-classes, which lie inside it, so the two never share a class.  The rest
-is a union of in-box classes, each meeting the reduced box: a plain walk
-from its seeds there counts them.  On an L-space with odd cyclic
-cokernel nothing is left.
+maximising points.  At vertex i the upper-wall points whose push stays in
+the box, an AND of slabs (the points with one coordinate in an interval) on
+the axes the push moves (G_ji != 0), all move by one place shift onto the
+lower wall; the other wall points push out.  Those points and the recorded
+points are closed once under the 2 dim shifted sets: each sweep applies
+every move in place to the whole set, at O(dim) bitwise operations over the
+box, until a sweep adds nothing.  The closure fills the classes that leave
+the box and the D settled classes, which lie inside it, so the two never
+share a class.  The rest is a union of in-box classes, each meeting the
+reduced box (off the lower walls): a plain walk from its seeds there counts
+them.  On an L-space with odd cyclic cokernel no rest is left.
 """
 
 from __future__ import annotations
@@ -127,14 +127,18 @@ def _count_classes(plumbing: PlumbingForm) -> int:
     # the one numbering of box points; a push at i moves a place by shift_i
     stride = box_strides(characteristic_box(form))
     shifts = [sum(map(mul, column, stride)) for column in gram]
-    # per vertex i, the upper-wall points whose push stays in the box and
-    # their images on the lower wall; the other wall points push out of it
-    moves, leaving = [], 0
+    # per vertex i, the upper-wall points whose push (G_ji added to x_j) stays in
+    # the box and their images on the lower wall; the other wall points push out
+    moves, leaving, walls = [], 0, 0
     for i, (column, shift) in enumerate(zip(gram, shifts)):
-        pushed = _box_set([(max(0, -g), min(b, b - g)) for g, b in zip(column, bound)], sizes)
+        upper = pushed = _slab(bound[i], bound[i], stride[i], sizes[i], total)
+        for j, (g, b) in enumerate(zip(column, bound)):
+            if g and j != i:
+                pushed &= _slab(max(0, -g), min(b, b - g), stride[j], sizes[j], total)
         back = pushed << shift if shift >= 0 else pushed >> -shift
-        upper = _box_set([(b, b) if j == i else (0, b) for j, b in enumerate(bound)], sizes)
-        leaving |= (upper ^ pushed) | ((upper >> bound[i] * stride[i]) ^ back)
+        lower = upper >> bound[i] * stride[i]
+        leaving |= (upper ^ pushed) | (lower ^ back)
+        walls |= lower
         moves.append((pushed, back, shift) if shift >= 0 else (back, pushed, -shift))
     settled = good = 0
     if scan is not None:
@@ -145,10 +149,10 @@ def _count_classes(plumbing: PlumbingForm) -> int:
     left = ((1 << total) - 1) ^ _closure(leaving | settled, moves)
     if not left:
         return good
-    # what is left is closed under the pushes and lies inside the box
+    # what is left is closed under the pushes and lies inside the box; seeds are off the walls
     visited = bytearray(total)
     axes = list(zip(stride, sizes, bound, shifts))
-    for seed in _places(left & _box_set([(1, b) for b in bound], sizes)):
+    for seed in _places(left & ~walls):
         if visited[seed]:
             continue
         good += 1
@@ -170,19 +174,16 @@ def _count_classes(plumbing: PlumbingForm) -> int:
     return good
 
 
-def _box_set(intervals: Sequence[tuple[int, int]], sizes: Sequence[int]) -> int:
-    """The places whose coordinate j lies in intervals[j], doubled from the innermost axis out."""
-    bits, width = 1, 1
-    for (lo, hi), size in zip(reversed(intervals), reversed(sizes)):
-        if hi < lo:
-            return 0
-        copies = 1
-        while copies <= hi - lo:
-            bits |= bits << copies * width
-            copies *= 2
-        bits = (bits & (1 << (hi - lo + 1) * width) - 1) << lo * width
-        width *= size
-    return bits
+def _slab(lo: int, hi: int, stride: int, size: int, total: int) -> int:
+    """The places of a box of ``total`` points with coordinate lo..hi on the axis of ``stride``."""
+    if hi < lo:
+        return 0
+    bits = (1 << (hi + 1) * stride) - (1 << lo * stride)
+    width = stride * size
+    while width < total:
+        bits |= bits << width
+        width *= 2
+    return bits & (1 << total) - 1
 
 
 def _closure(bits: int, moves: Sequence[tuple[int, int, int]]) -> int:

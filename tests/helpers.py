@@ -1,7 +1,8 @@
 """Small lattice helpers that only the tests use.
 
 They are plain reimplementations kept outside the package: the points of
-the characteristic box and the point at a place in its numbering, the map
+the characteristic box and the point at a place in its numbering, the
+places of a box whose coordinates lie in given intervals, the map
 q(v) = G v, the value Q(v, v), the pairing v^t N v and the coset label
 N v mod |det| with N = |det| G^{-1}, the unit that reindexes A to another
 generating covector, the closed form of B_0, the model vector B built one
@@ -15,7 +16,7 @@ integers, unbounded.
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from types import SimpleNamespace
 
 from unknotone.gamma import kappa_list, model_form
@@ -33,6 +34,14 @@ def box_points(form, places):
     box = characteristic_box(form)
     strides = box_strides(box)
     return [tuple(rg.start + p // s % len(rg) * 2 for rg, s in zip(box, strides)) for p in places]
+
+
+def box_places(sizes, intervals):
+    """The places, last coordinate fastest, of the points of a box of ``sizes`` whose
+    coordinate j lies in intervals[j] = (lo, hi), enumerated as a product."""
+    strides = [prod(sizes[j + 1 :]) for j in range(len(sizes))]
+    axes = [range(max(lo, 0), min(hi, size - 1) + 1) for (lo, hi), size in zip(intervals, sizes)]
+    return {sum(x * s for x, s in zip(point, strides)) for point in product(*axes)}
 
 
 def q_map(form, v):

@@ -175,3 +175,10 @@ def test_residue_folding_is_symmetric():
     for r in range(1, 2 * n, 2):
         assert residue_to_torsion_index(r, n) == residue_to_torsion_index((-r) % (2 * n), n)
         assert 0 <= residue_to_torsion_index(r, n) <= n // 2
+
+
+def test_every_residue_folds_into_the_torsion_range():
+    # indices above n // 2 are never assigned, so a longer torsion list in
+    # torsion_from_matching would only gain zeros, which the trim removes
+    for n in range(1, 401):
+        assert all(0 <= residue_to_torsion_index(r, n) <= n // 2 for r in range(2 * n)), n

@@ -141,6 +141,22 @@ def test_generator_fallback_pick_is_pinned(rows, generator, numerators):
     assert (A.generator, A.numerators) == (generator, numerators)
 
 
+@pytest.mark.parametrize(
+    "rows, generator",
+    [
+        ([[-2, -1], [-1, -2]], (0, 1)),
+        # e_2's label is 0, so only e_0 and e_1 generate, with one label
+        ([[-2, -1, 1], [-1, -2, -1], [1, -1, -3]], (0, 1, 0)),
+    ],
+)
+def test_generator_pick_on_tied_labels_takes_the_higher_coordinate(rows, generator):
+    # a plain minimum over (label, i) would pick e_0 on both forms
+    form = QuadraticForm.from_rows(rows)
+    assert coset_label(form, (1,) + (0,) * (form.dim - 1)) == coset_label(form, generator)
+    assert cokernel_generator(form) == generator
+    assert correction_vector(form).generator == generator
+
+
 def test_dimension_zero_form():
     q = QuadraticForm.from_rows([])
     assert q.dim == 0

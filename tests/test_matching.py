@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -15,8 +16,8 @@ from unknotone.matching import (
     format_compact,
     obstruct,
     quarter_point,
+    half_units,
     sign_refined_obstruct,
-    units,
 )
 from unknotone.report import analyze_record
 
@@ -37,8 +38,24 @@ def test_quarter_point():
         quarter_point(10)
 
 
-def test_units():
-    assert units(9) == [1, 2, 4, 5, 7, 8]
+def euler_phi(D):
+    """phi(D) by the product over the primes of D."""
+    phi, rest, p = D, D, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            phi -= phi // p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return phi - phi // rest if rest > 1 else phi
+
+
+def test_half_units():
+    assert half_units(9) == [1, 2, 4]
+    for D in range(3, 1000, 2):
+        assert half_units(D) == [u for u in range(1, D) if 2 * u < D and gcd(u, D) == 1], D
+        # u and D - u pair off for odd D, so the listing budget's count is 2 phi(D) D
+        assert 2 * len(half_units(D)) == euler_phi(D), D
 
 
 def test_eight_ten_unique_even_positive(eight_ten_pair):

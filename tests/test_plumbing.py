@@ -1,11 +1,13 @@
+import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from unknotone import cli, corrections, plumbing as plumbing_mod
 from unknotone.errors import ValidationError
-from helpers import characteristic_candidates, pairing
-from unknotone.lattice import QuadraticForm
+from helpers import box_places, characteristic_candidates, pairing
+from unknotone.lattice import QuadraticForm, box_strides
 from unknotone.plumbing import PlumbingForm, class_count, plumbing_corrections
 
 TEN_125 = [
@@ -80,6 +82,24 @@ def test_count_never_below_cokernel_order():
         counted = class_count(PlumbingForm.from_rows(rows))
         assert counted.count >= 1
         assert counted.count >= abs(QuadraticForm.from_rows(rows).det) or not counted.is_lspace
+
+
+def test_slab_ands_equal_the_product_enumeration():
+    rng = random.Random(27)
+    for _ in range(400):
+        sizes = [rng.randint(1, 5) for _ in range(rng.randint(0, 4))]
+        total = prod(sizes)
+        strides = box_strides([range(size) for size in sizes])
+        # lo above hi, by one or by more, is an empty interval
+        intervals = [(rng.randint(0, size + 1), rng.randint(-3, size - 1)) for size in sizes]
+        constrained = [j for j in range(len(sizes)) if rng.random() < 0.7]
+        bits = (1 << total) - 1
+        for j in constrained:
+            slab = plumbing_mod._slab(*intervals[j], strides[j], sizes[j], total)
+            assert slab >> total == 0
+            bits &= slab
+        free = [intervals[j] if j in constrained else (0, size - 1) for j, size in enumerate(sizes)]
+        assert {p for p in range(total) if bits >> p & 1} == box_places(sizes, free)
 
 
 def test_walk_preserves_length_and_partitions_box():
