@@ -8,28 +8,27 @@ time of the scans in whole microseconds, each on a fresh form whose
 determinant and adjugate are already computed:
 
 - ``correction_vector_us`` times the coset-maximum scan over the
-  prod |G_ii| points of the reduced box, as the verdict path runs it:
-  without recording maximisers.  The two longest ranges run innermost,
+  prod |G_ii| points of the reduced box, as the verdict path and the
+  plumbing check run it.  The two longest ranges run innermost,
   so a point costs O(1) there.  The points of the other coordinates (the
   heads) are built as one list, one head axis at a time, and each partial
   head carries N_j . p for the head axes still to come, so a head costs
   O(dim) additions.
-- ``class_count_us`` times the class count.  On a form with odd cyclic
-  cokernel that includes the same coset-maximum scan, recording the place
-  of one maximiser per coset, in the numbering of box points that
-  ``lattice.box_strides`` defines.  The count then closes one set of
-  points of the full box of prod (|G_ii| + 1) points, held as an integer
-  bitset indexed by those places: the points whose push leaves the box
-  together with the recorded maximisers, whose places it reads as they
-  are.  Each sweep of the closure applies the pushes in place, at O(dim)
-  bitwise operations over the box, until a sweep adds nothing.  Only the
-  classes outside the closure are walked, one box point at a time.
+- ``class_count_us`` times the class count, which runs no scan.  It
+  closes one set of points of the full box of prod (|G_ii| + 1) points,
+  held as an integer bitset indexed by the places of
+  ``lattice.box_strides``: the points whose push leaves the box.  Each
+  sweep of the closure applies the pushes in place, at O(dim) bitwise
+  operations over the box, until a sweep adds nothing.  On a balanced
+  form (signs s_i with every s_i s_j G_ij >= 0 off the diagonal) the
+  count is the number of reduced-box points outside the closure; on any
+  other form the classes outside it are walked, one box point at a time.
 
 The chain forms have diagonal -5 and 1 beside it, in dimension 6 and 7,
 so their boxes have 6^dim points (46,656 and 279,936); they and the
 dimension-8 star (centre -3, legs (-2, -2, -2), (-2, -3), (-2, -2), a box
-of 11,664 points) are L-spaces, so every class inside the box is settled
-and no walk runs: the scan and the closure set the work.  The
+of 11,664 points) are trees, so balanced, and no walk runs: the closure
+sets the work of the count.  The
 dimension-7 star is the shape ``star-4_3.2.3.2_2_3`` of the (7, -4, 3)
 stratum of the benchmark's ``plumbing`` workload (centre -4, legs
 (-3, -2, -3, -2), (-2), (-3)), which sets that workload's tail: a box of
@@ -40,10 +39,10 @@ dimension-8 chain with a last entry -6 is the form behind the
 ``lattice.BOX_BUDGET`` comment: a box of 1,959,552 points, just under the
 budget, and D = 350,981.
 
-The non-L-space row times the walk.  Its 7-dimensional form has an even
-determinant, 27,804, so no coset maximum is recorded, and 62,353 classes
-inside its box of 508,032 points (34,549 beyond |det|): the walk visits
-every point of them.
+The non-L-space row times the walk.  Its 7-dimensional form is
+unbalanced, has an even determinant, 27,804, and 62,353 classes inside
+its box of 508,032 points (34,549 beyond |det|): the walk visits every
+point of them.
 
 The verdict-path rows time ``correction_vector`` alone.  The two-bridge
 form [[-2, 1], [1, -50000]] has D = 99,999 and no head: one range of
@@ -104,7 +103,7 @@ SHAPES = {
     "chain_dim8_diag-5_last-6": chain(8, last=-6),
 }
 
-# classes beyond |det|, and an even determinant: nothing is settled
+# classes beyond |det| on an unbalanced form: the count walks them
 NON_LSPACE_SHAPES = {
     "non_lspace_dim7": [
         [-5, 0, -1, 1, -1, 0, 2],

@@ -258,6 +258,7 @@ def cmd_alexander(args: argparse.Namespace) -> int:
 
 
 def cmd_plumbing_check(args: argparse.Namespace) -> int:
+    from .lattice import cokernel
     from .plumbing import PlumbingForm, class_count, plumbing_corrections
 
     record = _load_single_record(args)
@@ -273,8 +274,9 @@ def cmd_plumbing_check(args: argparse.Namespace) -> int:
         f"{record.name}: {counted.count} bounded classes, |det| = {counted.determinant}",
         f"  L-space certificate: {'yes' if counted.is_lspace else 'no'}",
     ]
-    # the count certifies any negative-definite form; A needs an odd cyclic cokernel
-    if counted.is_lspace and plumbing.scan is not None:
+    # the count certifies negative-definite plumbing trees with at most one bad
+    # vertex (Ozsvath-Szabo); no shape is checked here.  A needs an odd cyclic cokernel
+    if counted.is_lspace and counted.determinant % 2 and len(cokernel(plumbing.form)) < 2:
         A = plumbing_corrections(plumbing)
         payload["A"] = A.texts()
         lines.append("  A = " + ", ".join(payload["A"]))

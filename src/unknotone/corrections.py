@@ -61,19 +61,6 @@ the pick's fallback, which lists all D cosets.  Any other generator is a
 unit multiple u g, and :meth:`CorrectionVector.reindexed` lists the same
 values against it; the consumers downstream quantify over the units anyway.
 
-Which points reach the maxima.  Asked to record, :func:`scan_box` also
-returns, per coset, the place of the first point of the scan that reaches
-its maximum: its index in the characteristic box, last coordinate fastest
-(:func:`unknotone.lattice.box_strides`), whatever the scan's axis order.
-Like w . x, a place is linear in the point: each head axis adds its
-term as the head is built, and each middle and inner step adds one
-more.  The plumbing class count (:mod:`unknotone.plumbing`) reads the
-places as bit positions and settles the classes of these points without
-walking them.  The verdict path (:func:`correction_vector`) asks for no
-points: a plain loop keeps only the maxima, with no store per strict
-improvement.  Both loops share the ranges, the inner axes, the index
-weights and the heads.
-
 What the vector stores.  A point's value is (x^t N x + m D) / 4D, so
 :class:`CorrectionVector` is a :class:`unknotone.lattice.RationalVector`:
 it keeps the integer numerators over 4D, which the matching search reads
@@ -84,17 +71,15 @@ tests, the benchmark and the scripts.
 
 from __future__ import annotations
 
-from itertools import count
 from math import gcd
 from operator import add, mul
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import TEXT_BITS, NonCyclicCokernelError, ValidationError, count_text
 from .lattice import (
     QuadraticForm,
     RationalVector,
     Vector,
-    box_strides,
     characteristic_box,
     check_gram_entries,
     cokernel,
@@ -156,132 +141,81 @@ def scannable_cokernel(form: QuadraticForm) -> int:
     return D
 
 
-class BoxScan(NamedTuple):
-    """One reduced-box scan: the correction vector and, if it records, per index i
-    the place of the first point reaching A_i's maximum (module docstring),
-    one machine word each in an ``array``; empty otherwise.
-    """
-
-    vector: CorrectionVector
-    places: Sequence[int]
-
-
 def correction_vector(form: QuadraticForm) -> CorrectionVector:
     """Correction terms of a negative-definite form with odd cyclic cokernel.
 
-    The vector is listed against the generator that :func:`scan_box`
-    picks; ``reindexed`` lists it against a unit multiple.  A form that
-    :func:`scannable_cokernel` refuses raises its error.  The scan records
-    no points.
-    """
-    return scan_box(form).vector
-
-
-def scan_box(form: QuadraticForm, record: bool = False) -> BoxScan:
-    """The scan behind :func:`correction_vector`; ``record`` keeps the maximising points.
-
-    The form passes :func:`scannable_cokernel` before the generator is
-    picked, so a refused form pays for no pick (module docstring).
+    The vector is listed against the generator that the scan picks, after
+    :func:`scannable_cokernel` has passed, so a refused form raises its
+    error and pays for no pick (module docstring); ``reindexed`` lists it
+    against a unit multiple.
     """
     D = scannable_cokernel(form)
     generator = cokernel_generator(form)
     # the index weights w = a^{-1} N g mod D with a = g^t N g (module docstring)
     ng = [sum(map(mul, row, generator)) for row in form.inverse_numerator]
     inverse = pow(sum(map(mul, generator, ng)), -1, D)
-    best, places = _coset_maxima(form, [inverse * v % D for v in ng], D, record)
+    best = _coset_maxima(form, [inverse * v % D for v in ng], D)
 
     # the value of a coset is (b + m D) / 4D for its maximum b of x^t N x
     shift = form.dim * D
     nums = tuple([b + shift for b in best])
-    vector = CorrectionVector(D=D, numerators=nums, generator=generator)
-    return BoxScan(vector, places)
+    return CorrectionVector(D=D, numerators=nums, generator=generator)
 
 
-def _coset_maxima(
-    form: QuadraticForm, weights: Sequence[int], order: int, record: bool
-) -> tuple[list[int], Sequence[int]]:
+def _coset_maxima(form: QuadraticForm, weights: Sequence[int], order: int) -> list[int]:
     """Max of x^t N x over the reduced box, listed by the index w . x mod D.
 
     N is the integer numerator of G^{-1}, so the stored integers are
     |det| times the squared lengths; |det| > 0 keeps comparisons exact.  A
     maximum does not depend on the scan order, so the two longest ranges
-    run innermost (module docstring).  Returns the maxima and, with
-    ``record``, the places of the first points reaching them (see
-    :class:`BoxScan`); without it, no places.
+    run innermost (module docstring).
     """
     num = form.inverse_numerator
-    box = characteristic_box(form)
-    ranges = [range(rg.start + 2, rg.stop, 2) for rg in box]
-    strides = box_strides(box)
-    # a phantom coordinate has the range (0,), stride 0, weight 0 and a zero
-    # row and column of N; in dimension 0 the one point, place 0, has value 0
+    ranges = [range(rg.start + 2, rg.stop, 2) for rg in characteristic_box(form)]
+    # a phantom coordinate has the range (0,), weight 0 and a zero row and
+    # column of N; in dimension 0 the one point has value 0
     phantoms = [0] * (2 - len(ranges))
     if phantoms:
         num = [[*row, *phantoms] for row in num] + [[0, 0]] * len(phantoms)
         weights = [*weights, *phantoms]
         ranges += [range(1)] * len(phantoms)
-        strides += phantoms
     # the innermost axis k has the longest range, the middle axis l the next
     k, l, *rest = sorted(range(len(ranges)), key=lambda i: -len(ranges[i]))
     rest.sort()
     # the heads p (the coordinates in rest) in itertools.product order, built
-    # one head axis a at a time: each partial head holds p^t N p, its place,
-    # and N_j . p for the head axes j still to come, r_k = N_k . p, r_l =
-    # N_l . p and w . p; x on axis a adds x (2 N_a . p + N_aa x) to p^t N p,
-    # its place term to the place, and x (N_ja, ..., N_ka, N_la, w_a) to the
-    # terms after N_a . p, which it drops
-    heads = [(0,) * (len(rest) + 5)]
+    # one head axis a at a time: each partial head holds p^t N p and N_j . p
+    # for the head axes j still to come, r_k = N_k . p, r_l = N_l . p and
+    # w . p; x on axis a adds x (2 N_a . p + N_aa x) to p^t N p and
+    # x (N_ja, ..., N_ka, N_la, w_a) to the terms after N_a . p, which it drops
+    heads = [(0,) * (len(rest) + 4)]
     for n, a in enumerate(rest):
         column = [num[j][a] for j in rest[n + 1 :] + [k, l]] + [weights[a]]
-        moves = [
-            (2 * x, num[a][a] * x * x, place, [c * x for c in column])
-            for x, place in zip(ranges[a], count(strides[a], strides[a]))
-        ]
+        moves = [(2 * x, num[a][a] * x * x, [c * x for c in column]) for x in ranges[a]]
         heads = [
-            (v + twice * r_a + square, head + place, *map(add, lin, moved))
-            for v, head, r_a, *lin in heads
-            for twice, square, place, moved in moves
+            (v + twice * r_a + square, *map(add, lin, moved))
+            for v, r_a, *lin in heads
+            for twice, square, moved in moves
         ]
     # x^t N x = v + y (2 r_l + N_ll y) + x_k (2 (r_k + N_kl y) + N_kk x_k) at
-    # x_l = y, w . x = i0 + w_l y + w_k x_k, and a place adds to the head's
-    # stride, 2 stride, ... along a reduced range, one step into the box
-    # only a recording scan reads the last entry, its step's place term
-    places_k = count(strides[k], strides[k]) if record else ranges[k]
+    # x_l = y, and w . x = i0 + w_l y + w_k x_k
     n_kk, w_k = num[k][k], weights[k]
-    inners = [(2 * x, n_kk * x * x, w_k * x, q) for x, q in zip(ranges[k], places_k)]
-    middles = [
-        (2 * y, num[l][l] * y * y, num[k][l] * y, weights[l] * y, place)
-        for y, place in zip(ranges[l], count(strides[l], strides[l]))
-    ]
+    inners = [(2 * x, n_kk * x * x, w_k * x) for x in ranges[k]]
+    middles = [(2 * y, num[l][l] * y * y, num[k][l] * y, weights[l] * y) for y in ranges[l]]
     # every |x_i| <= R, the largest reach, so x^t N x >= -R^2 sum |N_ij| > floor on the box
     reach = max(max(-rg.start, rg[-1]) for rg in ranges)
     floor = -1 - sum(abs(n) for row in num for n in row) * reach * reach
     best = [floor] * order
-    places: Sequence[int] = ()
-    if record:
-        from array import array  # only here: the verdict path never loads it
-
-        places = array("l", [0]) * order
-    for v, head, r_k, r_l, i0 in heads:
-        for twice_y, square_y, cross, shift_y, place_y in middles:
+    for v, r_k, r_l, i0 in heads:
+        for twice_y, square_y, cross, shift_y in middles:
             base = v + r_l * twice_y + square_y
             r = r_k + cross
             j = i0 + shift_y
-            if record:
-                q = head + place_y
-                for twice, square, shift, place in inners:
-                    value = base + r * twice + square
-                    i = (j + shift) % order
-                    if value > best[i]:
-                        best[i] = value
-                        places[i] = q + place
-            else:
-                for twice, square, shift, _ in inners:
-                    value = base + r * twice + square
-                    i = (j + shift) % order
-                    if value > best[i]:
-                        best[i] = value
+            for twice, square, shift in inners:
+                value = base + r * twice + square
+                i = (j + shift) % order
+                if value > best[i]:
+                    best[i] = value
     missed = best.count(floor)
     if missed:
         raise AssertionError(f"characteristic box met {order - missed} cosets, expected {order}")
-    return best, places
+    return best

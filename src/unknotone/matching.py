@@ -111,6 +111,18 @@ def half_units(D: int) -> list[int]:
     return [u for u in range(1, (D + 1) // 2) if gcd(u, D) == 1]
 
 
+def _totient(D: int) -> int:
+    """Euler's phi(D) by trial division, at most sqrt(D) steps."""
+    phi, rest, p = D, D, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            phi -= phi // p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return phi - phi // rest if rest > 1 else phi
+
+
 # The most entries the full listing may cover: (unit, sign) pairs times D,
 # that is 4 D times the units below D/2, since every pair contributes a C of
 # D entries; the listing's time and memory grow with that count.  On the
@@ -124,8 +136,12 @@ LISTING_BUDGET = 10_000_000
 
 
 def check_listing_budget(D: int) -> None:
-    """Refuse a listing of more than :data:`LISTING_BUDGET` entries for determinant D."""
-    size = 4 * D * len(half_units(D))
+    """Refuse a listing of more than :data:`LISTING_BUDGET` entries for determinant D.
+
+    The units below D/2 are phi(D) // 2 (u and D - u pair off), so they are
+    counted, not listed.
+    """
+    size = 4 * D * (_totient(D) // 2)
     if size > LISTING_BUDGET:
         raise ValidationError(
             f"matching listing for D = {D} has {size} entries, "

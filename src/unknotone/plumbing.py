@@ -11,42 +11,46 @@ L-space exactly when that count equals |det|, and in that case the
 coset maxima of the form compute its correction terms (Ozsvath-Szabo,
 "On the Floer homology of plumbed three-manifolds", Geom. Topol. 2003).
 
-Every class inside the box meets the reduced box G_ii + 2 <= x_i <= -G_ii,
-so the seeds come from there.  Put h = -G^{-1} 1; a push x -> x - 2 G e_i
-raises h . x by 2.  A class inside the box is finite; at a member x with
-the largest h . x, x_i = G_ii would allow that push, to a member with a
-larger h . x, so x_i != G_ii for every i (the same argument as for the
-coset maxima in :mod:`unknotone.corrections`).
+Every class inside the box meets the reduced box G_ii + 2 <= x_i <= -G_ii.
+Put h = -G^{-1} 1; the push x -> x - 2 G e_i from the lower wall x_i = G_ii
+(an up-move) raises h . x by 2.  A class inside the box is finite; at a
+member x with the largest h . x, x_i = G_ii would allow that up-move, to a
+member with a larger h . x, so x_i != G_ii for every i (the same argument
+as for the coset maxima in :mod:`unknotone.corrections`).
 
-The classes of the maximising points need no walk.  A push moves x by
-2 G e_i, which lies in q(V), so it keeps the coset; it starts from a wall
-x_i = -G_ii (adding) or x_i = G_ii (subtracting), where the change of
-x^t G^{-1} x, 4 (x_i + G_ii) or 4 (G_ii - x_i), is 0.  So every member of
-a maximiser's class is a maximiser of its coset, and every maximiser lies
-in the box (see :mod:`unknotone.corrections`): the whole class lies
-inside the box.  On a form with odd cyclic cokernel the coset-maxima
-scan, which the correction terms need anyway, gives one reduced-box
-maximiser per coset.  Those D points lie in D distinct classes, one per
-coset, and are counted as settled.  A coset may reach its maximum in more
-than one class (the sharp 10_148 form has 43 such classes for D = 31); the
-classes of the unrecorded ones are counted like any other.
+When every off-diagonal entry is >= 0, each class inside the box has
+exactly one point in the reduced box:
+
+- Up-moves terminate on a class inside the box: each raises h . x by 2,
+  and the class is finite.
+- Take a point of such a class on the lower walls i != j.  Then G_ij = 0,
+  since otherwise the up-move at i takes x_j to G_jj - 2 G_ij < G_jj,
+  outside the box.  So the two up-moves commute, and the rewriting is
+  locally confluent.
+- By Newman's lemma (Newman, "On theories with a combinatorial definition
+  of equivalence", Ann. Math. 43, 1942) each class has one normal form, a
+  point with no up-move, and the normal forms are exactly its points in
+  the reduced box.
+- With signs s in {+1, -1}^dim and S = diag(s), the map x -> S x takes the
+  G-pushes to the (S G S)-pushes and the box to itself, so the count does
+  not change.  The signs exist when the signed graph of G is balanced:
+  each cycle has an even number of negative edges.  A forest always is.
 
 How the count runs.  A push is undone by the opposite push, so a class is a
 connected component of an undirected graph, and the in-box classes are the
 components of the box points with no push that leaves the box.  A set of
 box points is an ``int`` bitset over their places, the numbering
-(:func:`unknotone.lattice.box_strides`) in which the scan records its
-maximising points.  At vertex i the upper-wall points whose push stays in
+(:func:`unknotone.lattice.box_strides`) in which a point's index is linear
+in its coordinates.  At vertex i the upper-wall points whose push stays in
 the box, an AND of slabs (the points with one coordinate in an interval) on
 the axes the push moves (G_ji != 0), all move by one place shift onto the
-lower wall; the other wall points push out.  Those points and the recorded
-points are closed once under the 2 dim shifted sets: each sweep applies
-every move in place to the whole set, at O(dim) bitwise operations over the
-box, until a sweep adds nothing.  The closure fills the classes that leave
-the box and the D settled classes, which lie inside it, so the two never
-share a class.  The rest is a union of in-box classes, each meeting the
-reduced box (off the lower walls): a plain walk from its seeds there counts
-them.  On an L-space with odd cyclic cokernel no rest is left.
+lower wall; the other wall points push out.  Those points are closed under
+the 2 dim shifted sets: each sweep applies every move in place to the whole
+set, at O(dim) bitwise operations over the box, until a sweep adds nothing.
+The rest is the union of the in-box classes.  On a balanced form, flipped
+to S G S first, the count is the number of its points off the lower walls.
+On an unbalanced one a point of the reduced box may share its class with
+another, so a plain walk from the seeds there counts the classes.
 """
 
 from __future__ import annotations
@@ -54,13 +58,11 @@ from __future__ import annotations
 from functools import cached_property
 from math import prod
 from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .corrections import BoxScan, CorrectionVector, correction_vector, scan_box
+from .corrections import CorrectionVector, correction_vector
 from .errors import ValidationError
-from .lattice import (
-    QuadraticForm, Value, box_strides, characteristic_box, check_gram_entries, cokernel
-)
+from .lattice import QuadraticForm, Value, box_strides, characteristic_box, check_gram_entries
 
 
 class PlumbingForm(Value):
@@ -77,16 +79,6 @@ class PlumbingForm(Value):
         check_gram_entries(self.form)
         if not self.form.is_negative_definite:
             raise ValidationError("plumbing checks require a negative-definite form")
-
-    @cached_property
-    def scan(self) -> Optional[BoxScan]:
-        """The coset-maxima scan, run once per form.
-
-        None unless the cokernel is odd and cyclic, the forms the scan accepts.
-        """
-        if self.form.det % 2 == 0 or len(cokernel(self.form)) > 1:
-            return None
-        return scan_box(self.form, record=True)
 
     @cached_property
     def classes(self) -> ClassCount:
@@ -113,14 +105,15 @@ def class_count(plumbing: PlumbingForm) -> ClassCount:
 def _count_classes(plumbing: PlumbingForm) -> int:
     """The number of push classes lying entirely inside the box.
 
-    The classes that leave the box and those of the scan's recorded points are
-    closed together over the whole box as one bitset (module docstring);
-    only the classes left are walked.
+    The classes that leave the box are closed over the whole box as one
+    bitset; what is left is counted by its reduced-box points on a
+    balanced form and walked on any other (module docstring).
     """
-    # the scan runs first, so its peak and that of the sets below do not add up
-    scan = plumbing.scan
     form = plumbing.form
+    signs = _balancing_signs(form.gram)
     gram = form.gram
+    if signs is not None:
+        gram = [[s * t * g for t, g in zip(signs, row)] for s, row in zip(signs, gram)]
     bound = [-gram[i][i] for i in range(form.dim)]
     sizes = [b + 1 for b in bound]
     total = prod(sizes)
@@ -140,16 +133,12 @@ def _count_classes(plumbing: PlumbingForm) -> int:
         leaving |= (upper ^ pushed) | (lower ^ back)
         walls |= lower
         moves.append((pushed, back, shift) if shift >= 0 else (back, pushed, -shift))
-    settled = good = 0
-    if scan is not None:
-        # each coset maximiser of the scan stands for its settled class; the
-        # settled classes lie inside the box, so none meets a leaving class
-        settled = _bitset(scan.places, total)
-        good = len(scan.places)
-    left = ((1 << total) - 1) ^ _closure(leaving | settled, moves)
-    if not left:
-        return good
-    # what is left is closed under the pushes and lies inside the box; seeds are off the walls
+    # what is left is closed under the pushes and lies inside the box
+    left = ((1 << total) - 1) ^ _closure(leaving, moves)
+    if signs is not None:
+        # one point of each class lies off the lower walls
+        return (left & ~walls).bit_count()
+    good = 0
     visited = bytearray(total)
     axes = list(zip(stride, sizes, bound, shifts))
     for seed in _places(left & ~walls):
@@ -174,6 +163,32 @@ def _count_classes(plumbing: PlumbingForm) -> int:
     return good
 
 
+def _balancing_signs(gram: Sequence[Sequence[int]]) -> Optional[list[int]]:
+    """Signs s with s_i s_j G_ij >= 0 off the diagonal, or None if none exist.
+
+    A 2-colouring of the signed graph: each vertex reached gets the sign its
+    edge asks for, and an edge that asks for the other sign is a cycle with
+    an odd number of negative edges.
+    """
+    signs = [0] * len(gram)
+    for root in range(len(gram)):
+        if signs[root]:
+            continue
+        signs[root] = 1
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            for j, g in enumerate(gram[i]):
+                if g and j != i:
+                    sign = signs[i] if g > 0 else -signs[i]
+                    if not signs[j]:
+                        signs[j] = sign
+                        stack.append(j)
+                    elif signs[j] != sign:
+                        return None
+    return signs
+
+
 def _slab(lo: int, hi: int, stride: int, size: int, total: int) -> int:
     """The places of a box of ``total`` points with coordinate lo..hi on the axis of ``stride``."""
     if hi < lo:
@@ -194,15 +209,6 @@ def _closure(bits: int, moves: Sequence[tuple[int, int, int]]) -> int:
             bits |= (bits & up) << shift | (bits & down) >> shift
         if bits == swept:
             return bits
-
-
-def _bitset(places: Iterable[int], size: int) -> int:
-    """The bitset of ``places``, all below ``size``, read from one string of binary digits."""
-    digits = bytearray(b"0") * size
-    for place in places:
-        digits[place] = 49  # "1"
-    digits.reverse()
-    return int(digits, 2)
 
 
 def _places(bits: int) -> Iterator[int]:
@@ -227,7 +233,4 @@ def plumbing_corrections(plumbing: PlumbingForm) -> CorrectionVector:
             f"plumbing is not certified: {counted.count} classes for determinant "
             f"{counted.determinant}"
         )
-    if plumbing.scan is None:
-        # an even or non-cyclic cokernel, which the scan refuses
-        return correction_vector(plumbing.form)
-    return plumbing.scan.vector
+    return correction_vector(plumbing.form)

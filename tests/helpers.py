@@ -1,9 +1,8 @@
 """Small lattice helpers that only the tests use.
 
 They are plain reimplementations kept outside the package: the points of
-the characteristic box and the point at a place in its numbering, the
-places of a box whose coordinates lie in given intervals, the map
-q(v) = G v, the value Q(v, v), the pairing v^t N v and the coset label
+the characteristic box, the places of a box whose coordinates lie in
+given intervals, the map q(v) = G v, the value Q(v, v), the pairing v^t N v and the coset label
 N v mod |det| with N = |det| G^{-1}, the unit that reindexes A to another
 generating covector, the closed form of B_0, the model vector B built one
 pairing at a time, the numerators of a matching's ``Fraction`` entries, a
@@ -20,20 +19,13 @@ from math import gcd, lcm, prod
 from types import SimpleNamespace
 
 from unknotone.gamma import kappa_list, model_form
-from unknotone.lattice import box_strides, characteristic_box, cokernel_generator
+from unknotone.lattice import characteristic_box, cokernel_generator
 from unknotone.matching import Matching, quarter_point
 
 
 def characteristic_candidates(form):
     """The points of ``characteristic_box``, in ``itertools.product`` order."""
     return list(product(*characteristic_box(form)))
-
-
-def box_points(form, places):
-    """The points of ``characteristic_box`` at ``places``, last coordinate fastest."""
-    box = characteristic_box(form)
-    strides = box_strides(box)
-    return [tuple(rg.start + p // s % len(rg) * 2 for rg, s in zip(box, strides)) for p in places]
 
 
 def box_places(sizes, intervals):

@@ -1,16 +1,17 @@
-"""The box scans against plain references kept in this file.
+"""The box scan and the class count against plain references kept in this file.
 
 The correction terms scan the reduced box and index each point directly
 by its linking form with the generator; the class count closes the
-classes that leave the box and walks only those left.  Each is compared
-with the direct computation it replaces: for the correction terms, the
-maxima over the full box per tuple coset label, listed by walking the
-multiples of the generator; for the class count, a walk that follows
-every class to its end before deciding whether it stays in the box.  The
-same full walk checks the lemmas behind the class count's seeds without
-calling the count or the scan: every class inside the box meets the
-reduced box, and every class that holds a coset maximiser lies inside the
-box, so for odd D at least D classes do.
+classes that leave the box and counts those left by their reduced-box
+points, or walks them on an unbalanced form.  Each is compared with the
+direct computation it replaces: for the correction terms, the maxima over
+the full box per tuple coset label, listed by walking the multiples of
+the generator; for the class count, a walk that follows every class to
+its end before deciding whether it stays in the box.  The same full walk
+checks the lemmas behind the class count without calling the count or
+the scan: every class inside the box meets the reduced box, on a
+balanced form exactly once, and every class that holds a coset maximiser
+lies inside the box, so for odd D at least D classes do.
 """
 
 from fractions import Fraction
@@ -20,22 +21,15 @@ from math import gcd, prod
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from helpers import box_points, coset_label, pairing, unit_of_covector
+from helpers import coset_label, pairing, unit_of_covector
 from test_properties import cyclic_odd, negative_definite_forms
-from unknotone import corrections, plumbing as plumbing_mod
+from unknotone import plumbing as plumbing_mod
 from unknotone.catalog import builtin_record
-from unknotone.corrections import correction_vector, scan_box
+from unknotone.corrections import correction_vector
 from unknotone.errors import ValidationError
 from unknotone.gamma import gamma_vector, model_form
-from unknotone.lattice import (
-    BOX_BUDGET,
-    QuadraticForm,
-    box_strides,
-    characteristic_box,
-    cokernel_generator,
-)
-from unknotone.plumbing import PlumbingForm, class_count, plumbing_corrections
-from unknotone.report import analyze_record
+from unknotone.lattice import BOX_BUDGET, QuadraticForm, characteristic_box, cokernel_generator
+from unknotone.plumbing import PlumbingForm, class_count
 
 
 def reference_box(form):
@@ -56,7 +50,7 @@ def reference_classes(rows):
                 yield tuple(a - b for a, b in zip(vec, cols[i]))
 
     visited = set()
-    for seed in reference_box(QuadraticForm.from_rows(rows)):
+    for seed in product(*(range(-b, b + 1, 2) for b in bound)):
         if seed in visited:
             continue
         stack, members = [seed], {seed}
@@ -100,6 +94,24 @@ def assert_matches_reference(form, generator=None):
     assert A.values == reference_correction_values(form, generator)
 
 
+def flipped(rows, signs):
+    """S G S for S = diag(signs): the same form in the basis with e_i -> -e_i where s_i = -1."""
+    return [[s * t * g for t, g in zip(signs, row)] for s, row in zip(signs, rows)]
+
+
+def star(centre, legs):
+    """A star with the given centre weight and legs of diagonal weights, edges +1."""
+    weights = [centre] + [w for leg in legs for w in leg]
+    rows = [[weights[i] if i == j else 0 for j in range(len(weights))] for i in range(len(weights))]
+    at = 1
+    for leg in legs:
+        previous = 0
+        for _ in leg:
+            rows[previous][at] = rows[at][previous] = 1
+            previous, at = at, at + 1
+    return rows
+
+
 @st.composite
 def star_plumbings_with_bad_vertex(draw):
     """Negative-definite stars whose centre has more legs than |weight|."""
@@ -111,15 +123,7 @@ def star_plumbings_with_bad_vertex(draw):
             max_size=3,
         )
     )
-    weights = [centre] + [-w for leg in legs for w in leg]
-    dim = len(weights)
-    rows = [[weights[i] if i == j else 0 for j in range(dim)] for i in range(dim)]
-    at = 1
-    for leg in legs:
-        previous = 0
-        for _ in leg:
-            rows[previous][at] = rows[at][previous] = 1
-            previous, at = at, at + 1
+    rows = star(centre, [[-w for w in leg] for leg in legs])
     assume(QuadraticForm.from_rows(rows).is_negative_definite)
     return rows
 
@@ -139,15 +143,9 @@ def sign_flipped_stars(draw):
         )
     )
     dim = 1 + sum(legs)
-    weights = [centre] + draw(st.lists(st.sampled_from([-2, -3]), min_size=dim - 1, max_size=dim - 1))
+    weights = iter(draw(st.lists(st.sampled_from([-2, -3]), min_size=dim - 1, max_size=dim - 1)))
     sign = draw(st.lists(st.sampled_from([1, -1]), min_size=dim, max_size=dim))
-    rows = [[weights[i] if i == j else 0 for j in range(dim)] for i in range(dim)]
-    at = 1
-    for length in legs:
-        previous = 0
-        for _ in range(length):
-            rows[previous][at] = rows[at][previous] = sign[previous] * sign[at]
-            previous, at = at, at + 1
+    rows = flipped(star(centre, [[next(weights) for _ in range(n)] for n in legs]), sign)
     assume(QuadraticForm.from_rows(rows).is_negative_definite)
     return rows
 
@@ -297,6 +295,18 @@ TEN_148 = [
 ]
 
 
+TRIANGLE = [[-2, -1, -1], [-1, -2, -1], [-1, -1, -2]]
+
+
+# bad centres, and the first and last are not L-spaces (4 classes for D = 3, 55 for 54)
+FLIPPED_STARS = [
+    flipped(star(-1, [[-3], [-3], [-4]]), [-1, 1, -1, 1]),
+    flipped(star(-2, [[-2, -3], [-3], [-2, -2]]), [1, -1, 1, -1, -1, 1]),
+    flipped(star(-3, [[-2, -2, -3], [-2], [-3]]), [1, 1, -1, 1, -1, -1]),
+    flipped(star(-2, [[-3], [-3], [-3], [-3]]), [-1, -1, 1, 1, -1]),
+]
+
+
 def test_only_the_classes_left_after_the_closures_are_walked(monkeypatch):
     seeds = []
     places = plumbing_mod._places
@@ -307,23 +317,72 @@ def test_only_the_classes_left_after_the_closures_are_walked(monkeypatch):
             yield place
 
     monkeypatch.setattr(plumbing_mod, "_places", spy)
-    # 10_148 has 55 classes inside the box for D = 31: the walk counts 24 of them
-    plumbing = PlumbingForm.from_rows(TEN_148)
-    assert class_count(plumbing).count == reference_class_count(TEN_148) == 55
-    assert abs(plumbing.form.det) == len(plumbing.scan.places) == 31
-    assert len(seeds) >= 24
-    # 10_125 certifies: every class inside the box is settled, and no walk starts
-    seeds.clear()
+    # balanced forms are counted by their reduced-box points: no walk starts
     assert class_count(PlumbingForm(builtin_record("10_125").form)).count == 11
+    # 10_148 has 55 classes inside the box for D = 31
+    assert class_count(PlumbingForm.from_rows(TEN_148)).count == reference_class_count(TEN_148) == 55
+    for rows in FLIPPED_STARS:
+        assert class_count(PlumbingForm.from_rows(rows)).count == reference_class_count(rows)
     assert seeds == []
+    # the triangle has an odd cycle of negative edges: its classes are walked
+    assert class_count(PlumbingForm.from_rows(TRIANGLE)).count == reference_class_count(TRIANGLE)
+    assert seeds
+
+
+def reference_signs(rows):
+    """Signs s with s_i s_j G_ij >= 0 off the diagonal, found by trying all of them."""
+    dim = len(rows)
+    for signs in product((1, -1), repeat=dim):
+        if all(signs[i] * signs[j] * rows[i][j] >= 0 for i in range(dim) for j in range(i)):
+            return signs
+    return None
+
+
+def reduced_points(rows, members):
+    return sum(all(x[i] != rows[i][i] for i in range(len(rows))) for x in members)
+
+
+def assert_one_reduced_point_per_class(rows):
+    """On a balanced form, flipped to entries >= 0 off the diagonal, each class
+    inside the box has one point in the reduced box."""
+    signs = reference_signs(rows)
+    assert signs is not None
+    rows = flipped(rows, signs)
+    for members, inside in reference_classes(rows):
+        if inside:
+            assert reduced_points(rows, members) == 1, members
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(negative_definite_forms())
+def test_balanced_in_box_classes_meet_reduced_box_once(form):
+    assume(reference_signs(form.gram) is not None)
+    assert_one_reduced_point_per_class(form.gram)
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(sign_flipped_stars())
+def test_balanced_in_box_classes_meet_reduced_box_once_on_sign_flipped_stars(rows):
+    assert_one_reduced_point_per_class(rows)
+
+
+@pytest.mark.parametrize(
+    "rows, classes, points",
+    [(TRIANGLE, 4, 8), ([[-2, 1, 1], [1, -2, -1], [1, -1, -2]], 4, 5)],
+    ids=["triangle", "triangle-mixed-signs"],
+)
+def test_unbalanced_forms_have_more_reduced_points_than_classes(rows, classes, points):
+    assert reference_signs(rows) is None
+    inside = [members for members, inside in reference_classes(rows) if inside]
+    assert len(inside) == classes
+    assert sum(reduced_points(rows, members) for members in inside) == points
+    assert class_count(PlumbingForm.from_rows(rows)).count == classes
 
 
 @pytest.mark.parametrize("rows", [[[-2]], [[-3, 0], [0, -3]]], ids=["even", "non-cyclic"])
 def test_class_count_without_coset_maxima(rows):
-    # the scan refuses an even or non-cyclic cokernel, so no class is settled
-    # before the walk
+    # the scan refuses an even or non-cyclic cokernel, which the count does not need
     plumbing = PlumbingForm.from_rows(rows)
-    assert plumbing.scan is None
     assert class_count(plumbing).count == reference_class_count(rows)
 
 
@@ -375,27 +434,6 @@ def test_model_form_with_given_generator(D):
     assert_matches_reference(model_form(D), (2, 0))
 
 
-def assert_both_scans_match_reference(form):
-    """Plain and recording scans give the reference values; every recorded point is a maximiser."""
-    reference = reference_correction_values(form)
-    plain = scan_box(form)
-    recorded = scan_box(form, record=True)
-    assert plain.vector.values == recorded.vector.values == reference
-    assert not plain.places
-    step = cokernel_generator(form)
-    gram, m, D = form.gram, form.dim, abs(form.det)
-    points = box_points(form, recorded.places)
-    assert len(points) == D
-    for i, x in enumerate(points):
-        assert len(x) == m
-        assert all(
-            gram[j][j] + 2 <= x[j] <= -gram[j][j] and (x[j] - gram[j][j]) % 2 == 0
-            for j in range(m)
-        ), (i, x)
-        assert coset_label(form, x) == coset_label(form, [i * a for a in step]), (i, x)
-        assert Fraction(pairing(form, x) + m * D, 4 * D) == reference[i], (i, x)
-
-
 @pytest.mark.parametrize(
     "rows",
     [
@@ -406,6 +444,8 @@ def assert_both_scans_match_reference(form):
         [[-6, 0, 1], [0, -1, 0], [1, 0, -1]],
         [[-3, 1, 0], [1, -3, 1], [0, 1, -3]],
         [[-3 if i == j else int(abs(i - j) == 1) for j in range(4)] for i in range(4)],
+        [[-5, 1], [1, -2]],
+        [[-2, 1, 0], [1, -7, 1], [0, 1, -3]],
     ],
     ids=[
         "dimension-1",
@@ -415,18 +455,19 @@ def assert_both_scans_match_reference(form):
         "middle-range-of-length-1",
         "equal-ranges-dimension-3",
         "equal-ranges-dimension-4",
+        "longest-range-first",
+        "longest-range-in-the-middle",
     ],
 )
 def test_scan_shapes_in_both_modes(rows):
-    assert_both_scans_match_reference(QuadraticForm.from_rows(rows))
+    # the scan runs the longest range innermost, wherever it lies in coordinate order
+    assert_matches_reference(QuadraticForm.from_rows(rows))
 
 
 def test_dimension_zero_scans_one_point():
-    # two phantom axes leave one point, the empty covector, at place 0
-    for record in (False, True):
-        scan = scan_box(QuadraticForm.from_rows([]), record)
-        assert (scan.vector.numerators, scan.vector.generator) == ((0,), ())
-    assert list(scan.places) == [0]
+    # two phantom axes leave one point, the empty covector
+    vector = correction_vector(QuadraticForm.from_rows([]))
+    assert (vector.numerators, vector.generator) == ((0,), ())
     counted = class_count(PlumbingForm.from_rows([]))
     assert (counted.count, counted.determinant, counted.is_lspace) == (1, 1, True)
 
@@ -435,73 +476,7 @@ def test_dimension_zero_scans_one_point():
 @given(negative_definite_forms())
 def test_recorded_maximisers_reach_their_maxima(form):
     assume(cyclic_odd(form))
-    assert_both_scans_match_reference(form)
-
-
-def assert_places_number_the_box(form):
-    """Each recorded place is the maximiser's index in the box, last coordinate fastest."""
-    scan = scan_box(form, record=True)
-    box = characteristic_box(form)
-    strides = box_strides(box)
-    size = prod(1 - form.gram[i][i] for i in range(form.dim))
-    # itertools.product lists the box in the place order, independently of the strides
-    listed = list(product(*box))
-    points = box_points(form, scan.places)
-    assert len(scan.places) == len(points) == abs(form.det)
-    for place, x in zip(scan.places, points):
-        assert place == sum((a - rg.start) // 2 * s for a, rg, s in zip(x, box, strides))
-        assert 0 <= place < size == len(listed)
-        assert listed[place] == x
-        # a point of the reduced box is off the lower wall on every axis
-        assert all(rg.start < a for a, rg in zip(x, box)), (place, x)
-
-
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
-@given(negative_definite_forms())
-def test_recorded_places_number_the_box(form):
-    assume(cyclic_odd(form))
-    assert_places_number_the_box(form)
-
-
-@pytest.mark.parametrize(
-    "rows",
-    [
-        [[-1]],
-        [[-5]],
-        [[-5, 1], [1, -2]],
-        [[-6, 0, 1], [0, -1, 0], [1, 0, -1]],
-        [[-2, 1, 0], [1, -7, 1], [0, 1, -3]],
-    ],
-    ids=[
-        "dimension-1-one-point",
-        "dimension-1",
-        "longest-range-first",
-        "longest-range-first-dimension-3",
-        "longest-range-in-the-middle",
-    ],
-)
-def test_recorded_places_when_the_scan_order_differs(rows):
-    # the scan runs the longest range innermost, wherever it lies in coordinate order
-    assert_places_number_the_box(QuadraticForm.from_rows(rows))
-
-
-def test_only_the_class_count_records_maximisers(monkeypatch):
-    modes = []
-    scan = corrections._coset_maxima
-
-    def spy(form, weights, order, record):
-        modes.append(record)
-        return scan(form, weights, order, record)
-
-    monkeypatch.setattr(corrections, "_coset_maxima", spy)
-    correction_vector(builtin_record("8_10").form)
-    analyze_record(builtin_record("8_10"))
-    analyze_record(builtin_record("8_10"), listing=True)
-    assert modes == [False, False, False]
-    plumbing = PlumbingForm(builtin_record("10_125").form)
-    class_count(plumbing)
-    plumbing_corrections(plumbing)
-    assert modes == [False, False, False, True]
+    assert_matches_reference(form)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
@@ -563,7 +538,6 @@ def deep_sheared_forms(draw):
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(deep_sheared_forms())
 def test_deep_sheared_scans_in_both_modes(form):
-    assert_both_scans_match_reference(form)
-    assert_places_number_the_box(form)
+    assert_matches_reference(form)
     if prod(1 - form.gram[i][i] for i in range(form.dim)) <= 2_000:
         assert class_count(PlumbingForm(form)).count == reference_class_count(form.gram)

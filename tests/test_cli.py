@@ -786,6 +786,15 @@ def test_plumbing_check_certifies_where_the_scan_does_not_apply(rows, D, tmp_pat
     assert json.loads(out) == {"knot": "r", "classes": D, "determinant": D, "is_lspace": True}
 
 
+@pytest.mark.parametrize("rows", [[[-1]], [[-2, 1], [1, -1]]], ids=["dimension-1", "dimension-2"])
+def test_plumbing_check_prints_A_on_a_unimodular_form(rows, tmp_path, capsys):
+    # D = 1: the cokernel has no invariant factor, and is cyclic
+    path = _record_file(tmp_path, rows)
+    code, out, err = run_main(["plumbing-check", "--json", "--input", path], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"knot": "r", "classes": 1, "determinant": 1, "is_lspace": True, "A": ["0"]}
+
+
 # The CLI-boundary fuzz below sends JSON text through ``main`` within these
 # size bounds:
 # - trees of mixed types hold at most 12 leaves and 4 items per container;

@@ -8,6 +8,7 @@ from unknotone.catalog import record_from_dict
 from unknotone.corrections import correction_vector
 from unknotone.errors import ValidationError
 from unknotone.gamma import gamma_vector
+from unknotone import matching as matching_mod
 from unknotone.lattice import QuadraticForm
 from unknotone.matching import (
     Matching,
@@ -17,6 +18,7 @@ from unknotone.matching import (
     obstruct,
     quarter_point,
     half_units,
+    check_listing_budget,
     sign_refined_obstruct,
 )
 from unknotone.report import analyze_record
@@ -56,6 +58,23 @@ def test_half_units():
         assert half_units(D) == [u for u in range(1, D) if 2 * u < D and gcd(u, D) == 1], D
         # u and D - u pair off for odd D, so the listing budget's count is 2 phi(D) D
         assert 2 * len(half_units(D)) == euler_phi(D), D
+
+
+def test_listing_budget_counts_the_half_units_without_listing_them(monkeypatch):
+    for D in range(1, 1000, 2):
+        assert matching_mod._totient(D) // 2 == len(half_units(D)), D
+
+    def never(D):
+        raise AssertionError("the listing budget listed the units")
+
+    monkeypatch.setattr(matching_mod, "half_units", never)
+    check_listing_budget(1999)
+    # 3999 = 3 * 31 * 43: phi = 2520, so 4 * 3999 * 1260 entries
+    with pytest.raises(ValidationError) as refused:
+        check_listing_budget(3999)
+    assert str(refused.value) == (
+        "matching listing for D = 3999 has 20154960 entries, above the budget of 10000000"
+    )
 
 
 def test_eight_ten_unique_even_positive(eight_ten_pair):

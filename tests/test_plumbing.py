@@ -102,6 +102,34 @@ def test_slab_ands_equal_the_product_enumeration():
         assert {p for p in range(total) if bits >> p & 1} == box_places(sizes, free)
 
 
+@pytest.mark.parametrize(
+    "rows, signs",
+    [
+        ([], []),
+        ([[-3]], [1]),
+        # a star with edges +1 and the same star with the centre and one leaf flipped
+        ([[-2, 1, 1, 1], [1, -2, 0, 0], [1, 0, -2, 0], [1, 0, 0, -3]], [1, 1, 1, 1]),
+        ([[-2, -1, 1, -1], [-1, -2, 0, 0], [1, 0, -2, 0], [-1, 0, 0, -3]], [1, -1, 1, -1]),
+        # two components: each starts at +1
+        ([[-2, -1, 0, 0], [-1, -2, 0, 0], [0, 0, -2, 1], [0, 0, 1, -2]], [1, -1, 1, 1]),
+        # a cycle with an odd number of negative edges has no signs
+        ([[-2, -1, -1], [-1, -2, -1], [-1, -1, -2]], None),
+        ([[-2, 1, 1], [1, -2, -1], [1, -1, -2]], None),
+        # an even number of negative edges is balanced
+        ([[-2, -1, -1], [-1, -2, 1], [-1, 1, -2]], [1, -1, -1]),
+    ],
+    ids=[
+        "dimension-0", "dimension-1", "star", "flipped-star", "two-components",
+        "triangle", "triangle-mixed-signs", "balanced-triangle",
+    ],
+)
+def test_balancing_signs(rows, signs):
+    assert plumbing_mod._balancing_signs(rows) == signs
+    if signs is not None:
+        dim = len(rows)
+        assert all(signs[i] * signs[j] * rows[i][j] >= 0 for i in range(dim) for j in range(i))
+
+
 def test_walk_preserves_length_and_partitions_box():
     # on small forms: classes are closed under the push moves, constant in
     # squared length, and in-box classes partition the candidate box
@@ -205,7 +233,7 @@ def test_plumbing_check_walks_the_classes_once(monkeypatch, capsys):
 
 
 def test_plumbing_check_scans_the_box_once(monkeypatch, capsys):
-    # the class count and the correction terms share one coset-maxima scan
+    # the correction terms scan the box once; the class count runs no scan
     scans = []
     scan = corrections._coset_maxima
 
