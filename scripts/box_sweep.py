@@ -19,17 +19,14 @@ determinant and adjugate are already computed:
   held as an integer bitset indexed by the places of
   ``lattice.box_strides``: the points whose push leaves the box.  Each
   sweep of the closure applies the pushes in place, at O(dim) bitwise
-  operations over the box, until a sweep adds nothing.  On a balanced
-  form (signs s_i with every s_i s_j G_ij >= 0 off the diagonal) the
-  count is the number of reduced-box points outside the closure; on any
-  other form the classes outside it are walked, one box point at a time.
+  operations over the box, until a sweep adds nothing.  The count is the
+  number of reduced-box points outside the closure.
 
 The chain forms have diagonal -5 and 1 beside it, in dimension 6 and 7,
 so their boxes have 6^dim points (46,656 and 279,936); they and the
 dimension-8 star (centre -3, legs (-2, -2, -2), (-2, -3), (-2, -2), a box
-of 11,664 points) are trees, so balanced, and no walk runs: the closure
-sets the work of the count.  The
-dimension-7 star is the shape ``star-4_3.2.3.2_2_3`` of the (7, -4, 3)
+of 11,664 points) are trees, and the closure sets the work of the count.
+The dimension-7 star is the shape ``star-4_3.2.3.2_2_3`` of the (7, -4, 3)
 stratum of the benchmark's ``plumbing`` workload (centre -4, legs
 (-3, -2, -3, -2), (-2), (-3)), which sets that workload's tail: a box of
 8,640 points and a reduced box of 864, which the scan covers as 72 heads
@@ -39,10 +36,10 @@ dimension-8 chain with a last entry -6 is the form behind the
 ``lattice.BOX_BUDGET`` comment: a box of 1,959,552 points, just under the
 budget, and D = 350,981.
 
-The non-L-space row times the walk.  Its 7-dimensional form is
-unbalanced, has an even determinant, 27,804, and 62,353 classes inside
-its box of 508,032 points (34,549 beyond |det|): the walk visits every
-point of them.
+The non-L-space row times the count on a tree it does not certify: the
+dimension-8 star with centre -1 (its one bad vertex) and legs
+(-3, -5, -5), (-3, -5), (-4, -5) has 1,028 classes inside its box of
+207,360 points for D = 383.
 
 The verdict-path rows time ``correction_vector`` alone.  The two-bridge
 form [[-2, 1], [1, -50000]] has D = 99,999 and no head: one range of
@@ -103,17 +100,9 @@ SHAPES = {
     "chain_dim8_diag-5_last-6": chain(8, last=-6),
 }
 
-# classes beyond |det| on an unbalanced form: the count walks them
+# classes beyond |det| on a tree with one bad vertex
 NON_LSPACE_SHAPES = {
-    "non_lspace_dim7": [
-        [-5, 0, -1, 1, -1, 0, 2],
-        [0, -6, 2, 1, 2, -2, 2],
-        [-1, 2, -5, 0, 1, 1, 1],
-        [1, 1, 0, -6, -1, 0, 0],
-        [-1, 2, 1, -1, -5, 1, 1],
-        [0, -2, 1, 0, 1, -7, 1],
-        [2, 2, 1, 0, 1, 1, -5],
-    ],
+    "non_lspace_star_dim8": star(-1, [[-3, -5, -5], [-3, -5], [-4, -5]]),
 }
 
 VERDICT_SHAPES = {

@@ -90,8 +90,8 @@ MUTANTS = {
     # the top of each pushed slab left out of the closure's moves
     "closure-bound": (
         "plumbing.py",
-        "_slab(max(0, -g), min(b, b - g),",
-        "_slab(max(0, -g), min(b - 1, b - g),",
+        "_slab(0, b - 1, step,",
+        "_slab(0, b - 2, step,",
     ),
     # a failing filter reports the whole pool instead of what passed before it
     "witnesses-rule": (
@@ -117,11 +117,12 @@ MUTANTS = {
         "[[s * t * g for t, g in zip(signs, row)]",
         "[[g for t, g in zip(signs, row)]",
     ),
-    # the reduced-box points counted on every form, balanced or not
-    "balanced-popcount": (
+    # the plumbing-forest check skips every vertex already reached, so a
+    # cycle goes through
+    "forest-cycle": (
         "plumbing.py",
-        "    if signs is not None:\n        # one point",
-        "    if True:\n        # one point",
+        "if j == parent:",
+        "if signs[j]:",
     ),
 }
 

@@ -274,8 +274,9 @@ def cmd_plumbing_check(args: argparse.Namespace) -> int:
         f"{record.name}: {counted.count} bounded classes, |det| = {counted.determinant}",
         f"  L-space certificate: {'yes' if counted.is_lspace else 'no'}",
     ]
-    # the count certifies negative-definite plumbing trees with at most one bad
-    # vertex (Ozsvath-Szabo); no shape is checked here.  A needs an odd cyclic cokernel
+    # PlumbingForm refuses any form but a forest of trees with at most one bad
+    # vertex each, where the count certifies (Ozsvath-Szabo).  A needs an odd
+    # cyclic cokernel
     if counted.is_lspace and counted.determinant % 2 and len(cokernel(plumbing.form)) < 2:
         A = plumbing_corrections(plumbing)
         payload["A"] = A.texts()

@@ -26,9 +26,8 @@ every refusal, as the index of its correction terms.
 
 The characteristic box is defined once, in :func:`characteristic_box`.
 The correction terms scan the reduced box G_ii + 2 <= x_i <= -G_ii inside
-it.  The class count shares that scan: the coset maxima it finds settle
-their classes, and the count closes sets of points of the full box.  A box
-of more than BOX_BUDGET points is refused with a ValidationError before
+it.  The class count runs no scan: it closes sets of points of the full
+box, held as bitsets.  A box of more than BOX_BUDGET points is refused with a ValidationError before
 anything is scanned, and before the elimination: its size reads only the
 diagonal.  So is an off-diagonal entry that no negative-definite form has
 (:func:`check_gram_entries`, once per form).  The scan and the class count
@@ -303,10 +302,12 @@ class QuadraticForm(Value):
 # the reduced box, and the class count closes a bitset of the full box, one
 # bit per point, at a cost linear in the box per sweep.  On the
 # 8-dimensional chain form with diagonal -5 (seven times) and -6, whose box
-# has 1.96e6 points, class_count takes 0.26 to 0.38 s (0.22 to 0.32 s of it
-# the scan) and correction_vector 0.18 to 0.24 s of CPU on one pinned core
-# of a 2-vCPU Xeon (CPython 3.11.7, five runs each), with a 50 MB peak,
-# which is the scan's.  A larger box is refused up front instead of
+# has 1.96e6 points, class_count takes 0.024 to 0.025 s and
+# correction_vector 0.23 to 0.24 s of CPU in a fresh process on one pinned
+# core of a 2-vCPU Xeon (CPython 3.11.7, five runs each), and the peak
+# resident size goes from 14 MB to 21 MB and 46 MB; the medians of
+# scripts/box_sweep.py, whose five repeats reuse one process, are 0.010 s
+# and 0.14 s.  A larger box is refused up front instead of
 # running for hours: a 6 x 6 form with diagonal -41 has 5.5e9 points.  The
 # generator pick runs only on the forms the scan accepts, whose D is at most
 # prod |G_ii| (Hadamard), so below the budget.  When no coordinate covector

@@ -26,6 +26,18 @@ unknotting number one exactly when p = 2mn +- 1 for coprime m, n > 0 and
 q or its inverse mod p is +-2n^2 mod p.  Its signature is the sum of
 (-1)^floor(iq/p) over 0 < i < p for odd q (an even q is first replaced by
 q - p, which presents the same knot; p - q would be its mirror).
+
+Whether a plumbing tree bounds an L-space comes from Laufer's computation
+sequence ("On rational singularities", Amer. J. Math. 94, 1972), which
+knows nothing of covectors or boxes.  With the vertex spheres E_v meeting
+in the intersection numbers of the graph, start from x = E_v for any v.
+While some E_j has x . E_j > 0: if x . E_j >= 2 the graph is not rational,
+otherwise x += E_j.  When no such j is left, x is the fundamental cycle
+and the graph is rational.  A negative-definite plumbed rational homology
+sphere is an L-space exactly when its graph is rational (Nemethi, "Links
+of rational singularities, L-spaces and LO fundamental groups", Invent.
+Math. 210, 2017).  On a tree the intersection numbers are |G_ij|: the
+signs of the edges do not change the manifold.
 """
 
 from fractions import Fraction
@@ -110,3 +122,20 @@ def two_bridge_signature(p, q):
     if q % 2 == 0:
         q -= p
     return sum(1 - 2 * (i * q // p % 2) for i in range(1, p))
+
+
+def laufer_rational(rows):
+    """Whether the negative-definite plumbing tree with Gram matrix ``rows`` is rational."""
+    dim = len(rows)
+    if dim == 0:
+        return True
+    meet = [[rows[i][j] if i == j else abs(rows[i][j]) for j in range(dim)] for i in range(dim)]
+    x = [int(i == 0) for i in range(dim)]
+    while True:
+        dots = [sum(a * b for a, b in zip(x, column)) for column in meet]
+        j = next((j for j, dot in enumerate(dots) if dot > 0), None)
+        if j is None:
+            return True
+        if dots[j] >= 2:
+            return False
+        x[j] += 1

@@ -776,7 +776,8 @@ def test_sign_refined_refuses_strong_and_generator_before_reading(flags, capsys,
     ids=["even", "non-cyclic", "even-dimension-3"],
 )
 def test_plumbing_check_certifies_where_the_scan_does_not_apply(rows, D, tmp_path, capsys):
-    # the count certifies any negative-definite form; A is left out
+    # the count certifies these plumbing forests; A is left out, since the
+    # scan refuses an even or non-cyclic cokernel
     path = _record_file(tmp_path, rows)
     code, out, err = run_main(["plumbing-check", "--input", path], capsys)
     assert (code, err) == (0, "")

@@ -5,7 +5,9 @@ plumbings bound lens spaces, and so does every form congruent to one, B
 is the correction vector of L(D, 2), d adds under connected sum, and a
 companion's torsion must reproduce A under D/2-surgery.  The two-bridge
 classification gives hundreds of knots with a known answer: none with
-unknotting number one may be obstructed.
+unknotting number one may be obstructed.  The class count is checked
+against Laufer's computation sequence, which shares nothing with the box:
+on a plumbing tree both decide whether it bounds an L-space.
 """
 
 import random
@@ -21,6 +23,7 @@ from oracles import (
     equal_up_to_symmetry,
     hirzebruch_jung,
     hirzebruch_jung_weights,
+    laufer_rational,
     lens_vector,
     surgery_d,
     two_bridge_signature,
@@ -30,6 +33,7 @@ from unknotone.catalog import builtin_dataset, builtin_record, record_from_dict
 from unknotone.corrections import correction_vector
 from unknotone.gamma import gamma_vector
 from unknotone import lattice
+from unknotone.errors import ValidationError
 from unknotone.lattice import QuadraticForm
 from unknotone.plumbing import PlumbingForm, class_count
 from unknotone.report import alexander_reports, analyze_record, sign_refined_record
@@ -285,3 +289,69 @@ def test_published_nine_33_torsion_fails_the_oracle():
     published = ref.SIGN_REFINED_EXAMPLE["torsion"]
     assert published == (4, 3, 2, 2, 2, 1, 1, 1, 1, 0)
     assert not equal_up_to_symmetry(A.values, surgery_d(A.D, 2, published))
+
+
+def seeded_trees(count, seed):
+    """Negative-definite plumbing trees of dimension 1..9 with mixed edge signs and boxes of at
+    most 20,000 points.
+
+    Half the vertices hang off one vertex of weight -1 to -3, which is bad
+    when it has more neighbours than its weight; every other vertex has a
+    weight of at least its degree and 2, so it is not bad.  The vertices are
+    then listed in a random order.
+    """
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        dim = rng.randint(1, 9)
+        parents = [0 if rng.random() < 0.5 else rng.randrange(i) for i in range(1, dim)]
+        degree = [0] * dim
+        for child, parent in enumerate(parents, 1):
+            degree[child] += 1
+            degree[parent] += 1
+        weights = [rng.randint(1, 3)]
+        weights += [rng.randint(max(d, 2), max(d, 2) + 3) for d in degree[1:]]
+        if prod(w + 1 for w in weights) > 20_000:
+            continue
+        signs = [rng.choice((1, -1)) for _ in range(dim)]
+        rows = [[-weights[i] if i == j else 0 for j in range(dim)] for i in range(dim)]
+        for child, parent in enumerate(parents, 1):
+            rows[child][parent] = rows[parent][child] = signs[child] * signs[parent]
+        order = rng.sample(range(dim), dim)
+        rows = [[rows[i][j] for j in order] for i in order]
+        if QuadraticForm.from_rows(rows).is_negative_definite:
+            made += 1
+            yield rows
+
+
+def test_class_count_certifies_exactly_the_laufer_rational_trees():
+    # Ozsvath-Szabo's count decides the L-spaces among these trees, and so
+    # does rationality (Nemethi): the two verdicts must agree
+    verdicts = [
+        (class_count(PlumbingForm.from_rows(rows)).is_lspace, laufer_rational(rows))
+        for rows in seeded_trees(400, seed=29)
+    ]
+    assert all(counted == rational for counted, rational in verdicts)
+    # both outcomes occur
+    assert 40 <= sum(not rational for _, rational in verdicts) <= 360
+
+
+def test_bundled_plumbing_forests_are_laufer_rational():
+    certified = 0
+    for record in builtin_dataset():
+        try:
+            plumbing = PlumbingForm(record.form)
+        except ValidationError:
+            continue
+        assert class_count(plumbing).is_lspace and laufer_rational(record.form.gram), record.name
+        certified += 1
+    assert certified == 22
+
+
+def test_laufer_oracle_on_small_trees():
+    # the -1 sphere, a chain and the chain -3, -1, -3 are rational; the star
+    # with a -1 centre and legs -3, -3, -4 is not
+    assert laufer_rational([[-1]])
+    assert laufer_rational([[-2, 1], [1, -2]])
+    assert laufer_rational([[-1, 1, 1], [1, -3, 0], [1, 0, -3]])
+    assert not laufer_rational([[-1, 1, 1, 1], [1, -3, 0, 0], [1, 0, -3, 0], [1, 0, 0, -4]])

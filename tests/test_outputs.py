@@ -18,9 +18,8 @@ from unknotone.cli import main
 RECORDS = {
     # a two-bridge chain with D = 10,001
     "CHAIN": {"name": "chain_10001", "goeritz": [[-2, 1], [1, -5001]]},
-    # the sharp 10_148 form, not a plumbing tree: 55 classes inside the box
-    # for D = 31, so it is not an L-space, and the walk must find the 24
-    # in-box classes that the coset maxima do not settle
+    # the sharp 10_148 form, not a plumbing tree: its entry 3 is a triple
+    # edge, so the class count is refused (exit 3, nothing on stdout)
     "SHARP": {
         "name": "sharp_10_148",
         "goeritz": [
@@ -72,7 +71,7 @@ COMMANDS = (
     ("match", "--input", "LISTING"),
     ("match", "--input", "LISTING", "--json"),
     ("obstruct", "--strong", "--input", "CHAIN"),
-    # the class walk with and without coset maxima that settle their classes
+    # a form outside the class count's theorem, and a star inside it
     ("plumbing-check", "--json", "--input", "SHARP"),
     ("plumbing-check", "--json", "--input", "STAR"),
 )
@@ -96,8 +95,8 @@ DIGESTS = {
     'plumbing-check --knot 10_125 --json': ('a4bc56b6f39051e60fae8aa0a2b532cfb9c7d6a7a57204203db101db68ff8808', 0),
     'alexander --knot 9_33 --json': ('1d8372d716e2a8cd8fdbb37fc444e972e5205da01ed92224a3278b0d7ac14987', 0),
     'corrections --input CHAIN --json': ('c12dae658e08c2c8efea2577b6abc4e49015181cc56963e09f229634eca11007', 0),
-    # recorded before the coset-maxima scan settled the classes of its maximisers
-    'plumbing-check --json --input SHARP': ('41e8d32a7e2bc0621c032c230137fb88b3f9955adfa6d51b42f0b330d093a4ed', 0),
+    # recorded when the class count began refusing forms that are no plumbing forest
+    'plumbing-check --json --input SHARP': ('e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 3),
     'plumbing-check --json --input STAR': ('aea5b7c8aeacc3b5b45a06e2fe8cc8cf43a159be4b946102c3f3e83615d8c975', 0),
     # recorded before the matchings moved from Fractions to integer numerators
     'match --input LISTING': ('c65cfb13141979c554960a18ebd92736ba3f732ab74ae465f50c8ac317e709fc', 0),

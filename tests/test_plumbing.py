@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import prod
@@ -78,7 +79,7 @@ def test_rejects_indefinite():
 
 
 def test_count_never_below_cokernel_order():
-    for rows in ([[-2]], [[-3]], [[-2, 1], [1, -2]], [[-3, 1], [1, -3]], [[-5, 2], [2, -3]]):
+    for rows in ([[-2]], [[-3]], [[-2, 1], [1, -2]], [[-3, 1], [1, -3]], [[-5, -1], [-1, -3]]):
         counted = class_count(PlumbingForm.from_rows(rows))
         assert counted.count >= 1
         assert counted.count >= abs(QuadraticForm.from_rows(rows).det) or not counted.is_lspace
@@ -90,8 +91,7 @@ def test_slab_ands_equal_the_product_enumeration():
         sizes = [rng.randint(1, 5) for _ in range(rng.randint(0, 4))]
         total = prod(sizes)
         strides = box_strides([range(size) for size in sizes])
-        # lo above hi, by one or by more, is an empty interval
-        intervals = [(rng.randint(0, size + 1), rng.randint(-3, size - 1)) for size in sizes]
+        intervals = [sorted(rng.choices(range(size), k=2)) for size in sizes]
         constrained = [j for j in range(len(sizes)) if rng.random() < 0.7]
         bits = (1 << total) - 1
         for j in constrained:
@@ -112,22 +112,51 @@ def test_slab_ands_equal_the_product_enumeration():
         ([[-2, -1, 1, -1], [-1, -2, 0, 0], [1, 0, -2, 0], [-1, 0, 0, -3]], [1, -1, 1, -1]),
         # two components: each starts at +1
         ([[-2, -1, 0, 0], [-1, -2, 0, 0], [0, 0, -2, 1], [0, 0, 1, -2]], [1, -1, 1, 1]),
-        # a cycle with an odd number of negative edges has no signs
-        ([[-2, -1, -1], [-1, -2, -1], [-1, -1, -2]], None),
-        ([[-2, 1, 1], [1, -2, -1], [1, -1, -2]], None),
-        # an even number of negative edges is balanced
-        ([[-2, -1, -1], [-1, -2, 1], [-1, 1, -2]], [1, -1, -1]),
+        # two trees with one bad vertex each, the centres of weight -1: each
+        # tree is in the theorem, and so is their sum
+        (
+            [[-1, 1, -1, 0, 0, 0], [1, -2, 0, 0, 0, 0], [-1, 0, -3, 0, 0, 0],
+             [0, 0, 0, -1, 1, 1], [0, 0, 0, 1, -3, 0], [0, 0, 0, 1, 0, -2]],
+            [1, 1, -1, 1, 1, 1],
+        ),
+        # a cycle is refused, whatever the signs of its edges
+        ([[-2, -1, -1], [-1, -2, -1], [-1, -1, -2]], "the edge (2, 1) closes a cycle"),
+        ([[-2, 1, 1], [1, -2, -1], [1, -1, -2]], "the edge (2, 1) closes a cycle"),
+        ([[-3, -1, -1], [-1, -3, 1], [-1, 1, -3]], "the edge (2, 1) closes a cycle"),
+        # a square: the cycle closes where the two branches from vertex 0 meet
+        (
+            [[-3, 1, 0, 1], [1, -3, 1, 0], [0, 1, -3, 1], [1, 0, 1, -3]],
+            "the edge (2, 1) closes a cycle",
+        ),
+        (
+            [[-3, 2], [2, -3]],
+            "Gram entry (0, 1) is 2; a plumbing forest has off-diagonal entries 0 and +-1",
+        ),
+        ([[-3, 0, 1], [0, -2, -2], [1, -2, -3]], "Gram entry (2, 1) is -2"),
+        # the chain -4, -1, -4, -1, -4: two bad vertices in one tree
+        (
+            [[-4 + 3 * (i % 2) if i == j else int(abs(i - j) == 1) for j in range(5)]
+             for i in range(5)],
+            "vertices 1 and 3 of one tree are bad (more neighbours than -G_ii)",
+        ),
     ],
     ids=[
-        "dimension-0", "dimension-1", "star", "flipped-star", "two-components",
-        "triangle", "triangle-mixed-signs", "balanced-triangle",
+        "dimension-0", "dimension-1", "star", "flipped-star", "two-components", "two-bad-trees",
+        "triangle", "triangle-mixed-signs", "balanced-triangle", "square", "multi-edge",
+        "multi-edge-negative", "two-bad",
     ],
 )
 def test_balancing_signs(rows, signs):
-    assert plumbing_mod._balancing_signs(rows) == signs
-    if signs is not None:
-        dim = len(rows)
-        assert all(signs[i] * signs[j] * rows[i][j] >= 0 for i in range(dim) for j in range(i))
+    # the signs of a plumbing forest, or the one-line refusal of any other form
+    assert QuadraticForm.from_rows(rows).is_negative_definite
+    if isinstance(signs, str):
+        with pytest.raises(ValidationError) as info:
+            PlumbingForm.from_rows(rows)
+        assert signs in str(info.value) and "\n" not in str(info.value)
+        return
+    assert PlumbingForm.from_rows(rows).signs == signs
+    dim = len(rows)
+    assert all(signs[i] * signs[j] * rows[i][j] >= 0 for i in range(dim) for j in range(i))
 
 
 def test_walk_preserves_length_and_partitions_box():
@@ -182,8 +211,8 @@ def test_montesinos_star_plumbings_certify():
 
 
 def test_sharp_but_not_plumbing_form_is_rejected_by_corrections_gate():
-    # the 10_148 intersection form is sharp but not a plumbing tree: the
-    # class walk overshoots and plumbing_corrections must refuse it
+    # the 10_148 intersection form is sharp but not a plumbing tree: its
+    # entry 3 is a triple edge, so no plumbing form is built from it
     rows = [
         [-4, 3, 1, 0, 1],
         [3, -5, 0, 0, 0],
@@ -191,15 +220,8 @@ def test_sharp_but_not_plumbing_form_is_rejected_by_corrections_gate():
         [0, 0, 1, -2, 0],
         [1, 0, 0, 0, -2],
     ]
-    plumbing = PlumbingForm.from_rows(rows)
-    counted = class_count(plumbing)
-    assert not counted.is_lspace
-    assert (counted.count, counted.determinant) == (55, 31)
-    with pytest.raises(ValidationError):
-        plumbing_corrections(plumbing)
-    # also when nothing has counted the classes of this form yet
-    with pytest.raises(ValidationError, match="not certified: 55 classes"):
-        plumbing_corrections(PlumbingForm.from_rows(rows))
+    with pytest.raises(ValidationError, match=r"Gram entry \(0, 1\) is 3"):
+        PlumbingForm.from_rows(rows)
     # its correction terms still come from the coset maxima directly
     from unknotone.corrections import correction_vector
     from unknotone.gamma import gamma_vector
@@ -211,6 +233,39 @@ def test_sharp_but_not_plumbing_form_is_rejected_by_corrections_gate():
         format_compact(m) for m in enumerate_matchings(A, B) if m.even and m.positive
     ]
     assert rows_found == ["2, 2, [4], 2, 2, 2"]
+
+
+def test_non_lspace_tree_is_not_certified():
+    # a star with a bad centre of weight -1 and edges of both signs: 4
+    # classes inside the box for D = 3
+    rows = [[-1, -1, 1, -1], [-1, -3, 0, 0], [1, 0, -3, 0], [-1, 0, 0, -4]]
+    plumbing = PlumbingForm.from_rows(rows)
+    counted = class_count(plumbing)
+    assert (counted.count, counted.determinant, counted.is_lspace) == (4, 3, False)
+    with pytest.raises(ValidationError, match="not certified: 4 classes for determinant 3"):
+        plumbing_corrections(plumbing)
+    # the same star with every edge +1 counts the same
+    star = [[-1, 1, 1, 1], [1, -3, 0, 0], [1, 0, -3, 0], [1, 0, 0, -4]]
+    assert class_count(PlumbingForm.from_rows(star)) == counted
+
+
+def test_plumbing_check_never_prints_a_false_certificate_on_a_bundled_record(capsys):
+    # outside plumbing forests with at most one bad vertex per tree the
+    # count certifies nothing, so such a record is refused, on one line
+    from unknotone.catalog import builtin_dataset
+
+    certified = []
+    for record in builtin_dataset():
+        code = cli.main(["plumbing-check", "--json", "--knot", record.name])
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert (json.loads(out)["is_lspace"], err) == (True, ""), record.name
+            certified.append(record.name)
+        else:
+            assert (code, out) == (3, ""), record.name
+            assert err.startswith("error: ") and err.count("\n") == 1, record.name
+    assert len(certified) == 22
+    assert {"10_125", "10_126", "10_130", "10_135", "10_138"} <= set(certified)
 
 
 def test_plumbing_check_walks_the_classes_once(monkeypatch, capsys):
