@@ -16,8 +16,8 @@ determinant and adjugate are already computed:
   O(dim) additions.
 - ``class_count_us`` times the class count, which runs no scan.  It
   closes one set of points of the full box of prod (|G_ii| + 1) points,
-  held as an integer bitset indexed by the places of
-  ``lattice.box_strides``: the points whose push leaves the box.  Each
+  held as an integer bitset indexed by places, the last coordinate
+  fastest: the points whose push leaves the box.  Each
   sweep of the closure applies the pushes in place, at O(dim) bitwise
   operations over the box, until a sweep adds nothing.  The count is the
   number of reduced-box points outside the closure.

@@ -117,6 +117,19 @@ MUTANTS = {
         "[[s * t * g for t, g in zip(signs, row)]",
         "[[g for t, g in zip(signs, row)]",
     ),
+    # the scan's reduced ranges start at G_ii + 4, so they miss x_i = G_ii + 2
+    # (G_ii + 0 would be equivalent: the full box has the same maxima)
+    "reduced-range-start": (
+        "corrections.py",
+        "range(form.gram[i][i] + 2, 1 - form.gram[i][i], 2)",
+        "range(form.gram[i][i] + 4, 1 - form.gram[i][i], 2)",
+    ),
+    # each place stride of the class count includes its own axis
+    "class-count-strides": (
+        "plumbing.py",
+        "prod(sizes[j + 1 :])",
+        "prod(sizes[j:])",
+    ),
     # the plumbing-forest check skips every vertex already reached, so a
     # cycle goes through
     "forest-cycle": (

@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import ValidationError
-from .lattice import QuadraticForm, Value, check_gram_entries
+from .lattice import QuadraticForm, Value, check_dimension, check_gram_entries
 
 
 class WhiteGraph(Value):
@@ -78,8 +78,9 @@ class KnotRecord(Value):
         if self.goeritz is None and self.white_graph is None:
             raise ValidationError(f"record {self.name!r} has neither matrix nor white graph")
         if self.goeritz is not None and self.white_graph is not None:
-            derived = goeritz_from_white_graph(self.white_graph)
-            if derived.gram != self.goeritz.gram:
+            # unequal dimensions disagree before the graph's form is built
+            same = self.white_graph.vertex_count - 1 == self.goeritz.dim
+            if not same or goeritz_from_white_graph(self.white_graph) != self.goeritz:
                 raise ValidationError(
                     f"record {self.name!r}: white graph and stored matrix disagree"
                 )
@@ -103,6 +104,8 @@ class KnotRecord(Value):
         if self.goeritz is not None:
             return self.goeritz
         assert self.white_graph is not None
+        # refused before its (n - 1)^2 entries are built, with the message of the analysis
+        check_dimension(self.white_graph.vertex_count - 1)
         return goeritz_from_white_graph(self.white_graph)
 
 

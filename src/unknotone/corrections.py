@@ -4,8 +4,8 @@ The value attached to a coset c of q(V) in V* is the maximum of
 (x^t G^{-1} x + m) / 4 over the characteristic covectors x lying in c,
 where m is the rank.
 
-Where the maxima lie.  Every maximiser lies in the box G_ii <= x_i <= -G_ii
-of :func:`unknotone.lattice.characteristic_box`: pushing x by 2 G e_i
+Where the maxima lie.  Every maximiser lies in the characteristic box
+G_ii <= x_i <= -G_ii, x_i = G_ii (mod 2): pushing x by 2 G e_i
 stays characteristic and in the coset, and changes x^t G^{-1} x by
 4 (x_i + G_ii) when adding it and by 4 (G_ii - x_i) when subtracting it,
 so outside the box one of the two pushes strictly gains.  The scan uses the
@@ -28,8 +28,8 @@ non-cyclic cokernel and an indefinite form.  The first two read only the
 Gram entries, before the elimination, whose cost grows with the cube of
 the dimension and the size of the entries.  ``correction_vector`` calls
 it, and so does the analysis driver before it decides on a listing; the
-form keeps the outcome of the Gram-entry checks, its cokernel and its
-box, so the second call repeats no work.
+form keeps the outcome of the Gram-entry checks and its cokernel, so the
+second call repeats no work.
 
 Which entry a point updates.  The vector orders the values as A_i = value
 at i * g for a generator g of the cokernel, so A_0 is always the value at
@@ -80,7 +80,6 @@ from .lattice import (
     QuadraticForm,
     RationalVector,
     Vector,
-    characteristic_box,
     check_gram_entries,
     cokernel,
     cokernel_generator,
@@ -171,7 +170,7 @@ def _coset_maxima(form: QuadraticForm, weights: Sequence[int], order: int) -> li
     run innermost (module docstring).
     """
     num = form.inverse_numerator
-    ranges = [range(rg.start + 2, rg.stop, 2) for rg in characteristic_box(form)]
+    ranges = [range(form.gram[i][i] + 2, 1 - form.gram[i][i], 2) for i in range(form.dim)]
     # a phantom coordinate has the range (0,), weight 0 and a zero row and
     # column of N; in dimension 0 the one point has value 0
     phantoms = [0] * (2 - len(ranges))

@@ -18,20 +18,21 @@ nonsingular form, the adjugate; a singular form has no adjugate here, and
 asking for it raises SingularFormError.  The gcd of the adjugate entries
 is the cyclicity test (the cokernel is cyclic exactly when it is 1).  A
 Smith normal form, mod that gcd, is computed only for the invariant
-factors of a non-cyclic cokernel.  Each form builds its invariant factors
-and its box once and keeps them beside the elimination, so every stage
-that asks shares them.  A generator of a cyclic cokernel is no part of
-them: only the box scan picks one (:func:`cokernel_generator`), after
-every refusal, as the index of its correction terms.
+factors of a non-cyclic cokernel.  Each form keeps its invariant factors
+and the outcome of its Gram-entry checks beside the elimination, each as
+one cached property, so every stage that asks shares them.  A generator
+of a cyclic cokernel is no part of them: only the box scan picks one
+(:func:`cokernel_generator`), after every refusal, as the index of its
+correction terms.
 
-The characteristic box is defined once, in :func:`characteristic_box`.
-The correction terms scan the reduced box G_ii + 2 <= x_i <= -G_ii inside
-it.  The class count runs no scan: it closes sets of points of the full
-box, held as bitsets.  A box of more than BOX_BUDGET points is refused with a ValidationError before
+The characteristic box is G_ii <= x_i <= -G_ii with x_i = G_ii (mod 2):
+the diagonal alone gives it, so no object holds it.  The correction terms
+scan the reduced box G_ii + 2 <= x_i <= -G_ii inside it, and the class
+count closes sets of points of the full box, held as bitsets.  A box of
+more than BOX_BUDGET points is refused with a ValidationError before
 anything is scanned, and before the elimination: its size reads only the
 diagonal.  So is an off-diagonal entry that no negative-definite form has
-(:func:`check_gram_entries`, once per form).  The scan and the class count
-number box points alike, by :func:`box_strides`.
+(:func:`check_gram_entries`, once per form).
 
 Values over 4D.  A form of determinant D has its pairings v^t G^{-1} v in
 (1/D) Z, so the correction terms (v^t G^{-1} v + m) / 4 lie in (1/4D) Z,
@@ -247,15 +248,45 @@ class QuadraticForm(Value):
 
     @cached_property
     def _cokernel(self) -> tuple[int, ...]:
-        return _build_cokernel(self)
-
-    @cached_property
-    def _box(self) -> list[range]:
-        return _build_box(self)
+        if self.dim == 0:
+            return ()
+        if self.det == 0:
+            raise SingularFormError("cokernel requires a nonsingular form")
+        order = abs(self.det)
+        minors = gcd(*(entry for row in self.adjugate for entry in row))
+        factors = [order] if minors == 1 else _smith_diagonal(self.gram, order, minors)
+        nontrivial = tuple(d for d in factors if d != 1)
+        if prod(nontrivial) != order:
+            raise AssertionError("invariant factor product disagrees with |det|")
+        return nontrivial
 
     @cached_property
     def _entries_checked(self) -> None:
-        _check_entries(self)
+        """Raise the first refusal of :func:`check_gram_entries`, or pass."""
+        check_dimension(self.dim)
+        diag = [self.gram[i][i] for i in range(self.dim)]
+        if not all(d < 0 for d in diag):
+            # log2 of the product of the row norms of [G | I], rounded up
+            bits = sum((sum(x * x for x in row) + 1).bit_length() // 2 + 1 for row in self.gram)
+            limit = isqrt(ELIMINATION_BUDGET // self.dim**3)
+            if bits > limit:
+                raise ValidationError(
+                    f"form with a diagonal entry >= 0 has elimination integers of up to {bits} "
+                    f"bits, above the budget of {limit} bits in dimension {self.dim}"
+                )
+            return
+        size = prod(1 - d for d in diag)
+        if size > BOX_BUDGET:
+            raise ValidationError(
+                f"characteristic box has {count_text(size)} points, above the budget of {BOX_BUDGET}"
+            )
+        for i, row in enumerate(self.gram):
+            for j in range(i):
+                if row[j] * row[j] > diag[i] * diag[j]:
+                    raise ValidationError(
+                        f"Gram entry ({i}, {j}) has G_ij^2 > G_ii G_jj; the form is not "
+                        "negative-definite"
+                    )
 
     @cached_property
     def det(self) -> int:
@@ -349,63 +380,13 @@ def check_gram_entries(form: QuadraticForm) -> None:
     form._entries_checked
 
 
-def _check_entries(form: QuadraticForm) -> None:
-    if form.dim > MAX_DIM:
+def check_dimension(dim: int) -> None:
+    """Refuse a dimension above MAX_DIM, before any form of it is built."""
+    if dim > MAX_DIM:
         raise ValidationError(
-            f"form has dimension {form.dim}; above dimension {MAX_DIM} no characteristic "
+            f"form has dimension {dim}; above dimension {MAX_DIM} no characteristic "
             f"box fits the budget of {BOX_BUDGET}"
         )
-    diag = [form.gram[i][i] for i in range(form.dim)]
-    if not all(d < 0 for d in diag):
-        # log2 of the product of the row norms of [G | I], rounded up
-        bits = sum((sum(x * x for x in row) + 1).bit_length() // 2 + 1 for row in form.gram)
-        limit = isqrt(ELIMINATION_BUDGET // form.dim**3)
-        if bits > limit:
-            raise ValidationError(
-                f"form with a diagonal entry >= 0 has elimination integers of up to {bits} "
-                f"bits, above the budget of {limit} bits in dimension {form.dim}"
-            )
-        return
-    size = prod(1 - d for d in diag)
-    if size > BOX_BUDGET:
-        raise ValidationError(
-            f"characteristic box has {count_text(size)} points, above the budget of {BOX_BUDGET}"
-        )
-    for i, row in enumerate(form.gram):
-        for j in range(i):
-            if row[j] * row[j] > diag[i] * diag[j]:
-                raise ValidationError(
-                    f"Gram entry ({i}, {j}) has G_ij^2 > G_ii G_jj; the form is not "
-                    "negative-definite"
-                )
-
-
-def characteristic_box(form: QuadraticForm) -> list[range]:
-    """The coordinate ranges of the box of characteristic candidates.
-
-    These are the integer covectors x with x_i = G_ii (mod 2) and
-    |x_i| <= |G_ii|; any characteristic covector outside this box has an
-    equivalent one of larger squared length.  Requires a box of at most
-    BOX_BUDGET points (:func:`check_gram_entries`) and a negative-definite
-    form, which in particular forces every diagonal entry to be nonzero.
-    The form keeps its box, so asking again checks nothing.
-    """
-    return form._box
-
-
-def box_strides(box: Sequence[range]) -> list[int]:
-    """The strides of the one numbering of box points, the last coordinate fastest.
-
-    A point x of the box sits at place sum_j (x_j - box[j].start) / 2 * stride_j.
-    """
-    return [prod(map(len, box[j + 1 :])) for j in range(len(box))]
-
-
-def _build_box(form: QuadraticForm) -> list[range]:
-    check_gram_entries(form)
-    if not form.is_negative_definite:
-        raise ValidationError("candidate enumeration requires a negative-definite form")
-    return [range(d, -d + 1, 2) for d in (form.gram[i][i] for i in range(form.dim))]
 
 
 def _coset_representatives(labels: Sequence[Vector], order: int) -> dict[Vector, Vector]:
@@ -436,20 +417,6 @@ def cokernel(form: QuadraticForm) -> tuple[int, ...]:
     The group has order |det G|, and it is cyclic when there is at most one factor.
     """
     return form._cokernel
-
-
-def _build_cokernel(form: QuadraticForm) -> tuple[int, ...]:
-    if form.dim == 0:
-        return ()
-    if form.det == 0:
-        raise SingularFormError("cokernel requires a nonsingular form")
-    order = abs(form.det)
-    minors = gcd(*(entry for row in form.adjugate for entry in row))
-    factors = [order] if minors == 1 else _smith_diagonal(form.gram, order, minors)
-    nontrivial = tuple(d for d in factors if d != 1)
-    if prod(nontrivial) != order:
-        raise AssertionError("invariant factor product disagrees with |det|")
-    return nontrivial
 
 
 def cokernel_generator(form: QuadraticForm) -> Vector:

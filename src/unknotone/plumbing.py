@@ -51,16 +51,15 @@ exactly one point in the reduced box:
 How the count runs.  A push is undone by the opposite push, so a class is a
 connected component of an undirected graph, and the in-box classes are the
 components of the box points with no push that leaves the box.  A set of
-box points is an ``int`` bitset over their places, the numbering
-(:func:`unknotone.lattice.box_strides`) in which a point's index is linear
-in its coordinates.  On S G S the push at i moves each neighbour j up by
-one place step, so at vertex i the upper-wall points whose neighbours all
-sit below their upper walls, an AND of slabs (the points with one
-coordinate in an interval), all move by one place shift onto the lower
-wall; the other wall points push out.  Those points are closed under the
-2 dim shifted sets: each sweep applies every move in place to the whole
-set, at O(dim) bitwise operations over the box, until a sweep adds
-nothing.  The rest is the union of the in-box classes, and the count is
+box points is an ``int`` bitset over their places, numbered with the last
+coordinate fastest, so that a point's place is linear in its coordinates.
+On S G S the push at i moves each neighbour j up by one place step, so at
+vertex i the upper-wall points whose neighbours all sit below their upper
+walls, an AND of slabs (the points with one coordinate in an interval),
+all move by one place shift onto the lower wall; the other wall points
+push out.  Those points are closed under the 2 dim shifted sets: each
+sweep applies every move in place to the whole set, at O(dim) bitwise
+operations over the box, until a sweep adds nothing.  The rest is the union of the in-box classes, and the count is
 the number of its points off the lower walls.
 """
 
@@ -73,7 +72,7 @@ from typing import Sequence
 
 from .corrections import CorrectionVector, correction_vector
 from .errors import ValidationError
-from .lattice import QuadraticForm, Value, box_strides, characteristic_box, check_gram_entries
+from .lattice import QuadraticForm, Value, check_gram_entries
 
 
 class PlumbingForm(Value):
@@ -167,8 +166,9 @@ def _count_classes(plumbing: PlumbingForm) -> int:
     bound = [-gram[i][i] for i in range(form.dim)]
     sizes = [b + 1 for b in bound]
     total = prod(sizes)
-    # the one numbering of box points; a push at i moves a place by shift_i
-    stride = box_strides(characteristic_box(form))
+    # the places number box points, the last coordinate fastest; a push at i
+    # moves a place by shift_i
+    stride = [prod(sizes[j + 1 :]) for j in range(form.dim)]
     shifts = [sum(map(mul, column, stride)) for column in gram]
     # per vertex i, the upper-wall points whose push (1 added to each neighbour
     # x_j) stays in the box and their images on the lower wall; the other wall

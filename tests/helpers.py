@@ -19,13 +19,14 @@ from math import gcd, lcm, prod
 from types import SimpleNamespace
 
 from unknotone.gamma import kappa_list, model_form
-from unknotone.lattice import characteristic_box, cokernel_generator
+from unknotone.lattice import cokernel_generator
 from unknotone.matching import Matching, quarter_point
 
 
 def characteristic_candidates(form):
-    """The points of ``characteristic_box``, in ``itertools.product`` order."""
-    return list(product(*characteristic_box(form)))
+    """The points x_i = G_ii, G_ii + 2, ..., -G_ii of the characteristic box, in
+    ``itertools.product`` order."""
+    return list(product(*(range(row[i], 1 - row[i], 2) for i, row in enumerate(form.gram))))
 
 
 def box_places(sizes, intervals):

@@ -26,7 +26,7 @@ from test_properties import cyclic_odd, negative_definite_forms
 from unknotone.corrections import correction_vector
 from unknotone.errors import ValidationError
 from unknotone.gamma import gamma_vector, model_form
-from unknotone.lattice import BOX_BUDGET, QuadraticForm, characteristic_box, cokernel_generator
+from unknotone.lattice import BOX_BUDGET, QuadraticForm, check_gram_entries, cokernel_generator
 from unknotone.plumbing import PlumbingForm, class_count
 
 
@@ -179,9 +179,10 @@ def signed_forests(draw):
 
 
 def test_box_budget_is_checked_before_scanning():
-    assert len(characteristic_box(QuadraticForm.from_rows([[1 - BOX_BUDGET]]))[0]) == BOX_BUDGET
+    # [[1 - BOX_BUDGET]] has a box of exactly BOX_BUDGET points
+    check_gram_entries(QuadraticForm.from_rows([[1 - BOX_BUDGET]]))
     with pytest.raises(ValidationError, match="above the budget"):
-        characteristic_box(QuadraticForm.from_rows([[-BOX_BUDGET]]))
+        check_gram_entries(QuadraticForm.from_rows([[-BOX_BUDGET]]))
     huge = [[-41 if i == j else int(abs(i - j) == 1) for j in range(6)] for i in range(6)]
     with pytest.raises(ValidationError, match="5489031744 points"):
         class_count(PlumbingForm.from_rows(huge))
@@ -416,7 +417,6 @@ def test_reduced_scan_on_small_forms(rows):
 
 
 def test_one_point_box_and_unimodular_forms():
-    assert characteristic_box(QuadraticForm.from_rows([[-1]])) == [range(-1, 2, 2)]
     assert correction_vector(QuadraticForm.from_rows([[-1]])).values == (0,)
     assert correction_vector(QuadraticForm.from_rows(E8)).values == (2,)
 
@@ -522,5 +522,5 @@ def deep_sheared_forms(draw):
 
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(deep_sheared_forms())
-def test_deep_sheared_scans_in_both_modes(form):
+def test_deep_sheared_scans(form):
     assert_matches_reference(form)

@@ -472,6 +472,40 @@ def test_a_dense_240_by_240_form_is_refused_within_a_second(command, tmp_path, c
     )
 
 
+@pytest.mark.parametrize("vertices", [2_000, 10**6])
+def test_a_large_white_graph_is_refused_before_its_form_is_built(
+    vertices, tmp_path, capsys, monkeypatch
+):
+    # a record of 60 bytes: the (n - 1) x (n - 1) form of 2,000 vertices took
+    # 0.9 s and 106 MB, and that of 10^6 vertices does not fit in memory
+    from unknotone import catalog
+
+    def never(graph):
+        raise AssertionError("the form was built")
+
+    monkeypatch.setattr(catalog, "goeritz_from_white_graph", never)
+    graph = {"vertices": vertices, "edges": [[0, 1, 1]]}
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps({"name": "r", "white_graph": graph}))
+    message = (
+        f"form has dimension {vertices - 1}; above dimension 20 no characteristic box fits "
+        "the budget of 2000000"
+    )
+    start = time.perf_counter()
+    code, out, err = run_main(["obstruct", "--input", str(path)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err.splitlines()) == (3, "", [f"error: {message}"])
+    # the refusal is the record's error entry, as for a matrix of that dimension
+    code, out, err = run_main(["report", "--json", "--input", str(path)], capsys)
+    assert (code, err, json.loads(out)["records"]) == (0, "", [{"knot": "r", "error": message}])
+    # beside a matrix of another dimension, the graph disagrees with it, as before
+    path.write_text(json.dumps({"name": "r", "goeritz": [[-3]], "white_graph": graph}))
+    code, out, err = run_main(["obstruct", "--input", str(path)], capsys)
+    assert (code, out, err.splitlines()) == (
+        3, "", ["error: record 0 (r): record 'r': white graph and stored matrix disagree"]
+    )
+
+
 @pytest.mark.parametrize(
     "rows",
     [[[-1409, 0], [0, 1413]], [[1000003, 0], [0, 1000033]]],

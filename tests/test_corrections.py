@@ -1,6 +1,7 @@
 import gc
 import weakref
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -252,19 +253,22 @@ def test_an_entry_at_the_bound_reaches_the_later_refusals():
 
 def test_one_cokernel_and_one_box_per_analysis(monkeypatch):
     calls = []
-    for name in ("_build_cokernel", "_build_box"):
-        build = getattr(lattice, name)
-        monkeypatch.setattr(
-            lattice, name, lambda form, name=name, build=build: calls.append(name) or build(form)
-        )
+    build = QuadraticForm._cokernel.func
+    counted = cached_property(lambda form: calls.append("cokernel") or build(form))
+    counted.__set_name__(QuadraticForm, "_cokernel")
+    monkeypatch.setattr(QuadraticForm, "_cokernel", counted)
+    scan = corrections._coset_maxima
+    monkeypatch.setattr(
+        corrections, "_coset_maxima", lambda *args: calls.append("scan") or scan(*args)
+    )
     report = analyze_record(builtin_record("8_10"), listing=True)
     assert report.D == 27
     assert report.matchings
-    assert sorted(calls) == ["_build_box", "_build_cokernel"]
+    assert sorted(calls) == ["cokernel", "scan"]
 
 
 def test_an_analysed_form_is_freed_by_reference_counting():
-    # the form keeps its cokernel and box; a reference back to the form would
+    # the form keeps its cokernel; a reference back to the form would
     # leave every analysed record to the cycle collector, which costs time
     record = builtin_record("8_10")
     form = weakref.ref(record.form)

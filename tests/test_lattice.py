@@ -5,7 +5,7 @@ import pytest
 from helpers import characteristic_candidates, coset_label, evaluate, pairing, q_map
 from unknotone.corrections import correction_vector
 from unknotone.errors import SingularFormError, ValidationError
-from unknotone.lattice import QuadraticForm, characteristic_box, cokernel, cokernel_generator
+from unknotone.lattice import QuadraticForm, cokernel, cokernel_generator
 
 EIGHT_TEN = [[-4, 1, 1], [1, -2, 1], [1, 1, -5]]
 
@@ -60,22 +60,6 @@ def test_characteristic_candidates_small():
     assert set(characteristic_candidates(QuadraticForm.from_rows([[-1]]))) == {(-1,), (1,)}
     grid = set(characteristic_candidates(QuadraticForm.from_rows([[-2, 1], [1, -2]])))
     assert grid == {(a, b) for a in (-2, 0, 2) for b in (-2, 0, 2)}
-
-
-def test_characteristic_candidates_count_and_parity():
-    q = QuadraticForm.from_rows(EIGHT_TEN)
-    box = characteristic_box(q)
-    assert [len(rg) for rg in box] == [5, 3, 6]
-    for i, rg in enumerate(box):
-        assert (rg[0], rg[-1]) == (q.gram[i][i], -q.gram[i][i])
-        assert all((x - q.gram[i][i]) % 2 == 0 for x in rg)
-
-
-def test_characteristic_candidates_needs_definite():
-    with pytest.raises(ValidationError, match="negative-definite"):
-        characteristic_box(QuadraticForm.from_rows([[2]]))
-    with pytest.raises(ValidationError, match="negative-definite"):
-        characteristic_box(QuadraticForm.from_rows([[-1, 2], [2, -1]]))
 
 
 def test_cokernel_cyclic_order_three():

@@ -8,7 +8,7 @@ import pytest
 from unknotone import cli, corrections, plumbing as plumbing_mod
 from unknotone.errors import ValidationError
 from helpers import box_places, characteristic_candidates, pairing
-from unknotone.lattice import QuadraticForm, box_strides
+from unknotone.lattice import QuadraticForm
 from unknotone.plumbing import PlumbingForm, class_count, plumbing_corrections
 
 TEN_125 = [
@@ -90,7 +90,7 @@ def test_slab_ands_equal_the_product_enumeration():
     for _ in range(400):
         sizes = [rng.randint(1, 5) for _ in range(rng.randint(0, 4))]
         total = prod(sizes)
-        strides = box_strides([range(size) for size in sizes])
+        strides = [prod(sizes[j + 1 :]) for j in range(len(sizes))]
         intervals = [sorted(rng.choices(range(size), k=2)) for size in sizes]
         constrained = [j for j in range(len(sizes)) if rng.random() < 0.7]
         bits = (1 << total) - 1
@@ -268,23 +268,23 @@ def test_plumbing_check_never_prints_a_false_certificate_on_a_bundled_record(cap
     assert {"10_125", "10_126", "10_130", "10_135", "10_138"} <= set(certified)
 
 
-def test_plumbing_check_walks_the_classes_once(monkeypatch, capsys):
-    walks = []
-    walk = plumbing_mod._count_classes
+def test_plumbing_check_counts_the_classes_once(monkeypatch, capsys):
+    counts = []
+    count = plumbing_mod._count_classes
 
-    def counted_walk(form):
-        walks.append(form)
-        return walk(form)
+    def counted(form):
+        counts.append(form)
+        return count(form)
 
-    monkeypatch.setattr(plumbing_mod, "_count_classes", counted_walk)
+    monkeypatch.setattr(plumbing_mod, "_count_classes", counted)
     assert cli.main(["plumbing-check", "--knot", "10_125", "--json"]) == 0
     assert '"is_lspace": true' in capsys.readouterr().out
-    assert len(walks) == 1
-    # the count is kept on the form: asking again walks nothing
+    assert len(counts) == 1
+    # the count is kept on the form: asking again counts nothing
     plumbing = PlumbingForm.from_rows(TEN_125)
     assert class_count(plumbing) is class_count(plumbing)
     plumbing_corrections(plumbing)
-    assert len(walks) == 2
+    assert len(counts) == 2
 
 
 def test_plumbing_check_scans_the_box_once(monkeypatch, capsys):
