@@ -137,6 +137,24 @@ MUTANTS = {
         "if j == parent:",
         "if signs[j]:",
     ),
+    # a matching's representative unit read from its last provenance pair
+    "unit-last-pair": (
+        "matching.py",
+        "return self.provenance[0][0]",
+        "return self.provenance[-1][0]",
+    ),
+    # a zero entry fails the positive filter
+    "positive-strict": (
+        "matching.py",
+        "min(self.numerators[: self.D // 2 + 1]) >= 0",
+        "min(self.numerators[: self.D // 2 + 1]) > 0",
+    ),
+    # more classes than |det| also certify an L-space
+    "lspace-at-least": (
+        "plumbing.py",
+        "return self.count == self.determinant",
+        "return self.count >= self.determinant",
+    ),
 }
 
 

@@ -31,48 +31,30 @@ TorsionSequence = tuple[int, ...]
 
 
 class AlexanderPolynomial(Value):
-    """A symmetric knot polynomial a_0 + sum_{i>0} a_i (T^i + T^-i)."""
+    """A symmetric knot polynomial a_0 + sum_{i>0} a_i (T^i + T^-i); Delta(1) = 1 fixes a_0."""
 
-    a0: int
     higher: tuple[int, ...]  # a_1, a_2, ..., trailing zeros trimmed
 
     def _validate(self) -> None:
         if self.higher and self.higher[-1] == 0:
             raise ValidationError("higher coefficients must not end in zero")
-        if self.evaluate_at_one() != 1:
-            raise ValidationError("polynomial is not normalised to Delta(1) = 1")
+
+    @property
+    def a0(self) -> int:
+        return 1 - 2 * sum(self.higher)
 
     @property
     def degree(self) -> int:
         return len(self.higher)
 
-    def coefficient(self, i: int) -> int:
-        i = abs(i)
-        if i == 0:
-            return self.a0
-        if i <= len(self.higher):
-            return self.higher[i - 1]
-        return 0
-
-    def evaluate_at_one(self) -> int:
-        return self.a0 + 2 * sum(self.higher)
-
     def terms(self) -> str:
-        """Signed term list, highest degree last."""
-        parts = []
-        if self.a0 != 0:
-            parts.append(str(self.a0))
+        """Signed term list, highest degree last; a_0 = 1 - 2 sum a_i is odd, so it leads."""
+        parts = [str(self.a0)]
         for i, a in enumerate(self.higher, start=1):
-            if a == 0:
-                continue
-            sign = "+" if a > 0 else "-"
-            mag = abs(a)
-            coeff = "" if mag == 1 else f"{mag}*"
-            parts.append(f"{sign} {coeff}(T^{i} + T^-{i})")
-        if not parts:
-            return "0"
-        text = " ".join(parts)
-        return text
+            if a:
+                coeff = "" if abs(a) == 1 else f"{abs(a)}*"
+                parts.append(f"{'+' if a > 0 else '-'} {coeff}(T^{i} + T^-{i})")
+        return " ".join(parts)
 
 
 def residue_to_torsion_index(residue: int, n: int) -> int:
@@ -135,7 +117,7 @@ def polynomial_from_torsion(torsion: Sequence[int]) -> AlexanderPolynomial:
     """Invert the torsion relation by second differences.
 
     a_i = t_{i-1} - 2 t_i + t_{i+1} for i >= 1 (with t zero past the end),
-    and a_0 makes Delta(1) = 1.  Any eventually-zero sequence inverts.
+    and a_0 follows from Delta(1) = 1.  Any eventually-zero sequence inverts.
     """
     t = list(torsion)
     while t and t[-1] == 0:
@@ -147,16 +129,13 @@ def polynomial_from_torsion(torsion: Sequence[int]) -> AlexanderPolynomial:
     higher = [at(i - 1) - 2 * at(i) + at(i + 1) for i in range(1, len(t) + 2)]
     while higher and higher[-1] == 0:
         higher.pop()
-    a0 = 1 - 2 * sum(higher)
-    return AlexanderPolynomial(a0=a0, higher=tuple(higher))
+    return AlexanderPolynomial(tuple(higher))
 
 
 def torsion_from_polynomial(poly: AlexanderPolynomial, length: int | None = None) -> TorsionSequence:
     """The forward sum t_i = sum_{j>=1} j * a_{i+j}; the round-trip oracle."""
     size = poly.degree if length is None else length
-    out = []
-    for i in range(size + 1):
-        out.append(sum(j * poly.coefficient(i + j) for j in range(1, poly.degree - i + 1)))
+    out = [sum(j * a for j, a in enumerate(poly.higher[i:], 1)) for i in range(size + 1)]
     while out and out[-1] == 0:
         out.pop()
     out.append(0)
@@ -169,12 +148,5 @@ def lspace_coefficient_check(poly: AlexanderPolynomial) -> bool:
     Read from the top degree down to a_0; this is the shape forced on a knot
     admitting an integral surgery with simplest-possible Floer homology.
     """
-    signs = []
-    for i in range(poly.degree, -1, -1):
-        a = poly.coefficient(i)
-        if a == 0:
-            continue
-        if a not in (1, -1):
-            return False
-        signs.append(a)
-    return all(signs[i] != signs[i + 1] for i in range(len(signs) - 1))
+    signs = [a for a in (*reversed(poly.higher), poly.a0) if a]
+    return all(a in (1, -1) for a in signs) and all(a != b for a, b in zip(signs, signs[1:]))

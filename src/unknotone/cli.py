@@ -166,7 +166,7 @@ def cmd_gamma(args: argparse.Namespace) -> int:
 
 
 def cmd_match(args: argparse.Namespace) -> int:
-    from .matching import format_compact
+    from .matching import FLAGS, format_compact
     from .report import analyze_record, report_to_json
 
     record = _load_single_record(args)
@@ -175,10 +175,7 @@ def cmd_match(args: argparse.Namespace) -> int:
     # each output renders the whole listing: build only the one printed
     if not args.json:
         for m in report.matchings:
-            flags = "".join(
-                tag if on else "-"
-                for tag, on in zip("EPSt", (m.even, m.positive, m.symmetric, m.staircase))
-            )
+            flags = "".join(tag if getattr(m, flag) else "-" for tag, flag in zip("EPSt", FLAGS))
             lines.append(f"  unit {m.unit:>3} eps {m.epsilon:+d} [{flags}]  {format_compact(m)}")
     _emit(report_to_json(report) if args.json else {}, args.json, "\n".join(lines))
     return 0

@@ -94,10 +94,8 @@ class CorrectionVector(RationalVector):
     def _validate(self) -> None:
         # a raised check, not an assert: the matching search scans only half
         # the units and relies on A_i = A_{D-i}, also under python -O
-        if len(self.numerators) != self.D or self.numerators[1:] != self.numerators[:0:-1]:
-            raise ValidationError(
-                f"correction values must be {self.D} entries with A_i = A_(D-i)"
-            )
+        if self.numerators[1:] != self.numerators[:0:-1]:
+            raise ValidationError("correction values must have A_i = A_(D-i)")
 
     @property
     def gate(self) -> bool:
@@ -106,15 +104,16 @@ class CorrectionVector(RationalVector):
 
     def mirrored(self) -> "CorrectionVector":
         """The correction vector of the orientation reverse: all values negated."""
-        return CorrectionVector(self.D, tuple([-v for v in self.numerators]), self.generator)
+        return CorrectionVector(tuple([-v for v in self.numerators]), self.generator)
 
     def reindexed(self, unit: int) -> "CorrectionVector":
         """The same data listed against the generator unit * g."""
-        if self.D > 1 and gcd(unit, self.D) != 1:
-            raise ValidationError(f"{unit} is not a unit mod {self.D}")
-        nums = tuple(self.numerators[(unit * i) % self.D] for i in range(self.D))
+        D = self.D
+        if D > 1 and gcd(unit, D) != 1:
+            raise ValidationError(f"{unit} is not a unit mod {D}")
+        nums = tuple(self.numerators[(unit * i) % D] for i in range(D))
         generator = tuple(unit * x for x in self.generator)
-        return CorrectionVector(self.D, nums, generator)
+        return CorrectionVector(nums, generator)
 
 
 def scannable_cokernel(form: QuadraticForm) -> int:
@@ -158,7 +157,7 @@ def correction_vector(form: QuadraticForm) -> CorrectionVector:
     # the value of a coset is (b + m D) / 4D for its maximum b of x^t N x
     shift = form.dim * D
     nums = tuple([b + shift for b in best])
-    return CorrectionVector(D=D, numerators=nums, generator=generator)
+    return CorrectionVector(numerators=nums, generator=generator)
 
 
 def _coset_maxima(form: QuadraticForm, weights: Sequence[int], order: int) -> list[int]:

@@ -88,7 +88,9 @@ class GammaVector(RationalVector):
     ``v_index`` for the torsion extraction.
     """
 
-    n: int
+    @property
+    def n(self) -> int:
+        return (self.D + 1) // 2
 
     @cached_property
     def kappas(self) -> tuple[Kappa, ...]:
@@ -146,4 +148,4 @@ def gamma_vector(D: int) -> GammaVector:
         nums += [base - 2 * x * (x + y) for x in xs]
     if nums[1:] != nums[:0:-1]:
         raise AssertionError(f"model vector for D = {D} is not symmetric")
-    return GammaVector(D=D, n=n, numerators=tuple(nums))
+    return GammaVector(tuple(nums))

@@ -46,7 +46,10 @@ from :class:`Value`.  A subclass lists its fields as annotations,
 never evaluated, with any default as the class attribute; the constructor
 takes them in that order, by position or keyword, then runs ``_validate``.
 Instances compare and hash by their fields, and assignment raises; a
-``cached_property`` still fills the instance ``__dict__``.
+``cached_property`` still fills the instance ``__dict__``.  A field is an
+input that the type cannot derive; everything that follows from the
+fields (a vector's D, a matching's filter flags, a class count's verdict)
+is a property, so no value can contradict itself.
 """
 
 from __future__ import annotations
@@ -119,20 +122,25 @@ def rational_texts(numerators: Sequence[int], denominator: int) -> list[str]:
 class RationalVector(Value):
     """The rationals numerators[i] / 4D, kept as their integer numerators.
 
+    A vector over 4D has one entry per element of Z/D, so D is its length.
     The pipeline reads ``numerators`` and output renders them with
     :meth:`texts`; ``values`` is the one ``Fraction`` view, which only the
     tests, the benchmark and the scripts read.
     """
 
-    D: int
     numerators: tuple[int, ...]
+
+    @property
+    def D(self) -> int:
+        return len(self.numerators)
 
     @cached_property
     def values(self) -> tuple[Fraction, ...]:
         """The entries as ``Fraction``s, one object per distinct numerator."""
         from fractions import Fraction
 
-        fraction = {n: Fraction(n, 4 * self.D) for n in set(self.numerators)}
+        denominator = 4 * self.D
+        fraction = {n: Fraction(n, denominator) for n in set(self.numerators)}
         return tuple(map(fraction.__getitem__, self.numerators))
 
     def texts(self) -> list[str]:

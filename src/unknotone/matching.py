@@ -10,12 +10,13 @@ the half-vector to climb to the middle in steps of at most two.
 
 Both searches run on integers.  A and B store their entries as integer
 numerators over 4D, so every C is a tuple of numerators over 4D, and the
-four filters are one integer predicate on them.  A is conjugation-symmetric,
-so the units u and D - u give the same C: only the units below D/2
-(:func:`half_units`) are scanned, and each C records both pairs.
-``Matching`` is a :class:`unknotone.lattice.RationalVector` like A and B:
-it keeps C as numerators and renders them with ``texts()``; ``Matching.C``
-is the ``Fraction`` view ``values`` of the base type, which no output reads.
+four filters are integer predicates on them, properties of the matching.
+A is conjugation-symmetric, so the units u and D - u give the same C:
+only the units below D/2 (:func:`half_units`) are scanned, and each C
+records both pairs.  ``Matching`` is a
+:class:`unknotone.lattice.RationalVector` like A and B: it keeps C as
+numerators and renders them with ``texts()``; ``Matching.C`` is the
+``Fraction`` view ``values`` of the base type, which no output reads.
 
 The verdict scan.  Every verdict starts from the even matchings, and
 :func:`even_matchings` finds just those.  C_0 = -B_0 - epsilon A_0 does not
@@ -36,6 +37,7 @@ a listing check it (:func:`check_listing_budget`) before any analysis.
 from __future__ import annotations
 
 import enum
+from functools import cached_property
 from itertools import compress
 from math import gcd
 from operator import add, sub
@@ -65,21 +67,51 @@ class Outcome(enum.Enum):
         return self not in (Outcome.NOT_OBSTRUCTED, Outcome.UNKNOT_DETERMINANT)
 
 
-class Matching(RationalVector):
-    """A vector C = numerators / 4D with its (unit, sign) provenance and filter flags."""
+# the filter flags of a matching, in the order the verdict applies them
+FLAGS = ("even", "positive", "symmetric", "staircase")
 
-    unit: int
-    epsilon: int
+
+class Matching(RationalVector):
+    """A vector C = numerators / 4D with its (unit, sign) provenance, led by the representative.
+
+    The filter flags (``FLAGS``) read C alone; C_i = C_(D-i), so the entries i <= D/2 decide them.
+    """
+
     provenance: tuple[tuple[int, int], ...]
-    even: bool = False
-    positive: bool = False
-    symmetric: bool = False
-    staircase: bool = False
+
+    @property
+    def unit(self) -> int:
+        return self.provenance[0][0]
+
+    @property
+    def epsilon(self) -> int:
+        return self.provenance[0][1]
 
     @property
     def C(self) -> tuple[Fraction, ...]:
         """C as ``Fraction``s (``values``), for the tests and the benchmark."""
         return self.values
+
+    @cached_property
+    def even(self) -> bool:
+        two = 8 * self.D  # 2 as a numerator over 4D
+        return all(c % two == 0 for c in self.numerators[: self.D // 2 + 1])
+
+    @cached_property
+    def positive(self) -> bool:
+        return min(self.numerators[: self.D // 2 + 1]) >= 0
+
+    @cached_property
+    def symmetric(self) -> bool:
+        C, D = self.numerators, self.D
+        k = quarter_point(D)
+        sym_start = 1 if D % 4 == 3 else 0
+        return all(C[i] == C[2 * k - i] for i in range(sym_start, k))
+
+    @cached_property
+    def staircase(self) -> bool:
+        C, two = self.numerators, 8 * self.D
+        return all(C[i] <= C[i + 1] <= C[i] + two for i in range(1, quarter_point(self.D)))
 
 
 def quarter_point(D: int) -> int:
@@ -89,21 +121,6 @@ def quarter_point(D: int) -> int:
     if D % 4 == 1:
         return (D - 1) // 4
     raise ValidationError(f"determinant {D} is even")
-
-
-def _flags(D: int, C: Sequence[int]) -> dict[str, bool]:
-    """The four filter flags of the vector C / 4D, for integers C."""
-    k = quarter_point(D)
-    two = 8 * D  # 2 as a numerator over 4D
-    sym_start = 1 if D % 4 == 3 else 0
-    # C_i = C_(D-i), so the entries i <= D/2 decide every filter
-    half = C[: D // 2 + 1]
-    return {
-        "even": all(c % two == 0 for c in half),
-        "positive": min(half) >= 0,
-        "symmetric": all(C[i] == C[2 * k - i] for i in range(sym_start, k)),
-        "staircase": all(C[i] <= C[i + 1] <= C[i] + two for i in range(1, k)),
-    }
 
 
 def half_units(D: int) -> list[int]:
@@ -156,21 +173,17 @@ def _integer_vectors(A: CorrectionVector, B: GammaVector) -> tuple[int, Sequence
     return A.D, A.numerators, [-b for b in B.numerators]
 
 
-def _listed(D: int, found: dict[tuple[int, ...], list[tuple[int, int]]]) -> tuple[Matching, ...]:
+def _listed(found: dict[tuple[int, ...], list[tuple[int, int]]]) -> tuple[Matching, ...]:
     """The matchings of the integer vectors in ``found``, sorted by C.
 
     Each provenance list is ordered epsilon = +1 then -1, units ascending,
     and its first pair is the representative.  The numerators share the
     denominator 4D, so their order is the order of the rationals C.
     """
-    out = []
-    for C in sorted(found):
-        provenance = sorted(found[C], key=lambda pair: (-pair[1], pair[0]))
-        u, epsilon = provenance[0]
-        out.append(Matching(
-            D, C, unit=u, epsilon=epsilon, provenance=tuple(provenance), **_flags(D, C)
-        ))
-    return tuple(out)
+    return tuple(
+        Matching(C, tuple(sorted(found[C], key=lambda pair: (-pair[1], pair[0]))))
+        for C in sorted(found)
+    )
 
 
 def enumerate_matchings(A: CorrectionVector, B: GammaVector) -> tuple[Matching, ...]:
@@ -192,11 +205,11 @@ def enumerate_matchings(A: CorrectionVector, B: GammaVector) -> tuple[Matching, 
         for epsilon, op in ((1, sub), (-1, add)):
             C = tuple(map(op, neg_b, a_u))
             found.setdefault(C, []).extend(((u, epsilon), (D - u, epsilon)))
-    return _listed(D, found)
+    return _listed(found)
 
 
 def even_matchings(A: CorrectionVector, B: GammaVector) -> tuple[Matching, ...]:
-    """The even matchings: the entries of the full listing with ``even`` set.
+    """The even matchings: the entries of the full listing whose ``even`` holds.
 
     Each (unit, sign) pair stops at its first odd entry (module docstring),
     so the work is about phi(D) pairs unless many pairs stay even long.
@@ -218,7 +231,7 @@ def even_matchings(A: CorrectionVector, B: GammaVector) -> tuple[Matching, ...]:
                 a_u = [a[j % D] for j in range(0, u * D, u)]
                 C = tuple(map(op, neg_b, a_u))
                 found.setdefault(C, []).extend(((u, epsilon), (D - u, epsilon)))
-    return _listed(D, found)
+    return _listed(found)
 
 
 class Verdict(Value):
@@ -277,15 +290,15 @@ def _verdict_from_pool(pool: Sequence[Matching], gate: bool, strong: bool) -> Ve
     # the filters in order, each with the outcome its failure gives; the first
     # applied filter that leaves no matching decides, and its witnesses are
     # the matchings that passed the filters before it (see Verdict)
-    filters = (
-        ("even", Outcome.NO_EVEN_MATCHING),
-        ("positive", Outcome.NO_EVEN_POSITIVE_MATCHING),
-        ("symmetric", Outcome.NO_SYMMETRIC_MATCHING),
-        ("staircase", Outcome.STAIRCASE_FAIL),
+    failures = (
+        Outcome.NO_EVEN_MATCHING,
+        Outcome.NO_EVEN_POSITIVE_MATCHING,
+        Outcome.NO_SYMMETRIC_MATCHING,
+        Outcome.STAIRCASE_FAIL,
     )
     witnesses: tuple[Matching, ...] = ()
     survivors = pool
-    for flag, outcome in compress(filters, (True, True, gate, strong)):
+    for flag, outcome in compress(zip(FLAGS, failures), (True, True, gate, strong)):
         survivors = tuple(m for m in survivors if getattr(m, flag))
         if not survivors:
             return Verdict(outcome, witnesses, gate_applied=gate, strong=strong)

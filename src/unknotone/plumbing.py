@@ -135,15 +135,17 @@ class PlumbingForm(Value):
     @cached_property
     def classes(self) -> ClassCount:
         """The in-box class count, counted once per form."""
-        count = _count_classes(self)
-        determinant = abs(self.form.det)
-        return ClassCount(count=count, determinant=determinant, is_lspace=count == determinant)
+        return ClassCount(_count_classes(self), abs(self.form.det))
 
 
 class ClassCount(Value):
     count: int
     determinant: int
-    is_lspace: bool
+
+    @property
+    def is_lspace(self) -> bool:
+        """The certificate: the count equals |det| (module docstring)."""
+        return self.count == self.determinant
 
 
 def class_count(plumbing: PlumbingForm) -> ClassCount:

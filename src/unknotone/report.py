@@ -23,6 +23,7 @@ from .errors import MissingSignatureError, NonCyclicCokernelError, UnknotOneErro
 from .gamma import GammaVector, gamma_vector
 from .lattice import Value
 from .matching import (
+    FLAGS,
     Matching,
     Outcome,
     Verdict,
@@ -149,11 +150,23 @@ def sign_refined_record(record: KnotRecord) -> SignedReport:
 
 
 class AlexanderReport(Value):
+    """The torsion a matching carries, and the polynomial and check it determines."""
+
     name: str
     torsion: tuple[int, ...]
-    polynomial: alexander_mod.AlexanderPolynomial
-    coefficient_check: bool
     matching: Matching
+
+    @cached_property
+    def polynomial(self) -> alexander_mod.AlexanderPolynomial:
+        from . import alexander as alexander_mod
+
+        return alexander_mod.polynomial_from_torsion(self.torsion)
+
+    @property
+    def coefficient_check(self) -> bool:
+        from . import alexander as alexander_mod
+
+        return alexander_mod.lspace_coefficient_check(self.polynomial)
 
 
 def alexander_reports(record: KnotRecord) -> list[AlexanderReport]:
@@ -171,9 +184,7 @@ def alexander_reports(record: KnotRecord) -> list[AlexanderReport]:
         if not (m.positive and m.symmetric and m.numerators[0] == 0):
             continue
         torsion = alexander_mod.torsion_from_matching(m, report.B)
-        poly = alexander_mod.polynomial_from_torsion(torsion)
-        check = alexander_mod.lspace_coefficient_check(poly)
-        out.append(AlexanderReport(record.name, torsion, poly, check, m))
+        out.append(AlexanderReport(record.name, torsion, m))
     return out
 
 
@@ -189,12 +200,7 @@ def matching_to_json(m: Matching) -> dict:
         "provenance": [list(pair) for pair in m.provenance],
         "C": m.texts(),
         "compact": format_compact(m),
-        "flags": {
-            "even": m.even,
-            "positive": m.positive,
-            "symmetric": m.symmetric,
-            "staircase": m.staircase,
-        },
+        "flags": {flag: getattr(m, flag) for flag in FLAGS},
     }
 
 

@@ -6,10 +6,9 @@ given intervals, the map q(v) = G v, the value Q(v, v), the pairing v^t N v and 
 N v mod |det| with N = |det| G^{-1}, the unit that reindexes A to another
 generating covector, the closed form of B_0, the model vector B built one
 pairing at a time, the numerators of a matching's ``Fraction`` entries, a
-matching rebuilt with some fields replaced, the four matching filters
-read off those entries, the adjugate from cofactors over ``Fraction``
-elimination, and invariant factors from a Smith reduction over the
-integers, unbounded.
+matching's representative pair and four filters read off those entries,
+the adjugate from cofactors over ``Fraction`` elimination, and invariant
+factors from a Smith reduction over the integers, unbounded.
 """
 
 from collections import Counter
@@ -100,34 +99,39 @@ def numerators_over_4d(D, values):
     return tuple(s.numerator for s in scaled)
 
 
-def reference_classify(m):
-    """The matching ``m`` with its four filter flags read off the ``Fraction`` entries."""
-    D, C = m.D, m.C
+DERIVED = ("unit", "epsilon", "even", "positive", "symmetric", "staircase")
+
+
+def derived(m):
+    """The properties of the matching ``m`` that no ``==`` reads, by name."""
+    return {name: getattr(m, name) for name in DERIVED}
+
+
+def reference_derived(C, provenance):
+    """``derived`` for the ``Fraction`` vector C, read off the definitions.
+
+    The representative pair is the one with epsilon = +1 before -1 and the
+    smallest unit; the four filters read every entry of C.
+    """
+    D = len(C)
     k = quarter_point(D)
     sym_range = range(1, k) if D % 4 == 3 else range(0, k)
-    return rebuilt(
-        m,
-        even=all(v.denominator == 1 and v.numerator % 2 == 0 for v in C),
-        positive=all(v >= 0 for v in C),
-        symmetric=all(C[i] == C[(2 * k - i) % D] for i in sym_range),
-        staircase=all(C[i] <= C[i + 1] <= C[i] + 2 for i in range(1, k)),
-    )
-
-
-def rebuilt(m, **changes):
-    """The matching ``m`` with the fields named in ``changes`` replaced."""
-    fields = {
-        "D": m.D,
-        "numerators": m.numerators,
-        "unit": m.unit,
-        "epsilon": m.epsilon,
-        "provenance": m.provenance,
-        "even": m.even,
-        "positive": m.positive,
-        "symmetric": m.symmetric,
-        "staircase": m.staircase,
+    unit, epsilon = min(provenance, key=lambda pair: (-pair[1], pair[0]))
+    return {
+        "unit": unit,
+        "epsilon": epsilon,
+        "even": all(v.denominator == 1 and v.numerator % 2 == 0 for v in C),
+        "positive": all(v >= 0 for v in C),
+        "symmetric": all(C[i] == C[(2 * k - i) % D] for i in sym_range),
+        "staircase": all(C[i] <= C[i + 1] <= C[i] + 2 for i in range(1, k)),
     }
-    return Matching(**{**fields, **changes})
+
+
+def classified(C, provenance=((1, 1),)):
+    """The matching of the ``Fraction`` vector C, checked against ``reference_derived``."""
+    m = Matching(numerators_over_4d(len(C), C), provenance)
+    assert derived(m) == reference_derived(C, provenance)
+    return m
 
 
 def reference_det(rows):

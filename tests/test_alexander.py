@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import numerators_over_4d, rebuilt, reference_classify
+from helpers import classified, numerators_over_4d
 from unknotone.alexander import (
     AlexanderPolynomial,
     lspace_coefficient_check,
@@ -20,7 +20,7 @@ def test_trefoil_torsion():
     poly = polynomial_from_torsion((1, 0))
     assert poly.a0 == -1
     assert poly.higher == (1,)
-    assert poly.evaluate_at_one() == 1
+    assert poly.a0 + 2 * sum(poly.higher) == 1
 
 
 def test_zero_torsion_gives_unknot():
@@ -50,23 +50,27 @@ def test_terms_rendering():
 def test_roundtrip_examples():
     for torsion in [(0,), (1, 0), (2, 1, 1, 0), (4, 3, 3, 2, 2, 2, 1, 1, 1, 1, 0)]:
         poly = polynomial_from_torsion(torsion)
-        assert poly.evaluate_at_one() == 1
+        assert poly.a0 + 2 * sum(poly.higher) == 1
         assert torsion_from_polynomial(poly) == tuple(torsion)
 
 
 def test_coefficient_check_rejections():
-    with_two = AlexanderPolynomial(a0=-3, higher=(2,))
+    with_two = AlexanderPolynomial(higher=(2,))
+    assert with_two.a0 == -3
     assert not lspace_coefficient_check(with_two)
-    same_sign_adjacent = AlexanderPolynomial(a0=1, higher=(1, -1, 1, -1))
+    same_sign_adjacent = AlexanderPolynomial(higher=(1, -1, 1, -1))
+    assert same_sign_adjacent.a0 == 1
     # signs from the top: -1, +1, -1, +1, then a0 = +1 repeats +1
     assert not lspace_coefficient_check(same_sign_adjacent)
 
 
 def test_normalisation_enforced():
+    # a_0 follows from Delta(1) = 1, so only the higher coefficients are given
+    for higher in [(), (1,), (0, 1, 0, -1), (3, -2)]:
+        poly = AlexanderPolynomial(higher)
+        assert poly.a0 + 2 * sum(poly.higher) == 1
     with pytest.raises(ValidationError):
-        AlexanderPolynomial(a0=0, higher=(1,))
-    with pytest.raises(ValidationError):
-        AlexanderPolynomial(a0=1, higher=(1, 0))
+        AlexanderPolynomial(higher=(1, 0))
 
 
 def _symmetric_matching(D, window_values, start):
@@ -74,10 +78,7 @@ def _symmetric_matching(D, window_values, start):
     head = [Fraction(0)] * n
     for j, v in enumerate(window_values):
         head[start + j] = Fraction(v)
-    C = head + [head[D - i] for i in range(n, D)]
-    return reference_classify(Matching(
-        D=D, numerators=numerators_over_4d(D, C), unit=1, epsilon=1, provenance=((1, 1),)
-    ))
+    return classified(head + [head[D - i] for i in range(n, D)])
 
 
 def test_nine_33_extraction_from_its_matching():
@@ -105,31 +106,37 @@ def test_torsion_requires_symmetric_even_positive():
     head = [Fraction(0)] * 14
     for j, v in enumerate(window):
         head[5 + j] = Fraction(v)
-    C = head + [head[27 - i] for i in range(14, 27)]
-    asym = reference_classify(Matching(
-        D=27, numerators=numerators_over_4d(27, C), unit=1, epsilon=1, provenance=((1, 1),)
-    ))
+    asym = classified(head + [head[27 - i] for i in range(14, 27)])
     assert not asym.symmetric
     with pytest.raises(ValidationError):
         torsion_from_matching(asym, B)
 
 
 def test_torsion_requires_even_entries():
-    # the 9_33 matching halved: consistent on every class, but odd entries
+    # the 9_33 matching halved: consistent on every class, but odd entries,
+    # which the even filter sees
     window = (1, 1, 1, 1, 2, 2, 2, 3, 3, 4, 3, 3, 2, 2, 2, 1, 1, 1, 1)
-    m = rebuilt(_symmetric_matching(61, window, 6), even=True)
-    assert m.positive and m.symmetric and m.C[0] == 0
-    with pytest.raises(ValidationError, match="even matching"):
+    halved = _symmetric_matching(61, window, 6)
+    assert halved.positive and halved.symmetric and halved.C[0] == 0
+    assert not halved.even
+    with pytest.raises(ValidationError, match="even, positive, symmetric"):
+        torsion_from_matching(halved, gamma_vector(61))
+    # the 9_33 matching with odd entries past D/2, where no filter reads:
+    # each class also has a position i <= D/2, whose entry is even, so the
+    # refusal names the class
+    window = (2, 2, 2, 2, 4, 4, 4, 6, 6, 8, 6, 6, 4, 4, 4, 2, 2, 2, 2)
+    C = _symmetric_matching(61, window, 6).C
+    C = C[:31] + tuple(c + 1 for c in C[31:])
+    m = Matching(numerators_over_4d(61, C), ((1, 1),))
+    assert m.even and m.positive and m.symmetric and m.C[0] == 0
+    with pytest.raises(TorsionExtractionError, match="positions 0 and 31"):
         torsion_from_matching(m, gamma_vector(61))
 
 
 def test_torsion_requires_zero_at_origin():
     D = 11
     head = [Fraction(2)] * 6
-    C = head + [head[D - i] for i in range(6, D)]
-    m = reference_classify(Matching(
-        D=D, numerators=numerators_over_4d(D, C), unit=1, epsilon=1, provenance=((1, 1),)
-    ))
+    m = classified(head + [head[D - i] for i in range(6, D)])
     assert m.symmetric
     B = gamma_vector(D)
     with pytest.raises(ValidationError, match="C_0"):
@@ -144,29 +151,17 @@ def test_zero_matching_gives_zero_torsion():
 
 
 def test_inconsistent_classes_detected():
-    # fabricate a vector that pretends to be symmetric but assigns two
-    # different values to one integer-surgery class
+    # a vector that passes every filter, which read only the entries
+    # i <= D/2, but gives two values to one integer-surgery class: for
+    # D = 27 the positions 7 and 20 share a class, and C is 2 at 20 only
     D = 27
     B = gamma_vector(D)
-    n = B.n
-    head = [Fraction(0)] * n
-    # positions 1 and 12 share a class for D = 27 (residues of kappa list)
-    r = B.v_index[1]
-    partner = next(i for i in range(D) if i != 1 and B.v_index[i] == r)
-    head[1] = Fraction(2)
-    C = head + [head[D - i] for i in range(n, D)]
-    C = list(C)
-    if partner < n:
-        C[partner] = Fraction(4)
-        C[(D - partner) % D] = Fraction(4)
-    else:
-        C[partner] = Fraction(4)
-        C[D - partner] = Fraction(4)
-    m = Matching(
-        D=D, numerators=numerators_over_4d(D, C), unit=1, epsilon=1, provenance=((1, 1),),
-        even=True, positive=True, symmetric=True,
-    )
-    with pytest.raises(TorsionExtractionError):
+    assert B.v_index[7] == B.v_index[20]
+    C = [Fraction(0)] * D
+    C[20] = Fraction(2)
+    m = Matching(numerators_over_4d(D, C), ((1, 1),))
+    assert m.even and m.positive and m.symmetric and m.staircase and m.C[0] == 0
+    with pytest.raises(TorsionExtractionError, match="positions 7 and 20"):
         torsion_from_matching(m, B)
 
 

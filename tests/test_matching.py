@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from helpers import numerators_over_4d, reference_classify
+from helpers import classified
 from unknotone.catalog import record_from_dict
 from unknotone.corrections import correction_vector
 from unknotone.errors import ValidationError
@@ -11,7 +11,6 @@ from unknotone.gamma import gamma_vector
 from unknotone import matching as matching_mod
 from unknotone.lattice import QuadraticForm
 from unknotone.matching import (
-    Matching,
     Outcome,
     enumerate_matchings,
     format_compact,
@@ -116,11 +115,9 @@ def test_dimension_mismatch():
 
 
 def test_classify_zero_matching():
-    D = 27
-    zero = Matching(D=D, numerators=(0,) * D, unit=1, epsilon=1, provenance=((1, 1),))
-    flags = reference_classify(zero)
-    assert flags.even and flags.positive and flags.symmetric and flags.staircase
-    assert format_compact(flags) == "(all zero)"
+    zero = classified((Fraction(0),) * 27)
+    assert zero.even and zero.positive and zero.symmetric and zero.staircase
+    assert format_compact(zero) == "(all zero)"
 
 
 def test_classify_symmetry_ranges():
@@ -132,16 +129,10 @@ def test_classify_symmetry_ranges():
     C[6] = C[11 - 6] # conjugation partner already set
     for i in range(6, 11):
         C[i] = C[11 - i]
-    m = reference_classify(Matching(
-        D=11, numerators=numerators_over_4d(11, C), unit=1, epsilon=1, provenance=((1, 1),)
-    ))
-    assert m.symmetric
+    assert classified(C).symmetric
     C[5] = Fraction(0)
     C[6] = Fraction(0)
-    m2 = reference_classify(Matching(
-        D=11, numerators=numerators_over_4d(11, C), unit=1, epsilon=1, provenance=((1, 1),)
-    ))
-    assert not m2.symmetric
+    assert not classified(C).symmetric
 
 
 def test_classify_staircase():
@@ -152,15 +143,9 @@ def test_classify_staircase():
         C[i] = Fraction(v)
     for i in range(6, 11):
         C[i] = C[11 - i]
-    m = reference_classify(Matching(
-        D=D, numerators=numerators_over_4d(D, C), unit=1, epsilon=1, provenance=((1, 1),)
-    ))
-    assert m.staircase  # 2 <= 2 <= 4 at i = 1, 2
+    assert classified(C).staircase  # 2 <= 2 <= 4 at i = 1, 2
     C[2] = Fraction(6)
-    m2 = reference_classify(Matching(
-        D=D, numerators=numerators_over_4d(D, C), unit=1, epsilon=1, provenance=((1, 1),)
-    ))
-    assert not m2.staircase
+    assert not classified(C).staircase
 
 
 def test_gate_off_reports_but_does_not_require_symmetry():
@@ -228,9 +213,7 @@ def test_classify_non_integer_entry_over_another_denominator():
     # over 11 is even; its step from 0 is still at most 2
     C = [Fraction(0)] * 11
     C[3] = Fraction(2, 11)
-    m = reference_classify(Matching(
-        D=11, numerators=numerators_over_4d(11, C), unit=1, epsilon=1, provenance=((1, 1),)
-    ))
+    m = classified(C)
     assert not m.even
     assert m.positive and m.symmetric and m.staircase
 

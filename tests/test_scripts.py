@@ -3,7 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from unknotone.catalog import record_from_dict
+from unknotone.catalog import builtin_dataset, record_from_dict
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -48,6 +48,22 @@ def test_verify_dataset_compares_only_a_stated_determinant():
     # the record reader already refuses a stated determinant that disagrees
     assert problems(record_from_dict({"name": "r", "goeritz": [[-3]]})) == []
     assert problems(record_from_dict({"name": "r", "goeritz": [[-3]], "determinant": 3})) == []
+
+
+def test_verify_dataset_counts_the_classes_of_every_plumbing_forest(monkeypatch):
+    script = load_script("verify_dataset")
+    counted = []
+    count = script.class_count
+    monkeypatch.setattr(script, "class_count", lambda p: counted.append(p.form) or count(p))
+    # the sign-flipped star with a bad centre of weight -1: 4 classes for D = 3
+    star = [[-1, -1, 1, -1], [-1, -3, 0, 0], [1, 0, -3, 0], [-1, 0, 0, -4]]
+    record = record_from_dict({"name": "star", "goeritz": star})
+    assert script.record_problems(record) == ["class count 4 != 3"]
+    assert counted == [record.form]
+    # 8_10's form has a cycle, so it is no plumbing forest and is not counted
+    (eight_ten,) = [record for record in builtin_dataset() if record.name == "8_10"]
+    assert script.record_problems(eight_ten) == []
+    assert counted == [record.form]
 
 
 def test_every_mutant_text_occurs_once_in_src():

@@ -23,25 +23,15 @@ FORM = QuadraticForm.from_rows([[-2, 1], [1, -2]])
 A = correction_vector(FORM)
 B = gamma_vector(3)
 LISTING = enumerate_matchings(A, B)
-MATCHING = Matching(3, (0, 24, 24), 1, 1, ((1, 1), (2, 1)), True, True, False, True)
+MATCHING = Matching((0, 24, 24), ((1, 1), (2, 1)))
 VERDICT = obstruct(A, B)
 OTHER_VERDICT = Verdict(Outcome.NOT_OBSTRUCTED, (MATCHING,), True, True, "detail")
 
 # each type with its field values, in declaration order
 FIELDS = {
-    RationalVector: {"D": 3, "numerators": (-6, 2, 2)},
+    RationalVector: {"numerators": (-6, 2, 2)},
     QuadraticForm: {"gram": ((-2, 1), (1, -2))},
-    Matching: {
-        "D": 3,
-        "numerators": (0, 24, 24),
-        "unit": 1,
-        "epsilon": -1,
-        "provenance": ((1, -1), (2, -1)),
-        "even": True,
-        "positive": True,
-        "symmetric": False,
-        "staircase": True,
-    },
+    Matching: {"numerators": (0, 24, 24), "provenance": ((1, -1), (2, -1))},
     Verdict: {
         "outcome": Outcome.NOT_OBSTRUCTED,
         "witnesses": (MATCHING,),
@@ -49,8 +39,8 @@ FIELDS = {
         "strong": True,
         "detail": "detail",
     },
-    CorrectionVector: {"D": 3, "numerators": (-6, 2, 2), "generator": (1, 0)},
-    GammaVector: {"D": 3, "numerators": B.numerators, "n": 2},
+    CorrectionVector: {"numerators": (-6, 2, 2), "generator": (1, 0)},
+    GammaVector: {"numerators": B.numerators},
     WhiteGraph: {"vertex_count": 3, "edges": ((0, 1, 1), (1, 2, 1), (0, 2, 1))},
     KnotRecord: {
         "name": "r",
@@ -61,8 +51,8 @@ FIELDS = {
         "mirror_of": "s",
     },
     PlumbingForm: {"form": FORM},
-    ClassCount: {"count": 3, "determinant": 3, "is_lspace": True},
-    AlexanderPolynomial: {"a0": -1, "higher": (1,)},
+    ClassCount: {"count": 3, "determinant": 3},
+    AlexanderPolynomial: {"higher": (1,)},
     RecordReport: {
         "name": "r",
         "D": 3,
@@ -81,8 +71,6 @@ FIELDS = {
     AlexanderReport: {
         "name": "r",
         "torsion": (1, 0),
-        "polynomial": AlexanderPolynomial(-1, (1,)),
-        "coefficient_check": True,
         "matching": MATCHING,
     },
 }
@@ -118,18 +106,17 @@ def test_a_field_cannot_be_assigned_or_deleted(cls):
 
 
 def test_equality_reads_every_field_and_the_class():
-    vector = RationalVector(3, (-6, 2, 2))
-    assert vector != RationalVector(3, (-6, 1, 1))
-    assert vector != RationalVector(5, (-6, 2, 2))
-    assert vector != CorrectionVector(3, (-6, 2, 2), (1, 0))
+    vector = RationalVector((-6, 2, 2))
+    assert vector != RationalVector((-6, 1, 1))
+    assert vector != CorrectionVector((-6, 2, 2), (1, 0))
     fields = FIELDS[Matching]
-    assert Matching(**fields) != Matching(**{**fields, "staircase": False})
+    assert Matching(**fields) != Matching(**{**fields, "provenance": ((1, 1), (2, 1))})
 
 
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: CorrectionVector(3, (0, 1, 2), (1, 0)), "A_i = A_\\(D-i\\)"),
+        (lambda: CorrectionVector((0, 1, 2), (1, 0)), "A_i = A_\\(D-i\\)"),
         (lambda: WhiteGraph(2, ((0, 0, 1),)), "loop at vertex 0"),
         (lambda: KnotRecord("r"), "neither matrix nor white graph"),
         (lambda: KnotRecord("r", FORM, determinant=5), "does not match declared determinant 5"),
@@ -137,8 +124,7 @@ def test_equality_reads_every_field_and_the_class():
             lambda: PlumbingForm(QuadraticForm.from_rows([[1, 0], [0, -3]])),
             "require a negative-definite form",
         ),
-        (lambda: AlexanderPolynomial(0, (1,)), "not normalised"),
-        (lambda: AlexanderPolynomial(1, (0,)), "must not end in zero"),
+        (lambda: AlexanderPolynomial((0,)), "must not end in zero"),
     ],
     ids=[
         "CorrectionVector",
@@ -146,7 +132,6 @@ def test_equality_reads_every_field_and_the_class():
         "KnotRecord-no-form",
         "KnotRecord-determinant",
         "PlumbingForm",
-        "AlexanderPolynomial-normalised",
         "AlexanderPolynomial-trailing-zero",
     ],
 )
@@ -155,9 +140,22 @@ def test_validation_runs_at_construction(build, message):
         build()
 
 
+def test_derived_values_are_properties_of_the_fields():
+    # D is the length, (unit, epsilon) the first provenance pair, and the
+    # flags read C = (0, 2, 2): even, non-negative, and for D = 3 = 4 - 1
+    # the quarter point k = 1 leaves nothing to be symmetric or climb
+    m = Matching((0, 24, 24), ((1, 1), (2, 1)))
+    assert (m.D, m.unit, m.epsilon) == (3, 1, 1)
+    assert (m.even, m.positive, m.symmetric, m.staircase) == (True,) * 4
+    assert Matching._fields == ("numerators", "provenance")
+    assert B.n == 2 and GammaVector._fields == ("numerators",)
+    assert not ClassCount(4, 3).is_lspace and ClassCount(3, 3).is_lspace
+    assert AlexanderPolynomial((1,)).a0 == -1
+    report = AlexanderReport("r", (1, 0), MATCHING)
+    assert (report.polynomial, report.coefficient_check) == (AlexanderPolynomial((1,)), True)
+
+
 def test_defaults_fill_the_fields_left_out():
-    m = Matching(3, (0, 24, 24), 1, 1, ((1, 1),))
-    assert (m.even, m.positive, m.symmetric, m.staircase) == (False,) * 4
     v = Verdict(Outcome.NO_EVEN_MATCHING, (), gate_applied=False)
     assert (v.strong, v.detail) == (False, "")
     report = RecordReport("r", 3, v)
@@ -168,15 +166,15 @@ def test_defaults_fill_the_fields_left_out():
 @pytest.mark.parametrize(
     "args, kwargs",
     [
-        ((3, (0,), (1,), "extra"), {}),
-        ((3,), {"D": 3, "numerators": (0,), "generator": ()}),
-        ((), {"D": 3, "numerators": (0,), "generator": (), "unit": 1}),
-        ((3, (0, 0, 0)), {}),
+        (((0,), (1,), "extra"), {}),
+        (((0,),), {"numerators": (0,), "generator": ()}),
+        ((), {"D": 1, "numerators": (0,), "generator": ()}),
+        (((0, 0, 0),), {}),
     ],
     ids=["too-many", "repeated", "unknown", "missing"],
 )
 def test_a_wrong_field_list_is_a_type_error(args, kwargs):
-    with pytest.raises(TypeError, match="takes the fields D, numerators, generator"):
+    with pytest.raises(TypeError, match="takes the fields numerators, generator"):
         CorrectionVector(*args, **kwargs)
 
 
