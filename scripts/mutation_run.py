@@ -7,10 +7,11 @@ Each mutant in ``MUTANTS`` is one text substitution in one module of
 ``src/unknotone``; its text must occur exactly once in ``src/``.  For each
 mutant the script copies ``src/``, ``tests/`` and ``pyproject.toml`` of
 this checkout to a temporary directory, applies the substitution there
-and runs the plumbing, gamma, verdict-scan, oracle, matching-engine and
-box-scan tests, cheapest first, with ``pytest -x``, stopping at the first
-failure, under a per-mutant timeout (default 120 s).  It prints one line per mutant:
-killed (with the first failing test), survived or timed out.  An
+and runs the plumbing, gamma, alexander, verdict-scan, oracle,
+matching-engine and box-scan tests, cheapest first, with ``pytest -x``,
+stopping at the first failure, under a per-mutant timeout (default
+120 s).  It prints one line per mutant: killed (with the first failing
+test and the seconds it took), survived or timed out.  An
 unmutated run goes first and must pass, or the script exits 2.  Naming
 mutants runs only those.  The checkout itself is never written.
 
@@ -37,6 +38,7 @@ SRC = ROOT / "src" / "unknotone"
 TESTS = [
     "tests/test_plumbing.py",
     "tests/test_gamma.py",
+    "tests/test_alexander.py",
     "tests/test_verdict_scan.py",
     "tests/test_oracles.py",
     "tests/test_matching_engine.py",
@@ -154,6 +156,19 @@ MUTANTS = {
         "plumbing.py",
         "return self.count == self.determinant",
         "return self.count >= self.determinant",
+    ),
+    # the vector symmetry compares entry i + 1 with entry D - i, so every
+    # vector of D >= 2 is refused
+    "symmetry-offset": (
+        "lattice.py",
+        "if self.numerators[1:] != self.numerators[:0:-1]:",
+        "if self.numerators[2:] != self.numerators[:0:-1]:",
+    ),
+    # torsion index j read one position too low, at k - j - 1
+    "torsion-read-shift": (
+        "alexander.py",
+        "matching.numerators[k - j] // two",
+        "matching.numerators[k - j - 1] // two",
     ),
 }
 

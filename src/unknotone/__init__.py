@@ -25,7 +25,7 @@ _EXPORTS = {
         (
             "errors",
             "MissingSignatureError NonCyclicCokernelError SingularFormError "
-            "TorsionExtractionError UnknotOneError ValidationError",
+            "UnknotOneError ValidationError",
         ),
         ("gamma", "GammaVector gamma_vector kappa_list model_form"),
         ("lattice", "QuadraticForm cokernel"),

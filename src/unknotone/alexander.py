@@ -2,11 +2,10 @@
 
 A symmetric even positive matching with C_0 = 0 records, in disguise, twice
 the torsion coefficients of the knot whose half-integer surgery produces
-the double branched cover.  Positions i of the matching restrict to
-integer-surgery classes through the residues
-:attr:`unknotone.gamma.GammaVector.v_index`; each class is hit twice (except
-one), both hits must carry the same value, and the common value is twice a
-torsion coefficient.  Inverting the torsion relation
+the double branched cover.  Position i of the matching restricts to an
+integer-surgery class, and the class to a torsion index; the positions of
+one index carry one value, twice its torsion coefficient.  Inverting the
+torsion relation
 
     t_i = sum_{j >= 1} j * a_{i + j}
 
@@ -14,18 +13,41 @@ by second differences recovers the one-sided coefficients a_i of the
 symmetrized Alexander polynomial, with a_0 fixed by the normalisation
 Delta(1) = 1.
 
-Index transport: a residue r (mod 2n) corresponds to torsion index
-|(r + n) / 2 mod n| folded into 0..n/2.
+Index transport.  For D = 2n - 1 with quarter point k, position i
+restricts to the torsion index |min(i, D - i) - k|, which runs over 0..k.
+
+Proof.  Position i restricts to the class r = x mod 2n, x the first
+coordinate of kappa_i (:attr:`unknotone.gamma.GammaVector.v_index`), and
+the class to the index j = ((r + n) // 2) mod n folded to min(j, n - j).
+kappa_i is characteristic, so x + n is even and j = (x + n) / 2 mod n: the
+index is the circular distance mod n of (x + n) / 2 from 0.  Read x off
+:func:`unknotone.gamma._kappa_runs` run by run.
+
+- n = 2k even (D = 4k - 1): the index is the distance of x / 2 from k
+  mod 2k.  The four runs give x / 2 = i for i in 0..k, i - 2k for i in
+  k+1..2k-1, i - 2k + 1 for i in 2k..3k-2 and i - D for i in 3k-1..D-1, at
+  distances k - i, i - k, (D - i) - k and k - (D - i).
+- n = 2k + 1 odd (D = 4k + 1): the index is the distance of (x + 1) / 2
+  from k + 1 mod 2k + 1.  The three runs give (x + 1) / 2 = i + 1 for i in
+  0..k, i - 2k for i in k+1..3k+1 and i - D for i in 3k+2..D-1, at
+  distances k - i, then i - k up to i = 2k and (D - i) - k after it, and
+  k - (D - i).
+
+Each distance is |min(i, D - i) - k|.  So index j is met exactly at the
+positions with min(i, D - i) = k - j or k + j.  Every vector over Z/D has
+C_i = C_(D-i) (:class:`unknotone.lattice.RationalVector`), and the
+symmetric filter gives C_(k-j) = C_(k+j) wherever k + j <= D / 2, so every
+position of index j carries C_(k-j), and t_j = C_(k-j) / 2.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import TorsionExtractionError, ValidationError
+from .errors import ValidationError
 from .gamma import GammaVector
 from .lattice import Value
-from .matching import Matching
+from .matching import Matching, quarter_point
 
 TorsionSequence = tuple[int, ...]
 
@@ -57,20 +79,13 @@ class AlexanderPolynomial(Value):
         return " ".join(parts)
 
 
-def residue_to_torsion_index(residue: int, n: int) -> int:
-    """Fold a surgery-class residue (mod 2n) to its torsion index in 0..n//2."""
-    j = ((residue + n) // 2) % n
-    return min(j, n - j)
-
-
 def torsion_from_matching(matching: Matching, B: GammaVector) -> TorsionSequence:
-    """Extract the torsion sequence carried by a symmetric matching.
+    """The torsion sequence t_j = C_(k-j) / 2, j = 0..k, of a symmetric matching.
 
     Requires the matching to be even, positive and symmetric with C_0 = 0
-    (the comparison hypothesis for the class that pins the surgery).  Raises
-    :class:`TorsionExtractionError` when the two positions restricting to
-    the same integer-surgery class disagree, which certifies the matching
-    cannot come from an actual surgery.
+    (the comparison hypothesis for the class that pins the surgery); the
+    module docstring proves that every position of index j carries
+    C_(k-j).  Trailing zeros are trimmed and one 0 ends the sequence.
     """
     if matching.D != B.D:
         raise ValidationError("matching and comparison vector have different determinants")
@@ -78,35 +93,9 @@ def torsion_from_matching(matching: Matching, B: GammaVector) -> TorsionSequence
         raise ValidationError("torsion extraction needs an even, positive, symmetric matching")
     if matching.numerators[0] != 0:
         raise ValidationError("torsion extraction needs C_0 = 0")
-    n = B.n
+    k = quarter_point(B.D)
     two = 8 * B.D  # 2 as a numerator over 4D
-    per_class: dict[int, tuple[int, int]] = {}
-    for i, residue in enumerate(B.v_index):
-        value = matching.numerators[i]
-        if residue in per_class:
-            j, prev = per_class[residue]
-            if prev != value:
-                texts = matching.texts()
-                raise TorsionExtractionError(
-                    f"positions {j} and {i} restrict to the same class "
-                    f"but carry {texts[j]} and {texts[i]}"
-                )
-        else:
-            per_class[residue] = (i, value)
-    assigned: dict[int, int] = {}
-    for residue, (i, value) in per_class.items():
-        index = residue_to_torsion_index(residue, n)
-        half, remainder = divmod(value, two)
-        if remainder:
-            raise ValidationError(
-                f"torsion extraction needs an even matching, C_{i} = {matching.texts()[i]}"
-            )
-        if index in assigned and assigned[index] != half:
-            raise TorsionExtractionError(
-                f"torsion index {index} assigned both {assigned[index]} and {half}"
-            )
-        assigned[index] = half
-    torsion = [assigned.get(i, 0) for i in range(n // 2 + 1)]
+    torsion = [matching.numerators[k - j] // two for j in range(k + 1)]
     while torsion and torsion[-1] == 0:
         torsion.pop()
     torsion.append(0)
@@ -132,10 +121,9 @@ def polynomial_from_torsion(torsion: Sequence[int]) -> AlexanderPolynomial:
     return AlexanderPolynomial(tuple(higher))
 
 
-def torsion_from_polynomial(poly: AlexanderPolynomial, length: int | None = None) -> TorsionSequence:
+def torsion_from_polynomial(poly: AlexanderPolynomial) -> TorsionSequence:
     """The forward sum t_i = sum_{j>=1} j * a_{i+j}; the round-trip oracle."""
-    size = poly.degree if length is None else length
-    out = [sum(j * a for j, a in enumerate(poly.higher[i:], 1)) for i in range(size + 1)]
+    out = [sum(j * a for j, a in enumerate(poly.higher[i:], 1)) for i in range(poly.degree + 1)]
     while out and out[-1] == 0:
         out.pop()
     out.append(0)

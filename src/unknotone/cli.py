@@ -8,9 +8,8 @@ Each handler imports the modules it calls, so a cold run loads only those
 of its own subcommand.
 
 Exit codes: 0 computation completed (obstructed verdicts included),
-2 usage errors, 3 invalid input, 4 internal inconsistency, 141 standard
-output closed before everything was written (a reader such as ``head``
-stopped early).
+2 usage errors, 3 invalid input, 141 standard output closed before
+everything was written (a reader such as ``head`` stopped early).
 """
 
 from __future__ import annotations
@@ -21,11 +20,7 @@ import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
-from .errors import (
-    TorsionExtractionError,
-    UnknotOneError,
-    ValidationError,
-)
+from .errors import UnknotOneError, ValidationError
 
 if TYPE_CHECKING:
     from .catalog import KnotRecord
@@ -415,9 +410,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.close(devnull)
         # 128 + SIGPIPE, the status a shell reports for a writer its reader stopped
         return 141
-    except TorsionExtractionError as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
-        return 4
     except UnknotOneError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -65,8 +65,12 @@ What the vector stores.  A point's value is (x^t N x + m D) / 4D, so
 :class:`CorrectionVector` is a :class:`unknotone.lattice.RationalVector`:
 it keeps the integer numerators over 4D, which the matching search reads
 as they are, and renders them as "p/q" text with ``texts()``, one gcd per
-distinct numerator.  Its ``values`` view builds ``Fraction``s only for the
-tests, the benchmark and the scripts.
+distinct numerator.  Negating a characteristic covector keeps it
+characteristic and keeps its value, and it negates its index, so
+A_i = A_(D-i): the base type refuses any vector without that symmetry, and
+the matching search relies on it to scan only the units below D/2.  Its
+``values`` view builds ``Fraction``s only for the tests, the benchmark and
+the scripts.
 """
 
 from __future__ import annotations
@@ -90,12 +94,6 @@ class CorrectionVector(RationalVector):
     """Exact correction terms A_i = numerators[i] / 4D, indexed by multiples of ``generator``."""
 
     generator: Vector
-
-    def _validate(self) -> None:
-        # a raised check, not an assert: the matching search scans only half
-        # the units and relies on A_i = A_{D-i}, also under python -O
-        if self.numerators[1:] != self.numerators[:0:-1]:
-            raise ValidationError("correction values must have A_i = A_(D-i)")
 
     @property
     def gate(self) -> bool:

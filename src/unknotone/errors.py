@@ -46,10 +46,3 @@ class NonCyclicCokernelError(UnknotOneError):
 class MissingSignatureError(UnknotOneError):
     """A signed test was requested for a record without a signature."""
 
-
-class TorsionExtractionError(UnknotOneError):
-    """The two preimages of a surgery class carry different matching values.
-
-    This signals a matching that cannot arise from a genuine half-integer
-    surgery; it is reported rather than silently repaired.
-    """

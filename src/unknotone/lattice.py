@@ -49,7 +49,11 @@ Instances compare and hash by their fields, and assignment raises; a
 ``cached_property`` still fills the instance ``__dict__``.  A field is an
 input that the type cannot derive; everything that follows from the
 fields (a vector's D, a matching's filter flags, a class count's verdict)
-is a property, so no value can contradict itself.
+is a property, so no value can contradict itself.  A fact that every value
+of a type shares is checked once, by that type: every vector over Z/D
+(A, B and every matching C) has A_i = A_(D-i), which
+:class:`RationalVector` refuses to break, so each stage reads only the
+entries i <= D/2.
 """
 
 from __future__ import annotations
@@ -122,13 +126,19 @@ def rational_texts(numerators: Sequence[int], denominator: int) -> list[str]:
 class RationalVector(Value):
     """The rationals numerators[i] / 4D, kept as their integer numerators.
 
-    A vector over 4D has one entry per element of Z/D, so D is its length.
-    The pipeline reads ``numerators`` and output renders them with
+    A vector over 4D has one entry per element of Z/D, so D is its length,
+    and it is symmetric under i -> -i: A_i = A_(D-i) for every i, checked
+    once here, with a raised error that also holds under python -O.  The
+    pipeline reads ``numerators`` and output renders them with
     :meth:`texts`; ``values`` is the one ``Fraction`` view, which only the
     tests, the benchmark and the scripts read.
     """
 
     numerators: tuple[int, ...]
+
+    def _validate(self) -> None:
+        if self.numerators[1:] != self.numerators[:0:-1]:
+            raise ValidationError(f"a vector over Z/{self.D} must have A_i = A_(D-i)")
 
     @property
     def D(self) -> int:

@@ -11,9 +11,10 @@ the half-vector to climb to the middle in steps of at most two.
 Both searches run on integers.  A and B store their entries as integer
 numerators over 4D, so every C is a tuple of numerators over 4D, and the
 four filters are integer predicates on them, properties of the matching.
-A is conjugation-symmetric, so the units u and D - u give the same C:
-only the units below D/2 (:func:`half_units`) are scanned, and each C
-records both pairs.  ``Matching`` is a
+Every vector over Z/D has A_i = A_(D-i), which its type
+(:class:`unknotone.lattice.RationalVector`) checks, so the units u and
+D - u give the same C: only the units below D/2 (:func:`half_units`) are
+scanned, and each C records both pairs.  ``Matching`` is a
 :class:`unknotone.lattice.RationalVector` like A and B: it keeps C as
 numerators and renders them with ``texts()``; ``Matching.C`` is the
 ``Fraction`` view ``values`` of the base type, which no output reads.
@@ -22,9 +23,9 @@ The verdict scan.  Every verdict starts from the even matchings, and
 :func:`even_matchings` finds just those.  C_0 = -B_0 - epsilon A_0 does not
 depend on u, so a sign whose C_0 is odd is skipped whole; otherwise each
 unit is dropped at its first odd entry, and since A and B are symmetric
-only the entries i <= D/2 are tested.  A pair that yields an even C passes
-the test, so the survivors carry their full provenance, and each equals
-the entry of the full listing with the same C.
+by type only the entries i <= D/2 are tested.  A pair that yields an even
+C passes the test, so the survivors carry their full provenance, and each
+equals the entry of the full listing with the same C.
 
 The listing.  :func:`enumerate_matchings` builds every distinct C with its
 provenance: 2 D integers per unit below D/2, one C per sign, and up to as
@@ -74,7 +75,8 @@ FLAGS = ("even", "positive", "symmetric", "staircase")
 class Matching(RationalVector):
     """A vector C = numerators / 4D with its (unit, sign) provenance, led by the representative.
 
-    The filter flags (``FLAGS``) read C alone; C_i = C_(D-i), so the entries i <= D/2 decide them.
+    The filter flags (``FLAGS``) read C alone; C_i = C_(D-i) by type, so the entries i <= D/2
+    decide them.
     """
 
     provenance: tuple[tuple[int, int], ...]
@@ -189,10 +191,10 @@ def _listed(found: dict[tuple[int, ...], list[tuple[int, int]]]) -> tuple[Matchi
 def enumerate_matchings(A: CorrectionVector, B: GammaVector) -> tuple[Matching, ...]:
     """All matchings, deduplicated by their C vector.
 
-    The scan covers only the units below D/2: A is symmetric, so D - u
-    gives the same C as u, and both pairs go into the provenance.  Distinct
-    (unit, sign) pairs frequently produce identical vectors; these are
-    merged, with the full provenance list retained.  The result is sorted
+    The scan covers only the units below D/2: A is symmetric by type, so
+    D - u gives the same C as u, and both pairs go into the provenance.
+    Distinct (unit, sign) pairs frequently produce identical vectors; these
+    are merged, with the full provenance list retained.  The result is sorted
     by C for run-to-run stability.  A listing of more than
     :data:`LISTING_BUDGET` entries is refused with ``ValidationError``
     before the scan.

@@ -7,7 +7,8 @@ N v mod |det| with N = |det| G^{-1}, the unit that reindexes A to another
 generating covector, the closed form of B_0, the model vector B built one
 pairing at a time, the numerators of a matching's ``Fraction`` entries, a
 matching's representative pair and four filters read off those entries,
-the adjugate from cofactors over ``Fraction`` elimination, and invariant
+a matching's torsion read class by class through the residues of B, the
+adjugate from cofactors over ``Fraction`` elimination, and invariant
 factors from a Smith reduction over the integers, unbounded.
 """
 
@@ -132,6 +133,33 @@ def classified(C, provenance=((1, 1),)):
     m = Matching(numerators_over_4d(len(C), C), provenance)
     assert derived(m) == reference_derived(C, provenance)
     return m
+
+
+def reference_torsion(matching, B):
+    """The torsion of an even, positive, symmetric matching with C_0 = 0, read class by class.
+
+    Each position restricts to the integer-surgery class ``B.v_index[i]``,
+    and the two positions of a class must carry one value; the class r
+    (mod 2n) folds to the torsion index j = ((r + n) // 2) mod n or n - j,
+    whichever is smaller, and the classes of one index must agree on half
+    the value.  Indices that no class reaches get 0; trailing zeros are
+    trimmed and one 0 ends the sequence.
+    """
+    n, two = B.n, 8 * B.D  # 2 as a numerator over 4D
+    per_class = {}
+    for i, residue in enumerate(B.v_index):
+        value = matching.numerators[i]
+        assert per_class.setdefault(residue, value) == value, (residue, i)
+    assigned = {}
+    for residue, value in per_class.items():
+        j = ((residue + n) // 2) % n
+        half, remainder = divmod(value, two)
+        assert remainder == 0, (residue, value)
+        assert assigned.setdefault(min(j, n - j), half) == half, residue
+    torsion = [assigned.get(i, 0) for i in range(n // 2 + 1)]
+    while torsion and torsion[-1] == 0:
+        torsion.pop()
+    return (*torsion, 0)
 
 
 def reference_det(rows):

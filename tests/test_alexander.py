@@ -1,19 +1,19 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import classified, numerators_over_4d
+from helpers import classified, numerators_over_4d, reference_torsion
 from unknotone.alexander import (
     AlexanderPolynomial,
     lspace_coefficient_check,
     polynomial_from_torsion,
-    residue_to_torsion_index,
     torsion_from_matching,
     torsion_from_polynomial,
 )
-from unknotone.errors import TorsionExtractionError, ValidationError
+from unknotone.errors import ValidationError
 from unknotone.gamma import gamma_vector
-from unknotone.matching import Matching
+from unknotone.matching import Matching, quarter_point
 
 
 def test_trefoil_torsion():
@@ -122,15 +122,12 @@ def test_torsion_requires_even_entries():
     with pytest.raises(ValidationError, match="even, positive, symmetric"):
         torsion_from_matching(halved, gamma_vector(61))
     # the 9_33 matching with odd entries past D/2, where no filter reads:
-    # each class also has a position i <= D/2, whose entry is even, so the
-    # refusal names the class
+    # entry i and entry D - i differ, so no matching holds these entries
     window = (2, 2, 2, 2, 4, 4, 4, 6, 6, 8, 6, 6, 4, 4, 4, 2, 2, 2, 2)
     C = _symmetric_matching(61, window, 6).C
     C = C[:31] + tuple(c + 1 for c in C[31:])
-    m = Matching(numerators_over_4d(61, C), ((1, 1),))
-    assert m.even and m.positive and m.symmetric and m.C[0] == 0
-    with pytest.raises(TorsionExtractionError, match="positions 0 and 31"):
-        torsion_from_matching(m, gamma_vector(61))
+    with pytest.raises(ValidationError, match=r"A_i = A_\(D-i\)"):
+        Matching(numerators_over_4d(61, C), ((1, 1),))
 
 
 def test_torsion_requires_zero_at_origin():
@@ -151,29 +148,56 @@ def test_zero_matching_gives_zero_torsion():
 
 
 def test_inconsistent_classes_detected():
-    # a vector that passes every filter, which read only the entries
-    # i <= D/2, but gives two values to one integer-surgery class: for
-    # D = 27 the positions 7 and 20 share a class, and C is 2 at 20 only
+    # a vector whose entries i <= D/2, all that the filters read, are 0,
+    # but which gives two values to one integer-surgery class: for D = 27
+    # the positions 7 and 20 = D - 7 share a class, and C is 2 at 20 only
     D = 27
     B = gamma_vector(D)
     assert B.v_index[7] == B.v_index[20]
     C = [Fraction(0)] * D
     C[20] = Fraction(2)
-    m = Matching(numerators_over_4d(D, C), ((1, 1),))
-    assert m.even and m.positive and m.symmetric and m.staircase and m.C[0] == 0
-    with pytest.raises(TorsionExtractionError, match="positions 7 and 20"):
-        torsion_from_matching(m, B)
+    with pytest.raises(ValidationError, match=r"A_i = A_\(D-i\)"):
+        Matching(numerators_over_4d(D, C), ((1, 1),))
 
 
-def test_residue_folding_is_symmetric():
-    n = 31
-    for r in range(1, 2 * n, 2):
-        assert residue_to_torsion_index(r, n) == residue_to_torsion_index((-r) % (2 * n), n)
-        assert 0 <= residue_to_torsion_index(r, n) <= n // 2
+def test_every_position_restricts_to_its_distance_from_the_quarter_point():
+    # the index transport of the alexander docstring, against the residue
+    # fold of the integer-surgery classes that gamma --json prints
+    for D in range(3, 1002, 2):
+        B = gamma_vector(D)
+        n, k = B.n, quarter_point(D)
+        folded = []
+        for residue in B.v_index:
+            j = ((residue + n) // 2) % n
+            folded.append(min(j, n - j))
+        assert folded == [abs(min(i, D - i) - k) for i in range(D)], D
 
 
-def test_every_residue_folds_into_the_torsion_range():
-    # indices above n // 2 are never assigned, so a longer torsion list in
-    # torsion_from_matching would only gain zeros, which the trim removes
-    for n in range(1, 401):
-        assert all(0 <= residue_to_torsion_index(r, n) <= n // 2 for r in range(2 * n)), n
+def seeded_symmetric_matchings(count, seed):
+    """Even, positive matchings with C_0 = 0, C_i = C_(D-i) and C_i = C_(2k-i), odd D in 3..399.
+
+    The entries i <= D/2 are seeded even numbers, zero below a seeded
+    cutoff (so that some torsion ends in a run of zeros), then made
+    symmetric about k over the symmetric filter's range; C_0 is 0 and the
+    rest mirrors the half.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        D = rng.randrange(3, 400, 2)
+        k = quarter_point(D)
+        cutoff = rng.randint(0, k)
+        half = [0] * cutoff + [2 * rng.randint(0, 6) for _ in range(D // 2 + 1 - cutoff)]
+        half[0] = 0
+        for i in range(1 if D % 4 == 3 else 0, k):
+            half[2 * k - i] = half[i]
+        C = [Fraction(half[min(i, D - i)]) for i in range(D)]
+        yield Matching(numerators_over_4d(D, C), ((1, 1),))
+
+
+def test_torsion_agrees_with_the_residue_transport():
+    matchings = list(seeded_symmetric_matchings(300, seed=1))
+    assert all(m.even and m.positive and m.symmetric and m.numerators[0] == 0 for m in matchings)
+    assert {m.D % 4 for m in matchings} == {1, 3}
+    for m in matchings:
+        B = gamma_vector(m.D)
+        assert torsion_from_matching(m, B) == reference_torsion(m, B), m.D

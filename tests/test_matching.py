@@ -144,7 +144,7 @@ def test_classify_staircase():
     for i in range(6, 11):
         C[i] = C[11 - i]
     assert classified(C).staircase  # 2 <= 2 <= 4 at i = 1, 2
-    C[2] = Fraction(6)
+    C[2] = C[D - 2] = Fraction(6)
     assert not classified(C).staircase
 
 
@@ -212,7 +212,7 @@ def test_classify_non_integer_entry_over_another_denominator():
     # 2/11 (8/44 over 4D) is not an even integer although its numerator
     # over 11 is even; its step from 0 is still at most 2
     C = [Fraction(0)] * 11
-    C[3] = Fraction(2, 11)
+    C[3] = C[11 - 3] = Fraction(2, 11)
     m = classified(C)
     assert not m.even
     assert m.positive and m.symmetric and m.staircase

@@ -7,6 +7,9 @@ in the order its fields are declared.
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import pytest
 
 from unknotone.alexander import AlexanderPolynomial
@@ -138,6 +141,56 @@ def test_equality_reads_every_field_and_the_class():
 def test_validation_runs_at_construction(build, message):
     with pytest.raises(ValidationError, match=message):
         build()
+
+
+# the even 9_33 matching (D = 61) with 1 added to every entry past D/2,
+# where no filter reads: its entries 0..30 over 4D, then 31..60
+NINE_33_HALF = tuple(244 * c for c in (0,) * 6 + (2, 2, 2, 2, 4, 4, 4, 6, 6, 8) + (6, 6, 4, 4, 4))
+NINE_33_HALF += (488,) * 4 + (0,) * 6
+NINE_33_SKEWED = NINE_33_HALF + tuple(c + 244 for c in NINE_33_HALF[:0:-1])
+# every vector type, with its entry 1 unequal to its entry D - 1 = 2, and that matching
+ASYMMETRIC = {
+    cls.__name__: (cls, {**fields, "numerators": (-6, 2, 6)})
+    for cls, fields in FIELDS.items()
+    if issubclass(cls, RationalVector)
+}
+ASYMMETRIC["Matching-9_33-odd-past-half"] = (
+    Matching,
+    {"numerators": NINE_33_SKEWED, "provenance": ((1, 1),)},
+)
+
+
+def test_every_vector_type_is_covered():
+    vector_types = {cls for cls, _ in ASYMMETRIC.values()}
+    assert vector_types == {RationalVector, *RationalVector.__subclasses__()}
+
+
+@pytest.mark.parametrize("cls, fields", ASYMMETRIC.values(), ids=ASYMMETRIC)
+def test_every_vector_type_refuses_entry_i_unequal_to_entry_d_minus_i(cls, fields):
+    with pytest.raises(ValidationError, match=r"A_i = A_\(D-i\)"):
+        cls(**fields)
+
+
+def test_vector_symmetry_holds_under_optimisation(src_env):
+    # the refusal is a raised error, not an assert, so python -O keeps it
+    code = (
+        "from unknotone.corrections import CorrectionVector\n"
+        "from unknotone.errors import ValidationError\n"
+        "from unknotone.gamma import GammaVector\n"
+        "from unknotone.lattice import RationalVector\n"
+        "from unknotone.matching import Matching\n"
+        f"for name, fields in {[(cls.__name__, f) for cls, f in ASYMMETRIC.values()]!r}:\n"
+        "    try:\n"
+        "        globals()[name](**fields)\n"
+        "    except ValidationError as exc:\n"
+        "        print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=src_env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    refusals = ["a vector over Z/3 must have A_i = A_(D-i)"] * 4
+    assert proc.stdout.splitlines() == [*refusals, "a vector over Z/61 must have A_i = A_(D-i)"]
 
 
 def test_derived_values_are_properties_of_the_fields():

@@ -167,9 +167,11 @@ def test_gamma_vector_matches_one_pairing_per_kappa():
 
 
 def test_gamma_symmetry_check_holds_under_optimisation(src_env):
-    # an asymmetric model vector must be refused also under python -O
+    # an asymmetric model vector must be refused also under python -O, by
+    # the check that every vector type makes
     code = (
         "from unknotone import gamma\n"
+        "from unknotone.errors import ValidationError\n"
         "runs = gamma._kappa_runs\n"
         "def skewed(n):\n"
         "    out = runs(n)\n"
@@ -179,24 +181,22 @@ def test_gamma_symmetry_check_holds_under_optimisation(src_env):
         "gamma._kappa_runs = skewed\n"
         "try:\n"
         "    gamma.gamma_vector(27)\n"
-        "except AssertionError as exc:\n"
+        "except ValidationError as exc:\n"
         "    print(exc)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], env=src_env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "model vector for D = 27 is not symmetric\n"
+    assert proc.stdout == "a vector over Z/27 must have A_i = A_(D-i)\n"
 
 
 def test_singly_attained_check_holds_under_optimisation(src_env):
-    # the torsion extraction reads v_index, which is derived only then; a
+    # gamma --json prints v_index, which is derived only when read; a
     # skewed class list must be refused there also under python -O
     code = (
-        "from unknotone import alexander, gamma, report\n"
-        "from unknotone.catalog import builtin_record\n"
-        "rep = report.analyze_record(builtin_record('9_33'))\n"
-        "m = next(w for w in rep.verdict.witnesses if w.positive and w.symmetric)\n"
+        "from unknotone import gamma\n"
+        "B = gamma.gamma_vector(61)\n"
         "runs = gamma._kappa_runs\n"
         "def skewed(n):\n"
         "    out = runs(n)\n"
@@ -205,7 +205,7 @@ def test_singly_attained_check_holds_under_optimisation(src_env):
         "    return out\n"
         "gamma._kappa_runs = skewed\n"
         "try:\n"
-        "    alexander.torsion_from_matching(m, rep.B)\n"
+        "    B.v_index\n"
         "except AssertionError as exc:\n"
         "    print(exc)\n"
     )
