@@ -7,8 +7,8 @@ Each mutant in ``MUTANTS`` is one text substitution in one module of
 ``src/unknotone``; its text must occur exactly once in ``src/``.  For each
 mutant the script copies ``src/``, ``tests/`` and ``pyproject.toml`` of
 this checkout to a temporary directory, applies the substitution there
-and runs the plumbing, gamma, alexander, verdict-scan, oracle,
-matching-engine and box-scan tests, cheapest first, with ``pytest -x``,
+and runs the gamma, plumbing, matching-engine, alexander, verdict-scan,
+oracle and box-scan tests, cheapest first, with ``pytest -x``,
 stopping at the first failure, under a per-mutant timeout (default
 120 s).  It prints one line per mutant: killed (with the first failing
 test and the seconds it took), survived or timed out.  An
@@ -36,12 +36,12 @@ SRC = ROOT / "src" / "unknotone"
 
 # cheapest first, so a mutant that only a quick file kills does not wait for the slow ones
 TESTS = [
-    "tests/test_plumbing.py",
     "tests/test_gamma.py",
+    "tests/test_plumbing.py",
+    "tests/test_matching_engine.py",
     "tests/test_alexander.py",
     "tests/test_verdict_scan.py",
     "tests/test_oracles.py",
-    "tests/test_matching_engine.py",
     "tests/test_box_scan.py",
 ]
 

@@ -1,21 +1,26 @@
-"""Small lattice helpers that only the tests use.
+"""Small lattice helpers and the plain references that only the tests use.
 
-They are plain reimplementations kept outside the package: the points of
-the characteristic box, the places of a box whose coordinates lie in
-given intervals, the map q(v) = G v, the value Q(v, v), the pairing v^t N v and the coset label
-N v mod |det| with N = |det| G^{-1}, the unit that reindexes A to another
-generating covector, the closed form of B_0, the model vector B built one
-pairing at a time, the numerators of a matching's ``Fraction`` entries, a
-matching's representative pair and four filters read off those entries,
-a matching's torsion read class by class through the residues of B, the
-adjugate from cofactors over ``Fraction`` elimination, and invariant
-factors from a Smith reduction over the integers, unbounded.
+They are reimplementations kept outside the package, on integers unless
+a ``Fraction`` is named: the points of the characteristic box, each box
+point's coset label and value from one product N x with the integer
+N = |det| G^{-1}, and the largest value per label; the push classes met
+from the box, each walked to its end; the places of a box whose
+coordinates lie in given intervals, the map q(v) = G v, the value
+Q(v, v), the pairing v^t N v and the coset label N v mod |det|, the unit
+that reindexes A to another generating covector, the closed form of B_0,
+the model vector B built one pairing at a time, the numerators of a
+matching's ``Fraction`` entries, a matching's representative pair and
+four filters read off its ``Fraction`` entries, a matching's torsion read
+class by class through the residues of B, the adjugate from cofactors
+over ``Fraction`` elimination, and invariant factors from a Smith
+reduction over the integers, unbounded.
 """
 
 from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
+from operator import add, mul
 from types import SimpleNamespace
 
 from unknotone.gamma import kappa_list, model_form
@@ -27,6 +32,55 @@ def characteristic_candidates(form):
     """The points x_i = G_ii, G_ii + 2, ..., -G_ii of the characteristic box, in
     ``itertools.product`` order."""
     return list(product(*(range(row[i], 1 - row[i], 2) for i, row in enumerate(form.gram))))
+
+
+def box_values(form):
+    """({x: (label, value)} over the characteristic box, {label: largest value}).
+
+    The label of x is N x mod |det| and its value x^t N x, both read off
+    one integer product N x.
+    """
+    D = abs(form.det)
+    points, best = {}, {}
+    for x in characteristic_candidates(form):
+        Nx = [sum(map(mul, row, x)) for row in form.inverse_numerator]
+        label, value = tuple(n % D for n in Nx), sum(map(mul, x, Nx))
+        points[x] = label, value
+        if best.get(label, value) <= value:
+            best[label] = value
+    return points, best
+
+
+def push_classes(rows):
+    """Each push class met from the characteristic box, walked to its end: (members, inside).
+
+    A covector with x_i = -G_ii moves by 2 G e_i, one with x_i = G_ii by
+    -2 G e_i, and each move undoes the other; ``inside`` says whether every
+    member lies in the box |x_i| <= -G_ii.
+    """
+    dim = len(rows)
+    bound = [-rows[i][i] for i in range(dim)]
+    cols = [tuple(2 * rows[j][i] for j in range(dim)) for i in range(dim)]
+    moves = [(b, col, tuple(-c for c in col)) for b, col in zip(bound, cols)]
+    visited = set()
+    for seed in product(*(range(-b, b + 1, 2) for b in bound)):
+        if seed in visited:
+            continue
+        stack, members = [seed], {seed}
+        while stack:
+            vec = stack.pop()
+            for x, (b, col, back) in zip(vec, moves):
+                if x == b:
+                    nxt = tuple(map(add, vec, col))
+                elif x == -b:
+                    nxt = tuple(map(add, vec, back))
+                else:
+                    continue
+                if nxt not in members:
+                    members.add(nxt)
+                    stack.append(nxt)
+        visited |= members
+        yield members, all(abs(x) <= b for v in members for x, b in zip(v, bound))
 
 
 def box_places(sizes, intervals):

@@ -1,17 +1,18 @@
-"""The box scan and the class count against plain references kept in this file.
+"""The box scan and the class count against the plain references of ``helpers``.
 
 The correction terms scan the reduced box and index each point directly
 by its linking form with the generator; the class count, on plumbing
 forests only, closes the classes that leave the box and counts those left
 by their reduced-box points.  Each is compared with the direct
-computation it replaces: for the correction terms, the maxima over the
-full box per tuple coset label, listed by walking the multiples of the
-generator; for the class count, a walk that follows every class to its
-end before deciding whether it stays in the box.  The same full walk
-checks the lemmas behind the class count without calling the count or
-the scan: every class inside the box meets the reduced box, on a
-balanced form exactly once, and every class that holds a coset maximiser
-lies inside the box, so for odd D at least D classes do.
+computation it replaces, on integers: for the correction terms, the
+maxima over the full box per tuple coset label (``helpers.box_values``),
+listed by walking the multiples of the generator; for the class count,
+``helpers.push_classes``, which follows every class to its end before
+deciding whether it stays in the box.  The same full walk and box values
+check the lemmas behind the class count without calling the count or the
+scan: every class inside the box meets the reduced box, on a balanced
+form exactly once, and every class that holds a coset maximiser lies
+inside the box, so for odd D at least D classes do.
 """
 
 from fractions import Fraction
@@ -21,7 +22,7 @@ from math import gcd, prod
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from helpers import coset_label, pairing, unit_of_covector
+from helpers import box_values, coset_label, push_classes, unit_of_covector
 from test_properties import cyclic_odd, negative_definite_forms
 from unknotone.corrections import correction_vector
 from unknotone.errors import ValidationError
@@ -30,48 +31,14 @@ from unknotone.lattice import BOX_BUDGET, QuadraticForm, check_gram_entries, cok
 from unknotone.plumbing import PlumbingForm, class_count
 
 
-def reference_box(form):
-    return product(*(range(d, -d + 1, 2) for d in (form.gram[i][i] for i in range(form.dim))))
-
-
-def reference_classes(rows):
-    """Each push class met from the box, walked in full: (members, inside)."""
-    dim = len(rows)
-    bound = [-rows[i][i] for i in range(dim)]
-    cols = [tuple(2 * rows[j][i] for j in range(dim)) for i in range(dim)]
-
-    def neighbours(vec):
-        for i in range(dim):
-            if vec[i] == bound[i]:
-                yield tuple(a + b for a, b in zip(vec, cols[i]))
-            elif vec[i] == -bound[i]:
-                yield tuple(a - b for a, b in zip(vec, cols[i]))
-
-    visited = set()
-    for seed in product(*(range(-b, b + 1, 2) for b in bound)):
-        if seed in visited:
-            continue
-        stack, members = [seed], {seed}
-        while stack:
-            for nxt in neighbours(stack.pop()):
-                if nxt not in members:
-                    members.add(nxt)
-                    stack.append(nxt)
-        visited |= members
-        yield members, all(abs(v[i]) <= bound[i] for v in members for i in range(dim))
-
-
 def reference_class_count(rows):
     """Walk every class in full; count those lying inside the box."""
-    return sum(inside for _, inside in reference_classes(rows))
+    return sum(inside for _, inside in push_classes(rows))
 
 
 def reference_correction_values(form, generator=None):
     """Full-box maxima per tuple label, listed by a D-step walk of the generator."""
-    best = {}
-    for x in reference_box(form):
-        label, value = coset_label(form, x), pairing(form, x)
-        best[label] = max(best.get(label, value), value)
+    _, best = box_values(form)
     det = abs(form.det)
     assert len(best) == det
     step = coset_label(form, generator or cokernel_generator(form))
@@ -211,7 +178,7 @@ def test_class_count_matches_full_walk_on_sign_flipped_stars(rows):
 def assert_in_box_classes_meet_reduced_box(rows):
     """Every class inside the box has a member with x_i != G_ii for all i."""
     dim = len(rows)
-    for members, inside in reference_classes(rows):
+    for members, inside in push_classes(rows):
         if inside:
             assert any(all(x[i] != rows[i][i] for i in range(dim)) for x in members)
 
@@ -231,16 +198,11 @@ def test_in_box_classes_meet_reduced_box_on_stars_with_bad_vertex(rows):
 def assert_maximiser_classes_inside_box(rows):
     """Every class holding a full-box coset maximiser lies inside the box."""
     form = QuadraticForm.from_rows(rows)
-    best = {}
-    for x in reference_box(form):
-        label, value = coset_label(form, x), pairing(form, x)
-        best[label] = max(best.get(label, value), value)
+    points, best = box_values(form)
     inside_count = 0
-    for members, inside in reference_classes(rows):
+    for members, inside in push_classes(rows):
         inside_count += inside
-        # a push adds 2 G e_i, which lies in q(V): a class lies in one coset
-        most = best[coset_label(form, next(iter(members)))]
-        if any(pairing(form, x) == most for x in members):
+        if any(value == best[label] for label, value in map(points.get, members & points.keys())):
             assert inside
     D = abs(form.det)
     if D % 2:
@@ -256,7 +218,7 @@ def test_maximiser_classes_lie_inside_box(form):
     assert_maximiser_classes_inside_box(form.gram)
 
 
-# the full walks of the star examples cost about 0.3 s each
+# the full walks of the star examples cost about 0.1 s each
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(star_plumbings_with_bad_vertex())
 def test_maximiser_classes_lie_inside_box_on_stars_with_bad_vertex(rows):
@@ -277,7 +239,7 @@ def test_maximiser_class_meeting_reduced_box_twice():
     rows = [[-4, -1], [-1, -4]]
     twice = [
         members
-        for members, _ in reference_classes(rows)
+        for members, _ in push_classes(rows)
         if sum(all(x[i] != rows[i][i] for i in range(2)) for x in members) == 2
     ]
     assert twice == [{(-4, -4), (-2, 4), (4, -2)}]
@@ -339,7 +301,7 @@ def assert_one_reduced_point_per_class(rows):
     signs = reference_signs(rows)
     assert signs is not None
     rows = flipped(rows, signs)
-    for members, inside in reference_classes(rows):
+    for members, inside in push_classes(rows):
         if inside:
             assert reduced_points(rows, members) == 1, members
 
@@ -364,7 +326,7 @@ def test_balanced_in_box_classes_meet_reduced_box_once_on_sign_flipped_stars(row
 )
 def test_unbalanced_forms_have_more_reduced_points_than_classes(rows, classes, points):
     assert reference_signs(rows) is None
-    inside = [members for members, inside in reference_classes(rows) if inside]
+    inside = [members for members, inside in push_classes(rows) if inside]
     assert len(inside) == classes
     assert sum(reduced_points(rows, members) for members in inside) == points
     # no plumbing forest: the count is refused
@@ -451,7 +413,7 @@ def test_model_form_with_given_generator(D):
         "longest-range-in-the-middle",
     ],
 )
-def test_scan_shapes_in_both_modes(rows):
+def test_scan_shapes(rows):
     # the scan runs the longest range innermost, wherever it lies in coordinate order
     assert_matches_reference(QuadraticForm.from_rows(rows))
 

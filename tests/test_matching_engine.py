@@ -1,10 +1,12 @@
-"""The integer matching engine against a plain Fraction enumeration.
+"""The integer matching engine against a plain enumeration kept in this file.
 
-The reference scans every unit and both signs on ``Fraction``s and applies
-the four filters to the ``Fraction`` entries, as the definitions read.  The
-engine must return the very same tuple: C, provenance and order, which
-``==`` compares, and the representative unit and sign and the four flags,
-which it does not.
+The reference scans every unit 1..D-1 and both signs on the integer
+numerators over 4D, with no half-unit scan and no early exit, and reads
+the four filters off each distinct C's ``Fraction`` entries with
+``helpers.reference_derived``, as the definitions read.  The engine must
+return the very same tuple: C, provenance and order, which ``==``
+compares, and the representative unit and sign and the four flags, which
+it does not.
 """
 
 from fractions import Fraction
@@ -13,7 +15,7 @@ from math import gcd
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from helpers import derived, numerators_over_4d, reference_derived
+from helpers import derived, reference_derived
 from test_properties import cyclic_odd, negative_definite_forms
 from unknotone.catalog import builtin_dataset
 from unknotone.corrections import CorrectionVector, correction_vector
@@ -24,20 +26,18 @@ from unknotone.matching import Matching, Outcome, enumerate_matchings, even_matc
 
 def reference_matchings(A, B):
     """The matchings, sorted by C, each with its ``reference_derived`` values."""
-    D = A.D
+    D, a, b = A.D, A.numerators, B.numerators
     found = {}
     for epsilon in (1, -1):
         for u in range(1, D):
             if gcd(u, D) == 1:
-                C = tuple(-B.values[i] - epsilon * A.values[(u * i) % D] for i in range(D))
+                C = tuple(-b[i] - epsilon * a[u * i % D] for i in range(D))
                 found.setdefault(C, []).append((u, epsilon))
-    out = []
-    for C, provenance in found.items():
-        provenance.sort(key=lambda pair: (-pair[1], pair[0]))
-        m = Matching(numerators_over_4d(D, C), tuple(provenance))
-        out.append((m, reference_derived(C, provenance)))
-    out.sort(key=lambda pair: pair[0].C)
-    return out
+    # each provenance list is already epsilon = +1 first, units ascending
+    return [
+        (Matching(C, tuple(found[C])), reference_derived([Fraction(c, 4 * D) for c in C], found[C]))
+        for C in sorted(found)
+    ]
 
 
 def check_engine(A, B):

@@ -270,7 +270,7 @@ def test_surgery_of_the_unknot_is_the_lens_space():
 
 
 def test_companion_torsion_reproduces_A():
-    # pins the matching-to-torsion index transport (alexander.residue_to_torsion_index)
+    # pins the torsion read off the half-matching (alexander.torsion_from_matching)
     seen = []
     for record in builtin_dataset():
         for companion in alexander_reports(record):

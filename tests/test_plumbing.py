@@ -7,7 +7,7 @@ import pytest
 
 from unknotone import cli, corrections, plumbing as plumbing_mod
 from unknotone.errors import ValidationError
-from helpers import box_places, characteristic_candidates, pairing
+from helpers import box_places, characteristic_candidates, pairing, push_classes
 from unknotone.lattice import QuadraticForm
 from unknotone.plumbing import PlumbingForm, class_count, plumbing_corrections
 
@@ -165,37 +165,11 @@ def test_walk_preserves_length_and_partitions_box():
     for rows in ([[-2, 1], [1, -3]], [[-3, 1], [1, -3]], [[-2, 1, 0], [1, -2, 1], [0, 1, -3]]):
         form = QuadraticForm.from_rows(rows)
         box = set(characteristic_candidates(form))
-        seen = set()
-        counted = class_count(PlumbingForm.from_rows(rows))
-        # regenerate the classes the same way the counter does
-        diag = [rows[i][i] for i in range(len(rows))]
-        cols = [tuple(2 * rows[j][i] for j in range(len(rows))) for i in range(len(rows))]
-
-        def neighbours(vec):
-            for i in range(len(rows)):
-                if vec[i] == -diag[i]:
-                    yield tuple(a + b for a, b in zip(vec, cols[i]))
-                elif vec[i] == diag[i]:
-                    yield tuple(a - b for a, b in zip(vec, cols[i]))
-
-        classes = []
-        visited = set()
-        for seed in box:
-            if seed in visited:
-                continue
-            stack, members = [seed], {seed}
-            while stack:
-                cur = stack.pop()
-                for nxt in neighbours(cur):
-                    if nxt not in members:
-                        members.add(nxt)
-                        stack.append(nxt)
-            visited |= members
-            classes.append(members)
-            lengths = {pairing(form, v) for v in members}
-            assert len(lengths) == 1
+        classes = [members for members, _ in push_classes(rows)]
+        for members in classes:
+            assert len({pairing(form, v) for v in members}) == 1
         in_box_classes = [cls for cls in classes if cls <= box]
-        assert len(in_box_classes) == counted.count
+        assert len(in_box_classes) == class_count(PlumbingForm.from_rows(rows)).count
         assert set().union(*(cls & box for cls in classes)) == box
 
 
