@@ -7,8 +7,8 @@ Each mutant in ``MUTANTS`` is one text substitution in one module of
 ``src/unknotone``; its text must occur exactly once in ``src/``.  For each
 mutant the script copies ``src/``, ``tests/`` and ``pyproject.toml`` of
 this checkout to a temporary directory, applies the substitution there
-and runs the gamma, plumbing, matching-engine, alexander, verdict-scan,
-oracle and box-scan tests, cheapest first, with ``pytest -x``,
+and runs the gamma, plumbing, golden-output, matching-engine, alexander,
+verdict-scan, oracle and box-scan tests, cheapest first, with ``pytest -x``,
 stopping at the first failure, under a per-mutant timeout (default
 120 s).  It prints one line per mutant: killed (with the first failing
 test and the seconds it took), survived or timed out.  An
@@ -38,6 +38,7 @@ SRC = ROOT / "src" / "unknotone"
 TESTS = [
     "tests/test_gamma.py",
     "tests/test_plumbing.py",
+    "tests/test_outputs.py",
     "tests/test_matching_engine.py",
     "tests/test_alexander.py",
     "tests/test_verdict_scan.py",
@@ -169,6 +170,18 @@ MUTANTS = {
         "alexander.py",
         "matching.numerators[k - j] // two",
         "matching.numerators[k - j - 1] // two",
+    ),
+    # a text report with no records prints one empty line
+    "empty-report-line": (
+        "cli.py",
+        "        if text:\n            print(text)\n",
+        "        print(text)\n",
+    ),
+    # a batch whose records fail to parse exits 0
+    "parse-failure-exit": (
+        "cli.py",
+        "return 3 if failures else 0",
+        "return 0",
     ),
 }
 

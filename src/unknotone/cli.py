@@ -2,14 +2,21 @@
 
 Subcommands: corrections, gamma, match, obstruct, alexander,
 plumbing-check, report.  Input records come from the bundled dataset,
-builtin.json (--knot NAME), a JSON file (--input PATH), or standard input.
-All rationals are printed exactly as p/q; there is no decimal output.
-Each handler imports the modules it calls, so a cold run loads only those
-of its own subcommand.
+builtin.json (--knot NAME), a JSON file (--input PATH), or standard input,
+each read as strict UTF-8.  All rationals are printed exactly as p/q;
+there is no decimal output.  Each handler imports the modules it calls, so
+a cold run loads only those of its own subcommand.
+
+Each handler returns what its command prints, the JSON payload and the
+text, and prints nothing itself.  ``main`` alone prints: the payload under
+--json, else the text (an empty text prints nothing), then in text the
+``PARSE ERROR`` lines of a batch's ``parse_errors`` on standard error; it
+sets the exit code.
 
 Exit codes: 0 computation completed (obstructed verdicts included),
-2 usage errors, 3 invalid input, 141 standard output closed before
-everything was written (a reader such as ``head`` stopped early).
+2 usage errors, 3 invalid input (a batch record that fails to parse
+included), 141 standard output closed before everything was written (a
+reader such as ``head`` stopped early).
 """
 
 from __future__ import annotations
@@ -24,11 +31,20 @@ from .errors import UnknotOneError, ValidationError
 
 if TYPE_CHECKING:
     from .catalog import KnotRecord
+    from .matching import Verdict
 
 # Ten-crossing knots whose published unknotting number is "two or three";
 # the verdict here only rules out one, and no two-step unknotting is known.
 TWO_OR_THREE = ("10_51", "10_54", "10_77", "10_79")
 
+# the name lists of the paper tables: payload key and text label
+PAPER_LISTS = {
+    "no_even_matching": "no even matching",
+    "no_even_positive_matching": "no even positive matching",
+    "asymmetric_only": "asymmetric only",
+    "ten_crossing_unknotting_two": "ten-crossing, unknotting number two",
+    "ten_crossing_unknotting_two_or_three": "ten-crossing, unknotting number two or three",
+}
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -38,25 +54,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_input_options(p: argparse.ArgumentParser) -> None:
+    def record_command(name: str, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
         p.add_argument("--knot", metavar="NAME", help="a bundled record by name")
         p.add_argument("--input", metavar="PATH", help="JSON record file ('-' for stdin)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
+        return p
 
-    p = sub.add_parser("corrections", help="correction-term vector of a record")
-    add_input_options(p)
+    p = record_command("corrections", "correction-term vector of a record")
     p.add_argument("--generator", type=int, metavar="N", help="reindex by the unit N")
-
     p = sub.add_parser("gamma", help="model comparison vector for a determinant")
     p.add_argument("--D", type=int, required=True, metavar="N", help="odd determinant >= 3")
     p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("match", help="all deduplicated matchings of a record")
-    add_input_options(p)
+    p = record_command("match", "all deduplicated matchings of a record")
     p.add_argument("--generator", type=int, metavar="N")
-
-    p = sub.add_parser("obstruct", help="run the obstruction verdict")
-    add_input_options(p)
+    p = record_command("obstruct", "run the obstruction verdict")
     p.add_argument("--strong", action="store_true", help="apply the staircase filter")
     p.add_argument(
         "--sign-refined",
@@ -64,13 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="single-sign test for both crossing signs (needs a signature)",
     )
     p.add_argument("--generator", type=int, metavar="N")
-
-    p = sub.add_parser("alexander", help="torsion and polynomial from symmetric matchings")
-    add_input_options(p)
-
-    p = sub.add_parser("plumbing-check", help="class-count L-space certificate")
-    add_input_options(p)
-
+    record_command("alexander", "torsion and polynomial from symmetric matchings")
+    record_command("plumbing-check", "class-count L-space certificate")
     p = sub.add_parser("report", help="batch verdicts and table reproduction")
     p.add_argument("--input", metavar="PATH", help="JSON record file ('-' for stdin)")
     p.add_argument("--all", action="store_true", help="process every bundled record")
@@ -100,24 +107,24 @@ def _load_single_record(args: argparse.Namespace) -> KnotRecord:
 
 
 def _read_text(path: str) -> str:
-    """A record file's text; '-' reads standard input."""
-    if path == "-":
-        return sys.stdin.read()
+    """A record file's text, decoded as strict UTF-8; '-' reads standard input."""
     try:
+        if path == "-":
+            return sys.stdin.buffer.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
+        where = "standard input" if path == "-" else path
+        raise ValidationError(f"cannot read {where}: {exc}") from exc
 
 
-def _emit(payload: dict, as_json: bool, text: str) -> None:
-    if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
+def _witness_text(verdict: Verdict) -> str:
+    from .matching import format_compact
+
+    return "; ".join(format_compact(m) for m in verdict.witnesses)
 
 
-def cmd_corrections(args: argparse.Namespace) -> int:
+def cmd_corrections(args: argparse.Namespace) -> tuple[dict, str]:
     from .corrections import correction_vector
 
     record = _load_single_record(args)
@@ -125,30 +132,19 @@ def cmd_corrections(args: argparse.Namespace) -> int:
     if args.generator is not None:
         A = A.reindexed(args.generator)
     texts = A.texts()
-    text = "\n".join(
-        [
-            f"{record.name}: D = {A.D}",
-            "A = " + ", ".join(texts),
-            f"spin value A_0 = {texts[0]}; symmetry gate: {A.gate}",
-        ]
+    payload = dict(knot=record.name, D=A.D, A=texts, generator=list(A.generator), gate=A.gate)
+    text = (
+        f"{record.name}: D = {A.D}\nA = {', '.join(texts)}\n"
+        f"spin value A_0 = {texts[0]}; symmetry gate: {A.gate}"
     )
-    payload = {
-        "knot": record.name,
-        "D": A.D,
-        "A": texts,
-        "generator": list(A.generator),
-        "gate": A.gate,
-    }
-    _emit(payload, args.json, text)
-    return 0
+    return payload, text
 
 
-def cmd_gamma(args: argparse.Namespace) -> int:
+def cmd_gamma(args: argparse.Namespace) -> tuple[dict, str]:
     from .gamma import gamma_vector
 
     B = gamma_vector(args.D)
     texts = B.texts()
-    text = f"D = {B.D}\nB = " + ", ".join(texts)
     # the covector data is derived only for the JSON
     payload = {
         "D": B.D,
@@ -156,28 +152,26 @@ def cmd_gamma(args: argparse.Namespace) -> int:
         "kappas": [list(kappa) for kappa in B.kappas],
         "v_index": list(B.v_index),
     } if args.json else {}
-    _emit(payload, args.json, text)
-    return 0
+    return payload, f"D = {B.D}\nB = " + ", ".join(texts)
 
 
-def cmd_match(args: argparse.Namespace) -> int:
+def cmd_match(args: argparse.Namespace) -> tuple[dict, str]:
     from .matching import FLAGS, format_compact
     from .report import analyze_record, report_to_json
 
     record = _load_single_record(args)
     report = analyze_record(record, generator_unit=args.generator, listing=True)
-    lines = [f"{record.name}: D = {report.D}, {len(report.matchings)} matchings"]
     # each output renders the whole listing: build only the one printed
-    if not args.json:
-        for m in report.matchings:
-            flags = "".join(tag if getattr(m, flag) else "-" for tag, flag in zip("EPSt", FLAGS))
-            lines.append(f"  unit {m.unit:>3} eps {m.epsilon:+d} [{flags}]  {format_compact(m)}")
-    _emit(report_to_json(report) if args.json else {}, args.json, "\n".join(lines))
-    return 0
+    if args.json:
+        return report_to_json(report), ""
+    lines = [f"{record.name}: D = {report.D}, {len(report.matchings)} matchings"]
+    for m in report.matchings:
+        flags = "".join(tag if getattr(m, flag) else "-" for tag, flag in zip("EPSt", FLAGS))
+        lines.append(f"  unit {m.unit:>3} eps {m.epsilon:+d} [{flags}]  {format_compact(m)}")
+    return {}, "\n".join(lines)
 
 
-def cmd_obstruct(args: argparse.Namespace) -> int:
-    from .matching import format_compact
+def cmd_obstruct(args: argparse.Namespace) -> tuple[dict, str]:
     from .report import analyze_record, report_to_json, sign_refined_record, verdict_to_json
 
     if args.sign_refined and (args.strong or args.generator is not None):
@@ -185,55 +179,41 @@ def cmd_obstruct(args: argparse.Namespace) -> int:
     record = _load_single_record(args)
     if args.sign_refined:
         signed = sign_refined_record(record)
-        payload = {
-            "knot": signed.name,
-            "signature": signed.signature,
-            "negative_to_positive": verdict_to_json(signed.negative_to_positive),
-            "positive_to_negative": verdict_to_json(signed.positive_to_negative),
-        }
+        payload = {"knot": signed.name, "signature": signed.signature}
         lines = [f"{signed.name}: signature {signed.signature}"]
-        for label, verdict in (
-            ("negative->positive", signed.negative_to_positive),
-            ("positive->negative", signed.positive_to_negative),
-        ):
-            witness = "; ".join(format_compact(m) for m in verdict.witnesses)
-            suffix = f"  [{witness}]" if witness else ""
-            lines.append(f"  {label}: {verdict.outcome.value}{suffix}")
-        _emit(payload, args.json, "\n".join(lines))
-        return 0
+        for field in ("negative_to_positive", "positive_to_negative"):
+            verdict = getattr(signed, field)
+            payload[field] = verdict_to_json(verdict)
+            witnesses = _witness_text(verdict)
+            lines.append(
+                f"  {field.replace('_to_', '->')}: {verdict.outcome.value}"
+                + (f"  [{witnesses}]" if witnesses else "")
+            )
+        return payload, "\n".join(lines)
     report = analyze_record(
         record, strong=args.strong, generator_unit=args.generator, listing=args.json
     )
-    witnesses = "; ".join(format_compact(m) for m in report.verdict.witnesses)
-    text = f"{record.name}: D = {report.D}, verdict {report.outcome.value}"
-    if witnesses:
-        text += f"\n  witnesses: {witnesses}"
     # the JSON carries the full matching listing; the text needs the verdict only
-    _emit(report_to_json(report) if args.json else {}, args.json, text)
-    return 0
+    if args.json:
+        return report_to_json(report), ""
+    witnesses = _witness_text(report.verdict)
+    text = f"{record.name}: D = {report.D}, verdict {report.outcome.value}"
+    return {}, text + (f"\n  witnesses: {witnesses}" if witnesses else "")
 
 
-def cmd_alexander(args: argparse.Namespace) -> int:
+def cmd_alexander(args: argparse.Namespace) -> tuple[dict, str]:
     from .matching import format_compact
     from .report import alexander_reports, matching_to_json
 
     record = _load_single_record(args)
-    reports = alexander_reports(record)
-    if not reports:
-        _emit(
-            {"knot": record.name, "companions": []},
-            args.json,
-            f"{record.name}: no symmetric even positive matching with C_0 = 0",
-        )
-        return 0
     lines = [f"{record.name}:"]
-    payload_items = []
-    for rep in reports:
+    companions = []
+    for rep in alexander_reports(record):
         lines.append(f"  matching: {format_compact(rep.matching)}")
         lines.append(f"  torsion:  {', '.join(str(t) for t in rep.torsion)}")
         lines.append(f"  Delta(T) = {rep.polynomial.terms()}")
         lines.append(f"  coefficient shape admissible: {rep.coefficient_check}")
-        payload_items.append(
+        companions.append(
             {
                 "matching": matching_to_json(rep.matching),
                 "torsion": list(rep.torsion),
@@ -245,11 +225,12 @@ def cmd_alexander(args: argparse.Namespace) -> int:
                 "coefficient_check": rep.coefficient_check,
             }
         )
-    _emit({"knot": record.name, "companions": payload_items}, args.json, "\n".join(lines))
-    return 0
+    if not companions:
+        lines = [f"{record.name}: no symmetric even positive matching with C_0 = 0"]
+    return {"knot": record.name, "companions": companions}, "\n".join(lines)
 
 
-def cmd_plumbing_check(args: argparse.Namespace) -> int:
+def cmd_plumbing_check(args: argparse.Namespace) -> tuple[dict, str]:
     from .lattice import cokernel
     from .plumbing import PlumbingForm, class_count, plumbing_corrections
 
@@ -270,11 +251,9 @@ def cmd_plumbing_check(args: argparse.Namespace) -> int:
     # vertex each, where the count certifies (Ozsvath-Szabo).  A needs an odd
     # cyclic cokernel
     if counted.is_lspace and counted.determinant % 2 and len(cokernel(plumbing.form)) < 2:
-        A = plumbing_corrections(plumbing)
-        payload["A"] = A.texts()
+        payload["A"] = plumbing_corrections(plumbing).texts()
         lines.append("  A = " + ", ".join(payload["A"]))
-    _emit(payload, args.json, "\n".join(lines))
-    return 0
+    return payload, "\n".join(lines)
 
 
 def _knot_sort_key(name: str) -> tuple[int, int]:
@@ -291,36 +270,25 @@ def _paper_tables_payload(strong: bool) -> dict:
 
     reports = batch_reports(builtin_dataset(), strong=strong)
     by_name = {entry["knot"]: entry for entry in reports}
+    names = sorted(by_name, key=_knot_sort_key)
 
     def with_verdict(verdict: str) -> list[str]:
-        return sorted(
-            (n for n, entry in by_name.items() if entry.get("verdict") == verdict),
-            key=_knot_sort_key,
-        )
+        return [n for n in names if by_name[n].get("verdict") == verdict]
 
-    ten_alternating = [
-        n
-        for n in by_name
-        if n.startswith("10_") and int(n.split("_")[1]) <= 123
-    ]
-    u_two = sorted(
-        (
-            n
-            for n in ten_alternating
-            if by_name[n].get("obstructed") and n not in TWO_OR_THREE
-        ),
-        key=_knot_sort_key,
-    )
     return {
         "records": sorted(reports, key=lambda e: _knot_sort_key(e["knot"])),
         "no_even_matching": with_verdict("NoEvenMatching"),
         "no_even_positive_matching": with_verdict("NoEvenPositiveMatching"),
         "asymmetric_only": with_verdict("NoSymmetricMatching"),
         "witness_rows": {n: by_name[n].get("witnesses", []) for n in sorted(by_name)},
-        "ten_crossing_unknotting_two": u_two,
-        "ten_crossing_unknotting_two_or_three": [
-            n for n in TWO_OR_THREE if n in by_name
+        # the obstructed alternating ten-crossing knots (10_1 to 10_123)
+        "ten_crossing_unknotting_two": [
+            n
+            for n in names
+            if n.startswith("10_") and int(n.split("_")[1]) <= 123
+            and by_name[n].get("obstructed") and n not in TWO_OR_THREE
         ],
+        "ten_crossing_unknotting_two_or_three": [n for n in TWO_OR_THREE if n in by_name],
     }
 
 
@@ -332,7 +300,8 @@ def _report_row(entry: dict) -> str:
     return f"{entry['knot']:>8}  D={entry['D']:>3}  {entry['verdict']:<26} {witnesses}"
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def cmd_report(args: argparse.Namespace) -> tuple[dict, str]:
+    """The tables, or a batch whose ``parse_errors`` lists the records that failed to parse."""
     from .catalog import builtin_dataset, decode_record_entries, record_from_dict
     from .report import batch_reports
 
@@ -342,19 +311,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise ValidationError("--paper-tables reads the bundled records; give no --input")
     if args.paper_tables:
         payload = _paper_tables_payload(strong=args.strong)
-        lines = [
-            "no even matching: " + ", ".join(payload["no_even_matching"]),
-            "no even positive matching: " + ", ".join(payload["no_even_positive_matching"]),
-            "asymmetric only: " + ", ".join(payload["asymmetric_only"]),
-            "ten-crossing, unknotting number two: "
-            + ", ".join(payload["ten_crossing_unknotting_two"]),
-            "ten-crossing, unknotting number two or three: "
-            + ", ".join(payload["ten_crossing_unknotting_two_or_three"]),
-            "",
-            *map(_report_row, payload["records"]),
-        ]
-        _emit(payload, args.json, "\n".join(lines))
-        return 0
+        lines = [f"{label}: " + ", ".join(payload[key]) for key, label in PAPER_LISTS.items()]
+        return payload, "\n".join([*lines, "", *map(_report_row, payload["records"])])
 
     # piped standard input is read as with --input -
     path = args.input or (None if args.all or sys.stdin.isatty() else "-")
@@ -369,16 +327,9 @@ def cmd_report(args: argparse.Namespace) -> int:
                 records.append(record_from_dict(entry, where=f"record {i}"))
             except ValidationError as exc:
                 parse_failures.append({"index": i, "error": str(exc)})
-
     reports = batch_reports(records, strong=args.strong)
-    summary = {"records": reports, "parse_errors": parse_failures}
-    # a text report with no records prints nothing, not an empty line
-    if args.json or reports:
-        _emit(summary, args.json, "\n".join(map(_report_row, reports)))
-    if not args.json:
-        for failure in parse_failures:
-            print(f"PARSE ERROR: {failure['error']}", file=sys.stderr)
-    return 3 if parse_failures else 0
+    payload = {"records": reports, "parse_errors": parse_failures}
+    return payload, "\n".join(map(_report_row, reports))
 
 
 COMMANDS = {
@@ -393,13 +344,28 @@ COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = COMMANDS[args.command](args)
+        payload, text = COMMANDS[args.command](args)
+        if args.json:
+            try:
+                text = json.dumps(payload, indent=2, sort_keys=True)
+            except ValueError as exc:
+                # CPython's int-string limit, met by a --generator unit of thousands of digits
+                raise ValidationError(
+                    "the JSON output needs an integer of more than "
+                    f"{sys.get_int_max_str_digits()} digits"
+                ) from exc
+        # a text report with no records prints nothing, not an empty line
+        if text:
+            print(text)
+        failures = payload.get("parse_errors", [])
+        if not args.json:
+            for failure in failures:
+                print(f"PARSE ERROR: {failure['error']}", file=sys.stderr)
         # write what is buffered now, so that a reader that stopped early is seen here
         sys.stdout.flush()
-        return code
+        return 3 if failures else 0
     except BrokenPipeError:
         # the reader closed standard output early: the rest goes to the null
         # device, so that the flush at exit raises nothing either

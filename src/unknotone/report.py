@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import gcd
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .catalog import KnotRecord
 from .corrections import CorrectionVector, correction_vector, scannable_cokernel
@@ -33,6 +33,9 @@ from .matching import (
     obstruct,
     sign_refined_obstruct,
 )
+
+if TYPE_CHECKING:
+    from .alexander import AlexanderPolynomial
 
 
 class RecordReport(Value):
@@ -157,7 +160,7 @@ class AlexanderReport(Value):
     matching: Matching
 
     @cached_property
-    def polynomial(self) -> alexander_mod.AlexanderPolynomial:
+    def polynomial(self) -> AlexanderPolynomial:
         from . import alexander as alexander_mod
 
         return alexander_mod.polynomial_from_torsion(self.torsion)

@@ -19,6 +19,12 @@ EIGHT_TEN_JSON = json.dumps(
 )
 
 
+def piped(data, errors="strict"):
+    """A standard input that holds ``data`` (text is encoded as UTF-8), as a pipe gives it."""
+    raw = data.encode("utf-8") if isinstance(data, str) else data
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors=errors)
+
+
 def run_main(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -86,9 +92,7 @@ def test_usage_error_exit_code():
 
 
 def test_stdin_single_record(monkeypatch, capsys):
-    import io
-
-    monkeypatch.setattr(sys, "stdin", io.StringIO(EIGHT_TEN_JSON))
+    monkeypatch.setattr(sys, "stdin", piped(EIGHT_TEN_JSON))
     code, out, _ = run_main(["obstruct"], capsys)
     assert code == 0
     assert "NoSymmetricMatching" in out
@@ -141,6 +145,22 @@ def test_report_batch_continues_past_bad_records(tmp_path, capsys):
     assert code == 3  # a record failed to parse
     assert "good" in out
     assert "PARSE ERROR" in err
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_a_batch_of_only_parse_failures_exits_3_and_prints_no_empty_line(flags, tmp_path, capsys):
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps([{"name": "broken", "goeritz": [[-2, 1], [0, -2]]}]))
+    code, out, err = run_main(["report", "--input", str(path), *flags], capsys)
+    message = "record 0 (broken): bad Goeritz matrix: Gram matrix is not symmetric at (1, 0): 0 != 1"
+    assert code == 3
+    if flags:
+        # the failure is in the JSON, and nothing goes to standard error
+        payload = {"records": [], "parse_errors": [{"index": 0, "error": message}]}
+        assert (json.loads(out), err) == (payload, "")
+    else:
+        # no verdict to print: standard output stays empty, not one empty line
+        assert (out, err.splitlines()) == ("", [f"PARSE ERROR: {message}"])
 
 
 def test_report_json_includes_analysis_errors(tmp_path, capsys):
@@ -715,6 +735,43 @@ def test_piped_report_reads_like_input_dash(tmp_path, src_env):
     ]
 
 
+# a unit mod 15 of 4,300 digits, which argparse still reads; on diag(-3, -5) the
+# generator pick's fallback gives (2, 4), so the JSON would print 4U, of 4,301 digits
+HUGE_UNIT = str(3 * 10**4299 + 1)
+
+
+@pytest.mark.parametrize("command", ["corrections", "obstruct", "match"])
+def test_a_generator_too_long_for_the_json_is_refused_in_one_line(command, tmp_path, capsys):
+    path = _record_file(tmp_path, [[-3, 0], [0, -5]])
+    argv = [command, "--generator", HUGE_UNIT, "--input", path]
+    code, out, err = run_main([*argv, "--json"], capsys)
+    digits = sys.get_int_max_str_digits()
+    assert (code, out, err.splitlines()) == (
+        3, "", [f"error: the JSON output needs an integer of more than {digits} digits"]
+    )
+    # the text prints no generator
+    code, out, err = run_main(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("r: D = 15")
+
+
+@pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+@pytest.mark.parametrize("command", ["obstruct", "report"])
+def test_standard_input_is_decoded_as_strict_utf8_like_a_file(
+    command, errors, tmp_path, capsys, monkeypatch
+):
+    # the error handler of sys.stdin is set by the locale or PYTHONIOENCODING
+    data = b'[{"name":"\xff","goeritz":[[-3]]}]'
+    path = tmp_path / "record.json"
+    path.write_bytes(data)
+    reason = "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"
+    code, out, err = run_main([command, "--input", str(path)], capsys)
+    assert (code, out, err.splitlines()) == (3, "", [f"error: cannot read {path}: {reason}"])
+    monkeypatch.setattr(sys, "stdin", piped(data, errors))
+    code, out, err = run_main([command], capsys)
+    assert (code, out, err.splitlines()) == (3, "", [f"error: cannot read standard input: {reason}"])
+
+
 NON_CYCLIC = {"name": "r", "goeritz": [[-3, 0], [0, -3003]], "signature": 0}
 
 
@@ -923,7 +980,7 @@ def test_cli_boundary_fuzz(tree):
     text = _json_text(tree)
     for argv in (["obstruct"], ["report", "--json"], ["plumbing-check"]):
         out, err = io.StringIO(), io.StringIO()
-        with mock.patch.object(sys, "stdin", io.StringIO(text)):
+        with mock.patch.object(sys, "stdin", piped(text)):
             with redirect_stdout(out), redirect_stderr(err):
                 code = main([*argv, "--input", "-"])
         assert code in (0, 3), (argv, err.getvalue())

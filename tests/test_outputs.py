@@ -46,6 +46,8 @@ RECORDS = {
             [1, 0, 0, 0, 0, 0, 0, -2],
         ],
     },
+    # an asymmetric matrix: the one record of a batch fails to parse
+    "BROKEN": {"name": "broken", "goeritz": [[-2, 1], [0, -2]]},
 }
 
 COMMANDS = (
@@ -74,6 +76,17 @@ COMMANDS = (
     # a form outside the class count's theorem, and a star inside it
     ("plumbing-check", "--json", "--input", "SHARP"),
     ("plumbing-check", "--json", "--input", "STAR"),
+    # the text renderers of the tables, a batch, A and the signed verdicts,
+    # alexander with no companion, and a batch whose one record fails to
+    # parse (its text report prints nothing on stdout)
+    ("report", "--paper-tables"),
+    ("report", "--all"),
+    ("corrections", "--knot", "8_10"),
+    ("alexander", "--knot", "8_10"),
+    ("alexander", "--knot", "8_10", "--json"),
+    ("obstruct", "--knot", "9_33", "--sign-refined"),
+    ("report", "--json", "--input", "BROKEN"),
+    ("report", "--input", "BROKEN"),
 )
 
 # sha256 of stdout and the exit code, recorded before the renderers moved
@@ -102,6 +115,15 @@ DIGESTS = {
     'match --input LISTING': ('c65cfb13141979c554960a18ebd92736ba3f732ab74ae465f50c8ac317e709fc', 0),
     'match --input LISTING --json': ('86ed64a0862320f61582d16f474235f2b9f0add20916d9ea664b4d780c9f35ba', 0),
     'obstruct --strong --input CHAIN': ('0b74e06a1a9178d7d8651a33d333506fce526bb2d899f11aad14f763b4fdb256', 0),
+    # recorded before the handlers began returning their output to main
+    'report --paper-tables': ('03d7d51d072aabce5ebdbbb07426a7ae3612b84a2ebf45d29c9af5fb6d134e51', 0),
+    'report --all': ('d8acb1380ce32fb74262144beaedcea4868aada9671b5bc6847ce22b9483b47a', 0),
+    'corrections --knot 8_10': ('fa5ada1796cebcd9903708f4f1ad6051180e856019524489066cf72290b72f7a', 0),
+    'alexander --knot 8_10': ('de54c9cc912953e95511ef1659152aa312385213e4083c88944e9733f4921cac', 0),
+    'alexander --knot 8_10 --json': ('6d5fd42b3f6bae21e641a1b6404290a070c466ce8b2160168941b710cc7a7b95', 0),
+    'obstruct --knot 9_33 --sign-refined': ('234f8aa5dd43624396de5740a40e30dfd0d9412dd2ed1290ae13de1e052aaa4f', 0),
+    'report --json --input BROKEN': ('369c074e043a54cb11f8672a5f1f09d7f376b1dcaf07c398c35eb2fdd2309a01', 3),
+    'report --input BROKEN': ('e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 3),
 }
 
 
