@@ -7,13 +7,14 @@ Each mutant in ``MUTANTS`` is one text substitution in one module of
 ``src/unknotone``; its text must occur exactly once in ``src/``.  For each
 mutant the script copies ``src/``, ``tests/`` and ``pyproject.toml`` of
 this checkout to a temporary directory, applies the substitution there
-and runs the gamma, plumbing, golden-output, matching-engine, alexander,
-verdict-scan, oracle and box-scan tests, cheapest first, with ``pytest -x``,
-stopping at the first failure, under a per-mutant timeout (default
-120 s).  It prints one line per mutant: killed (with the first failing
-test and the seconds it took), survived or timed out.  An
-unmutated run goes first and must pass, or the script exits 2.  Naming
-mutants runs only those.  The checkout itself is never written.
+and runs the gamma, plumbing, generalized-Laufer, golden-output,
+matching-engine, alexander, verdict-scan, oracle and box-scan tests,
+cheapest first, with ``pytest -x``, stopping at the first failure, under
+a per-mutant timeout (default 120 s).  It prints one line per mutant:
+killed (with the first failing test and the seconds it took), survived
+or timed out.  An unmutated run goes first and must pass, or the script
+exits 2.  Naming mutants runs only those.  The checkout itself is never
+written.
 
 The tests run one mutant at a time in one child interpreter, limited to
 2 GiB of address space, so a mutant that loops or grows stops there.
@@ -38,6 +39,7 @@ SRC = ROOT / "src" / "unknotone"
 TESTS = [
     "tests/test_gamma.py",
     "tests/test_plumbing.py",
+    "tests/test_generalized_laufer.py",
     "tests/test_outputs.py",
     "tests/test_matching_engine.py",
     "tests/test_alexander.py",
@@ -219,8 +221,13 @@ def run_tests(mutant: tuple[str, str, str] | None, timeout: float) -> tuple[str,
         seconds = time.monotonic() - start
     if proc.returncode == 0:
         return "survived", "", seconds
-    failed = re.search(r"^FAILED (\S+)", proc.stdout, re.MULTILINE)
-    return "killed", failed.group(1) if failed else f"exit {proc.returncode}", seconds
+    return "killed", first_failure(proc.stdout) or f"exit {proc.returncode}", seconds
+
+
+def first_failure(summary: str) -> str | None:
+    """The node id of the first FAILED line of pytest's summary, spaces included."""
+    failed = re.search(r"^FAILED (.+?)(?: - .*)?$", summary, re.MULTILINE)
+    return failed.group(1) if failed else None
 
 
 def main() -> int:

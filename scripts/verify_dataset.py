@@ -19,7 +19,7 @@ import sys
 from unknotone.catalog import KnotRecord, builtin_dataset
 from unknotone.corrections import correction_vector
 from unknotone.errors import ValidationError
-from unknotone.lattice import cokernel
+from unknotone.lattice import cokernel, rational_texts
 from unknotone.plumbing import PlumbingForm, class_count
 
 
@@ -37,12 +37,13 @@ def record_problems(record: KnotRecord) -> list[str]:
     else:
         A = correction_vector(form)
         if not A.gate:
-            problems.append(f"gate fails: A_0 = {A.values[0]}")
+            problems.append(f"gate fails: A_0 = {rational_texts(A.numerators[:1], 4 * A.D)[0]}")
         off = [entry for i, row in enumerate(form.gram) for j, entry in enumerate(row) if i != j]
         alternating = min(off, default=0) >= 0 or max(off, default=0) <= 0
         if alternating and record.signature is not None:
             if -A.numerators[0] != record.signature * A.D:
-                problems.append(f"signature {record.signature} != -4 A_0 = {-4 * A.values[0]}")
+                spin = rational_texts([-A.numerators[0]], A.D)[0]
+                problems.append(f"signature {record.signature} != -4 A_0 = {spin}")
     try:
         plumbing = PlumbingForm(form)
     except ValidationError:

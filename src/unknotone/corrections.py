@@ -69,8 +69,7 @@ distinct numerator.  Negating a characteristic covector keeps it
 characteristic and keeps its value, and it negates its index, so
 A_i = A_(D-i): the base type refuses any vector without that symmetry, and
 the matching search relies on it to scan only the units below D/2.  Its
-``values`` view builds ``Fraction``s only for the tests, the benchmark and
-the scripts.
+``values`` view builds ``Fraction``s only for the tests and the benchmark.
 """
 
 from __future__ import annotations
@@ -109,7 +108,9 @@ class CorrectionVector(RationalVector):
         D = self.D
         if D > 1 and gcd(unit, D) != 1:
             raise ValidationError(f"{unit} is not a unit mod {D}")
-        nums = tuple(self.numerators[(unit * i) % D] for i in range(D))
+        # the index map needs only unit mod D; the generator keeps the unit as given
+        step = unit % D
+        nums = tuple(self.numerators[step * i % D] for i in range(D))
         generator = tuple(unit * x for x in self.generator)
         return CorrectionVector(nums, generator)
 

@@ -131,7 +131,7 @@ class RationalVector(Value):
     once here, with a raised error that also holds under python -O.  The
     pipeline reads ``numerators`` and output renders them with
     :meth:`texts`; ``values`` is the one ``Fraction`` view, which only the
-    tests, the benchmark and the scripts read.
+    tests and the benchmark read.
     """
 
     numerators: tuple[int, ...]

@@ -37,7 +37,18 @@ and the graph is rational.  A negative-definite plumbed rational homology
 sphere is an L-space exactly when its graph is rational (Nemethi, "Links
 of rational singularities, L-spaces and LO fundamental groups", Invent.
 Math. 210, 2017).  On a tree the intersection numbers are |G_ij|: the
-signs of the edges do not change the manifold.
+signs of the edges do not change the manifold.  On a forest each tree
+has its own sequence.
+
+On a rational forest every correction term comes from Nemethi's
+generalized Laufer sequence ("On the Ozsvath-Szabo invariant of negative
+definite plumbed 3-manifolds", Geom. Topol. 9, 2005), again with no box.
+Flip the edge signs to S G S, so that G_ij is 0 or 1 off the diagonal,
+and put N = D G^{-1} with D = |det G|.  For each coset, take its element r
+with E-coordinates in [0, 1) and its covector c = G r; while some c_v > 0,
+add E_v to r, that is column v of G to c.  At the end, k = K + 2c with
+K_v = -G_vv - 2 is a characteristic covector of largest square in its
+coset, and the correction term there is (k^t N k + sD) / 4D, s the rank.
 """
 
 from fractions import Fraction
@@ -125,17 +136,108 @@ def two_bridge_signature(p, q):
 
 
 def laufer_rational(rows):
-    """Whether the negative-definite plumbing tree with Gram matrix ``rows`` is rational."""
+    """Whether every tree of the negative-definite plumbing forest ``rows`` is rational."""
     dim = len(rows)
-    if dim == 0:
-        return True
     meet = [[rows[i][j] if i == j else abs(rows[i][j]) for j in range(dim)] for i in range(dim)]
-    x = [int(i == 0) for i in range(dim)]
-    while True:
-        dots = [sum(a * b for a, b in zip(x, column)) for column in meet]
-        j = next((j for j, dot in enumerate(dots) if dot > 0), None)
-        if j is None:
-            return True
-        if dots[j] >= 2:
-            return False
-        x[j] += 1
+    x = [0] * dim
+    # a finished tree keeps its dots <= 0, and no edge reaches the next one
+    for start in range(dim):
+        if x[start]:
+            continue
+        x[start] = 1
+        while True:
+            dots = [sum(a * b for a, b in zip(x, column)) for column in meet]
+            j = next((j for j, dot in enumerate(dots) if dot > 0), None)
+            if j is None:
+                break
+            if dots[j] >= 2:
+                return False
+            x[j] += 1
+    return True
+
+
+def forest_signs(rows):
+    """Signs s with s_i s_j G_ij in {0, 1} off the diagonal, or None if ``rows`` is no forest.
+
+    An edge is an entry G_ij != 0 off the diagonal; a plumbing forest has
+    every such entry +-1 and no cycle.
+    """
+    dim = len(rows)
+    signs = [0] * dim
+    for root in range(dim):
+        if signs[root]:
+            continue
+        signs[root] = 1
+        stack = [(root, None)]
+        while stack:
+            i, parent = stack.pop()
+            for j in range(dim):
+                if j == i or not rows[i][j]:
+                    continue
+                if abs(rows[i][j]) != 1:
+                    return None
+                if j != parent:
+                    if signs[j]:
+                        return None  # a second path to j closes a cycle
+                    signs[j] = signs[i] * rows[i][j]
+                    stack.append((j, i))
+    return signs
+
+
+def inverse_numerator(rows):
+    """(N, D) with D = |det G| and N = D G^{-1}, by Gauss-Jordan elimination over Q."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    det = Fraction(1)
+    for c in range(n):
+        p = next(r for r in range(c, n) if m[r][c])
+        if p != c:
+            m[c], m[p], det = m[p], m[c], -det
+        pivot = m[c][c]
+        det *= pivot
+        m[c] = [x / pivot for x in m[c]]
+        for r in range(n):
+            if r != c and m[r][c]:
+                factor = m[r][c]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[c])]
+    D = abs(det)
+    return [[int(D * x) for x in row[n:]] for row in m], int(D)
+
+
+def nemethi_corrections(rows, generator):
+    """Numerators over 4D of the correction terms of a rational plumbing forest.
+
+    Entry i is the term at the coset of i * ``generator``, so the result
+    lists the same vector as the box scan listed against that generator:
+    a covector x lies in the coset of (w . x mod D) * generator, with
+    w = a^{-1} N g mod D and a = g^t N g.
+    """
+    signs = forest_signs(rows)
+    if signs is None or not laufer_rational(rows):
+        raise ValueError("not a rational plumbing forest")
+    dim = len(rows)
+    N, D = inverse_numerator(rows)
+    n_g = [sum(a * b for a, b in zip(row, generator)) for row in N]
+    w = [pow(sum(a * b for a, b in zip(generator, n_g)), -1, D) * x % D for x in n_g]
+    # everything below is in the basis of S G S: N becomes S N S, g becomes S g,
+    # so N g becomes S N g, and a covector k of S G S is S k of G, of the same
+    # square and index w . S k
+    flip = [[signs[i] * signs[j] * rows[i][j] for j in range(dim)] for i in range(dim)]
+    flip_n = [[signs[i] * signs[j] * N[i][j] for j in range(dim)] for i in range(dim)]
+    flip_n_g = [signs[v] * x for v, x in enumerate(n_g)]
+    flip_w = [signs[v] * x for v, x in enumerate(w)]
+    canonical = [-flip[v][v] - 2 for v in range(dim)]
+    values = [None] * D
+    for i in range(D):
+        r = [x * i % D for x in flip_n_g]  # D times r, for r in [0, 1)^s
+        c = [sum(a * b for a, b in zip(row, r)) // D for row in flip]
+        while (v := next((v for v, x in enumerate(c) if x > 0), None)) is not None:
+            c = [a + b for a, b in zip(c, flip[v])]
+        k = [a + 2 * b for a, b in zip(canonical, c)]
+        square = sum(x * sum(a * b for a, b in zip(row, k)) for x, row in zip(k, flip_n))
+        index = sum(a * b for a, b in zip(flip_w, k)) % D
+        if values[index] is not None:
+            raise AssertionError(f"two cosets land on index {index}")
+        values[index] = square + dim * D
+    return tuple(values)

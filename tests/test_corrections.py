@@ -105,6 +105,14 @@ def test_explicit_generator_reindexes_values():
         A.reindexed(3)  # not a unit mod 27
 
 
+def test_a_long_unit_reindexes_like_its_residue_and_keeps_its_generator():
+    unit = 3 * 10**4299 + 1  # 4,300 digits, a unit mod 27
+    A = correction_vector(EIGHT_TEN)
+    re = A.reindexed(unit)
+    assert re.numerators == A.reindexed(unit % A.D).numerators
+    assert re.generator == tuple(unit * x for x in A.generator)
+
+
 def test_mirrored_negates():
     A = correction_vector(EIGHT_TEN)
     assert [-v for v in A.mirrored().values] == list(A.values)

@@ -73,3 +73,12 @@ def test_every_mutant_text_occurs_once_in_src():
         assert text != replacement, name
         assert sources[module].count(text) == 1, name
         assert sum(source.count(text) for source in sources.values()) == 1, name
+
+
+def test_a_kill_names_the_whole_parametrized_test():
+    first_failure = load_script("mutation_run").first_failure
+    test = "tests/test_outputs.py::test_output_is_byte_identical[report --paper-tables --json]"
+    summary = f"1 failed\nFAILED {test} - AssertionError: assert 'a' == 'b'\nFAILED tests/x.py::y\n"
+    assert first_failure(summary) == test
+    assert first_failure(f"FAILED {test}\n") == test
+    assert first_failure("1 passed in 0.1s\n") is None
