@@ -7,14 +7,14 @@ Each mutant in ``MUTANTS`` is one text substitution in one module of
 ``src/unknotone``; its text must occur exactly once in ``src/``.  For each
 mutant the script copies ``src/``, ``tests/`` and ``pyproject.toml`` of
 this checkout to a temporary directory, applies the substitution there
-and runs the gamma, plumbing, generalized-Laufer, golden-output,
-matching-engine, alexander, verdict-scan, oracle and box-scan tests,
-cheapest first, with ``pytest -x``, stopping at the first failure, under
-a per-mutant timeout (default 120 s).  It prints one line per mutant:
-killed (with the first failing test and the seconds it took), survived
-or timed out.  An unmutated run goes first and must pass, or the script
-exits 2.  Naming mutants runs only those.  The checkout itself is never
-written.
+and runs the gamma, plumbing, integer-core, generalized-Laufer,
+golden-output, matching-engine, alexander, verdict-scan, oracle and
+box-scan tests, cheapest first, with ``pytest -x``, stopping at the first
+failure, under a per-mutant timeout (default 120 s).  It prints one line
+per mutant: killed (with the first failing test and the seconds it took),
+survived or timed out.  An unmutated run goes first and must pass, or the
+script exits 2.  Naming mutants runs only those.  The checkout itself is
+never written.
 
 The tests run one mutant at a time in one child interpreter, limited to
 2 GiB of address space, so a mutant that loops or grows stops there.
@@ -35,10 +35,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "unknotone"
 
-# cheapest first, so a mutant that only a quick file kills does not wait for the slow ones
+# cheapest first, so a mutant that only a quick file kills does not wait for the slow
+# ones; the integer core goes before the Laufer oracle, which a wrong det sign keeps
+# searching past the timeout
 TESTS = [
     "tests/test_gamma.py",
     "tests/test_plumbing.py",
+    "tests/test_integer_core.py",
     "tests/test_generalized_laufer.py",
     "tests/test_outputs.py",
     "tests/test_matching_engine.py",
@@ -184,6 +187,19 @@ MUTANTS = {
         "cli.py",
         "return 3 if failures else 0",
         "return 0",
+    ),
+    # a zero pivot swaps up a lower row without negating the other, so det
+    # changes sign at every swap
+    "row-swap-sign": (
+        "lattice.py",
+        "a[k], a[lower] = a[lower], [-x for x in a[k]]",
+        "a[k], a[lower] = a[lower], a[k]",
+    ),
+    # the Smith diagonal left unordered: Z/2 + Z/3 is not rewritten as Z/1 + Z/6
+    "smith-order": (
+        "lattice.py",
+        "diagonal[i], diagonal[j] = gcd(diagonal[i], diagonal[j]), lcm(diagonal[i], diagonal[j])",
+        "diagonal[i], diagonal[j] = diagonal[i], diagonal[j]",
     ),
 }
 

@@ -65,10 +65,6 @@ class AlexanderPolynomial(Value):
     def a0(self) -> int:
         return 1 - 2 * sum(self.higher)
 
-    @property
-    def degree(self) -> int:
-        return len(self.higher)
-
     def terms(self) -> str:
         """Signed term list, highest degree last; a_0 = 1 - 2 sum a_i is odd, so it leads."""
         parts = [str(self.a0)]
@@ -119,15 +115,6 @@ def polynomial_from_torsion(torsion: Sequence[int]) -> AlexanderPolynomial:
     while higher and higher[-1] == 0:
         higher.pop()
     return AlexanderPolynomial(tuple(higher))
-
-
-def torsion_from_polynomial(poly: AlexanderPolynomial) -> TorsionSequence:
-    """The forward sum t_i = sum_{j>=1} j * a_{i+j}; the round-trip oracle."""
-    out = [sum(j * a for j, a in enumerate(poly.higher[i:], 1)) for i in range(poly.degree + 1)]
-    while out and out[-1] == 0:
-        out.pop()
-    out.append(0)
-    return tuple(out)
 
 
 def lspace_coefficient_check(poly: AlexanderPolynomial) -> bool:

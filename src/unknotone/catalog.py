@@ -22,7 +22,7 @@ import json
 import os
 import sys
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import ValidationError
 from .lattice import QuadraticForm, Value, check_dimension, check_gram_entries
@@ -212,10 +212,6 @@ def parse_knot_records(text: str) -> list[KnotRecord]:
     """Parse a JSON array of records (or a single record object)."""
     entries = decode_record_entries(text)
     return [record_from_dict(entry, where=f"record {i}") for i, entry in enumerate(entries)]
-
-
-def serialize_knot_records(records: Sequence[KnotRecord]) -> str:
-    return json.dumps([record_to_dict(r) for r in records], indent=2)
 
 
 def _builtin_entries() -> list:

@@ -12,19 +12,26 @@ the model vector B built one pairing at a time, the numerators of a
 matching's ``Fraction`` entries, a matching's representative pair and
 four filters read off its ``Fraction`` entries, a matching's torsion read
 class by class through the residues of B, the adjugate from cofactors
-over ``Fraction`` elimination, and invariant factors from a Smith
-reduction over the integers, unbounded.
+over ``Fraction`` elimination, and invariant factors from the gcds of
+minors.
+
+The end of the file holds what several test files share, so that no test
+module imports another: the strategy of random negative-definite forms,
+star and block-sum builders, the E8 form, and the published vectors A and
+B for determinant 27.
 """
 
 from collections import Counter
 from fractions import Fraction
-from itertools import product
-from math import gcd, lcm, prod
+from itertools import combinations, product
+from math import gcd, prod
 from operator import add, mul
 from types import SimpleNamespace
 
+from hypothesis import assume, strategies as st
+
 from unknotone.gamma import kappa_list, model_form
-from unknotone.lattice import cokernel_generator
+from unknotone.lattice import QuadraticForm, cokernel, cokernel_generator
 from unknotone.matching import Matching, quarter_point
 
 
@@ -248,31 +255,122 @@ def reference_adjugate(rows):
     )
 
 
-def reference_smith_diagonal(rows):
-    """Invariant factors d_1 | d_2 | ... of a nonsingular integer matrix, no modulus.
+def reference_invariant_factors(rows):
+    """Invariant factors d_1 | d_2 | ... | d_n of a nonsingular integer matrix, from minors.
 
-    A smallest nonzero entry of the remaining block moves to (t, t) and
-    reduces row t and column t, until both are clear; the entries grow
-    without bound on the way.
+    The k-th determinantal divisor D_k, the gcd of the k x k minors, is
+    d_1 ... d_k, so d_k = D_k / D_(k-1).  Each k x k minor is expanded along
+    its first row into (k-1) x (k-1) minors of the layer before.
     """
-    a = [list(row) for row in rows]
-    n = len(a)
-    for t in range(n):
-        while any(a[i][t] for i in range(t + 1, n)) or any(a[t][t + 1 :]):
-            block = range(t, n)
-            _, r, c = min((abs(a[i][j]), i, j) for i in block for j in block if a[i][j])
-            a[t], a[r] = a[r], a[t]
-            for row in a:
-                row[t], row[c] = row[c], row[t]
-            for i in range(t + 1, n):
-                q = a[i][t] // a[t][t]
-                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-            for j in range(t + 1, n):
-                q = a[t][j] // a[t][t]
-                for row in a:
-                    row[j] -= q * row[t]
-    diagonal = [abs(a[t][t]) for t in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            diagonal[i], diagonal[j] = gcd(diagonal[i], diagonal[j]), lcm(diagonal[i], diagonal[j])
-    return diagonal
+    n = len(rows)
+    previous, divisors = {((), ()): 1}, [1]
+    for k in range(1, n + 1):
+        layer = {
+            (r, c): sum(
+                (-1) ** j * rows[r[0]][col] * previous[r[1:], c[:j] + c[j + 1 :]]
+                for j, col in enumerate(c)
+            )
+            for r in combinations(range(n), k)
+            for c in combinations(range(n), k)
+        }
+        divisors.append(gcd(*layer.values()))
+        previous = layer
+    return [b // a for a, b in zip(divisors, divisors[1:])]
+
+
+# --- shared by several test files -------------------------------------------
+# random negative-definite forms: D0 = diag(-d_i) conjugated by small
+# unimodular shears, keeping the determinant (hence all invariants) under control
+
+
+@st.composite
+def negative_definite_forms(draw, max_dim=4, max_abs_det=60):
+    dim = draw(st.integers(min_value=1, max_value=max_dim))
+    while True:
+        diag = draw(
+            st.lists(st.integers(min_value=1, max_value=7), min_size=dim, max_size=dim)
+        )
+        det = prod(diag)
+        if det % 2 == 1 and det <= max_abs_det:
+            break
+    rows = [[(-diag[i] if i == j else 0) for j in range(dim)] for i in range(dim)]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        i = draw(st.integers(min_value=0, max_value=dim - 1))
+        j = draw(st.integers(min_value=0, max_value=dim - 1))
+        if i == j:
+            continue
+        c = draw(st.sampled_from([-1, 1]))
+        # row/column shear: G <- U^T G U with U = I + c E_{ij}
+        for k in range(dim):
+            rows[j][k] += c * rows[i][k]
+        for k in range(dim):
+            rows[k][j] += c * rows[k][i]
+    form = QuadraticForm.from_rows(rows)
+    assume(form.is_negative_definite)
+    return form
+
+
+def cyclic_odd(form):
+    D = abs(form.det)
+    return len(cokernel(form)) == 1 and D % 2 == 1 and D >= 3
+
+
+def flipped(rows, signs):
+    """S G S for S = diag(signs): the same form in the basis with e_i -> -e_i where s_i = -1."""
+    return [[s * t * g for t, g in zip(signs, row)] for s, row in zip(signs, rows)]
+
+
+def star(centre, legs):
+    """A star with the given centre weight and legs of diagonal weights, edges +1."""
+    weights = [centre] + [w for leg in legs for w in leg]
+    rows = [[weights[i] if i == j else 0 for j in range(len(weights))] for i in range(len(weights))]
+    at = 1
+    for leg in legs:
+        previous = 0
+        for _ in leg:
+            rows[previous][at] = rows[at][previous] = 1
+            previous, at = at, at + 1
+    return rows
+
+
+def block_sum(first, second):
+    """The orthogonal sum of two forms, ``first`` on the leading coordinates."""
+    n, m = len(first), len(second)
+    return [row + [0] * m for row in first] + [[0] * n + row for row in second]
+
+
+# the E8 tree: chain of seven -2 vertices with an eighth hanging off the
+# fifth; the unique unimodular negative-definite form of rank eight
+E8 = [
+    [-2, 1, 0, 0, 0, 0, 0, 0],
+    [1, -2, 1, 0, 0, 0, 0, 0],
+    [0, 1, -2, 1, 0, 0, 0, 0],
+    [0, 0, 1, -2, 1, 0, 0, 0],
+    [0, 0, 0, 1, -2, 1, 0, 1],
+    [0, 0, 0, 0, 1, -2, 1, 0],
+    [0, 0, 0, 0, 0, 1, -2, 0],
+    [0, 0, 0, 0, 1, 0, 0, -2],
+]
+
+# the published correction terms of the double cover of 8_10, in the
+# published generator's order
+A27_PUBLISHED = [
+    Fraction(-1, 2), Fraction(25, 54), Fraction(-35, 54), Fraction(1, 6),
+    Fraction(-59, 54), Fraction(-23, 54), Fraction(1, 6), Fraction(37, 54),
+    Fraction(-47, 54), Fraction(-1, 2), Fraction(-11, 54), Fraction(1, 54),
+    Fraction(1, 6), Fraction(13, 54), Fraction(13, 54), Fraction(1, 6),
+    Fraction(1, 54), Fraction(-11, 54), Fraction(-1, 2), Fraction(-47, 54),
+    Fraction(37, 54), Fraction(1, 6), Fraction(-23, 54), Fraction(-59, 54),
+    Fraction(1, 6), Fraction(-35, 54), Fraction(25, 54),
+]
+
+# the full published comparison vector for determinant 27
+B27 = [
+    Fraction(1, 2), Fraction(23, 54), Fraction(11, 54), Fraction(-1, 6),
+    Fraction(-37, 54), Fraction(-73, 54), Fraction(-13, 6), Fraction(-169, 54),
+    Fraction(-121, 54), Fraction(-3, 2), Fraction(-49, 54), Fraction(-25, 54),
+    Fraction(-1, 6), Fraction(-1, 54), Fraction(-1, 54), Fraction(-1, 6),
+    Fraction(-25, 54), Fraction(-49, 54), Fraction(-3, 2), Fraction(-121, 54),
+    Fraction(-169, 54), Fraction(-13, 6), Fraction(-73, 54), Fraction(-37, 54),
+    Fraction(-1, 6), Fraction(11, 54), Fraction(23, 54),
+]

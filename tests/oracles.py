@@ -49,6 +49,10 @@ with E-coordinates in [0, 1) and its covector c = G r; while some c_v > 0,
 add E_v to r, that is column v of G to c.  At the end, k = K + 2c with
 K_v = -G_vv - 2 is a characteristic covector of largest square in its
 coset, and the correction term there is (k^t N k + sD) / 4D, s the rank.
+
+The torsion coefficients of a knot come back from its one-sided Alexander
+coefficients a_i by the forward sum t_i = sum_{j >= 1} j a_(i+j), which
+the package inverts by second differences.
 """
 
 from fractions import Fraction
@@ -241,3 +245,14 @@ def nemethi_corrections(rows, generator):
             raise AssertionError(f"two cosets land on index {index}")
         values[index] = square + dim * D
     return tuple(values)
+
+
+def torsion_from_polynomial(poly):
+    """The forward sum t_i = sum_{j>=1} j * a_{i+j} over the one-sided coefficients of
+    ``poly``, trailing zeros trimmed and one 0 appended: the inverse that
+    ``alexander.polynomial_from_torsion`` must round-trip with."""
+    out = [sum(j * a for j, a in enumerate(poly.higher[i:], 1)) for i in range(len(poly.higher) + 1)]
+    while out and out[-1] == 0:
+        out.pop()
+    out.append(0)
+    return tuple(out)

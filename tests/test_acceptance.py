@@ -17,7 +17,7 @@ from math import gcd
 import pytest
 
 import reference_tables as ref
-from helpers import unit_of_covector
+from helpers import A27_PUBLISHED, B27, E8, unit_of_covector
 from unknotone.catalog import builtin_dataset, builtin_record
 from unknotone.corrections import correction_vector
 from unknotone.gamma import gamma_vector, model_form
@@ -25,10 +25,6 @@ from unknotone.lattice import QuadraticForm
 from unknotone.matching import Outcome, enumerate_matchings, format_compact
 from unknotone.plumbing import PlumbingForm, class_count, plumbing_corrections
 from unknotone.report import alexander_reports, analyze_record, sign_refined_record
-
-from test_corrections import A27_PUBLISHED
-from test_gamma import B27
-from test_plumbing import E8
 
 
 @contextmanager

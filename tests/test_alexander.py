@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 
 from helpers import classified, numerators_over_4d, reference_torsion
+from oracles import torsion_from_polynomial
 from unknotone.alexander import (
     AlexanderPolynomial,
     lspace_coefficient_check,
     polynomial_from_torsion,
     torsion_from_matching,
-    torsion_from_polynomial,
 )
 from unknotone.errors import ValidationError
 from unknotone.gamma import gamma_vector

@@ -22,8 +22,17 @@ from math import gcd, prod
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from helpers import box_values, coset_label, push_classes, unit_of_covector
-from test_properties import cyclic_odd, negative_definite_forms
+from helpers import (
+    E8,
+    box_values,
+    coset_label,
+    cyclic_odd,
+    flipped,
+    negative_definite_forms,
+    push_classes,
+    star,
+    unit_of_covector,
+)
 from unknotone.corrections import correction_vector
 from unknotone.errors import ValidationError
 from unknotone.gamma import gamma_vector, model_form
@@ -57,24 +66,6 @@ def assert_matches_reference(form, generator=None):
     if generator is not None:
         A = A.reindexed(unit_of_covector(form, generator))
     assert A.values == reference_correction_values(form, generator)
-
-
-def flipped(rows, signs):
-    """S G S for S = diag(signs): the same form in the basis with e_i -> -e_i where s_i = -1."""
-    return [[s * t * g for t, g in zip(signs, row)] for s, row in zip(signs, rows)]
-
-
-def star(centre, legs):
-    """A star with the given centre weight and legs of diagonal weights, edges +1."""
-    weights = [centre] + [w for leg in legs for w in leg]
-    rows = [[weights[i] if i == j else 0 for j in range(len(weights))] for i in range(len(weights))]
-    at = 1
-    for leg in legs:
-        previous = 0
-        for _ in leg:
-            rows[previous][at] = rows[at][previous] = 1
-            previous, at = at, at + 1
-    return rows
 
 
 @st.composite
@@ -356,13 +347,6 @@ def test_coset_maxima_match_product_scan_on_stars(rows):
     form = QuadraticForm.from_rows(rows)
     assume(cyclic_odd(form))
     assert_matches_reference(form)
-
-
-E8 = [
-    [-2 if i == j else int({i, j} in ({0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {2, 7}))
-     for j in range(8)]
-    for i in range(8)
-]
 
 
 @pytest.mark.parametrize(

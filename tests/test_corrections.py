@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from unknotone import corrections, lattice
 from unknotone.catalog import builtin_dataset, builtin_record, record_from_dict
-from helpers import unit_of_covector
+from helpers import A27_PUBLISHED, unit_of_covector
 from unknotone.corrections import correction_vector, scannable_cokernel
 from unknotone.errors import NonCyclicCokernelError, UnknotOneError, ValidationError
 from unknotone.gamma import gamma_vector, model_form
@@ -18,19 +18,6 @@ from unknotone.plumbing import PlumbingForm
 from unknotone.report import analyze_record, report_to_json
 
 EIGHT_TEN = QuadraticForm.from_rows([[-4, 1, 1], [1, -2, 1], [1, 1, -5]])
-
-# the published correction terms of the double cover of 8_10, in the
-# published generator's order
-A27_PUBLISHED = [
-    Fraction(-1, 2), Fraction(25, 54), Fraction(-35, 54), Fraction(1, 6),
-    Fraction(-59, 54), Fraction(-23, 54), Fraction(1, 6), Fraction(37, 54),
-    Fraction(-47, 54), Fraction(-1, 2), Fraction(-11, 54), Fraction(1, 54),
-    Fraction(1, 6), Fraction(13, 54), Fraction(13, 54), Fraction(1, 6),
-    Fraction(1, 54), Fraction(-11, 54), Fraction(-1, 2), Fraction(-47, 54),
-    Fraction(37, 54), Fraction(1, 6), Fraction(-23, 54), Fraction(-59, 54),
-    Fraction(1, 6), Fraction(-35, 54), Fraction(25, 54),
-]
-
 
 def unit_reindexings(values):
     D = len(values)

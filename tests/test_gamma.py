@@ -2,22 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import pairing, spin_reference_value
+from helpers import B27, pairing, spin_reference_value
 from unknotone.errors import ValidationError
 from unknotone.gamma import gamma_vector, kappa_list, model_form
 from unknotone.lattice import BOX_BUDGET
-
-# the full published comparison vector for determinant 27
-B27 = [
-    Fraction(1, 2), Fraction(23, 54), Fraction(11, 54), Fraction(-1, 6),
-    Fraction(-37, 54), Fraction(-73, 54), Fraction(-13, 6), Fraction(-169, 54),
-    Fraction(-121, 54), Fraction(-3, 2), Fraction(-49, 54), Fraction(-25, 54),
-    Fraction(-1, 6), Fraction(-1, 54), Fraction(-1, 54), Fraction(-1, 6),
-    Fraction(-25, 54), Fraction(-49, 54), Fraction(-3, 2), Fraction(-121, 54),
-    Fraction(-169, 54), Fraction(-13, 6), Fraction(-73, 54), Fraction(-37, 54),
-    Fraction(-1, 6), Fraction(11, 54), Fraction(23, 54),
-]
-
 
 def test_model_form_matrix():
     assert model_form(27).gram == ((-14, 1), (1, -2))

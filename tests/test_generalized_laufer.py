@@ -11,9 +11,8 @@ from math import prod
 
 import pytest
 
+from helpers import block_sum, flipped, star
 from oracles import forest_signs, laufer_rational, nemethi_corrections
-from test_box_scan import flipped, star
-from test_oracles import block_sum
 from unknotone.catalog import builtin_dataset
 from unknotone.corrections import correction_vector
 from unknotone.lattice import QuadraticForm, cokernel

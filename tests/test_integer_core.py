@@ -1,6 +1,12 @@
-"""The pure-integer linear algebra in lattice.py, checked against sympy.
+"""The pure-integer linear algebra in lattice.py, checked against its definitions.
 
-sympy is a test-only reference here; the package itself must not import it.
+The references in ``helpers`` share no code with ``lattice``: det and the
+leading minors by elimination over ``Fraction``s (Sylvester's criterion
+reads negative definiteness off the minors' signs), the adjugate one
+cofactor at a time, and the invariant factors from the determinantal
+divisors, D_k = d_1 ... d_k the gcd of the k x k minors.  The adjugate also
+carries its own certificate, G adj(G) = det(G) I.  A cold CLI run imports
+nothing beyond the standard library and the package.
 """
 
 import random
@@ -11,16 +17,11 @@ from math import gcd
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from helpers import reference_adjugate, reference_det, reference_smith_diagonal
+from helpers import reference_adjugate, reference_det, reference_invariant_factors
 from unknotone import lattice
 from unknotone.catalog import builtin_record
 from unknotone.errors import SingularFormError
 from unknotone.lattice import QuadraticForm, cokernel
-
-
-@pytest.fixture(scope="module")
-def sympy():
-    return pytest.importorskip("sympy")
 
 
 @st.composite
@@ -42,13 +43,11 @@ def symmetric_rows(draw):
 @example([[-3, 0], [0, -3]])  # non-cyclic
 @example([[-3, 0], [0, -5]])  # cyclic, no coordinate generator
 @example([[-1, 1, 0], [1, -1, 1], [0, 1, -1]])  # det 1, zero second leading minor
-def test_integer_core_agrees_with_sympy(sympy, rows):
-    from sympy.matrices.normalforms import invariant_factors
-
+@example([[-2, 0, 0], [0, -3, 0], [0, 0, -6]])  # Z/6 + Z/6 once Z/2 + Z/3 is ordered
+def test_integer_core_agrees_with_its_definitions(rows):
     form = QuadraticForm.from_rows(rows)
-    matrix = sympy.Matrix(rows)
-    assert form.det == int(matrix.det())
-    minors = [int(matrix[:k, :k].det()) for k in range(1, form.dim + 1)]
+    assert form.det == reference_det(rows)
+    minors = [reference_det([row[:k] for row in rows[:k]]) for k in range(1, form.dim + 1)]
     assert form.is_negative_definite == all((-1) ** k * m > 0 for k, m in enumerate(minors, 1))
     if form.det == 0:
         with pytest.raises(SingularFormError):
@@ -56,10 +55,18 @@ def test_integer_core_agrees_with_sympy(sympy, rows):
         with pytest.raises(SingularFormError):
             cokernel(form)
         return
-    assert form.adjugate == tuple(tuple(int(x) for x in row) for row in matrix.adjugate().tolist())
-    factors = sorted(abs(int(d)) for d in invariant_factors(matrix))
-    expected = tuple(d for d in factors if d != 1)
+    assert_adjugate(form, rows)
+    expected = tuple(d for d in reference_invariant_factors(rows) if d != 1)
     assert cokernel(form) == expected
+
+
+def assert_adjugate(form, rows):
+    """adj(G) cofactor by cofactor, and the certificate G adj(G) = det(G) I."""
+    adj = form.adjugate
+    assert adj == reference_adjugate(rows)
+    rng = range(form.dim)
+    product = [[sum(rows[i][k] * adj[k][j] for k in rng) for j in rng] for i in rng]
+    assert product == [[form.det * (i == j) for j in rng] for i in rng]
 
 
 @settings(max_examples=200, deadline=None)
@@ -128,11 +135,7 @@ def test_adjugate_up_to_dimension_eight(rows):
         with pytest.raises(SingularFormError):
             form.adjugate
         return
-    adj = form.adjugate
-    assert adj == reference_adjugate(rows)
-    rng = range(form.dim)
-    product = [[sum(rows[i][k] * adj[k][j] for k in rng) for j in rng] for i in rng]
-    assert product == [[form.det * (i == j) for j in rng] for i in rng]
+    assert_adjugate(form, rows)
 
 
 @st.composite
@@ -180,18 +183,15 @@ def non_cyclic_rows(draw):
 @given(non_cyclic_rows())
 @example([[-3, 0], [0, -3]])
 @example([[4, 2, 0], [2, 4, 0], [0, 0, 6]])
-def test_bounded_smith_reduction_agrees_with_the_unbounded_one_and_sympy(sympy, rows):
-    from sympy.matrices.normalforms import smith_normal_form
-
+@example([[-2, 0, 0], [0, -3, 0], [0, 0, -6]])  # Z/6 + Z/6 once Z/2 + Z/3 is ordered
+def test_bounded_smith_reduction_agrees_with_the_determinantal_divisors(rows):
     form = QuadraticForm.from_rows(rows)
     assert len(cokernel(form)) > 1
-    expected = reference_smith_diagonal(rows)
+    expected = reference_invariant_factors(rows)
     order = abs(form.det)
     minors = gcd(*(x for row in form.adjugate for x in row))
     assert lattice._smith_diagonal(rows, order, minors) == expected
     assert cokernel(form) == tuple(d for d in expected if d != 1)
-    snf = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
-    assert sorted(abs(int(snf[i, i])) for i in range(len(rows))) == expected
 
 
 def test_invariant_factors_beside_huge_even_entries():
@@ -225,7 +225,23 @@ def test_one_elimination_per_form(monkeypatch):
     assert len(calls) == 1
 
 
-def test_cli_import_leaves_sympy_out(src_env):
-    code = "import sys, unknotone.cli; assert 'sympy' not in sys.modules, 'sympy was imported'"
-    proc = subprocess.run([sys.executable, "-c", code], env=src_env, capture_output=True, text=True)
+def imported_modules(args, env):
+    """The modules that ``python -X importtime ARGS`` imports, read off its stderr."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args], env=env, capture_output=True, text=True
+    )
     assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    return {line.rpartition("|")[2].strip() for line in lines if line.startswith("import time:")}
+
+
+def test_cold_cli_runs_add_only_standard_library_modules(src_env):
+    # the interpreter's own site hooks may load third-party modules before any
+    # program code runs, so only what a run adds to a bare start is checked
+    baseline = imported_modules(["-c", "pass"], src_env)
+    for command in (["obstruct", "--knot", "8_10"], ["report", "--paper-tables"]):
+        added = imported_modules(["-m", "unknotone.cli", *command], src_env) - baseline
+        assert "unknotone.lattice" in added, command
+        top = {name.partition(".")[0] for name in added}
+        foreign = top - sys.stdlib_module_names - {"unknotone"}
+        assert not foreign, (command, sorted(foreign))

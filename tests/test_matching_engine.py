@@ -15,8 +15,7 @@ from math import gcd
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from helpers import derived, reference_derived
-from test_properties import cyclic_odd, negative_definite_forms
+from helpers import cyclic_odd, derived, negative_definite_forms, reference_derived
 from unknotone.catalog import builtin_dataset
 from unknotone.corrections import CorrectionVector, correction_vector
 from unknotone.errors import NonCyclicCokernelError, ValidationError

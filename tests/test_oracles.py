@@ -18,6 +18,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import reference_tables as ref
+from helpers import block_sum
 from oracles import (
     chain_rows,
     equal_up_to_symmetry,
@@ -198,12 +199,6 @@ def test_sheared_chain_corrections_are_lens_space_d():
         dense += all(rows[i][j] for i in range(len(rows)) for j in range(i))
     # the sample must reach past the chain's tridiagonal pattern
     assert dense >= 10
-
-
-def block_sum(first, second):
-    """The orthogonal sum of two forms, ``first`` on the leading coordinates."""
-    n, m = len(first), len(second)
-    return [row + [0] * m for row in first] + [[0] * n + row for row in second]
 
 
 def chain_pairs(count, seed, max_box):

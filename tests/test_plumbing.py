@@ -7,7 +7,7 @@ import pytest
 
 from unknotone import cli, corrections, plumbing as plumbing_mod
 from unknotone.errors import ValidationError
-from helpers import box_places, characteristic_candidates, pairing, push_classes
+from helpers import E8, box_places, characteristic_candidates, pairing, push_classes
 from unknotone.lattice import QuadraticForm
 from unknotone.plumbing import PlumbingForm, class_count, plumbing_corrections
 
@@ -20,20 +20,6 @@ TEN_125 = [
     [0, 0, 0, 0, 1, -2, 1],
     [0, 0, 0, 0, 0, 1, -2],
 ]
-
-# the E8 tree: chain of seven -2 vertices with an eighth hanging off the
-# fifth; the unique unimodular negative-definite form of rank eight
-E8 = [
-    [-2, 1, 0, 0, 0, 0, 0, 0],
-    [1, -2, 1, 0, 0, 0, 0, 0],
-    [0, 1, -2, 1, 0, 0, 0, 0],
-    [0, 0, 1, -2, 1, 0, 0, 0],
-    [0, 0, 0, 1, -2, 1, 0, 1],
-    [0, 0, 0, 0, 1, -2, 1, 0],
-    [0, 0, 0, 0, 0, 1, -2, 0],
-    [0, 0, 0, 0, 1, 0, 0, -2],
-]
-
 
 def test_e8_is_unimodular_lspace():
     plumbing = PlumbingForm.from_rows(E8)

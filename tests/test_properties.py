@@ -5,50 +5,20 @@ from math import gcd
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from helpers import derived, evaluate, pairing, q_map, reference_derived
+from helpers import (
+    cyclic_odd,
+    derived,
+    evaluate,
+    negative_definite_forms,
+    pairing,
+    q_map,
+    reference_derived,
+)
+from oracles import torsion_from_polynomial
 from unknotone.corrections import correction_vector
 from unknotone.gamma import gamma_vector
 from unknotone.lattice import QuadraticForm, cokernel
 from unknotone.matching import enumerate_matchings, obstruct
-
-# --- random negative-definite forms ---------------------------------------
-# build D0 = diag(-d_i) and conjugate by small unimodular shears, keeping
-# the determinant (hence all invariants) under control
-
-
-@st.composite
-def negative_definite_forms(draw, max_dim=4, max_abs_det=60):
-    dim = draw(st.integers(min_value=1, max_value=max_dim))
-    while True:
-        diag = draw(
-            st.lists(st.integers(min_value=1, max_value=7), min_size=dim, max_size=dim)
-        )
-        det = 1
-        for d in diag:
-            det *= d
-        if det % 2 == 1 and det <= max_abs_det:
-            break
-    rows = [[(-diag[i] if i == j else 0) for j in range(dim)] for i in range(dim)]
-    for _ in range(draw(st.integers(min_value=0, max_value=3))):
-        i = draw(st.integers(min_value=0, max_value=dim - 1))
-        j = draw(st.integers(min_value=0, max_value=dim - 1))
-        assume_ok = i != j
-        if not assume_ok:
-            continue
-        c = draw(st.sampled_from([-1, 1]))
-        # row/column shear: G <- U^T G U with U = I + c E_{ij}
-        for k in range(dim):
-            rows[j][k] += c * rows[i][k]
-        for k in range(dim):
-            rows[k][j] += c * rows[k][i]
-    form = QuadraticForm.from_rows(rows)
-    assume(form.is_negative_definite)
-    return form
-
-
-def cyclic_odd(form):
-    D = abs(form.det)
-    return len(cokernel(form)) == 1 and D % 2 == 1 and D >= 3
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
@@ -126,7 +96,7 @@ def test_pairing_symmetric_bilinear(form, data):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=9), min_size=0, max_size=8))
 def test_torsion_polynomial_roundtrip(torsion):
-    from unknotone.alexander import polynomial_from_torsion, torsion_from_polynomial
+    from unknotone.alexander import polynomial_from_torsion
 
     poly = polynomial_from_torsion(tuple(torsion))
     assert poly.a0 + 2 * sum(poly.higher) == 1

@@ -11,8 +11,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
-from helpers import reference_gamma_vector
-from test_properties import cyclic_odd, negative_definite_forms
+from helpers import cyclic_odd, negative_definite_forms, reference_gamma_vector
 from unknotone import report
 from unknotone.alexander import (
     lspace_coefficient_check,
