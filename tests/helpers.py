@@ -8,12 +8,13 @@ from the box, each walked to its end; the places of a box whose
 coordinates lie in given intervals, the map q(v) = G v, the value
 Q(v, v), the pairing v^t N v and the coset label N v mod |det|, the unit
 that reindexes A to another generating covector, the closed form of B_0,
-the model vector B built one pairing at a time, the numerators of a
-matching's ``Fraction`` entries, a matching's representative pair and
-four filters read off its ``Fraction`` entries, a matching's torsion read
-class by class through the residues of B, the adjugate from cofactors
-over ``Fraction`` elimination, and invariant factors from the gcds of
-minors.
+the numerators of the model vector B built one pairing at a time, the
+numerators of a matching's ``Fraction`` entries, a matching's
+representative pair and four filters read off its ``Fraction`` entries, a
+matching's torsion read class by class through the residues of B, det by
+``Fraction`` elimination, negative definiteness by Sylvester's criterion
+on the leading minors of one fraction-free elimination, and invariant
+factors from the gcds of minors.
 
 The end of the file holds what several test files share, so that no test
 module imports another: the strategy of random negative-definite forms,
@@ -141,16 +142,17 @@ def spin_reference_value(D):
 
 
 def reference_gamma_vector(D):
-    """B for odd D >= 3, one ``pairing`` and one ``Fraction`` per kappa."""
+    """B for odd D >= 3 as numerators over 4D, one ``pairing`` per kappa."""
     n = (D + 1) // 2
     form = model_form(D)
     kappas = tuple(kappa_list(n))
-    values = tuple(Fraction(pairing(form, k) + 2 * D, 4 * D) for k in kappas)
+    numerators = tuple(pairing(form, k) + 2 * D for k in kappas)
     v_index = tuple(kappa[0] % (2 * n) for kappa in kappas)
     counts = Counter(v_index)
     (single,) = [i for i, residue in enumerate(v_index) if counts[residue] == 1]
     return SimpleNamespace(
-        D=D, n=n, kappas=kappas, values=values, v_index=v_index, singly_attained_index=single
+        D=D, n=n, kappas=kappas, numerators=numerators, v_index=v_index,
+        singly_attained_index=single,
     )
 
 
@@ -236,23 +238,26 @@ def reference_det(rows):
             a[k], a[p] = a[p], a[k]
             det = -det
         det *= a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+        for row in a[k + 1 :]:
+            if row[k]:
+                f = row[k] / a[k][k]
+                row[k:] = [x - f * y for x, y in zip(row[k:], a[k][k:])]
     return int(det)
 
 
-def reference_adjugate(rows):
-    """adj(G)[i][j] = (-1)^(i+j) det(G without row j and column i), one minor at a time."""
-    rows = [list(row) for row in rows]
-    n = len(rows)
-    return tuple(
-        tuple(
-            (-1) ** (i + j) * reference_det([r[:i] + r[i + 1 :] for r in rows[:j] + rows[j + 1 :]])
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+def reference_negative_definite(rows):
+    """Sylvester's criterion, the k-th leading minor of sign (-1)^k for every k, on the
+    minors that Bareiss elimination without row exchanges leaves on the diagonal."""
+    a = [list(row) for row in rows]
+    previous, sign = 1, -1
+    for k, pivot_row in enumerate(a):
+        pivot = pivot_row[k]
+        if sign * pivot <= 0:
+            return False
+        for row in a[k + 1 :]:
+            row[k:] = [(x * pivot - row[k] * y) // previous for x, y in zip(row[k:], pivot_row[k:])]
+        previous, sign = pivot, -sign
+    return True
 
 
 def reference_invariant_factors(rows):

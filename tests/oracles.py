@@ -17,7 +17,8 @@ a knot whose torsion coefficients t_j stand in for its V_j:
 
 with V_j = 0 past the end of the sequence.
 Spin^c labels are matched only up to the symmetries the comparison allows:
-a sign, and an affine unit reindexing k -> i_0 + u k of Z/p.
+a sign, which a caller may pin to +1, and an affine unit reindexing
+k -> i_0 + u k of Z/p.
 
 The two-bridge knot S(p, q) has L(p, q) as its double branched cover, so
 the chain of p/q presents it.  Kanenobu and Murakami ("Two-bridge knots
@@ -58,6 +59,8 @@ the package inverts by second differences.
 from fractions import Fraction
 from math import ceil, gcd
 
+from helpers import reference_negative_definite
+
 
 def lens_d(p, q, i):
     """d(-L(p, q), i) for coprime p > q >= 0 (L(1, 0) is the 3-sphere)."""
@@ -94,8 +97,9 @@ def chain_rows(weights):
     return [[-weights[i] if i == j else int(abs(i - j) == 1) for j in range(n)] for i in range(n)]
 
 
-def equal_up_to_symmetry(values, reference):
-    """Whether values[k] == s * reference[(i0 + u k) mod D] for a sign s, i0 and unit u.
+def equal_up_to_symmetry(values, reference, signs=(1, -1)):
+    """Whether values[k] == s * reference[(i0 + u k) mod D] for a sign s in ``signs``, i0
+    and unit u.
 
     The search is pruned by matching values[0] and values[1] first.
     """
@@ -103,7 +107,7 @@ def equal_up_to_symmetry(values, reference):
     units = [u for u in range(D) if gcd(u, D) == 1]
     return len(reference) == D and any(
         all(s * reference[(i0 + u * k) % D] == v for k, v in enumerate(values))
-        for s in (1, -1)
+        for s in signs
         for i0 in range(D)
         if s * reference[i0] == values[0]
         for u in units
@@ -140,7 +144,10 @@ def two_bridge_signature(p, q):
 
 
 def laufer_rational(rows):
-    """Whether every tree of the negative-definite plumbing forest ``rows`` is rational."""
+    """Whether every tree of the plumbing forest ``rows`` is rational; ValueError unless
+    ``rows`` is negative definite, where the sequence need not end."""
+    if not reference_negative_definite(rows):
+        raise ValueError("not negative definite")
     dim = len(rows)
     meet = [[rows[i][j] if i == j else abs(rows[i][j]) for j in range(dim)] for i in range(dim)]
     x = [0] * dim

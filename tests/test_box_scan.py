@@ -10,9 +10,11 @@ listed by walking the multiples of the generator; for the class count,
 ``helpers.push_classes``, which follows every class to its end before
 deciding whether it stays in the box.  The same full walk and box values
 check the lemmas behind the class count without calling the count or the
-scan: every class inside the box meets the reduced box, on a balanced
-form exactly once, and every class that holds a coset maximiser lies
-inside the box, so for odd D at least D classes do.
+scan: every class inside the box meets the reduced box on stars with a
+bad vertex, and exactly once on sign-flipped stars, which are balanced
+(on other forests the count itself is compared with the full walk); and
+every class that holds a coset maximiser lies inside the box, so for odd
+D at least D classes do.
 """
 
 from fractions import Fraction
@@ -166,24 +168,14 @@ def test_class_count_matches_full_walk_on_sign_flipped_stars(rows):
     assert class_count(PlumbingForm.from_rows(rows)).count == reference_class_count(rows)
 
 
-def assert_in_box_classes_meet_reduced_box(rows):
-    """Every class inside the box has a member with x_i != G_ii for all i."""
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(star_plumbings_with_bad_vertex())
+def test_in_box_classes_meet_reduced_box_on_stars_with_bad_vertex(rows):
+    # every class inside the box has a member with x_i != G_ii for all i
     dim = len(rows)
     for members, inside in push_classes(rows):
         if inside:
             assert any(all(x[i] != rows[i][i] for i in range(dim)) for x in members)
-
-
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
-@given(negative_definite_forms())
-def test_in_box_classes_meet_reduced_box(form):
-    assert_in_box_classes_meet_reduced_box(form.gram)
-
-
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
-@given(star_plumbings_with_bad_vertex())
-def test_in_box_classes_meet_reduced_box_on_stars_with_bad_vertex(rows):
-    assert_in_box_classes_meet_reduced_box(rows)
 
 
 def assert_maximiser_classes_inside_box(rows):
@@ -286,28 +278,17 @@ def reduced_points(rows, members):
     return sum(all(x[i] != rows[i][i] for i in range(len(rows))) for x in members)
 
 
-def assert_one_reduced_point_per_class(rows):
-    """On a balanced form, flipped to entries >= 0 off the diagonal, each class
-    inside the box has one point in the reduced box."""
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(sign_flipped_stars())
+def test_balanced_in_box_classes_meet_reduced_box_once_on_sign_flipped_stars(rows):
+    # a balanced form, flipped to entries >= 0 off the diagonal: each class
+    # inside the box has one point in the reduced box
     signs = reference_signs(rows)
     assert signs is not None
     rows = flipped(rows, signs)
     for members, inside in push_classes(rows):
         if inside:
             assert reduced_points(rows, members) == 1, members
-
-
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
-@given(negative_definite_forms())
-def test_balanced_in_box_classes_meet_reduced_box_once(form):
-    assume(reference_signs(form.gram) is not None)
-    assert_one_reduced_point_per_class(form.gram)
-
-
-@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
-@given(sign_flipped_stars())
-def test_balanced_in_box_classes_meet_reduced_box_once_on_sign_flipped_stars(rows):
-    assert_one_reduced_point_per_class(rows)
 
 
 @pytest.mark.parametrize(

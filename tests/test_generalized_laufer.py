@@ -11,7 +11,7 @@ from math import prod
 
 import pytest
 
-from helpers import block_sum, flipped, star
+from helpers import block_sum, flipped, reference_negative_definite, star
 from oracles import forest_signs, laufer_rational, nemethi_corrections
 from unknotone.catalog import builtin_dataset
 from unknotone.corrections import correction_vector
@@ -34,7 +34,8 @@ def seeded_forests(count, seed):
     A tree is a star with 1-4 legs of 1-3 vertices, legs of weight -2 to -5
     and a centre of -1 to -4, or a chain of 1-6 vertices of weight -1 to -5;
     half the draws are the block sum of two trees.  Boxes stay at 4,000
-    points or fewer and D at 400 or less.
+    points or fewer and D at 400 or less.  Definiteness, which the Laufer
+    oracle needs, is decided by Sylvester's criterion, not by the package.
     """
     rng = random.Random(seed)
 
@@ -52,9 +53,9 @@ def seeded_forests(count, seed):
         rows = draw() if trees == 1 else block_sum(draw(), draw())
         if prod(-rows[i][i] for i in range(len(rows))) > 4000:
             continue
-        form = QuadraticForm.from_rows(rows)
-        if not form.is_negative_definite or not laufer_rational(rows):
+        if not reference_negative_definite(rows) or not laufer_rational(rows):
             continue
+        form = QuadraticForm.from_rows(rows)
         if abs(form.det) > 400 or abs(form.det) % 2 == 0 or len(cokernel(form)) > 1:
             continue
         made += 1
@@ -92,3 +93,6 @@ def test_the_oracle_on_small_forests():
     for rows in (bad, [[-3, 1, 1], [1, -3, 1], [1, 1, -3]], [[-3, 2], [2, -3]]):
         with pytest.raises(ValueError):
             nemethi_corrections(rows, (1,) + (0,) * (len(rows) - 1))
+    # the chain -1, -1, -1 has det 1: not negative definite, and its sequence never ends
+    with pytest.raises(ValueError, match="not negative definite"):
+        laufer_rational([[-1, 1, 0], [1, -1, 1], [0, 1, -1]])

@@ -1,12 +1,13 @@
 """The pure-integer linear algebra in lattice.py, checked against its definitions.
 
-The references in ``helpers`` share no code with ``lattice``: det and the
-leading minors by elimination over ``Fraction``s (Sylvester's criterion
-reads negative definiteness off the minors' signs), the adjugate one
-cofactor at a time, and the invariant factors from the determinantal
-divisors, D_k = d_1 ... d_k the gcd of the k x k minors.  The adjugate also
-carries its own certificate, G adj(G) = det(G) I.  A cold CLI run imports
-nothing beyond the standard library and the package.
+The references in ``helpers`` share no code with ``lattice``: det by
+elimination over ``Fraction``s, negative definiteness by Sylvester's
+criterion on the leading minors that elimination without row exchanges
+leaves on the diagonal, and the invariant factors from the determinantal
+divisors, D_k = d_1 ... d_k the gcd of the k x k minors.  The adjugate is
+checked by its certificate G adj(G) = det(G) I once det is checked against
+the reference: for a nonsingular G only det(G) G^{-1} passes it.  A cold
+CLI run imports nothing beyond the standard library and the package.
 """
 
 import random
@@ -17,7 +18,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from helpers import reference_adjugate, reference_det, reference_invariant_factors
+from helpers import reference_det, reference_invariant_factors, reference_negative_definite
 from unknotone import lattice
 from unknotone.catalog import builtin_record
 from unknotone.errors import SingularFormError
@@ -47,8 +48,7 @@ def symmetric_rows(draw):
 def test_integer_core_agrees_with_its_definitions(rows):
     form = QuadraticForm.from_rows(rows)
     assert form.det == reference_det(rows)
-    minors = [reference_det([row[:k] for row in rows[:k]]) for k in range(1, form.dim + 1)]
-    assert form.is_negative_definite == all((-1) ** k * m > 0 for k, m in enumerate(minors, 1))
+    assert form.is_negative_definite == reference_negative_definite(rows)
     if form.det == 0:
         with pytest.raises(SingularFormError):
             form.adjugate
@@ -61,9 +61,9 @@ def test_integer_core_agrees_with_its_definitions(rows):
 
 
 def assert_adjugate(form, rows):
-    """adj(G) cofactor by cofactor, and the certificate G adj(G) = det(G) I."""
+    """The certificate G adj(G) = det(G) I: once det(G) is checked and nonzero, only
+    adj(G) = det(G) G^{-1} passes it."""
     adj = form.adjugate
-    assert adj == reference_adjugate(rows)
     rng = range(form.dim)
     product = [[sum(rows[i][k] * adj[k][j] for k in rng) for j in rng] for i in rng]
     assert product == [[form.det * (i == j) for j in rng] for i in rng]
@@ -131,6 +131,7 @@ def symmetric_rows_of_corank(draw):
 @example([[0] * 3] * 3)  # rank 0
 def test_adjugate_up_to_dimension_eight(rows):
     form = QuadraticForm.from_rows(rows)
+    assert form.det == reference_det(rows)
     if form.det == 0:
         with pytest.raises(SingularFormError):
             form.adjugate

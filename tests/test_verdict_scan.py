@@ -162,7 +162,7 @@ def test_gamma_vector_matches_one_pairing_per_kappa():
     for D in range(3, 1000, 2):
         B, ref = gamma_vector(D), reference_gamma_vector(D)
         assert (B.D, B.n, B.singly_attained_index) == (ref.D, ref.n, ref.singly_attained_index)
-        assert (B.values, B.v_index, B.kappas) == (ref.values, ref.v_index, ref.kappas), D
+        assert (B.numerators, B.v_index, B.kappas) == (ref.numerators, ref.v_index, ref.kappas), D
 
 
 def test_gamma_symmetry_check_holds_under_optimisation(src_env):
