@@ -7,14 +7,14 @@ Each mutant in ``MUTANTS`` is one text substitution in one module of
 ``src/unknotone``; its text must occur exactly once in ``src/``.  For each
 mutant the script copies ``src/``, ``tests/`` and ``pyproject.toml`` of
 this checkout to a temporary directory, applies the substitution there
-and runs the gamma, plumbing, integer-core, generalized-Laufer,
-golden-output, matching-engine, alexander, verdict-scan, oracle and
-box-scan tests, cheapest first, with ``pytest -x``, stopping at the first
-failure, under a per-mutant timeout (default 120 s).  It prints one line
-per mutant: killed (with the first failing test and the seconds it took),
-survived or timed out.  An unmutated run goes first and must pass, or the
-script exits 2.  Naming mutants runs only those.  The checkout itself is
-never written.
+and runs the CLI-refusal, gamma, plumbing, integer-core,
+generalized-Laufer, golden-output, matching-engine, alexander,
+verdict-scan, oracle and box-scan tests, cheapest first, with
+``pytest -x``, stopping at the first failure, under a per-mutant timeout
+(default 120 s).  It prints one line per mutant: killed (with the first
+failing test and the seconds it took), survived or timed out.  An
+unmutated run goes first and must pass, or the script exits 2.  Naming
+mutants runs only those.  The checkout itself is never written.
 
 The tests run one mutant at a time in one child interpreter, limited to
 2 GiB of address space, so a mutant that loops or grows stops there.
@@ -39,6 +39,7 @@ SRC = ROOT / "src" / "unknotone"
 # ones; the integer core goes before the Laufer oracle, which a wrong det sign keeps
 # searching past the timeout
 TESTS = [
+    "tests/test_refusals.py",
     "tests/test_gamma.py",
     "tests/test_plumbing.py",
     "tests/test_integer_core.py",
@@ -194,6 +195,13 @@ MUTANTS = {
         "lattice.py",
         "a[k], a[lower] = a[lower], [-x for x in a[k]]",
         "a[k], a[lower] = a[lower], a[k]",
+    ),
+    # a determinant of more than TEXT_BITS bits is not refused as too long to print,
+    # so a non-cyclic form's error reaches str(D) and CPython's int-string limit
+    "text-bits": (
+        "corrections.py",
+        "if D.bit_length() > TEXT_BITS:",
+        "if D.bit_length() > 10 * TEXT_BITS:",
     ),
     # the Smith diagonal left unordered: Z/2 + Z/3 is not rewritten as Z/1 + Z/6
     "smith-order": (

@@ -258,10 +258,7 @@ def cmd_plumbing_check(args: argparse.Namespace) -> tuple[dict, str]:
 
 def _knot_sort_key(name: str) -> tuple[int, int]:
     head, _, tail = name.partition("_")
-    try:
-        return (int(head), int(tail))
-    except ValueError:
-        return (999, 0)
+    return (int(head), int(tail))
 
 
 def _paper_tables_payload(strong: bool) -> dict:

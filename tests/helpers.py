@@ -18,10 +18,14 @@ factors from the gcds of minors.
 
 The end of the file holds what several test files share, so that no test
 module imports another: the strategy of random negative-definite forms,
-star and block-sum builders, the E8 form, and the published vectors A and
-B for determinant 27.
+star and block-sum builders, the E8 form, the published vectors A and B
+for determinant 27, and the CLI's inputs: one-record files, a piped
+standard input, and the records that both a refusal and another output
+of the CLI are read from.
 """
 
+import io
+import json
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -32,7 +36,7 @@ from types import SimpleNamespace
 from hypothesis import assume, strategies as st
 
 from unknotone.gamma import kappa_list, model_form
-from unknotone.lattice import QuadraticForm, cokernel, cokernel_generator
+from unknotone.lattice import QuadraticForm, cokernel_generator
 from unknotone.matching import Matching, quarter_point
 
 
@@ -310,14 +314,16 @@ def negative_definite_forms(draw, max_dim=4, max_abs_det=60):
             rows[j][k] += c * rows[i][k]
         for k in range(dim):
             rows[k][j] += c * rows[k][i]
-    form = QuadraticForm.from_rows(rows)
-    assume(form.is_negative_definite)
-    return form
+    assume(reference_negative_definite(rows))
+    return QuadraticForm.from_rows(rows)
 
 
 def cyclic_odd(form):
-    D = abs(form.det)
-    return len(cokernel(form)) == 1 and D % 2 == 1 and D >= 3
+    """Whether the cokernel is cyclic of odd order at least 3, read off the references."""
+    D = abs(reference_det(form.gram))
+    if D % 2 == 0 or D < 3:
+        return False
+    return all(d == 1 for d in reference_invariant_factors(form.gram)[:-1])
 
 
 def flipped(rows, signs):
@@ -379,3 +385,51 @@ B27 = [
     Fraction(-169, 54), Fraction(-13, 6), Fraction(-73, 54), Fraction(-37, 54),
     Fraction(-1, 6), Fraction(11, 54), Fraction(23, 54),
 ]
+
+
+# --- CLI inputs --------------------------------------------------------------
+
+EIGHT_TEN_JSON = json.dumps(
+    [{"name": "8_10", "goeritz": [[-4, 1, 1], [1, -2, 1], [1, 1, -5]], "determinant": 27}]
+)
+
+# a record of signature 0 whose cokernel, Z/3 + Z/3003, is not cyclic
+NON_CYCLIC = {"name": "r", "goeritz": [[-3, 0], [0, -3003]], "signature": 0}
+
+# non-cyclic (Z/3 + Z/(D/3)) with D of 26,579 bits, of either sign on the
+# diagonal: the NonCyclicH1 verdict and the cokernel error would print D
+# and its invariant factors.  With the negative diagonal the entry bound
+# refuses the form first, before the elimination.
+TOO_LONG_TO_PRINT = {
+    "negative": (
+        [[-3, 3 * 10**4000], [3 * 10**4000, -3]],
+        "Gram entry (1, 0) has G_ij^2 > G_ii G_jj; the form is not negative-definite",
+    ),
+    "positive": (
+        [[3, 3 * 10**4000], [3 * 10**4000, 3]],
+        "cokernel order more than 2^26578 is too long to print",
+    ),
+}
+
+# a unit mod 15 of 4,300 digits, which argparse still reads; on diag(-3, -5) the
+# generator pick's fallback gives (2, 4), so the JSON would print 4U, of 4,301 digits
+HUGE_UNIT = str(3 * 10**4299 + 1)
+
+
+def record_json(rows, **fields):
+    """The text of a file of one record of Gram matrix ``rows``, named "r" unless ``fields``
+    names it."""
+    return json.dumps([{"name": "r", "goeritz": rows, **fields}])
+
+
+def record_file(tmp_path, rows):
+    """The path, as a string, of a ``record_json`` file written in ``tmp_path``."""
+    path = tmp_path / "record.json"
+    path.write_text(record_json(rows))
+    return str(path)
+
+
+def piped(data, errors="strict"):
+    """A standard input that holds ``data`` (text is encoded as UTF-8), as a pipe gives it."""
+    raw = data.encode("utf-8") if isinstance(data, str) else data
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors=errors)

@@ -112,6 +112,12 @@ def test_torsion_requires_symmetric_even_positive():
         torsion_from_matching(asym, B)
 
 
+def test_torsion_requires_a_comparison_vector_of_the_same_determinant():
+    m = _symmetric_matching(27, (0,), 0)
+    with pytest.raises(ValidationError, match="different determinants"):
+        torsion_from_matching(m, gamma_vector(29))
+
+
 def test_torsion_requires_even_entries():
     # the 9_33 matching halved: consistent on every class, but odd entries,
     # which the even filter sees

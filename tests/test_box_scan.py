@@ -32,6 +32,7 @@ from helpers import (
     flipped,
     negative_definite_forms,
     push_classes,
+    reference_negative_definite,
     star,
     unit_of_covector,
 )
@@ -82,7 +83,7 @@ def star_plumbings_with_bad_vertex(draw):
         )
     )
     rows = star(centre, [[-w for w in leg] for leg in legs])
-    assume(QuadraticForm.from_rows(rows).is_negative_definite)
+    assume(reference_negative_definite(rows))
     return rows
 
 
@@ -104,7 +105,7 @@ def sign_flipped_stars(draw):
     weights = iter(draw(st.lists(st.sampled_from([-2, -3]), min_size=dim - 1, max_size=dim - 1)))
     sign = draw(st.lists(st.sampled_from([1, -1]), min_size=dim, max_size=dim))
     rows = flipped(star(centre, [[next(weights) for _ in range(n)] for n in legs]), sign)
-    assume(QuadraticForm.from_rows(rows).is_negative_definite)
+    assume(reference_negative_definite(rows))
     return rows
 
 
@@ -134,7 +135,7 @@ def signed_forests(draw):
         if parent >= 0:
             rows[child][parent] = rows[parent][child] = 1
     rows = flipped(rows, draw(st.lists(st.sampled_from([1, -1]), min_size=dim, max_size=dim)))
-    assume(QuadraticForm.from_rows(rows).is_negative_definite)
+    assume(reference_negative_definite(rows))
     return rows
 
 

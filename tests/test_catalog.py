@@ -77,6 +77,13 @@ def test_parse_single_record_and_roundtrip():
     assert again == records
 
 
+def test_a_record_with_a_mirror_round_trips():
+    entry = {"name": "m", "goeritz": [[-3]], "mirror_of": "3_1"}
+    record = record_from_dict(entry)
+    assert record_to_dict(record) == entry
+    assert record_from_dict(record_to_dict(record)) == record
+
+
 def test_parse_empty_source():
     assert parse_knot_records("") == []
     assert parse_knot_records("[]") == []
@@ -125,6 +132,11 @@ def test_record_accepts_indefinite_matrices():
     # parse-time acceptance; downstream operations reject them as needed
     record = record_from_dict({"name": "indefinite", "goeritz": [[2, 0], [0, -2]]})
     assert not record.form.is_negative_definite
+
+
+def test_white_graph_form_is_built_once():
+    record = next(r for r in builtin_dataset() if r.goeritz is None)
+    assert record.form is record.form
 
 
 def test_builtin_dataset_integrity():
