@@ -103,7 +103,6 @@ class KnotRecord(Value):
     def form(self) -> QuadraticForm:
         if self.goeritz is not None:
             return self.goeritz
-        assert self.white_graph is not None
         # refused before its (n - 1)^2 entries are built, with the message of the analysis
         check_dimension(self.white_graph.vertex_count - 1)
         return goeritz_from_white_graph(self.white_graph)

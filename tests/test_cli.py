@@ -198,30 +198,6 @@ def test_paper_tables_ignore_piped_standard_input(capsys, monkeypatch):
     assert len(json.loads(out)["records"]) == 54
 
 
-def test_cli_import_leaves_process_pool_out(src_env):
-    code = (
-        "import sys, unknotone.cli; "
-        "assert 'concurrent.futures.process' not in sys.modules, 'the process pool was imported'"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], env=src_env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_batch_reports_start_no_pool(src_env):
-    # UNKNOT_THREADS=2 used to start a pool of two workers; it must stay inert
-    code = (
-        "import sys\n"
-        "from unknotone import catalog, report\n"
-        "records = catalog.builtin_dataset()\n"
-        "entries = report.batch_reports(records)\n"
-        "assert 'concurrent.futures.process' not in sys.modules, 'a process pool was started'\n"
-        "assert [e['knot'] for e in entries] == [r.name for r in records]\n"
-    )
-    env = {**src_env, "UNKNOT_THREADS": "2"}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-
-
 @pytest.mark.parametrize(
     "rows, message", TOO_LONG_TO_PRINT.values(), ids=TOO_LONG_TO_PRINT.keys()
 )
@@ -265,18 +241,26 @@ def test_a_large_white_graph_is_refused_before_its_form_is_built(
     assert (code, err, json.loads(out)["records"]) == (0, "", [{"knot": "r", "error": message}])
 
 
-# Runs one command in a fresh interpreter and prints, as its last three
-# lines, the package modules it loaded, whether it loaded ``fractions``, and
-# which of ``dataclasses`` and ``inspect`` it loaded.
-LOADED_AFTER = (
+# Runs one command in a fresh interpreter and prints, as its last line, the
+# module names of ``sys.modules`` at three points, as JSON: before any package
+# import, after ``import unknotone``, and after the command.
+COLD_START = (
     "import sys\n"
+    "start = list(sys.modules)\n"
+    "import unknotone\n"
+    "bare = list(sys.modules)\n"
     "from unknotone import cli\n"
     "code = cli.main(sys.argv[1:])\n"
-    "print(*sorted(m for m in sys.modules if m.startswith('unknotone.')))\n"
-    "print('fractions' in sys.modules)\n"
-    "print(*sorted({'dataclasses', 'inspect'} & sys.modules.keys()))\n"
+    "done = list(sys.modules)\n"
+    "import json\n"
+    "print(json.dumps([start, bare, done]))\n"
     "sys.exit(code)\n"
 )
+# modules that no command may load: only the ``values`` views build Fractions,
+# and no command reads them; the value types are plain classes
+# (``lattice.Value``), not dataclasses, which load ``inspect``; and no command
+# starts a process pool
+NEVER_LOADED = {"fractions", "dataclasses", "inspect", "concurrent.futures.process"}
 # the whole module set of these commands, besides cli and errors
 ONLY = {
     "gamma": {"gamma", "lattice"},
@@ -297,17 +281,22 @@ ONLY = {
     ],
 )
 def test_a_command_loads_only_its_own_modules(command, src_env):
+    # the one cold start per command: what a run imports is a claim about a process
     argv = command.split()
     proc = subprocess.run(
-        [sys.executable, "-c", LOADED_AFTER, *argv], env=src_env, capture_output=True, text=True
+        [sys.executable, "-c", COLD_START, *argv], env=src_env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    *_, modules, fractions_loaded, heavy_loaded = proc.stdout.splitlines()
-    # only the ``values`` views build Fractions, and no command reads them
-    assert fractions_loaded == "False"
-    # the value types are plain classes (``lattice.Value``), not dataclasses
-    assert heavy_loaded == ""
-    loaded = {name.removeprefix("unknotone.") for name in modules.split()}
+    start, bare, done = map(set, json.loads(proc.stdout.splitlines()[-1]))
+    # a bare import of the package loads no submodule
+    assert not {name for name in bare if name.startswith("unknotone.")}
+    assert NEVER_LOADED & done == set()
+    added = done - start
+    # the site hooks may load third-party modules before any program code runs,
+    # so only what the run adds is checked: the standard library and the package
+    foreign = {name.partition(".")[0] for name in added} - sys.stdlib_module_names
+    assert foreign == {"unknotone"}
+    loaded = {name.removeprefix("unknotone.") for name in added if name.startswith("unknotone.")}
     if argv[0] in ONLY:
         assert loaded == {"cli", "errors", *ONLY[argv[0]]}
     else:
@@ -315,37 +304,14 @@ def test_a_command_loads_only_its_own_modules(command, src_env):
         assert argv[0] == "alexander" or "alexander" not in loaded
 
 
-def test_bare_package_import_loads_no_submodule(src_env):
-    code = "import sys, unknotone; print([m for m in sys.modules if m.startswith('unknotone.')])"
-    proc = subprocess.run([sys.executable, "-c", code], env=src_env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
-
-
-def test_listing_above_budget_is_refused_and_the_verdict_streams(tmp_path, src_env):
-    # D = 99,999: 2 * phi(D) * D = 1.3e10 listing entries, a few seconds of verdict
-    path = tmp_path / "two_bridge.json"
-    path.write_text(json.dumps([{"name": "tb", "goeritz": [[-2, 1], [1, -50000]]}]))
-
-    def run(command):
-        return subprocess.run(
-            [sys.executable, "-m", "unknotone.cli", command, "--input", str(path)],
-            env=src_env,
-            capture_output=True,
-            text=True,
-            timeout=30,
-        )
-
-    listed = run("match")
-    assert listed.returncode == 3
-    assert listed.stdout == ""
-    assert listed.stderr.splitlines() == [
-        "error: matching listing for D = 99999 has 12959870400 entries, "
-        "above the budget of 10000000"
-    ]
-    verdict = run("obstruct")
-    assert verdict.returncode == 0, verdict.stderr
-    assert verdict.stdout.splitlines()[0] == "tb: D = 99999, verdict NotObstructed"
+def test_the_verdict_streams_above_the_listing_budget(tmp_path, capsys):
+    # D = 99,999: `match` refuses the 2 * phi(D) * D = 1.3e10 entries of its listing
+    # (test_listing_above_budget_is_refused_before_any_analysis); the verdict
+    # scans without it
+    path = record_file(tmp_path, [[-2, 1], [1, -50000]])
+    code, out, err = run_main(["obstruct", "--input", path], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "r: D = 99999, verdict NotObstructed"
 
 
 @pytest.mark.parametrize("command", [["match"], ["obstruct", "--json"]])
@@ -406,27 +372,18 @@ def test_listing_budget_refuses_only_records_that_would_list(rows, argv, expecte
     assert (code, (out or err).splitlines()[0]) == expected
 
 
-def test_piped_report_reads_like_input_dash(tmp_path, src_env):
+def test_piped_report_reads_like_input_dash(capsys, monkeypatch):
     # one good record and one bad: both print the good verdict and the parse error
-    path = tmp_path / "records.json"
     bad = {"name": "bad", "goeritz": [[1, 2]]}
-    path.write_text(json.dumps([*json.loads(EIGHT_TEN_JSON), bad]))
+    data = json.dumps([*json.loads(EIGHT_TEN_JSON), bad])
 
     def run(*argv):
-        with path.open() as stdin:
-            proc = subprocess.run(
-                [sys.executable, "-m", "unknotone.cli", "report", *argv],
-                stdin=stdin,
-                env=src_env,
-                capture_output=True,
-                text=True,
-                timeout=30,
-            )
-        return proc.stdout, proc.stderr, proc.returncode
+        monkeypatch.setattr(sys, "stdin", piped(data))
+        return run_main(["report", *argv], capsys)
 
     assert run("--json") == run("--json", "--input", "-")
-    out, err, code = run()
-    assert (out, err, code) == run("--input", "-")
+    code, out, err = run()
+    assert (code, out, err) == run("--input", "-")
     assert code == 3
     assert out.split()[:3] == ["8_10", "D=", "27"]
     assert err.splitlines() == [

@@ -1,9 +1,12 @@
-"""Every name that a package module, a script or a test file imports is used in it.
+"""Rules read off the syntax tree of the sources, since no linter is a dependency.
 
-No linter is a dependency, so this reads the syntax tree: an imported name
-counts as used when it occurs as a name anywhere in the module, annotations
-included.  Out of scope is ``test_acceptance.py``, whose known-red tests
-stay as they are.
+Every name that a package module, a script or a test file imports is used
+in it: an imported name counts as used when it occurs as a name anywhere
+in the module, annotations included.  Out of scope is
+``test_acceptance.py``, whose known-red tests stay as they are.  The
+package holds no ``assert`` and reads neither ``__debug__`` nor the
+environment, so ``python -O`` and environment variables cannot change what
+it does.
 """
 
 import ast
@@ -18,6 +21,7 @@ SOURCES = sorted(
     for path in folder.glob("*.py")
     if path.name != "test_acceptance.py"
 )
+PACKAGE = sorted((ROOT / "src" / "unknotone").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -67,7 +71,44 @@ def test_imported_modules_are_found():
 
 def test_no_package_module_imports_dataclasses():
     # ``dataclasses`` and the ``inspect`` it loads cost every cold run about 10 ms
-    modules = sorted((ROOT / "src" / "unknotone").glob("*.py"))
-    assert len(modules) >= 10
-    for path in modules:
+    assert len(PACKAGE) >= 10
+    for path in PACKAGE:
         assert "dataclasses" not in imported_modules(path.read_text()), path.name
+
+
+# the names through which a module reads the environment: ``os.environ`` and its
+# bytes twin, and the functions that read them
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def optimisation_and_environment_reads(source: str) -> list[str]:
+    """The lines of ``source`` that ``python -O`` or the environment could change."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assert):
+            found.append((node.lineno, "assert"))
+        elif isinstance(node, ast.Name) and node.id == "__debug__":
+            found.append((node.lineno, "__debug__"))
+        elif isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found.extend((node.lineno, a.name) for a in node.names if a.name in ENVIRONMENT)
+    return [f"{line}: {what}" for line, what in sorted(found)]
+
+
+def test_optimisation_and_environment_reads_are_caught():
+    source = (
+        "import os\nfrom os import getenv as g, path\nassert os.environ['X']\n"
+        "if __debug__:\n    os.getenv('Y')\nos.path.join('a', 'b')\n"
+    )
+    assert optimisation_and_environment_reads(source) == [
+        "2: getenv", "3: assert", "3: environ", "4: __debug__", "5: getenv"
+    ]
+
+
+def test_the_package_is_the_same_under_optimisation_and_any_environment():
+    # with no assert and no read of __debug__, python -O runs the same code; with
+    # no read of the environment, no variable (such as UNKNOT_THREADS) is a knob
+    assert len(PACKAGE) >= 10
+    for path in PACKAGE:
+        assert optimisation_and_environment_reads(path.read_text()) == [], path.name

@@ -6,13 +6,10 @@ criterion on the leading minors that elimination without row exchanges
 leaves on the diagonal, and the invariant factors from the determinantal
 divisors, D_k = d_1 ... d_k the gcd of the k x k minors.  The adjugate is
 checked by its certificate G adj(G) = det(G) I once det is checked against
-the reference: for a nonsingular G only det(G) G^{-1} passes it.  A cold
-CLI run imports nothing beyond the standard library and the package.
+the reference: for a nonsingular G only det(G) G^{-1} passes it.
 """
 
 import random
-import subprocess
-import sys
 from math import gcd
 
 import pytest
@@ -225,24 +222,3 @@ def test_one_elimination_per_form(monkeypatch):
     assert form.inverse_numerator == tuple(tuple(-x for x in row) for row in form.adjugate)
     assert len(calls) == 1
 
-
-def imported_modules(args, env):
-    """The modules that ``python -X importtime ARGS`` imports, read off its stderr."""
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", *args], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stderr.splitlines()
-    return {line.rpartition("|")[2].strip() for line in lines if line.startswith("import time:")}
-
-
-def test_cold_cli_runs_add_only_standard_library_modules(src_env):
-    # the interpreter's own site hooks may load third-party modules before any
-    # program code runs, so only what a run adds to a bare start is checked
-    baseline = imported_modules(["-c", "pass"], src_env)
-    for command in (["obstruct", "--knot", "8_10"], ["report", "--paper-tables"]):
-        added = imported_modules(["-m", "unknotone.cli", *command], src_env) - baseline
-        assert "unknotone.lattice" in added, command
-        top = {name.partition(".")[0] for name in added}
-        foreign = top - sys.stdlib_module_names - {"unknotone"}
-        assert not foreign, (command, sorted(foreign))

@@ -1,6 +1,4 @@
 import importlib.util
-import subprocess
-import sys
 from pathlib import Path
 
 from unknotone.catalog import builtin_dataset, record_from_dict
@@ -8,22 +6,18 @@ from unknotone.catalog import builtin_dataset, record_from_dict
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def test_verify_dataset_is_clean(src_env):
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "verify_dataset.py")],
-        env=src_env,
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.rstrip().endswith("dataset checks clean")
-
-
 def load_script(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_verify_dataset_is_clean(capsys):
+    code = load_script("verify_dataset").main()
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert out.rstrip().endswith("dataset checks clean")
 
 
 def test_verify_dataset_checks_the_signature_of_alternating_forms():

@@ -5,14 +5,11 @@ each must equal the value computed from ``enumerate_matchings``, the way
 the pipeline computed it before the scan existed.
 """
 
-import subprocess
-import sys
-
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
 from helpers import cyclic_odd, negative_definite_forms, reference_gamma_vector
-from unknotone import report
+from unknotone import gamma, report
 from unknotone.alexander import (
     lspace_coefficient_check,
     polynomial_from_torsion,
@@ -165,51 +162,39 @@ def test_gamma_vector_matches_one_pairing_per_kappa():
         assert (B.numerators, B.v_index, B.kappas) == (ref.numerators, ref.v_index, ref.kappas), D
 
 
-def test_gamma_symmetry_check_holds_under_optimisation(src_env):
-    # an asymmetric model vector must be refused also under python -O, by
-    # the check that every vector type makes
-    code = (
-        "from unknotone import gamma\n"
-        "from unknotone.errors import ValidationError\n"
-        "runs = gamma._kappa_runs\n"
-        "def skewed(n):\n"
-        "    out = runs(n)\n"
-        "    xs, y = out[0]\n"
-        "    out[0:1] = [(xs[:1], y), (xs[1:2], y + 2), (xs[2:], y)]\n"
-        "    return out\n"
-        "gamma._kappa_runs = skewed\n"
-        "try:\n"
-        "    gamma.gamma_vector(27)\n"
-        "except ValidationError as exc:\n"
-        "    print(exc)\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], env=src_env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "a vector over Z/27 must have A_i = A_(D-i)\n"
+# The two checks below are raised errors, not asserts, so python -O keeps them:
+# the package holds no assert (tests/test_imports.py), and the same code runs
+# with and without -O.
 
 
-def test_singly_attained_check_holds_under_optimisation(src_env):
-    # gamma --json prints v_index, which is derived only when read; a
-    # skewed class list must be refused there also under python -O
-    code = (
-        "from unknotone import gamma\n"
-        "B = gamma.gamma_vector(61)\n"
-        "runs = gamma._kappa_runs\n"
-        "def skewed(n):\n"
-        "    out = runs(n)\n"
-        "    xs, y = out[0]\n"
-        "    out[0:1] = [(xs[:1], y), (range(xs[1] + 2, xs[1] + 3), y), (xs[2:], y)]\n"
-        "    return out\n"
-        "gamma._kappa_runs = skewed\n"
-        "try:\n"
-        "    B.v_index\n"
-        "except AssertionError as exc:\n"
-        "    print(exc)\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", code], env=src_env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("expected one singly attained class, found ["), proc.stdout
+def test_gamma_symmetry_check_holds_under_optimisation(monkeypatch):
+    # an asymmetric model vector is refused by the check that every vector type makes
+    runs = gamma._kappa_runs
+
+    def skewed(n):
+        out = runs(n)
+        xs, y = out[0]
+        out[0:1] = [(xs[:1], y), (xs[1:2], y + 2), (xs[2:], y)]
+        return out
+
+    monkeypatch.setattr(gamma, "_kappa_runs", skewed)
+    with pytest.raises(ValidationError) as info:
+        gamma.gamma_vector(27)
+    assert str(info.value) == "a vector over Z/27 must have A_i = A_(D-i)"
+
+
+def test_singly_attained_check_holds_under_optimisation(monkeypatch):
+    # gamma --json prints v_index, which is derived only when read; a skewed
+    # class list is refused there
+    B = gamma.gamma_vector(61)
+    runs = gamma._kappa_runs
+
+    def skewed(n):
+        out = runs(n)
+        xs, y = out[0]
+        out[0:1] = [(xs[:1], y), (range(xs[1] + 2, xs[1] + 3), y), (xs[2:], y)]
+        return out
+
+    monkeypatch.setattr(gamma, "_kappa_runs", skewed)
+    with pytest.raises(AssertionError, match=r"^expected one singly attained class, found \["):
+        B.v_index
