@@ -7,7 +7,7 @@ Each mutant in ``MUTANTS`` is one text substitution in one module of
 ``src/unknotone``; its text must occur exactly once in ``src/``.  For each
 mutant the script copies ``src/``, ``tests/`` and ``pyproject.toml`` of
 this checkout to a temporary directory, applies the substitution there
-and runs the CLI-refusal, gamma, plumbing, integer-core,
+and runs the CLI-row, gamma, plumbing, integer-core,
 generalized-Laufer, golden-output, matching-engine, alexander,
 verdict-scan, oracle and box-scan tests, cheapest first, with
 ``pytest -x``, stopping at the first failure, under a per-mutant timeout

@@ -28,16 +28,9 @@ from collections import Counter
 from functools import cached_property
 
 from .errors import ValidationError
-from .lattice import BOX_BUDGET, QuadraticForm, RationalVector
+from .lattice import BOX_BUDGET, RationalVector
 
 Kappa = tuple[int, int]
-
-
-def model_form(D: int) -> QuadraticForm:
-    """The form R_D above, for odd D >= 3."""
-    _check_d(D)
-    n = (D + 1) // 2
-    return QuadraticForm.from_rows([[-n, 1], [1, -2]])
 
 
 def _check_d(D: int) -> None:

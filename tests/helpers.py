@@ -4,24 +4,23 @@ They are reimplementations kept outside the package, on integers unless
 a ``Fraction`` is named: the points of the characteristic box, each box
 point's coset label and value from one product N x with the integer
 N = |det| G^{-1}, and the largest value per label; the push classes met
-from the box, each walked to its end; the places of a box whose
+from the box, walked on only inside it; the places of a box whose
 coordinates lie in given intervals, the map q(v) = G v, the value
 Q(v, v), the pairing v^t N v and the coset label N v mod |det|, the unit
-that reindexes A to another generating covector, the closed form of B_0,
-the numerators of the model vector B built one pairing at a time, the
-numerators of a matching's ``Fraction`` entries, a matching's
-representative pair and four filters read off its ``Fraction`` entries, a
-matching's torsion read class by class through the residues of B, det by
-``Fraction`` elimination, negative definiteness by Sylvester's criterion
-on the leading minors of one fraction-free elimination, and invariant
-factors from the gcds of minors.
+that reindexes A to another generating covector, the model form R_D, the
+closed form of B_0, the numerators of the model vector B built one
+pairing at a time, the numerators of a matching's ``Fraction`` entries, a
+matching's representative pair and four filters read off its ``Fraction``
+entries, a matching's torsion read class by class through the residues of
+B, det by ``Fraction`` elimination, negative definiteness by Sylvester's
+criterion on the leading minors of one fraction-free elimination, and
+invariant factors from the gcds of minors.
 
 The end of the file holds what several test files share, so that no test
 module imports another: the strategy of random negative-definite forms,
 star and block-sum builders, the E8 form, the published vectors A and B
-for determinant 27, and the CLI's inputs: one-record files, a piped
-standard input, and the records that both a refusal and another output
-of the CLI are read from.
+for determinant 27, and the CLI's inputs: the record of 8_10 and a piped
+standard input.
 """
 
 import io
@@ -35,7 +34,7 @@ from types import SimpleNamespace
 
 from hypothesis import assume, strategies as st
 
-from unknotone.gamma import kappa_list, model_form
+from unknotone.gamma import kappa_list
 from unknotone.lattice import QuadraticForm, cokernel_generator
 from unknotone.matching import Matching, quarter_point
 
@@ -64,11 +63,14 @@ def box_values(form):
 
 
 def push_classes(rows):
-    """Each push class met from the characteristic box, walked to its end: (members, inside).
+    """Each push class met from the characteristic box: (members, inside).
 
     A covector with x_i = -G_ii moves by 2 G e_i, one with x_i = G_ii by
-    -2 G e_i, and each move undoes the other; ``inside`` says whether every
-    member lies in the box |x_i| <= -G_ii.
+    -2 G e_i, and each move undoes the other.  The walk goes on only from
+    points of the box |x_i| <= -G_ii: a move that leaves it adds the point it
+    reaches and marks the class as not inside.  So a class inside the box
+    comes out whole, and one that leaves may come out in several pieces,
+    each holding a point outside the box and marked not inside.
     """
     dim = len(rows)
     bound = [-rows[i][i] for i in range(dim)]
@@ -78,7 +80,7 @@ def push_classes(rows):
     for seed in product(*(range(-b, b + 1, 2) for b in bound)):
         if seed in visited:
             continue
-        stack, members = [seed], {seed}
+        stack, members, inside = [seed], {seed}, True
         while stack:
             vec = stack.pop()
             for x, (b, col, back) in zip(vec, moves):
@@ -90,9 +92,12 @@ def push_classes(rows):
                     continue
                 if nxt not in members:
                     members.add(nxt)
-                    stack.append(nxt)
+                    if all(abs(y) <= c for y, c in zip(nxt, bound)):
+                        stack.append(nxt)
+                    else:
+                        inside = False
         visited |= members
-        yield members, all(abs(x) <= b for v in members for x, b in zip(v, bound))
+        yield members, inside
 
 
 def box_places(sizes, intervals):
@@ -143,6 +148,12 @@ def spin_reference_value(D):
     """B_0 as a closed form: 0 when n = (D+1)/2 is odd, 1/2 when n is even."""
     n = (D + 1) // 2
     return Fraction(0) if n % 2 == 1 else Fraction(1, 2)
+
+
+def model_form(D):
+    """The model form R_D = [[-n, 1], [1, -2]] of ``unknotone.gamma``, for odd D = 2n - 1."""
+    n = (D + 1) // 2
+    return QuadraticForm.from_rows([[-n, 1], [1, -2]])
 
 
 def reference_gamma_vector(D):
@@ -392,41 +403,6 @@ B27 = [
 EIGHT_TEN_JSON = json.dumps(
     [{"name": "8_10", "goeritz": [[-4, 1, 1], [1, -2, 1], [1, 1, -5]], "determinant": 27}]
 )
-
-# a record of signature 0 whose cokernel, Z/3 + Z/3003, is not cyclic
-NON_CYCLIC = {"name": "r", "goeritz": [[-3, 0], [0, -3003]], "signature": 0}
-
-# non-cyclic (Z/3 + Z/(D/3)) with D of 26,579 bits, of either sign on the
-# diagonal: the NonCyclicH1 verdict and the cokernel error would print D
-# and its invariant factors.  With the negative diagonal the entry bound
-# refuses the form first, before the elimination.
-TOO_LONG_TO_PRINT = {
-    "negative": (
-        [[-3, 3 * 10**4000], [3 * 10**4000, -3]],
-        "Gram entry (1, 0) has G_ij^2 > G_ii G_jj; the form is not negative-definite",
-    ),
-    "positive": (
-        [[3, 3 * 10**4000], [3 * 10**4000, 3]],
-        "cokernel order more than 2^26578 is too long to print",
-    ),
-}
-
-# a unit mod 15 of 4,300 digits, which argparse still reads; on diag(-3, -5) the
-# generator pick's fallback gives (2, 4), so the JSON would print 4U, of 4,301 digits
-HUGE_UNIT = str(3 * 10**4299 + 1)
-
-
-def record_json(rows, **fields):
-    """The text of a file of one record of Gram matrix ``rows``, named "r" unless ``fields``
-    names it."""
-    return json.dumps([{"name": "r", "goeritz": rows, **fields}])
-
-
-def record_file(tmp_path, rows):
-    """The path, as a string, of a ``record_json`` file written in ``tmp_path``."""
-    path = tmp_path / "record.json"
-    path.write_text(record_json(rows))
-    return str(path)
 
 
 def piped(data, errors="strict"):

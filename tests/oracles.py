@@ -62,16 +62,16 @@ from math import ceil, gcd
 from helpers import reference_negative_definite
 
 
-def lens_d(p, q, i):
-    """d(-L(p, q), i) for coprime p > q >= 0 (L(1, 0) is the 3-sphere)."""
-    if p == 1:
-        return Fraction(0)
-    return Fraction(p * q - (2 * i + 1 - p - q) ** 2, 4 * p * q) - lens_d(q, p % q, i % q)
-
-
 def lens_vector(p, q):
-    """d(-L(p, q), i) for i = 0, ..., p - 1."""
-    return [lens_d(p, q, i) for i in range(p)]
+    """d(-L(p, q), i) for i = 0, ..., p - 1, for coprime p > q >= 0 (L(1, 0) is the 3-sphere).
+
+    One level of the recursion per call: every i reads the vector of
+    L(q, p mod q) at i mod q.
+    """
+    if p == 1:
+        return [Fraction(0)]
+    inner = lens_vector(q, p % q)
+    return [Fraction(p * q - (2 * i + 1 - p - q) ** 2, 4 * p * q) - inner[i % q] for i in range(p)]
 
 
 def surgery_d(p, q, torsion):
@@ -80,7 +80,8 @@ def surgery_d(p, q, torsion):
     def V(j):
         return torsion[j] if j < len(torsion) else 0
 
-    return [-lens_d(p, q, i) - 2 * max(V(i // q), V((p + q - 1 - i) // q)) for i in range(p)]
+    lens = lens_vector(p, q)
+    return [-lens[i] - 2 * max(V(i // q), V((p + q - 1 - i) // q)) for i in range(p)]
 
 
 def hirzebruch_jung(weights):

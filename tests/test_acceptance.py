@@ -17,10 +17,10 @@ from math import gcd
 import pytest
 
 import reference_tables as ref
-from helpers import A27_PUBLISHED, B27, E8, unit_of_covector
+from helpers import A27_PUBLISHED, B27, E8, model_form, unit_of_covector
 from unknotone.catalog import builtin_dataset, builtin_record
 from unknotone.corrections import correction_vector
-from unknotone.gamma import gamma_vector, model_form
+from unknotone.gamma import gamma_vector
 from unknotone.lattice import QuadraticForm
 from unknotone.matching import Outcome, enumerate_matchings, format_compact
 from unknotone.plumbing import PlumbingForm, class_count, plumbing_corrections

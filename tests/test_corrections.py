@@ -7,15 +7,15 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from unknotone import corrections, lattice
-from unknotone.catalog import builtin_dataset, builtin_record, record_from_dict
-from helpers import A27_PUBLISHED, unit_of_covector
+from unknotone.catalog import builtin_record, record_from_dict
+from helpers import A27_PUBLISHED, model_form, unit_of_covector
 from unknotone.corrections import correction_vector, scannable_cokernel
 from unknotone.errors import NonCyclicCokernelError, UnknotOneError, ValidationError
-from unknotone.gamma import gamma_vector, model_form
+from unknotone.gamma import gamma_vector
 from unknotone.lattice import QuadraticForm, rational_texts
 from unknotone.matching import Outcome
 from unknotone.plumbing import PlumbingForm
-from unknotone.report import analyze_record, report_to_json
+from unknotone.report import analyze_record
 
 EIGHT_TEN = QuadraticForm.from_rows([[-4, 1, 1], [1, -2, 1], [1, 1, -5]])
 
@@ -277,25 +277,13 @@ def test_an_analysed_form_is_freed_by_reference_counting():
 
 
 @given(
-    st.integers(min_value=-(10**12), max_value=10**12),
+    st.lists(st.integers(min_value=-(10**12), max_value=10**12)),
     st.integers(min_value=0, max_value=10**6).map(lambda k: 2 * k + 1),
 )
-@example(0, 27)
-@example(-54, 27)
-@example(-3, 1)
-@example(-2 * 10001, 10001)
-def test_rational_texts_are_the_fraction_strings(n, D):
-    assert rational_texts([n], 4 * D) == [str(Fraction(n, 4 * D))]
-
-
-def test_rendered_vectors_are_the_fraction_strings():
-    for record in builtin_dataset():
-        report = analyze_record(record)
-        payload = report_to_json(report, include_matchings=False)
-        if report.A is not None:
-            assert payload["A"] == [str(a) for a in report.A.values], record.name
-        if report.B is not None:
-            assert payload["B"] == [str(b) for b in report.B.values], record.name
-    for D in range(3, 2002, 2):
-        B = gamma_vector(D)
-        assert rational_texts(B.numerators, 4 * D) == [str(b) for b in B.values], D
+@example([0], 27)
+@example([-54, 0, -54], 27)
+@example([-3], 1)
+@example([-2 * 10001], 10001)
+def test_rational_texts_are_the_fraction_strings(numerators, D):
+    # repeats are allowed: each distinct numerator is rendered once and looked up
+    assert rational_texts(numerators, 4 * D) == [str(Fraction(n, 4 * D)) for n in numerators]

@@ -146,8 +146,8 @@ def test_balancing_signs(rows, signs):
 
 
 def test_walk_preserves_length_and_partitions_box():
-    # on small forms: classes are closed under the push moves, constant in
-    # squared length, and in-box classes partition the candidate box
+    # on small forms: the walk's classes are constant in squared length, and
+    # they partition the candidate box
     for rows in ([[-2, 1], [1, -3]], [[-3, 1], [1, -3]], [[-2, 1, 0], [1, -2, 1], [0, 1, -3]]):
         form = QuadraticForm.from_rows(rows)
         box = set(characteristic_candidates(form))

@@ -37,11 +37,21 @@ def test_verify_dataset_checks_the_signature_of_alternating_forms():
     assert problems(record([[-3, 1, 0], [1, -3, -1], [0, -1, -3]], 2)) == []
 
 
-def test_verify_dataset_compares_only_a_stated_determinant():
-    problems = load_script("verify_dataset").record_problems
-    # the record reader already refuses a stated determinant that disagrees
-    assert problems(record_from_dict({"name": "r", "goeritz": [[-3]]})) == []
-    assert problems(record_from_dict({"name": "r", "goeritz": [[-3]], "determinant": 3})) == []
+def test_verify_dataset_reports_each_refusal_of_the_analysis(monkeypatch, capsys):
+    script = load_script("verify_dataset")
+    records = [record_from_dict({"name": name, "goeritz": rows})
+               for name, rows in [("positive", [[3]]), ("even", [[-2]]), ("singular", [[0]])]]
+    assert [script.record_problems(record) for record in records] == [
+        ["not negative definite", "correction terms require a negative-definite form"],
+        ["cokernel order 2 is even; need a knot form"],
+        ["not negative definite", "cokernel requires a nonsingular form"],
+    ]
+    # every record is reported, and the run exits 1
+    monkeypatch.setattr(script, "builtin_dataset", lambda: records)
+    assert script.main() == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["positive", "even", "singular", "3"]
+    assert lines[-1] == "3 records with problems"
 
 
 def test_verify_dataset_counts_the_classes_of_every_plumbing_forest(monkeypatch):
