@@ -54,11 +54,18 @@ TESTS = [
 
 # name: (module, text, replacement)
 MUTANTS = {
-    # 4 as a numerator over 4D: the verdict scan's test for an even entry
+    # 4 as a numerator over 4D: the even filter (in the verdict scan's narrowing the same
+    # change would be equivalent, since a weaker narrowing loses no even pair)
     "evenness-modulus": (
         "matching.py",
-        "two = 8 * D  # 2 as a numerator over 4D\n    a_mod",
-        "two = 4 * D  # 2 as a numerator over 4D\n    a_mod",
+        "two = 8 * self.D  # 2 as a numerator over 4D",
+        "two = 4 * self.D  # 2 as a numerator over 4D",
+    ),
+    # the verdict scan returns every pair its narrowing keeps, odd ones too
+    "narrow-keeps-odd": (
+        "matching.py",
+        "return tuple(m for m in _listed(found) if m.even)",
+        "return _listed(found)",
     ),
     # |A_0| < 1/2 instead of |A_0| <= 1/2
     "gate": (
@@ -72,11 +79,11 @@ MUTANTS = {
         "C[i] <= C[i + 1] <= C[i] + two",
         "C[i] <= C[i + 1] <= C[i] + 2 * two",
     ),
-    # the evenness target of the opposite sign
+    # the narrowing's targets for C_1 and C_2 of the opposite sign
     "sign-epsilon": (
         "matching.py",
-        "target = [epsilon * neg_b[i] % two for i in half]",
-        "target = [-epsilon * neg_b[i] % two for i in half]",
+        "first, second = epsilon * neg_b[1] % two, epsilon * neg_b[2] % two",
+        "first, second = -epsilon * neg_b[1] % two, -epsilon * neg_b[2] % two",
     ),
     # the symmetric filter's start index swapped between D = 4k - 1 and 4k + 1
     "symmetric-start": (

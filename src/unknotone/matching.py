@@ -19,13 +19,20 @@ scanned, and each C records both pairs.  ``Matching`` is a
 numerators and renders them with ``texts()``; ``Matching.C`` is the
 ``Fraction`` view ``values`` of the base type, which no output reads.
 
-The verdict scan.  Every verdict starts from the even matchings, and
-:func:`even_matchings` finds just those.  C_0 = -B_0 - epsilon A_0 does not
-depend on u, so a sign whose C_0 is odd is skipped whole; otherwise each
-unit is dropped at its first odd entry, and since A and B are symmetric
-by type only the entries i <= D/2 are tested.  A pair that yields an even
-C passes the test, so the survivors carry their full provenance, and each
-equals the entry of the full listing with the same C.
+The verdict scan.  :func:`even_matchings` narrows to the even matchings:
+C_0 = -B_0 - epsilon A_0 does not depend on u, so a sign with C_0 odd is
+skipped whole, and a unit is kept when C_1 and C_2 are even too.  Only
+kept pairs build a C, and ``Matching.even`` decides, so the result is
+exact on any symmetric vector.  On a form's A no odd C is built.  Mod 8D,
+A's numerator over 4D is x^t N x + m D (N = D G^-1, m the rank) at any
+characteristic x of its class: x + 2 G v adds 4D (v . x + v^t G v), and
+v . x = v^t G v (mod 2).  With x_0 = diag(G), x = x_0 + 2t g has index
+w . x_0 + 2t and x^t N x = x_0^t N x_0 + 4t g^t N x_0 + 4t^2 g^t N g, so
+A mod 2 is a quadratic in the index, and so are B and C_i in i.  Such an
+f is f(0) + (f(1) - f(0)) i + (f(2) - 2 f(1) + f(0)) i (i - 1) / 2, even
+everywhere once even at 0, 1 and 2.  By the i^2 terms, the even pairs of
+a sign are square roots of one residue mod D: at most 2^(omega(D) + 1)
+pairs, omega(D) the number of primes dividing D.
 
 The listing.  :func:`enumerate_matchings` builds every distinct C with its
 provenance: 2 D integers per unit below D/2, one C per sign, and up to as
@@ -143,14 +150,13 @@ def _totient(D: int) -> int:
 
 
 # The most entries the full listing may cover: (unit, sign) pairs times D,
-# that is 4 D times the units below D/2, since every pair contributes a C of
-# D entries; the listing's time and memory grow with that count.  On the
-# two-bridge form [[-2, 1], [1, -1000]] (D = 1999, 8.0e6 entries)
-# enumerate_matchings takes about 0.6 s and 170 MB on one core of a 2-vCPU
-# machine (CPython 3.11), and even_matchings 1 ms; printing it takes about
-# 6 s and 830 MB with ``match --json``, 2.5 s and 245 MB with text ``match``
-# (CPU time, peak RSS).  D = 3999 (2.0e7 entries) is refused up front.
-# Verdicts never list (see the module docstring).
+# that is 4 D times the units below D/2 (each pair's C has D entries); its
+# time and memory grow with that count.  On the two-bridge form
+# [[-2, 1], [1, -1000]] (D = 1999, 8.0e6 entries) enumerate_matchings takes
+# about 0.6 s and 170 MB on one core of a 2-vCPU machine (CPython 3.11), and
+# even_matchings 0.4 ms; printing it takes about 6 s and 830 MB with
+# ``match --json``, 2.5 s and 245 MB with text ``match`` (CPU time, peak
+# RSS).  D = 3999 (2.0e7 entries) is refused up front.  Verdicts never list.
 LISTING_BUDGET = 10_000_000
 
 
@@ -211,29 +217,22 @@ def enumerate_matchings(A: CorrectionVector, B: GammaVector) -> tuple[Matching, 
 
 
 def even_matchings(A: CorrectionVector, B: GammaVector) -> tuple[Matching, ...]:
-    """The even matchings: the entries of the full listing whose ``even`` holds.
-
-    Each (unit, sign) pair stops at its first odd entry (module docstring),
-    so the work is about phi(D) pairs unless many pairs stay even long.
-    """
+    """The entries of the full listing whose ``even`` holds, narrowed by C_0, C_1 and C_2."""
     D, a, neg_b = _integer_vectors(A, B)
     two = 8 * D  # 2 as a numerator over 4D
-    a_mod = [x % two for x in a]
-    half = range(1, D // 2 + 1)
     scanned = half_units(D)
     found: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for epsilon, op in ((1, sub), (-1, add)):
         if op(neg_b[0], a[0]) % two:
             continue
         # C_i is even exactly when A_(u i) = -epsilon B_i (mod 2)
-        target = [epsilon * neg_b[i] % two for i in half]
-        # most pairs are already odd at i = 1: drop those in one pass
-        for u in [u for u in scanned if a_mod[u] == target[0]]:
-            if all(a_mod[u * i % D] == t for i, t in zip(half, target)):
+        first, second = epsilon * neg_b[1] % two, epsilon * neg_b[2] % two
+        for u in scanned:
+            if a[u] % two == first and a[2 * u % D] % two == second:
                 a_u = [a[j % D] for j in range(0, u * D, u)]
                 C = tuple(map(op, neg_b, a_u))
                 found.setdefault(C, []).extend(((u, epsilon), (D - u, epsilon)))
-    return _listed(found)
+    return tuple(m for m in _listed(found) if m.even)
 
 
 class Verdict(Value):

@@ -51,6 +51,13 @@ add E_v to r, that is column v of G to c.  At the end, k = K + 2c with
 K_v = -G_vv - 2 is a characteristic covector of largest square in its
 coset, and the correction term there is (k^t N k + sD) / 4D, s the rank.
 
+The correction terms mod 2 need no maximum at all: x^t N x mod 8D is the
+same at every characteristic covector x of a coset, since x + 2 G v adds
+4D (v . x + v^t G v) and v . x = v^t G v (mod 2).  So one covector per
+coset gives A mod 2 (Ozsvath-Szabo, Adv. Math. 2003, d = (c_1^2 + s) / 4):
+with x_0 = diag(G) and x = x_0 + 2t g, the coset of index w . x_0 + 2t
+has the numerator x_0^t N x_0 + 4t g^t N x_0 + 4t^2 g^t N g + sD mod 8D.
+
 The torsion coefficients of a knot come back from its one-sided Alexander
 coefficients a_i by the forward sum t_i = sum_{j >= 1} j a_(i+j), which
 the package inverts by second differences.
@@ -253,6 +260,22 @@ def nemethi_corrections(rows, generator):
             raise AssertionError(f"two cosets land on index {index}")
         values[index] = square + dim * D
     return tuple(values)
+
+
+def parity_numerators(rows, generator):
+    """Numerators over 4D of the correction terms mod 8D, entry i at the coset of
+    i * ``generator``: one characteristic covector x_0 + 2t g per coset, no maximum."""
+    N, D = inverse_numerator(rows)
+    x_0 = [row[v] for v, row in enumerate(rows)]
+    n_g = [sum(a * b for a, b in zip(row, generator)) for row in N]
+    square = sum(x * sum(a * b for a, b in zip(row, x_0)) for x, row in zip(x_0, N))
+    cross, g_n_g = (sum(a * b for a, b in zip(n_g, v)) for v in (x_0, generator))
+    start = pow(g_n_g, -1, D) * cross  # w . x_0, with w = (g^t N g)^-1 N g
+    values = [None] * D
+    for t in range(D):
+        value = square + 4 * t * cross + 4 * t * t * g_n_g + len(rows) * D
+        values[(start + 2 * t) % D] = value % (8 * D)
+    return values
 
 
 def torsion_from_polynomial(poly):

@@ -19,7 +19,7 @@ odd D at least D classes do.
 
 from fractions import Fraction
 from itertools import product
-from math import gcd, prod
+from math import prod
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -39,7 +39,6 @@ from helpers import (
 )
 from unknotone.corrections import correction_vector
 from unknotone.errors import ValidationError
-from unknotone.gamma import gamma_vector
 from unknotone.lattice import BOX_BUDGET, QuadraticForm, check_gram_entries, cokernel_generator
 from unknotone.plumbing import PlumbingForm, class_count
 
@@ -391,26 +390,6 @@ def test_dimension_zero_scans_one_point():
     assert (vector.numerators, vector.generator) == ((0,), ())
     counted = class_count(PlumbingForm.from_rows([]))
     assert (counted.count, counted.determinant, counted.is_lspace) == (1, 1, True)
-
-
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
-@given(negative_definite_forms())
-def test_a_matching_is_even_when_its_first_three_entries_are(form):
-    # x_0 + 2 t g is characteristic in the coset of 2 t g, and x^t G^{-1} x / 4
-    # is constant mod 2 on a coset, so A mod 2 is a quadratic in the index,
-    # and so is B; a quadratic mod 2 that vanishes at 0, 1 and 2 is
-    # p_2 i (i - 1) with p_2 an integer, even everywhere.  The mirror -A with
-    # sign epsilon gives the pairs of A with -epsilon, so both signs cover
-    # both orientations.
-    assume(cyclic_odd(form))
-    a = correction_vector(form).numerators
-    D = len(a)
-    b = gamma_vector(D).numerators
-    two = 8 * D  # 2 as a numerator over 4D
-    for u in (u for u in range(1, D) if gcd(u, D) == 1):
-        for epsilon in (1, -1):
-            even = [(b[i] + epsilon * a[u * i % D]) % two == 0 for i in range(D)]
-            assert all(even) == all(even[:3]), (u, epsilon)
 
 
 @st.composite

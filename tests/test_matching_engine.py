@@ -118,6 +118,19 @@ def test_staircase_fails_on_a_jump_of_four_below_the_quarter_point():
     assert obstruct(A, B).outcome == Outcome.NOT_OBSTRUCTED
 
 
+def test_a_pair_even_at_its_first_three_entries_can_be_odd_later():
+    # C = 1 at i = 3 and i = 8 and 0 elsewhere: A = -B - C gives it at unit 1,
+    # epsilon +1, a pair that passes the narrowing by C_0, C_1 and C_2; no form
+    # has this A, and the listing has no even entry, so no pair of it is even
+    B = gamma_vector(11)
+    C = tuple(44 * (i in (3, 8)) for i in range(11))
+    A = CorrectionVector(tuple(-b - c for b, c in zip(B.numerators, C)), (1,))
+    [m] = [m for m in check_engine(A, B) if m.numerators == C]
+    assert (1, 1) in m.provenance and not m.even
+    assert even_matchings(A, B) == ()
+    assert obstruct(A, B).outcome == Outcome.NO_EVEN_MATCHING
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from([3, 5, 7, 9, 11, 13, 15, 21, 25, 27]).flatmap(

@@ -8,7 +8,9 @@ companion's torsion must reproduce A under D/2-surgery.  The two-bridge
 classification gives hundreds of knots with a known answer: none with
 unknotting number one may be obstructed.  The class count is checked
 against Laufer's computation sequence, which shares nothing with the box:
-on a plumbing tree both decide whether it bounds an L-space.
+on a plumbing tree both decide whether it bounds an L-space.  A mod 2
+comes from one characteristic covector per class, with no maximum, and
+decides which (unit, sign) pairs give an even matching.
 """
 
 import random
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import reference_tables as ref
-from helpers import block_sum, reference_negative_definite
+from helpers import block_sum, cyclic_odd, reference_negative_definite
 from oracles import (
     chain_rows,
     equal_up_to_symmetry,
@@ -27,6 +29,7 @@ from oracles import (
     hirzebruch_jung_weights,
     laufer_rational,
     lens_vector,
+    parity_numerators,
     surgery_d,
     two_bridge_signature,
     two_bridge_u1,
@@ -37,6 +40,7 @@ from unknotone.gamma import gamma_vector
 from unknotone import lattice
 from unknotone.errors import ValidationError
 from unknotone.lattice import QuadraticForm
+from unknotone.matching import even_matchings
 from unknotone.plumbing import PlumbingForm, class_count
 from unknotone.report import alexander_reports, analyze_record, sign_refined_record
 
@@ -255,6 +259,65 @@ def test_connected_sum_corrections_are_the_crt_sum(monkeypatch):
 @pytest.mark.parametrize("D", [*range(3, 200, 2), 10001])
 def test_gamma_vector_is_lens_space_d(D):
     assert equal_up_to_symmetry(gamma_vector(D).values, lens_vector(D, 2))
+
+
+def seeded_forms(count, seed):
+    """Distinct forms of dimension 1..4, diagonal -1..-7 and other entries -1..1, that the
+    references find negative definite with odd cyclic cokernel, until ``count`` are admitted."""
+    rng = random.Random(seed)
+    seen = set()
+    while len(seen) < count:
+        dim = rng.randint(1, 4)
+        rows = [[0] * dim for _ in range(dim)]
+        for i in range(dim):
+            rows[i][i] = -rng.randint(1, 7)
+            for j in range(i):
+                rows[i][j] = rows[j][i] = rng.randint(-1, 1)
+        key = tuple(map(tuple, rows))
+        if key in seen or not reference_negative_definite(rows):
+            continue
+        if cyclic_odd(form := QuadraticForm.from_rows(rows)):
+            seen.add(key)
+            yield form
+
+
+def even_pairs(b, parity, stop):
+    """The pairs (u, epsilon), u a unit of Z/D, with C = -B - epsilon A even at the entries
+    below ``stop``, for the numerators ``b`` of B and those of A mod 8D in ``parity``."""
+    D, two = len(parity), 8 * len(parity)
+    return {
+        (u, epsilon)
+        for u in range(1, D)
+        if gcd(u, D) == 1
+        for epsilon in (1, -1)
+        if all((b[i] + epsilon * parity[u * i % D]) % two == 0 for i in range(stop))
+    }
+
+
+def test_parity_from_one_covector_per_class_decides_the_even_matchings():
+    # (a) the scan's A is the oracle's parity mod 8D; on the parity, and on
+    # its negation for the mirror, (b) a (unit, sign) pair with C even at
+    # entries 0, 1 and 2 is even everywhere (the lemma of matching.py), (c)
+    # even_matchings keeps exactly the pairs even by parity alone, and (d)
+    # there are at most 2^(omega(D) + 1) of them, square roots of one residue
+    # mod D per sign, with the bound reached on some form
+    bundled = [record.form for record in builtin_dataset() if cyclic_odd(record.form)]
+    reached = 0
+    for form in bundled + list(seeded_forms(200, seed=7)):
+        A = correction_vector(form)
+        B = gamma_vector(A.D)
+        parity = parity_numerators(form.gram, A.generator)
+        D = A.D
+        assert [x % (8 * D) for x in A.numerators] == parity, form.gram
+        omega = sum(1 for p in range(2, D + 1) if D % p == 0 and all(p % q for q in range(2, p)))
+        for vector, mod_two in ((A, parity), (A.mirrored(), [-x for x in parity])):
+            even = even_pairs(B.numerators, mod_two, D)
+            assert even_pairs(B.numerators, mod_two, 3) == even, form.gram
+            assert {pair for m in even_matchings(vector, B) for pair in m.provenance} == even
+            assert len(even) <= 2 ** (omega + 1), form.gram
+            reached += len(even) == 2 ** (omega + 1)
+    assert len(bundled) == 54
+    assert reached > 0
 
 
 def test_surgery_of_the_unknot_is_the_lens_space():
