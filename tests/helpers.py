@@ -11,7 +11,8 @@ that reindexes A to another generating covector, the model form R_D, the
 closed form of B_0, the numerators of the model vector B built one
 pairing at a time, the numerators of a matching's ``Fraction`` entries, a
 matching's representative pair and four filters read off its ``Fraction``
-entries, a matching's torsion read class by class through the residues of
+entries, the fold of an integer-surgery class residue to its torsion
+index, a matching's torsion read class by class through the residues of
 B, det by ``Fraction`` elimination, negative definiteness by Sylvester's
 criterion on the leading minors of one fraction-free elimination, and
 invariant factors from the gcds of minors.
@@ -213,15 +214,21 @@ def classified(C, provenance=((1, 1),)):
     return m
 
 
+def fold_residue(residue, n):
+    """The torsion index 0..n//2 of an integer-surgery class residue mod 2n."""
+    j = ((residue + n) // 2) % n
+    return min(j, n - j)
+
+
 def reference_torsion(matching, B):
     """The torsion of an even, positive, symmetric matching with C_0 = 0, read class by class.
 
     Each position restricts to the integer-surgery class ``B.v_index[i]``,
     and the two positions of a class must carry one value; the class r
-    (mod 2n) folds to the torsion index j = ((r + n) // 2) mod n or n - j,
-    whichever is smaller, and the classes of one index must agree on half
-    the value.  Indices that no class reaches get 0; trailing zeros are
-    trimmed and one 0 ends the sequence.
+    (mod 2n) folds to the torsion index ``fold_residue(r, n)``, and the
+    classes of one index must agree on half the value.  Indices that no
+    class reaches get 0; trailing zeros are trimmed and one 0 ends the
+    sequence.
     """
     n, two = B.n, 8 * B.D  # 2 as a numerator over 4D
     per_class = {}
@@ -230,10 +237,9 @@ def reference_torsion(matching, B):
         assert per_class.setdefault(residue, value) == value, (residue, i)
     assigned = {}
     for residue, value in per_class.items():
-        j = ((residue + n) // 2) % n
         half, remainder = divmod(value, two)
         assert remainder == 0, (residue, value)
-        assert assigned.setdefault(min(j, n - j), half) == half, residue
+        assert assigned.setdefault(fold_residue(residue, n), half) == half, residue
     torsion = [assigned.get(i, 0) for i in range(n // 2 + 1)]
     while torsion and torsion[-1] == 0:
         torsion.pop()

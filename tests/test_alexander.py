@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import classified, numerators_over_4d, reference_torsion
+from helpers import classified, fold_residue, numerators_over_4d, reference_torsion
 from oracles import torsion_from_polynomial
 from unknotone.alexander import (
     AlexanderPolynomial,
@@ -166,42 +166,42 @@ def test_inconsistent_classes_detected():
         Matching(numerators_over_4d(D, C), ((1, 1),))
 
 
-def fold_residue(residue, n):
-    """The torsion index 0..n//2 of an integer-surgery class residue mod 2n."""
-    j = ((residue + n) // 2) % n
-    return min(j, n - j)
+@pytest.fixture(scope="module")
+def folded_classes():
+    """(D, B, the fold of each position's class residue) for every odd D in 3..1001,
+    built once for the three sweeps below."""
+    out = []
+    for D in range(3, 1002, 2):
+        B = gamma_vector(D)
+        out.append((D, B, [fold_residue(residue, B.n) for residue in B.v_index]))
+    return out
 
 
-def test_residue_folding_is_symmetric():
+def test_residue_folding_is_symmetric(folded_classes):
     n = 31
     for r in range(1, 2 * n, 2):
         assert fold_residue(r, n) == fold_residue((-r) % (2 * n), n)
         assert 0 <= fold_residue(r, n) <= n // 2
     # positions i and D - i of the classes gamma --json prints fold alike
-    for D in range(3, 1002, 2):
-        B = gamma_vector(D)
-        folded = [fold_residue(residue, B.n) for residue in B.v_index]
+    for D, _, folded in folded_classes:
         assert all(folded[i] == folded[D - i] for i in range(1, D)), D
 
 
-def test_every_residue_folds_into_the_torsion_range():
+def test_every_residue_folds_into_the_torsion_range(folded_classes):
     # indices above n // 2 = k are never assigned, so the torsion read off
     # a matching has at most k + 1 entries before the trim
     for n in range(1, 401):
         assert all(0 <= fold_residue(r, n) <= n // 2 for r in range(2 * n)), n
-    for D in range(3, 1002, 2):
-        B = gamma_vector(D)
+    for D, B, folded in folded_classes:
         assert B.n // 2 == quarter_point(D), D
-        assert {fold_residue(residue, B.n) for residue in B.v_index} == set(range(B.n // 2 + 1)), D
+        assert set(folded) == set(range(B.n // 2 + 1)), D
 
 
-def test_every_position_restricts_to_its_distance_from_the_quarter_point():
+def test_every_position_restricts_to_its_distance_from_the_quarter_point(folded_classes):
     # the index transport of the alexander docstring, against the residue
     # fold of the integer-surgery classes that gamma --json prints
-    for D in range(3, 1002, 2):
-        B = gamma_vector(D)
+    for D, _, folded in folded_classes:
         k = quarter_point(D)
-        folded = [fold_residue(residue, B.n) for residue in B.v_index]
         assert folded == [abs(min(i, D - i) - k) for i in range(D)], D
 
 

@@ -131,9 +131,23 @@ def test_a_pair_even_at_its_first_three_entries_can_be_odd_later():
     assert obstruct(A, B).outcome == Outcome.NO_EVEN_MATCHING
 
 
+SMALL_DETERMINANTS = [3, 5, 7, 9, 11, 13, 15, 21, 25, 27]
+
+
+@st.composite
+def heads_odd_past_the_narrowing(draw):
+    """(D, head) for D >= 7: C = head[min(i, D - i)] is even at entries 0, 1
+    and 2, so the pair that gives it passes the narrowing, and odd at one
+    pair (i, D - i) with i >= 3, so its matching is not even."""
+    D = draw(st.sampled_from([D for D in SMALL_DETERMINANTS if D >= 7]))
+    head = [8 * D * draw(st.integers(min_value=-2, max_value=2)) for _ in range(D // 2 + 1)]
+    head[draw(st.integers(min_value=3, max_value=D // 2))] += 4 * D
+    return D, head
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from([3, 5, 7, 9, 11, 13, 15, 21, 25, 27]).flatmap(
+    st.sampled_from(SMALL_DETERMINANTS).flatmap(
         lambda D: st.tuples(
             st.just(D),
             st.lists(
@@ -142,8 +156,15 @@ def test_a_pair_even_at_its_first_three_entries_can_be_odd_later():
                 max_size=(D + 1) // 2,
             ),
         )
-    )
+    ),
+    heads_odd_past_the_narrowing(),
 )
-def test_engine_on_random_symmetric_vectors(case):
+def test_engine_on_random_symmetric_vectors(case, planted):
     D, head = case
     check_engine(symmetric_vector(D, head), gamma_vector(D))
+    # A = -B - C gives C at unit 1, epsilon = +1
+    D, head = planted
+    B = gamma_vector(D)
+    A = symmetric_vector(D, [-b - c for b, c in zip(B.numerators, head)])
+    [m] = [m for m in check_engine(A, B) if (1, 1) in m.provenance]
+    assert m.numerators == symmetric_vector(D, head).numerators and not m.even
