@@ -354,9 +354,9 @@ class QuadraticForm(Value):
 # has 1.96e6 points, class_count takes 0.024 to 0.025 s and
 # correction_vector 0.23 to 0.24 s of CPU in a fresh process on one pinned
 # core of a 2-vCPU Xeon (CPython 3.11.7, five runs each), and the peak
-# resident size goes from 14 MB to 21 MB and 46 MB; the medians of
-# scripts/box_sweep.py, whose five repeats reuse one process, are 0.010 s
-# and 0.14 s.  A larger box is refused up front instead of
+# resident size goes from 14 MB to 21 MB and 46 MB; the medians of five
+# repeats that reuse one process are 0.010 s and 0.14 s.  A larger box
+# is refused up front instead of
 # running for hours: a 6 x 6 form with diagonal -41 has 5.5e9 points.  The
 # generator pick runs only on the forms the scan accepts, whose D is at most
 # prod |G_ii| (Hadamard), so below the budget.  When no coordinate covector

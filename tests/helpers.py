@@ -8,8 +8,7 @@ from the box, walked on only inside it; the places of a box whose
 coordinates lie in given intervals, the map q(v) = G v, the value
 Q(v, v), the pairing v^t N v and the coset label N v mod |det|, the unit
 that reindexes A to another generating covector, the model form R_D, the
-closed form of B_0, the numerators of the model vector B built one
-pairing at a time, the numerators of a matching's ``Fraction`` entries, a
+closed form of B_0, the numerators of a matching's ``Fraction`` entries, a
 matching's representative pair and four filters read off its ``Fraction``
 entries, the fold of an integer-surgery class residue to its torsion
 index, a matching's torsion read class by class through the residues of
@@ -26,16 +25,13 @@ standard input.
 
 import io
 import json
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, prod
 from operator import add, mul
-from types import SimpleNamespace
 
 from hypothesis import assume, strategies as st
 
-from unknotone.gamma import kappa_list
 from unknotone.lattice import QuadraticForm, cokernel_generator
 from unknotone.matching import Matching, quarter_point
 
@@ -155,21 +151,6 @@ def model_form(D):
     """The model form R_D = [[-n, 1], [1, -2]] of ``unknotone.gamma``, for odd D = 2n - 1."""
     n = (D + 1) // 2
     return QuadraticForm.from_rows([[-n, 1], [1, -2]])
-
-
-def reference_gamma_vector(D):
-    """B for odd D >= 3 as numerators over 4D, one ``pairing`` per kappa."""
-    n = (D + 1) // 2
-    form = model_form(D)
-    kappas = tuple(kappa_list(n))
-    numerators = tuple(pairing(form, k) + 2 * D for k in kappas)
-    v_index = tuple(kappa[0] % (2 * n) for kappa in kappas)
-    counts = Counter(v_index)
-    (single,) = [i for i, residue in enumerate(v_index) if counts[residue] == 1]
-    return SimpleNamespace(
-        D=D, n=n, kappas=kappas, numerators=numerators, v_index=v_index,
-        singly_attained_index=single,
-    )
 
 
 def numerators_over_4d(D, values):

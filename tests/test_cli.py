@@ -48,9 +48,10 @@ def test_paper_tables_json(capsys):
     assert len(two) == 24
 
 
-def test_cli_entrypoint_subprocess():
+def test_cli_entrypoint_subprocess(src_env):
     proc = subprocess.run(
         [sys.executable, "-m", "unknotone.cli", "obstruct", "--knot", "8_10"],
+        env=src_env,
         capture_output=True,
         text=True,
     )

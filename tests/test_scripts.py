@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -86,3 +87,9 @@ def test_a_kill_names_the_whole_parametrized_test():
     assert first_failure(summary) == test
     assert first_failure(f"FAILED {test}\n") == test
     assert first_failure("1 passed in 0.1s\n") is None
+
+
+def test_every_script_is_loaded_by_a_test():
+    calls = [node for node in ast.walk(ast.parse(Path(__file__).read_text()))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "load_script"]
+    assert {path.stem for path in SCRIPTS.glob("*.py")} == {call.args[0].value for call in calls}

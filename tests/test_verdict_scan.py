@@ -5,10 +5,12 @@ each must equal the value computed from ``enumerate_matchings``, the way
 the pipeline computed it before the scan existed.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
-from helpers import cyclic_odd, negative_definite_forms, reference_gamma_vector
+from helpers import cyclic_odd, model_form, negative_definite_forms
 from unknotone import gamma, report
 from unknotone.alexander import (
     lspace_coefficient_check,
@@ -156,10 +158,19 @@ def test_listing_budget_is_checked_before_scanning():
 
 
 def test_gamma_vector_matches_one_pairing_per_kappa():
+    # N = D R_D^-1 = [[-2, -1], [-1, -n]]: at a characteristic kappa = (x, y), 4D B is
+    # kappa^t N kappa + 2D = 2D - 2x^2 - 2xy - n y^2; classes x mod 2n pair up but one
     for D in range(3, 1000, 2):
-        B, ref = gamma_vector(D), reference_gamma_vector(D)
-        assert (B.D, B.n, B.singly_attained_index) == (ref.D, ref.n, ref.singly_attained_index)
-        assert (B.numerators, B.v_index, B.kappas) == (ref.numerators, ref.v_index, ref.kappas), D
+        n, B = (D + 1) // 2, gamma_vector(D)
+        assert model_form(D).inverse_numerator == ((-2, -1), (-1, -n)), D
+        assert len(B.kappas) == D
+        assert {(x % 2, y % 2) for x, y in B.kappas} == {(n % 2, 0)}, D
+        assert B.numerators == tuple([2 * (D - x * x - x * y) - n * y * y for x, y in B.kappas]), D
+        residues = [x % (2 * n) for x, _ in B.kappas]
+        counts = Counter(residues)
+        assert sorted(counts.values()) == [1] + [2] * (n - 1), D
+        assert counts[residues[B.singly_attained_index]] == 1, D
+        assert B.v_index == tuple(residues), D
 
 
 # The two checks below are raised errors, not asserts, so python -O keeps them:
