@@ -12,7 +12,9 @@ from unknotone.catalog import (
     record_from_dict,
     record_to_dict,
 )
+from unknotone.corrections import correction_vector
 from unknotone.errors import ValidationError
+from unknotone.lattice import QuadraticForm
 
 
 def test_white_graph_trefoil():
@@ -139,6 +141,18 @@ def test_white_graph_form_is_built_once():
     assert record.form is record.form
 
 
+def signature_rule_holds(form, signature):
+    """-4 A_0 = sigma where Manolescu-Owens prove it ("A concordance invariant from
+    the Floer homology of double branched covers", IMRN 2007): a form whose
+    off-diagonal entries all have one sign comes from an alternating diagram.  With
+    A_0 = a_0 / 4D the rule reads -a_0 = sigma D.  Other forms are not checked."""
+    off = [entry for i, row in enumerate(form.gram) for j, entry in enumerate(row) if i != j]
+    if min(off, default=0) < 0 < max(off, default=0):
+        return True
+    A = correction_vector(form)
+    return -A.numerators[0] == signature * A.D
+
+
 def test_builtin_dataset_integrity():
     records = builtin_dataset()
     names = [r.name for r in records]
@@ -153,6 +167,18 @@ def test_builtin_dataset_integrity():
         assert abs(record.form.det) == record.determinant
         assert record.determinant % 2 == 1
         assert record.form.is_negative_definite
+        # a cyclic cokernel, no refusal, and |A_0| <= 1/2
+        assert correction_vector(record.form).gate, record.name
+        if record.signature is not None:
+            assert signature_rule_holds(record.form, record.signature), record.name
+    # every typed signature is 0, so these pins fix the sign of the rule:
+    # the trefoil's form [-3] has A_0 = -1/2, so -4 A_0 = 2
+    trefoil = QuadraticForm.from_rows([[-3]])
+    assert signature_rule_holds(trefoil, 2) and not signature_rule_holds(trefoil, -2)
+    # 8_10's form, one sign off the diagonal, with A_0 = -1/2
+    assert not signature_rule_holds(builtin_record("8_10").form, 0)
+    # a form with off-diagonal entries of both signs (here A_0 = 0) is not checked
+    assert signature_rule_holds(QuadraticForm.from_rows([[-3, 1, 0], [1, -3, -1], [0, -1, -3]]), 2)
 
 
 def test_builtin_lookup():

@@ -39,7 +39,7 @@ def unused_imports(source: str) -> list[str]:
 
 def test_sources_are_found():
     names = {path.name for path in SOURCES}
-    assert {"lattice.py", "alexander.py", "verify_dataset.py", "helpers.py"} <= names
+    assert {"lattice.py", "alexander.py", "mutation_run.py", "helpers.py"} <= names
     assert "test_acceptance.py" not in names
 
 

@@ -5,15 +5,7 @@ from math import gcd
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from helpers import (
-    cyclic_odd,
-    derived,
-    evaluate,
-    negative_definite_forms,
-    pairing,
-    q_map,
-    reference_derived,
-)
+from helpers import cyclic_odd, evaluate, negative_definite_forms, pairing, q_map
 from oracles import torsion_from_polynomial
 from unknotone.corrections import correction_vector
 from unknotone.gamma import gamma_vector
@@ -103,14 +95,3 @@ def test_torsion_polynomial_roundtrip(torsion):
         trimmed.pop()
     trimmed.append(0)
     assert torsion_from_polynomial(poly) == tuple(trimmed)
-
-
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
-@given(negative_definite_forms(max_dim=3, max_abs_det=45))
-def test_matchings_always_conjugation_symmetric(form):
-    assume(cyclic_odd(form))
-    A = correction_vector(form)
-    B = gamma_vector(A.D)
-    for m in enumerate_matchings(A, B):
-        assert all(m.C[i] == m.C[(A.D - i) % A.D] for i in range(A.D))
-        assert derived(m) == reference_derived(m.C, m.provenance)
