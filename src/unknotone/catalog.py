@@ -13,7 +13,6 @@ The external format is a UTF-8 JSON array of objects with keys
     white_graph ({"vertices": n, "edges": [[u, v, s], ...]})  } of the two
     signature   (even integer, optional)
     determinant (integer, optional cross-check)
-    mirror_of   (string, optional)
 """
 
 from __future__ import annotations
@@ -72,7 +71,6 @@ class KnotRecord(Value):
     white_graph: Optional[WhiteGraph] = None
     signature: Optional[int] = None
     determinant: Optional[int] = None
-    mirror_of: Optional[str] = None
 
     def _validate(self) -> None:
         if self.goeritz is None and self.white_graph is None:
@@ -122,10 +120,6 @@ def record_from_dict(entry: dict, where: str = "") -> KnotRecord:
     for field in ("signature", "determinant"):
         if entry.get(field) is not None and not _is_int(entry[field]):
             raise ValidationError(f"{context}: '{field}' must be an integer, got {entry[field]!r}")
-    if entry.get("mirror_of") is not None and not isinstance(entry["mirror_of"], str):
-        raise ValidationError(
-            f"{context}: 'mirror_of' must be a string, got {entry['mirror_of']!r}"
-        )
     goeritz = None
     if "goeritz" in entry and entry["goeritz"] is not None:
         try:
@@ -161,7 +155,6 @@ def record_from_dict(entry: dict, where: str = "") -> KnotRecord:
             white_graph=white_graph,
             signature=entry.get("signature"),
             determinant=entry.get("determinant"),
-            mirror_of=entry.get("mirror_of"),
         )
     except ValidationError as exc:
         raise ValidationError(f"{context}: {exc}") from exc
@@ -180,8 +173,6 @@ def record_to_dict(record: KnotRecord) -> dict:
         out["signature"] = record.signature
     if record.determinant is not None:
         out["determinant"] = record.determinant
-    if record.mirror_of is not None:
-        out["mirror_of"] = record.mirror_of
     return out
 
 

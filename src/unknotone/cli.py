@@ -66,8 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gamma", help="model comparison vector for a determinant")
     p.add_argument("--D", type=int, required=True, metavar="N", help="odd determinant >= 3")
     p.add_argument("--json", action="store_true")
-    p = record_command("match", "all deduplicated matchings of a record")
-    p.add_argument("--generator", type=int, metavar="N")
+    record_command("match", "all deduplicated matchings of a record")
     p = record_command("obstruct", "run the obstruction verdict")
     p.add_argument("--strong", action="store_true", help="apply the staircase filter")
     p.add_argument(
@@ -75,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="single-sign test for both crossing signs (needs a signature)",
     )
-    p.add_argument("--generator", type=int, metavar="N")
     record_command("alexander", "torsion and polynomial from symmetric matchings")
     record_command("plumbing-check", "class-count L-space certificate")
     p = sub.add_parser("report", help="batch verdicts and table reproduction")
@@ -160,7 +158,7 @@ def cmd_match(args: argparse.Namespace) -> tuple[dict, str]:
     from .report import analyze_record, report_to_json
 
     record = _load_single_record(args)
-    report = analyze_record(record, generator_unit=args.generator, listing=True)
+    report = analyze_record(record, listing=True)
     # each output renders the whole listing: build only the one printed
     if args.json:
         return report_to_json(report), ""
@@ -174,8 +172,8 @@ def cmd_match(args: argparse.Namespace) -> tuple[dict, str]:
 def cmd_obstruct(args: argparse.Namespace) -> tuple[dict, str]:
     from .report import analyze_record, report_to_json, sign_refined_record, verdict_to_json
 
-    if args.sign_refined and (args.strong or args.generator is not None):
-        raise ValidationError("--sign-refined takes no --strong or --generator")
+    if args.sign_refined and args.strong:
+        raise ValidationError("--sign-refined takes no --strong")
     record = _load_single_record(args)
     if args.sign_refined:
         signed = sign_refined_record(record)
@@ -190,9 +188,7 @@ def cmd_obstruct(args: argparse.Namespace) -> tuple[dict, str]:
                 + (f"  [{witnesses}]" if witnesses else "")
             )
         return payload, "\n".join(lines)
-    report = analyze_record(
-        record, strong=args.strong, generator_unit=args.generator, listing=args.json
-    )
+    report = analyze_record(record, strong=args.strong, listing=args.json)
     # the JSON carries the full matching listing; the text needs the verdict only
     if args.json:
         return report_to_json(report), ""

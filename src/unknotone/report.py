@@ -14,7 +14,6 @@ input order.
 from __future__ import annotations
 
 from functools import cached_property
-from math import gcd
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .catalog import KnotRecord
@@ -71,19 +70,16 @@ class RecordReport(Value):
         return self.verdict.outcome
 
 
-def analyze_record(
-    record: KnotRecord,
-    strong: bool = False,
-    generator_unit: Optional[int] = None,
-    listing: bool = False,
-) -> RecordReport:
+def analyze_record(record: KnotRecord, strong: bool = False, listing: bool = False) -> RecordReport:
     """Full unsigned pipeline for one record.
 
     A caller that reads the full listing passes ``listing``.  The listing
     budget depends on D alone, so once the form passes the refusals of
     ``scannable_cokernel`` a listing above it is refused, before any
     correction term is computed.  Only a record whose analysis would list is
-    refused: D > 1 and the generator unit (if any) is a unit.
+    refused: one with D > 1.  A is listed against the scan's generator; the
+    verdict and every matching vector C are the same against any other, and
+    only the unit labels of the listing would move.
     """
     form = record.form
     try:
@@ -95,11 +91,9 @@ def analyze_record(
             verdict=Verdict(Outcome.NON_CYCLIC_H1, (), gate_applied=False),
             invariant_factors=exc.invariant_factors,
         )
-    if listing and D > 1 and (generator_unit is None or gcd(generator_unit, D) == 1):
+    if listing and D > 1:
         check_listing_budget(D)
     A = correction_vector(form)
-    if generator_unit is not None:
-        A = A.reindexed(generator_unit)
     if A.D == 1:
         return RecordReport(
             name=record.name,

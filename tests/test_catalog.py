@@ -79,13 +79,6 @@ def test_parse_single_record_and_roundtrip():
     assert again == records
 
 
-def test_a_record_with_a_mirror_round_trips():
-    entry = {"name": "m", "goeritz": [[-3]], "mirror_of": "3_1"}
-    record = record_from_dict(entry)
-    assert record_to_dict(record) == entry
-    assert record_from_dict(record_to_dict(record)) == record
-
-
 def test_parse_empty_source():
     assert parse_knot_records("") == []
     assert parse_knot_records("[]") == []

@@ -83,6 +83,10 @@ def test_bundled_plumbing_forests_match_the_generalized_laufer_sequence():
 def test_the_oracle_on_small_forests():
     # the trefoil's [-3]: A_0 = -1/2 and A_1 = A_2 = 1/6, over 4D = 12
     assert nemethi_corrections([[-3]], (1,)) == (-6, 2, 2)
+    # the -1 sphere, a chain and the chain -3, -1, -3 are rational
+    assert laufer_rational([[-1]])
+    assert laufer_rational([[-2, 1], [1, -2]])
+    assert laufer_rational([[-1, 1, 1], [1, -3, 0], [1, 0, -3]])
     # the star with a -1 centre and legs -3, -3, -4 is not rational, and each
     # tree of a forest is checked on its own
     bad = [[-1, 1, 1, 1], [1, -3, 0, 0], [1, 0, -3, 0], [1, 0, 0, -4]]

@@ -38,7 +38,6 @@ from unknotone.catalog import builtin_dataset, builtin_record, record_from_dict
 from unknotone.corrections import correction_vector
 from unknotone.gamma import gamma_vector
 from unknotone import lattice
-from unknotone.errors import ValidationError
 from unknotone.lattice import QuadraticForm
 from unknotone.matching import even_matchings
 from unknotone.plumbing import PlumbingForm, class_count
@@ -393,24 +392,3 @@ def test_class_count_certifies_exactly_the_laufer_rational_trees():
     assert all(counted == rational for counted, rational in verdicts)
     # both outcomes occur
     assert 40 <= sum(not rational for _, rational in verdicts) <= 360
-
-
-def test_bundled_plumbing_forests_are_laufer_rational():
-    certified = 0
-    for record in builtin_dataset():
-        try:
-            plumbing = PlumbingForm(record.form)
-        except ValidationError:
-            continue
-        assert class_count(plumbing).is_lspace and laufer_rational(record.form.gram), record.name
-        certified += 1
-    assert certified == 22
-
-
-def test_laufer_oracle_on_small_trees():
-    # the -1 sphere, a chain and the chain -3, -1, -3 are rational; the star
-    # with a -1 centre and legs -3, -3, -4 is not
-    assert laufer_rational([[-1]])
-    assert laufer_rational([[-2, 1], [1, -2]])
-    assert laufer_rational([[-1, 1, 1], [1, -3, 0], [1, 0, -3]])
-    assert not laufer_rational([[-1, 1, 1, 1], [1, -3, 0, 0], [1, 0, -3, 0], [1, 0, 0, -4]])

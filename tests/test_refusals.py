@@ -129,12 +129,8 @@ REFUSED = [
     row("sign-refined-null-signature", "obstruct --sign-refined --input record.json",
         "record 'r' carries no signature; the signed test needs one",
         json.dumps([{**NON_CYCLIC, "signature": None}])),
-    *(
-        row(f"sign-refined-{name}", f"obstruct --knot 8_8 --sign-refined {flags}",
-            "--sign-refined takes no --strong or --generator", never=("catalog", "builtin_record"))
-        for name, flags in [("strong", "--strong"), ("generator", "--generator 2"),
-                            ("both", "--strong --generator 1")]
-    ),
+    row("sign-refined-strong", "obstruct --knot 8_8 --sign-refined --strong",
+        "--sign-refined takes no --strong", never=("catalog", "builtin_record")),
     row("report-all-input", "report --all --input record.json",
         "give only one of --all and --input", EIGHT_TEN_JSON),
     row("report-all-paper-tables-input", "report --all --paper-tables --input record.json",
@@ -177,8 +173,6 @@ REFUSED = [
              "(x): 'signature' must be an integer, got 2.0"),
             ("determinant-string", {**X, "determinant": "3"},
              "(x): 'determinant' must be an integer, got '3'"),
-            ("mirror_of-integer", {**X, "mirror_of": 7},
-             "(x): 'mirror_of' must be a string, got 7"),
             ("vertices-bool",
              {"name": "w", "white_graph": {"vertices": True, "edges": [[0, 1, 1]] * 3}},
              "(w): white_graph 'vertices' must be an integer, got True"),
@@ -257,11 +251,11 @@ REFUSED = [
     # an even determinant, 10004: the correction terms refuse it
     row("listing-even", "match --input record.json",
         "cokernel order 10004 is even; need a knot form", record_json([[-3, 1], [1, -3335]])),
-    # D = 3999 is over the listing budget, but 3 is not a unit mod 3999
-    row("listing-no-unit", "match --input record.json --generator 3",
+    # the generator: a non-unit is refused after the scan, here on D = 3999
+    row("generator-no-unit", "corrections --input record.json --generator 3",
         "3 is not a unit mod 3999", record_json([[-2, 1], [1, -2000]])),
     # the output: on diag(-3, -5), the JSON would print 4U, of 4,301 digits
-    *rows("generator-too-long-for-the-json", "corrections, obstruct, match",
+    *rows("generator-too-long-for-the-json", "corrections",
           f"the JSON output needs an integer of more than {DIGITS} digits",
           record_json([[-3, 0], [0, -5]]), flags=f"--generator {HUGE_UNIT} --json"),
 ]
@@ -402,14 +396,9 @@ ANSWERED = [
     answer("listing-determinant-1", "match --input record.json", ["r: D = 1, 0 matchings"],
            record_json(DETERMINANT_1)),
     # the JSON of the same arguments is refused (REFUSED); the text prints no generator
-    *(
-        answer(f"generator-too-long-for-the-json-{command}-text",
-               f"{command} --generator {HUGE_UNIT} --input record.json", [first, ...],
-               record_json([[-3, 0], [0, -5]]))
-        for command, first in [("corrections", "r: D = 15"),
-                               ("obstruct", "r: D = 15, verdict NoEvenPositiveMatching"),
-                               ("match", "r: D = 15, 4 matchings")]
-    ),
+    answer("generator-too-long-for-the-json-corrections-text",
+           f"corrections --generator {HUGE_UNIT} --input record.json", ["r: D = 15", ...],
+           record_json([[-3, 0], [0, -5]])),
     answer("non-cyclic-json", "obstruct --json --input record.json",
            {"verdict": "NonCyclicH1", "invariant_factors": [3, 3003], ...: ...},
            json.dumps([NON_CYCLIC])),

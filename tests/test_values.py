@@ -48,7 +48,6 @@ FIELDS = {
         "white_graph": None,
         "signature": 2,
         "determinant": 3,
-        "mirror_of": "s",
     },
     PlumbingForm: {"form": FORM},
     ClassCount: {"count": 3, "determinant": 3},
