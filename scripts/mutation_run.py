@@ -203,12 +203,12 @@ MUTANTS = {
         "a[k], a[lower] = a[lower], [-x for x in a[k]]",
         "a[k], a[lower] = a[lower], a[k]",
     ),
-    # a determinant of more than TEXT_BITS bits is not refused as too long to print,
-    # so a non-cyclic form's error reaches str(D) and CPython's int-string limit
-    "text-bits": (
-        "corrections.py",
-        "if D.bit_length() > TEXT_BITS:",
-        "if D.bit_length() > 10 * TEXT_BITS:",
+    # a zero diagonal entry is not refused as such: the entry bound refuses a
+    # nonzero entry in its row instead, and a zero row reaches the elimination
+    "diagonal-sign": (
+        "lattice.py",
+        "if d >= 0:",
+        "if d > 0:",
     ),
     # the Smith diagonal left unordered: Z/2 + Z/3 is not rewritten as Z/1 + Z/6
     "smith-order": (

@@ -344,7 +344,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             try:
                 text = json.dumps(payload, indent=2, sort_keys=True)
             except ValueError as exc:
-                # CPython's int-string limit, met by a --generator unit of thousands of digits
+                # CPython's int-string limit, met by a corrections --generator unit of
+                # thousands of digits
                 raise ValidationError(
                     "the JSON output needs an integer of more than "
                     f"{sys.get_int_max_str_digits()} digits"

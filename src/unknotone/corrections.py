@@ -21,12 +21,13 @@ the scan.
 
 What is refused.  :func:`scannable_cokernel` is the one place that decides
 whether a form's correction terms can be scanned.  It refuses, in this
-order, a box above the budget, an entry with G_ij^2 > G_ii G_jj (or, with
-a G_ii >= 0, an elimination above its budget), a singular form, an even
-determinant, one too long to print (above ``TEXT_BITS`` bits), a
-non-cyclic cokernel and an indefinite form.  The first two read only the
-Gram entries, before the elimination, whose cost grows with the cube of
-the dimension and the size of the entries.  ``correction_vector`` calls
+order, a G_ii >= 0, a box above the budget, an entry with
+G_ij^2 > G_ii G_jj, a singular form, an even determinant, a non-cyclic
+cokernel and an indefinite form.  The first three read only the Gram
+entries, before the elimination, whose cost grows with the cube of the
+dimension and the size of the entries; a form that passes them has
+entries the box budget bounds, and a determinant below 2^221
+(:func:`unknotone.lattice.check_gram_entries`).  ``correction_vector`` calls
 it, and so does the analysis driver before it decides on a listing; the
 form keeps the outcome of the Gram-entry checks and its cokernel, so the
 second call repeats no work.
@@ -78,7 +79,7 @@ from math import gcd
 from operator import add, mul
 from typing import Sequence
 
-from .errors import TEXT_BITS, NonCyclicCokernelError, ValidationError, count_text
+from .errors import NonCyclicCokernelError, ValidationError
 from .lattice import (
     QuadraticForm,
     RationalVector,
@@ -118,7 +119,7 @@ class CorrectionVector(RationalVector):
 def scannable_cokernel(form: QuadraticForm) -> int:
     """The order D of the cokernel of a form whose correction terms the box scan computes.
 
-    Refuses in the order of the module docstring, the first two refusals
+    Refuses in the order of the module docstring, the first three refusals
     by :func:`unknotone.lattice.check_gram_entries`: with
     :class:`SingularFormError` on a singular form,
     :class:`NonCyclicCokernelError` on a non-cyclic cokernel, and
@@ -128,9 +129,7 @@ def scannable_cokernel(form: QuadraticForm) -> int:
     factors = cokernel(form)
     D = abs(form.det)
     if D % 2 == 0:
-        raise ValidationError(f"cokernel order {count_text(D)} is even; need a knot form")
-    if D.bit_length() > TEXT_BITS:
-        raise ValidationError(f"cokernel order {count_text(D)} is too long to print")
+        raise ValidationError(f"cokernel order {D} is even; need a knot form")
     if len(factors) > 1:
         raise NonCyclicCokernelError(factors)
     if not form.is_negative_definite:

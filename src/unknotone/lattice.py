@@ -31,8 +31,10 @@ scan the reduced box G_ii + 2 <= x_i <= -G_ii inside it, and the class
 count closes sets of points of the full box, held as bitsets.  A box of
 more than BOX_BUDGET points is refused with a ValidationError before
 anything is scanned, and before the elimination: its size reads only the
-diagonal.  So is an off-diagonal entry that no negative-definite form has
-(:func:`check_gram_entries`, once per form).
+diagonal.  So are a diagonal entry >= 0 and an off-diagonal entry that no
+negative-definite form has (:func:`check_gram_entries`, once per form).
+A form that passes has every integer of its elimination below 2^221, so
+the one box budget bounds all the work.
 
 Values over 4D.  A form of determinant D has its pairings v^t G^{-1} v in
 (1/D) Z, so the correction terms (v^t G^{-1} v + m) / 4 lie in (1/4D) Z,
@@ -59,7 +61,7 @@ entries i <= D/2.
 from __future__ import annotations
 
 from functools import cached_property
-from math import gcd, isqrt, lcm, prod
+from math import gcd, lcm, prod
 from operator import attrgetter
 from typing import TYPE_CHECKING, Sequence
 
@@ -283,16 +285,11 @@ class QuadraticForm(Value):
         """Raise the first refusal of :func:`check_gram_entries`, or pass."""
         check_dimension(self.dim)
         diag = [self.gram[i][i] for i in range(self.dim)]
-        if not all(d < 0 for d in diag):
-            # log2 of the product of the row norms of [G | I], rounded up
-            bits = sum((sum(x * x for x in row) + 1).bit_length() // 2 + 1 for row in self.gram)
-            limit = isqrt(ELIMINATION_BUDGET // self.dim**3)
-            if bits > limit:
+        for i, d in enumerate(diag):
+            if d >= 0:
                 raise ValidationError(
-                    f"form with a diagonal entry >= 0 has elimination integers of up to {bits} "
-                    f"bits, above the budget of {limit} bits in dimension {self.dim}"
+                    f"Gram entry ({i}, {i}) has G_ii >= 0; the form is not negative-definite"
                 )
-            return
         size = prod(1 - d for d in diag)
         if size > BOX_BUDGET:
             raise ValidationError(
@@ -371,29 +368,23 @@ BOX_BUDGET = 2_000_000
 MAX_DIM = BOX_BUDGET.bit_length() - 1
 
 
-# The most work the elimination may take on a form with a diagonal entry
-# >= 0, whose entries no box bounds: dim^3 steps times the square of the
-# bits of the product of the row norms of [G | I], which bounds every minor
-# (Hadamard), so every integer of the elimination.  At the budget, forms of
-# dimension 2 to 20 (entries of 16,000 to 50 bits) are eliminated in 1 to
-# 22 ms on one core of a 2-vCPU Xeon, CPython 3.11.7.  With diagonal 2 and
-# even entries the cokernel is not cyclic, and its invariant factors take
-# 0.1 to 5 ms more, since the reduction runs mod the gcd of the minors,
-# of about dim bits there; a 4 x 4 form whose two hidden blocks share a
-# 1,400-bit factor, so that this gcd has 4,200 bits, takes 0.12 s.
-ELIMINATION_BUDGET = 2**33
-
-
 def check_gram_entries(form: QuadraticForm) -> None:
-    """Refuse, from the Gram entries alone, a box or elimination over budget or an impossible entry.
+    """Refuse, from the Gram entries alone, a box over budget or an impossible entry.
 
     No elimination runs here, and a form that passes keeps that, so this
-    costs one product per entry once per form.  Refused: a dimension above
-    MAX_DIM; when every G_ii < 0, a box of prod(1 - G_ii) points above
-    BOX_BUDGET, then an entry with G_ij^2 > G_ii G_jj, which no
-    negative-definite form has; otherwise an elimination above
-    ELIMINATION_BUDGET.  Any other form is left to the checks that follow
-    the elimination.
+    costs one product per entry once per form.  Refused, in this order: a
+    dimension above MAX_DIM; a G_ii >= 0; a box of prod(1 - G_ii) points
+    above BOX_BUDGET; an entry with G_ij^2 > G_ii G_jj.  No
+    negative-definite form has a 1 x 1 or 2 x 2 principal minor of the
+    wrong sign, and any other form is left to the checks that follow the
+    elimination.
+
+    The box budget then bounds the elimination too.  With S = sum |G_jj|,
+    row i of [G | I] has squared norm at most |G_ii| S + 1 <= (|G_ii| + 1) S,
+    and both S and prod(|G_ii| + 1) are at most the box size, below 2^21.
+    By Hadamard's inequality every minor of [G | I], so every integer the
+    elimination keeps, is below 2^(21 dim / 2 + 21 / 2) <= 2^221 in
+    dimension at most MAX_DIM = 20.
     """
     form._entries_checked
 

@@ -168,8 +168,9 @@ def test_piped_report_reads_like_input_dash(capsys, monkeypatch):
 # - trees of mixed types hold at most 12 leaves and 4 items per container;
 # - matrices have dimension at most 3, with small entries (|n| <= 12, so a
 #   box has at most 13^3 points) or big ones (2^64 <= |n| <= 10^40: on the
-#   diagonal they put the box above the budget, off it they make the form
-#   indefinite, and the elimination of a 3x3 form is cheap either way);
+#   diagonal a positive one is refused for its sign and a negative one puts
+#   the box above the budget, both before the elimination, and off it one
+#   entry leaves the matrix asymmetric);
 # - integer literals of 4,301 to 4,400 digits stand in matrices and
 #   signatures;
 # - white graphs have at most 4 vertices and 6 edges, with loops,

@@ -115,24 +115,33 @@ def test_mirrored_negates_each_shared_value_once():
         assert len({id(v) for v in A.values}) == len(set(A.values))
 
 
+def diagonal_line(i):
+    """The refusal of a form whose Gram entry (i, i) is the first one >= 0."""
+    return f"Gram entry ({i}, {i}) has G_ii >= 0; the form is not negative-definite"
+
+
 # One form for each refusal of scannable_cokernel, in its order.
 REFUSALS = {
-    "singular": ([[-2, 2], [2, -2]], "cokernel requires a nonsingular form"),
-    "even": ([[-3, 1], [1, -3335]], "cokernel order 10004 is even; need a knot form"),
-    "non-cyclic": ([[-3, 0], [0, -3003]], None),
-    "indefinite": ([[1, 0], [0, -3]], "correction terms require a negative-definite form"),
+    "diagonal": ([[1, 0], [0, -3]], diagonal_line(0)),
     "box": (
         [[-41 if i == j else int(abs(i - j) == 1) for j in range(6)] for i in range(6)],
         "characteristic box has 5489031744 points, above the budget of 2000000",
     ),
+    "singular": ([[-2, 2], [2, -2]], "cokernel requires a nonsingular form"),
+    "even": ([[-3, 1], [1, -3335]], "cokernel order 10004 is even; need a knot form"),
+    "non-cyclic": ([[-3, 0], [0, -3003]], None),
+    # D = 1, a negative diagonal and G_10^2 = G_00 G_11, at the entry bound:
+    # only the last step refuses it
+    "indefinite": (
+        [[-1, 1, 0], [1, -1, 1], [0, 1, -3]], "correction terms require a negative-definite form"
+    ),
 }
-# refused only after the elimination, at D = 1,990,917 and D of about 10^12,
-# and no coordinate covector generates: a generator pick before the
-# refusals would list all D cosets
-NOT_NEGATIVE_DEFINITE = REFUSALS["indefinite"][1]
+# D = 1,990,917 and D of about 10^12, and no coordinate covector generates:
+# a generator pick before the refusals would list all D cosets.  Each has a
+# G_ii > 0, so the entry checks refuse it before the elimination.
 LATE_REFUSALS = {
-    "late-indefinite": ([[-1409, 0], [0, 1413]], NOT_NEGATIVE_DEFINITE),
-    "late-positive-definite": ([[1000003, 0], [0, 1000033]], NOT_NEGATIVE_DEFINITE),
+    "late-indefinite": ([[-1409, 0], [0, 1413]], diagonal_line(1)),
+    "late-positive-definite": ([[1000003, 0], [0, 1000033]], diagonal_line(0)),
 }
 
 
@@ -220,12 +229,16 @@ def test_a_form_of_dimension_20_still_reaches_the_later_refusals():
             [[-2 if i == j else 10**3999 + i + j for j in range(13)] for i in range(13)],
             "Gram entry (1, 0) has G_ij^2 > G_ii G_jj",
         ),
+        # a zero diagonal entry after a negative one; read as a bound of 0, it
+        # would refuse the entry (1, 0) instead
+        ([[-3, 1, 0], [1, 0, 1], [0, 1, -3]], "Gram entry (1, 1) has G_ii >= 0"),
+        # a positive diagonal entry, refused before the box and the entry (1, 0)
+        ([[-2, 5], [5, 7]], "Gram entry (1, 1) has G_ii >= 0"),
     ],
-    ids=["dimension-2", "negative-entry", "13x13-of-4000-digits"],
+    ids=["dimension-2", "negative-entry", "13x13-of-4000-digits", "zero-diagonal",
+         "positive-diagonal"],
 )
-def test_an_impossible_off_diagonal_entry_is_refused_before_the_elimination(
-    rows, message, monkeypatch
-):
+def test_an_impossible_entry_is_refused_before_the_elimination(rows, message, monkeypatch):
     def never(rows):
         raise AssertionError("the elimination ran")
 
@@ -242,8 +255,6 @@ def test_an_entry_at_the_bound_reaches_the_later_refusals():
     for refuse in (scannable_cokernel, PlumbingForm):
         with pytest.raises(ValidationError, match="nonsingular|negative-definite form"):
             refuse(QuadraticForm.from_rows([[-4, 6], [6, -9]]))
-    with pytest.raises(ValidationError, match="correction terms require a negative-definite"):
-        scannable_cokernel(QuadraticForm.from_rows([[-1, 1, 0], [1, -1, 1], [0, 1, -3]]))
 
 
 def test_one_cokernel_and_one_box_per_analysis(monkeypatch):

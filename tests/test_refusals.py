@@ -34,6 +34,7 @@ WHITE_GRAPH_FORM = ("catalog", "goeritz_from_white_graph")
 CORRECTIONS = ("report", "correction_vector")
 DIGITS = sys.get_int_max_str_digits()
 ABOVE_20 = "above dimension 20 no characteristic box fits the budget of 2000000"
+G_00_AT_LEAST_ZERO = "Gram entry (0, 0) has G_ii >= 0; the form is not negative-definite"
 
 
 def record_json(rows, **fields):
@@ -47,17 +48,15 @@ NON_CYCLIC = {"name": "r", "goeritz": [[-3, 0], [0, -3003]], "signature": 0}
 
 # non-cyclic (Z/3 + Z/(D/3)) with D of 26,579 bits, of either sign on the
 # diagonal: the NonCyclicH1 verdict and the cokernel error would print D
-# and its invariant factors.  With the negative diagonal the entry bound
-# refuses the form first, before the elimination.
+# and its invariant factors.  The entry checks refuse either form first,
+# before the elimination: the positive diagonal, or beside the negative one
+# the entry bound.
 TOO_LONG_TO_PRINT = {
     "negative": (
         [[-3, 3 * 10**4000], [3 * 10**4000, -3]],
         "Gram entry (1, 0) has G_ij^2 > G_ii G_jj; the form is not negative-definite",
     ),
-    "positive": (
-        [[3, 3 * 10**4000], [3 * 10**4000, 3]],
-        "cokernel order more than 2^26578 is too long to print",
-    ),
+    "positive": ([[3, 3 * 10**4000], [3 * 10**4000, 3]], G_00_AT_LEAST_ZERO),
 }
 
 # a unit mod 15 of 4,300 digits, which argparse still reads; on diag(-3, -5) the
@@ -107,10 +106,6 @@ UNDECODABLE = "'utf-8' codec can't decode byte 0xff in position 10: invalid star
 ABOVE_LISTING = record_json([[-2, 1], [1, -50000]])
 EDGES = "(w): white_graph 'edges' entries must be [u, v, sign] integers, got"
 NOT_NEGATIVE = "Gram entry (1, 0) has G_ij^2 > G_ii G_jj; the form is not negative-definite"
-BESIDE_A_DIAGONAL_ENTRY_AT_LEAST_ZERO = (
-    "form with a diagonal entry >= 0 has elimination integers of up to 172731 bits, above the "
-    "budget of 1977 bits in dimension 13"
-)
 
 REFUSED = [
     # the arguments
@@ -196,17 +191,16 @@ REFUSED = [
     row("box-too-long-to-print", "obstruct --input record.json",
         "characteristic box has more than 2^26575 points, above the budget of 2000000",
         record_json([[-(10**4000), 0], [0, -(10**4000)]])),
-    # an even determinant of 26,576 bits; the diagonal is positive, since with a
-    # negative one the entry bound refuses these entries before the elimination
-    row("even-too-long-to-print", "obstruct --input record.json",
-        "cokernel order more than 2^26575 is even; need a knot form",
-        record_json([[2, 10**4000], [10**4000, 2]])),
+    # an even determinant of 26,576 bits, refused for its diagonal before the
+    # elimination could find it
+    row("even-too-long-to-print", "obstruct --input record.json", G_00_AT_LEAST_ZERO,
+        record_json([[2, 10**4000], [10**4000, 2]]), ELIMINATION),
     *(
         param
         for sign, (matrix, line) in TOO_LONG_TO_PRINT.items()
         for param in rows(f"determinant-too-long-to-print-{sign}",
                           "obstruct, obstruct --json, corrections --json", line,
-                          record_json(matrix))
+                          record_json(matrix), ELIMINATION)
     ),
     # a 3^13-point box, but entries of 4,000 digits: the elimination took about
     # 54 s; a stated determinant, which the elimination would check (more than
@@ -215,11 +209,12 @@ REFUSED = [
           thirteen_huge([-2] * 13), ELIMINATION),
     *rows("huge-off-diagonal-stated-determinant", "obstruct, plumbing-check",
           NOT_NEGATIVE, thirteen_huge([-2] * 13, determinant=3), ELIMINATION),
-    # a diagonal entry >= 0, which no box bounds: the elimination ran for more than 5 s
-    *rows("huge-beside-diagonal-2", "obstruct, plumbing-check",
-          BESIDE_A_DIAGONAL_ENTRY_AT_LEAST_ZERO, thirteen_huge([2] * 13), ELIMINATION),
-    *rows("huge-beside-diagonal-minus-2-and-0", "obstruct, plumbing-check",
-          BESIDE_A_DIAGONAL_ENTRY_AT_LEAST_ZERO, thirteen_huge([0] + [-2] * 12), ELIMINATION),
+    # a diagonal entry >= 0, which no negative-definite form has, is refused
+    # before the entries beside it: their elimination would take more than 5 s
+    *rows("huge-beside-diagonal-2", "obstruct, plumbing-check", G_00_AT_LEAST_ZERO,
+          thirteen_huge([2] * 13), ELIMINATION),
+    *rows("huge-beside-diagonal-minus-2-and-0", "obstruct, plumbing-check", G_00_AT_LEAST_ZERO,
+          thirteen_huge([0] + [-2] * 12), ELIMINATION),
     *rows("dense-240", "obstruct, plumbing-check", f"form has dimension 240; {ABOVE_20}",
           dense_240()),
     # a record of 60 bytes: the (n - 1) x (n - 1) form of 2,000 vertices took
@@ -236,13 +231,13 @@ REFUSED = [
         ]
     ),
     # D = 1,990,917 and about 10^12, and no coordinate covector generates: a
-    # generator pick would list all D cosets, but it runs only on accepted forms
+    # generator pick would list all D cosets, but it runs only on accepted
+    # forms, and a positive diagonal entry is refused before the elimination
     *rows("large-cyclic-indefinite", "obstruct, corrections",
-          "correction terms require a negative-definite form",
-          record_json([[-1409, 0], [0, 1413]])),
-    *rows("large-cyclic-positive-definite", "obstruct, corrections",
-          "correction terms require a negative-definite form",
-          record_json([[1000003, 0], [0, 1000033]])),
+          "Gram entry (1, 1) has G_ii >= 0; the form is not negative-definite",
+          record_json([[-1409, 0], [0, 1413]]), ELIMINATION),
+    *rows("large-cyclic-positive-definite", "obstruct, corrections", G_00_AT_LEAST_ZERO,
+          record_json([[1000003, 0], [0, 1000033]]), ELIMINATION),
     # the listing budget, checked before the correction terms, and only where a
     # listing is printed (see ANSWERED)
     *rows("listing-above-budget", "match, obstruct --json",
@@ -359,7 +354,7 @@ ANSWERED = [
             {"knot": "fine", "D": 3, "A": ["-1/2", "1/6", "1/6"], "B": ["1/2", "-1/6", "-1/6"],
              "generator": [1], "verdict": "NotObstructed", "obstructed": False,
              "gate_applied": True, "witnesses": ["(all zero)"]},
-            {"knot": "indefinite", "error": "cokernel order 6 is even; need a knot form"},
+            {"knot": "indefinite", "error": G_00_AT_LEAST_ZERO},
         ],
     }, json.dumps([{"name": "fine", "goeritz": [[-3]]},
                    {"name": "indefinite", "goeritz": [[2, 0], [0, -3]]}])),
@@ -373,7 +368,7 @@ ANSWERED = [
     *(
         answer(f"report-determinant-too-long-to-print-{sign}", "report --json --input record.json",
                {"parse_errors": [], "records": [{"knot": "r", "error": line}]},
-               record_json(matrix), within=1.0)
+               record_json(matrix), never=ELIMINATION, within=1.0)
         for sign, (matrix, line) in TOO_LONG_TO_PRINT.items()
     ),
     # the single-record commands refuse these graphs in one line (REFUSED); a

@@ -120,7 +120,7 @@ def test_equality_reads_every_field_and_the_class():
         (lambda: KnotRecord("r"), "neither matrix nor white graph"),
         (lambda: KnotRecord("r", FORM, determinant=5), "does not match declared determinant 5"),
         (
-            lambda: PlumbingForm(QuadraticForm.from_rows([[1, 0], [0, -3]])),
+            lambda: PlumbingForm(QuadraticForm.from_rows([[-1, 1, 0], [1, -1, 1], [0, 1, -3]])),
             "require a negative-definite form",
         ),
         (lambda: AlexanderPolynomial((0,)), "must not end in zero"),
