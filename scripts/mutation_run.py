@@ -115,11 +115,19 @@ MUTANTS = {
         "return Verdict(outcome, witnesses,",
         "return Verdict(outcome, pool,",
     ),
-    # the generator pick's fallback returns a coset label, not a covector in the coset
+    # the generator pick's fallback returns its generating covector c, not the one
+    # its walk reaches the smallest generating label with
     "generator-fallback": (
         "lattice.py",
-        "    return reps[label]\n",
-        "    return label\n",
+        "    return tuple(covector)\n",
+        "    return tuple(c)\n",
+    ),
+    # the fallback's covector adds D / p, not D / p^a: for a square factor of D
+    # it no longer generates
+    "crt-prime-power": (
+        "lattice.py",
+        "c[i] += order // gcd(order, p ** order.bit_length())",
+        "c[i] += order // p",
     ),
     # the model form accepts D = 2 (mod 4)
     "gamma-even-determinant": (

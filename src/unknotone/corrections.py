@@ -58,9 +58,10 @@ The generator g is the scan's choice of index, no part of the group: the
 scan picks it by :func:`unknotone.lattice.cokernel_generator`, after every
 refusal.  A form that gets there is negative-definite with a box inside the
 budget, so D <= prod |G_ii| (Hadamard) is below the budget too, and so is
-the pick's fallback, which lists all D cosets.  Any other generator is a
-unit multiple u g, and :meth:`CorrectionVector.reindexed` lists the same
-values against it; the consumers downstream quantify over the units anyway.
+the pick's fallback, which factors D (:func:`unknotone.lattice.prime_factors`)
+and walks Z/D once.  Any other generator is a unit multiple u g, and
+:meth:`CorrectionVector.reindexed` lists the same values against it; the
+consumers downstream quantify over the units anyway.
 
 What the vector stores.  A point's value is (x^t N x + m D) / 4D, so
 :class:`CorrectionVector` is a :class:`unknotone.lattice.RationalVector`:

@@ -23,7 +23,7 @@ and the outcome of its Gram-entry checks beside the elimination, each as
 one cached property, so every stage that asks shares them.  A generator
 of a cyclic cokernel is no part of them: only the box scan picks one
 (:func:`cokernel_generator`), after every refusal, as the index of its
-correction terms.
+correction terms.  :func:`prime_factors` is the one factoring of D.
 
 The characteristic box is G_ii <= x_i <= -G_ii with x_i = G_ii (mod 2):
 the diagonal alone gives it, so no object holds it.  The correction terms
@@ -62,7 +62,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import gcd, lcm, prod
-from operator import attrgetter
+from operator import attrgetter, mul
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import SingularFormError, ValidationError, count_text
@@ -352,15 +352,13 @@ class QuadraticForm(Value):
 # correction_vector 0.23 to 0.24 s of CPU in a fresh process on one pinned
 # core of a 2-vCPU Xeon (CPython 3.11.7, five runs each), and the peak
 # resident size goes from 14 MB to 21 MB and 46 MB; the medians of five
-# repeats that reuse one process are 0.010 s and 0.14 s.  A larger box
-# is refused up front instead of
-# running for hours: a 6 x 6 form with diagonal -41 has 5.5e9 points.  The
-# generator pick runs only on the forms the scan accepts, whose D is at most
-# prod |G_ii| (Hadamard), so below the budget.  When no coordinate covector
-# generates a cyclic cokernel, it lists all D cosets as tuple labels:
-# diag(-1409, -1413), with a box of 1,993,740 points and D = 1,990,917,
-# spends 7.3 to 7.5 s and 510 MB in the pick, of 7.9 s for
-# correction_vector (two runs each, pinned, on that Xeon).
+# repeats that reuse one process are 0.010 s and 0.14 s.  A larger box is
+# refused up front instead of running for hours: a 6 x 6 form with diagonal
+# -41 has 5.5e9 points.  The generator pick runs only on the forms the scan
+# accepts, whose D is at most prod |G_ii| (Hadamard), so below the budget.
+# When no coordinate covector generates a cyclic cokernel, it factors D
+# (prime_factors) and walks Z/D once: on diag(-1409, -1413), D = 1,990,917,
+# correction_vector takes 1.2 to 1.4 s and 220 MB (pinned, on that Xeon).
 BOX_BUDGET = 2_000_000
 
 # A negative-definite form has every G_ii <= -1, so its box has at least
@@ -398,26 +396,16 @@ def check_dimension(dim: int) -> None:
         )
 
 
-def _coset_representatives(labels: Sequence[Vector], order: int) -> dict[Vector, Vector]:
-    """Each label the coordinate ``labels`` generate mod ``order``, with a small covector."""
-    zero = (0,) * len(labels)
-    reps: dict[Vector, Vector] = {zero: zero}
-    frontier = [zero]
-    while frontier:
-        new_frontier = []
-        for label in frontier:
-            rep = reps[label]
-            for i, blabel in enumerate(labels):
-                nxt = tuple([(x + y) % order for x, y in zip(label, blabel)])
-                if nxt not in reps:
-                    vec = list(rep)
-                    vec[i] = (vec[i] + 1) % order
-                    reps[nxt] = tuple(vec)
-                    new_frontier.append(nxt)
-        frontier = new_frontier
-    if len(reps) != order:
-        raise AssertionError(f"coset enumeration found {len(reps)} classes, expected {order}")
-    return reps
+def prime_factors(n: int) -> list[int]:
+    """The primes dividing n >= 1, ascending, by trial division: the one factoring of D."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return primes + [n] if n > 1 else primes
 
 
 def cokernel(form: QuadraticForm) -> tuple[int, ...]:
@@ -435,8 +423,9 @@ def cokernel_generator(form: QuadraticForm) -> Vector:
     D = |det G|, so row i of N labels e_i; a label generates when it has order
     D.  Preference goes to the generating coordinate covector of smallest label,
     the higher index on a tie; when none generates (a cyclic cokernel allows
-    that), fall back to the smallest generating label of the group, which
-    lists all D cosets.  Only the box scan asks, after its refusals.
+    that), fall back to the smallest generating label, reached by a breadth-first
+    walk over Z/D that adds e_0, e_1, ... in index order.  Only the box scan
+    asks, after its refusals.
     """
     order = abs(form.det)
     if order == 1:
@@ -446,8 +435,32 @@ def cokernel_generator(form: QuadraticForm) -> Vector:
     if generating:
         i = -min(generating)[1]
         return tuple(int(j == i) for j in range(form.dim))
-    reps = _coset_representatives(labels, order)
-    label = min((label for label in reps if gcd(order, *label) == 1), default=None)
-    if label is None:
-        raise AssertionError("a cyclic cokernel has no generating element")
-    return reps[label]
+    # each label is k g, g = N c: c adds D / p^a e_i per p^a || D, i first with N_ii prime to p
+    c = [0] * form.dim
+    for p in prime_factors(order):
+        i = min(i for i, label in enumerate(labels) if label[i] % p)
+        c[i] += order // gcd(order, p ** order.bit_length())
+    g = [sum(map(mul, label, c)) % order for label in labels]
+    inverse = pow(sum(map(mul, c, g)), -1, order)  # c generates, so c . g is a unit
+    steps = [x * inverse % order for x in g]
+    if any(label != tuple([k * x % order for x in g]) for k, label in zip(steps, labels)):
+        raise AssertionError("a coordinate label is no multiple of the generator's label")
+    # the smallest s g, s a unit, has the least first entry gcd(g_0, D); ties go to the rest
+    d = gcd(g[0], order)
+    ties = range(pow(g[0] // d, -1, order // d), order, order // d)
+    target = min((s for s in ties if gcd(s, order) == 1), key=lambda s: [s * x % order for x in g])
+    # breadth-first from 0 (marked 1): via[x] is 1 + the coordinate that first reached x
+    via, queue, moves = bytearray([1]) + bytes(order - 1), [0], list(enumerate(steps, 1))
+    for x in queue:
+        for i, k in moves:
+            if not via[y := (x + k) % order]:
+                via[y] = i
+                queue.append(y)
+    if not via[target]:
+        raise AssertionError("the walk over Z/D never reached the smallest generating label")
+    covector = [0] * form.dim
+    while target:
+        i = via[target] - 1
+        covector[i] += 1
+        target = (target - steps[i]) % order
+    return tuple(covector)

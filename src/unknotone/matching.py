@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from .corrections import CorrectionVector
 from .errors import ValidationError
 from .gamma import GammaVector
-from .lattice import RationalVector, Value, rational_texts
+from .lattice import RationalVector, Value, prime_factors, rational_texts
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -137,18 +137,6 @@ def half_units(D: int) -> list[int]:
     return [u for u in range(1, (D + 1) // 2) if gcd(u, D) == 1]
 
 
-def _totient(D: int) -> int:
-    """Euler's phi(D) by trial division, at most sqrt(D) steps."""
-    phi, rest, p = D, D, 2
-    while p * p <= rest:
-        if rest % p == 0:
-            phi -= phi // p
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    return phi - phi // rest if rest > 1 else phi
-
-
 # The most entries the full listing may cover: (unit, sign) pairs times D,
 # that is 4 D times the units below D/2 (each pair's C has D entries); its
 # time and memory grow with that count.  On the two-bridge form
@@ -166,7 +154,10 @@ def check_listing_budget(D: int) -> None:
     The units below D/2 are phi(D) // 2 (u and D - u pair off), so they are
     counted, not listed.
     """
-    size = 4 * D * (_totient(D) // 2)
+    units = D
+    for p in prime_factors(D):
+        units -= units // p
+    size = 4 * D * (units // 2)
     if size > LISTING_BUDGET:
         raise ValidationError(
             f"matching listing for D = {D} has {size} entries, "

@@ -7,7 +7,8 @@ N = |det| G^{-1}, and the largest value per label; the push classes met
 from the box, walked on only inside it; the places of a box whose
 coordinates lie in given intervals, the map q(v) = G v, the value
 Q(v, v), the pairing v^t N v and the coset label N v mod |det|, the unit
-that reindexes A to another generating covector, the model form R_D, the
+that reindexes A to another generating covector, the generator pick from
+a breadth-first listing of every coset label, the model form R_D, the
 closed form of B_0, the numerators of a matching's ``Fraction`` entries, a
 matching's representative pair and four filters read off its ``Fraction``
 entries, the fold of an integer-surgery class residue to its torsion
@@ -139,6 +140,40 @@ def unit_of_covector(form, covector):
         u for u in range(D) if gcd(u, D) == 1 and tuple(u * x % D for x in step) == target
     ]
     return unit
+
+
+def reference_generator(form):
+    """``cokernel_generator`` from a listing of all D coset labels as tuples.
+
+    Breadth-first from the zero label, each label of the frontier adds the
+    coordinate labels in index order, and a label first reached keeps its
+    parent's covector plus that coordinate.  A coordinate covector that
+    generates is preferred, the smallest label and then the higher index;
+    otherwise the covector of the smallest generating label.
+    """
+    order = abs(form.det)
+    if order == 1:
+        return (0,) * form.dim
+    labels = [tuple([x % order for x in row]) for row in form.inverse_numerator]
+    generating = [(label, -i) for i, label in enumerate(labels) if gcd(order, *label) == 1]
+    if generating:
+        i = -min(generating)[1]
+        return tuple(int(j == i) for j in range(form.dim))
+    zero = (0,) * form.dim
+    reps, frontier = {zero: zero}, [zero]
+    while frontier:
+        new_frontier = []
+        for label in frontier:
+            for i, step in enumerate(labels):
+                nxt = tuple([(x + y) % order for x, y in zip(label, step)])
+                if nxt not in reps:
+                    vec = list(reps[label])
+                    vec[i] += 1
+                    reps[nxt] = tuple(vec)
+                    new_frontier.append(nxt)
+        frontier = new_frontier
+    assert len(reps) == order, (len(reps), order)
+    return reps[min(label for label in reps if gcd(order, *label) == 1)]
 
 
 def spin_reference_value(D):

@@ -112,14 +112,41 @@ def test_generator_fallback_when_no_basis_covector_generates():
             (1, 0, 4),
             (-30, 2, -22, 18, 2, -70, 42, -22, -22, 42, -70, 2, 18, -22, 2),
         ),
+        # D = 225 = 3^2 5^2: the fallback's covector adds D / p^a, not D / p
+        (
+            [[-9, 0], [0, -25]],
+            (8, 24),
+            (
+                -7200, 416, -5536, 144, -4144, -400, -3024, -1216, -2176, -2304, -1600, -1864,
+                -1296, -1696, -1264, -1800, -1504, -2176, -2016, -2824, -1000, -3744, -256, -4936,
+                216, -6400, 416, -6336, 344, -4744, 0, -3424, -616, -2376, -1504, -1600,
+                -2664, -1096, -2296, -864, -2200, -904, -2376, -1216, -2824, -1800, -3544, -856,
+                -4536, -184, -5800, 216, -5536, 344, -5544, 200, -4024, -216, -2776, -904,
+                -1800, -1864, -1096, -3096, -664, -2800, -504, -2776, -616, -3024, -1000, -3544,
+                -1656, -4336, -784, -5400, -184, -4936, 144, -4744, 200, -4824, -16, -3376,
+                -504, -2200, -1264, -1296, -2296, -664, -3600, -304, -3376, -216, -3424, -400,
+                -3744, -856, -4336, -1584, -5200, -784, -4536, -256, -4144, 0, -4024, -16,
+                -4176, -304, -2800, -864, -1696, -1696, -864, -2800, -304, -4176, -16, -4024,
+                0, -4144, -256, -4536, -784, -5200, -1584, -4336, -856, -3744, -400, -3424,
+                -216, -3376, -304, -3600, -664, -2296, -1296, -1264, -2200, -504, -3376, -16,
+                -4824, 200, -4744, 144, -4936, -184, -5400, -784, -4336, -1656, -3544, -1000,
+                -3024, -616, -2776, -504, -2800, -664, -3096, -1096, -1864, -1800, -904, -2776,
+                -216, -4024, 200, -5544, 344, -5536, 216, -5800, -184, -4536, -856, -3544,
+                -1800, -2824, -1216, -2376, -904, -2200, -864, -2296, -1096, -2664, -1600, -1504,
+                -2376, -616, -3424, 0, -4744, 344, -6336, 416, -6400, 216, -4936, -256,
+                -3744, -1000, -2824, -2016, -2176, -1504, -1800, -1264, -1696, -1296, -1864, -1600,
+                -2304, -2176, -1216, -3024, -400, -4144, 144, -5536, 416,
+            ),
+        ),
     ],
 )
 def test_generator_fallback_pick_is_pinned(rows, generator, numerators):
     # the fallback's pick fixes the printed generator and the order of A
     form = QuadraticForm.from_rows(rows)
+    D = abs(form.det)
     basis = [tuple(int(j == i) for j in range(form.dim)) for i in range(form.dim)]
-    # a label generates Z/15 when it is prime to 15
-    assert all(gcd(15, *coset_label(form, e)) > 1 for e in basis)
+    # a label generates Z/D when it is prime to D
+    assert all(gcd(D, *coset_label(form, e)) > 1 for e in basis)
     assert cokernel_generator(form) == generator
     A = correction_vector(form)
     assert (A.generator, A.numerators) == (generator, numerators)

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -9,7 +9,7 @@ from unknotone.corrections import correction_vector
 from unknotone.errors import ValidationError
 from unknotone.gamma import gamma_vector
 from unknotone import matching as matching_mod
-from unknotone.lattice import QuadraticForm
+from unknotone.lattice import QuadraticForm, prime_factors
 from unknotone.matching import (
     Outcome,
     enumerate_matchings,
@@ -47,7 +47,25 @@ def test_half_units():
         assert half == [u for u in units if 2 * u < D], D
         # u and D - u pair off for odd D, so the listing budget's count is 2 phi(D) D
         assert 2 * len(half) == len(units), D
-        assert matching_mod._totient(D) // 2 == len(half), D
+        phi = D
+        for p in prime_factors(D):
+            phi -= phi // p
+        assert phi // 2 == len(half), D
+
+
+def test_prime_factors():
+    assert prime_factors(1) == []
+    assert prime_factors(349_999) == [13, 19, 109]
+    assert prime_factors(1_990_917) == [3, 157, 1409]
+    for n in range(1, 10_001):
+        primes = prime_factors(n)
+        assert primes == sorted(set(primes)), n
+        rest = n
+        for p in primes:
+            assert all(p % q for q in range(2, isqrt(p) + 1)) and rest % p == 0, (n, p)
+            while rest % p == 0:
+                rest //= p
+        assert rest == 1, n
 
 
 def test_listing_budget_counts_the_half_units_without_listing_them(monkeypatch):

@@ -15,13 +15,14 @@ decides which (unit, sign) pairs give an even matching.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, prod
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import reference_tables as ref
-from helpers import block_sum, cyclic_odd, reference_negative_definite
+from helpers import block_sum, cyclic_odd, reference_generator, reference_negative_definite
 from oracles import (
     chain_rows,
     equal_up_to_symmetry,
@@ -38,7 +39,7 @@ from unknotone.catalog import builtin_dataset, builtin_record, record_from_dict
 from unknotone.corrections import correction_vector
 from unknotone.gamma import gamma_vector
 from unknotone import lattice
-from unknotone.lattice import QuadraticForm
+from unknotone.lattice import QuadraticForm, cokernel, cokernel_generator
 from unknotone.matching import even_matchings
 from unknotone.plumbing import PlumbingForm, class_count
 from unknotone.report import alexander_reports, analyze_record, sign_refined_record
@@ -232,10 +233,8 @@ def test_connected_sum_corrections_are_the_crt_sum(monkeypatch):
     # checked on the plain sum, where it must certify an L-space (a sum of
     # L-spaces is one)
     fallbacks = []
-    labels = lattice._coset_representatives
-    monkeypatch.setattr(
-        lattice, "_coset_representatives", lambda *args: fallbacks.append(1) or labels(*args)
-    )
+    factored = lattice.prime_factors
+    monkeypatch.setattr(lattice, "prime_factors", lambda n: fallbacks.append(n) or factored(n))
     rng = random.Random(25)
     pairs = list(chain_pairs(9, seed=25, max_box=20_000))
     for p1, q1, p2, q2 in pairs:
@@ -251,8 +250,54 @@ def test_connected_sum_corrections_are_the_crt_sum(monkeypatch):
         counted = class_count(PlumbingForm.from_rows(plain))
         assert counted.count == p1 * p2 and counted.is_lspace, plain
     # no coordinate covector of a plain block sum generates: each plain sum
-    # takes the generator pick's fallback
+    # takes the generator pick's fallback, the one caller of prime_factors
+    # under correction_vector
     assert len(fallbacks) >= len(pairs) == 12
+
+
+def fallback_forms(count, seed):
+    """[-9] + [-25], then ``count`` seeded cyclic forms of each kind on which no coordinate
+    covector generates: block sums of 2 or 3 chains of coprime determinants, then dense forms
+    of dimension 2..4 (diagonal -2..-9, other entries -3..3)."""
+    yield QuadraticForm.from_rows(block_sum([[-9]], [[-25]]))
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        ps = [rng.randrange(2, 40) for _ in range(rng.choice((2, 3)))]
+        if any(gcd(a, b) > 1 for a, b in combinations(ps, 2)) or prod(ps) > 800:
+            continue
+        rows = []
+        for p in ps:
+            q = rng.choice([q for q in range(1, p) if gcd(p, q) == 1])
+            rows = block_sum(rows, chain_rows(hirzebruch_jung_weights(p, q)))
+        made += 1
+        yield QuadraticForm.from_rows(rows)
+    made = 0
+    while made < count:
+        dim = rng.randint(2, 4)
+        rows = [[0] * dim for _ in range(dim)]
+        for i in range(dim):
+            rows[i][i] = -rng.randint(2, 9)
+            for j in range(i):
+                rows[i][j] = rows[j][i] = rng.randint(-3, 3)
+        if not reference_negative_definite(rows):
+            continue
+        form = QuadraticForm.from_rows(rows)
+        D = abs(form.det)
+        if len(cokernel(form)) == 1 and all(gcd(D, *row) > 1 for row in form.inverse_numerator):
+            made += 1
+            yield form
+
+
+def test_generator_fallback_matches_the_coset_listing():
+    # the fallback walks Z/D as scalars; the reference lists every coset label
+    # as a tuple, so both must pick the same covector, on D with a square
+    # factor (the first form, D = 225) too
+    forms = list(fallback_forms(100, seed=51))
+    squares = sum(any(abs(f.det) % (p * p) == 0 for p in range(2, 40)) for f in forms)
+    assert len(forms) == 201 and squares >= 50
+    for form in forms:
+        assert cokernel_generator(form) == reference_generator(form), form.gram
 
 
 @pytest.mark.parametrize("D", [*range(3, 200, 2), 10001])
