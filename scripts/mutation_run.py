@@ -64,8 +64,8 @@ MUTANTS = {
     # the verdict scan returns every pair its narrowing keeps, odd ones too
     "narrow-keeps-odd": (
         "matching.py",
-        "return tuple(m for m in _listed(found) if m.even)",
-        "return _listed(found)",
+        "return tuple(m for m in _matchings(A, B, pairs) if m.even)",
+        "return _matchings(A, B, pairs)",
     ),
     # |A_0| < 1/2 instead of |A_0| <= 1/2
     "gate": (
@@ -82,8 +82,8 @@ MUTANTS = {
     # the narrowing's targets for C_1 and C_2 of the opposite sign
     "sign-epsilon": (
         "matching.py",
-        "first, second = epsilon * neg_b[1] % two, epsilon * neg_b[2] % two",
-        "first, second = -epsilon * neg_b[1] % two, -epsilon * neg_b[2] % two",
+        "[(-epsilon * b[1] % two, -epsilon * b[2] % two)]",
+        "[(epsilon * b[1] % two, epsilon * b[2] % two)]",
     ),
     # the symmetric filter's start index swapped between D = 4k - 1 and 4k + 1
     "symmetric-start": (
@@ -97,6 +97,12 @@ MUTANTS = {
         "(2 * x, num[a][a] * x * x, [c * x",
         "(2 * x, num[a][a] * x, [c * x",
     ),
+    # every value one D short: the scan seeds the heads with (m - 1) D, not m D
+    "rank-shift": (
+        "corrections.py",
+        "heads = [(form.dim * order,)",
+        "heads = [((form.dim - 1) * order,)",
+    ),
     # the cross term N_kl y of the two inner axes with the wrong sign
     "middle-cross": (
         "corrections.py",
@@ -108,6 +114,12 @@ MUTANTS = {
         "plumbing.py",
         "_slab(0, b - 1, step,",
         "_slab(0, b - 2, step,",
+    ),
+    # C = -B + epsilon A_u: the two signs' vectors swapped
+    "matching-sign-op": (
+        "matching.py",
+        "map(sub if epsilon == 1 else add,",
+        "map(add if epsilon == 1 else sub,",
     ),
     # a failing filter reports the whole pool instead of what passed before it
     "witnesses-rule": (

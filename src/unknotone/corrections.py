@@ -152,20 +152,16 @@ def correction_vector(form: QuadraticForm) -> CorrectionVector:
     ng = [sum(map(mul, row, generator)) for row in form.inverse_numerator]
     inverse = pow(sum(map(mul, generator, ng)), -1, D)
     best = _coset_maxima(form, [inverse * v % D for v in ng], D)
-
-    # the value of a coset is (b + m D) / 4D for its maximum b of x^t N x
-    shift = form.dim * D
-    nums = tuple([b + shift for b in best])
-    return CorrectionVector(numerators=nums, generator=generator)
+    return CorrectionVector(numerators=tuple(best), generator=generator)
 
 
 def _coset_maxima(form: QuadraticForm, weights: Sequence[int], order: int) -> list[int]:
-    """Max of x^t N x over the reduced box, listed by the index w . x mod D.
+    """A's numerators over 4D: max of x^t N x + m D over the reduced box, by index w . x mod D.
 
-    N is the integer numerator of G^{-1}, so the stored integers are
-    |det| times the squared lengths; |det| > 0 keeps comparisons exact.  A
-    maximum does not depend on the scan order, so the two longest ranges
-    run innermost (module docstring).
+    m is the rank and D = ``order``.  N is the integer numerator of G^{-1},
+    so x^t N x is |det| times the squared length; |det| > 0 keeps
+    comparisons exact.  A maximum does not depend on the scan order, so the
+    two longest ranges run innermost (module docstring).
     """
     num = form.inverse_numerator
     ranges = [range(form.gram[i][i] + 2, 1 - form.gram[i][i], 2) for i in range(form.dim)]
@@ -180,11 +176,11 @@ def _coset_maxima(form: QuadraticForm, weights: Sequence[int], order: int) -> li
     k, l, *rest = sorted(range(len(ranges)), key=lambda i: -len(ranges[i]))
     rest.sort()
     # the heads p (the coordinates in rest) in itertools.product order, built
-    # one head axis a at a time: each partial head holds p^t N p and N_j . p
+    # one head axis a at a time: each partial head holds p^t N p + m D, N_j . p
     # for the head axes j still to come, r_k = N_k . p, r_l = N_l . p and
     # w . p; x on axis a adds x (2 N_a . p + N_aa x) to p^t N p and
     # x (N_ja, ..., N_ka, N_la, w_a) to the terms after N_a . p, which it drops
-    heads = [(0,) * (len(rest) + 4)]
+    heads = [(form.dim * order,) + (0,) * (len(rest) + 3)]
     for n, a in enumerate(rest):
         column = [num[j][a] for j in rest[n + 1 :] + [k, l]] + [weights[a]]
         moves = [(2 * x, num[a][a] * x * x, [c * x for c in column]) for x in ranges[a]]
@@ -193,14 +189,14 @@ def _coset_maxima(form: QuadraticForm, weights: Sequence[int], order: int) -> li
             for v, r_a, *lin in heads
             for twice, square, moved in moves
         ]
-    # x^t N x = v + y (2 r_l + N_ll y) + x_k (2 (r_k + N_kl y) + N_kk x_k) at
-    # x_l = y, and w . x = i0 + w_l y + w_k x_k
+    # x^t N x + m D = v + y (2 r_l + N_ll y) + x_k (2 (r_k + N_kl y) + N_kk x_k)
+    # at x_l = y, and w . x = i0 + w_l y + w_k x_k
     n_kk, w_k = num[k][k], weights[k]
     inners = [(2 * x, n_kk * x * x, w_k * x) for x in ranges[k]]
     middles = [(2 * y, num[l][l] * y * y, num[k][l] * y, weights[l] * y) for y in ranges[l]]
-    # every |x_i| <= R, the largest reach, so x^t N x >= -R^2 sum |N_ij| > floor on the box
+    # every |x_i| <= R, the largest reach, so x^t N x + m D >= m D - R^2 sum |N_ij| > floor
     reach = max(max(-rg.start, rg[-1]) for rg in ranges)
-    floor = -1 - sum(abs(n) for row in num for n in row) * reach * reach
+    floor = form.dim * order - 1 - sum(abs(n) for row in num for n in row) * reach * reach
     best = [floor] * order
     for v, r_k, r_l, i0 in heads:
         for twice_y, square_y, cross, shift_y in middles:

@@ -179,8 +179,8 @@ def _validated_rows(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...
     return out
 
 
-def _gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
-    """Fraction-free Gauss-Jordan elimination on [G | I]: pivots and rows.
+def _gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]], bool]:
+    """Fraction-free Gauss-Jordan elimination on [G | I]: pivots, rows, and whether it swapped.
 
     Each pivot clears its column above and below, and every division by the
     previous pivot is exact.  A zero pivot swaps up the first lower row that
@@ -193,7 +193,7 @@ def _gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[i
     """
     n = len(rows)
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    pivots = [1]
+    pivots, swapped = [1], False
     for k in range(n):
         if a[k][k] == 0:
             lower = next((i for i in range(k + 1, n) if a[i][k]), None)
@@ -201,6 +201,7 @@ def _gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[i
                 pivots.append(0)
                 break
             a[k], a[lower] = a[lower], [-x for x in a[k]]
+            swapped = True
         pivot_row = a[k]
         pivot = pivot_row[k]
         for i, row in enumerate(a):
@@ -209,7 +210,7 @@ def _gauss_jordan(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[i
                 for j in range(k + 1, 2 * n):
                     row[j] = (row[j] * pivot - factor * pivot_row[j]) // pivots[-1]
         pivots.append(pivot)
-    return pivots, a
+    return pivots, a, swapped
 
 
 def _smith_diagonal(rows: Sequence[Sequence[int]], order: int, minors: int) -> list[int]:
@@ -263,7 +264,7 @@ class QuadraticForm(Value):
         return len(self.gram)
 
     @cached_property
-    def _elimination(self) -> tuple[list[int], list[list[int]]]:
+    def _elimination(self) -> tuple[list[int], list[list[int]], bool]:
         return _gauss_jordan(self.gram)
 
     @cached_property
@@ -327,20 +328,12 @@ class QuadraticForm(Value):
 
     @cached_property
     def is_negative_definite(self) -> bool:
-        """Sylvester's criterion: the k-th leading minor has sign (-1)^k.
+        """Sylvester's criterion on the pivots, the leading minors until a row swap.
 
-        Until the first row swap the pivots are the leading minors, and a
-        swap puts two ratios p_(j+1) / p_j of opposite signs among them, so
-        the pivot signs alone decide.  Say the first swap, at step k, brings
-        up row l.  The Schur complement S of the leading k-block is
-        symmetric with S_i0 = 0 for 0 <= i < l - k, and row k holds
-        p_k S_(0, c-k) in each column c >= k.  Moved to position l, it is 0
-        in the columns k..l-1 and -p_k b in column l, b = S_(l-k, 0) =
-        p_(k+1) / p_k; it is only rescaled, by p_l / p_k, until step l, whose
-        pivot it gives: p_(l+1) / p_l = -p_(k+1) / p_k.
+        A negative-definite form has no zero leading minor, so it swaps no rows.
         """
-        pivots = self._elimination[0]
-        return all((-1) ** k * p > 0 for k, p in enumerate(pivots[1:], 1))
+        pivots, _, swapped = self._elimination
+        return not swapped and all((-1) ** k * p > 0 for k, p in enumerate(pivots[1:], 1))
 
 
 # The most points the characteristic box may have.  The box has
@@ -358,7 +351,7 @@ class QuadraticForm(Value):
 # accepts, whose D is at most prod |G_ii| (Hadamard), so below the budget.
 # When no coordinate covector generates a cyclic cokernel, it factors D
 # (prime_factors) and walks Z/D once: on diag(-1409, -1413), D = 1,990,917,
-# correction_vector takes 1.2 to 1.4 s and 220 MB (pinned, on that Xeon).
+# correction_vector takes 1.2 to 1.3 s and 159 MB (pinned, on that Xeon).
 BOX_BUDGET = 2_000_000
 
 # A negative-definite form has every G_ii <= -1, so its box has at least

@@ -22,24 +22,26 @@ numerators and renders them with ``texts()``; ``Matching.C`` is the
 The verdict scan.  :func:`even_matchings` narrows to the even matchings:
 C_0 = -B_0 - epsilon A_0 does not depend on u, so a sign with C_0 odd is
 skipped whole, and a unit is kept when C_1 and C_2 are even too.  Only
-kept pairs build a C, and ``Matching.even`` decides, so the result is
-exact on any symmetric vector.  On a form's A no odd C is built.  Mod 8D,
-A's numerator over 4D is x^t N x + m D (N = D G^-1, m the rank) at any
-characteristic x of its class: x + 2 G v adds 4D (v . x + v^t G v), and
-v . x = v^t G v (mod 2).  With x_0 = diag(G), x = x_0 + 2t g has index
-w . x_0 + 2t and x^t N x = x_0^t N x_0 + 4t g^t N x_0 + 4t^2 g^t N g, so
-A mod 2 is a quadratic in the index, and so are B and C_i in i.  Such an
-f is f(0) + (f(1) - f(0)) i + (f(2) - 2 f(1) + f(0)) i (i - 1) / 2, even
+kept pairs reach :func:`_matchings`, the one place a C is built, and
+``Matching.even`` decides, so the result is exact on any symmetric
+vector.  On a form's A no odd C is built.  Mod 8D, A's numerator over 4D
+is x^t N x + m D (N = D G^-1, m the rank) at any characteristic x of its
+class: x + 2 G v adds 4D (v . x + v^t G v), and v . x = v^t G v (mod 2).
+With x_0 = diag(G), x = x_0 + 2t g has index w . x_0 + 2t and
+x^t N x = x_0^t N x_0 + 4t g^t N x_0 + 4t^2 g^t N g, so A mod 2 is a
+quadratic in the index, and so are B and C_i in i.  Such an f is
+f(0) + (f(1) - f(0)) i + (f(2) - 2 f(1) + f(0)) i (i - 1) / 2, even
 everywhere once even at 0, 1 and 2.  By the i^2 terms, the even pairs of
 a sign are square roots of one residue mod D: at most 2^(omega(D) + 1)
 pairs, omega(D) the number of primes dividing D.
 
-The listing.  :func:`enumerate_matchings` builds every distinct C with its
-provenance: 2 D integers per unit below D/2, one C per sign, and up to as
-many entries of memory.  It serves ``match``, ``obstruct --json`` and the
-tests.  A listing above :data:`LISTING_BUDGET` entries is refused
-before the scan; the budget depends on D alone, so the commands that print
-a listing check it (:func:`check_listing_budget`) before any analysis.
+The listing.  :func:`enumerate_matchings` passes every pair to
+:func:`_matchings`, which builds every distinct C with its provenance: 2 D
+integers per unit below D/2, one C per sign, and up to as many entries of
+memory.  It serves ``match``, ``obstruct --json`` and the tests.  A
+listing above :data:`LISTING_BUDGET` entries is refused before the scan;
+the budget depends on D alone, so the commands that print a listing check
+it (:func:`check_listing_budget`) before any analysis.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from functools import cached_property
 from itertools import compress
 from math import gcd
 from operator import add, sub
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .corrections import CorrectionVector
 from .errors import ValidationError
@@ -165,20 +167,27 @@ def check_listing_budget(D: int) -> None:
         )
 
 
-def _integer_vectors(A: CorrectionVector, B: GammaVector) -> tuple[int, Sequence[int], list[int]]:
-    """D, and the numerators of A and of -B over 4D."""
+def _matchings(
+    A: CorrectionVector, B: GammaVector, pairs: Iterable[tuple[int, int]]
+) -> tuple[Matching, ...]:
+    """The distinct C = -B - epsilon A_u of the (u, epsilon) ``pairs``, u < D/2, sorted by C.
+
+    This is the one place a C is built.  D - u gives the same C as u, so
+    both pairs go into its provenance, ordered epsilon = +1 then -1, units
+    ascending; the first pair is the representative.  The numerators share
+    the denominator 4D, so their order is the order of the rationals C.
+    """
     if A.D != B.D:
         raise ValidationError(f"determinant mismatch: A has {A.D}, B has {B.D}")
-    return A.D, A.numerators, [-b for b in B.numerators]
-
-
-def _listed(found: dict[tuple[int, ...], list[tuple[int, int]]]) -> tuple[Matching, ...]:
-    """The matchings of the integer vectors in ``found``, sorted by C.
-
-    Each provenance list is ordered epsilon = +1 then -1, units ascending,
-    and its first pair is the representative.  The numerators share the
-    denominator 4D, so their order is the order of the rationals C.
-    """
+    D, a, neg_b = A.D, A.numerators, [-b for b in B.numerators]
+    found: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    # the pairs of a unit come together, so its a_u is built once
+    last, a_u = 0, []
+    for u, epsilon in pairs:
+        if u != last:
+            last, a_u = u, [a[j % D] for j in range(0, u * D, u)]
+        C = tuple(map(sub if epsilon == 1 else add, neg_b, a_u))
+        found.setdefault(C, []).extend(((u, epsilon), (D - u, epsilon)))
     return tuple(
         Matching(C, tuple(sorted(found[C], key=lambda pair: (-pair[1], pair[0]))))
         for C in sorted(found)
@@ -186,44 +195,30 @@ def _listed(found: dict[tuple[int, ...], list[tuple[int, int]]]) -> tuple[Matchi
 
 
 def enumerate_matchings(A: CorrectionVector, B: GammaVector) -> tuple[Matching, ...]:
-    """All matchings, deduplicated by their C vector.
+    """All matchings: every (unit, sign) pair with the unit below D/2, merged by C and sorted.
 
-    The scan covers only the units below D/2: A is symmetric by type, so
-    D - u gives the same C as u, and both pairs go into the provenance.
-    Distinct (unit, sign) pairs frequently produce identical vectors; these
-    are merged, with the full provenance list retained.  The result is sorted
-    by C for run-to-run stability.  A listing of more than
-    :data:`LISTING_BUDGET` entries is refused with ``ValidationError``
-    before the scan.
+    A listing of more than :data:`LISTING_BUDGET` entries is refused with
+    ``ValidationError`` before the scan.
     """
-    D, a, neg_b = _integer_vectors(A, B)
-    check_listing_budget(D)
-    found: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for u in half_units(D):
-        a_u = [a[j % D] for j in range(0, u * D, u)]
-        for epsilon, op in ((1, sub), (-1, add)):
-            C = tuple(map(op, neg_b, a_u))
-            found.setdefault(C, []).extend(((u, epsilon), (D - u, epsilon)))
-    return _listed(found)
+    check_listing_budget(A.D)
+    return _matchings(A, B, ((u, epsilon) for u in half_units(A.D) for epsilon in (1, -1)))
 
 
 def even_matchings(A: CorrectionVector, B: GammaVector) -> tuple[Matching, ...]:
     """The entries of the full listing whose ``even`` holds, narrowed by C_0, C_1 and C_2."""
-    D, a, neg_b = _integer_vectors(A, B)
+    D, a, b = A.D, A.numerators, B.numerators
     two = 8 * D  # 2 as a numerator over 4D
-    scanned = half_units(D)
-    found: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for epsilon, op in ((1, sub), (-1, add)):
-        if op(neg_b[0], a[0]) % two:
-            continue
-        # C_i is even exactly when A_(u i) = -epsilon B_i (mod 2)
-        first, second = epsilon * neg_b[1] % two, epsilon * neg_b[2] % two
-        for u in scanned:
-            if a[u] % two == first and a[2 * u % D] % two == second:
-                a_u = [a[j % D] for j in range(0, u * D, u)]
-                C = tuple(map(op, neg_b, a_u))
-                found.setdefault(C, []).extend(((u, epsilon), (D - u, epsilon)))
-    return tuple(m for m in _listed(found) if m.even)
+    # C_i is even exactly when A_(u i) = -epsilon B_i (mod 2); the generator
+    # reads B only once _matchings has checked the determinants
+    pairs = (
+        (u, epsilon)
+        for epsilon in (1, -1)
+        if (b[0] + epsilon * a[0]) % two == 0
+        for first, second in [(-epsilon * b[1] % two, -epsilon * b[2] % two)]
+        for u in half_units(D)
+        if a[u] % two == first and a[2 * u % D] % two == second
+    )
+    return tuple(m for m in _matchings(A, B, pairs) if m.even)
 
 
 class Verdict(Value):
@@ -247,41 +242,14 @@ def obstruct(
     strong: bool = False,
     matchings: Optional[Sequence[Matching]] = None,
 ) -> Verdict:
-    """Run the filter pipeline: even, positive, (gated) symmetric, (strong) staircase.
+    """Run the one filter loop: even, positive, (gated) symmetric, (strong) staircase.
 
     ``matchings`` is a listing the caller already has; without one the
     pipeline starts from :func:`even_matchings`, which gives the same
-    verdict.
+    verdict.  The first applied filter that leaves no matching decides.
     """
     pool = tuple(matchings) if matchings is not None else even_matchings(A, B)
-    return _verdict_from_pool(pool, gate=A.gate, strong=strong)
-
-
-def sign_refined_obstruct(A: CorrectionVector, B: GammaVector, sigma: int) -> Verdict:
-    """The one-sign variant: can the knot be unknotted by making a negative
-    crossing positive?
-
-    The signature pins the sign: the comparison uses epsilon =
-    -(-1)^(sigma/2) only.  A signature outside {0, 2} already rules this
-    out.  To test the opposite crossing sign, run this on the mirrored
-    record (negated correction vector, negated signature).
-    """
-    if sigma % 2 != 0:
-        raise ValidationError(f"knot signature must be even, got {sigma}")
-    if sigma not in (0, 2):
-        detail = f"signature {sigma} is incompatible with this crossing change"
-        return Verdict(Outcome.SIGNATURE_OBSTRUCTION, (), gate_applied=False, detail=detail)
-    epsilon = -((-1) ** (sigma // 2))
-    pool = tuple(
-        m for m in even_matchings(A, B) if any(eps == epsilon for _, eps in m.provenance)
-    )
-    return _verdict_from_pool(pool, gate=A.gate, strong=False)
-
-
-def _verdict_from_pool(pool: Sequence[Matching], gate: bool, strong: bool) -> Verdict:
-    # the filters in order, each with the outcome its failure gives; the first
-    # applied filter that leaves no matching decides, and its witnesses are
-    # the matchings that passed the filters before it (see Verdict)
+    gate = A.gate
     failures = (
         Outcome.NO_EVEN_MATCHING,
         Outcome.NO_EVEN_POSITIVE_MATCHING,
@@ -296,6 +264,28 @@ def _verdict_from_pool(pool: Sequence[Matching], gate: bool, strong: bool) -> Ve
             return Verdict(outcome, witnesses, gate_applied=gate, strong=strong)
         witnesses = survivors
     return Verdict(Outcome.NOT_OBSTRUCTED, witnesses, gate_applied=gate, strong=strong)
+
+
+def sign_refined_obstruct(A: CorrectionVector, B: GammaVector, sigma: int) -> Verdict:
+    """The one-sign variant: can the knot be unknotted by making a negative
+    crossing positive?
+
+    The signature pins the sign: the comparison uses epsilon =
+    -(-1)^(sigma/2) only, so the pool is the even matchings with a pair of
+    that sign.  A signature outside {0, 2} already rules this out.  To test
+    the opposite crossing sign, run this on the mirrored record (negated
+    correction vector, negated signature).
+    """
+    if sigma % 2 != 0:
+        raise ValidationError(f"knot signature must be even, got {sigma}")
+    if sigma not in (0, 2):
+        detail = f"signature {sigma} is incompatible with this crossing change"
+        return Verdict(Outcome.SIGNATURE_OBSTRUCTION, (), gate_applied=False, detail=detail)
+    epsilon = -((-1) ** (sigma // 2))
+    pool = tuple(
+        m for m in even_matchings(A, B) if any(eps == epsilon for _, eps in m.provenance)
+    )
+    return obstruct(A, B, matchings=pool)
 
 
 def format_compact(matching: Matching) -> str:
